@@ -2,7 +2,7 @@ PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: test test-no-numpy test-mpp bench bench-mpp bench-delta bench-infer \
-	bench-columnar lint lint-conc
+	bench-columnar bench-e2e bench-e2e-compare lint lint-conc
 
 # Tier-1 suite: serial executors only (the `mpp` marker is excluded
 # via addopts in pyproject.toml).
@@ -42,6 +42,16 @@ bench-infer:
 # (>=2x with numpy; engines checked bit-identical before timing).
 bench-columnar:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_columnar.py -q
+
+# The benchmark BENCHMARK.json declares: end-to-end wall-clock of the
+# four workloads, each in a fresh process (benchmarks/e2e/README.md).
+bench-e2e:
+	$(PYTHON) benchmarks/e2e/run.py
+
+# Judge results file B against A, per (workload, end-to-end metric);
+# exits non-zero on a regression beyond the metric's bound.
+bench-e2e-compare:
+	$(PYTHON) benchmarks/e2e/run.py --compare $(A) $(B)
 
 # Static checks: ruff (style/imports) + mypy (strict on repro.analyze,
 # repro.core, repro.quality, repro.serve — see pyproject.toml).  Each

@@ -192,7 +192,6 @@ class MPPBackend(Backend):
         worker_timeout: float = 60.0,
         plan: str = "adaptive",
         verify_plans: Optional[bool] = None,
-        executor: Optional[str] = None,
     ) -> None:
         self.name = name
         self.nseg = nseg
@@ -205,7 +204,6 @@ class MPPBackend(Backend):
             worker_timeout=worker_timeout,
             plan_mode=plan,
             verify_plans=verify_plans,
-            executor=executor,
         )
         self._views_created = False
 

@@ -90,8 +90,9 @@ class BackendConfig:
     #: debug gate: statically verify every distinct plan once before it
     #: executes (False still honors the PROBKB_VERIFY_PLANS env var)
     verify_plans: bool = False
-    #: relational engine: "columnar" or "rows"; None defers to the
-    #: PROBKB_EXECUTOR env var, then the columnar default
+    #: relational engine of the single-node backend: "columnar" or
+    #: "rows" (the test reference); None defers to the PROBKB_EXECUTOR
+    #: env var, then the columnar default.  MPP is always columnar.
     executor: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -103,6 +104,13 @@ class BackendConfig:
             raise ValueError(
                 f"unknown executor {self.executor!r} "
                 f"(use one of {EXECUTOR_ENGINES})"
+            )
+        if self.kind == "mpp" and self.executor == "rows":
+            raise ValueError(
+                "executor='rows' is only available on the single-node "
+                "backend (kind='single'), where the row engine is the "
+                "test reference; MPP segments always run the columnar "
+                "operators"
             )
 
 
@@ -257,5 +265,4 @@ def build_backend(spec: BackendSpec = BackendConfig()) -> Backend:
         worker_timeout=mpp.worker_timeout,
         plan=mpp.plan,
         verify_plans=verify,
-        executor=spec.executor,
     )

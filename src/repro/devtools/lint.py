@@ -57,7 +57,14 @@ __all__ = ["lint_paths", "lint_source", "KERNEL_PATTERNS"]
 
 #: path fragments marking deterministic inference/grounding kernels:
 #: files where RC003 forbids wall clocks, unseeded RNGs, and id()
-KERNEL_PATTERNS: Tuple[str, ...] = ("/infer/", "/delta/", "mpp/rowops.py")
+KERNEL_PATTERNS: Tuple[str, ...] = (
+    "/infer/",
+    "/delta/",
+    # the segment operators and the interpreter that runs them (the
+    # queue exchange's deadlines live outside, in mpp/workers.py)
+    "relational/operators.py",
+    "mpp/segments.py",
+)
 
 #: the only files allowed to construct PhysicalNode directly (RC009):
 #: the adaptive executor and the static planner.  Everything else must

@@ -1,6 +1,6 @@
 """Shared-nothing MPP database simulator (the Greenplum stand-in)."""
 
-from .cluster import PLAN_MODES, MPPDatabase, MPPTable, Shards
+from .cluster import PLAN_MODES, FrameRef, MPPDatabase, MPPTable, SegmentOps, Shards
 from .distribution import (
     DistributionPolicy,
     HashDistribution,
@@ -18,11 +18,12 @@ from .static_planner import (
     choose_fallback_motion,
     collect_mpp_statistics,
 )
-from .workers import PooledOps, RemoteShards, WorkerCrashError, WorkerPool
+from .workers import WorkerCrashError, WorkerPool
 
 __all__ = [
     "DistDesc",
     "DistributionPolicy",
+    "FrameRef",
     "HashDistribution",
     "JoinEstimate",
     "MPPDatabase",
@@ -30,10 +31,9 @@ __all__ = [
     "MotionEstimate",
     "PLAN_MODES",
     "PhysicalNode",
-    "PooledOps",
     "RandomDistribution",
-    "RemoteShards",
     "ReplicatedDistribution",
+    "SegmentOps",
     "Shards",
     "StaticPlan",
     "StaticPlanner",

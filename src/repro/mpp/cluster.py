@@ -17,37 +17,44 @@ EXPLAIN ANALYZE output reproducing the paper's Figure 4.
 Execution modes
 ---------------
 
-The planner (:class:`_MPPExecutor`) is split from the row-level work it
-schedules.  An *ops* object executes each physical operator across
-segments and comes in two flavors:
+The planner (:class:`_MPPExecutor`) decides motions and records the
+physical plan; the per-segment work is one command per operator, built
+by :class:`SegmentOps` and executed by the segment interpreter of
+:mod:`repro.mpp.segments`.  Serial and pooled execution are that one
+interpreter — what differs is where it runs and the exchange its
+motions use:
 
-* :class:`_SerialOps` (default, ``num_workers=0``) runs every segment's
-  share in the master process — deterministic, dependency-free, and what
+* ``num_workers=0`` (default): one interpreter in the master process
+  owns every segment, reads the tables' shards in place and exchanges
+  motion pieces in memory — deterministic, dependency-free, and what
   tier-1 tests exercise.
-* ``PooledOps`` (:mod:`repro.mpp.workers`, ``num_workers>0``) pushes each
-  operator down into a persistent pool of worker processes, one command
-  per operator, with motions exchanged worker-to-worker over
-  ``multiprocessing`` queues.  Both modes share the row loops in
-  :mod:`repro.mpp.rowops`, so they produce bit-identical tables and cost
-  clocks.
+* ``num_workers>0``: each process of a persistent pool
+  (:mod:`repro.mpp.workers`) is an interpreter over its share of the
+  segments, commands are dispatched to all of them in lockstep, and
+  motions travel worker-to-worker over ``multiprocessing`` queues.
+
+Either way the rows, their shard placement and the cost clocks are
+bit-identical.
 
 The master's table shards stay authoritative in both modes: DML is
 applied on the master and mirrored into the workers, while queries run
 in the workers and only result rows travel back.  If the pool dies
-mid-statement the database *degrades* — it re-runs the statement on the
-serial executor over its own intact shards and stays serial from then
-on.
+mid-statement the database *degrades* — it restores the clocks the
+aborted attempt charged, re-runs the statement on the in-process
+interpreter over its own intact shards and stays serial from then on.
 """
 
 from __future__ import annotations
 
+import itertools
+import warnings
 import weakref
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 
-from ..relational.columnar import resolve_executor
 from ..relational.cost import CostClock
 from ..relational.executor import Result
 from ..relational.expr import Expr, resolve_column
+from ..relational.operators import AggregateSpec
 from ..relational.plan import (
     Aggregate,
     AntiJoin,
@@ -68,7 +75,6 @@ from ..relational.schema import TableSchema
 from ..relational.table import Table
 from ..relational.types import ExecutionError, Row, ensure
 from ..relational.verify import verify_plan, verify_plans_enabled
-from . import rowops
 from .distribution import (
     DistributionPolicy,
     HashDistribution,
@@ -77,6 +83,7 @@ from .distribution import (
     partition_rows,
 )
 from .plannodes import DistDesc, PhysicalNode
+from .segments import LocalExchange, SegmentInterpreter
 from .static_planner import (
     FALLBACK_BROADCAST_LEFT,
     FALLBACK_BROADCAST_RIGHT,
@@ -89,6 +96,7 @@ from .static_planner import (
     qualified_set,
     subset_perm,
 )
+from .workers import WorkerCrashError, WorkerPool
 
 _T = TypeVar("_T")
 
@@ -142,8 +150,33 @@ class MPPTable:
         return rows
 
 
+class FrameRef:
+    """A distributed intermediate result living in the segment
+    interpreter(s) that computed it.
+
+    The planner only holds the metadata — per-segment row counts and the
+    distribution; the rows stay where they are until
+    :meth:`SegmentOps.localize`."""
+
+    __slots__ = ("columns", "dist", "handle", "counts")
+
+    def __init__(
+        self, columns: List[str], dist: DistDesc, handle: int, counts: List[int]
+    ) -> None:
+        self.columns = columns
+        self.dist = dist
+        self.handle = handle
+        self.counts = counts
+
+    @property
+    def total_rows(self) -> int:
+        if self.dist.kind == "replicated":
+            return self.counts[0]
+        return sum(self.counts)
+
+
 class Shards:
-    """A distributed intermediate result held in the master process."""
+    """A statement's result rows, fetched into the master process."""
 
     __slots__ = ("columns", "parts", "dist")
 
@@ -186,7 +219,6 @@ class MPPDatabase:
         worker_timeout: float = 60.0,
         plan_mode: str = "adaptive",
         verify_plans: Optional[bool] = None,
-        executor: Optional[str] = None,
     ) -> None:
         ensure(nseg >= 1, ExecutionError, "need at least one segment")
         ensure(
@@ -197,9 +229,6 @@ class MPPDatabase:
         self.name = name
         self.nseg = nseg
         self.plan_mode = plan_mode
-        #: relational engine used for segment row operators ("columnar"
-        #: or "rows"); worker processes resolve PROBKB_EXECUTOR themselves
-        self.executor_engine = resolve_executor(executor)
         #: the static planner's verdict on the most recent statement
         #: (``plan_mode="static"`` only)
         self.last_static_plan: Optional[StaticPlan] = None
@@ -217,12 +246,10 @@ class MPPDatabase:
         #: it executes (None defers to the PROBKB_VERIFY_PLANS env var)
         self.verify_plans = verify_plans_enabled(verify_plans)
         self._verified_plans: "weakref.WeakSet[PlanNode]" = weakref.WeakSet()
-        self.pool = None
+        self.pool: Optional[WorkerPool] = None
         self.num_workers = 0
         self.degraded_reason: Optional[str] = None
         if num_workers:
-            from .workers import WorkerPool
-
             self.pool = WorkerPool(
                 nseg, num_workers, reply_timeout=worker_timeout
             )
@@ -243,7 +270,9 @@ class MPPDatabase:
             "workers": self.pool.num_workers if self.pool is not None else 0,
             "degraded": self.degraded,
             "plan": self.plan_mode,
-            "engine": self.executor_engine,
+            # segments run the columnar operators, and only those: the
+            # row engine is the single-node backend's test reference
+            "engine": "columnar",
         }
 
     def close(self) -> None:
@@ -260,8 +289,6 @@ class MPPDatabase:
 
     def _degrade(self, error: BaseException) -> None:
         """Lose the pool: record why, kill it, continue serially."""
-        import warnings
-
         pool, self.pool = self.pool, None
         self.degraded_reason = str(error) or type(error).__name__
         if pool is not None:
@@ -280,9 +307,9 @@ class MPPDatabase:
         In pooled mode the plan runs inside the workers and only the
         result rows come back.  Plan execution never mutates stored
         tables, so if the pool dies mid-plan the statement simply
-        retries on the serial executor over the master's authoritative
-        shards (at worst the cost clocks double-count the aborted
-        attempt's operators)."""
+        retries in-process over the master's authoritative shards, with
+        the segment clocks rewound to where the aborted attempt found
+        them: a degraded statement charges what a serial one does."""
         static_choices = self._plan_statically(plan)
         verify = self.verify_plans and plan not in self._verified_plans
         if verify:
@@ -325,21 +352,25 @@ class MPPDatabase:
         self, plan: PlanNode, static_choices: Optional[Dict[int, str]]
     ) -> Tuple[Shards, PhysicalNode]:
         if self.pool is not None:
-            from .workers import PooledOps, WorkerCrashError
-
-            ops = PooledOps(self)
+            clocks_before = [clock.copy() for clock in self.segment_clocks]
             try:
-                executor = _MPPExecutor(
-                    self, ops=ops, static_choices=static_choices
-                )
-                shards, node = executor.exec_plan(plan)
-                return ops.localize(shards), node
+                return self._interpret(plan, static_choices)
             except WorkerCrashError as error:
                 self._degrade(error)
+                for clock, before in zip(self.segment_clocks, clocks_before):
+                    clock.reset()
+                    clock.merge(before)
             finally:
                 self._reset_pool()
-        executor = _MPPExecutor(self, static_choices=static_choices)
-        return executor.exec_plan(plan)
+        return self._interpret(plan, static_choices)
+
+    def _interpret(
+        self, plan: PlanNode, static_choices: Optional[Dict[int, str]]
+    ) -> Tuple[Shards, PhysicalNode]:
+        """Plan and run on the pool if there is one, else in-process."""
+        executor = _MPPExecutor(self, static_choices)
+        ref, node = executor.exec_plan(plan)
+        return executor.ops.localize(ref), node
 
     def _plan_statically(self, plan: PlanNode) -> Optional[Dict[int, str]]:
         """In static mode, pre-decide the cost-based join motions from
@@ -357,8 +388,6 @@ class MPPDatabase:
         """Free worker-side intermediates after a statement."""
         if self.pool is None:
             return
-        from .workers import WorkerCrashError
-
         try:
             self.pool.reset_intermediates()
         except WorkerCrashError as error:
@@ -368,8 +397,6 @@ class MPPDatabase:
         """Mirror one DML effect into every worker (no-op without a pool)."""
         if self.pool is None:
             return
-        from .workers import WorkerCrashError
-
         try:
             self.pool.dispatch(command)
         except WorkerCrashError as error:
@@ -385,7 +412,6 @@ class MPPDatabase:
         """Ship per-segment row lists to the workers owning them."""
         if self.pool is None:
             return
-        from .workers import WorkerCrashError
 
         def build(worker_id: int, segments: List[int]) -> Tuple:
             payload = {
@@ -720,245 +746,193 @@ class MPPDatabase:
         return outcome
 
 
-class _SerialOps:
-    """Row-level operator execution, all segments in the master process.
+class SegmentOps:
+    """One command per physical operator, dispatched to the segment
+    interpreter(s): every worker of the cluster's pool, or — with no
+    pool — one in-process interpreter that owns all segments and reads
+    the master's table shards in place.
 
-    Every method takes/returns :class:`Shards`; the row loops themselves
-    live in :mod:`repro.mpp.rowops`, shared with the worker processes.
-    """
-
-    remote = False
+    Each method returns a :class:`FrameRef`; the rows stay with the
+    interpreters.  Their per-segment clock deltas ride back on the
+    replies and are merged into the cluster's segment clocks, so the
+    planner's timing and EXPLAIN output do not depend on the mode."""
 
     def __init__(self, cluster: MPPDatabase) -> None:
-        self.cluster = cluster
         self.nseg = cluster.nseg
         self.clocks = cluster.segment_clocks
-        self.engine = cluster.executor_engine
+        self._next_handle = itertools.count(1).__next__
+        pool = cluster.pool
+        if pool is not None:
+            self._dispatch: Callable[[Tuple], Dict[int, dict]] = pool.dispatch
+            # pool-wide, so a piece left over from an aborted statement
+            # can never pass for one of this statement's
+            self._next_epoch = pool.next_epoch
+        else:
+            local = SegmentInterpreter(
+                range(self.nseg),
+                self.nseg,
+                lambda name, seg: cluster.tables[name].parts[seg],
+                LocalExchange(),
+            )
+            self._dispatch = lambda command: {0: local.execute(command)}
+            self._next_epoch = itertools.count(1).__next__
 
-    def scan(self, table: MPPTable, columns: List[str], dist: DistDesc) -> Shards:
-        parts = [
-            rowops.scan_rows(part.rows, self.clocks[seg])
-            for seg, part in enumerate(table.parts)
-        ]
-        return Shards(columns, parts, dist)
+    def _run(
+        self, op: str, args: Tuple, columns: List[str], dist: DistDesc
+    ) -> FrameRef:
+        handle = self._next_handle()
+        counts = [0] * self.nseg
+        for payload in self._dispatch((op, handle) + args).values():
+            for seg, count in payload["counts"].items():
+                counts[seg] = count
+            for seg, delta in payload["deltas"].items():
+                self.clocks[seg].merge(delta)
+        return FrameRef(columns, dist, handle, counts)
 
-    def values(self, rows: List[Row], columns: List[str]) -> Shards:
-        parts: List[List[Row]] = [[] for _ in range(self.nseg)]
-        parts[0] = list(rows)
-        return Shards(columns, parts, DistDesc.arbitrary())
+    def scan(self, table: MPPTable, columns: List[str], dist: DistDesc) -> FrameRef:
+        return self._run("scan", (table.name, columns), columns, dist)
 
-    def filter(self, child: Shards, predicate: Expr) -> Shards:
-        bound = predicate.bind(child.columns)
-        parts = [
-            rowops.filter_rows(part, bound, self.clocks[seg])
-            for seg, part in enumerate(child.parts)
-        ]
-        return Shards(child.columns, parts, child.dist)
+    def values(self, rows: List[Row], columns: List[str]) -> FrameRef:
+        return self._run("values", (rows, columns), columns, DistDesc.arbitrary())
+
+    def filter(self, child: FrameRef, predicate: Expr) -> FrameRef:
+        return self._run(
+            "filter", (child.handle, predicate), child.columns, child.dist
+        )
 
     def project(
         self,
-        child: Shards,
+        child: FrameRef,
         outputs: Sequence[Tuple[Expr, str]],
         out_columns: List[str],
         dist: DistDesc,
-    ) -> Shards:
-        evaluators = [expr.bind(child.columns) for expr, _ in outputs]
-        parts = [
-            rowops.project_rows(part, evaluators, self.clocks[seg])
-            for seg, part in enumerate(child.parts)
-        ]
-        return Shards(out_columns, parts, dist)
+    ) -> FrameRef:
+        args = (child.handle, list(outputs), out_columns)
+        return self._run("project", args, out_columns, dist)
 
     def join(
         self,
-        left: Shards,
-        right: Shards,
+        left: FrameRef,
+        right: FrameRef,
         lpos: List[int],
         rpos: List[int],
         residual: Optional[Expr],
-        out_columns: List[str],
         out_dist: DistDesc,
-    ) -> Shards:
-        bound = residual.bind(out_columns) if residual is not None else None
+    ) -> FrameRef:
         both_replicated = (
             left.dist.kind == "replicated" and right.dist.kind == "replicated"
         )
-        parts = []
-        for seg in range(self.nseg):
-            if both_replicated and seg != 0:
-                # both replicated: compute once on segment 0
-                parts.append([])
-                continue
-            left_part = (
-                left.parts[0] if left.dist.kind == "replicated" else left.parts[seg]
-            )
-            right_part = (
-                right.parts[0]
-                if right.dist.kind == "replicated"
-                else right.parts[seg]
-            )
-            parts.append(
-                rowops.hash_join_rows(
-                    left_part, right_part, lpos, rpos, bound,
-                    self.clocks[seg], engine=self.engine,
-                )
-            )
-        return Shards(out_columns, parts, out_dist)
+        args = (left.handle, right.handle, lpos, rpos, residual, both_replicated)
+        return self._run("join", args, left.columns + right.columns, out_dist)
 
     def anti_join(
         self,
-        left: Shards,
-        right: Shards,
+        left: FrameRef,
+        right: FrameRef,
         lpos: List[int],
         rpos: List[int],
         out_dist: DistDesc,
-    ) -> Shards:
-        parts = []
-        for seg in range(self.nseg):
-            if left.dist.kind == "replicated" and seg != 0:
-                parts.append([])
-                continue
-            left_part = (
-                left.parts[0] if left.dist.kind == "replicated" else left.parts[seg]
-            )
-            right_part = (
-                right.parts[0]
-                if right.dist.kind == "replicated"
-                else right.parts[seg]
-            )
-            parts.append(
-                rowops.anti_join_rows(
-                    left_part, right_part, lpos, rpos,
-                    self.clocks[seg], engine=self.engine,
-                )
-            )
-        return Shards(left.columns, parts, out_dist)
+    ) -> FrameRef:
+        args = (
+            left.handle, right.handle, lpos, rpos, left.dist.kind == "replicated"
+        )
+        return self._run("anti_join", args, left.columns, out_dist)
 
-    def distinct(self, child: Shards) -> Shards:
-        parts = [
-            rowops.distinct_rows(part, self.clocks[seg], engine=self.engine)
-            for seg, part in enumerate(child.parts)
-        ]
-        return Shards(child.columns, parts, child.dist)
+    def distinct(self, child: FrameRef) -> FrameRef:
+        return self._run("distinct", (child.handle,), child.columns, child.dist)
 
     def aggregate(
         self,
-        child: Shards,
+        child: FrameRef,
         group_pos: List[int],
-        aggregates: Sequence[Tuple[str, Optional[str], str]],
+        aggregates: Sequence[AggregateSpec],
         agg_pos: Sequence[Optional[int]],
         having: Optional[Expr],
         out_columns: List[str],
-        global_agg: bool,
         out_dist: DistDesc,
-    ) -> Shards:
-        bound = having.bind(out_columns) if having is not None else None
-        parts = []
-        for seg, part in enumerate(child.parts):
-            if global_agg and seg != 0:
-                parts.append([])
-                continue
-            parts.append(
-                rowops.aggregate_rows(
-                    part, group_pos, aggregates, agg_pos, bound,
-                    global_agg, self.clocks[seg],
-                )
-            )
-        return Shards(out_columns, parts, out_dist)
+    ) -> FrameRef:
+        args = (
+            child.handle, group_pos, list(aggregates), list(agg_pos), having,
+            out_columns,
+        )
+        return self._run("aggregate", args, out_columns, out_dist)
 
     def union(
-        self, children: List[Shards], out_columns: List[str], dist: DistDesc
-    ) -> Shards:
-        parts: List[List[Row]] = [[] for _ in range(self.nseg)]
-        for shards in children:
-            if shards.dist.kind == "replicated":
-                parts[0].extend(shards.parts[0])
-            else:
-                for seg, part in enumerate(shards.parts):
-                    parts[seg].extend(part)
-        # concatenation emits every row once, mirroring the single-node
-        # executor's UnionAll charge
-        for seg, part in enumerate(parts):
-            self.clocks[seg].rows_output += len(part)
-        return Shards(out_columns, parts, dist)
+        self, children: List[FrameRef], out_columns: List[str], dist: DistDesc
+    ) -> FrameRef:
+        sources = [
+            (child.handle, child.dist.kind == "replicated") for child in children
+        ]
+        return self._run("union", (sources, out_columns), out_columns, dist)
+
+    def _motion(
+        self, op: str, source: FrameRef, args: Tuple, dist: DistDesc
+    ) -> FrameRef:
+        args = (source.handle,) + args + (
+            self._next_epoch(), source.dist.kind == "replicated",
+        )
+        return self._run(op, args, source.columns, dist)
 
     def redistribute(
-        self, shards: Shards, positions: List[int], keys: List[str]
-    ) -> Shards:
-        parts: List[List[Row]] = [[] for _ in range(self.nseg)]
-        source_parts = (
-            [shards.parts[0]] if shards.dist.kind == "replicated" else shards.parts
+        self, source: FrameRef, positions: List[int], keys: List[str]
+    ) -> FrameRef:
+        return self._motion(
+            "redistribute", source, (positions,), DistDesc.hash_on(keys)
         )
-        for seg, part in enumerate(source_parts):
-            pieces = rowops.partition_by_hash(part, positions, self.nseg)
-            for target, piece in enumerate(pieces):
-                if target != seg:
-                    self.clocks[target].rows_shipped += len(piece)
-                parts[target].extend(piece)
-        return Shards(shards.columns, parts, DistDesc.hash_on(keys))
 
-    def broadcast(self, shards: Shards) -> Shards:
-        all_rows = shards.gathered()
-        for seg in range(self.nseg):
-            local = (
-                len(shards.parts[seg])
-                if shards.dist.kind != "replicated"
-                else len(all_rows)
-            )
-            self.clocks[seg].rows_broadcast += len(all_rows) - local
-        parts = [list(all_rows) for _ in range(self.nseg)]
-        return Shards(shards.columns, parts, DistDesc.replicated())
+    def broadcast(self, source: FrameRef) -> FrameRef:
+        return self._motion("broadcast", source, (), DistDesc.replicated())
 
-    def gather_first(self, shards: Shards) -> Shards:
-        rows = shards.gathered()
-        if shards.dist.kind != "replicated":
-            self.clocks[0].rows_shipped += len(rows) - len(shards.parts[0])
-        parts: List[List[Row]] = [[] for _ in range(self.nseg)]
-        parts[0] = rows
-        return Shards(shards.columns, parts, DistDesc.arbitrary())
+    def gather_first(self, source: FrameRef) -> FrameRef:
+        return self._motion("gather_first", source, (), DistDesc.arbitrary())
 
-    def sort(self, child: Shards, positions: Sequence[Tuple[int, bool]]) -> Shards:
-        ordered = rowops.sort_rows(
-            child.parts[0], positions, self.clocks[0], engine=self.engine
+    def sort(self, child: FrameRef, keys: Sequence[Tuple[int, bool]]) -> FrameRef:
+        return self._run(
+            "sort", (child.handle, list(keys)), child.columns, DistDesc.arbitrary()
         )
-        parts: List[List[Row]] = [[] for _ in range(self.nseg)]
-        parts[0] = ordered
-        return Shards(child.columns, parts, DistDesc.arbitrary())
 
-    def limit(self, child: Shards, limit: int) -> Shards:
-        parts: List[List[Row]] = [[] for _ in range(self.nseg)]
-        parts[0] = list(child.parts[0][:limit])
-        return Shards(child.columns, parts, DistDesc.arbitrary())
+    def limit(self, child: FrameRef, limit: int) -> FrameRef:
+        return self._run(
+            "limit", (child.handle, limit), child.columns, DistDesc.arbitrary()
+        )
 
-    def localize(self, shards: Shards) -> Shards:
-        return shards
+    def localize(self, ref: FrameRef) -> Shards:
+        """Fetch a frame's rows into the master process."""
+        replicated = ref.dist.kind == "replicated"
+        command = ("fetch", ref.handle, (0,) if replicated else None)
+        parts: List[List[Row]] = [[] for _ in range(self.nseg)]
+        for payload in self._dispatch(command).values():
+            for seg, batch in payload["batches"].items():
+                parts[seg] = batch.to_rows()
+        if replicated:
+            # full copies on every segment, shared read-only
+            parts = [parts[0]] * self.nseg
+        return Shards(ref.columns, parts, ref.dist)
 
 
 class _MPPExecutor:
-    """Adaptive planner over distributed shards.
+    """Adaptive planner over distributed frames.
 
     Decides collocation/motions and records the physical plan; the
-    actual per-segment row work is delegated to an *ops* object —
-    :class:`_SerialOps` in-process, or ``PooledOps`` pushing operators
-    into the worker pool."""
+    per-segment work goes through :class:`SegmentOps` to the segment
+    interpreter(s) — in-process, or the cluster's worker pool."""
 
     def __init__(
         self,
         cluster: MPPDatabase,
-        ops: Optional[Any] = None,
         static_choices: Optional[Dict[int, str]] = None,
     ) -> None:
         self.cluster = cluster
         self.nseg = cluster.nseg
         self.clocks = cluster.segment_clocks
-        self.ops = ops if ops is not None else _SerialOps(cluster)
+        self.ops = SegmentOps(cluster)
         #: pre-decided broadcast-vs-redistribute choices per HashJoin
         #: logical node (``plan_mode="static"``); None = decide adaptively
         self.static_choices = static_choices
 
     # -- entry ---------------------------------------------------------------
 
-    def exec_plan(self, plan: PlanNode) -> Tuple[Shards, PhysicalNode]:
+    def exec_plan(self, plan: PlanNode) -> Tuple[FrameRef, PhysicalNode]:
         self._bind(plan)
         return self._exec(plan)
 
@@ -972,7 +946,7 @@ class _MPPExecutor:
 
     # -- timing helper ---------------------------------------------------------
 
-    def _timed(self, node: PhysicalNode, work: Callable[[], Shards]) -> Shards:
+    def _timed(self, node: PhysicalNode, work: Callable[[], FrameRef]) -> FrameRef:
         before = [clock.seconds for clock in self.clocks]
         shards = work()
         node.seconds = max(
@@ -984,7 +958,7 @@ class _MPPExecutor:
 
     # -- dispatch ----------------------------------------------------------------
 
-    def _exec(self, plan: PlanNode) -> Tuple[Shards, PhysicalNode]:
+    def _exec(self, plan: PlanNode) -> Tuple[FrameRef, PhysicalNode]:
         handler = {
             Scan: self._exec_scan,
             Values: self._exec_values,
@@ -1004,7 +978,7 @@ class _MPPExecutor:
 
     # -- leaf nodes -----------------------------------------------------------
 
-    def _exec_scan(self, plan: Scan) -> Tuple[Shards, PhysicalNode]:
+    def _exec_scan(self, plan: Scan) -> Tuple[FrameRef, PhysicalNode]:
         table = self.cluster.table(plan.table_name)
         columns = plan.output_columns
         if isinstance(table.policy, ReplicatedDistribution):
@@ -1019,7 +993,7 @@ class _MPPExecutor:
         shards = self._timed(node, lambda: self.ops.scan(table, columns, dist))
         return shards, node
 
-    def _exec_values(self, plan: Values) -> Tuple[Shards, PhysicalNode]:
+    def _exec_values(self, plan: Values) -> Tuple[FrameRef, PhysicalNode]:
         node = PhysicalNode("Values", rows=len(plan.rows))
         shards = self.ops.values(list(plan.rows), plan.output_columns)
         node.dist = shards.dist
@@ -1027,14 +1001,14 @@ class _MPPExecutor:
 
     # -- unary nodes ----------------------------------------------------------
 
-    def _exec_filter(self, plan: Filter) -> Tuple[Shards, PhysicalNode]:
+    def _exec_filter(self, plan: Filter) -> Tuple[FrameRef, PhysicalNode]:
         child, child_node = self._exec(plan.child)
         node = PhysicalNode("Filter", plan.predicate.to_sql())
         node.children.append(child_node)
         shards = self._timed(node, lambda: self.ops.filter(child, plan.predicate))
         return shards, node
 
-    def _exec_project(self, plan: Project) -> Tuple[Shards, PhysicalNode]:
+    def _exec_project(self, plan: Project) -> Tuple[FrameRef, PhysicalNode]:
         child, child_node = self._exec(plan.child)
         dist = self._project_dist(plan, child)
         node = PhysicalNode("Project")
@@ -1047,13 +1021,13 @@ class _MPPExecutor:
         )
         return shards, node
 
-    def _project_dist(self, plan: Project, child: Shards) -> DistDesc:
+    def _project_dist(self, plan: Project, child: FrameRef) -> DistDesc:
         """Track the hash distribution through column renames."""
         return project_dist(plan.outputs, child.columns, child.dist)
 
     # -- joins ------------------------------------------------------------------
 
-    def _exec_join(self, plan: HashJoin) -> Tuple[Shards, PhysicalNode]:
+    def _exec_join(self, plan: HashJoin) -> Tuple[FrameRef, PhysicalNode]:
         left, left_node = self._exec(plan.left)
         right, right_node = self._exec(plan.right)
         left_keys = [
@@ -1067,7 +1041,6 @@ class _MPPExecutor:
             left, right, left_keys, right_keys, left_node, right_node, plan
         )
 
-        out_columns = left.columns + right.columns
         lpos = [resolve_column(k, left.columns) for k in left_keys]
         rpos = [resolve_column(k, right.columns) for k in right_keys]
         if left.dist.kind == "replicated" and right.dist.kind == "replicated":
@@ -1077,21 +1050,21 @@ class _MPPExecutor:
         shards = self._timed(
             node,
             lambda: self.ops.join(
-                left, right, lpos, rpos, plan.residual, out_columns, out_dist
+                left, right, lpos, rpos, plan.residual, out_dist
             ),
         )
         return shards, node
 
     def _collocate(
         self,
-        left: Shards,
-        right: Shards,
+        left: FrameRef,
+        right: FrameRef,
         left_keys: List[str],
         right_keys: List[str],
         left_node: PhysicalNode,
         right_node: PhysicalNode,
         plan: HashJoin,
-    ) -> Tuple[Shards, Shards, PhysicalNode, PhysicalNode, DistDesc]:
+    ) -> Tuple[FrameRef, FrameRef, PhysicalNode, PhysicalNode, DistDesc]:
         """Insert motions so the two join inputs are collocated.
 
         Returns possibly-moved shards, their (possibly motion-wrapped)
@@ -1140,7 +1113,7 @@ class _MPPExecutor:
         right, right_node = self._redistribute(right, right_keys, right_node)
         return left, right, left_node, right_node, left.dist
 
-    def _exec_anti_join(self, plan: AntiJoin) -> Tuple[Shards, PhysicalNode]:
+    def _exec_anti_join(self, plan: AntiJoin) -> Tuple[FrameRef, PhysicalNode]:
         """NOT EXISTS: valid per-segment when every right row that could
         match a left row lives on the left row's segment — i.e. the
         right side is replicated, or both sides are hashed on the
@@ -1183,8 +1156,8 @@ class _MPPExecutor:
     # -- motions -------------------------------------------------------------
 
     def _redistribute(
-        self, shards: Shards, keys: List[str], child_node: PhysicalNode
-    ) -> Tuple[Shards, PhysicalNode]:
+        self, shards: FrameRef, keys: List[str], child_node: PhysicalNode
+    ) -> Tuple[FrameRef, PhysicalNode]:
         positions = [resolve_column(k, shards.columns) for k in keys]
         node = PhysicalNode("Redistribute Motion", f"on ({', '.join(keys)})")
         node.children.append(child_node)
@@ -1194,16 +1167,16 @@ class _MPPExecutor:
         return moved, node
 
     def _broadcast(
-        self, shards: Shards, child_node: PhysicalNode
-    ) -> Tuple[Shards, PhysicalNode]:
+        self, shards: FrameRef, child_node: PhysicalNode
+    ) -> Tuple[FrameRef, PhysicalNode]:
         node = PhysicalNode("Broadcast Motion")
         node.children.append(child_node)
         moved = self._timed(node, lambda: self.ops.broadcast(shards))
         return moved, node
 
     def _gather_to_first(
-        self, shards: Shards, child_node: PhysicalNode
-    ) -> Tuple[Shards, PhysicalNode]:
+        self, shards: FrameRef, child_node: PhysicalNode
+    ) -> Tuple[FrameRef, PhysicalNode]:
         node = PhysicalNode("Gather Motion", "to seg0")
         node.children.append(child_node)
         moved = self._timed(node, lambda: self.ops.gather_first(shards))
@@ -1211,7 +1184,7 @@ class _MPPExecutor:
 
     # -- distinct / aggregate / union / limit -------------------------------------
 
-    def _exec_distinct(self, plan: Distinct) -> Tuple[Shards, PhysicalNode]:
+    def _exec_distinct(self, plan: Distinct) -> Tuple[FrameRef, PhysicalNode]:
         child, child_node = self._exec(plan.child)
         if child.dist.kind == "arbitrary":
             child, child_node = self._redistribute(
@@ -1222,7 +1195,7 @@ class _MPPExecutor:
         shards = self._timed(node, lambda: self.ops.distinct(child))
         return shards, node
 
-    def _exec_aggregate(self, plan: Aggregate) -> Tuple[Shards, PhysicalNode]:
+    def _exec_aggregate(self, plan: Aggregate) -> Tuple[FrameRef, PhysicalNode]:
         child, child_node = self._exec(plan.child)
         if plan.group_by:
             if (
@@ -1254,12 +1227,12 @@ class _MPPExecutor:
             node,
             lambda: self.ops.aggregate(
                 child, group_pos, plan.aggregates, agg_pos, plan.having,
-                out_columns, not plan.group_by, out_dist,
+                out_columns, out_dist,
             ),
         )
         return shards, node
 
-    def _exec_union(self, plan: UnionAll) -> Tuple[Shards, PhysicalNode]:
+    def _exec_union(self, plan: UnionAll) -> Tuple[FrameRef, PhysicalNode]:
         results = [self._exec(child) for child in plan.children]
         node = PhysicalNode("Append")
         node.children.extend(child_node for _, child_node in results)
@@ -1279,7 +1252,7 @@ class _MPPExecutor:
         )
         return shards, node
 
-    def _exec_sort(self, plan: Sort) -> Tuple[Shards, PhysicalNode]:
+    def _exec_sort(self, plan: Sort) -> Tuple[FrameRef, PhysicalNode]:
         """Global order requires a gather; the sort runs on segment 0
         (a merge of per-segment sorted runs in a real system)."""
         child, child_node = self._exec(plan.child)
@@ -1293,10 +1266,11 @@ class _MPPExecutor:
         shards = self._timed(node, lambda: self.ops.sort(child, positions))
         return shards, node
 
-    def _exec_limit(self, plan: Limit) -> Tuple[Shards, PhysicalNode]:
+    def _exec_limit(self, plan: Limit) -> Tuple[FrameRef, PhysicalNode]:
         if plan.limit < 0:
-            # same guard as the single-node executors: a negative limit
-            # would silently slice rows off the end
+            # same guard as the single-node executors (a negative limit
+            # would silently slice rows off the end), raised here so the
+            # error never reaches a worker and costs the pool
             raise ExecutionError(
                 f"Limit must be non-negative, got {plan.limit}"
             )

@@ -4,10 +4,10 @@ Architecture (paper Figure 4: master + shared-nothing segment hosts)::
 
     master (planner, authoritative shards)        worker k (segments k, k+W, ...)
     --------------------------------------        --------------------------------
-    PooledOps.<op> ──── command queue k ────────▶ run the operator on each
-                                                  owned segment (repro.mpp.rowops)
+    SegmentOps.<op> ─── command queue k ────────▶ run the operator on each
+                                                  owned segment (repro.mpp.segments)
                    ◀─── shared reply queue ────── ack {row counts, clock deltas}
-    motions:            workers exchange pickled row batches directly over
+    motions:            workers exchange pickled column batches directly over
                         per-worker inbox queues, tagged with a motion epoch
 
 A :class:`WorkerPool` is spawned once per :class:`~repro.mpp.cluster.MPPDatabase`
@@ -18,13 +18,14 @@ of every segment shard it owns; the master mirrors all DML into the pool
 so worker state is always derivable from the master's — which is what
 makes crash recovery a pure retry.
 
-Determinism: workers run the exact same row loops as the serial
-executor (:mod:`repro.mpp.rowops`), motions assemble incoming pieces in
-ascending source-segment order (the serial executor's iteration order),
-and all cost-clock charges for query operators happen worker-side and
-are merged into the master's per-segment clocks from the acks.  A
-pooled run therefore produces bit-identical tables, query results, and
-modelled times to a serial run.
+Determinism: a worker *is* the serial executor's
+:class:`~repro.mpp.segments.SegmentInterpreter`, over fewer segments
+and behind a :class:`QueueExchange` instead of the in-memory one.
+Motions assemble incoming pieces in ascending source-segment order on
+either exchange, and all cost-clock charges for query operators ride
+back on the acks into the master's per-segment clocks.  A pooled run
+therefore produces bit-identical tables, query results, and modelled
+times to a serial run.
 
 Commands are dispatched in lockstep: every worker acknowledges every
 command before the next is sent, so a reply mismatch, a dead process,
@@ -51,16 +52,13 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..relational.cost import CostClock
-from ..relational.expr import Expr
+from ..relational.columnar import ColumnBatch
 from ..relational.schema import TableSchema
 from ..relational.table import Table
 from ..relational.types import Row
-from . import rowops
-from .cluster import MPPDatabase, MPPTable, Shards
-from .plannodes import DistDesc
+from .segments import Hop, SegmentInterpreter
 
-__all__ = ["WorkerCrashError", "WorkerPool", "PooledOps", "RemoteShards"]
+__all__ = ["WorkerCrashError", "WorkerPool", "QueueExchange"]
 
 #: how often blocked queue reads wake up to re-check liveness/deadlines
 _POLL_S = 0.05
@@ -70,33 +68,6 @@ _EXCHANGE_TIMEOUT_S = 120.0
 
 class WorkerCrashError(RuntimeError):
     """The worker pool died, errored, or stopped responding."""
-
-
-class RemoteShards:
-    """A distributed intermediate result living inside the worker pool.
-
-    The master only holds the metadata (per-segment row counts and the
-    distribution); the rows stay in the workers until ``fetch``."""
-
-    __slots__ = ("columns", "dist", "handle", "counts")
-
-    def __init__(
-        self,
-        columns: List[str],
-        dist: DistDesc,
-        handle: int,
-        counts: List[int],
-    ) -> None:
-        self.columns = columns
-        self.dist = dist
-        self.handle = handle
-        self.counts = counts
-
-    @property
-    def total_rows(self) -> int:
-        if self.dist.kind == "replicated":
-            return self.counts[0]
-        return sum(self.counts)
 
 
 # ---------------------------------------------------------------------- pool
@@ -301,201 +272,50 @@ class WorkerPool:
             process.join(timeout=2.0)
 
 
-# ---------------------------------------------------------------------- ops
-
-
-class PooledOps:
-    """Row-level operator execution pushed down into the worker pool.
-
-    The planner's counterpart to ``_SerialOps``: same method surface,
-    but each call dispatches one command to every worker and returns a
-    :class:`RemoteShards` whose rows stay in the pool.  Worker-side cost
-    clocks ride back on the acks and are merged into the master's
-    per-segment clocks, so the planner's timing and EXPLAIN output are
-    identical to serial execution."""
-
-    remote = True
-
-    def __init__(self, cluster: MPPDatabase) -> None:
-        if cluster.pool is None:
-            raise WorkerCrashError("database has no worker pool")
-        self.cluster = cluster
-        self.pool: WorkerPool = cluster.pool
-        self.nseg = cluster.nseg
-        self.clocks = cluster.segment_clocks
-
-    def _run(
-        self, command: Tuple, columns: List[str], dist: DistDesc
-    ) -> RemoteShards:
-        handle = command[1]
-        payloads = self.pool.dispatch(command)
-        counts = [0] * self.nseg
-        for payload in payloads.values():
-            for seg, count in payload.get("counts", {}).items():
-                counts[seg] = count
-            for seg, delta in payload.get("deltas", {}).items():
-                self.clocks[seg].merge(delta)
-        return RemoteShards(columns, dist, handle, counts)
-
-    def scan(
-        self, table: MPPTable, columns: List[str], dist: DistDesc
-    ) -> RemoteShards:
-        return self._run(
-            ("scan", self.pool.next_handle(), table.name), columns, dist
-        )
-
-    def values(self, rows: List[Row], columns: List[str]) -> RemoteShards:
-        return self._run(
-            ("values", self.pool.next_handle(), list(rows)),
-            columns,
-            DistDesc.arbitrary(),
-        )
-
-    def filter(self, child: RemoteShards, predicate: Expr) -> RemoteShards:
-        command = (
-            "filter", self.pool.next_handle(), child.handle,
-            predicate, child.columns,
-        )
-        return self._run(command, child.columns, child.dist)
-
-    def project(
-        self,
-        child: RemoteShards,
-        outputs: Sequence[Tuple[Expr, str]],
-        out_columns: List[str],
-        dist: DistDesc,
-    ) -> RemoteShards:
-        command = (
-            "project", self.pool.next_handle(), child.handle,
-            list(outputs), child.columns,
-        )
-        return self._run(command, out_columns, dist)
-
-    def join(
-        self,
-        left: RemoteShards,
-        right: RemoteShards,
-        lpos: List[int],
-        rpos: List[int],
-        residual: Optional[Expr],
-        out_columns: List[str],
-        out_dist: DistDesc,
-    ) -> RemoteShards:
-        command = (
-            "join", self.pool.next_handle(), left.handle, right.handle,
-            list(lpos), list(rpos), residual, out_columns,
-            left.dist.kind == "replicated", right.dist.kind == "replicated",
-        )
-        return self._run(command, out_columns, out_dist)
-
-    def anti_join(
-        self,
-        left: RemoteShards,
-        right: RemoteShards,
-        lpos: List[int],
-        rpos: List[int],
-        out_dist: DistDesc,
-    ) -> RemoteShards:
-        command = (
-            "anti_join", self.pool.next_handle(), left.handle, right.handle,
-            list(lpos), list(rpos),
-            left.dist.kind == "replicated", right.dist.kind == "replicated",
-        )
-        return self._run(command, left.columns, out_dist)
-
-    def distinct(self, child: RemoteShards) -> RemoteShards:
-        command = ("distinct", self.pool.next_handle(), child.handle)
-        return self._run(command, child.columns, child.dist)
-
-    def aggregate(
-        self,
-        child: RemoteShards,
-        group_pos: List[int],
-        aggregates: Sequence[Tuple[str, Optional[str], str]],
-        agg_pos: Sequence[Optional[int]],
-        having: Optional[Expr],
-        out_columns: List[str],
-        global_agg: bool,
-        out_dist: DistDesc,
-    ) -> RemoteShards:
-        command = (
-            "aggregate", self.pool.next_handle(), child.handle,
-            list(group_pos), list(aggregates), list(agg_pos), having,
-            out_columns, global_agg,
-        )
-        return self._run(command, out_columns, out_dist)
-
-    def union(
-        self, children: List[RemoteShards], out_columns: List[str], dist: DistDesc
-    ) -> RemoteShards:
-        sources = [
-            (child.handle, child.dist.kind == "replicated") for child in children
-        ]
-        command = ("union", self.pool.next_handle(), sources)
-        return self._run(command, out_columns, dist)
-
-    def redistribute(
-        self, shards: RemoteShards, positions: List[int], keys: List[str]
-    ) -> RemoteShards:
-        command = (
-            "redistribute", self.pool.next_handle(), shards.handle,
-            list(positions), self.pool.next_epoch(),
-            shards.dist.kind == "replicated",
-        )
-        return self._run(command, shards.columns, DistDesc.hash_on(keys))
-
-    def broadcast(self, shards: RemoteShards) -> RemoteShards:
-        command = (
-            "broadcast", self.pool.next_handle(), shards.handle,
-            self.pool.next_epoch(), shards.dist.kind == "replicated",
-        )
-        return self._run(command, shards.columns, DistDesc.replicated())
-
-    def gather_first(self, shards: RemoteShards) -> RemoteShards:
-        command = (
-            "gather_first", self.pool.next_handle(), shards.handle,
-            self.pool.next_epoch(), shards.dist.kind == "replicated",
-        )
-        return self._run(command, shards.columns, DistDesc.arbitrary())
-
-    def sort(
-        self, child: RemoteShards, positions: Sequence[Tuple[int, bool]]
-    ) -> RemoteShards:
-        command = (
-            "sort", self.pool.next_handle(), child.handle, list(positions)
-        )
-        return self._run(command, child.columns, DistDesc.arbitrary())
-
-    def limit(self, child: RemoteShards, limit: int) -> RemoteShards:
-        command = ("limit", self.pool.next_handle(), child.handle, limit)
-        return self._run(command, child.columns, DistDesc.arbitrary())
-
-    def localize(self, shards: RemoteShards) -> Shards:
-        """Fetch a remote result into a master-local :class:`Shards`."""
-        if shards.dist.kind == "replicated":
-            payloads = self.pool.dispatch(("fetch", shards.handle, (0,)))
-            rows: List[Row] = []
-            for payload in payloads.values():
-                if 0 in payload["rows"]:
-                    rows = payload["rows"][0]
-            # full copies on every segment, shared read-only
-            parts = [rows for _ in range(self.nseg)]
-        else:
-            payloads = self.pool.dispatch(("fetch", shards.handle, None))
-            parts = [[] for _ in range(self.nseg)]
-            for payload in payloads.values():
-                for seg, seg_rows in payload["rows"].items():
-                    parts[seg] = seg_rows
-        return Shards(shards.columns, parts, shards.dist)
-
-
 # ---------------------------------------------------------------------- worker
 
 
-class _WorkerState:
-    """Everything one worker process owns: its segments' table shards,
-    intermediate frames keyed by master-assigned handles, and the motion
-    exchange plumbing."""
+class QueueExchange:
+    """Motion exchange between worker processes: pieces travel pickled
+    over the per-worker inbox queues, addressed by target segment."""
+
+    def __init__(
+        self, queues: Sequence[Any], seg_worker: Sequence[int], worker_id: int
+    ) -> None:
+        self.queues = queues
+        self.seg_worker = seg_worker
+        self.inbox = queues[worker_id]
+
+    def send(self, epoch: int, from_seg: int, to_seg: int, piece: ColumnBatch) -> None:
+        self.queues[self.seg_worker[to_seg]].put((epoch, from_seg, to_seg, piece))
+
+    def collect(self, epoch: int, expected: Set[Hop]) -> Dict[Hop, ColumnBatch]:
+        """Pull this epoch's expected pieces off the inbox, dropping
+        leftovers from aborted statements."""
+        waiting = set(expected)
+        got: Dict[Hop, ColumnBatch] = {}
+        deadline = time.monotonic() + _EXCHANGE_TIMEOUT_S
+        while waiting:
+            try:
+                message = self.inbox.get(timeout=_POLL_S)
+            except queue.Empty:
+                if time.monotonic() > deadline:
+                    raise RuntimeError(
+                        f"motion epoch {epoch} timed out waiting for {waiting}"
+                    )
+                continue
+            msg_epoch, from_seg, to_seg, piece = message
+            if msg_epoch != epoch:
+                continue  # stale piece from an aborted statement
+            got[(from_seg, to_seg)] = piece
+            waiting.discard((from_seg, to_seg))
+        return got
+
+
+class _WorkerState(SegmentInterpreter):
+    """Everything one worker process owns: the segment interpreter over
+    its segments' table shards, plus what only a pool member needs —
+    the mirrored-DML commands and the generic task protocol."""
 
     def __init__(
         self,
@@ -505,48 +325,22 @@ class _WorkerState:
         seg_worker: Sequence[int],
         exchange_queues: Sequence,
     ) -> None:
-        self.worker_id = worker_id
-        self.segments = list(segments)
-        self.nseg = nseg
-        self.seg_worker = seg_worker
-        self.exchange_queues = exchange_queues
-        self.inbox = exchange_queues[worker_id]
-        self.owns_first = 0 in self.segments
         #: table name -> segment -> shard
         self.tables: Dict[str, Dict[int, Table]] = {}
-        #: intermediate handle -> segment -> rows
-        self.frames: Dict[int, Dict[int, List[Row]]] = {}
+        super().__init__(
+            segments,
+            nseg,
+            lambda name, seg: self.tables[name][seg],
+            QueueExchange(exchange_queues, seg_worker, worker_id),
+        )
+        self.worker_id = worker_id
+        self.exchange_queues = exchange_queues
+        self.inbox = exchange_queues[worker_id]
         #: task-exchange pieces that arrived ahead of their barrier:
         #: epoch -> from_worker -> payload (tasks run many barriers per
         #: command, so a fast peer's next-epoch piece must be buffered,
         #: not dropped like a stale motion piece)
         self.task_mail: Dict[Any, Dict[int, Any]] = {}
-
-    def execute(self, command: Tuple) -> dict:
-        handler = getattr(self, "_cmd_" + command[0])
-        return handler(*command[1:])
-
-    # -- helpers -------------------------------------------------------------
-
-    def _fresh_clocks(self) -> Dict[int, CostClock]:
-        return {seg: CostClock() for seg in self.segments}
-
-    def _store(
-        self,
-        handle: int,
-        frame: Dict[int, List[Row]],
-        deltas: Optional[Dict[int, CostClock]] = None,
-    ) -> dict:
-        self.frames[handle] = frame
-        payload = {"counts": {seg: len(rows) for seg, rows in frame.items()}}
-        if deltas:
-            payload["deltas"] = deltas
-        return payload
-
-    def _send(self, epoch: int, from_seg: int, to_seg: int, rows: List[Row]) -> None:
-        self.exchange_queues[self.seg_worker[to_seg]].put(
-            (epoch, from_seg, to_seg, rows)
-        )
 
     # -- generic worker-to-worker exchange (task protocol) --------------------
 
@@ -601,287 +395,6 @@ class _WorkerState:
                 self.task_mail.setdefault(msg_epoch, {})[from_worker] = payload
             # else: stale piece from an aborted motion — drop
         return got
-
-    def _collect(
-        self, epoch: Any, expected: Set[Tuple[int, int]]
-    ) -> Dict[Tuple[int, int], List[Row]]:
-        """Pull this epoch's expected (from_seg, to_seg) pieces off the
-        inbox, dropping leftovers from aborted statements."""
-        got: Dict[Tuple[int, int], List[Row]] = {}
-        deadline = time.monotonic() + _EXCHANGE_TIMEOUT_S
-        while expected:
-            try:
-                message = self.inbox.get(timeout=_POLL_S)
-            except queue.Empty:
-                if time.monotonic() > deadline:
-                    raise RuntimeError(
-                        f"motion epoch {epoch} timed out waiting for {expected}"
-                    )
-                continue
-            msg_epoch, from_seg, to_seg, rows = message
-            if msg_epoch != epoch:
-                continue  # stale piece from an aborted statement
-            got[(from_seg, to_seg)] = rows
-            expected.discard((from_seg, to_seg))
-        return got
-
-    # -- operators -----------------------------------------------------------
-
-    def _cmd_scan(self, handle: int, table_name: str) -> dict:
-        deltas = self._fresh_clocks()
-        shards = self.tables[table_name]
-        frame = {
-            seg: rowops.scan_rows(shards[seg].rows, deltas[seg])
-            for seg in self.segments
-        }
-        return self._store(handle, frame, deltas)
-
-    def _cmd_values(self, handle: int, rows: List[Row]) -> dict:
-        frame = {
-            seg: (list(rows) if seg == 0 else []) for seg in self.segments
-        }
-        return self._store(handle, frame)
-
-    def _cmd_filter(
-        self, handle: int, source: int, predicate: Expr, columns: List[str]
-    ) -> dict:
-        bound = predicate.bind(columns)
-        deltas = self._fresh_clocks()
-        frame = {
-            seg: rowops.filter_rows(self.frames[source][seg], bound, deltas[seg])
-            for seg in self.segments
-        }
-        return self._store(handle, frame, deltas)
-
-    def _cmd_project(
-        self,
-        handle: int,
-        source: int,
-        outputs: Sequence[Tuple[Expr, str]],
-        columns: List[str],
-    ) -> dict:
-        evaluators = [expr.bind(columns) for expr, _ in outputs]
-        deltas = self._fresh_clocks()
-        frame = {
-            seg: rowops.project_rows(
-                self.frames[source][seg], evaluators, deltas[seg]
-            )
-            for seg in self.segments
-        }
-        return self._store(handle, frame, deltas)
-
-    def _cmd_join(
-        self,
-        handle: int,
-        left: int,
-        right: int,
-        lpos: List[int],
-        rpos: List[int],
-        residual: Optional[Expr],
-        out_columns: List[str],
-        left_rep: bool,
-        right_rep: bool,
-    ) -> dict:
-        bound = residual.bind(out_columns) if residual is not None else None
-        deltas = self._fresh_clocks()
-        frame = {}
-        for seg in self.segments:
-            if left_rep and right_rep and seg != 0:
-                frame[seg] = []
-                continue
-            frame[seg] = rowops.hash_join_rows(
-                self.frames[left][seg], self.frames[right][seg],
-                lpos, rpos, bound, deltas[seg],
-            )
-        return self._store(handle, frame, deltas)
-
-    def _cmd_anti_join(
-        self,
-        handle: int,
-        left: int,
-        right: int,
-        lpos: List[int],
-        rpos: List[int],
-        left_rep: bool,
-        right_rep: bool,
-    ) -> dict:
-        deltas = self._fresh_clocks()
-        frame = {}
-        for seg in self.segments:
-            if left_rep and seg != 0:
-                frame[seg] = []
-                continue
-            frame[seg] = rowops.anti_join_rows(
-                self.frames[left][seg], self.frames[right][seg],
-                lpos, rpos, deltas[seg],
-            )
-        return self._store(handle, frame, deltas)
-
-    def _cmd_distinct(self, handle: int, source: int) -> dict:
-        deltas = self._fresh_clocks()
-        frame = {
-            seg: rowops.distinct_rows(self.frames[source][seg], deltas[seg])
-            for seg in self.segments
-        }
-        return self._store(handle, frame, deltas)
-
-    def _cmd_aggregate(
-        self,
-        handle: int,
-        source: int,
-        group_pos: List[int],
-        aggregates: Sequence[Tuple[str, Optional[str], str]],
-        agg_pos: Sequence[Optional[int]],
-        having: Optional[Expr],
-        out_columns: List[str],
-        global_agg: bool,
-    ) -> dict:
-        bound = having.bind(out_columns) if having is not None else None
-        deltas = self._fresh_clocks()
-        frame = {}
-        for seg in self.segments:
-            if global_agg and seg != 0:
-                frame[seg] = []
-                continue
-            frame[seg] = rowops.aggregate_rows(
-                self.frames[source][seg], group_pos, aggregates, agg_pos,
-                bound, global_agg, deltas[seg],
-            )
-        return self._store(handle, frame, deltas)
-
-    def _cmd_union(
-        self, handle: int, sources: Sequence[Tuple[int, bool]]
-    ) -> dict:
-        deltas = self._fresh_clocks()
-        frame: Dict[int, List[Row]] = {seg: [] for seg in self.segments}
-        for source, replicated in sources:
-            if replicated:
-                if self.owns_first:
-                    frame[0].extend(self.frames[source][0])
-            else:
-                for seg in self.segments:
-                    frame[seg].extend(self.frames[source][seg])
-        # match the serial driver: union charges rows_output per segment
-        for seg in self.segments:
-            deltas[seg].rows_output += len(frame[seg])
-        return self._store(handle, frame, deltas)
-
-    # -- motions -------------------------------------------------------------
-
-    def _cmd_redistribute(
-        self,
-        handle: int,
-        source: int,
-        positions: List[int],
-        epoch: int,
-        source_rep: bool,
-    ) -> dict:
-        deltas = self._fresh_clocks()
-        source_segs = (0,) if source_rep else tuple(range(self.nseg))
-        for seg in self.segments:
-            if source_rep and seg != 0:
-                continue
-            pieces = rowops.partition_by_hash(
-                self.frames[source][seg], positions, self.nseg
-            )
-            for target, piece in enumerate(pieces):
-                self._send(epoch, seg, target, piece)
-        expected = {(f, t) for f in source_segs for t in self.segments}
-        got = self._collect(epoch, expected)
-        frame = {}
-        for seg in self.segments:
-            rows: List[Row] = []
-            # ascending source order = the serial executor's append order
-            for from_seg in source_segs:
-                piece = got[(from_seg, seg)]
-                if from_seg != seg:
-                    deltas[seg].rows_shipped += len(piece)
-                rows.extend(piece)
-            frame[seg] = rows
-        return self._store(handle, frame, deltas)
-
-    def _cmd_broadcast(
-        self, handle: int, source: int, epoch: int, source_rep: bool
-    ) -> dict:
-        deltas = self._fresh_clocks()
-        if source_rep:
-            # every segment already holds a full copy
-            frame = {
-                seg: list(self.frames[source][seg]) for seg in self.segments
-            }
-            return self._store(handle, frame, deltas)
-        for seg in self.segments:
-            rows = self.frames[source][seg]
-            for target in range(self.nseg):
-                self._send(epoch, seg, target, rows)
-        expected = {(f, t) for f in range(self.nseg) for t in self.segments}
-        got = self._collect(epoch, expected)
-        frame = {}
-        for seg in self.segments:
-            rows = []
-            for from_seg in range(self.nseg):
-                piece = got[(from_seg, seg)]
-                if from_seg != seg:
-                    deltas[seg].rows_broadcast += len(piece)
-                rows.extend(piece)
-            frame[seg] = rows
-        return self._store(handle, frame, deltas)
-
-    def _cmd_gather_first(
-        self, handle: int, source: int, epoch: int, source_rep: bool
-    ) -> dict:
-        deltas = self._fresh_clocks()
-        frame: Dict[int, List[Row]] = {seg: [] for seg in self.segments}
-        if source_rep:
-            if self.owns_first:
-                frame[0] = list(self.frames[source][0])
-            return self._store(handle, frame, deltas)
-        for seg in self.segments:
-            self._send(epoch, seg, 0, self.frames[source][seg])
-        if self.owns_first:
-            got = self._collect(epoch, {(f, 0) for f in range(self.nseg)})
-            rows: List[Row] = []
-            for from_seg in range(self.nseg):
-                piece = got[(from_seg, 0)]
-                if from_seg != 0:
-                    deltas[0].rows_shipped += len(piece)
-                rows.extend(piece)
-            frame[0] = rows
-        return self._store(handle, frame, deltas)
-
-    def _cmd_sort(
-        self, handle: int, source: int, positions: Sequence[Tuple[int, bool]]
-    ) -> dict:
-        deltas = self._fresh_clocks()
-        frame: Dict[int, List[Row]] = {seg: [] for seg in self.segments}
-        if self.owns_first:
-            frame[0] = rowops.sort_rows(
-                self.frames[source][0], positions, deltas[0]
-            )
-        return self._store(handle, frame, deltas)
-
-    def _cmd_limit(self, handle: int, source: int, limit: int) -> dict:
-        frame: Dict[int, List[Row]] = {seg: [] for seg in self.segments}
-        if self.owns_first:
-            frame[0] = list(self.frames[source][0][:limit])
-        return self._store(handle, frame)
-
-    # -- result fetch / cleanup ----------------------------------------------
-
-    def _cmd_fetch(
-        self, handle: int, segments: Optional[Sequence[int]]
-    ) -> dict:
-        frame = self.frames[handle]
-        if segments is None:
-            wanted = self.segments
-        else:
-            owned = set(self.segments)
-            wanted = [seg for seg in segments if seg in owned]
-        return {"rows": {seg: frame[seg] for seg in wanted}}
-
-    def _cmd_reset(self) -> dict:
-        self.frames.clear()
-        return {}
 
     def _cmd_ping(self) -> dict:
         return {}

@@ -142,6 +142,22 @@ class ColumnBatch:
             cols = [[] for _ in columns]
         return cls(columns, cols, len(rows))
 
+    @classmethod
+    def concat(
+        cls, columns: Sequence[str], batches: Sequence["ColumnBatch"]
+    ) -> "ColumnBatch":
+        """The batches' rows appended in order, under ``columns``."""
+        cols: List[List[Value]] = [[] for _ in columns]
+        for batch in batches:
+            for out, col in zip(cols, batch.cols):
+                out.extend(col)
+        return cls(columns, cols, sum(batch.nrows for batch in batches))
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # ship the column lists only: ``_np_cache`` is derived, and its
+        # ndarrays would double every motion piece on the wire
+        return ColumnBatch, (self.columns, self.cols, self.nrows)
+
     def to_rows(self) -> List[Row]:
         if not self.cols or not self.nrows:
             return [()] * self.nrows if not self.cols else []
@@ -595,116 +611,11 @@ def _mask(expr: Expr, batch: ColumnBatch) -> Any:
     return None
 
 
-def filter_batch_indices(
-    predicate: Expr,
-    bound: Callable[[Row], Value],
-    batch: ColumnBatch,
-) -> IndexSeq:
+def filter_batch_indices(predicate: Expr, batch: ColumnBatch) -> IndexSeq:
     """Indices of rows satisfying ``predicate`` (vectorized if possible)."""
     mask = predicate_mask(predicate, batch)
     if mask is not None:
         np = get_numpy()
         return np.nonzero(mask)[0]
+    bound = predicate.bind(batch.columns)
     return [i for i, row in enumerate(zip(*batch.cols)) if bound(row)]
-
-
-# -- row-list wrappers (shared with repro.mpp.rowops) ------------------------
-#
-# The MPP segment executor works on per-segment row lists.  These
-# wrappers convert rows → columns, run the columnar kernel, and convert
-# back, charging the clock exactly like the row loops they replace.
-
-
-def _anon(width: int) -> List[str]:
-    return [f"c{i}" for i in range(width)]
-
-
-def _batch_of(rows: Sequence[Row], width: int) -> ColumnBatch:
-    return ColumnBatch.from_rows(_anon(width), rows)
-
-
-def _width_of(rows: Sequence[Row], positions: Sequence[int]) -> int:
-    if rows:
-        return len(rows[0])
-    return (max(positions) + 1) if positions else 0
-
-
-def join_rows(
-    left_rows: List[Row],
-    right_rows: List[Row],
-    lpos: List[int],
-    rpos: List[int],
-    residual: Optional[Callable[[Row], bool]],
-    clock: Any,
-) -> List[Row]:
-    """Columnar twin of :func:`repro.mpp.rowops.hash_join_rows`."""
-    left = _batch_of(left_rows, _width_of(left_rows, lpos))
-    right = _batch_of(right_rows, _width_of(right_rows, rpos))
-    lidx, ridx, built, probed = join_indices(left, right, lpos, rpos)
-    out_cols = [gather_column(col, lidx) for col in left.cols]
-    out_cols += [gather_column(col, ridx) for col in right.cols]
-    out = list(zip(*out_cols)) if out_cols else []
-    clock.rows_built += built
-    clock.rows_probed += probed
-    clock.rows_output += len(out)
-    if residual is not None:
-        out = [row for row in out if residual(row)]
-    return out
-
-
-def anti_join_rows(
-    left_rows: Sequence[Row],
-    right_rows: Sequence[Row],
-    lpos: Sequence[int],
-    rpos: Sequence[int],
-    clock: Any,
-) -> List[Row]:
-    """Columnar twin of :func:`repro.mpp.rowops.anti_join_rows`."""
-    left = _batch_of(left_rows, _width_of(left_rows, lpos))
-    right = _batch_of(right_rows, _width_of(right_rows, rpos))
-    kept_idx = anti_join_indices(left, right, lpos, rpos)
-    kept = left.gather(kept_idx).to_rows()
-    clock.rows_built += len(right_rows)
-    clock.rows_probed += len(left_rows)
-    clock.rows_output += len(kept)
-    return kept
-
-
-def distinct_rows(rows: Sequence[Row], clock: Any) -> List[Row]:
-    """Columnar twin of :func:`repro.mpp.rowops.distinct_rows`."""
-    batch = _batch_of(rows, len(rows[0]) if rows else 0)
-    deduped = batch.gather(distinct_indices(batch)).to_rows()
-    clock.rows_probed += len(rows)
-    clock.rows_output += len(deduped)
-    return deduped
-
-
-def sort_rows(
-    rows: Sequence[Row],
-    positions: Sequence[Tuple[int, bool]],
-    clock: Any,
-) -> List[Row]:
-    """Columnar twin of :func:`repro.mpp.rowops.sort_rows`."""
-    width = len(rows[0]) if rows else 0
-    batch = _batch_of(rows, width)
-    ordered = batch.gather(sort_indices(batch, positions)).to_rows()
-    clock.rows_probed += len(ordered)
-    clock.rows_output += len(ordered)
-    return ordered
-
-
-def filter_rows(
-    rows: Sequence[Row],
-    predicate: Callable[[Row], bool],
-    clock: Any,
-) -> List[Row]:
-    """Columnar twin of :func:`repro.mpp.rowops.filter_rows`.
-
-    The MPP path only ships a bound predicate (no expression tree), so
-    this cannot vectorize the predicate itself — it exists so the
-    engine switch covers every rowop uniformly.
-    """
-    kept = [row for row in rows if predicate(row)]
-    clock.rows_probed += len(rows)
-    clock.rows_output += len(kept)
-    return kept

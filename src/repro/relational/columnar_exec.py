@@ -1,9 +1,9 @@
 """Columnar plan executor: the vectorized twin of :class:`Executor`.
 
 Evaluates the same logical plan trees as the row engine, but carries
-:class:`~repro.relational.columnar.ColumnBatch` values between
-operators and dispatches the hot loops to the kernels in
-:mod:`repro.relational.columnar`.  Results are bit-identical to the
+:class:`~repro.relational.columnar.ColumnBatch` values between the
+operator functions of :mod:`repro.relational.operators` (shared with
+the MPP segments).  Results are bit-identical to the
 row engine — same rows, same order — and every operator charges the
 :class:`~repro.relational.cost.CostClock` the exact counters the row
 engine charges for the same plan, so ``repro explain`` cost summaries
@@ -19,21 +19,11 @@ from __future__ import annotations
 
 from typing import List, Mapping, Optional, Tuple
 
-from .columnar import (
-    ColumnBatch,
-    aggregate_column,
-    anti_join_indices,
-    distinct_indices,
-    filter_batch_indices,
-    gather_column,
-    join_indices,
-    predicate_mask,
-    resolve_executor,
-    sort_indices,
-)
+from . import operators
+from .columnar import ColumnBatch, resolve_executor
 from .cost import CostClock
 from .executor import Executor, Result
-from .expr import Col, Const, Expr, resolve_column
+from .expr import resolve_column
 from .plan import (
     Aggregate,
     AntiJoin,
@@ -48,11 +38,13 @@ from .plan import (
     UnionAll,
     Values,
 )
-from .types import ExecutionError, Row, Value
+from .types import ExecutionError, Row
 
 
 class ColumnarExecutor(Executor):
-    """Evaluates logical plans over columnar batches."""
+    """Evaluates logical plans over columnar batches: resolves each
+    node's column references and hands the batches to the shared
+    operators in :mod:`repro.relational.operators`."""
 
     engine_name = "columnar"
 
@@ -65,171 +57,62 @@ class ColumnarExecutor(Executor):
         batch = self._eval_batch(plan)
         return batch.columns, batch.to_rows()
 
-    # -- evaluation --------------------------------------------------------
-
     def _eval_batch(self, plan: PlanNode) -> ColumnBatch:
+        clock = self._clock
         if isinstance(plan, Scan):
-            return self._batch_scan(plan)
+            return operators.scan_table(
+                self._tables[plan.table_name], plan.output_columns, clock
+            )
         if isinstance(plan, Values):
             return ColumnBatch.from_rows(plan.output_columns, plan.rows)
         if isinstance(plan, Filter):
-            return self._batch_filter(plan)
+            child = self._eval_batch(plan.child)
+            return operators.filter_batch(child, plan.predicate, clock)
         if isinstance(plan, Project):
-            return self._batch_project(plan)
-        if isinstance(plan, HashJoin):
-            return self._batch_join(plan)
-        if isinstance(plan, AntiJoin):
-            return self._batch_anti_join(plan)
+            child = self._eval_batch(plan.child)
+            return operators.project_batch(
+                child, plan.outputs, plan.output_columns, clock
+            )
+        if isinstance(plan, (HashJoin, AntiJoin)):
+            left = self._eval_batch(plan.left)
+            right = self._eval_batch(plan.right)
+            lpos = [resolve_column(k, left.columns) for k in plan.left_keys]
+            rpos = [resolve_column(k, right.columns) for k in plan.right_keys]
+            if isinstance(plan, AntiJoin):
+                return operators.anti_join_batches(left, right, lpos, rpos, clock)
+            return operators.join_batches(
+                left, right, lpos, rpos, plan.residual, clock
+            )
         if isinstance(plan, Distinct):
-            return self._batch_distinct(plan)
+            return operators.distinct_batch(self._eval_batch(plan.child), clock)
         if isinstance(plan, Aggregate):
-            return self._batch_aggregate(plan)
+            child = self._eval_batch(plan.child)
+            group_pos = [resolve_column(c, child.columns) for c in plan.group_by]
+            agg_pos: List[Optional[int]] = [
+                resolve_column(c, child.columns) if c is not None else None
+                for _, c, _ in plan.aggregates
+            ]
+            return operators.aggregate_batch(
+                child, group_pos, plan.aggregates, agg_pos, plan.having,
+                plan.output_columns, clock,
+            )
         if isinstance(plan, UnionAll):
-            return self._batch_union(plan)
+            children = [self._eval_batch(child) for child in plan.children]
+            return operators.union_batches(children, plan.output_columns, clock)
         if isinstance(plan, Sort):
-            return self._batch_sort(plan)
+            child = self._eval_batch(plan.child)
+            keys = [
+                (resolve_column(name, child.columns), descending)
+                for name, descending in plan.keys
+            ]
+            return operators.sort_batch(child, keys, clock)
         if isinstance(plan, Limit):
             if plan.limit < 0:
                 raise ExecutionError(
                     f"Limit must be non-negative, got {plan.limit}"
                 )
-            child = self._eval_batch(plan.child)
-            return child.head(plan.limit)
+            return self._eval_batch(plan.child).head(plan.limit)
         raise ExecutionError(f"unsupported plan node {type(plan).__name__}")
-
-    def _batch_scan(self, plan: Scan) -> ColumnBatch:
-        table = self._tables[plan.table_name]
-        self._clock.rows_scanned += len(table)
-        return table.column_batch().rename(plan.output_columns)
-
-    def _batch_filter(self, plan: Filter) -> ColumnBatch:
-        child = self._eval_batch(plan.child)
-        bound = plan.predicate.bind(child.columns)
-        kept_idx = filter_batch_indices(plan.predicate, bound, child)
-        kept = child.gather(kept_idx)
-        self._clock.rows_probed += child.nrows
-        self._clock.rows_output += kept.nrows
-        return kept
-
-    def _batch_project(self, plan: Project) -> ColumnBatch:
-        child = self._eval_batch(plan.child)
-        cols: List[List[Value]] = []
-        rows: Optional[List[Row]] = None  # lazily zipped for opaque exprs
-        for expr, _name in plan.outputs:
-            if isinstance(expr, Col):
-                pos = resolve_column(expr.name, child.columns)
-                cols.append(child.cols[pos])  # shared, never mutated
-            elif isinstance(expr, Const):
-                cols.append([expr.value] * child.nrows)
-            else:
-                if rows is None:
-                    rows = child.to_rows()
-                evaluate = expr.bind(child.columns)
-                cols.append([evaluate(row) for row in rows])
-        self._clock.rows_output += child.nrows
-        return ColumnBatch(plan.output_columns, cols, child.nrows)
-
-    def _batch_join(self, plan: HashJoin) -> ColumnBatch:
-        left = self._eval_batch(plan.left)
-        right = self._eval_batch(plan.right)
-        out_columns = left.columns + right.columns
-        lpos = [resolve_column(k, left.columns) for k in plan.left_keys]
-        rpos = [resolve_column(k, right.columns) for k in plan.right_keys]
-        lidx, ridx, built, probed = join_indices(left, right, lpos, rpos)
-        out_cols = [gather_column(col, lidx) for col in left.cols]
-        out_cols += [gather_column(col, ridx) for col in right.cols]
-        out = ColumnBatch(out_columns, out_cols)
-        self._clock.rows_built += built
-        self._clock.rows_probed += probed
-        self._clock.rows_output += out.nrows
-        if plan.residual is not None:
-            out = self._apply_predicate(plan.residual, out)
-        return out
-
-    def _batch_anti_join(self, plan: AntiJoin) -> ColumnBatch:
-        left = self._eval_batch(plan.left)
-        right = self._eval_batch(plan.right)
-        lpos = [resolve_column(k, left.columns) for k in plan.left_keys]
-        rpos = [resolve_column(k, right.columns) for k in plan.right_keys]
-        kept_idx = anti_join_indices(left, right, lpos, rpos)
-        kept = left.gather(kept_idx)
-        self._clock.rows_built += right.nrows
-        self._clock.rows_probed += left.nrows
-        self._clock.rows_output += kept.nrows
-        return kept
-
-    def _batch_distinct(self, plan: Distinct) -> ColumnBatch:
-        child = self._eval_batch(plan.child)
-        deduped = child.gather(distinct_indices(child))
-        self._clock.rows_probed += child.nrows
-        self._clock.rows_output += deduped.nrows
-        return deduped
-
-    def _batch_aggregate(self, plan: Aggregate) -> ColumnBatch:
-        from .columnar import group_indices
-
-        child = self._eval_batch(plan.child)
-        group_pos = [resolve_column(c, child.columns) for c in plan.group_by]
-        agg_cols: List[Optional[List[Value]]] = [
-            child.cols[resolve_column(c, child.columns)] if c is not None else None
-            for _, c, _ in plan.aggregates
-        ]
-        groups = group_indices(child, group_pos)
-        width = len(plan.group_by) + len(plan.aggregates)
-        out_cols: List[List[Value]] = [[] for _ in range(width)]
-        for key, indices in groups.items():
-            for pos, value in enumerate(key):
-                out_cols[pos].append(value)
-            for offset, ((func, _, _), col) in enumerate(
-                zip(plan.aggregates, agg_cols)
-            ):
-                out_cols[len(key) + offset].append(
-                    aggregate_column(func, col, indices)
-                )
-        out = ColumnBatch(plan.output_columns, out_cols, len(groups))
-        self._clock.rows_probed += child.nrows
-        self._clock.rows_output += out.nrows
-        if plan.having is not None:
-            out = self._apply_predicate(plan.having, out)
-        return out
-
-    def _batch_union(self, plan: UnionAll) -> ColumnBatch:
-        children = [self._eval_batch(child) for child in plan.children]
-        out_columns = plan.output_columns
-        width = len(out_columns)
-        out_cols: List[List[Value]] = [[] for _ in range(width)]
-        total = 0
-        for child in children:
-            for pos in range(width):
-                out_cols[pos].extend(child.cols[pos])
-            total += child.nrows
-        self._clock.rows_output += total
-        return ColumnBatch(out_columns, out_cols, total)
-
-    def _batch_sort(self, plan: Sort) -> ColumnBatch:
-        child = self._eval_batch(plan.child)
-        keys = [
-            (resolve_column(name, child.columns), descending)
-            for name, descending in plan.keys
-        ]
-        ordered = child.gather(sort_indices(child, keys))
-        self._clock.rows_probed += ordered.nrows
-        self._clock.rows_output += ordered.nrows
-        return ordered
-
-    # -- helpers -----------------------------------------------------------
-
-    def _apply_predicate(self, expr: Expr, batch: ColumnBatch) -> ColumnBatch:
-        """Filter without clock charges (residual/having semantics)."""
-        mask = predicate_mask(expr, batch)
-        if mask is not None:
-            from .columnar import get_numpy
-
-            np = get_numpy()
-            return batch.gather(np.nonzero(mask)[0])
-        bound = expr.bind(batch.columns)
-        kept = [i for i, row in enumerate(zip(*batch.cols)) if bound(row)]
-        return batch.gather(kept)
 
 
 #: engine name -> executor class

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from .columnar import null_first_sort_key
 from .cost import CostClock
 from .expr import resolve_column
 from .plan import (
@@ -65,17 +66,18 @@ def _null_safe_key(row: Row) -> Tuple:
 class Executor:
     """Evaluates logical plans against a table catalog (row-at-a-time).
 
-    The vectorized twin lives in
-    :mod:`repro.relational.columnar_exec`; both produce bit-identical
-    results and clock charges, and :func:`~repro.relational.columnar_exec.make_executor`
-    selects between them.
+    Single-node only, and not the default: this is the reference the
+    differential suite holds the columnar operators to, row order and
+    clock charges included.  The vectorized twin lives in
+    :mod:`repro.relational.columnar_exec`;
+    :func:`~repro.relational.columnar_exec.make_executor` selects
+    between them.
     """
 
     engine_name = "rows"
 
     def __init__(self, tables: Mapping[str, object], clock: CostClock) -> None:
-        # ``tables``: mapping name -> Table; kept duck-typed so the MPP
-        # segment executor can reuse this class with its own catalogs.
+        # ``tables``: mapping name -> Table
         self._tables = tables
         self._clock = clock
 
@@ -266,15 +268,9 @@ class Executor:
         # test so the reverse pass cannot push NULLs to the end).
         ordered = list(rows)
         for pos, descending in reversed(positions):
-            if descending:
-                ordered.sort(
-                    key=lambda row: (row[pos] is None, row[pos]),
-                    reverse=True,
-                )
-            else:
-                ordered.sort(
-                    key=lambda row: (row[pos] is not None, row[pos]),
-                )
+            ordered.sort(
+                key=null_first_sort_key(pos, descending), reverse=descending
+            )
         self._clock.rows_probed += len(ordered)
         self._clock.rows_output += len(ordered)
         return columns, ordered

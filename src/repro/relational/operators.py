@@ -1,0 +1,169 @@
+"""Segment-local relational operators over column batches.
+
+The one production definition of each operator's semantics and
+:class:`~repro.relational.cost.CostClock` charges.  Every function maps
+:class:`~repro.relational.columnar.ColumnBatch` inputs to a fresh
+output batch and charges the clock it is handed, so the same code runs
+as the single-node :class:`~repro.relational.columnar_exec.ColumnarExecutor`
+(one clock, whole tables) and as one MPP segment's share of a plan
+(:mod:`repro.mpp.segments`, one clock per segment) — in the master
+process or inside a pool worker.
+
+Column references arrive resolved to positions: the callers already
+hold the input schemas (the MPP planner needs them for collocation),
+and positions survive pickling to a worker unchanged.
+
+Rows, row order and charges are pinned against the row-at-a-time
+:class:`~repro.relational.executor.Executor` by
+``tests/relational/test_differential.py``.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Sequence, Tuple
+
+from .columnar import (
+    ColumnBatch,
+    aggregate_column,
+    anti_join_indices,
+    distinct_indices,
+    filter_batch_indices,
+    gather_column,
+    group_indices,
+    join_indices,
+    sort_indices,
+)
+from .cost import CostClock
+from .expr import Col, Const, Expr, resolve_column
+from .table import Table
+from .types import Row, Value
+
+#: ``(function, argument column or None, output name)`` — the shape of
+#: :attr:`repro.relational.plan.Aggregate.aggregates`
+AggregateSpec = Tuple[str, Optional[str], str]
+
+
+def scan_table(table: Table, columns: Sequence[str], clock: CostClock) -> ColumnBatch:
+    """The table's cached batch under the scan's output column names."""
+    clock.rows_scanned += len(table)
+    return table.column_batch().rename(columns)
+
+
+def filter_batch(child: ColumnBatch, predicate: Expr, clock: CostClock) -> ColumnBatch:
+    kept = child.gather(filter_batch_indices(predicate, child))
+    clock.rows_probed += child.nrows
+    clock.rows_output += kept.nrows
+    return kept
+
+
+def project_batch(
+    child: ColumnBatch,
+    outputs: Sequence[Tuple[Expr, str]],
+    out_columns: Sequence[str],
+    clock: CostClock,
+) -> ColumnBatch:
+    cols: List[List[Value]] = []
+    rows: Optional[List[Row]] = None  # lazily zipped for opaque exprs
+    for expr, _name in outputs:
+        if isinstance(expr, Col):
+            pos = resolve_column(expr.name, child.columns)
+            cols.append(child.cols[pos])  # shared, never mutated
+        elif isinstance(expr, Const):
+            cols.append([expr.value] * child.nrows)
+        else:
+            if rows is None:
+                rows = child.to_rows()
+            evaluate = expr.bind(child.columns)
+            cols.append([evaluate(row) for row in rows])
+    clock.rows_output += child.nrows
+    return ColumnBatch(out_columns, cols, child.nrows)
+
+
+def join_batches(
+    left: ColumnBatch,
+    right: ColumnBatch,
+    lpos: Sequence[int],
+    rpos: Sequence[int],
+    residual: Optional[Expr],
+    clock: CostClock,
+) -> ColumnBatch:
+    """Equi-join; NULL keys never match, the residual predicate filters
+    the joined rows (uncharged, as in the row engine)."""
+    lidx, ridx, built, probed = join_indices(left, right, lpos, rpos)
+    out_cols = [gather_column(col, lidx) for col in left.cols]
+    out_cols += [gather_column(col, ridx) for col in right.cols]
+    out = ColumnBatch(left.columns + right.columns, out_cols)
+    clock.rows_built += built
+    clock.rows_probed += probed
+    clock.rows_output += out.nrows
+    if residual is not None:
+        out = out.gather(filter_batch_indices(residual, out))
+    return out
+
+
+def anti_join_batches(
+    left: ColumnBatch,
+    right: ColumnBatch,
+    lpos: Sequence[int],
+    rpos: Sequence[int],
+    clock: CostClock,
+) -> ColumnBatch:
+    kept = left.gather(anti_join_indices(left, right, lpos, rpos))
+    clock.rows_built += right.nrows
+    clock.rows_probed += left.nrows
+    clock.rows_output += kept.nrows
+    return kept
+
+
+def distinct_batch(child: ColumnBatch, clock: CostClock) -> ColumnBatch:
+    deduped = child.gather(distinct_indices(child))
+    clock.rows_probed += child.nrows
+    clock.rows_output += deduped.nrows
+    return deduped
+
+
+def aggregate_batch(
+    child: ColumnBatch,
+    group_pos: Sequence[int],
+    aggregates: Sequence[AggregateSpec],
+    agg_pos: Sequence[Optional[int]],
+    having: Optional[Expr],
+    out_columns: Sequence[str],
+    clock: CostClock,
+) -> ColumnBatch:
+    """Group-by + aggregates, groups in first-occurrence order; a
+    global aggregate (no group columns) over empty input emits one
+    row.  HAVING filters the charged output, like a join residual."""
+    agg_cols = [child.cols[pos] if pos is not None else None for pos in agg_pos]
+    groups = group_indices(child, group_pos)
+    out_cols: List[List[Value]] = [[] for _ in out_columns]
+    for key, indices in groups.items():
+        for pos, value in enumerate(key):
+            out_cols[pos].append(value)
+        for offset, ((func, _, _), col) in enumerate(zip(aggregates, agg_cols)):
+            out_cols[len(key) + offset].append(aggregate_column(func, col, indices))
+    out = ColumnBatch(out_columns, out_cols, len(groups))
+    clock.rows_probed += child.nrows
+    clock.rows_output += out.nrows
+    if having is not None:
+        out = out.gather(filter_batch_indices(having, out))
+    return out
+
+
+def union_batches(
+    children: Sequence[ColumnBatch], out_columns: Sequence[str], clock: CostClock
+) -> ColumnBatch:
+    out = ColumnBatch.concat(out_columns, children)
+    clock.rows_output += out.nrows
+    return out
+
+
+def sort_batch(
+    child: ColumnBatch, keys: Sequence[Tuple[int, bool]], clock: CostClock
+) -> ColumnBatch:
+    """Stable multi-key sort on ``(position, descending)`` keys, NULLS
+    FIRST in both directions."""
+    ordered = child.gather(sort_indices(child, keys))
+    clock.rows_probed += ordered.nrows
+    clock.rows_output += ordered.nrows
+    return ordered

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cli import build_parser, _backend_config, _build_system
-from repro.relational import resolve_executor
 
 
 @pytest.fixture(scope="module")
@@ -52,5 +51,5 @@ def test_build_system_uses_configs(kb_dir):
         "workers": 0,
         "degraded": False,
         "plan": "adaptive",
-        "engine": resolve_executor(None),
+        "engine": "columnar",
     }

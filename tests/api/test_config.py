@@ -51,6 +51,15 @@ class TestBackendConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             BackendConfig().kind = "mpp"
 
+    def test_mpp_rejects_the_row_engine(self):
+        # the row engine lives on the single-node backend only: an MPP
+        # backend asked for it must refuse, not half-honour the option
+        with pytest.raises(ValueError, match="single-node"):
+            BackendConfig(kind="mpp", executor="rows")
+        assert BackendConfig(kind="single", executor="rows").executor == "rows"
+        mpp = build_backend(BackendConfig(kind="mpp", executor="columnar"))
+        assert mpp.executor_info()["engine"] == "columnar"
+
     def test_configs_are_hashable_and_reusable(self):
         config = BackendConfig(kind="mpp", mpp=MPPConfig(num_segments=2))
         assert config == BackendConfig(kind="mpp", mpp=MPPConfig(num_segments=2))

@@ -65,6 +65,15 @@ def test_rc009_is_silent_inside_the_planners(tmp_path):
     assert "planner" in finding.message
 
 
+def test_rc003_covers_the_segment_operators_not_the_exchange():
+    source = "import time\n\ndef deadline():\n    return time.monotonic() + 1.0\n"
+    for kernel in ("relational/operators.py", "mpp/segments.py"):
+        (finding,) = lint_source(source, f"src/repro/{kernel}").findings
+        assert finding.code == "RC003"
+    # the queue exchange keeps its wall-clock deadlines outside the kernels
+    assert lint_source(source, "src/repro/mpp/workers.py").findings == ()
+
+
 def test_rc001_names_the_lock_and_line():
     report = lint_paths([FIXTURES / "rc001_guard.py"])
     messages = [f.message for f in report.findings]

@@ -3,7 +3,13 @@ motion planning, matviews, and simulated-time accounting."""
 
 import pytest
 
-from repro.mpp import HashDistribution, MPPDatabase, ReplicatedDistribution
+from repro.mpp import (
+    HashDistribution,
+    MPPDatabase,
+    ReplicatedDistribution,
+    WorkerCrashError,
+)
+from repro.mpp.segments import LocalExchange, SegmentInterpreter
 from repro.relational import (
     Aggregate,
     Database,
@@ -234,3 +240,70 @@ def test_more_segments_less_elapsed():
         cluster.query(Filter(Scan("big"), eq_const("big.b", 5)))
         times[nseg] = cluster.elapsed_seconds
     assert times[8] < times[1]
+
+
+class FlakyPool:
+    """A stand-in worker pool, in this process: it runs operator
+    commands on a segment interpreter over the cluster's own shards
+    (so an aborted attempt really charges the clocks, as workers'
+    acks do), ignores mirrored DML, and loses its "workers" on the
+    ``fail_at``-th operator."""
+
+    num_workers = 1
+
+    def __init__(self, cluster, fail_at):
+        self.local = SegmentInterpreter(
+            range(cluster.nseg),
+            cluster.nseg,
+            lambda name, seg: cluster.tables[name].parts[seg],
+            LocalExchange(),
+        )
+        self.fail_at = fail_at
+        self.operators = 0
+        self.epochs = 0
+        self.closed = False
+
+    def next_epoch(self):
+        self.epochs += 1
+        return self.epochs
+
+    def dispatch(self, command=None, per_worker=None):
+        if per_worker is not None or not hasattr(self.local, "_cmd_" + command[0]):
+            return {0: {}}  # mirrored DML: the shards are shared
+        self.operators += 1
+        if self.operators == self.fail_at:
+            raise WorkerCrashError("worker 0 died (injected)")
+        return {0: self.local.execute(command)}
+
+    def reset_intermediates(self):
+        self.dispatch(("reset",))
+
+    def close(self, force=False):
+        self.closed = True
+
+
+def test_degraded_statement_charges_what_a_serial_one_does():
+    def plan():
+        return Aggregate(
+            HashJoin(Scan("person", "p"), Scan("city", "c"), ["p.city"], ["c.id"]),
+            group_by=["c.name"],
+            aggregates=[("count", None, "n")],
+        )
+
+    _, serial = make_pair(nseg=3)
+    expected = serial.query(plan())
+
+    _, pooled = make_pair(nseg=3)
+    # both scans and the motion are done and charged; the join loses the pool
+    pooled.pool = flaky = FlakyPool(pooled, fail_at=4)
+    with pytest.warns(RuntimeWarning, match="worker pool lost"):
+        survived = pooled.query(plan())
+
+    assert flaky.closed and pooled.degraded and pooled.pool is None
+    assert survived.rows == expected.rows
+    assert pooled.work_clock.snapshot() == serial.work_clock.snapshot()
+    assert [c.snapshot() for c in pooled.segment_clocks] == [
+        c.snapshot() for c in serial.segment_clocks
+    ]
+    assert pooled.explain_last() == serial.explain_last()
+    assert pooled.elapsed_seconds == serial.elapsed_seconds

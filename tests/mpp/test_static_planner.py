@@ -35,7 +35,6 @@ from repro.relational import (
     Scan,
     col,
     eq_const,
-    resolve_executor,
     schema,
 )
 
@@ -238,5 +237,5 @@ class TestConfigSurface:
             "workers": 0,
             "degraded": False,
             "plan": "static",
-            "engine": resolve_executor(None),
+            "engine": "columnar",
         }

@@ -29,14 +29,18 @@ from repro.mpp import (
 )
 from repro.relational import (
     Aggregate,
+    AntiJoin,
     Distinct,
     Filter,
     HashJoin,
+    Limit,
     Project,
     Scan,
+    Sort,
+    UnionAll,
+    Values,
     col,
     eq_const,
-    resolve_executor,
     schema,
 )
 
@@ -78,6 +82,26 @@ def plans():
         "distinct": lambda: Distinct(
             Project(Scan("person", "P"), [(col("P.city"), "city")])
         ),
+        # neither side is hashed on the join key: the small one is broadcast
+        "broadcast_join": lambda: HashJoin(
+            Scan("person", "P"), Scan("city", "C"), ["P.name"], ["C.name"]
+        ),
+        "anti_join": lambda: AntiJoin(
+            Scan("person", "P"), Scan("city", "C"), ["P.city"], ["C.id"]
+        ),
+        "union_sort_limit": lambda: Limit(
+            Sort(
+                UnionAll(
+                    [
+                        Project(Scan("person", "P"), [(col("P.id"), "id")]),
+                        Project(Scan("city", "C"), [(col("C.id"), "id")]),
+                        Values(["id"], [(7,), (None,)]),
+                    ]
+                ),
+                [("id", True)],
+            ),
+            9,
+        ),
     }
 
 
@@ -93,6 +117,12 @@ class TestQueryParity:
                 # identical rows in identical order, not just same sets
                 assert ours.rows == theirs.rows, name
                 assert ours.columns == theirs.columns, name
+                # same physical plan, same modelled time per operator
+                assert serial.explain_last() == pooled.explain_last(), name
+                # every segment was charged the same work
+                assert [c.snapshot() for c in serial.segment_clocks] == [
+                    c.snapshot() for c in pooled.segment_clocks
+                ], name
             assert serial.elapsed_seconds == pooled.elapsed_seconds
         finally:
             pooled.close()
@@ -231,7 +261,7 @@ class TestCrashRecovery:
                 "workers": 0,
                 "degraded": True,
                 "plan": "adaptive",
-                "engine": resolve_executor(None),
+                "engine": "columnar",
             }
             # the degraded cluster still accepts DML and queries
             pooled.insert_rows("person", [(999, "late", 0)])

@@ -5,6 +5,8 @@ with the pure-Python fallback (``PROBKB_NO_NUMPY=1``); the tests that
 matter run under both via the ``no_numpy`` fixture parameterization.
 """
 
+import pickle
+
 import pytest
 
 from repro.relational.columnar import (
@@ -22,8 +24,9 @@ from repro.relational.columnar import (
     resolve_executor,
     sort_indices,
 )
+from repro.relational import Database, HashJoin, Scan, operators, schema
 from repro.relational.cost import CostClock
-from repro.relational import columnar
+from repro.relational.executor import Executor
 from repro.relational.expr import conj, eq_const
 
 
@@ -84,6 +87,22 @@ class TestColumnBatch:
         renamed = batch.rename(["b"])
         assert renamed.columns == ["b"]
         assert renamed.cols[0] is batch.cols[0]
+
+    def test_pickle_ships_columns_not_numpy_views(self):
+        rows = [(i, float(i), "s") for i in range(200)]
+        cold = ColumnBatch.from_rows(["a", "b", "c"], rows)
+        warm = ColumnBatch.from_rows(["a", "b", "c"], rows)
+        for pos in range(3):
+            warm.int_array(pos), warm.num_array(pos)
+        if numpy_enabled():
+            assert warm._np_cache
+        wire = pickle.dumps(warm)
+        assert len(wire) <= len(pickle.dumps(cold))
+        shipped = pickle.loads(wire)
+        assert shipped.columns == warm.columns
+        assert shipped.to_rows() == rows
+        assert shipped.nrows == warm.nrows
+        assert shipped._np_cache == {}
 
     def test_int_array_rejects_floats_and_strings(self, no_numpy):
         np = get_numpy()
@@ -277,23 +296,38 @@ class TestPredicateMask:
         assert mask is None
 
 
-class TestRowWrappers:
-    def test_join_rows_matches_rowops_loop(self, no_numpy):
-        left = [(1, "a"), (2, "b"), (1, "c")]
-        right = [(1, "X"), (3, "Y")]
-        c1, c2 = CostClock(), CostClock()
-        ours = columnar.join_rows(left, right, [0], [0], None, c1)
-        from repro.mpp import rowops
+class TestSharedOperators:
+    """The operator functions every engine host calls
+    (:mod:`repro.relational.operators`), against the row ``Executor``."""
 
-        theirs = rowops.hash_join_rows(
-            list(left), list(right), [0], [0], None, c2, engine="rows"
+    def test_join_matches_row_executor(self, no_numpy):
+        # duplicate keys on both sides, NULL keys on both sides
+        left = [(1, "a"), (2, "b"), (None, "n"), (1, "c")]
+        right = [(1, "X"), (3, "Y"), (None, "Z"), (1, "W")]
+        ours_clock, rows_clock = CostClock(), CostClock()
+        ours = operators.join_batches(
+            ColumnBatch.from_rows(["l.k", "l.v"], left),
+            ColumnBatch.from_rows(["r.k", "r.v"], right),
+            [0], [0], None, ours_clock,
         )
-        assert ours == theirs
-        assert c1.snapshot() == c2.snapshot()
 
-    def test_sort_rows_charges_probe_and_output(self, no_numpy):
+        db = Database("ref", executor="rows")
+        db.create_table(schema("L", "k:int", "v:text"))
+        db.create_table(schema("R", "k:int", "v:text"))
+        db.bulkload("L", left)
+        db.bulkload("R", right)
+        reference = Executor(db.tables, rows_clock).run(
+            HashJoin(Scan("L", "l"), Scan("R", "r"), ["l.k"], ["r.k"])
+        )
+        assert ours.to_rows() == reference.rows
+        assert ours.columns == reference.columns
+        rows_clock.rows_scanned = 0  # the operator is handed batches, not tables
+        assert ours_clock.snapshot() == rows_clock.snapshot()
+
+    def test_sort_charges_probe_and_output(self, no_numpy):
         clock = CostClock()
-        ordered = columnar.sort_rows([(2,), (None,), (1,)], [(0, False)], clock)
-        assert ordered == [(None,), (1,), (2,)]
+        batch = ColumnBatch.from_rows(["a"], [(2,), (None,), (1,)])
+        ordered = operators.sort_batch(batch, [(0, False)], clock)
+        assert ordered.to_rows() == [(None,), (1,), (2,)]
         assert clock.rows_probed == 3
         assert clock.rows_output == 3

@@ -1,10 +1,14 @@
-"""Randomized differential tests: columnar vs row engine vs sqlite.
+"""Randomized differential tests: columnar vs row engine vs sqlite vs MPP.
 
 Seeded-random tables and operator trees are executed by both engines;
 results must be *bit-identical* — same rows in the same order, and the
 same CostClock counters — because downstream fact-id assignment depends
 on result order.  Where ``to_sql`` can express the plan, the sqlite
-bridge arbitrates SQL semantics on sorted rows.
+bridge arbitrates SQL semantics on sorted rows.  The serial MPP
+database joins the matrix as one more engine: the same operators run
+per segment, so across segment counts and table placements it must
+return the row engine's multiset (and its order, where the plan pins
+one).
 
 Runs the whole matrix twice: numpy fast paths on, and forced off via
 ``PROBKB_NO_NUMPY`` (the pure-Python fallback must not drift).
@@ -14,6 +18,12 @@ import random
 
 import pytest
 
+from repro.mpp import (
+    HashDistribution,
+    MPPDatabase,
+    RandomDistribution,
+    ReplicatedDistribution,
+)
 from repro.relational import (
     Aggregate,
     Database,
@@ -196,6 +206,74 @@ class TestEngineParity:
                 assert (
                     col_db.clock.snapshot() == rows_db.clock.snapshot()
                 ), (trial, name)
+
+
+#: where R and S live on the cluster
+PLACEMENTS = {
+    "hash": lambda: HashDistribution(["k"]),
+    "random": RandomDistribution,
+    "replicated": ReplicatedDistribution,
+}
+
+#: Sort/Limit shapes -> output positions of the sort keys.  "limit" and
+#: "stacked" sort on every output column, so their order is total.
+SORT_KEYS = {
+    "sort_asc": (0, 2),
+    "sort_desc": (0, 2),
+    "sort_mixed": (1, 0),
+    "limit": (0, 1, 2),
+    "stacked": (0, 1),
+}
+
+
+def build_mpp(nseg, placement, rows_r, rows_s):
+    db = MPPDatabase(nseg=nseg)
+    for name, rows in (("R", rows_r), ("S", rows_s)):
+        db.create_table(
+            schema(name, "k:int", "lab:text", "v:int"), PLACEMENTS[placement]()
+        )
+        db.bulkload(name, rows)
+    return db
+
+
+def project(rows, positions):
+    return [tuple(row[pos] for pos in positions) for row in rows]
+
+
+class TestMppParity:
+    @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+    @pytest.mark.parametrize("nseg", [1, 3])
+    @pytest.mark.parametrize("name", sorted(plan_catalog()))
+    def test_serial_mpp_matches_rows(self, name, nseg, placement, no_numpy):
+        rng = random.Random(SEED + 4)
+        rows_r = random_rows(rng, NROWS)
+        rows_s = random_rows(rng, NROWS // 2)
+        factory = plan_catalog()[name]
+
+        rows_db = build_db("rows", rows_r, rows_s)
+        mpp = build_mpp(nseg, placement, rows_r, rows_s)
+        expected = rows_db.query(factory())
+        actual = mpp.query(factory())
+
+        assert actual.columns == expected.columns
+        assert actual.sorted_rows() == expected.sorted_rows()
+        keys = SORT_KEYS.get(name)
+        if keys is not None:
+            # rows tied on the sort keys keep their input order, and the
+            # gather feeding the sort appends segment after segment: the
+            # single-node input order survives when tied rows share a
+            # segment (one segment, a full copy per segment, or hashed
+            # on k, which every sort here leads with or includes)
+            if len(keys) == len(actual.columns) or nseg == 1 or placement != "random":
+                assert actual.rows == expected.rows
+            else:
+                assert project(actual.rows, keys) == project(expected.rows, keys)
+        if nseg == 1:
+            # one segment does exactly the single-node engine's work
+            segment = mpp.segment_clocks[0].snapshot()
+            single = rows_db.clock.snapshot()
+            for counter in ("rows_scanned", "rows_built", "rows_probed", "rows_output"):
+                assert segment[counter] == single[counter], counter
 
 
 class TestDmlParity:
