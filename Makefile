@@ -59,7 +59,7 @@ bench-e2e-compare:
 # with a notice when not installed, so `make lint` is safe in minimal
 # environments; CI installs both and runs them for real.
 # Concurrency & determinism linter over the repo's own source
-# (RC001-008, see docs/devtools.md).  Pure stdlib: runs everywhere,
+# (RC001-009, see docs/devtools.md).  Pure stdlib: runs everywhere,
 # fails on ANY finding.
 lint-conc:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli devtools lint src/repro

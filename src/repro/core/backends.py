@@ -190,7 +190,6 @@ class MPPBackend(Backend):
         name: str = "probkb-p",
         num_workers: int = 0,
         worker_timeout: float = 60.0,
-        plan: str = "adaptive",
         verify_plans: Optional[bool] = None,
     ) -> None:
         self.name = name
@@ -202,7 +201,6 @@ class MPPBackend(Backend):
             name=name,
             num_workers=num_workers,
             worker_timeout=worker_timeout,
-            plan_mode=plan,
             verify_plans=verify_plans,
         )
         self._views_created = False

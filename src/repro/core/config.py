@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
-from ..mpp import PLAN_MODES
 from ..relational.columnar import EXECUTOR_ENGINES
 from .backends import Backend, MPPBackend, SingleNodeBackend
 
@@ -42,19 +41,12 @@ class MPPConfig:
     worker processes, each owning ``num_segments / num_workers`` of the
     segments (see :mod:`repro.mpp.workers`).  Both modes produce
     bit-identical tables and modelled timings.
-
-    ``plan="adaptive"`` (the default) decides broadcast-vs-redistribute
-    from actual intermediate sizes at run time; ``plan="static"`` takes
-    those decisions up front from catalog statistics
-    (:mod:`repro.mpp.static_planner`).  Result rows are bit-identical
-    either way — only the motions (and their modelled cost) can differ.
     """
 
     num_segments: int = 8
     num_workers: int = 0
     policy: str = "matviews"
     worker_timeout: float = 60.0
-    plan: str = "adaptive"
 
     def __post_init__(self) -> None:
         if self.num_segments < 1:
@@ -64,10 +56,6 @@ class MPPConfig:
         if self.policy not in MPP_POLICIES:
             raise ValueError(
                 f"unknown MPP policy {self.policy!r} (use one of {MPP_POLICIES})"
-            )
-        if self.plan not in PLAN_MODES:
-            raise ValueError(
-                f"unknown plan mode {self.plan!r} (use one of {PLAN_MODES})"
             )
 
     @property
@@ -263,6 +251,5 @@ def build_backend(spec: BackendSpec = BackendConfig()) -> Backend:
         name=spec.name or "probkb-p",
         num_workers=mpp.num_workers,
         worker_timeout=mpp.worker_timeout,
-        plan=mpp.plan,
         verify_plans=verify,
     )

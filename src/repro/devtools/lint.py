@@ -64,12 +64,15 @@ KERNEL_PATTERNS: Tuple[str, ...] = (
     # queue exchange's deadlines live outside, in mpp/workers.py)
     "relational/operators.py",
     "mpp/segments.py",
+    # motion placement is a pure function of plan + (columns, dist, rows)
+    "mpp/placement.py",
 )
 
 #: the only files allowed to construct PhysicalNode directly (RC009):
-#: the adaptive executor and the static planner.  Everything else must
-#: obtain physical plans from a planner so the plan verifier
-#: (repro.mpp.verify) gets to see them.
+#: the two plan walkers, executor and static planner (the placement
+#: rules they share build none).  Everything else must obtain physical
+#: plans from a planner so the plan verifier (repro.mpp.verify) gets to
+#: see them.
 PHYSICAL_PLANNER_FILES: Tuple[str, ...] = (
     "mpp/static_planner.py",
     "mpp/cluster.py",

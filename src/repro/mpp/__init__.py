@@ -1,6 +1,6 @@
 """Shared-nothing MPP database simulator (the Greenplum stand-in)."""
 
-from .cluster import PLAN_MODES, FrameRef, MPPDatabase, MPPTable, SegmentOps, Shards
+from .cluster import FrameRef, MPPDatabase, MPPTable, SegmentOps, Shards
 from .distribution import (
     DistributionPolicy,
     HashDistribution,
@@ -9,13 +9,13 @@ from .distribution import (
     partition_rows,
     stable_hash,
 )
+from .placement import choose_fallback_motion
 from .plannodes import DistDesc, PhysicalNode
 from .static_planner import (
     JoinEstimate,
     MotionEstimate,
     StaticPlan,
     StaticPlanner,
-    choose_fallback_motion,
     collect_mpp_statistics,
 )
 from .workers import WorkerCrashError, WorkerPool
@@ -29,7 +29,6 @@ __all__ = [
     "MPPDatabase",
     "MPPTable",
     "MotionEstimate",
-    "PLAN_MODES",
     "PhysicalNode",
     "RandomDistribution",
     "ReplicatedDistribution",

@@ -2,23 +2,25 @@
 
 An :class:`MPPDatabase` holds hash/replicated/randomly distributed tables
 across N segments, executes the same logical plans as the single-node
-engine, and inserts *motion* operators (redistribute/broadcast/gather)
-whenever a join, aggregate, or distinct is not collocated.  Motion rows
+engine, and inserts the *motion* operators (redistribute/broadcast/gather)
+that :mod:`repro.mpp.placement` asks for whenever a join, aggregate, or
+distinct is not collocated.  Motion rows
 are charged shipping costs on the receiving segments; the simulated
 elapsed time of a statement is the per-statement overhead plus the
 *maximum* per-segment work — i.e. ideal parallel execution, which is what
 the paper's Greenplum numbers approximate.
 
-Motion decisions are made adaptively from actual intermediate sizes,
-standing in for Greenplum's statistics-driven planner.  Every executed
+Motion decisions are made adaptively: the placement rules see actual
+intermediate sizes, standing in for Greenplum's statistics-driven
+planner.  Every executed
 statement records its physical plan (:mod:`repro.mpp.plannodes`) for
 EXPLAIN ANALYZE output reproducing the paper's Figure 4.
 
 Execution modes
 ---------------
 
-The planner (:class:`_MPPExecutor`) decides motions and records the
-physical plan; the per-segment work is one command per operator, built
+The plan walker (:class:`_MPPExecutor`) applies the motions and records
+the physical plan; the per-segment work is one command per operator, built
 by :class:`SegmentOps` and executed by the segment interpreter of
 :mod:`repro.mpp.segments`.  Serial and pooled execution are that one
 interpreter — what differs is where it runs and the exchange its
@@ -49,7 +51,7 @@ from __future__ import annotations
 import itertools
 import warnings
 import weakref
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar, Union
 
 from ..relational.cost import CostClock
 from ..relational.executor import Result
@@ -68,7 +70,6 @@ from ..relational.plan import (
     Sort,
     UnionAll,
     Values,
-    scans_of,
     walk,
 )
 from ..relational.schema import TableSchema
@@ -82,29 +83,12 @@ from .distribution import (
     ReplicatedDistribution,
     partition_rows,
 )
+from .placement import Input, Move, join_detail, motion_label, place, qualified, table_dist
 from .plannodes import DistDesc, PhysicalNode
 from .segments import LocalExchange, SegmentInterpreter
-from .static_planner import (
-    FALLBACK_BROADCAST_LEFT,
-    FALLBACK_BROADCAST_RIGHT,
-    StaticPlan,
-    StaticPlanner,
-    choose_fallback_motion,
-    collect_mpp_statistics,
-    join_detail,
-    project_dist,
-    qualified_set,
-    subset_perm,
-)
 from .workers import WorkerCrashError, WorkerPool
 
 _T = TypeVar("_T")
-
-#: Supported planner modes: "adaptive" decides motions from actual
-#: intermediate sizes; "static" decides them from catalog statistics
-#: before execution (rows are identical either way — only the cost-based
-#: broadcast-vs-redistribute fallback is data-dependent).
-PLAN_MODES = ("adaptive", "static")
 
 
 class MPPTable:
@@ -217,21 +201,11 @@ class MPPDatabase:
         name: str = "mpp",
         num_workers: int = 0,
         worker_timeout: float = 60.0,
-        plan_mode: str = "adaptive",
         verify_plans: Optional[bool] = None,
     ) -> None:
         ensure(nseg >= 1, ExecutionError, "need at least one segment")
-        ensure(
-            plan_mode in PLAN_MODES,
-            ExecutionError,
-            f"plan_mode must be one of {PLAN_MODES}, got {plan_mode!r}",
-        )
         self.name = name
         self.nseg = nseg
-        self.plan_mode = plan_mode
-        #: the static planner's verdict on the most recent statement
-        #: (``plan_mode="static"`` only)
-        self.last_static_plan: Optional[StaticPlan] = None
         self.tables: Dict[str, MPPTable] = {}
         self.segment_clocks = [CostClock() for _ in range(nseg)]
         self.master_clock = CostClock()
@@ -269,7 +243,6 @@ class MPPDatabase:
             "segments": self.nseg,
             "workers": self.pool.num_workers if self.pool is not None else 0,
             "degraded": self.degraded,
-            "plan": self.plan_mode,
             # segments run the columnar operators, and only those: the
             # row engine is the single-node backend's test reference
             "engine": "columnar",
@@ -310,51 +283,35 @@ class MPPDatabase:
         retries in-process over the master's authoritative shards, with
         the segment clocks rewound to where the aborted attempt found
         them: a degraded statement charges what a serial one does."""
-        static_choices = self._plan_statically(plan)
         verify = self.verify_plans and plan not in self._verified_plans
         if verify:
-            # pre-execution: the logical tree, and in static mode the
-            # statically planned physical tree (motions included)
+            # pre-execution: the logical tree
             verify_plan(plan, tables=self.tables, name="mpp logical plan") \
                 .raise_if_errors()
-            if self.plan_mode == "static" and self.last_static_plan is not None:
-                self._verify_physical(
-                    self.last_static_plan.root, "mpp static plan"
-                )
-        shards, node = self._execute_plan(plan, static_choices)
+        shards, node = self._execute_plan(plan)
         if verify:
-            # post-execution: the physical trace the adaptive executor
-            # actually recorded (motions chosen from real sizes)
-            self._verify_physical(node, "mpp physical plan")
+            # post-execution: the physical trace the executor actually
+            # recorded (motions chosen from real sizes)
+            self._verify_physical(node)
             self._verified_plans.add(plan)
         return shards, node
 
-    def _verify_physical(self, root: PhysicalNode, name: str) -> None:
+    def _verify_physical(self, root: PhysicalNode) -> None:
         from .verify import verify_physical_plan
 
         table_dists = {
-            table_name: self._policy_dist(table.policy)
+            table_name: table_dist(table.policy)
             for table_name, table in self.tables.items()
         }
         verify_physical_plan(
-            root, self.nseg, table_dists=table_dists, name=name
+            root, self.nseg, table_dists=table_dists, name="mpp physical plan"
         ).raise_if_errors()
 
-    @staticmethod
-    def _policy_dist(policy: DistributionPolicy) -> DistDesc:
-        if isinstance(policy, ReplicatedDistribution):
-            return DistDesc.replicated()
-        if policy.key_columns is not None:
-            return DistDesc.hash_on(policy.key_columns)
-        return DistDesc.arbitrary()
-
-    def _execute_plan(
-        self, plan: PlanNode, static_choices: Optional[Dict[int, str]]
-    ) -> Tuple[Shards, PhysicalNode]:
+    def _execute_plan(self, plan: PlanNode) -> Tuple[Shards, PhysicalNode]:
         if self.pool is not None:
             clocks_before = [clock.copy() for clock in self.segment_clocks]
             try:
-                return self._interpret(plan, static_choices)
+                return self._interpret(plan)
             except WorkerCrashError as error:
                 self._degrade(error)
                 for clock, before in zip(self.segment_clocks, clocks_before):
@@ -362,27 +319,13 @@ class MPPDatabase:
                     clock.merge(before)
             finally:
                 self._reset_pool()
-        return self._interpret(plan, static_choices)
+        return self._interpret(plan)
 
-    def _interpret(
-        self, plan: PlanNode, static_choices: Optional[Dict[int, str]]
-    ) -> Tuple[Shards, PhysicalNode]:
+    def _interpret(self, plan: PlanNode) -> Tuple[Shards, PhysicalNode]:
         """Plan and run on the pool if there is one, else in-process."""
-        executor = _MPPExecutor(self, static_choices)
+        executor = _MPPExecutor(self)
         ref, node = executor.exec_plan(plan)
         return executor.ops.localize(ref), node
-
-    def _plan_statically(self, plan: PlanNode) -> Optional[Dict[int, str]]:
-        """In static mode, pre-decide the cost-based join motions from
-        catalog statistics over the plan's stored tables (ANALYZE +
-        planning, before any row is read)."""
-        if self.plan_mode != "static":
-            return None
-        table_names = {scan.table_name for scan in scans_of(plan)}
-        catalog = collect_mpp_statistics(self, table_names)
-        static_plan = StaticPlanner(catalog, self.nseg).plan(plan)
-        self.last_static_plan = static_plan
-        return static_plan.fallback_choices
 
     def _reset_pool(self) -> None:
         """Free worker-side intermediates after a statement."""
@@ -402,26 +345,14 @@ class MPPDatabase:
         except WorkerCrashError as error:
             self._degrade(error)
 
-    def _pool_send_shards(
-        self,
-        op: str,
-        name: str,
-        shards: List[List[Row]],
-        truncate_first: Optional[bool] = None,
-    ) -> None:
+    def _pool_send_shards(self, name: str, shards: List[List[Row]]) -> None:
         """Ship per-segment row lists to the workers owning them."""
         if self.pool is None:
             return
 
         def build(worker_id: int, segments: List[int]) -> Tuple:
-            payload = {
-                seg: shards[seg]
-                for seg in segments
-                if shards[seg] or truncate_first
-            }
-            if truncate_first is None:
-                return (op, name, payload)
-            return (op, name, payload, truncate_first)
+            payload = {seg: shards[seg] for seg in segments if shards[seg]}
+            return ("insert_shards", name, payload)
 
         try:
             self.pool.dispatch(per_worker=build)
@@ -514,14 +445,9 @@ class MPPDatabase:
 
     def _mirror_insert(self, source_table: str, rows: Sequence[Row]) -> None:
         for mirror_name in self._mirrors.get(source_table, ()):
-            mirror = self.table(mirror_name)
-            shards = partition_rows(rows, mirror.policy, mirror.key_positions, self.nseg)
-            for seg, shard in enumerate(shards):
-                stored = mirror.parts[seg].insert(shard)
-                clock = self.segment_clocks[seg]
-                clock.rows_shipped += len(shard)
-                clock.rows_inserted += stored
-            self._pool_send_shards("insert_shards", mirror_name, shards)
+            self._load_partitioned(
+                self.table(mirror_name), rows, charge_ship=True
+            )
 
     def _mirror_delete(
         self, source_table: str, column_names: Sequence[str], keys: Set[Row]
@@ -559,29 +485,12 @@ class MPPDatabase:
         def work() -> int:
             shards, node = self._run_plan(plan)
             self.last_plan = node
-            rows = shards.gathered() if shards.dist.kind == "replicated" else None
-            if rows is not None:
-                stored = self._load_partitioned(table, rows, charge_ship=True)
-                self._mirror_insert(table_name, rows)
-                return stored
-            inserted = 0
-            # ship every row to its home segment, charging receivers
-            incoming: List[List[Row]] = [[] for _ in range(self.nseg)]
-            for seg, part in enumerate(shards.parts):
-                for row in part:
-                    target = self._segment_for(table, row)
-                    if target != seg:
-                        self.segment_clocks[target].rows_shipped += 1
-                    incoming[target].append(row)
-            for seg, part in enumerate(incoming):
-                stored = table.parts[seg].insert(part)
-                self.segment_clocks[seg].rows_inserted += stored
-                inserted += stored
-            self._pool_send_shards("insert_shards", table_name, incoming)
-            self._mirror_insert(
-                table_name, [row for part in incoming for row in part]
-            )
-            return inserted
+            if shards.dist.kind != "replicated":
+                return self._insert_shipped(table, shards.parts)
+            rows = shards.gathered()
+            stored = self._load_partitioned(table, rows, charge_ship=True)
+            self._mirror_insert(table_name, rows)
+            return stored
 
         return self._timed_statement(work)
 
@@ -608,26 +517,12 @@ class MPPDatabase:
                 if shards.dist.kind == "replicated"
                 else shards.parts
             )
-            sequence = next_id
-            incoming: List[List[Row]] = [[] for _ in range(self.nseg)]
-            for seg, part in enumerate(source_parts):
-                for row in part:
-                    full_row = (sequence,) + row + padding
-                    sequence += 1
-                    target = self._segment_for(table, full_row)
-                    if target != seg:
-                        self.segment_clocks[target].rows_shipped += 1
-                    incoming[target].append(full_row)
-            inserted = 0
-            for seg, part in enumerate(incoming):
-                stored = table.parts[seg].insert(part)
-                self.segment_clocks[seg].rows_inserted += stored
-                inserted += stored
-            self._pool_send_shards("insert_shards", table_name, incoming)
-            self._mirror_insert(
-                table_name, [row for part in incoming for row in part]
-            )
-            return inserted, sequence
+            sequence = itertools.count(next_id)
+            stamped = [
+                [(next(sequence),) + row + padding for row in part]
+                for part in source_parts
+            ]
+            return self._insert_shipped(table, stamped), next(sequence)
 
         return self._timed_statement(work)
 
@@ -705,30 +600,59 @@ class MPPDatabase:
 
     # ------------------------------------------------------------------ internals
 
-    def _segment_for(self, table: MPPTable, row: Row) -> int:
-        return table.policy.segment_of(row, table.key_positions, self.nseg)
+    def _insert_shipped(
+        self, table: MPPTable, source_parts: Sequence[Sequence[Row]]
+    ) -> int:
+        """Ship every row from the segment it sits on (its index in
+        ``source_parts``) to its home segment(s) in ``table``, charging
+        the receivers; then insert, and feed the mirrors the same rows.
+        A replicated target receives every row on every segment — a
+        broadcast."""
+        replicated = isinstance(table.policy, ReplicatedDistribution)
+        incoming: List[List[Row]] = [[] for _ in range(self.nseg)]
+        for seg, part in enumerate(source_parts):
+            if replicated:
+                for target, received in enumerate(incoming):
+                    if target != seg:
+                        self.segment_clocks[target].rows_broadcast += len(part)
+                    received.extend(part)
+                continue
+            for row in part:
+                target = table.policy.segment_of(
+                    row, table.key_positions, self.nseg
+                )
+                if target != seg:
+                    self.segment_clocks[target].rows_shipped += 1
+                incoming[target].append(row)
+        inserted = self._store_shards(table, incoming)
+        self._mirror_insert(
+            table.name,
+            incoming[0] if replicated
+            else [row for part in incoming for row in part],
+        )
+        return inserted
 
     def _load_partitioned(
-        self, table: MPPTable, rows: List[Row], charge_ship: bool
+        self, table: MPPTable, rows: Sequence[Row], charge_ship: bool
     ) -> int:
         shards = partition_rows(rows, table.policy, table.key_positions, self.nseg)
-        replicated = isinstance(table.policy, ReplicatedDistribution)
-        if replicated:
-            for part in table.parts:
-                part.truncate()
-        inserted = 0
+        if charge_ship:
+            for clock, shard in zip(self.segment_clocks, shards):
+                clock.rows_shipped += len(shard)
+        return self._store_shards(table, shards)
+
+    def _store_shards(self, table: MPPTable, shards: List[List[Row]]) -> int:
+        """Append per-segment row lists to the table's shards (and the
+        pool's copies of them); returns the rows actually stored, once
+        per row for a replicated table."""
+        inserted = stored = 0
         for seg, shard in enumerate(shards):
             stored = table.parts[seg].insert(shard)
-            clock = self.segment_clocks[seg]
-            clock.rows_inserted += stored
-            if charge_ship:
-                clock.rows_shipped += len(shard)
+            self.segment_clocks[seg].rows_inserted += stored
             inserted += stored
-        self._pool_send_shards(
-            "load_shards", table.name, shards, truncate_first=replicated
-        )
-        if replicated:
-            return len(table.parts[0])
+        self._pool_send_shards(table.name, shards)
+        if isinstance(table.policy, ReplicatedDistribution):
+            return stored  # every copy stored the same rows
         return inserted
 
     def _timed_statement(self, work: Callable[[], _T]) -> _T:
@@ -911,24 +835,18 @@ class SegmentOps:
 
 
 class _MPPExecutor:
-    """Adaptive planner over distributed frames.
+    """Plan walker over distributed frames.
 
-    Decides collocation/motions and records the physical plan; the
-    per-segment work goes through :class:`SegmentOps` to the segment
-    interpreter(s) — in-process, or the cluster's worker pool."""
+    :func:`repro.mpp.placement.place` decides the motions, from the
+    frames' actual sizes; this class applies them, records the physical
+    plan, and sends the per-segment work through :class:`SegmentOps` to
+    the segment interpreter(s) — in-process, or the cluster's pool."""
 
-    def __init__(
-        self,
-        cluster: MPPDatabase,
-        static_choices: Optional[Dict[int, str]] = None,
-    ) -> None:
+    def __init__(self, cluster: MPPDatabase) -> None:
         self.cluster = cluster
         self.nseg = cluster.nseg
         self.clocks = cluster.segment_clocks
         self.ops = SegmentOps(cluster)
-        #: pre-decided broadcast-vs-redistribute choices per HashJoin
-        #: logical node (``plan_mode="static"``); None = decide adaptively
-        self.static_choices = static_choices
 
     # -- entry ---------------------------------------------------------------
 
@@ -976,19 +894,52 @@ class _MPPExecutor:
             raise ExecutionError(f"unsupported MPP plan node {type(plan).__name__}")
         return handler(plan)
 
+    # -- placement -----------------------------------------------------------
+
+    def _placed(
+        self, plan: PlanNode, *child_plans: PlanNode
+    ) -> Tuple[List[FrameRef], List[PhysicalNode], DistDesc]:
+        """Execute the children, then move them where the placement
+        rules want them given their actual sizes.  Returns the (possibly
+        moved) frames, their (possibly motion-wrapped) plan nodes, and
+        the output distribution of ``plan``."""
+        results = [self._exec(child) for child in child_plans]
+        placement = place(
+            plan,
+            [Input(ref.columns, ref.dist, ref.total_rows) for ref, _ in results],
+            self.nseg,
+        )
+        frames: List[FrameRef] = []
+        nodes: List[PhysicalNode] = []
+        for (frame, node), move in zip(results, placement.moves):
+            if move is not None:
+                frame, node = self._move(frame, node, move)
+            frames.append(frame)
+            nodes.append(node)
+        return frames, nodes, placement.out_dist
+
+    def _move(
+        self, frame: FrameRef, child_node: PhysicalNode, move: Move
+    ) -> Tuple[FrameRef, PhysicalNode]:
+        work: Callable[[], FrameRef]
+        if move[0] == "redistribute":
+            keys = list(move[1])
+            positions = [resolve_column(k, frame.columns) for k in keys]
+            work = lambda: self.ops.redistribute(frame, positions, keys)
+        elif move[0] == "broadcast":
+            work = lambda: self.ops.broadcast(frame)
+        else:
+            work = lambda: self.ops.gather_first(frame)
+        node = PhysicalNode(*motion_label(move))
+        node.children.append(child_node)
+        return self._timed(node, work), node
+
     # -- leaf nodes -----------------------------------------------------------
 
     def _exec_scan(self, plan: Scan) -> Tuple[FrameRef, PhysicalNode]:
         table = self.cluster.table(plan.table_name)
         columns = plan.output_columns
-        if isinstance(table.policy, ReplicatedDistribution):
-            dist = DistDesc.replicated()
-        elif table.policy.key_columns is not None:
-            dist = DistDesc.hash_on(
-                f"{plan.alias}.{c}" for c in table.policy.key_columns
-            )
-        else:
-            dist = DistDesc.arbitrary()
+        dist = table_dist(table.policy, plan.alias)
         node = PhysicalNode("Seq Scan", f"on {plan.table_name}")
         shards = self._timed(node, lambda: self.ops.scan(table, columns, dist))
         return shards, node
@@ -1009,10 +960,9 @@ class _MPPExecutor:
         return shards, node
 
     def _exec_project(self, plan: Project) -> Tuple[FrameRef, PhysicalNode]:
-        child, child_node = self._exec(plan.child)
-        dist = self._project_dist(plan, child)
+        (child,), child_nodes, dist = self._placed(plan, plan.child)
         node = PhysicalNode("Project")
-        node.children.append(child_node)
+        node.children.extend(child_nodes)
         shards = self._timed(
             node,
             lambda: self.ops.project(
@@ -1021,32 +971,28 @@ class _MPPExecutor:
         )
         return shards, node
 
-    def _project_dist(self, plan: Project, child: FrameRef) -> DistDesc:
-        """Track the hash distribution through column renames."""
-        return project_dist(plan.outputs, child.columns, child.dist)
-
     # -- joins ------------------------------------------------------------------
 
-    def _exec_join(self, plan: HashJoin) -> Tuple[FrameRef, PhysicalNode]:
-        left, left_node = self._exec(plan.left)
-        right, right_node = self._exec(plan.right)
-        left_keys = [
-            left.columns[resolve_column(k, left.columns)] for k in plan.left_keys
-        ]
-        right_keys = [
-            right.columns[resolve_column(k, right.columns)] for k in plan.right_keys
-        ]
-
-        left, right, left_node, right_node, out_dist = self._collocate(
-            left, right, left_keys, right_keys, left_node, right_node, plan
+    @staticmethod
+    def _join_keys(
+        plan: Union[HashJoin, AntiJoin], left: FrameRef, right: FrameRef
+    ) -> Tuple[str, List[int], List[int]]:
+        """The join's EXPLAIN detail and its key positions on each side."""
+        detail = join_detail(
+            qualified(plan.left_keys, left.columns),
+            qualified(plan.right_keys, right.columns),
         )
+        lpos = [resolve_column(k, left.columns) for k in plan.left_keys]
+        rpos = [resolve_column(k, right.columns) for k in plan.right_keys]
+        return detail, lpos, rpos
 
-        lpos = [resolve_column(k, left.columns) for k in left_keys]
-        rpos = [resolve_column(k, right.columns) for k in right_keys]
-        if left.dist.kind == "replicated" and right.dist.kind == "replicated":
-            out_dist = DistDesc.arbitrary()
-        node = PhysicalNode("Hash Join", join_detail(left_keys, right_keys))
-        node.children.extend([left_node, right_node])
+    def _exec_join(self, plan: HashJoin) -> Tuple[FrameRef, PhysicalNode]:
+        (left, right), child_nodes, out_dist = self._placed(
+            plan, plan.left, plan.right
+        )
+        detail, lpos, rpos = self._join_keys(plan, left, right)
+        node = PhysicalNode("Hash Join", detail)
+        node.children.extend(child_nodes)
         shards = self._timed(
             node,
             lambda: self.ops.join(
@@ -1055,214 +1001,64 @@ class _MPPExecutor:
         )
         return shards, node
 
-    def _collocate(
-        self,
-        left: FrameRef,
-        right: FrameRef,
-        left_keys: List[str],
-        right_keys: List[str],
-        left_node: PhysicalNode,
-        right_node: PhysicalNode,
-        plan: HashJoin,
-    ) -> Tuple[FrameRef, FrameRef, PhysicalNode, PhysicalNode, DistDesc]:
-        """Insert motions so the two join inputs are collocated.
-
-        Returns possibly-moved shards, their (possibly motion-wrapped)
-        plan nodes, and the output distribution of the join.
-        """
-        # replicated inputs join locally against anything
-        if left.dist.kind == "replicated":
-            return left, right, left_node, right_node, right.dist
-        if right.dist.kind == "replicated":
-            return left, right, left_node, right_node, left.dist
-
-        # a side hashed on a SUBSET of its join keys is collocatable:
-        # equal join keys imply equal subset values, hence same segment
-        left_perm = subset_perm(left.dist, left_keys)
-        right_perm = subset_perm(right.dist, right_keys)
-        if left_perm is not None and left_perm == right_perm:
-            return left, right, left_node, right_node, left.dist
-
-        if left_perm is not None:
-            # move right to hash on the columns corresponding to left's
-            keys = [right_keys[i] for i in left_perm]
-            right, right_node = self._redistribute(right, keys, right_node)
-            return left, right, left_node, right_node, left.dist
-        if right_perm is not None:
-            keys = [left_keys[i] for i in right_perm]
-            left, left_node = self._redistribute(left, keys, left_node)
-            return left, right, left_node, right_node, right.dist
-
-        # neither collocated: cost-based redistribute-both vs
-        # broadcast-smaller — from actual sizes (adaptive) or from the
-        # static planner's estimates (plan_mode="static")
-        choice = None
-        if self.static_choices is not None:
-            choice = self.static_choices.get(id(plan))
-        if choice is None:
-            choice = choose_fallback_motion(
-                left.total_rows, right.total_rows, self.nseg
-            )
-        if choice == FALLBACK_BROADCAST_LEFT:
-            left, left_node = self._broadcast(left, left_node)
-            return left, right, left_node, right_node, right.dist
-        if choice == FALLBACK_BROADCAST_RIGHT:
-            right, right_node = self._broadcast(right, right_node)
-            return left, right, left_node, right_node, left.dist
-        left, left_node = self._redistribute(left, left_keys, left_node)
-        right, right_node = self._redistribute(right, right_keys, right_node)
-        return left, right, left_node, right_node, left.dist
-
     def _exec_anti_join(self, plan: AntiJoin) -> Tuple[FrameRef, PhysicalNode]:
-        """NOT EXISTS: valid per-segment when every right row that could
-        match a left row lives on the left row's segment — i.e. the
-        right side is replicated, or both sides are hashed on the
-        (corresponding) anti-join keys."""
-        left, left_node = self._exec(plan.left)
-        right, right_node = self._exec(plan.right)
-        left_keys = [
-            left.columns[resolve_column(k, left.columns)] for k in plan.left_keys
-        ]
-        right_keys = [
-            right.columns[resolve_column(k, right.columns)] for k in plan.right_keys
-        ]
-        if right.dist.kind != "replicated":
-            left_perm = subset_perm(left.dist, left_keys)
-            right_perm = subset_perm(right.dist, right_keys)
-            if left_perm is not None and left_perm == right_perm:
-                pass  # already collocated
-            elif right_perm is not None:
-                keys = [left_keys[i] for i in right_perm]
-                left, left_node = self._redistribute(left, keys, left_node)
-            elif left_perm is not None:
-                keys = [right_keys[i] for i in left_perm]
-                right, right_node = self._redistribute(right, keys, right_node)
-            else:
-                left, left_node = self._redistribute(left, left_keys, left_node)
-                right, right_node = self._redistribute(right, right_keys, right_node)
-
-        lpos = [resolve_column(k, left.columns) for k in left_keys]
-        rpos = [resolve_column(k, right.columns) for k in right_keys]
-        out_dist = (
-            left.dist if left.dist.kind != "replicated" else DistDesc.arbitrary()
+        (left, right), child_nodes, out_dist = self._placed(
+            plan, plan.left, plan.right
         )
-        node = PhysicalNode("Hash Anti Join", join_detail(left_keys, right_keys))
-        node.children.extend([left_node, right_node])
+        detail, lpos, rpos = self._join_keys(plan, left, right)
+        node = PhysicalNode("Hash Anti Join", detail)
+        node.children.extend(child_nodes)
         shards = self._timed(
             node, lambda: self.ops.anti_join(left, right, lpos, rpos, out_dist)
         )
         return shards, node
 
-    # -- motions -------------------------------------------------------------
-
-    def _redistribute(
-        self, shards: FrameRef, keys: List[str], child_node: PhysicalNode
-    ) -> Tuple[FrameRef, PhysicalNode]:
-        positions = [resolve_column(k, shards.columns) for k in keys]
-        node = PhysicalNode("Redistribute Motion", f"on ({', '.join(keys)})")
-        node.children.append(child_node)
-        moved = self._timed(
-            node, lambda: self.ops.redistribute(shards, positions, keys)
-        )
-        return moved, node
-
-    def _broadcast(
-        self, shards: FrameRef, child_node: PhysicalNode
-    ) -> Tuple[FrameRef, PhysicalNode]:
-        node = PhysicalNode("Broadcast Motion")
-        node.children.append(child_node)
-        moved = self._timed(node, lambda: self.ops.broadcast(shards))
-        return moved, node
-
-    def _gather_to_first(
-        self, shards: FrameRef, child_node: PhysicalNode
-    ) -> Tuple[FrameRef, PhysicalNode]:
-        node = PhysicalNode("Gather Motion", "to seg0")
-        node.children.append(child_node)
-        moved = self._timed(node, lambda: self.ops.gather_first(shards))
-        return moved, node
-
-    # -- distinct / aggregate / union / limit -------------------------------------
+    # -- distinct / aggregate / union / sort / limit -------------------------------
 
     def _exec_distinct(self, plan: Distinct) -> Tuple[FrameRef, PhysicalNode]:
-        child, child_node = self._exec(plan.child)
-        if child.dist.kind == "arbitrary":
-            child, child_node = self._redistribute(
-                child, list(child.columns), child_node
-            )
+        (child,), child_nodes, _ = self._placed(plan, plan.child)
         node = PhysicalNode("Distinct")
-        node.children.append(child_node)
+        node.children.extend(child_nodes)
         shards = self._timed(node, lambda: self.ops.distinct(child))
         return shards, node
 
     def _exec_aggregate(self, plan: Aggregate) -> Tuple[FrameRef, PhysicalNode]:
-        child, child_node = self._exec(plan.child)
-        if plan.group_by:
-            if (
-                child.dist.kind != "hash"
-                or not set(child.dist.columns or ()) <= qualified_set(plan.group_by, child.columns)
-            ):
-                keys = [
-                    child.columns[resolve_column(c, child.columns)]
-                    for c in plan.group_by
-                ]
-                child, child_node = self._redistribute(child, keys, child_node)
-        else:
-            child, child_node = self._gather_to_first(child, child_node)
-
+        (child,), child_nodes, out_dist = self._placed(plan, plan.child)
         group_pos = [resolve_column(c, child.columns) for c in plan.group_by]
         agg_pos = [
             resolve_column(c, child.columns) if c is not None else None
             for _, c, _ in plan.aggregates
         ]
-        out_columns = plan.output_columns
-        out_dist = (
-            DistDesc.hash_on(plan.group_by)
-            if plan.group_by
-            else DistDesc.arbitrary()
-        )
         node = PhysicalNode("HashAggregate", f"group by ({', '.join(plan.group_by)})")
-        node.children.append(child_node)
+        node.children.extend(child_nodes)
         shards = self._timed(
             node,
             lambda: self.ops.aggregate(
                 child, group_pos, plan.aggregates, agg_pos, plan.having,
-                out_columns, out_dist,
+                plan.output_columns, out_dist,
             ),
         )
         return shards, node
 
     def _exec_union(self, plan: UnionAll) -> Tuple[FrameRef, PhysicalNode]:
-        results = [self._exec(child) for child in plan.children]
+        children, child_nodes, dist = self._placed(plan, *plan.children)
         node = PhysicalNode("Append")
-        node.children.extend(child_node for _, child_node in results)
-        out_columns = plan.output_columns
-        dists = set()
-        for shards, _ in results:
-            if shards.dist.kind == "replicated":
-                dists.add(DistDesc.arbitrary())
-            else:
-                dists.add(shards.dist)
-        dist = dists.pop() if len(dists) == 1 else DistDesc.arbitrary()
+        node.children.extend(child_nodes)
         shards = self._timed(
-            node,
-            lambda: self.ops.union(
-                [child for child, _ in results], out_columns, dist
-            ),
+            node, lambda: self.ops.union(children, plan.output_columns, dist)
         )
         return shards, node
 
     def _exec_sort(self, plan: Sort) -> Tuple[FrameRef, PhysicalNode]:
         """Global order requires a gather; the sort runs on segment 0
         (a merge of per-segment sorted runs in a real system)."""
-        child, child_node = self._exec(plan.child)
-        child, child_node = self._gather_to_first(child, child_node)
+        (child,), child_nodes, _ = self._placed(plan, plan.child)
         positions = [
             (resolve_column(name, child.columns), descending)
             for name, descending in plan.keys
         ]
         node = PhysicalNode("Sort", plan.describe().replace("Sort: ", ""))
-        node.children.append(child_node)
+        node.children.extend(child_nodes)
         shards = self._timed(node, lambda: self.ops.sort(child, positions))
         return shards, node
 
@@ -1274,11 +1070,8 @@ class _MPPExecutor:
             raise ExecutionError(
                 f"Limit must be non-negative, got {plan.limit}"
             )
-        child, child_node = self._exec(plan.child)
-        child, child_node = self._gather_to_first(child, child_node)
+        (child,), child_nodes, _ = self._placed(plan, plan.child)
         node = PhysicalNode("Limit", str(plan.limit))
-        node.children.append(child_node)
+        node.children.extend(child_nodes)
         shards = self._timed(node, lambda: self.ops.limit(child, plan.limit))
         return shards, node
-
-

@@ -1,10 +1,12 @@
 """Physical plan records for the MPP simulator.
 
-The MPP executor plans adaptively (motion decisions are made from actual
-intermediate sizes, standing in for Greenplum's statistics-driven
-optimizer).  While executing, it records the physical plan it chose as a
-tree of :class:`PhysicalNode` so benchmarks can print Figure-4-style
-EXPLAIN ANALYZE output with per-operator timings.
+Where a motion goes is decided by :mod:`repro.mpp.placement`.  The MPP
+executor feeds it actual intermediate sizes (standing in for Greenplum's
+statistics-driven optimizer) and, while executing, records the physical
+plan it ran as a tree of :class:`PhysicalNode` so benchmarks can print
+Figure-4-style EXPLAIN ANALYZE output with per-operator timings; the
+static planner feeds it estimates and builds the same kind of tree with
+estimated rows and seconds.
 """
 
 from __future__ import annotations

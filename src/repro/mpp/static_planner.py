@@ -1,23 +1,23 @@
 """Statistics-driven static planner for the MPP simulator.
 
-The adaptive executor (:mod:`repro.mpp.cluster`) decides motions from
-*actual* intermediate sizes.  This module makes the same decisions from
-catalog statistics (:mod:`repro.relational.statistics`) **before any row
-is touched**: it walks a logical plan, propagates cardinality estimates
+The executor (:mod:`repro.mpp.cluster`) places motions from *actual*
+intermediate sizes.  This module asks the same placement rules
+(:mod:`repro.mpp.placement`) with sizes estimated from catalog
+statistics (:mod:`repro.relational.statistics`) **before any row is
+touched**: it walks a logical plan, propagates cardinality estimates
 through scans/filters/joins under the standard independence assumptions,
-mirrors the executor's distribution tracking (:class:`DistDesc`), and
-prices each operator with the :mod:`repro.relational.cost` constants.
+and prices each operator and motion with the
+:mod:`repro.relational.cost` constants.  Placement is one function
+shared with the executor, so on exact statistics the planned tree is the
+executed tree; a misestimate can only change which motion a
+non-collocated join pays for.
 
-Two consumers:
-
-* ``MPPDatabase(plan_mode="static")`` takes the cost-based
-  broadcast-vs-redistribute choices from the static plan instead of the
-  adaptive sizes.  Collocation itself stays purely distribution-driven
-  (identical in both modes), so rows are unaffected by mispredictions —
-  only which motion gets paid for.
-* :mod:`repro.analyze.plans` runs the planner over each partition's
-  grounding queries and turns the estimates into PKB101+ findings and
-  ``repro explain`` output (the paper's Figure 4, statically).
+The planner never drives execution.  Its consumers are
+:mod:`repro.analyze.plans`, which runs it over each partition's
+grounding queries and turns the estimates into PKB101+ findings and
+``repro explain`` / ``GET /explain`` output (the paper's Figure 4,
+statically), and :mod:`repro.analyze.verify`, which checks the planned
+trees with :mod:`repro.mpp.verify`.
 
 Cardinality model (textbook System-R assumptions):
 
@@ -30,8 +30,8 @@ Cardinality model (textbook System-R assumptions):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..relational.cost import (
     QUERY_OVERHEAD_S,
@@ -73,8 +73,18 @@ from ..relational.statistics import (
     TableDistribution,
     table_stats,
 )
-from ..relational.types import ExecutionError
+from ..relational.types import ExecutionError, ensure
 from .distribution import ReplicatedDistribution
+from .placement import (
+    Input,
+    Move,
+    dist_after,
+    join_detail,
+    motion_label,
+    place,
+    qualified,
+    table_dist,
+)
 from .plannodes import DistDesc, PhysicalNode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -86,84 +96,6 @@ DEFAULT_INEQ_SELECTIVITY = 1.0 / 3.0
 DEFAULT_SELECTIVITY = 0.5
 #: Cardinalities are capped here so products cannot overflow.
 MAX_ROWS = 1.0e18
-
-#: Fallback motion choices for a join where neither side is collocated.
-FALLBACK_BROADCAST_LEFT = "broadcast_left"
-FALLBACK_BROADCAST_RIGHT = "broadcast_right"
-FALLBACK_REDISTRIBUTE_BOTH = "redistribute_both"
-
-
-def choose_fallback_motion(left_rows: float, right_rows: float, nseg: int) -> str:
-    """The cost-based choice when neither join side is collocated:
-    broadcast the smaller input, or redistribute both on the join keys.
-
-    This is the *only* data-dependent decision in the MPP planner; the
-    adaptive executor calls it with actual shard sizes and the static
-    planner with estimates, so the two modes differ in nothing else.
-    """
-    small_rows = min(left_rows, right_rows)
-    redistribute_cost = left_rows + right_rows
-    broadcast_cost = small_rows * nseg
-    if broadcast_cost < redistribute_cost:
-        if left_rows <= right_rows:
-            return FALLBACK_BROADCAST_LEFT
-        return FALLBACK_BROADCAST_RIGHT
-    return FALLBACK_REDISTRIBUTE_BOTH
-
-
-# -- shared distribution helpers (used by the adaptive executor too) -----------
-
-
-def join_detail(left_keys: Sequence[str], right_keys: Sequence[str]) -> str:
-    return "on " + " AND ".join(
-        f"{l} = {r}" for l, r in zip(left_keys, right_keys)
-    )
-
-
-def qualified_set(names: Sequence[str], columns: Sequence[str]) -> Set[str]:
-    return {columns[resolve_column(name, columns)] for name in names}
-
-
-def subset_perm(dist: DistDesc, keys: Sequence[str]) -> Optional[Tuple[int, ...]]:
-    """If ``dist`` hashes on a subset of ``keys``, the positions (into
-    ``keys``) of its hash columns, in hash order; else None."""
-    if dist.kind != "hash" or dist.columns is None:
-        return None
-    key_list = list(keys)
-    try:
-        return tuple(key_list.index(column) for column in dist.columns)
-    except ValueError:
-        return None
-
-
-def project_dist(
-    outputs: Sequence[Tuple[Expr, str]],
-    child_columns: Sequence[str],
-    child_dist: DistDesc,
-) -> DistDesc:
-    """Track a hash distribution through a projection's column renames."""
-    if child_dist.kind != "hash":
-        return child_dist
-    rename: Dict[str, str] = {}
-    for expr, name in outputs:
-        if isinstance(expr, Col):
-            source = child_columns[resolve_column(expr.name, child_columns)]
-            rename.setdefault(source, name)
-    mapped = []
-    for column in child_dist.columns or ():
-        if column not in rename:
-            return DistDesc.arbitrary()
-        mapped.append(rename[column])
-    return DistDesc.hash_on(mapped)
-
-
-def dist_from_table(distribution: TableDistribution, alias: str) -> DistDesc:
-    """The :class:`DistDesc` of scanning a stored table under an alias."""
-    if distribution.kind == "replicated":
-        return DistDesc.replicated()
-    if distribution.kind == "hash" and distribution.columns is not None:
-        return DistDesc.hash_on(f"{alias}.{c}" for c in distribution.columns)
-    return DistDesc.arbitrary()
 
 
 # -- statistics collection ----------------------------------------------------
@@ -232,8 +164,6 @@ class StaticPlan:
     root: PhysicalNode
     estimated_rows: int
     estimated_seconds: float
-    #: cost-based fallback choice per HashJoin node (keyed by ``id(node)``)
-    fallback_choices: Dict[int, str] = field(default_factory=dict)
     joins: List[JoinEstimate] = field(default_factory=list)
     motions: List[MotionEstimate] = field(default_factory=list)
 
@@ -265,12 +195,9 @@ class StaticPlanner:
     def __init__(self, catalog: StatisticsCatalog, nseg: Optional[int] = None) -> None:
         self.catalog = catalog
         self.nseg = nseg if nseg is not None else catalog.num_segments
-        ensure_positive = self.nseg >= 1
-        if not ensure_positive:
-            raise ExecutionError("need at least one segment")
+        ensure(self.nseg >= 1, ExecutionError, "need at least one segment")
 
     def plan(self, plan: PlanNode) -> StaticPlan:
-        self._fallbacks: Dict[int, str] = {}
         self._joins: List[JoinEstimate] = []
         self._motions: List[MotionEstimate] = []
         self._bind(plan)
@@ -279,7 +206,6 @@ class StaticPlanner:
             root=est.node,
             estimated_rows=int(round(est.rows)),
             estimated_seconds=est.node.total_seconds() + QUERY_OVERHEAD_S,
-            fallback_choices=self._fallbacks,
             joins=self._joins,
             motions=self._motions,
         )
@@ -313,6 +239,59 @@ class StaticPlanner:
 
     def _scaled_ndv(self, ndv: Dict[str, float], rows: float) -> Dict[str, float]:
         return {name: min(value, max(rows, 1.0)) for name, value in ndv.items()}
+
+    # -- placement ---------------------------------------------------------------
+
+    def _placed(
+        self, plan: PlanNode, *child_plans: PlanNode
+    ) -> Tuple[List[_Est], DistDesc, List[MotionEstimate]]:
+        """Estimate the children, then move them where the placement
+        rules want them given their estimated sizes.  Returns the
+        (possibly moved) estimates, the output distribution of ``plan``
+        and the motions that collocating it took."""
+        children = [self._est(child) for child in child_plans]
+        first_motion = len(self._motions)
+        placement = place(
+            plan,
+            [Input(child.columns, child.dist, child.rows) for child in children],
+            self.nseg,
+        )
+        moved = [
+            child if move is None else self._move(child, move)
+            for child, move in zip(children, placement.moves)
+        ]
+        return moved, placement.out_dist, self._motions[first_motion:]
+
+    def _move(self, est: _Est, move: Move) -> _Est:
+        """Price one motion and wrap the estimate's node in it."""
+        dist = dist_after(move)
+        if self.nseg == 1:
+            # one segment has no interconnect: the "motion" is a no-op
+            est.dist = dist
+            return est
+        off_segment = est.rows * (self.nseg - 1) / self.nseg
+        node = PhysicalNode(*motion_label(move))
+        shipped = off_segment
+        if move[0] == "redistribute":
+            node.seconds = off_segment / self.nseg * ROW_SHIP_S
+        elif move[0] == "broadcast":
+            shipped = est.rows * (self.nseg - 1)
+            node.seconds = off_segment * ROW_BROADCAST_S
+        else:
+            node.seconds = off_segment * ROW_SHIP_S
+        node.dist = dist
+        node.children.append(est.node)
+        node.rows = int(round(est.rows))
+        self._motions.append(
+            MotionEstimate(
+                kind=move[0],
+                rows=est.rows,
+                shipped=shipped,
+                source_tables=tuple(sorted(est.tables)),
+                detail=node.detail,
+            )
+        )
+        return replace(est, dist=dist, node=node)
 
     # -- selectivity --------------------------------------------------------------
 
@@ -398,9 +377,7 @@ class StaticPlanner:
 
     def _est_scan(self, plan: Scan) -> _Est:
         stats = self.catalog.stats(plan.table_name)
-        dist = dist_from_table(
-            self.catalog.distribution(plan.table_name), plan.alias
-        )
+        dist = table_dist(self.catalog.distribution(plan.table_name), plan.alias)
         rows = float(stats.rows)
         ndv: Dict[str, float] = {}
         nulls: Dict[str, float] = {}
@@ -481,8 +458,7 @@ class StaticPlanner:
         )
 
     def _est_project(self, plan: Project) -> _Est:
-        child = self._est(plan.child)
-        dist = project_dist(plan.outputs, child.columns, child.dist)
+        (child,), dist, _ = self._placed(plan, plan.child)
         ndv: Dict[str, float] = {}
         nulls: Dict[str, float] = {}
         mcv: Dict[str, float] = {}
@@ -518,24 +494,12 @@ class StaticPlanner:
     # -- joins -------------------------------------------------------------------
 
     def _est_join(self, plan: HashJoin) -> _Est:
-        left = self._est(plan.left)
-        right = self._est(plan.right)
-        left_keys = [
-            left.columns[resolve_column(k, left.columns)] for k in plan.left_keys
-        ]
-        right_keys = [
-            right.columns[resolve_column(k, right.columns)]
-            for k in plan.right_keys
-        ]
-
-        motions: List[MotionEstimate] = []
-        left, right, out_dist = self._collocate(
-            plan, left, right, left_keys, right_keys, motions
+        (left, right), out_dist, motions = self._placed(
+            plan, plan.left, plan.right
         )
-
+        left_keys = qualified(plan.left_keys, left.columns)
+        right_keys = qualified(plan.right_keys, right.columns)
         out_columns = left.columns + right.columns
-        if left.dist.kind == "replicated" and right.dist.kind == "replicated":
-            out_dist = DistDesc.arbitrary()
 
         # |L ⋈ R| = |L|·|R| / Π max(ndv_L(k), ndv_R(k))
         rows = left.rows * right.rows
@@ -600,72 +564,10 @@ class StaticPlanner:
         out_eff = out_rows / self.nseg
         return build * ROW_BUILD_S + probe * ROW_PROBE_S + out_eff * ROW_OUTPUT_S
 
-    def _collocate(
-        self,
-        plan: HashJoin,
-        left: _Est,
-        right: _Est,
-        left_keys: List[str],
-        right_keys: List[str],
-        motions: List[MotionEstimate],
-    ) -> Tuple[_Est, _Est, DistDesc]:
-        """Mirror of the executor's collocation logic over estimates."""
-        if left.dist.kind == "replicated":
-            return left, right, right.dist
-        if right.dist.kind == "replicated":
-            return left, right, left.dist
-
-        left_perm = subset_perm(left.dist, left_keys)
-        right_perm = subset_perm(right.dist, right_keys)
-        if left_perm is not None and left_perm == right_perm:
-            return left, right, left.dist
-
-        if left_perm is not None:
-            keys = [right_keys[i] for i in left_perm]
-            right = self._redistribute(right, keys, motions)
-            return left, right, left.dist
-        if right_perm is not None:
-            keys = [left_keys[i] for i in right_perm]
-            left = self._redistribute(left, keys, motions)
-            return left, right, right.dist
-
-        choice = choose_fallback_motion(left.rows, right.rows, self.nseg)
-        self._fallbacks[id(plan)] = choice
-        if choice == FALLBACK_BROADCAST_LEFT:
-            left = self._broadcast(left, motions)
-            return left, right, right.dist
-        if choice == FALLBACK_BROADCAST_RIGHT:
-            right = self._broadcast(right, motions)
-            return left, right, left.dist
-        left = self._redistribute(left, left_keys, motions)
-        right = self._redistribute(right, right_keys, motions)
-        return left, right, left.dist
-
     def _est_anti_join(self, plan: AntiJoin) -> _Est:
-        left = self._est(plan.left)
-        right = self._est(plan.right)
-        left_keys = [
-            left.columns[resolve_column(k, left.columns)] for k in plan.left_keys
-        ]
-        right_keys = [
-            right.columns[resolve_column(k, right.columns)]
-            for k in plan.right_keys
-        ]
-        motions: List[MotionEstimate] = []
-        if right.dist.kind != "replicated":
-            left_perm = subset_perm(left.dist, left_keys)
-            right_perm = subset_perm(right.dist, right_keys)
-            if left_perm is not None and left_perm == right_perm:
-                pass
-            elif right_perm is not None:
-                keys = [left_keys[i] for i in right_perm]
-                left = self._redistribute(left, keys, motions)
-            elif left_perm is not None:
-                keys = [right_keys[i] for i in left_perm]
-                right = self._redistribute(right, keys, motions)
-            else:
-                left = self._redistribute(left, left_keys, motions)
-                right = self._redistribute(right, right_keys, motions)
+        (left, right), out_dist, _ = self._placed(plan, plan.left, plan.right)
+        left_keys = qualified(plan.left_keys, left.columns)
+        right_keys = qualified(plan.right_keys, right.columns)
 
         # surviving fraction ≈ share of the key domain the right side misses
         distinct_left = 1.0
@@ -680,9 +582,6 @@ class StaticPlanner:
         matched = min(1.0, distinct_right / max(distinct_left, 1.0))
         rows = self._cap(left.rows * (1.0 - matched))
 
-        out_dist = (
-            left.dist if left.dist.kind != "replicated" else DistDesc.arbitrary()
-        )
         node = PhysicalNode("Hash Anti Join", join_detail(left_keys, right_keys))
         node.children.extend([left.node, right.node])
         right_eff = right.rows / self._parallelism(right.dist)
@@ -704,106 +603,10 @@ class StaticPlanner:
             node=node,
         )
 
-    # -- motions ------------------------------------------------------------------
-
-    def _redistribute(
-        self, est: _Est, keys: List[str], motions: List[MotionEstimate]
-    ) -> _Est:
-        if self.nseg == 1:
-            # one segment has no interconnect: the "motion" is a no-op
-            est.dist = DistDesc.hash_on(keys)
-            return est
-        node = PhysicalNode("Redistribute Motion", f"on ({', '.join(keys)})")
-        node.dist = DistDesc.hash_on(keys)
-        node.children.append(est.node)
-        off_segment = est.rows * (self.nseg - 1) / self.nseg
-        node.seconds = off_segment / self.nseg * ROW_SHIP_S
-        node.rows = int(round(est.rows))
-        motion = MotionEstimate(
-            kind="redistribute",
-            rows=est.rows,
-            shipped=off_segment,
-            source_tables=tuple(sorted(est.tables)),
-            detail=node.detail,
-        )
-        motions.append(motion)
-        self._motions.append(motion)
-        return _Est(
-            columns=est.columns,
-            rows=est.rows,
-            dist=DistDesc.hash_on(keys),
-            ndv=est.ndv,
-            nulls=est.nulls,
-            mcv=est.mcv,
-            tables=est.tables,
-            node=node,
-        )
-
-    def _broadcast(self, est: _Est, motions: List[MotionEstimate]) -> _Est:
-        if self.nseg == 1:
-            est.dist = DistDesc.replicated()
-            return est
-        node = PhysicalNode("Broadcast Motion")
-        node.dist = DistDesc.replicated()
-        node.children.append(est.node)
-        per_segment = est.rows * (self.nseg - 1) / self.nseg
-        node.seconds = per_segment * ROW_BROADCAST_S
-        node.rows = int(round(est.rows))
-        motion = MotionEstimate(
-            kind="broadcast",
-            rows=est.rows,
-            shipped=est.rows * (self.nseg - 1),
-            source_tables=tuple(sorted(est.tables)),
-        )
-        motions.append(motion)
-        self._motions.append(motion)
-        return _Est(
-            columns=est.columns,
-            rows=est.rows,
-            dist=DistDesc.replicated(),
-            ndv=est.ndv,
-            nulls=est.nulls,
-            mcv=est.mcv,
-            tables=est.tables,
-            node=node,
-        )
-
-    def _gather(self, est: _Est) -> _Est:
-        if self.nseg == 1:
-            est.dist = DistDesc.arbitrary()
-            return est
-        node = PhysicalNode("Gather Motion", "to seg0")
-        node.dist = DistDesc.arbitrary()
-        node.children.append(est.node)
-        off_segment = est.rows * (self.nseg - 1) / self.nseg
-        node.seconds = off_segment * ROW_SHIP_S
-        node.rows = int(round(est.rows))
-        motion = MotionEstimate(
-            kind="gather",
-            rows=est.rows,
-            shipped=off_segment,
-            source_tables=tuple(sorted(est.tables)),
-            detail=node.detail,
-        )
-        self._motions.append(motion)
-        return _Est(
-            columns=est.columns,
-            rows=est.rows,
-            dist=DistDesc.arbitrary(),
-            ndv=est.ndv,
-            nulls=est.nulls,
-            mcv=est.mcv,
-            tables=est.tables,
-            node=node,
-        )
-
     # -- distinct / aggregate / union / sort / limit ------------------------------
 
     def _est_distinct(self, plan: Distinct) -> _Est:
-        child = self._est(plan.child)
-        if child.dist.kind == "arbitrary":
-            motions: List[MotionEstimate] = []
-            child = self._redistribute(child, list(child.columns), motions)
+        (child,), dist, _ = self._placed(plan, plan.child)
         distinct = 1.0
         for column in child.columns:
             distinct = min(distinct * self._ndv_of(child, column), MAX_ROWS)
@@ -818,7 +621,7 @@ class StaticPlanner:
         return _Est(
             columns=child.columns,
             rows=rows,
-            dist=child.dist,
+            dist=dist,
             ndv=self._scaled_ndv(dict(child.ndv), rows),
             nulls=child.nulls,
             mcv=child.mcv,
@@ -827,21 +630,7 @@ class StaticPlanner:
         )
 
     def _est_aggregate(self, plan: Aggregate) -> _Est:
-        child = self._est(plan.child)
-        if plan.group_by:
-            if (
-                child.dist.kind != "hash"
-                or not set(child.dist.columns or ())
-                <= qualified_set(plan.group_by, child.columns)
-            ):
-                keys = [
-                    child.columns[resolve_column(c, child.columns)]
-                    for c in plan.group_by
-                ]
-                motions: List[MotionEstimate] = []
-                child = self._redistribute(child, keys, motions)
-        else:
-            child = self._gather(child)
+        (child,), out_dist, _ = self._placed(plan, plan.child)
 
         if plan.group_by:
             groups = 1.0
@@ -851,11 +640,6 @@ class StaticPlanner:
         else:
             rows = 1.0
         out_columns = plan.output_columns
-        out_dist = (
-            DistDesc.hash_on(plan.group_by)
-            if plan.group_by
-            else DistDesc.arbitrary()
-        )
         ndv: Dict[str, float] = {}
         for name in plan.group_by:
             ndv[name] = min(self._ndv_of(child, name), max(rows, 1.0))
@@ -882,15 +666,8 @@ class StaticPlanner:
         )
 
     def _est_union(self, plan: UnionAll) -> _Est:
-        children = [self._est(child) for child in plan.children]
+        children, dist, _ = self._placed(plan, *plan.children)
         out_columns = plan.output_columns
-        dists = set()
-        for child in children:
-            if child.dist.kind == "replicated":
-                dists.add(DistDesc.arbitrary())
-            else:
-                dists.add(child.dist)
-        dist = dists.pop() if len(dists) == 1 else DistDesc.arbitrary()
         rows = self._cap(sum(child.rows for child in children))
         ndv: Dict[str, float] = {}
         for pos, name in enumerate(out_columns):
@@ -918,8 +695,7 @@ class StaticPlanner:
         )
 
     def _est_sort(self, plan: Sort) -> _Est:
-        child = self._est(plan.child)
-        child = self._gather(child)
+        (child,), dist, _ = self._placed(plan, plan.child)
         node = PhysicalNode("Sort", plan.describe().replace("Sort: ", ""))
         node.children.append(child.node)
         # sort runs on segment 0 and charges both probe and output
@@ -928,7 +704,7 @@ class StaticPlanner:
         return _Est(
             columns=child.columns,
             rows=child.rows,
-            dist=DistDesc.arbitrary(),
+            dist=dist,
             ndv=child.ndv,
             nulls=child.nulls,
             mcv=child.mcv,
@@ -937,8 +713,7 @@ class StaticPlanner:
         )
 
     def _est_limit(self, plan: Limit) -> _Est:
-        child = self._est(plan.child)
-        child = self._gather(child)
+        (child,), dist, _ = self._placed(plan, plan.child)
         rows = self._cap(min(child.rows, float(plan.limit)))
         node = PhysicalNode("Limit", str(plan.limit))
         node.children.append(child.node)
@@ -946,7 +721,7 @@ class StaticPlanner:
         return _Est(
             columns=child.columns,
             rows=rows,
-            dist=DistDesc.arbitrary(),
+            dist=dist,
             ndv=self._scaled_ndv(dict(child.ndv), rows),
             nulls=child.nulls,
             mcv=child.mcv,

@@ -14,7 +14,7 @@ A :class:`WorkerPool` is spawned once per :class:`~repro.mpp.cluster.MPPDatabase
 and persists across statements.  Each worker owns ``seg % num_workers``
 segments and keeps a private :class:`~repro.relational.table.Table` copy
 of every segment shard it owns; the master mirrors all DML into the pool
-(``load_shards`` / ``insert_shards`` / ``delete_keys`` / ``truncate``),
+(``insert_shards`` / ``delete_keys`` / ``truncate``),
 so worker state is always derivable from the master's — which is what
 makes crash recovery a pure retry.
 
@@ -422,23 +422,12 @@ class _WorkerState(SegmentInterpreter):
             shard.truncate()
         return {}
 
-    def _cmd_load_shards(
-        self, name: str, shard_map: Dict[int, List[Row]], truncate_first: bool
-    ) -> dict:
-        shards = self.tables[name]
-        if truncate_first:
-            for shard in shards.values():
-                shard.truncate()
-        for seg, rows in shard_map.items():
-            # the master validated these rows before shipping them
-            shards[seg].insert(rows, validate=False)
-        return {}
-
     def _cmd_insert_shards(
         self, name: str, shard_map: Dict[int, List[Row]]
     ) -> dict:
         shards = self.tables[name]
         for seg, rows in shard_map.items():
+            # the master validated these rows before shipping them
             shards[seg].insert(rows, validate=False)
         return {}
 

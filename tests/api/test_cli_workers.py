@@ -50,6 +50,5 @@ def test_build_system_uses_configs(kb_dir):
         "segments": 2,
         "workers": 0,
         "degraded": False,
-        "plan": "adaptive",
         "engine": "columnar",
     }

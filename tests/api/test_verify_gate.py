@@ -1,5 +1,5 @@
 """The runtime plan-verify gate end to end: grounding results are
-bit-identical with the gate on or off, on every planner path."""
+bit-identical with the gate on or off, on both backends."""
 
 import pytest
 
@@ -11,12 +11,7 @@ BACKENDS = {
     "mpp-adaptive": lambda verify: BackendConfig(
         kind="mpp",
         verify_plans=verify,
-        mpp=MPPConfig(num_segments=4, plan="adaptive"),
-    ),
-    "mpp-static": lambda verify: BackendConfig(
-        kind="mpp",
-        verify_plans=verify,
-        mpp=MPPConfig(num_segments=4, plan="static"),
+        mpp=MPPConfig(num_segments=4),
     ),
 }
 

@@ -1,7 +1,8 @@
 """Incremental knowledge expansion: add_evidence + delta re-grounding."""
 
+import pytest
 
-from repro import Fact, ProbKB
+from repro import BackendConfig, Fact, MPPConfig, ProbKB
 
 from .paper_example import EXPECTED_CLOSURE, paper_kb
 
@@ -96,3 +97,35 @@ def test_add_evidence_on_mpp():
         [Fact("born_in", "Saul Bellow", "Writer", "Brooklyn", "Place", 0.9)]
     )
     assert ("live_in", "Saul Bellow", "Brooklyn") in triples(system)
+
+
+def add_rules_outcome(backend):
+    """Hold two type-1 rules back, ground, then add them: they land in
+    partition M1, which already holds the other two."""
+    kb = paper_kb()
+    held_back = kb.rules[2:4]
+    del kb.rules[2:4]
+    with ProbKB(kb, backend=backend) as system:
+        system.ground()
+        system.add_rules(held_back)
+        sizes = [system.backend.table_size(f"M{i}") for i in range(1, 7)]
+        # fact ids are backend-specific: compare factors by weight
+        weights = sorted(row[-1] for row in system.factor_rows())
+        return sizes, triples(system), weights
+
+
+@pytest.mark.parametrize(
+    "num_workers", [0, pytest.param(2, marks=pytest.mark.mpp)]
+)
+def test_add_rules_into_an_occupied_partition_on_mpp(num_workers):
+    """Loading a replicated table appends: the MLN partitions keep the
+    rules they had (a truncating load left M1 at 2 rows, not 4)."""
+    single = add_rules_outcome(BackendConfig(kind="single"))
+    mpp = add_rules_outcome(
+        BackendConfig(
+            kind="mpp", mpp=MPPConfig(num_segments=4, num_workers=num_workers)
+        )
+    )
+    assert mpp == single
+    sizes, facts, weights = mpp
+    assert sizes[0] == 4 and facts == EXPECTED_CLOSURE and len(weights) == 8

@@ -58,18 +58,26 @@ def test_rc009_is_silent_inside_the_planners(tmp_path):
         path = planner_dir / allowed
         path.write_text(source)
         assert lint_paths([path]).findings == ()
-    elsewhere = planner_dir / "workers.py"
-    elsewhere.write_text(source)
-    (finding,) = lint_paths([elsewhere]).findings
-    assert finding.code == "RC009"
-    assert "planner" in finding.message
+    # the placement rules the two walkers share build no nodes themselves
+    for name in ("workers.py", "placement.py"):
+        elsewhere = planner_dir / name
+        elsewhere.write_text(source)
+        (finding,) = lint_paths([elsewhere]).findings
+        assert finding.code == "RC009"
+        assert "planner" in finding.message
 
 
 def test_rc003_covers_the_segment_operators_not_the_exchange():
     source = "import time\n\ndef deadline():\n    return time.monotonic() + 1.0\n"
-    for kernel in ("relational/operators.py", "mpp/segments.py"):
+    for kernel in (
+        "relational/operators.py", "mpp/segments.py", "mpp/placement.py"
+    ):
         (finding,) = lint_source(source, f"src/repro/{kernel}").findings
         assert finding.code == "RC003"
+    # placement decisions may not be keyed on object identity either
+    keyed = "def choice(plan, choices):\n    return choices[id(plan)]\n"
+    (finding,) = lint_source(keyed, "src/repro/mpp/placement.py").findings
+    assert finding.code == "RC003"
     # the queue exchange keeps its wall-clock deadlines outside the kernels
     assert lint_source(source, "src/repro/mpp/workers.py").findings == ()
 

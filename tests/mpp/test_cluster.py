@@ -6,6 +6,7 @@ import pytest
 from repro.mpp import (
     HashDistribution,
     MPPDatabase,
+    RandomDistribution,
     ReplicatedDistribution,
     WorkerCrashError,
 )
@@ -179,6 +180,47 @@ def test_insert_from_dedups_across_segments():
     inserted = cluster.insert_from("t", Values(["a", "b"], [(1, 1), (3, 3), (3, 3)]))
     assert inserted == 1  # (1,1) already present; (3,3) stored exactly once
     assert len(cluster.table("t")) == 3
+
+
+TARGET_POLICIES = {
+    "hash": lambda: HashDistribution(["id"]),
+    "random": RandomDistribution,
+    "replicated": ReplicatedDistribution,
+}
+
+
+@pytest.mark.parametrize("with_ids", [False, True], ids=["plain", "with-ids"])
+@pytest.mark.parametrize("source", ["person", "city"])
+@pytest.mark.parametrize("target", sorted(TARGET_POLICIES))
+def test_insert_select_into_every_kind_of_target(target, source, with_ids):
+    """INSERT ... SELECT of a partitioned (person) or replicated (city)
+    result lands every gathered source row in the target — on every
+    segment of a replicated one — and in the target's mirrors."""
+    _, cluster = make_pair(city_policy=ReplicatedDistribution())
+    rows = cluster.query(Scan(source)).rows
+    columns = ["id:int", "name:text", "num:int"]
+    if with_ids:
+        columns.insert(0, "seq:int")
+    cluster.create_table(schema("target", *columns), TARGET_POLICIES[target]())
+    cluster.create_table(schema("shadow", *columns), HashDistribution(["id"]))
+    cluster.add_mirror("target", "shadow")
+    broadcast_before = cluster.work_clock.rows_broadcast
+    if with_ids:
+        inserted, next_id = cluster.insert_from_with_ids("target", Scan(source), 100)
+        assert next_id == 100 + len(rows)
+        rows = [(100 + i,) + row for i, row in enumerate(rows)]
+    else:
+        inserted = cluster.insert_from("target", Scan(source))
+    assert inserted == len(rows)
+    assert sorted(cluster.table("target").all_rows()) == sorted(rows)
+    assert sorted(cluster.table("shadow").all_rows()) == sorted(rows)
+    if target == "replicated":
+        for part in cluster.table("target").parts:
+            assert sorted(part.rows) == sorted(rows)
+        if source == "person":
+            # every row reaches the nseg - 1 segments it was not on
+            broadcast = cluster.work_clock.rows_broadcast - broadcast_before
+            assert broadcast == len(rows) * (cluster.nseg - 1)
 
 
 def test_delete_in():

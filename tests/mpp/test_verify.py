@@ -297,13 +297,10 @@ def join_plan():
     )
 
 
-@pytest.mark.parametrize("mode", ["adaptive", "static"])
 @pytest.mark.parametrize("policy", [None, ReplicatedDistribution()])
-def test_gate_on_results_identical_and_plans_clean(mode, policy):
+def test_gate_on_results_identical_and_plans_clean(policy):
     loud = make_cluster(verify_plans=True, city_policy=policy)
     quiet = make_cluster(verify_plans=False, city_policy=policy)
-    loud.plan_mode = mode
-    quiet.plan_mode = mode
     assert (
         loud.query(join_plan()).sorted_rows()
         == quiet.query(join_plan()).sorted_rows()

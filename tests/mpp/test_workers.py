@@ -180,6 +180,32 @@ class TestDMLParity:
         finally:
             pooled.close()
 
+    @pytest.mark.parametrize("with_ids", [False, True])
+    def test_insert_select_into_a_replicated_target(self, with_ids):
+        """The pool's copies of a replicated target receive every row of
+        a partitioned result, exactly as the master's shards do."""
+        columns = ["id:int", "name:text", "city:int"]
+        if with_ids:
+            columns.insert(0, "seq:int")
+        outcomes = []
+        for num_workers in (0, 2):
+            db = make_cluster(num_workers)
+            try:
+                db.create_table(schema("copy", *columns), ReplicatedDistribution())
+                if with_ids:
+                    stored = db.insert_from_with_ids("copy", Scan("person"), 7)
+                else:
+                    stored = db.insert_from("copy", Scan("person"))
+                # the scan runs in the workers when there is a pool
+                outcomes.append(
+                    (stored, db.query(Scan("copy")).rows, db.elapsed_seconds)
+                )
+            finally:
+                db.close()
+        serial, pooled = outcomes
+        assert serial == pooled
+        assert len(serial[1]) == len(PEOPLE)
+
     def test_executor_info_reports_pool(self):
         pooled = make_cluster(2)
         try:
@@ -260,7 +286,6 @@ class TestCrashRecovery:
                 "segments": 4,
                 "workers": 0,
                 "degraded": True,
-                "plan": "adaptive",
                 "engine": "columnar",
             }
             # the degraded cluster still accepts DML and queries
