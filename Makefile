@@ -2,7 +2,7 @@ PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: test test-no-numpy test-mpp bench bench-mpp bench-delta bench-infer \
-	bench-columnar bench-e2e bench-e2e-compare lint lint-conc
+	bench-columnar bench-e2e bench-e2e-compare lint lint-conc loc
 
 # Tier-1 suite: serial executors only (the `mpp` marker is excluded
 # via addopts in pyproject.toml).
@@ -52,6 +52,11 @@ bench-e2e:
 # exits non-zero on a regression beyond the metric's bound.
 bench-e2e-compare:
 	$(PYTHON) benchmarks/e2e/run.py --compare $(A) $(B)
+
+# Size of the library: non-blank, non-comment lines under src/repro
+# (the number the simplicity PRs quote).
+loc:
+	@find src/repro -name '*.py' | xargs cat | grep -v '^\s*$$' | grep -v '^\s*#' | wc -l
 
 # Static checks: ruff (style/imports) + mypy (strict on repro.analyze,
 # repro.core, repro.quality, repro.serve — see pyproject.toml).  Each

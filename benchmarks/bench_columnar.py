@@ -2,9 +2,11 @@
 
 Times the grounding-shaped operators (hash join on int keys, anti-join,
 distinct, group-by) on synthetic int-keyed tables — the plan shapes
-Algorithm 1 actually spends its time in — plus one end-to-end grounding
-run.  Both engines are checked bit-identical on every measured query
-before timing is trusted.
+Algorithm 1 actually spends its time in.  Both executors are built
+directly over one database's tables (no config selects the row engine;
+it is the test reference) and checked bit-identical on every measured
+query before timing is trusted.  End-to-end grounding wall-clock is
+``benchmarks/e2e``'s job.
 
 With numpy available the columnar engine must clear a >=2x speedup on
 the grounding-operator mix; without numpy (``PROBKB_NO_NUMPY=1``) the
@@ -19,10 +21,9 @@ import random
 import time
 
 from repro.bench import format_table, scaled, write_result
-from repro.core import ProbKB, SingleNodeBackend
-from repro.datasets.paper_example import paper_kb
 from repro.relational import (
     Aggregate,
+    ColumnarExecutor,
     Database,
     Distinct,
     HashJoin,
@@ -32,6 +33,7 @@ from repro.relational import (
     numpy_enabled,
     schema,
 )
+from repro.relational.executor import Executor
 from repro.relational.plan import AntiJoin
 
 N_LEFT = scaled(30000)
@@ -40,8 +42,8 @@ REPEATS = 3
 SPEEDUP_TARGET = 2.0
 
 
-def make_db(engine, rows_l, rows_r):
-    db = Database("bench", executor=engine)
+def make_db(rows_l, rows_r):
+    db = Database("bench")
     db.create_table(schema("L", "k:int", "g:int", "v:int"))
     db.create_table(schema("R", "k:int", "g:int", "v:int"))
     db.bulkload("L", rows_l)
@@ -69,12 +71,12 @@ def operator_plans():
     }
 
 
-def time_plan(db, factory):
+def time_plan(executor, factory):
     best = float("inf")
     rows = None
     for _ in range(REPEATS):
         started = time.perf_counter()
-        result = db.query(factory())
+        result = executor.run(factory())
         best = min(best, time.perf_counter() - started)
         rows = result.rows
     return best, rows
@@ -90,15 +92,16 @@ def test_columnar_operator_speedup():
         (rng.randint(0, N_RIGHT), rng.randint(0, 40), rng.randint(0, 10**6))
         for _ in range(N_RIGHT)
     ]
-    rows_db = make_db("rows", rows_l, rows_r)
-    col_db = make_db("columnar", rows_l, rows_r)
+    db = make_db(rows_l, rows_r)
+    rows_engine = Executor(db.tables, db.clock)
+    col_engine = ColumnarExecutor(db.tables, db.clock)
 
     lines = []
     total_rows_s = 0.0
     total_col_s = 0.0
     for name, factory in operator_plans().items():
-        rows_s, expected = time_plan(rows_db, factory)
-        col_s, actual = time_plan(col_db, factory)
+        rows_s, expected = time_plan(rows_engine, factory)
+        col_s, actual = time_plan(col_engine, factory)
         assert actual == expected, f"{name}: engines disagree"
         total_rows_s += rows_s
         total_col_s += col_s
@@ -112,16 +115,6 @@ def test_columnar_operator_speedup():
          f"{speedup:.2f}x")
     )
 
-    # end-to-end: grounding the paper KB on both engines, same tables
-    ground = {}
-    for engine in ("rows", "columnar"):
-        backend = SingleNodeBackend(executor=engine)
-        started = time.perf_counter()
-        ProbKB(paper_kb(), backend=backend).ground()
-        wall = time.perf_counter() - started
-        ground[engine] = (wall, backend.db.table("TP").rows)
-    assert ground["rows"][1] == ground["columnar"][1]
-
     numpy_on = numpy_enabled()
     report = format_table(
         ["operator", "out rows", "rows ms", "columnar ms", "speedup"],
@@ -131,11 +124,7 @@ def test_columnar_operator_speedup():
             f"(|L|={N_LEFT}, |R|={N_RIGHT}, numpy={'on' if numpy_on else 'off'})"
         ),
     )
-    report += (
-        f"\n\ngrounding paper KB end-to-end: rows {ground['rows'][0] * 1e3:.1f} ms, "
-        f"columnar {ground['columnar'][0] * 1e3:.1f} ms"
-        "\n(engines verified bit-identical on every measured query)"
-    )
+    report += "\n\n(engines verified bit-identical on every measured query)"
     write_result("columnar", report)
 
     if numpy_on:

@@ -94,7 +94,7 @@ def test_bench_delta_expansion(benchmark):
         system = ProbKB(make_kb(n_facts, sum(DELTA_SIZES))[0], backend="single")
         system.ground()
         expander = DeltaExpander(
-            system, inference=InferenceConfig(num_sweeps=NUM_SWEEPS, seed=SEED)
+            system, inference=InferenceConfig(sweeps=NUM_SWEEPS, seed=SEED)
         )
         expander.prime()
         delta_rows = []

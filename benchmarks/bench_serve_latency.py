@@ -52,7 +52,7 @@ def timed_queries(service, patterns, rounds=1):
 def test_bench_serve_latency(benchmark, reverb_kb):
     system = ProbKB(reverb_kb.kb, backend="single")
     system.ground(max_iterations=3)
-    system.materialize_marginals(config=InferenceConfig(num_sweeps=60, seed=0))
+    system.materialize_marginals(config=InferenceConfig(sweeps=60, seed=0))
     patterns = query_patterns(reverb_kb.kb, scaled(150))
 
     def workload():

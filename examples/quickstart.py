@@ -68,7 +68,7 @@ def main() -> None:
     print("Input KB:", kb)
 
     with ExpansionSession(
-        kb, inference=InferenceConfig(num_sweeps=2000, seed=0)
+        kb, inference=InferenceConfig(sweeps=2000, seed=0)
     ) as session:
         print("\nGenerated grounding SQL (Query 1-3, exactly the paper's):\n")
         print(session.probkb.generated_sql()["Query 1-3"])

@@ -28,16 +28,13 @@ from .depgraph import (
     grounding_size_bound,
     strongly_connected_components,
 )
+from ..findings import ERROR, INFO, SEVERITIES, WARNING
 from .findings import (
     AnalysisError,
     AnalysisReport,
     AnalysisWarning,
     CODES,
-    ERROR,
     Finding,
-    INFO,
-    SEVERITIES,
-    WARNING,
 )
 from .plans import (
     FACTS_TABLES,

@@ -2,25 +2,31 @@
 
 Every defect the static analyzer can detect has a stable ``PKB``-prefixed
 code with a fixed default severity, so CI gates, the serving layer, and
-humans reading a report all key on the same identifiers.  The registry
-below is the single source of truth; ``docs/analyze.md`` renders it.
+humans reading a report all key on the same identifiers.  The table
+below is registered in :mod:`repro.findings` (the one registry, which
+also holds the severities and the shared finding/report behaviour);
+``docs/analyze.md`` renders it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
-ERROR = "error"
-WARNING = "warning"
-INFO = "info"
-
-SEVERITIES = (ERROR, WARNING, INFO)
+from ..findings import (
+    ERROR,
+    INFO,
+    WARNING,
+    FindingBase,
+    ReportBase,
+    register_codes,
+)
+from ..mpp.verify import PHYSICAL_CODES
+from ..relational.verify import LOGICAL_CODES
 
 #: code -> (default severity, one-line title).  Codes are append-only:
 #: once published a code never changes meaning or disappears.
-CODES: Dict[str, Tuple[str, str]] = {
+CODES: Dict[str, Tuple[str, str]] = register_codes({
     "PKB001": (ERROR, "rule references an unknown relation"),
     "PKB002": (ERROR, "atom arity mismatch (relations are binary)"),
     "PKB003": (ERROR, "unsafe rule: head variable unbound in the body"),
@@ -47,27 +53,19 @@ CODES: Dict[str, Tuple[str, str]] = {
     "PKB103": (ERROR, "predicted cardinality explosion in a grounding join"),
     "PKB104": (WARNING, "redistribution on a heavily skewed join key"),
     "PKB105": (INFO, "static plan cost summary"),
-}
+})
 
 # PKB2xx: plan-IR verification (PlanCheck).  The code tables live next
 # to the verifiers — PKB201-208 (logical plans) in
 # ``repro.relational.verify`` and PKB209-212 (MPP physical plans) in
-# ``repro.mpp.verify`` — and are folded in here so AnalysisReport,
-# the analysis gate, and docs/plan-ir.md all share one registry.
-
-
-def _plancheck_codes() -> Dict[str, Tuple[str, str]]:
-    from ..mpp.verify import PHYSICAL_CODES
-    from ..relational.verify import LOGICAL_CODES
-
-    return {**LOGICAL_CODES, **PHYSICAL_CODES}
-
-
-CODES.update(_plancheck_codes())
+# ``repro.mpp.verify`` — and are listed here too so CODES is everything
+# an AnalysisReport can carry (docs/plan-ir.md renders them).
+CODES.update(LOGICAL_CODES)
+CODES.update(PHYSICAL_CODES)
 
 
 @dataclass(frozen=True)
-class Finding:
+class Finding(FindingBase):
     """One defect (or informational note) in a KB program."""
 
     code: str
@@ -81,18 +79,6 @@ class Finding:
     constraint: Optional[str] = None
     #: machine-readable extras (variable names, class names, bounds, ...)
     details: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.code not in CODES:
-            raise ValueError(f"unknown finding code {self.code!r}")
-        if not self.severity:
-            object.__setattr__(self, "severity", CODES[self.code][0])
-        elif self.severity not in SEVERITIES:
-            raise ValueError(f"unknown severity {self.severity!r}")
-
-    @property
-    def title(self) -> str:
-        return CODES[self.code][1]
 
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
@@ -120,50 +106,15 @@ class Finding:
 
 
 @dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(ReportBase[Finding]):
     """Everything one :func:`repro.analyze.analyze` run found."""
 
     findings: Tuple[Finding, ...] = ()
     #: KB shape at analysis time (rules, constraints, facts, ...)
     stats: Mapping[str, int] = field(default_factory=dict)
 
-    def __iter__(self) -> Iterator[Finding]:
-        return iter(self.findings)
-
-    def __len__(self) -> int:
-        return len(self.findings)
-
-    def _with_severity(self, severity: str) -> List[Finding]:
-        return [f for f in self.findings if f.severity == severity]
-
-    @property
-    def errors(self) -> List[Finding]:
-        return self._with_severity(ERROR)
-
-    @property
-    def warnings(self) -> List[Finding]:
-        return self._with_severity(WARNING)
-
-    @property
-    def infos(self) -> List[Finding]:
-        return self._with_severity(INFO)
-
-    @property
-    def has_errors(self) -> bool:
-        return any(f.severity == ERROR for f in self.findings)
-
-    def by_code(self, code: str) -> List[Finding]:
-        return [f for f in self.findings if f.code == code]
-
-    @property
-    def codes(self) -> List[str]:
-        return sorted({f.code for f in self.findings})
-
     def summary(self) -> str:
-        return (
-            f"{len(self.errors)} errors, {len(self.warnings)} warnings, "
-            f"{len(self.infos)} infos"
-        )
+        return f"{super().summary()}, {len(self.infos)} infos"
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -173,9 +124,6 @@ class AnalysisReport:
             "warnings": len(self.warnings),
             "infos": len(self.infos),
         }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
 
     def render(self, include_infos: bool = True) -> str:
         lines = [

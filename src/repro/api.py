@@ -16,11 +16,8 @@ serve, shut down — hangs off one :class:`ExpansionSession`::
         marginals = session.infer()         # InferenceResult
         facts = session.query(relation="bornIn", min_probability=0.5)
 
-Migration from the pre-config API (see ``docs/api.md`` for the full
-table): keyword sprawl like ``ProbKB(kb, backend="mpp", nseg=8,
-use_matviews=False)`` becomes ``backend=BackendConfig(kind="mpp",
-mpp=MPPConfig(num_segments=8, policy="naive"))``; the old spellings
-still work but emit :class:`DeprecationWarning`.
+The config objects are the only spelling: there are no per-function
+tuning keywords (``docs/api.md`` lists every field).
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ Subcommands::
     python -m repro.cli explain  --kb kb/ --backend mpp --nseg 8
     python -m repro.cli sql      --kb kb/
     python -m repro.cli ground   --kb kb/ --backend mpp --nseg 8 --out expanded/
-    python -m repro.cli infer    --kb kb/ --method gibbs --top 20
+    python -m repro.cli infer    --kb kb/ --engine gibbs --top 20
     python -m repro.cli evaluate --seed 7 --theta 0.5 --constraints
     python -m repro.cli serve    --kb kb/ --port 8080 --snapshot kb.snapshot.json
 
@@ -113,14 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_arguments(infer_cmd)
     infer_cmd.add_argument(
         "--engine",
-        default=None,
-        help="inference engine (see repro.infer.registry; default gibbs)",
-    )
-    infer_cmd.add_argument(
-        "--method",
-        choices=("gibbs", "bp"),
-        default=None,
-        help="deprecated alias of --engine",
+        default="gibbs",
+        help="inference engine (see repro.infer.registry)",
     )
     infer_cmd.add_argument("--sweeps", type=int, default=500)
     infer_cmd.add_argument(
@@ -486,16 +480,8 @@ def cmd_ground(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    engine = args.engine
-    if args.method is not None:
-        if engine is None:
-            print("warning: --method is deprecated; use --engine", file=sys.stderr)
-            engine = args.method
-        else:
-            print("error: pass --engine or --method, not both", file=sys.stderr)
-            return 2
     config = InferenceConfig(
-        engine=engine or "gibbs",
+        engine=args.engine,
         sweeps=args.sweeps,
         num_workers=args.infer_workers,
     )

@@ -38,7 +38,7 @@ from .model import (
     TYPE_I,
     TYPE_II,
 )
-from .probkb import ProbKB, make_backend
+from .probkb import ProbKB
 from .relmodel import Dictionary, LoadReport, RelationalKB
 from .results import ConstraintResult, InferenceResult
 from .sqlgen import (
@@ -94,7 +94,6 @@ __all__ = [
     "ground_atoms_plan",
     "generalizations",
     "ground_factors_plan",
-    "make_backend",
     "partition_patterns_text",
     "singleton_factors_plan",
     "subclass_map",

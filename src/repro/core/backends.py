@@ -94,9 +94,7 @@ class Backend:
             "segments": 1,
             "workers": 0,
             "degraded": False,
-            "engine": getattr(
-                getattr(self, "db", None), "executor_name", "columnar"
-            ),
+            "engine": "columnar",
         }
 
     def close(self) -> None:
@@ -129,10 +127,9 @@ class SingleNodeBackend(Backend):
         self,
         name: str = "probkb",
         verify_plans: Optional[bool] = None,
-        executor: Optional[str] = None,
     ) -> None:
         self.name = name
-        self.db = Database(name, verify_plans=verify_plans, executor=executor)
+        self.db = Database(name, verify_plans=verify_plans)
 
     def create_table(
         self, table_schema: TableSchema, dist_keys: Optional[Sequence[str]] = None

@@ -13,16 +13,10 @@ key, and passed to several sessions without aliasing surprises.  Use
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Optional, Union
 
-from ..relational.columnar import EXECUTOR_ENGINES
 from .backends import Backend, MPPBackend, SingleNodeBackend
-
-#: Distinguishes "caller did not pass this" from any real value, so the
-#: legacy-keyword shims fire only on explicit use.
-_UNSET: Any = object()
 
 #: TΠ-view policies for the MPP backend (Section 4.4): ``"matviews"``
 #: maintains the four redistributed materialized views, ``"naive"``
@@ -57,6 +51,10 @@ class MPPConfig:
             raise ValueError(
                 f"unknown MPP policy {self.policy!r} (use one of {MPP_POLICIES})"
             )
+        if self.worker_timeout <= 0:
+            raise ValueError(
+                f"worker_timeout must be > 0, got {self.worker_timeout}"
+            )
 
     @property
     def use_matviews(self) -> bool:
@@ -78,27 +76,11 @@ class BackendConfig:
     #: debug gate: statically verify every distinct plan once before it
     #: executes (False still honors the PROBKB_VERIFY_PLANS env var)
     verify_plans: bool = False
-    #: relational engine of the single-node backend: "columnar" or
-    #: "rows" (the test reference); None defers to the PROBKB_EXECUTOR
-    #: env var, then the columnar default.  MPP is always columnar.
-    executor: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:
             raise ValueError(
                 f"unknown backend kind {self.kind!r} (use one of {BACKEND_KINDS})"
-            )
-        if self.executor is not None and self.executor not in EXECUTOR_ENGINES:
-            raise ValueError(
-                f"unknown executor {self.executor!r} "
-                f"(use one of {EXECUTOR_ENGINES})"
-            )
-        if self.kind == "mpp" and self.executor == "rows":
-            raise ValueError(
-                "executor='rows' is only available on the single-node "
-                "backend (kind='single'), where the row engine is the "
-                "test reference; MPP segments always run the columnar "
-                "operators"
             )
 
 
@@ -126,7 +108,7 @@ class GroundingConfig:
             )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class InferenceConfig:
     """How marginal inference runs over the ground factor graph.
 
@@ -139,10 +121,6 @@ class InferenceConfig:
     way at a fixed seed.  ``shard_threshold`` is the component size at
     which a single component is swept by all workers together instead of
     one.
-
-    The legacy spellings ``method=`` and ``num_sweeps=`` still work but
-    emit one :class:`DeprecationWarning` each; read access through the
-    ``.method`` / ``.num_sweeps`` properties stays silent.
     """
 
     engine: str = "gibbs"
@@ -152,42 +130,7 @@ class InferenceConfig:
     worker_timeout: float = 60.0
     shard_threshold: int = 512
 
-    def __init__(
-        self,
-        engine: str = "gibbs",
-        sweeps: int = 500,
-        seed: int = 0,
-        num_workers: int = 0,
-        worker_timeout: float = 60.0,
-        shard_threshold: int = 512,
-        *,
-        method: Any = _UNSET,
-        num_sweeps: Any = _UNSET,
-    ) -> None:
-        if method is not _UNSET:
-            warnings.warn(
-                "InferenceConfig(method=...) is deprecated; pass engine= "
-                "(see repro.infer.registry)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            engine = method
-        if num_sweeps is not _UNSET:
-            warnings.warn(
-                "InferenceConfig(num_sweeps=...) is deprecated; pass sweeps=",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            sweeps = num_sweeps
-        object.__setattr__(self, "engine", engine)
-        object.__setattr__(self, "sweeps", sweeps)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "num_workers", num_workers)
-        object.__setattr__(self, "worker_timeout", worker_timeout)
-        object.__setattr__(self, "shard_threshold", shard_threshold)
-        self._validate()
-
-    def _validate(self) -> None:
+    def __post_init__(self) -> None:
         from ..infer.registry import registered_engines
 
         if self.engine not in registered_engines():
@@ -201,20 +144,14 @@ class InferenceConfig:
             raise ValueError(
                 f"num_workers must be >= 0, got {self.num_workers}"
             )
+        if self.worker_timeout <= 0:
+            raise ValueError(
+                f"worker_timeout must be > 0, got {self.worker_timeout}"
+            )
         if self.shard_threshold < 2:
             raise ValueError(
                 f"shard_threshold must be >= 2, got {self.shard_threshold}"
             )
-
-    @property
-    def method(self) -> str:
-        """Deprecated spelling of :attr:`engine` (silent on read)."""
-        return self.engine
-
-    @property
-    def num_sweeps(self) -> int:
-        """Deprecated spelling of :attr:`sweeps` (silent on read)."""
-        return self.sweeps
 
 
 BackendSpec = Union[BackendConfig, Backend, str]
@@ -239,11 +176,7 @@ def build_backend(spec: BackendSpec = BackendConfig()) -> Backend:
     # PROBKB_VERIFY_PLANS env var still switches the gate on
     verify = spec.verify_plans or None
     if spec.kind == "single":
-        return SingleNodeBackend(
-            name=spec.name or "probkb",
-            verify_plans=verify,
-            executor=spec.executor,
-        )
+        return SingleNodeBackend(name=spec.name or "probkb", verify_plans=verify)
     mpp = spec.mpp
     return MPPBackend(
         nseg=mpp.num_segments,

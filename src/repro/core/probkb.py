@@ -10,18 +10,12 @@ quality control, and marginal inference:
     >>> grounding = system.ground()
     >>> marginals = system.infer()          # InferenceResult ({Fact: probability})
     >>> new = system.new_facts(marginals, min_probability=0.5)
-
-The pre-config keyword spellings (``nseg=``, ``use_matviews=``,
-``apply_constraints=``, ``infer(num_sweeps=...)``, ...) still work but
-emit :class:`DeprecationWarning`; :mod:`repro.api` documents the
-migration.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..infer import FactorGraph
@@ -32,13 +26,7 @@ from ..relational.plan import Filter
 from ..relational.types import Row
 from .backends import Backend
 from .clauses import HornClause
-from .config import (
-    BackendConfig,
-    GroundingConfig,
-    InferenceConfig,
-    MPPConfig,
-    build_backend,
-)
+from .config import BackendConfig, GroundingConfig, InferenceConfig, build_backend
 from .grounding import Grounder, GroundingResult
 from .lineage import LineageIndex
 from .model import Fact, KnowledgeBase
@@ -54,40 +42,6 @@ from .sqlgen import (
 if TYPE_CHECKING:
     from ..analyze import AnalysisReport, StaticPlanReport
     from ..relational.verify import VerificationReport
-
-#: Distinguishes "caller did not pass this" from any real value, so the
-#: deprecation shims only fire on explicit use of a legacy keyword.
-_UNSET = object()
-
-
-def make_backend(
-    backend: Union[str, Backend],
-    nseg: int = 8,
-    use_matviews: bool = True,
-) -> Backend:
-    """Resolve a backend spec: 'single' | 'mpp' | an existing Backend.
-
-    .. deprecated::
-        Use :func:`repro.api.build_backend` with a
-        :class:`~repro.api.BackendConfig` instead.
-    """
-    warnings.warn(
-        "make_backend() is deprecated; use repro.api.build_backend with "
-        "a BackendConfig",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if isinstance(backend, Backend):
-        return backend
-    return build_backend(
-        BackendConfig(
-            kind=backend,
-            mpp=MPPConfig(
-                num_segments=nseg,
-                policy="matviews" if use_matviews else "naive",
-            ),
-        )
-    )
 
 
 class ProbKB:
@@ -110,17 +64,13 @@ class ProbKB:
         *,
         grounding: Optional[GroundingConfig] = None,
         inference: Optional[InferenceConfig] = None,
-        nseg: Any = _UNSET,
-        use_matviews: Any = _UNSET,
-        apply_constraints: Any = _UNSET,
-        semi_naive: Any = _UNSET,
     ) -> None:
         self.kb = kb
-        self.backend_config: Optional[BackendConfig] = None
-        self.backend = self._resolve_backend(backend, nseg, use_matviews)
-        self.grounding_config = self._resolve_grounding(
-            grounding, apply_constraints, semi_naive
-        )
+        spec = backend or BackendConfig()
+        #: the config the backend was built from (None for a live Backend)
+        self.backend_config = spec if isinstance(spec, BackendConfig) else None
+        self.backend = build_backend(spec)
+        self.grounding_config = grounding or GroundingConfig()
         self.inference_config = inference or InferenceConfig()
         self.analysis_report = self._preflight_analysis()
         load_start = self.backend.elapsed_seconds
@@ -137,42 +87,6 @@ class ProbKB:
         self._engines: Dict[Tuple[str, int, float, int], InferenceEngine] = {}
         #: monotone counter, bumped every time stored state mutates
         self.generation = 0
-
-    def _resolve_backend(
-        self,
-        backend: Union[BackendConfig, Backend, str, None],
-        nseg: Any,
-        use_matviews: Any,
-    ) -> Backend:
-        overrides = {}
-        if nseg is not _UNSET:
-            overrides["num_segments"] = nseg
-        if use_matviews is not _UNSET:
-            overrides["policy"] = "matviews" if use_matviews else "naive"
-        if overrides:
-            warnings.warn(
-                "ProbKB(nseg=..., use_matviews=...) is deprecated; pass "
-                "backend=BackendConfig(kind='mpp', mpp=MPPConfig(...))",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        if isinstance(backend, Backend):
-            return backend
-        if backend is None:
-            config = BackendConfig()
-        elif isinstance(backend, str):
-            config = BackendConfig(kind=backend)
-        elif isinstance(backend, BackendConfig):
-            config = backend
-        else:
-            raise TypeError(
-                "backend must be a BackendConfig, a Backend, or "
-                f"'single'/'mpp'; got {backend!r}"
-            )
-        if overrides:
-            config = replace(config, mpp=replace(config.mpp, **overrides))
-        self.backend_config = config
-        return build_backend(config)
 
     def _preflight_analysis(self) -> Optional["AnalysisReport"]:
         """The static-analysis gate (GroundingConfig.analysis).
@@ -211,29 +125,6 @@ class ProbKB:
                 stacklevel=4,
             )
         return report
-
-    def _resolve_grounding(
-        self,
-        grounding: Optional[GroundingConfig],
-        apply_constraints: Any,
-        semi_naive: Any,
-    ) -> GroundingConfig:
-        overrides = {}
-        if apply_constraints is not _UNSET:
-            overrides["apply_constraints"] = apply_constraints
-        if semi_naive is not _UNSET:
-            overrides["semi_naive"] = semi_naive
-        if overrides:
-            warnings.warn(
-                "ProbKB(apply_constraints=..., semi_naive=...) is deprecated; "
-                "pass grounding=GroundingConfig(...)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        config = grounding or GroundingConfig()
-        if overrides:
-            config = replace(config, **overrides)
-        return config
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -384,21 +275,14 @@ class ProbKB:
         """The ground factor graph handed to the inference engine."""
         return FactorGraph.from_factor_rows(self.factor_rows())
 
-    def infer(
-        self,
-        config: Optional[Union[InferenceConfig, str]] = None,
-        *,
-        method: Any = _UNSET,
-        num_sweeps: Any = _UNSET,
-        seed: Any = _UNSET,
-    ) -> InferenceResult:
+    def infer(self, config: Optional[InferenceConfig] = None) -> InferenceResult:
         """Marginal probabilities of every fact (observed and inferred).
 
         Returns an :class:`InferenceResult` — a ``{Fact: probability}``
         dict that also records the method, parameters, wall-clock time,
         and factor-graph size.
         """
-        config = self._inference_config(config, method, num_sweeps, seed)
+        config = config or self.inference_config
         engine = self.inference_engine(config)
         rows = self.factor_rows()
         num_variables = len(
@@ -472,35 +356,6 @@ class ProbKB:
         engine = self.inference_engine(config)
         return getattr(engine, "driver", None)
 
-    def _inference_config(
-        self,
-        config: Optional[Union[InferenceConfig, str]],
-        method: Any,
-        num_sweeps: Any,
-        seed: Any,
-    ) -> InferenceConfig:
-        """Fold legacy inference keywords into an :class:`InferenceConfig`."""
-        if isinstance(config, str):  # legacy positional: infer("bp")
-            method, config = config, None
-        overrides = {}
-        if method is not _UNSET:
-            overrides["engine"] = method
-        if num_sweeps is not _UNSET:
-            overrides["sweeps"] = num_sweeps
-        if seed is not _UNSET:
-            overrides["seed"] = seed
-        if overrides:
-            warnings.warn(
-                "passing method=/num_sweeps=/seed= is deprecated; pass an "
-                "InferenceConfig",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        base = config if config is not None else self.inference_config
-        if overrides:
-            base = replace(base, **overrides)
-        return base
-
     # -- results ----------------------------------------------------------------------
 
     def all_facts(self) -> List[Fact]:
@@ -537,10 +392,6 @@ class ProbKB:
         self,
         marginals: Optional[Dict[Fact, float]] = None,
         config: Optional[InferenceConfig] = None,
-        *,
-        method: Any = _UNSET,
-        num_sweeps: Any = _UNSET,
-        seed: Any = _UNSET,
     ) -> int:
         """Store marginal probabilities in the database (table TProb).
 
@@ -552,9 +403,7 @@ class ProbKB:
         from ..relational import schema as make_schema
 
         if marginals is None:
-            marginals = self.infer(
-                self._inference_config(config, method, num_sweeps, seed)
-            )
+            marginals = self.infer(config)
         if not self.backend.has_table("TProb"):
             self.backend.create_table(
                 make_schema("TProb", "I:int", "p:float", unique_key=["I"]),

@@ -7,12 +7,10 @@ sanitizer (:mod:`repro.devtools.sanitizer`).  CLI entry point:
 ``repro devtools lint``.
 """
 
+from ..findings import ERROR, SEVERITIES, WARNING
 from .findings import (
-    ERROR,
     RC_CODES,
-    SEVERITIES,
     UNSUPPRESSIBLE,
-    WARNING,
     LintFinding,
     LintReport,
     LintUsageError,

@@ -1,27 +1,24 @@
 """Typed lint findings: the concurrency linter's output vocabulary.
 
-Mirror of :mod:`repro.analyze.findings`, but aimed at repro's *own*
-source instead of KB programs: every defect class the concurrency &
-determinism linter detects has a stable ``RC``-prefixed code with a
-fixed default severity, so the CI gate, suppression comments, and
-humans reading a report all key on the same identifiers.  The registry
-below is the single source of truth; ``docs/devtools.md`` renders it.
+Aimed at repro's *own* source instead of KB programs: every defect
+class the concurrency & determinism linter detects has a stable
+``RC``-prefixed code with a fixed default severity, so the CI gate,
+suppression comments, and humans reading a report all key on the same
+identifiers.  The table below is registered in :mod:`repro.findings`
+(the one registry, shared with the KB analyzer and the plan verifiers);
+``docs/devtools.md`` renders it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Tuple
 
-ERROR = "error"
-WARNING = "warning"
-
-SEVERITIES = (ERROR, WARNING)
+from ..findings import ERROR, WARNING, FindingBase, ReportBase, register_codes
 
 #: code -> (default severity, one-line title).  Codes are append-only:
 #: once published a code never changes meaning or disappears.
-RC_CODES: Dict[str, Tuple[str, str]] = {
+RC_CODES: Dict[str, Tuple[str, str]] = register_codes({
     "RC001": (ERROR, "field declared '# guarded by: <lock>' mutated outside "
                      "a 'with <lock>:' block"),
     "RC002": (ERROR, "lock-order inversion: cycle in the static "
@@ -40,7 +37,7 @@ RC_CODES: Dict[str, Tuple[str, str]] = {
     "RC009": (ERROR, "direct PhysicalNode construction outside the MPP "
                      "planners (plans must come from a planner so the "
                      "verifier sees them)"),
-}
+})
 
 #: suppression-hygiene codes are never themselves suppressible — a
 #: disable comment silencing the disable checker would be circular
@@ -48,7 +45,7 @@ UNSUPPRESSIBLE = frozenset({"RC007", "RC008"})
 
 
 @dataclass(frozen=True)
-class LintFinding:
+class LintFinding(FindingBase):
     """One defect at one source location."""
 
     code: str
@@ -56,18 +53,6 @@ class LintFinding:
     path: str
     line: int
     severity: str = ""
-
-    def __post_init__(self) -> None:
-        if self.code not in RC_CODES:
-            raise ValueError(f"unknown finding code {self.code!r}")
-        if not self.severity:
-            object.__setattr__(self, "severity", RC_CODES[self.code][0])
-        elif self.severity not in SEVERITIES:
-            raise ValueError(f"unknown severity {self.severity!r}")
-
-    @property
-    def title(self) -> str:
-        return RC_CODES[self.code][1]
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -83,41 +68,14 @@ class LintFinding:
 
 
 @dataclass(frozen=True)
-class LintReport:
+class LintReport(ReportBase[LintFinding]):
     """Everything one :func:`repro.devtools.lint_paths` run found."""
 
     findings: Tuple[LintFinding, ...] = ()
     files_scanned: int = 0
 
-    def __iter__(self) -> Iterator[LintFinding]:
-        return iter(self.findings)
-
-    def __len__(self) -> int:
-        return len(self.findings)
-
-    def _with_severity(self, severity: str) -> List[LintFinding]:
-        return [f for f in self.findings if f.severity == severity]
-
-    @property
-    def errors(self) -> List[LintFinding]:
-        return self._with_severity(ERROR)
-
-    @property
-    def warnings(self) -> List[LintFinding]:
-        return self._with_severity(WARNING)
-
-    def by_code(self, code: str) -> List[LintFinding]:
-        return [f for f in self.findings if f.code == code]
-
-    @property
-    def codes(self) -> List[str]:
-        return sorted({f.code for f in self.findings})
-
     def summary(self) -> str:
-        return (
-            f"{len(self.errors)} errors, {len(self.warnings)} warnings "
-            f"across {self.files_scanned} files"
-        )
+        return f"{super().summary()} across {self.files_scanned} files"
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -126,9 +84,6 @@ class LintReport:
             "errors": len(self.errors),
             "warnings": len(self.warnings),
         }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
 
     def render(self) -> str:
         lines = [f.render() for f in self.findings]

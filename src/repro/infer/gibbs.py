@@ -7,24 +7,18 @@ variables are conditionally independent.  We reproduce it faithfully:
 a greedy colouring (networkx) partitions variables into colour classes,
 and each sweep updates the classes in sequence.
 
-Two sweep kernels share the colour structure:
-
-- :meth:`GibbsSampler.run` — the original sequential-stream kernel: one
-  ``random.Random(seed)`` stream consumed in iteration order.  Kept for
-  backwards compatibility (``gibbs_marginals``, chain diagnostics).
-- :meth:`GibbsSampler.run_stream` — the *shardable* kernel behind
-  :mod:`repro.infer.parallel`: every draw comes from a counter-based
-  stream keyed by ``(seed, sweep, color, variable)``, so the draw for a
-  variable is a pure function of its key, independent of which process
-  samples it or in what order.  Splitting a colour class across worker
-  processes (states synchronized at a per-colour barrier) therefore
-  yields marginals bit-identical to a serial run.
+There is one sweep kernel, :meth:`GibbsSampler.run_stream`: every draw
+comes from a counter-based stream keyed by ``(seed, sweep, color,
+variable)``, so the draw for a variable is a pure function of its key,
+independent of which process samples it or in what order.  Splitting a
+colour class across worker processes (states synchronized at a
+per-colour barrier, :mod:`repro.infer.parallel`) therefore yields
+marginals bit-identical to a serial run.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -97,7 +91,6 @@ class GibbsSampler:
     def __init__(self, graph: FactorGraph, seed: int = 0) -> None:
         self.graph = graph
         self.seed = seed
-        self.rng = random.Random(seed)
         self._touching = graph.factors_touching()
         self._colors = self._color()
 
@@ -140,54 +133,6 @@ class GibbsSampler:
         if delta < -35:
             return 0.0
         return 1.0 / (1.0 + math.exp(-delta))
-
-    def run(
-        self,
-        num_sweeps: int = 500,
-        burn_in: Optional[int] = None,
-        initial_state: Optional[Sequence[int]] = None,
-    ) -> GibbsResult:
-        """Run ``num_sweeps`` full sweeps; average marginals after burn-in.
-
-        ``burn_in`` defaults to one quarter of the sweeps.
-        """
-        n = self.graph.num_variables
-        if burn_in is None:
-            burn_in = max(1, num_sweeps // 4) if num_sweeps > 1 else 0
-        if initial_state is not None:
-            state = list(initial_state)
-        else:
-            state = [self.rng.randint(0, 1) for _ in range(n)]
-        true_counts = [0] * n
-        kept = 0
-        rng_random = self.rng.random
-        for sweep in range(num_sweeps):
-            for color_class in self._colors:
-                # all variables of one colour are conditionally
-                # independent: this loop is the "parallel" update
-                for var in color_class:
-                    p_true = self._conditional_true_probability(var, state)
-                    state[var] = 1 if rng_random() < p_true else 0
-            if sweep >= burn_in:
-                kept += 1
-                for var in range(n):
-                    true_counts[var] += state[var]
-        if kept == 0:
-            kept = 1  # degenerate configuration: report last state
-            true_counts = list(state)
-        marginals = {
-            self.graph.external_id(var): true_counts[var] / kept
-            for var in range(n)
-        }
-        depth = sum(
-            max(1, len(color_class)) for color_class in self._colors
-        )
-        return GibbsResult(
-            marginals=marginals,
-            num_sweeps=num_sweeps,
-            num_colors=self.num_colors,
-            parallel_depth=depth,
-        )
 
     def run_stream(
         self,
@@ -267,7 +212,7 @@ def gibbs_marginals(
     """Convenience wrapper: marginals keyed by external variable id."""
     if graph.num_variables == 0:
         return {}
-    return GibbsSampler(graph, seed=seed).run(num_sweeps=num_sweeps).marginals
+    return GibbsSampler(graph, seed=seed).run_stream(num_sweeps=num_sweeps).marginals
 
 
 @dataclass
@@ -307,7 +252,7 @@ def gibbs_with_diagnostics(
     if graph.num_variables == 0:
         return ChainDiagnostics({}, {}, num_chains, num_sweeps)
     chains = [
-        GibbsSampler(graph, seed=seed + 9973 * chain).run(num_sweeps=num_sweeps)
+        GibbsSampler(graph, seed=seed + 9973 * chain).run_stream(num_sweeps)
         for chain in range(num_chains)
     ]
     burn_in = max(1, num_sweeps // 4) if num_sweeps > 1 else 0

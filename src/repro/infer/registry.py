@@ -30,7 +30,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    List,
     Protocol,
     Sequence,
     Tuple,
@@ -139,18 +138,10 @@ class GibbsEngine:
     def marginals(
         self, rows: Sequence[Row], config: "InferenceConfig"
     ) -> Dict[int, float]:
-        from ..delta.components import ComponentIndex
+        from ..delta.inference import componentwise_marginals
 
-        variable_ids = {
-            var for row in rows for var in row[:3] if var is not None
-        }
-        index = ComponentIndex.from_factor_rows(variable_ids, rows)
-        snapshots: List[Tuple[List[int], List[Row]]] = [
-            (index.members(root), index.factors(root))
-            for root in index.roots()
-        ]
-        return self.driver.sample_components(
-            snapshots, config.sweeps, config.seed
+        return componentwise_marginals(
+            rows, config.sweeps, config.seed, driver=self.driver
         )
 
     def info(self) -> Dict[str, Any]:

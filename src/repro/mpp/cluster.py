@@ -244,7 +244,7 @@ class MPPDatabase:
             "workers": self.pool.num_workers if self.pool is not None else 0,
             "degraded": self.degraded,
             # segments run the columnar operators, and only those: the
-            # row engine is the single-node backend's test reference
+            # row engine is the differential tests' reference
             "engine": "columnar",
         }
 

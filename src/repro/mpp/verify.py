@@ -34,19 +34,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..relational.verify import (
-    ERROR,
-    WARNING,
-    PlanFinding,
-    VerificationReport,
-)
+from ..findings import ERROR, WARNING, code_entry, register_codes
+from ..relational.verify import PlanFinding, VerificationReport
 from .plannodes import DistDesc, PhysicalNode
 
 __all__ = ["PHYSICAL_CODES", "verify_physical_plan"]
 
 #: code -> (default severity, one-line title); continues LOGICAL_CODES
 #: from ``repro.relational.verify`` and is append-only like it.
-PHYSICAL_CODES: Dict[str, Tuple[str, str]] = {
+PHYSICAL_CODES: Dict[str, Tuple[str, str]] = register_codes({
     "PKB209": (ERROR, "join inputs are neither collocated on the join "
                       "keys, replicated, nor singleton"),
     "PKB210": (WARNING, "redundant motion: the input already has the "
@@ -54,7 +50,7 @@ PHYSICAL_CODES: Dict[str, Tuple[str, str]] = {
     "PKB211": (ERROR, "receiver distribution requirement violated"),
     "PKB212": (ERROR, "malformed physical node or declared distribution "
                       "inconsistent with the derivation"),
-}
+})
 
 _SINGLETON = DistDesc("singleton")
 
@@ -143,7 +139,7 @@ class _PhysicalChecker:
                 code=code,
                 path=path,
                 message=message,
-                severity=PHYSICAL_CODES[code][0],
+                severity=code_entry(code)[0],
                 details=details,
             )
         )

@@ -10,12 +10,10 @@ Public surface::
 """
 
 from .columnar import (
-    EXECUTOR_ENGINES,
     ColumnBatch,
     numpy_enabled,
-    resolve_executor,
 )
-from .columnar_exec import ColumnarExecutor, make_executor
+from .columnar_exec import ColumnarExecutor
 from .cost import CostClock
 from .database import Database
 from .executor import Executor, Result
@@ -78,7 +76,6 @@ __all__ = [
     "CostClock",
     "Database",
     "Distinct",
-    "EXECUTOR_ENGINES",
     "ExecutionError",
     "Executor",
     "Expr",
@@ -112,10 +109,8 @@ __all__ = [
     "const",
     "eq",
     "eq_const",
-    "make_executor",
     "numpy_enabled",
     "parse_sql",
-    "resolve_executor",
     "schema",
     "to_sql",
 ]

@@ -17,10 +17,8 @@ column — with two interchangeable kernel backends:
 
 Both paths produce the *same rows in the same order* as the row engine
 and charge the *same* :class:`~repro.relational.cost.CostClock`
-counters, so engine choice can never change results or modelled cost —
-only wall-clock.  Engine selection is resolved by
-:func:`resolve_executor` from an explicit override, the
-``PROBKB_EXECUTOR`` env var, or the default (``"columnar"``).
+counters, so the row engine stays usable as the reference the
+differential tests compare against.
 """
 
 from __future__ import annotations
@@ -42,15 +40,10 @@ from .expr import And, Col, Compare, Const, Expr, IsNull, Not, Or
 from .types import ExecutionError, Row, Value
 
 __all__ = [
-    "EXECUTOR_ENGINES",
     "ColumnBatch",
     "get_numpy",
     "numpy_enabled",
-    "resolve_executor",
 ]
-
-#: Supported relational execution engines.
-EXECUTOR_ENGINES = ("columnar", "rows")
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
@@ -84,19 +77,6 @@ def get_numpy() -> Any:
 def numpy_enabled() -> bool:
     """True when the columnar kernels may use their numpy fast paths."""
     return get_numpy() is not None
-
-
-def resolve_executor(override: Optional[str] = None) -> str:
-    """Resolve the engine name: explicit override > env var > columnar."""
-    if override is None:
-        override = os.environ.get("PROBKB_EXECUTOR", "").strip().lower() or None
-    if override is None:
-        return "columnar"
-    if override not in EXECUTOR_ENGINES:
-        raise ValueError(
-            f"unknown executor {override!r} (use one of {EXECUTOR_ENGINES})"
-        )
-    return override
 
 
 #: Sentinel in the per-batch numpy cache: "tried, not convertible".

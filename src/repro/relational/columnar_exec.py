@@ -9,19 +9,16 @@ row engine — same rows, same order — and every operator charges the
 engine charges for the same plan, so ``repro explain`` cost summaries
 and the modelled benchmark timings are engine-independent.
 
-:func:`make_executor` is the selection point used by
-:class:`~repro.relational.database.Database` and the backends:
-``"columnar"`` (default) or ``"rows"``, resolved from an explicit
-config, the ``PROBKB_EXECUTOR`` env var, or the default.
+:class:`~repro.relational.database.Database` always builds this
+executor; the row engine is the reference tests construct by hand.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import operators
-from .columnar import ColumnBatch, resolve_executor
-from .cost import CostClock
+from .columnar import ColumnBatch
 from .executor import Executor, Result
 from .expr import resolve_column
 from .plan import (
@@ -45,8 +42,6 @@ class ColumnarExecutor(Executor):
     """Evaluates logical plans over columnar batches: resolves each
     node's column references and hands the batches to the shared
     operators in :mod:`repro.relational.operators`."""
-
-    engine_name = "columnar"
 
     def run(self, plan: PlanNode) -> Result:
         self.bind(plan)
@@ -113,16 +108,3 @@ class ColumnarExecutor(Executor):
                 )
             return self._eval_batch(plan.child).head(plan.limit)
         raise ExecutionError(f"unsupported plan node {type(plan).__name__}")
-
-
-#: engine name -> executor class
-_ENGINES = {"rows": Executor, "columnar": ColumnarExecutor}
-
-
-def make_executor(
-    tables: Mapping[str, object],
-    clock: CostClock,
-    engine: Optional[str] = None,
-) -> Executor:
-    """Build the selected executor (override > ``PROBKB_EXECUTOR`` > columnar)."""
-    return _ENGINES[resolve_executor(engine)](tables, clock)

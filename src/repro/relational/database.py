@@ -15,10 +15,9 @@ from __future__ import annotations
 import weakref
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .columnar import resolve_executor
-from .columnar_exec import make_executor
+from .columnar_exec import ColumnarExecutor
 from .cost import CostClock
-from .executor import Executor, Result
+from .executor import Result
 from .plan import PlanNode
 from .schema import TableSchema
 from .table import Table
@@ -29,18 +28,10 @@ from .verify import verify_plan, verify_plans_enabled
 class Database:
     """An in-memory single-node relational database."""
 
-    def __init__(
-        self,
-        name: str = "db",
-        verify_plans: Optional[bool] = None,
-        executor: Optional[str] = None,
-    ) -> None:
+    def __init__(self, name: str = "db", verify_plans: Optional[bool] = None) -> None:
         self.name = name
         self.tables: Dict[str, Table] = {}
         self.clock = CostClock()
-        #: which plan-execution engine runs queries ("columnar"|"rows");
-        #: None defers to the PROBKB_EXECUTOR env var, default columnar
-        self.executor_name = resolve_executor(executor)
         self._matview_defs: Dict[str, PlanNode] = {}
         #: debug gate: statically verify every distinct plan once before
         #: it executes (None defers to the PROBKB_VERIFY_PLANS env var)
@@ -60,8 +51,8 @@ class Database:
             .raise_if_errors()
         self._verified_plans.add(plan)
 
-    def _executor(self) -> Executor:
-        return make_executor(self.tables, self.clock, self.executor_name)
+    def _executor(self) -> ColumnarExecutor:
+        return ColumnarExecutor(self.tables, self.clock)
 
     # -- DDL ---------------------------------------------------------------
 

@@ -66,15 +66,13 @@ def _null_safe_key(row: Row) -> Tuple:
 class Executor:
     """Evaluates logical plans against a table catalog (row-at-a-time).
 
-    Single-node only, and not the default: this is the reference the
+    Not reachable from any config: this is the reference the
     differential suite holds the columnar operators to, row order and
-    clock charges included.  The vectorized twin lives in
-    :mod:`repro.relational.columnar_exec`;
-    :func:`~repro.relational.columnar_exec.make_executor` selects
-    between them.
+    clock charges included; tests build it by hand over a
+    :class:`~repro.relational.database.Database`'s tables and clock.
+    The vectorized twin every database runs lives in
+    :mod:`repro.relational.columnar_exec`.
     """
-
-    engine_name = "rows"
 
     def __init__(self, tables: Mapping[str, object], clock: CostClock) -> None:
         # ``tables``: mapping name -> Table

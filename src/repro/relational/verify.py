@@ -22,6 +22,14 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..findings import (
+    ERROR,
+    WARNING,
+    FindingBase,
+    ReportBase,
+    code_entry,
+    register_codes,
+)
 from .expr import Col, Const, Expr, resolve_column
 from .plan import (
     AGG_FUNCS,
@@ -49,14 +57,12 @@ __all__ = [
     "verify_plans_enabled",
 ]
 
-ERROR = "error"
-WARNING = "warning"
-
 #: code -> (default severity, one-line title).  Codes are append-only:
 #: once published a code never changes meaning or disappears.  The
 #: physical-plan codes PKB209-PKB212 live in ``repro.mpp.verify``; both
-#: tables are folded into ``repro.analyze.findings.CODES``.
-LOGICAL_CODES: Dict[str, Tuple[str, str]] = {
+#: tables are registered in ``repro.findings`` and listed in
+#: ``repro.analyze.findings.CODES``.
+LOGICAL_CODES: Dict[str, Tuple[str, str]] = register_codes({
     "PKB201": (ERROR, "scan is unbound and its table is unknown to the "
                       "verifier"),
     "PKB202": (ERROR, "duplicate qualified column name in an operator's "
@@ -71,9 +77,7 @@ LOGICAL_CODES: Dict[str, Tuple[str, str]] = {
     "PKB208": (WARNING, "bag/set or ordering discipline violation "
                         "(redundant Distinct, Limit without Sort, "
                         "negative Limit — the last is an error)"),
-}
-
-_SEVERITIES = (ERROR, WARNING)
+})
 
 #: values of ``PROBKB_VERIFY_PLANS`` that switch the runtime gate on
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
@@ -87,12 +91,14 @@ def verify_plans_enabled(override: Optional[bool] = None) -> bool:
 
 
 @dataclass(frozen=True)
-class PlanFinding:
+class PlanFinding(FindingBase):
     """One verifier defect at one node of a plan tree.
 
     ``path`` addresses the node: ``root`` is the tree root and each
     ``.N`` segment descends into the N-th child (0-based), so the right
-    input of a join under the root is ``root.1``.
+    input of a join under the root is ``root.1``.  Several codes are
+    emitted at more than one severity, so the severity is stated, never
+    defaulted; the checkers' ``emit`` fills it from the registry.
     """
 
     code: str
@@ -104,8 +110,7 @@ class PlanFinding:
     def __post_init__(self) -> None:
         if not self.severity:
             raise ValueError(f"finding {self.code} needs a severity")
-        if self.severity not in _SEVERITIES:
-            raise ValueError(f"unknown severity {self.severity!r}")
+        super().__post_init__()
 
     def render(self) -> str:
         return f"{self.path}: {self.code} {self.severity} {self.message}"
@@ -121,32 +126,19 @@ class PlanFinding:
 
 
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(ReportBase[PlanFinding]):
     """Everything one :func:`verify_plan` run found."""
 
     plan_name: str
     findings: Tuple[PlanFinding, ...] = ()
 
     @property
-    def errors(self) -> List[PlanFinding]:
-        return [f for f in self.findings if f.severity == ERROR]
-
-    @property
-    def warnings(self) -> List[PlanFinding]:
-        return [f for f in self.findings if f.severity == WARNING]
-
-    @property
     def ok(self) -> bool:
-        return not self.errors
-
-    @property
-    def codes(self) -> List[str]:
-        return sorted({f.code for f in self.findings})
+        return not self.has_errors
 
     def render(self) -> str:
         lines = [f"verify {self.plan_name}: " + (
-            "clean" if not self.findings
-            else f"{len(self.errors)} errors, {len(self.warnings)} warnings"
+            "clean" if not self.findings else self.summary()
         )]
         lines.extend("  " + f.render() for f in self.findings)
         return "\n".join(lines)
@@ -222,7 +214,7 @@ class _Checker:
                 code=code,
                 path=path,
                 message=message,
-                severity=severity or LOGICAL_CODES[code][0],
+                severity=severity or code_entry(code)[0],
                 details=details,
             )
         )

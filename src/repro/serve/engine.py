@@ -14,7 +14,6 @@ from __future__ import annotations
 import queue as queue_module
 import threading
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -127,9 +126,6 @@ class ServiceConfig:
     #: by default — queries then report None for fresh inferred facts
     #: until the operator materializes.
     infer_on_flush: bool = False
-    #: deprecated: pass ``inference=InferenceConfig(...)`` instead
-    num_sweeps: Optional[int] = None
-    seed: Optional[int] = None
     latency_window: int = 1024
     #: how flush/materialize inference runs (fewer sweeps than the
     #: offline default: serving favours latency)
@@ -151,25 +147,8 @@ class ServiceConfig:
                 f"unknown expansion {self.expansion!r}; "
                 f"choose from {', '.join(EXPANSION_MODES)}"
             )
-        overrides = {}
-        if self.num_sweeps is not None:
-            overrides["sweeps"] = self.num_sweeps
-        if self.seed is not None:
-            overrides["seed"] = self.seed
-        if overrides:
-            warnings.warn(
-                "ServiceConfig(num_sweeps=..., seed=...) is deprecated; "
-                "pass inference=InferenceConfig(...)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        resolved = self.inference or InferenceConfig(sweeps=200, seed=0)
-        if overrides:
-            resolved = replace(resolved, **overrides)
-        self.inference = resolved
-        # keep the legacy attributes readable for older call sites
-        self.num_sweeps = resolved.num_sweeps
-        self.seed = resolved.seed
+        if self.inference is None:
+            self.inference = InferenceConfig(sweeps=200, seed=0)
 
 
 class QueryResult(NamedTuple):

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from typing import Dict, List, Tuple, Union
 
 from ..core.backends import Backend
-from ..core.config import BackendConfig, MPPConfig, build_backend
+from ..core.config import BackendConfig
 from ..core.model import Fact, FunctionalConstraint, KnowledgeBase, Relation
 from ..core.probkb import ProbKB
 from ..core.relmodel import FACT_KEY_COLUMNS
@@ -101,13 +100,8 @@ def save_snapshot(probkb: ProbKB, path: str) -> str:
     return path
 
 
-_NSEG_UNSET = object()
-
-
 def load_snapshot(
-    path: str,
-    backend: Union[BackendConfig, Backend, str] = "single",
-    nseg: object = _NSEG_UNSET,
+    path: str, backend: Union[BackendConfig, Backend, str] = "single"
 ) -> ProbKB:
     """Rebuild a warm ProbKB from a snapshot — no grounding run.
 
@@ -116,20 +110,8 @@ def load_snapshot(
     generation counter resumes where the snapshot left off.
 
     ``backend`` takes a :class:`~repro.api.BackendConfig` (or a live
-    backend, or the ``"single"``/``"mpp"`` shorthand); the old ``nseg=``
-    keyword still works but is deprecated.
+    backend, or the ``"single"``/``"mpp"`` shorthand).
     """
-    if nseg is not _NSEG_UNSET:
-        warnings.warn(
-            "load_snapshot(nseg=...) is deprecated; pass "
-            "backend=BackendConfig(kind='mpp', mpp=MPPConfig(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if isinstance(backend, str):
-            backend = BackendConfig(
-                kind=backend, mpp=MPPConfig(num_segments=nseg)
-            )
     with open(path) as handle:
         payload = json.load(handle)
     if payload.get("format") != SNAPSHOT_FORMAT:
@@ -155,7 +137,7 @@ def load_snapshot(
         ],
         validate=False,
     )
-    probkb = ProbKB(kb, backend=build_backend(backend))
+    probkb = ProbKB(kb, backend=backend)
     _restore_marginals(probkb, payload["marginals"])
     probkb.generation = int(payload.get("generation", 0))
     return probkb

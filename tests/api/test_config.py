@@ -4,6 +4,9 @@ import dataclasses
 
 import pytest
 
+import repro.core
+import repro.relational
+from repro import ProbKB
 from repro.api import (
     BackendConfig,
     GroundingConfig,
@@ -12,6 +15,9 @@ from repro.api import (
     build_backend,
 )
 from repro.core import MPPBackend, SingleNodeBackend
+from repro.datasets.paper_example import paper_kb
+from repro.relational import ColumnarExecutor, Database
+from repro.serve import ServiceConfig, load_snapshot
 
 
 class TestMPPConfig:
@@ -32,6 +38,7 @@ class TestMPPConfig:
             {"num_segments": 0},
             {"num_workers": -1},
             {"policy": "mirrored"},
+            {"worker_timeout": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -51,15 +58,6 @@ class TestBackendConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             BackendConfig().kind = "mpp"
 
-    def test_mpp_rejects_the_row_engine(self):
-        # the row engine lives on the single-node backend only: an MPP
-        # backend asked for it must refuse, not half-honour the option
-        with pytest.raises(ValueError, match="single-node"):
-            BackendConfig(kind="mpp", executor="rows")
-        assert BackendConfig(kind="single", executor="rows").executor == "rows"
-        mpp = build_backend(BackendConfig(kind="mpp", executor="columnar"))
-        assert mpp.executor_info()["engine"] == "columnar"
-
     def test_configs_are_hashable_and_reusable(self):
         config = BackendConfig(kind="mpp", mpp=MPPConfig(num_segments=2))
         assert config == BackendConfig(kind="mpp", mpp=MPPConfig(num_segments=2))
@@ -70,31 +68,16 @@ class TestBackendConfig:
 
 
 class TestInferenceConfig:
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            InferenceConfig(method="oracle")
-
     def test_unknown_engine_lists_registered(self):
         with pytest.raises(ValueError, match="registered: .*gibbs"):
             InferenceConfig(engine="oracle")
 
     def test_defaults(self):
         config = InferenceConfig()
-        assert (config.method, config.num_sweeps, config.seed) == ("gibbs", 500, 0)
-        assert (config.engine, config.sweeps) == ("gibbs", 500)
+        assert (config.engine, config.sweeps, config.seed) == ("gibbs", 500, 0)
         assert config.num_workers == 0
         assert config.worker_timeout == 60.0
         assert config.shard_threshold == 512
-
-    def test_legacy_kwargs_warn_once_each(self):
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            config = InferenceConfig(method="bp", num_sweeps=64)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 2
-        assert (config.engine, config.sweeps) == ("bp", 64)
 
     def test_modern_kwargs_do_not_warn(self):
         import warnings
@@ -102,8 +85,7 @@ class TestInferenceConfig:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             config = InferenceConfig(engine="bp", sweeps=64, num_workers=2)
-        # legacy property reads stay silent too
-        assert (config.method, config.num_sweeps) == ("bp", 64)
+        assert (config.engine, config.sweeps) == ("bp", 64)
 
     def test_frozen_and_replaceable(self):
         config = InferenceConfig(sweeps=100, num_workers=2)
@@ -119,6 +101,7 @@ class TestInferenceConfig:
             {"sweeps": 0},
             {"num_workers": -1},
             {"shard_threshold": 1},
+            {"worker_timeout": -1},
         ],
     )
     def test_validation(self, kwargs):
@@ -164,3 +147,73 @@ class TestBuildBackend:
             build_backend(42)
         with pytest.raises(ValueError):
             build_backend("oracle")
+
+    def test_probkb_string_backend_does_not_warn(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            system = ProbKB(paper_kb(), backend="single")
+        assert isinstance(system.backend, SingleNodeBackend)
+
+    def test_probkb_bad_backend_type_rejected(self):
+        with pytest.raises(TypeError):
+            ProbKB(paper_kb(), backend=3.14)
+
+
+def _cli_infer_method():
+    from repro.cli import build_parser
+
+    build_parser().parse_args(["infer", "--kb", "somewhere", "--method", "bp"])
+
+
+#: every pre-config spelling and every engine-selector spelling, with
+#: how it fails now that the config objects are the only spelling
+LEGACY_SPELLINGS = {
+    "ProbKB(nseg=)": (lambda: ProbKB(paper_kb(), backend="mpp", nseg=2), TypeError),
+    "ProbKB(use_matviews=)": (lambda: ProbKB(paper_kb(), use_matviews=False), TypeError),
+    "ProbKB(apply_constraints=)": (
+        lambda: ProbKB(paper_kb(), apply_constraints=False), TypeError),
+    "ProbKB(semi_naive=)": (lambda: ProbKB(paper_kb(), semi_naive=True), TypeError),
+    "infer(method=)": (lambda: ProbKB(paper_kb()).infer(method="bp"), TypeError),
+    "infer(num_sweeps=)": (lambda: ProbKB(paper_kb()).infer(num_sweeps=5), TypeError),
+    "infer(seed=)": (lambda: ProbKB(paper_kb()).infer(seed=1), TypeError),
+    "infer('bp')": (lambda: ProbKB(paper_kb()).infer("bp"), AttributeError),
+    "materialize_marginals(method=)": (
+        lambda: ProbKB(paper_kb()).materialize_marginals(method="bp"), TypeError),
+    "materialize_marginals(num_sweeps=)": (
+        lambda: ProbKB(paper_kb()).materialize_marginals(num_sweeps=5), TypeError),
+    "materialize_marginals(seed=)": (
+        lambda: ProbKB(paper_kb()).materialize_marginals(seed=1), TypeError),
+    "InferenceConfig(method=)": (lambda: InferenceConfig(method="bp"), TypeError),
+    "InferenceConfig(num_sweeps=)": (lambda: InferenceConfig(num_sweeps=5), TypeError),
+    "InferenceConfig.method": (lambda: InferenceConfig().method, AttributeError),
+    "InferenceConfig.num_sweeps": (lambda: InferenceConfig().num_sweeps, AttributeError),
+    "ServiceConfig(num_sweeps=)": (lambda: ServiceConfig(num_sweeps=5), TypeError),
+    "ServiceConfig(seed=)": (lambda: ServiceConfig(seed=1), TypeError),
+    "load_snapshot(nseg=)": (lambda: load_snapshot("kb.json", nseg=2), TypeError),
+    "make_backend": (lambda: repro.core.make_backend, AttributeError),
+    "repro infer --method": (_cli_infer_method, SystemExit),
+    "BackendConfig(executor=)": (lambda: BackendConfig(executor="rows"), TypeError),
+    "SingleNodeBackend(executor=)": (
+        lambda: SingleNodeBackend(executor="rows"), TypeError),
+    "Database(executor=)": (lambda: Database("d", executor="rows"), TypeError),
+    "Database.executor_name": (lambda: Database("d").executor_name, AttributeError),
+    "resolve_executor": (lambda: repro.relational.resolve_executor, AttributeError),
+    "make_executor": (lambda: repro.relational.make_executor, AttributeError),
+    "EXECUTOR_ENGINES": (lambda: repro.relational.EXECUTOR_ENGINES, AttributeError),
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(LEGACY_SPELLINGS))
+def test_legacy_spellings_are_gone(spelling):
+    call, error = LEGACY_SPELLINGS[spelling]
+    with pytest.raises(error):
+        call()
+
+
+def test_executor_env_var_changes_nothing(monkeypatch):
+    monkeypatch.setenv("PROBKB_EXECUTOR", "rows")
+    backend = build_backend()
+    assert type(backend.db._executor()) is ColumnarExecutor
+    assert backend.executor_info()["engine"] == "columnar"

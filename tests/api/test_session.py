@@ -82,7 +82,7 @@ class TestConstraintResult:
 class TestInferenceResult:
     def test_is_the_marginals_dict(self, session):
         session.ground()
-        result = session.infer(InferenceConfig(num_sweeps=50, seed=2))
+        result = session.infer(InferenceConfig(sweeps=50, seed=2))
         assert isinstance(result, InferenceResult)
         assert isinstance(result, dict)
         assert result.method == "gibbs"
@@ -99,7 +99,7 @@ class TestInferenceResult:
 
     def test_session_default_config_used(self):
         with ExpansionSession(
-            paper_kb(), inference=InferenceConfig(num_sweeps=25, seed=9)
+            paper_kb(), inference=InferenceConfig(sweeps=25, seed=9)
         ) as session:
             session.ground()
             result = session.infer()

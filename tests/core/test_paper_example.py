@@ -92,7 +92,7 @@ def test_tuffy_uses_many_more_statements():
 def test_marginal_inference_end_to_end():
     system = ProbKB(paper_kb(), backend="single")
     system.ground()
-    marginals = system.infer(InferenceConfig(num_sweeps=3000, seed=3))
+    marginals = system.infer(InferenceConfig(sweeps=3000, seed=3))
     probabilities = {fact_triple(f): p for f, p in marginals.items()}
     # exact marginals (see repro.infer.exact): born_in(RG, NYC) = 0.511,
     # located_in(Br, NYC) = 0.556 — Gibbs should land close

@@ -44,7 +44,7 @@ def test_new_facts_without_marginals():
 def test_new_facts_with_threshold():
     system = ProbKB(paper_kb(), backend="single")
     system.ground()
-    marginals = system.infer(InferenceConfig(num_sweeps=600, seed=1))
+    marginals = system.infer(InferenceConfig(sweeps=600, seed=1))
     accepted = system.new_facts(marginals, min_probability=0.5)
     everything = system.new_facts(marginals, min_probability=0.0)
     assert len(accepted) <= len(everything) == 5
@@ -55,8 +55,8 @@ def test_new_facts_with_threshold():
 def test_bp_inference_method():
     system = ProbKB(paper_kb(), backend="single")
     system.ground()
-    gibbs = system.infer(InferenceConfig(method="gibbs", num_sweeps=3000, seed=2))
-    bp = system.infer(InferenceConfig(method="bp"))
+    gibbs = system.infer(InferenceConfig(engine="gibbs", sweeps=3000, seed=2))
+    bp = system.infer(InferenceConfig(engine="bp"))
     assert set(f.key for f in gibbs) == set(f.key for f in bp)
     for fact, probability in bp.items():
         assert gibbs[fact] == pytest.approx(probability, abs=0.12)
@@ -66,7 +66,7 @@ def test_unknown_inference_method():
     system = ProbKB(paper_kb(), backend="single")
     system.ground()
     with pytest.raises(ValueError):
-        system.infer(InferenceConfig(method="magic"))
+        system.infer(InferenceConfig(engine="magic"))
 
 
 def test_counts_and_clock():

@@ -11,7 +11,7 @@ from .paper_example import paper_kb
 def system():
     probkb = ProbKB(paper_kb(), backend="single")
     probkb.ground()
-    probkb.materialize_marginals(config=InferenceConfig(num_sweeps=800, seed=5))
+    probkb.materialize_marginals(config=InferenceConfig(sweeps=800, seed=5))
     return probkb
 
 
@@ -55,7 +55,7 @@ def test_probability_threshold(system):
 
 def test_rematerialization_replaces(system):
     first = system.backend.table_size("TProb")
-    system.materialize_marginals(config=InferenceConfig(num_sweeps=200, seed=9))
+    system.materialize_marginals(config=InferenceConfig(sweeps=200, seed=9))
     assert system.backend.table_size("TProb") == first
 
 
@@ -124,7 +124,7 @@ class TestAddEvidenceTwice:
         assert system.generation == generation + 1
         system.add_evidence(self.BATCH_TWO)
         assert system.generation == generation + 2
-        system.materialize_marginals(config=InferenceConfig(num_sweeps=100, seed=1))
+        system.materialize_marginals(config=InferenceConfig(sweeps=100, seed=1))
         assert system.generation == generation + 3
 
     def test_factors_cover_fresh_evidence(self):
@@ -142,6 +142,6 @@ def test_works_on_mpp_backend():
 
     probkb = ProbKB(paper_kb(), backend=MPPBackend(nseg=3))
     probkb.ground()
-    probkb.materialize_marginals(config=InferenceConfig(num_sweeps=300, seed=2))
+    probkb.materialize_marginals(config=InferenceConfig(sweeps=300, seed=2))
     results = probkb.query_facts(relation="grow_up_in")
     assert len(results) == 2

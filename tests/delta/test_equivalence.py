@@ -28,7 +28,7 @@ from repro.delta import DeltaExpander, componentwise_marginals
 
 SWEEPS = 60
 SEED = 3
-CONFIG = InferenceConfig(num_sweeps=SWEEPS, seed=SEED)
+CONFIG = InferenceConfig(sweeps=SWEEPS, seed=SEED)
 
 
 def expandable_kb():

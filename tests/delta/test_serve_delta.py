@@ -31,7 +31,7 @@ def delta_config(**overrides):
     return ServiceConfig(
         expansion="delta",
         ingest=IngestConfig(flush_size=4, flush_interval=0.05),
-        inference=InferenceConfig(num_sweeps=SWEEPS, seed=SEED),
+        inference=InferenceConfig(sweeps=SWEEPS, seed=SEED),
         **overrides,
     )
 

@@ -184,15 +184,6 @@ class TestCrashDegrade:
 
 
 class TestConfigRoundTrips:
-    def test_legacy_spellings_round_trip_through_engine(self):
-        with pytest.warns(DeprecationWarning, match="pass sweeps="):
-            legacy = InferenceConfig(num_sweeps=40, seed=5)
-        modern = InferenceConfig(sweeps=40, seed=5)
-        assert legacy == modern
-        with ExpansionSession(paper_kb()) as session:
-            session.ground()
-            assert session.infer(legacy) == session.infer(modern)
-
     def test_pooled_config_flows_to_inference_info(self):
         config = InferenceConfig(sweeps=30, seed=1, num_workers=2)
         with ExpansionSession(paper_kb(), inference=config) as session:

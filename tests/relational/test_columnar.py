@@ -10,7 +10,6 @@ import pickle
 import pytest
 
 from repro.relational.columnar import (
-    EXECUTOR_ENGINES,
     ColumnBatch,
     aggregate_column,
     anti_join_indices,
@@ -21,13 +20,13 @@ from repro.relational.columnar import (
     null_first_sort_key,
     numpy_enabled,
     predicate_mask,
-    resolve_executor,
     sort_indices,
 )
 from repro.relational import Database, HashJoin, Scan, operators, schema
 from repro.relational.cost import CostClock
-from repro.relational.executor import Executor
 from repro.relational.expr import conj, eq_const
+
+from .rowref import run_query
 
 
 @pytest.fixture(params=[False, True], ids=["numpy", "no-numpy"])
@@ -41,23 +40,6 @@ def no_numpy(request, monkeypatch):
 
 
 class TestEngineSelection:
-    def test_default_is_columnar(self, monkeypatch):
-        monkeypatch.delenv("PROBKB_EXECUTOR", raising=False)
-        assert resolve_executor(None) == "columnar"
-
-    def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv("PROBKB_EXECUTOR", "rows")
-        assert resolve_executor(None) == "rows"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("PROBKB_EXECUTOR", "rows")
-        assert resolve_executor("columnar") == "columnar"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_executor("vulcan")
-        assert set(EXECUTOR_ENGINES) == {"columnar", "rows"}
-
     def test_no_numpy_gate(self, monkeypatch):
         monkeypatch.setenv("PROBKB_NO_NUMPY", "1")
         assert get_numpy() is None
@@ -304,25 +286,27 @@ class TestSharedOperators:
         # duplicate keys on both sides, NULL keys on both sides
         left = [(1, "a"), (2, "b"), (None, "n"), (1, "c")]
         right = [(1, "X"), (3, "Y"), (None, "Z"), (1, "W")]
-        ours_clock, rows_clock = CostClock(), CostClock()
+        ours_clock = CostClock()
         ours = operators.join_batches(
             ColumnBatch.from_rows(["l.k", "l.v"], left),
             ColumnBatch.from_rows(["r.k", "r.v"], right),
             [0], [0], None, ours_clock,
         )
 
-        db = Database("ref", executor="rows")
+        db = Database("ref")
         db.create_table(schema("L", "k:int", "v:text"))
         db.create_table(schema("R", "k:int", "v:text"))
         db.bulkload("L", left)
         db.bulkload("R", right)
-        reference = Executor(db.tables, rows_clock).run(
-            HashJoin(Scan("L", "l"), Scan("R", "r"), ["l.k"], ["r.k"])
+        db.clock.reset()
+        reference = run_query(
+            db, HashJoin(Scan("L", "l"), Scan("R", "r"), ["l.k"], ["r.k"])
         )
         assert ours.to_rows() == reference.rows
         assert ours.columns == reference.columns
-        rows_clock.rows_scanned = 0  # the operator is handed batches, not tables
-        assert ours_clock.snapshot() == rows_clock.snapshot()
+        # the operator is handed batches, not tables, outside a statement
+        db.clock.rows_scanned = db.clock.queries = 0
+        assert ours_clock.snapshot() == db.clock.snapshot()
 
     def test_sort_charges_probe_and_output(self, no_numpy):
         clock = CostClock()

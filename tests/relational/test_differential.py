@@ -44,6 +44,8 @@ from repro.relational import (
 )
 from repro.relational.plan import AntiJoin
 
+from .rowref import run_query
+
 SEED = 20260809
 NROWS = 120
 
@@ -67,8 +69,8 @@ def random_rows(rng, nrows):
     return rows
 
 
-def build_db(executor, rows_r, rows_s):
-    db = Database("diff", executor=executor)
+def build_db(rows_r, rows_s):
+    db = Database("diff")
     db.create_table(schema("R", "k:int", "lab:text", "v:int"))
     db.create_table(schema("S", "k:int", "lab:text", "v:int"))
     db.bulkload("R", rows_r)
@@ -157,12 +159,10 @@ class TestEngineParity:
         rows_s = random_rows(rng, NROWS // 2)
         factory = plan_catalog()[name]
 
-        rows_db = build_db("rows", rows_r, rows_s)
-        col_db = build_db("columnar", rows_r, rows_s)
-        assert rows_db._executor().engine_name == "rows"
-        assert col_db._executor().engine_name == "columnar"
+        rows_db = build_db(rows_r, rows_s)
+        col_db = build_db(rows_r, rows_s)
 
-        expected = rows_db.query(factory())
+        expected = run_query(rows_db, factory())
         actual = col_db.query(factory())
         # exact rows in exact order: fact-id assignment depends on it
         assert actual.rows == expected.rows
@@ -176,7 +176,7 @@ class TestEngineParity:
         rows_r = random_rows(rng, NROWS)
         rows_s = random_rows(rng, NROWS // 2)
         factory = plan_catalog()[name]
-        db = build_db("columnar", rows_r, rows_s)
+        db = build_db(rows_r, rows_s)
         ours = db.query(factory()).sorted_rows()
         with SqliteMirror(db) as mirror:
             theirs = mirror.run_sorted(to_sql(factory()))
@@ -184,9 +184,9 @@ class TestEngineParity:
 
     def test_empty_inputs(self, no_numpy):
         for name, factory in plan_catalog().items():
-            rows_db = build_db("rows", [], [])
-            col_db = build_db("columnar", [], [])
-            expected = rows_db.query(factory())
+            rows_db = build_db([], [])
+            col_db = build_db([], [])
+            expected = run_query(rows_db, factory())
             actual = col_db.query(factory())
             assert actual.rows == expected.rows, name
             assert col_db.clock.snapshot() == rows_db.clock.snapshot(), name
@@ -198,9 +198,9 @@ class TestEngineParity:
             rows_r = random_rows(rng, rng.randint(0, 80))
             rows_s = random_rows(rng, rng.randint(0, 40))
             for name, factory in plan_catalog().items():
-                rows_db = build_db("rows", rows_r, rows_s)
-                col_db = build_db("columnar", rows_r, rows_s)
-                expected = rows_db.query(factory())
+                rows_db = build_db(rows_r, rows_s)
+                col_db = build_db(rows_r, rows_s)
+                expected = run_query(rows_db, factory())
                 actual = col_db.query(factory())
                 assert actual.rows == expected.rows, (trial, name)
                 assert (
@@ -250,9 +250,9 @@ class TestMppParity:
         rows_s = random_rows(rng, NROWS // 2)
         factory = plan_catalog()[name]
 
-        rows_db = build_db("rows", rows_r, rows_s)
+        rows_db = build_db(rows_r, rows_s)
         mpp = build_mpp(nseg, placement, rows_r, rows_s)
-        expected = rows_db.query(factory())
+        expected = run_query(rows_db, factory())
         actual = mpp.query(factory())
 
         assert actual.columns == expected.columns
@@ -277,23 +277,24 @@ class TestMppParity:
 
 
 class TestDmlParity:
-    """INSERT ... SELECT row order feeds fact ids; both engines must
-    store identical tables."""
+    """INSERT ... SELECT row order feeds fact ids: the stored table must
+    number the row reference's result in the reference's order."""
 
     def test_insert_from_with_ids_order(self, no_numpy):
         rng = random.Random(SEED + 3)
         rows_r = random_rows(rng, 60)
         rows_s = random_rows(rng, 30)
-        stored = {}
-        for engine in ("rows", "columnar"):
-            db = build_db(engine, rows_r, rows_s)
-            db.create_table(
-                schema("out", "id:int", "k:int", "v:int", unique_key=["id"])
-            )
-            plan = Project(
-                HashJoin(Scan("R", "r"), Scan("S", "s"), ["r.k"], ["s.k"]),
-                [(col("r.k"), "k"), (col("s.v"), "v")],
-            )
-            inserted, next_id = db.insert_from_with_ids("out", plan, 100)
-            stored[engine] = (inserted, next_id, db.table("out").rows)
-        assert stored["rows"] == stored["columnar"]
+        db = build_db(rows_r, rows_s)
+        db.create_table(
+            schema("out", "id:int", "k:int", "v:int", unique_key=["id"])
+        )
+        plan = Project(
+            HashJoin(Scan("R", "r"), Scan("S", "s"), ["r.k"], ["s.k"]),
+            [(col("r.k"), "k"), (col("s.v"), "v")],
+        )
+        reference = run_query(build_db(rows_r, rows_s), plan).rows
+        inserted, next_id = db.insert_from_with_ids("out", plan, 100)
+        assert (inserted, next_id) == (len(reference), 100 + len(reference))
+        assert db.table("out").rows == [
+            (100 + offset,) + row for offset, row in enumerate(reference)
+        ]

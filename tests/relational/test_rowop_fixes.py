@@ -27,6 +27,8 @@ from repro.relational.plan import Project
 from repro.relational.types import ExecutionError, PlanError, SchemaError
 from repro.relational.verify import verify_plan
 
+from .rowref import ENGINES, run_query
+
 
 def _unchecked_limit(child, limit):
     """Build a Limit bypassing the constructor guard, as a corrupted or
@@ -71,14 +73,14 @@ class TestNegativeLimit:
         with pytest.raises(PlanError):
             Limit(Scan("t"), -1)
 
-    @pytest.mark.parametrize("engine", ["rows", "columnar"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_rejected_by_executor(self, engine):
-        db = Database("t", executor=engine)
+        db = Database("t")
         db.create_table(schema("t", "a:int"))
         db.bulkload("t", [(1,), (2,), (3,)])
         plan = _unchecked_limit(Scan("t"), -2)
         with pytest.raises(ExecutionError, match="non-negative"):
-            db.query(plan)
+            run_query(db, plan, engine)
 
     def test_rejected_by_mpp_executor(self):
         db = MPPDatabase(nseg=2)
@@ -109,24 +111,24 @@ class TestNegativeLimit:
 class TestNullsFirstSort:
     ROWS = [(3,), (None,), (1,), (None,), (2,)]
 
-    def _db(self, engine):
-        db = Database("t", executor=engine)
+    def _db(self):
+        db = Database("t")
         db.create_table(schema("t", "a:int"))
         db.bulkload("t", self.ROWS)
         return db
 
-    @pytest.mark.parametrize("engine", ["rows", "columnar"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_nulls_first_both_directions(self, engine):
-        db = self._db(engine)
-        asc = db.query(Sort(Scan("t", "x"), [("x.a", False)])).rows
-        desc = db.query(Sort(Scan("t", "x"), [("x.a", True)])).rows
+        db = self._db()
+        asc = run_query(db, Sort(Scan("t", "x"), [("x.a", False)]), engine).rows
+        desc = run_query(db, Sort(Scan("t", "x"), [("x.a", True)]), engine).rows
         assert asc == [(None,), (None,), (1,), (2,), (3,)]
         assert desc == [(None,), (None,), (3,), (2,), (1,)]
 
     def test_desc_sort_matches_sqlite(self):
         # the emitted SQL pins NULLS FIRST so sqlite agrees with us on
         # *unsorted* comparison of the ordered projection
-        db = self._db("columnar")
+        db = self._db()
         plan = Sort(
             Project(Scan("t", "x"), [(col("x.a"), "a")]), [("a", True)]
         )
@@ -139,28 +141,28 @@ class TestNullsFirstSort:
 
 
 class TestUnionSortCharges:
-    def _db(self, engine):
-        db = Database("t", executor=engine)
+    def _db(self):
+        db = Database("t")
         db.create_table(schema("t", "a:int"))
         db.bulkload("t", [(1,), (2,), (3,)])
         return db
 
-    @pytest.mark.parametrize("engine", ["rows", "columnar"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_union_charges_rows_output(self, engine):
-        db = self._db(engine)
+        db = self._db()
         leg = Project(Scan("t", "x"), [(col("x.a"), "a")])
         leg2 = Project(Scan("t", "y"), [(col("y.a"), "a")])
         before = db.clock.rows_output
-        db.query(UnionAll([leg, leg2]))
+        run_query(db, UnionAll([leg, leg2]), engine)
         # 3 rows per Project leg + 6 rows emitted by the union itself
         assert db.clock.rows_output - before == 12
 
-    @pytest.mark.parametrize("engine", ["rows", "columnar"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_sort_charges_probe_and_output(self, engine):
-        db = self._db(engine)
+        db = self._db()
         before_out = db.clock.rows_output
         before_probe = db.clock.rows_probed
-        db.query(Sort(Scan("t", "x"), [("x.a", True)]))
+        run_query(db, Sort(Scan("t", "x"), [("x.a", True)]), engine)
         assert db.clock.rows_output - before_out == 3
         assert db.clock.rows_probed - before_probe == 3
 

@@ -19,7 +19,7 @@ def expandable_kb():
 def service():
     system = ProbKB(expandable_kb(), backend="single")
     system.ground()
-    system.materialize_marginals(config=InferenceConfig(num_sweeps=150, seed=1))
+    system.materialize_marginals(config=InferenceConfig(sweeps=150, seed=1))
     svc = KBService(
         system,
         ServiceConfig(ingest=IngestConfig(flush_size=4, flush_interval=0.05)),
@@ -158,7 +158,7 @@ class TestMaterializeAndStats:
         system = ProbKB(expandable_kb(), backend="single")
         system.ground()
         config = ServiceConfig(
-            infer_on_flush=True, inference=InferenceConfig(num_sweeps=100)
+            infer_on_flush=True, inference=InferenceConfig(sweeps=100)
         )
         with KBService(system, config) as service:
             service.ingest(TestIngest.BATCH, flush=True)

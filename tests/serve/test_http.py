@@ -51,7 +51,7 @@ def base_url(tmp_path):
     kb.classes["Writer"].add("Saul Bellow")
     system = ProbKB(kb, backend="single")
     system.ground()
-    system.materialize_marginals(config=InferenceConfig(num_sweeps=150, seed=1))
+    system.materialize_marginals(config=InferenceConfig(sweeps=150, seed=1))
     service = KBService(
         system,
         ServiceConfig(ingest=IngestConfig(flush_size=4, flush_interval=0.05)),

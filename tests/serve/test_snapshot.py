@@ -16,7 +16,7 @@ def expanded_system():
     kb.classes["Writer"].add("Saul Bellow")
     system = ProbKB(kb, backend="single")
     system.ground()
-    system.materialize_marginals(config=InferenceConfig(num_sweeps=200, seed=3))
+    system.materialize_marginals(config=InferenceConfig(sweeps=200, seed=3))
     return system
 
 
