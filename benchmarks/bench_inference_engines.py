@@ -41,7 +41,7 @@ def timed_infer(session, config):
     started = time.perf_counter()
     result = session.infer(config)
     wall = time.perf_counter() - started
-    info = session.probkb.inference_info(config)
+    info = session.inference_info(config)
     return result, wall, info
 
 

@@ -71,7 +71,7 @@ def main() -> None:
         kb, inference=InferenceConfig(sweeps=2000, seed=0)
     ) as session:
         print("\nGenerated grounding SQL (Query 1-3, exactly the paper's):\n")
-        print(session.probkb.generated_sql()["Query 1-3"])
+        print(session.generated_sql()["Query 1-3"])
 
         result = session.ground()
         print(

@@ -15,7 +15,9 @@ Quickstart::
         marginals = session.infer()
 
 :mod:`repro.api` holds the full session API (config objects, typed
-results); :class:`ProbKB` remains the lower-level facade.
+results).  :class:`ExpansionSession` is a :class:`ProbKB` with the
+delta-expansion, serving and snapshot conveniences added — one facade,
+two names.
 """
 
 from .api import (

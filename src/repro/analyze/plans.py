@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..core.backends import Backend, TPI_VIEWS
+from ..core.backends import TPI_VIEWS, Backend, tpi_view
 from ..core.clauses import PARTITION_INDEXES, ClauseError, classify_clause
 from ..core.model import KnowledgeBase
 from ..core.relmodel import TP_SCHEMA, mln_schema
@@ -95,26 +95,12 @@ class PlanEnvironment:
         return self.num_segments if self.kind == "mpp" else 1
 
     @staticmethod
-    def from_backend_config(config: Any) -> "PlanEnvironment":
-        """Derive the environment from a ``BackendConfig`` (duck-typed)."""
-        if getattr(config, "kind", "single") != "mpp":
-            return PlanEnvironment(kind="single", num_segments=1, use_matviews=False)
-        mpp = config.mpp
-        return PlanEnvironment(
-            kind="mpp",
-            num_segments=mpp.num_segments,
-            use_matviews=mpp.use_matviews,
-        )
-
-    @staticmethod
     def from_backend(backend: Backend) -> "PlanEnvironment":
         """Derive the environment from a live backend."""
-        if not getattr(backend, "is_mpp", False):
-            return PlanEnvironment(kind="single", num_segments=1, use_matviews=False)
         return PlanEnvironment(
-            kind="mpp",
-            num_segments=int(getattr(backend, "nseg", 8)),
-            use_matviews=bool(getattr(backend, "use_matviews", False)),
+            kind="mpp" if backend.is_mpp else "single",
+            num_segments=backend.nseg,
+            use_matviews=backend.use_matviews,
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -125,31 +111,19 @@ class PlanEnvironment:
         }
 
 
-class _EnvironmentScans(Backend):
+class _EnvironmentScans:
     """Compile-time stand-in for a backend.
 
-    ``sqlgen`` only needs :meth:`tpi_scan` to build the grounding plans;
-    this shim answers exactly as :class:`~repro.core.backends.MPPBackend`
+    ``sqlgen`` only needs ``tpi_scan`` to build the grounding plans;
+    this answers exactly as :class:`~repro.core.backends.MPPBackend`
     would after ``create_tpi_views`` — without any tables existing.
     """
 
     def __init__(self, environment: PlanEnvironment) -> None:
-        self.name = f"plan:{environment.kind}"
-        self.is_mpp = environment.kind == "mpp"
-        self._environment = environment
+        self._views = environment.kind == "mpp" and environment.use_matviews
 
     def tpi_scan(self, alias: str, entity_join_columns: Sequence[str]) -> Scan:
-        env = self._environment
-        if not (env.kind == "mpp" and env.use_matviews):
-            return Scan("TP", alias)
-        wants = frozenset(entity_join_columns)
-        if wants == frozenset({"x"}):
-            return Scan("Tx", alias)
-        if wants == frozenset({"y"}):
-            return Scan("Ty", alias)
-        if wants == frozenset({"x", "y"}):
-            return Scan("Txy", alias)
-        return Scan("T0", alias)
+        return Scan(tpi_view(entity_join_columns) if self._views else "TP", alias)
 
 
 def _classified_partitions(kb: KnowledgeBase) -> Dict[int, List[Row]]:

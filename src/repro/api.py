@@ -26,15 +26,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:
     from .delta import DeltaExpander, DeltaResult
+    from .serve.engine import KBService, ServiceConfig
 
-from .analyze import (
-    AnalysisReport,
-    PlanEnvironment,
-    StaticPlanReport,
-    analyze as analyze_kb,
-)
+from .analyze import AnalysisReport, PlanEnvironment, analyze as analyze_kb
 from .core.backends import Backend
-from .core.clauses import HornClause
 from .core.config import (
     ANALYSIS_MODES,
     BackendConfig,
@@ -44,7 +39,7 @@ from .core.config import (
     build_backend,
 )
 from .core.grounding import GroundingResult, IterationStats
-from .core.model import Fact, KnowledgeBase
+from .core.model import Fact
 from .core.probkb import ProbKB
 from .core.results import ConstraintResult, InferenceResult
 from .infer.registry import (
@@ -76,30 +71,20 @@ __all__ = [
 ]
 
 
-class ExpansionSession:
+class ExpansionSession(ProbKB):
     """A knowledge-expansion session over one KB.
 
-    Thin, stateful facade over :class:`~repro.ProbKB`: construction
-    takes only config objects, pipeline steps return typed results, and
-    the session owns backend resources (MPP worker pools), released by
-    :meth:`close` or the context manager.
+    A :class:`~repro.ProbKB` — same constructor, same pipeline methods,
+    same resources released by ``close()`` or the context manager —
+    plus the conveniences around it: O(delta) expansion, serving,
+    snapshots and on-demand analysis.
 
     Not safe for concurrent use — wrap it with :meth:`serve` for a
     thread-safe front end.
     """
 
-    def __init__(
-        self,
-        kb: KnowledgeBase,
-        *,
-        backend: Union[BackendConfig, Backend] = BackendConfig(),
-        grounding: GroundingConfig = GroundingConfig(),
-        inference: InferenceConfig = InferenceConfig(),
-    ) -> None:
-        self.probkb = ProbKB(
-            kb, backend=backend, grounding=grounding, inference=inference
-        )
-        self._delta: Optional["DeltaExpander"] = None
+    #: built by the first :meth:`expand_delta`
+    _delta: Optional["DeltaExpander"] = None
 
     @classmethod
     def from_snapshot(
@@ -110,71 +95,20 @@ class ExpansionSession:
         inference: InferenceConfig = InferenceConfig(),
     ) -> "ExpansionSession":
         """Warm-start a session from a snapshot file (no grounding run)."""
-        from .serve.snapshot import load_snapshot
+        from .serve.snapshot import read_snapshot, restore_snapshot
 
-        session = cls.__new__(cls)
-        session.probkb = load_snapshot(path, backend=backend)
-        session.probkb.inference_config = inference
-        session._delta = None
-        return session
-
-    # -- config & lifecycle -------------------------------------------------
+        kb, payload = read_snapshot(path)
+        return restore_snapshot(cls(kb, backend, inference=inference), payload)
 
     @property
-    def kb(self) -> KnowledgeBase:
-        return self.probkb.kb
-
-    @property
-    def backend(self) -> Backend:
-        return self.probkb.backend
-
-    @property
-    def grounding_config(self) -> GroundingConfig:
-        return self.probkb.grounding_config
-
-    @property
-    def inference_config(self) -> InferenceConfig:
-        return self.probkb.inference_config
-
-    @property
-    def generation(self) -> int:
-        return self.probkb.generation
+    def probkb(self) -> "ExpansionSession":
+        """The session itself, for code written when the session held
+        its :class:`~repro.ProbKB` instead of being one."""
+        return self
 
     def executor_info(self) -> Dict[str, object]:
         """How the backend executes work (serial / multiprocess, workers)."""
-        return self.probkb.backend.executor_info()
-
-    def inference_info(self) -> Dict[str, object]:
-        """How marginal inference runs (engine, workers, colours, last
-        wall clock) — the inference counterpart of :meth:`executor_info`."""
-        return self.probkb.inference_info()
-
-    def close(self) -> None:
-        self.probkb.close()
-
-    def __enter__(self) -> "ExpansionSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- pipeline -----------------------------------------------------------
-
-    def apply_constraints(self) -> ConstraintResult:
-        """Run Query 3 once (up-front cleaning)."""
-        return self.probkb.apply_constraints()
-
-    def ground(self, max_iterations: Optional[int] = None) -> GroundingResult:
-        """Run Algorithm 1 to closure (bounded by the grounding config)."""
-        return self.probkb.ground(max_iterations)
-
-    def add_evidence(
-        self,
-        facts: Sequence[Fact],
-        max_iterations: Optional[int] = None,
-    ) -> GroundingResult:
-        """Incrementally expand with new extracted evidence."""
-        return self.probkb.add_evidence(facts, max_iterations=max_iterations)
+        return self.backend.executor_info()
 
     def expand_delta(
         self,
@@ -202,26 +136,13 @@ class ExpansionSession:
         if self._delta is None:
             from .delta import DeltaExpander
 
-            self._delta = DeltaExpander(self.probkb, inference=inference)
+            self._delta = DeltaExpander(self, inference=inference)
         elif inference is not None and inference != self._delta.inference:
             raise ValueError(
                 "expand_delta inference config cannot change after the "
                 "baseline is primed; keep one config per session"
             )
         return self._delta.expand_delta(facts, max_iterations)
-
-    def add_rules(
-        self,
-        rules: Sequence[HornClause],
-        max_iterations: Optional[int] = None,
-    ) -> GroundingResult:
-        """Incrementally expand with new deductive rules.
-
-        The session's ``GroundingConfig.analysis`` gate screens the
-        combined program first; ``"strict"`` rejects the batch with
-        :class:`~repro.analyze.AnalysisError` without changing the KB.
-        """
-        return self.probkb.add_rules(rules, max_iterations=max_iterations)
 
     def analyze(self) -> AnalysisReport:
         """Run the static analyzer over the session's KB (pure; see
@@ -231,36 +152,6 @@ class ExpansionSession:
             self.kb, environment=PlanEnvironment.from_backend(self.backend)
         )
 
-    def explain(self) -> StaticPlanReport:
-        """Static EXPLAIN of every grounding query (Figure 4, estimated):
-        plan trees with predicted rows, motions, and modelled seconds for
-        this session's backend, computed purely from statistics."""
-        return self.probkb.explain()
-
-    def verify_plans(self) -> List[VerificationReport]:
-        """PlanCheck over every grounding query of this session's KB:
-        logical-plan soundness (PKB201-208) plus, on a multi-segment
-        cluster, the static physical plans' distribution soundness
-        (PKB209-212).  Pure — nothing executes.  Complements the
-        runtime ``PROBKB_VERIFY_PLANS`` /
-        ``BackendConfig(verify_plans=True)`` gate, which checks the
-        plans actually executed (see ``docs/plan-ir.md``)."""
-        return self.probkb.verify_plans()
-
-    def infer(self, config: Optional[InferenceConfig] = None) -> InferenceResult:
-        """Marginal inference with the session's (or the given) config."""
-        return self.probkb.infer(config)
-
-    def materialize_marginals(
-        self,
-        marginals: Optional[Dict[Fact, float]] = None,
-        config: Optional[InferenceConfig] = None,
-    ) -> int:
-        """Compute (if needed) and store marginals in table TProb."""
-        return self.probkb.materialize_marginals(marginals, config)
-
-    # -- results ------------------------------------------------------------
-
     def query(
         self,
         relation: Optional[str] = None,
@@ -268,38 +159,16 @@ class ExpansionSession:
         object: Optional[str] = None,
         min_probability: float = 0.0,
     ) -> List[Tuple[Fact, Optional[float]]]:
-        """Pattern-query the expanded KB with stored probabilities."""
-        return self.probkb.query_facts(
+        """Pattern-query the expanded KB with stored probabilities
+        (:meth:`query_facts` under the name the docs use)."""
+        return self.query_facts(
             relation=relation,
             subject=subject,
             object=object,
             min_probability=min_probability,
         )
 
-    def new_facts(
-        self,
-        marginals: Optional[Dict[Fact, float]] = None,
-        min_probability: float = 0.0,
-    ) -> List[Tuple[Fact, Optional[float]]]:
-        return self.probkb.new_facts(marginals, min_probability=min_probability)
-
-    def all_facts(self) -> List[Fact]:
-        return self.probkb.all_facts()
-
-    def fact_count(self) -> int:
-        return self.probkb.fact_count()
-
-    def factor_count(self) -> int:
-        return self.probkb.factor_count()
-
-    @property
-    def elapsed_seconds(self) -> float:
-        """Modelled engine time accumulated so far."""
-        return self.probkb.elapsed_seconds
-
-    # -- serving ------------------------------------------------------------
-
-    def serve(self, config=None):
+    def serve(self, config: Optional["ServiceConfig"] = None) -> "KBService":
         """Wrap this session in a concurrency-safe :class:`KBService`.
 
         The service (and its ingest worker) takes over mutation; use its
@@ -307,10 +176,10 @@ class ExpansionSession:
         """
         from .serve.engine import KBService
 
-        return KBService(self.probkb, config)
+        return KBService(self, config)
 
     def save_snapshot(self, path: str) -> str:
         """Persist the expanded KB + marginals for warm restarts."""
         from .serve.snapshot import save_snapshot
 
-        return save_snapshot(self.probkb, path)
+        return save_snapshot(self, path)

@@ -1,8 +1,11 @@
 """Execution backends: PostgreSQL-like single node vs Greenplum-like MPP.
 
 The grounding algorithm issues the same logical plans regardless of the
-backend; backends differ in where tables live, whether redistributed
-materialized views of TΠ exist (Section 4.4), and how time is modelled.
+engine, so :class:`Backend` is one concrete statement surface over
+either database (``Database`` and ``MPPDatabase`` share the statement
+methods' names and signatures).  What differs is Section 4.4's physical
+design — where tables live and whether redistributed materialized views
+of TΠ exist — and only :class:`MPPBackend` knows about that.
 
 Three configurations reproduce the paper's three systems:
 
@@ -13,9 +16,14 @@ Three configurations reproduce the paper's three systems:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..mpp import HashDistribution, MPPDatabase, ReplicatedDistribution
+from ..mpp import (
+    DistributionPolicy,
+    HashDistribution,
+    MPPDatabase,
+    ReplicatedDistribution,
+)
 from ..relational import Database, PlanNode, Result, Scan, TableSchema
 from ..relational.types import Row
 
@@ -29,50 +37,75 @@ TPI_VIEWS: Dict[str, Tuple[str, ...]] = {
     "Txy": ("R", "C1", "x", "C2", "y"),
 }
 
+_VIEW_BY_ENTITY_COLUMNS = {
+    frozenset({"x"}): "Tx",
+    frozenset({"y"}): "Ty",
+    frozenset({"x", "y"}): "Txy",
+}
+
+
+def tpi_view(entity_join_columns: Sequence[str]) -> str:
+    """The view of TΠ whose distribution key is (R, C1, C2) plus exactly
+    the given entity columns ('x' and/or 'y'), so a join on them is
+    collocated — the one place this choice is made, for the executing
+    backend and the static analyzer alike."""
+    return _VIEW_BY_ENTITY_COLUMNS.get(frozenset(entity_join_columns), "T0")
+
 
 class Backend:
-    """Common interface over the two engines."""
+    """The one statement surface over either database."""
 
-    name: str
-    is_mpp: bool = False
+    is_mpp = False
+    #: the physical design the static analyzer plans for
+    nseg = 1
+    use_matviews = False
+
+    def __init__(self, name: str, db: Union[Database, MPPDatabase]) -> None:
+        self.name = name
+        self.db = db
 
     def create_table(
-        self, table_schema: TableSchema, dist_keys: Optional[Sequence[str]] = None
+        self,
+        table_schema: TableSchema,
+        dist_keys: Optional[Sequence[str]] = None,
+        replicated: bool = False,
     ) -> None:
-        raise NotImplementedError
+        """(Re)create a table.  ``dist_keys`` / ``replicated`` place it
+        on a cluster; a single node has nowhere to place it."""
+        self.db.create_table(table_schema, replace=True)
 
     def bulkload(self, table_name: str, rows: Sequence[Row]) -> int:
-        raise NotImplementedError
+        return self.db.bulkload(table_name, rows)
 
     def query(self, plan: PlanNode) -> Result:
-        raise NotImplementedError
+        return self.db.query(plan)
 
     def insert_rows(self, table_name: str, rows: Sequence[Row]) -> int:
-        raise NotImplementedError
+        return self.db.insert_rows(table_name, rows)
 
     def insert_from(self, table_name: str, plan: PlanNode) -> int:
         """INSERT ... SELECT, staying inside the engine (no gather)."""
-        raise NotImplementedError
+        return self.db.insert_from(table_name, plan)
 
     def insert_from_with_ids(
         self, table_name: str, plan: PlanNode, next_id: int, pad_nulls: int = 0
     ) -> Tuple[int, int]:
         """INSERT ... SELECT with a leading sequence column."""
-        raise NotImplementedError
+        return self.db.insert_from_with_ids(table_name, plan, next_id, pad_nulls)
 
     def truncate(self, table_name: str) -> None:
-        raise NotImplementedError
+        self.db.truncate(table_name)
 
     def delete_in(
         self, table_name: str, columns: Sequence[str], key_plan: PlanNode
     ) -> int:
-        raise NotImplementedError
+        return self.db.delete_in(table_name, columns, key_plan)
 
     def table_size(self, table_name: str) -> int:
-        raise NotImplementedError
+        return len(self.db.table(table_name))
 
     def has_table(self, table_name: str) -> bool:
-        raise NotImplementedError
+        return self.db.has_table(table_name)
 
     def project(self, table_name: str, column_names: Sequence[str]) -> List[Row]:
         """Project a stored table onto named columns (schema-resolved).
@@ -81,11 +114,11 @@ class Backend:
         instead of slicing raw rows by position, so a schema change
         cannot silently misalign them.
         """
-        raise NotImplementedError
+        return self.db.table(table_name).project(column_names)
 
     @property
     def elapsed_seconds(self) -> float:
-        raise NotImplementedError
+        return self.db.elapsed_seconds
 
     def executor_info(self) -> Dict[str, object]:
         """How this backend executes work (reported by ``GET /stats``)."""
@@ -106,6 +139,10 @@ class Backend:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
+    def create_tpi_views(self) -> None:
+        """Create the redistributed views of TΠ, where the physical
+        design has them (Section 4.4); nothing to do on a single node."""
+
     def tpi_scan(self, alias: str, entity_join_columns: Sequence[str]) -> Scan:
         """A scan of the facts table suitable for joining on
         (R, C1, C2) plus the given entity columns ('x' and/or 'y').
@@ -117,7 +154,11 @@ class Backend:
         return Scan("TP", alias)
 
     def after_facts_changed(self) -> None:
-        """Hook run after TΠ changes (Algorithm 1's redistribute step)."""
+        """Hook run after TΠ changes — Algorithm 1 Line 7,
+        ``redistribute(TΠ)``.  A no-op on every backend: a single node
+        has nothing to redistribute, and the MPP views are maintained
+        incrementally as mirrors of TΠ's DML (cheaper than the full
+        refresh and equivalent in content)."""
 
 
 class SingleNodeBackend(Backend):
@@ -128,57 +169,15 @@ class SingleNodeBackend(Backend):
         name: str = "probkb",
         verify_plans: Optional[bool] = None,
     ) -> None:
-        self.name = name
-        self.db = Database(name, verify_plans=verify_plans)
-
-    def create_table(
-        self, table_schema: TableSchema, dist_keys: Optional[Sequence[str]] = None
-    ) -> None:
-        self.db.create_table(table_schema, replace=True)
-
-    def bulkload(self, table_name: str, rows: Sequence[Row]) -> int:
-        return self.db.bulkload(table_name, rows)
-
-    def query(self, plan: PlanNode) -> Result:
-        return self.db.query(plan)
-
-    def insert_rows(self, table_name: str, rows: Sequence[Row]) -> int:
-        return self.db.insert_rows(table_name, rows)
-
-    def insert_from(self, table_name: str, plan: PlanNode) -> int:
-        return self.db.insert_from(table_name, plan)
-
-    def insert_from_with_ids(
-        self, table_name: str, plan: PlanNode, next_id: int, pad_nulls: int = 0
-    ) -> Tuple[int, int]:
-        return self.db.insert_from_with_ids(table_name, plan, next_id, pad_nulls)
-
-    def truncate(self, table_name: str) -> None:
-        self.db.truncate(table_name)
-
-    def delete_in(
-        self, table_name: str, columns: Sequence[str], key_plan: PlanNode
-    ) -> int:
-        return self.db.delete_in(table_name, columns, key_plan)
-
-    def table_size(self, table_name: str) -> int:
-        return len(self.db.table(table_name))
-
-    def has_table(self, table_name: str) -> bool:
-        return self.db.has_table(table_name)
-
-    def project(self, table_name: str, column_names: Sequence[str]) -> List[Row]:
-        return self.db.table(table_name).project(column_names)
-
-    @property
-    def elapsed_seconds(self) -> float:
-        return self.db.elapsed_seconds
+        super().__init__(name, Database(name, verify_plans=verify_plans))
 
 
 class MPPBackend(Backend):
-    """ProbKB on a shared-nothing MPP cluster (the Greenplum role)."""
+    """ProbKB on a shared-nothing MPP cluster (the Greenplum role):
+    the statement surface plus Section 4.4's physical design."""
 
     is_mpp = True
+    db: MPPDatabase
 
     def __init__(
         self,
@@ -189,80 +188,46 @@ class MPPBackend(Backend):
         worker_timeout: float = 60.0,
         verify_plans: Optional[bool] = None,
     ) -> None:
-        self.name = name
+        super().__init__(
+            name,
+            MPPDatabase(
+                nseg=nseg,
+                name=name,
+                num_workers=num_workers,
+                worker_timeout=worker_timeout,
+                verify_plans=verify_plans,
+            ),
+        )
         self.nseg = nseg
         self.use_matviews = use_matviews
         self.num_workers = num_workers
-        self.db = MPPDatabase(
-            nseg=nseg,
-            name=name,
-            num_workers=num_workers,
-            worker_timeout=worker_timeout,
-            verify_plans=verify_plans,
-        )
         self._views_created = False
 
-    # -- table management ------------------------------------------------------
-
     def create_table(
-        self, table_schema: TableSchema, dist_keys: Optional[Sequence[str]] = None
+        self,
+        table_schema: TableSchema,
+        dist_keys: Optional[Sequence[str]] = None,
+        replicated: bool = False,
     ) -> None:
-        policy = HashDistribution(dist_keys) if dist_keys else None
+        """``replicated`` copies a small table (the MLN and constraint
+        tables) to every segment so rule application never ships it — a
+        standard MPP dimension-table optimization; otherwise rows are
+        hashed on ``dist_keys`` (spread randomly when there are none)."""
+        policy: Optional[DistributionPolicy] = None
+        if replicated:
+            policy = ReplicatedDistribution()
+        elif dist_keys:
+            policy = HashDistribution(dist_keys)
         self.db.create_table(table_schema, policy, replace=True)
-
-    def create_replicated_table(self, table_schema: TableSchema) -> None:
-        """MLN tables are small: replicate them to every segment so rule
-        application never ships them (a standard MPP dimension-table
-        optimization)."""
-        self.db.create_table(table_schema, ReplicatedDistribution(), replace=True)
-
-    def bulkload(self, table_name: str, rows: Sequence[Row]) -> int:
-        return self.db.bulkload(table_name, rows)
-
-    def query(self, plan: PlanNode) -> Result:
-        return self.db.query(plan)
-
-    def insert_rows(self, table_name: str, rows: Sequence[Row]) -> int:
-        return self.db.insert_rows(table_name, rows)
-
-    def insert_from(self, table_name: str, plan: PlanNode) -> int:
-        return self.db.insert_from(table_name, plan)
-
-    def insert_from_with_ids(
-        self, table_name: str, plan: PlanNode, next_id: int, pad_nulls: int = 0
-    ) -> Tuple[int, int]:
-        return self.db.insert_from_with_ids(table_name, plan, next_id, pad_nulls)
-
-    def truncate(self, table_name: str) -> None:
-        self.db.truncate(table_name)
-
-    def delete_in(
-        self, table_name: str, columns: Sequence[str], key_plan: PlanNode
-    ) -> int:
-        return self.db.delete_in(table_name, columns, key_plan)
-
-    def table_size(self, table_name: str) -> int:
-        return len(self.db.table(table_name))
-
-    def has_table(self, table_name: str) -> bool:
-        return self.db.has_table(table_name)
-
-    def project(self, table_name: str, column_names: Sequence[str]) -> List[Row]:
-        table = self.db.table(table_name)
-        positions = table.schema.positions(column_names)
-        return [
-            tuple(row[pos] for pos in positions) for row in table.all_rows()
-        ]
-
-    @property
-    def elapsed_seconds(self) -> float:
-        return self.db.elapsed_seconds
 
     def executor_info(self) -> Dict[str, object]:
         return self.db.executor_info()
 
     def close(self) -> None:
         self.db.close()
+
+    def explain_last(self) -> str:
+        return self.db.explain_last()
 
     # -- redistributed materialized views ------------------------------------------
 
@@ -278,23 +243,6 @@ class MPPBackend(Backend):
         self._views_created = True
 
     def tpi_scan(self, alias: str, entity_join_columns: Sequence[str]) -> Scan:
-        if not (self.use_matviews and self._views_created):
+        if not self._views_created:
             return Scan("TP", alias)
-        wants = frozenset(entity_join_columns)
-        if wants == frozenset({"x"}):
-            return Scan("Tx", alias)
-        if wants == frozenset({"y"}):
-            return Scan("Ty", alias)
-        if wants == frozenset({"x", "y"}):
-            return Scan("Txy", alias)
-        return Scan("T0", alias)
-
-    def after_facts_changed(self) -> None:
-        """Algorithm 1 Line 7: ``redistribute(TΠ)``.
-
-        A no-op here because the views are maintained incrementally as
-        mirrors of TΠ's DML (cheaper than the full refresh and
-        equivalent in content)."""
-
-    def explain_last(self) -> str:
-        return self.db.explain_last()
+        return Scan(tpi_view(entity_join_columns), alias)

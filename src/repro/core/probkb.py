@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from ..infer import FactorGraph
 from ..infer.registry import InferenceEngine, build_engine
@@ -30,7 +30,7 @@ from .config import BackendConfig, GroundingConfig, InferenceConfig, build_backe
 from .grounding import Grounder, GroundingResult
 from .lineage import LineageIndex
 from .model import Fact, KnowledgeBase
-from .relmodel import FACT_KEY_COLUMNS, RelationalKB
+from .relmodel import FACT_KEY_COLUMNS, RelationalKB, create_tprob_if_missing
 from .results import ConstraintResult, InferenceResult
 from .sqlgen import (
     apply_constraints_key_plan,
@@ -42,6 +42,8 @@ from .sqlgen import (
 if TYPE_CHECKING:
     from ..analyze import AnalysisReport, StaticPlanReport
     from ..relational.verify import VerificationReport
+
+_Self = TypeVar("_Self", bound="ProbKB")
 
 
 class ProbKB:
@@ -135,7 +137,7 @@ class ProbKB:
             engine.close()
         self.backend.close()
 
-    def __enter__(self) -> "ProbKB":
+    def __enter__(self: _Self) -> _Self:
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -186,17 +188,8 @@ class ProbKB:
             apply_constraints=self.grounder.apply_constraints_each_iteration,
             semi_naive=True,
         )
-        outcome = GroundingResult()
         added = self.rkb.add_evidence(facts)
-        outcome.iterations, outcome.converged = incremental.ground_atoms(
-            max_iterations
-        )
-        if reground_factors:
-            self.backend.truncate("TF")
-            outcome.factors, outcome.factor_seconds = incremental.ground_factors()
-        self.grounding = outcome
-        outcome.load_seconds = self.load_seconds
-        self.generation += 1
+        outcome = self._expand_with(incremental, max_iterations, reground_factors)
         # the evidence itself counts as new knowledge in the report
         if outcome.iterations:
             outcome.iterations[0].new_facts += added
@@ -221,19 +214,35 @@ class ProbKB:
         """
         rules = list(rules)
         rules_before = len(self.kb.rules)
+        report_before = self.analysis_report
         try:
             for rule in rules:
                 self.kb.add_rule(rule)
             self.analysis_report = self._preflight_analysis()
+            # a validate=False KB (a snapshot's) admits any shape above;
+            # the relational load is then the first to reject one, and
+            # does so before it stores anything
+            self.rkb.add_rules(rules)
         except Exception:
             del self.kb.rules[rules_before:]
+            self.analysis_report = report_before
             raise
-        self.rkb.add_rules(rules)
         grounder = Grounder(
             self.rkb,
             apply_constraints=self.grounding_config.apply_constraints,
             semi_naive=False,
         )
+        return self._expand_with(grounder, max_iterations, reground_factors)
+
+    def _expand_with(
+        self,
+        grounder: Grounder,
+        max_iterations: Optional[int],
+        reground_factors: bool,
+    ) -> GroundingResult:
+        """Run an incremental grounder's atom iterations, rebuild TΦ
+        (factors are a function of the final atom set) and record the
+        outcome as this KB's latest grounding."""
         outcome = GroundingResult()
         outcome.iterations, outcome.converged = grounder.ground_atoms(
             max_iterations
@@ -400,16 +409,9 @@ class ProbKB:
         responsivity" (Section 2.2) — after this, :meth:`query_facts`
         answers probabilistic queries straight from the tables.
         """
-        from ..relational import schema as make_schema
-
         if marginals is None:
             marginals = self.infer(config)
-        if not self.backend.has_table("TProb"):
-            self.backend.create_table(
-                make_schema("TProb", "I:int", "p:float", unique_key=["I"]),
-                dist_keys=["I"],
-            )
-        else:
+        if not create_tprob_if_missing(self.backend):
             self.backend.truncate("TProb")
         key_to_id = {
             row[1:]: row[0]

@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..relational import PlanNode, TableSchema, schema
 from ..relational.types import Row
-from .backends import Backend, MPPBackend
+from .backends import Backend
 from .clauses import (
     PARTITION_INDEXES,
     ClassifiedClause,
@@ -87,6 +87,8 @@ TC_SCHEMA = schema("TC", "C:int", "e:int")
 TR_SCHEMA = schema("TR", "R:int", "C1:int", "C2:int")
 FC_SCHEMA = schema("FC", "R:int", "arg:int", "deg:int")
 TF_SCHEMA = schema("TF", "I1:int", "I2:int", "I3:int", "w:float")
+#: materialized marginals (Section 2.2): one probability per fact id
+TPROB_SCHEMA = schema("TProb", "I:int", "p:float", unique_key=["I"])
 DE_SCHEMA = schema("DE", "id:int", "name:text")
 DC_SCHEMA = schema("DC", "id:int", "name:text")
 DR_SCHEMA = schema("DR", "id:int", "name:text")
@@ -268,16 +270,11 @@ class RelationalKB:
         backend.create_table(TF_SCHEMA, dist_keys=["I1"])
         for dictionary_schema in (DE_SCHEMA, DC_SCHEMA, DR_SCHEMA):
             backend.create_table(dictionary_schema, dist_keys=["id"])
-        if isinstance(backend, MPPBackend):
-            # MLN and constraint tables are small: replicate them so rule
-            # application never ships them between segments.
-            for partition in PARTITION_INDEXES:
-                backend.create_replicated_table(mln_schema(partition))
-            backend.create_replicated_table(FC_SCHEMA)
-        else:
-            for partition in PARTITION_INDEXES:
-                backend.create_table(mln_schema(partition))
-            backend.create_table(FC_SCHEMA)
+        # MLN and constraint tables are small: replicate them so rule
+        # application never ships them between segments.
+        for partition in PARTITION_INDEXES:
+            backend.create_table(mln_schema(partition), replicated=True)
+        backend.create_table(FC_SCHEMA, replicated=True)
 
         backend.bulkload("DE", entity_rows)
         backend.bulkload("DC", class_rows)
@@ -293,8 +290,7 @@ class RelationalKB:
         self.nonempty_partitions = [
             i for i in PARTITION_INDEXES if mln_rows[i]
         ]
-        if isinstance(backend, MPPBackend):
-            backend.create_tpi_views()
+        backend.create_tpi_views()
 
         return LoadReport(
             facts=len(tp_rows),
@@ -459,11 +455,16 @@ class RelationalKB:
         or class name the new rules introduce.  Returns the number of
         genuinely new MLN rows stored.
         """
+        # classify the whole batch first: a rule that fits no partition
+        # must raise before any id is minted or any row marked as seen
+        batch = [
+            self._classify(rule, rule_index)
+            for rule_index, rule in enumerate(rules)
+        ]
         relations_before = len(self.relations)
         classes_before = len(self.classes)
         staged: Dict[int, List[Row]] = {}
-        for rule_index, rule in enumerate(rules):
-            classified = self._classify(rule, rule_index)
+        for classified in batch:
             row = self._mln_row(classified)
             if row in self._mln_seen[classified.partition]:
                 continue
@@ -506,6 +507,15 @@ class RelationalKB:
         return sum(
             self.backend.table_size(f"M{i}") for i in PARTITION_INDEXES
         )
+
+
+def create_tprob_if_missing(backend: Backend) -> bool:
+    """Create TProb unless it exists; True when this call created it
+    (so the caller knows it is empty)."""
+    if backend.has_table("TProb"):
+        return False
+    backend.create_table(TPROB_SCHEMA, dist_keys=["I"])
+    return True
 
 
 def key_to_row(key: FactKey) -> Tuple[int, int, int, int, int]:

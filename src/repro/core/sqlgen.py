@@ -16,7 +16,7 @@ either backend and render to PostgreSQL SQL via
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from ..relational import (
     Aggregate,
@@ -30,8 +30,17 @@ from ..relational import (
     const,
 )
 from ..relational.expr import Compare, Expr, eq_const
-from .backends import Backend
 from .clauses import PARTITION_BODY_PATTERNS
+
+
+class FactScans(Protocol):
+    """What compiling a grounding query needs from a backend: which
+    stored copy of TΠ each body atom scans.  A live
+    :class:`~repro.core.backends.Backend` answers for its tables, the
+    static analyzer for tables that do not exist yet."""
+
+    def tpi_scan(self, alias: str, entity_join_columns: Sequence[str]) -> Scan: ...
+
 
 #: the previous iteration's newly derived facts (semi-naive grounding)
 DELTA_TABLE = "TDelta"
@@ -91,7 +100,7 @@ def _entity_join_columns(partition: int, alias_index: int) -> List[str]:
 
 def _mln_body_join(
     partition: int,
-    backend: Backend,
+    backend: FactScans,
     mln_alias: str = "M",
     delta_scans: Optional[Sequence[int]] = None,
     mln_filter: Optional[Expr] = None,
@@ -134,7 +143,7 @@ def _mln_body_join(
 
 
 def ground_atoms_plan(
-    partition: int, backend: Backend, mln_alias: str = "M"
+    partition: int, backend: FactScans, mln_alias: str = "M"
 ) -> PlanNode:
     """Query 1-i: derive the head facts of every rule in partition i.
 
@@ -155,7 +164,7 @@ def ground_atoms_plan(
 
 
 def ground_atoms_delta_plans(
-    partition: int, backend: Backend, mln_alias: str = "M"
+    partition: int, backend: FactScans, mln_alias: str = "M"
 ) -> List[PlanNode]:
     """Semi-naive variants of Query 1-i: every new derivation must use
     at least one fact from the previous iteration's delta, so
@@ -187,7 +196,7 @@ def ground_atoms_delta_plans(
 
 def ground_factors_plan(
     partition: int,
-    backend: Backend,
+    backend: FactScans,
     mln_alias: str = "M",
     mln_filter: Optional[Expr] = None,
 ) -> PlanNode:
@@ -202,7 +211,7 @@ def ground_factors_plan(
 
 def _ground_factors_variant(
     partition: int,
-    backend: Backend,
+    backend: FactScans,
     mln_alias: str = "M",
     mln_filter: Optional[Expr] = None,
     delta_scans: Optional[Sequence[int]] = None,
@@ -246,7 +255,7 @@ def _ground_factors_variant(
 
 def ground_factors_delta_plans(
     partition: int,
-    backend: Backend,
+    backend: FactScans,
     mln_alias: str = "M",
     delta_table: str = DELTA_FACTS_TABLE,
 ) -> List[PlanNode]:
@@ -279,7 +288,7 @@ def ground_factors_delta_plans(
     ]
 
 
-def singleton_factors_plan(backend: Backend, table: str = "TP") -> PlanNode:
+def singleton_factors_plan(backend: FactScans, table: str = "TP") -> PlanNode:
     """groundFactors(TΠ): the uncertain extracted facts (w NOT NULL)
     become singleton factors (I, NULL, NULL, w).  ``table`` lets the
     incremental path derive only the delta's singletons (TDAcc)."""

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..core.config import InferenceConfig
+from ..core.relmodel import create_tprob_if_missing
 from ..relational import Project, Scan, col
 from ..relational import schema as make_schema
 from ..relational.types import Row
@@ -263,11 +264,7 @@ class DeltaExpander:
 
     def _store_marginals(self, marginals: Dict[int, float], full: bool) -> None:
         backend = self.probkb.backend
-        if not backend.has_table("TProb"):
-            backend.create_table(
-                make_schema("TProb", "I:int", "p:float", unique_key=["I"]),
-                dist_keys=["I"],
-            )
+        create_tprob_if_missing(backend)
         rows = sorted(marginals.items())
         if full:
             backend.truncate("TProb")

@@ -133,6 +133,10 @@ class MPPTable:
             rows.extend(part.rows)
         return rows
 
+    def project(self, column_names: Sequence[str]) -> List[Row]:
+        positions = self.schema.positions(column_names)
+        return [tuple(row[pos] for pos in positions) for row in self.all_rows()]
+
 
 class FrameRef:
     """A distributed intermediate result living in the segment
@@ -372,6 +376,7 @@ class MPPDatabase:
         if policy is None:
             policy = RandomDistribution()
         table = MPPTable(table_schema, policy, self.nseg)
+        self._forget_mirrors(table_schema.name)
         self.tables[table_schema.name] = table
         self._pool_send(("create_table", table_schema))
         return table
@@ -379,6 +384,7 @@ class MPPDatabase:
     def drop_table(self, name: str) -> None:
         self.tables.pop(name, None)
         self._matview_sources.pop(name, None)
+        self._forget_mirrors(name)
         self._pool_send(("drop_table", name))
 
     def table(self, name: str) -> MPPTable:
@@ -441,7 +447,18 @@ class MPPDatabase:
         materialized views of Section 4.4)."""
         self.table(source_table)
         self.table(mirror_table)
-        self._mirrors.setdefault(source_table, []).append(mirror_table)
+        mirrors = self._mirrors.setdefault(source_table, [])
+        if mirror_table not in mirrors:
+            mirrors.append(mirror_table)
+
+    def _forget_mirrors(self, name: str) -> None:
+        """A replaced or dropped table takes its registrations with it,
+        as a source and as a mirror: a stale one would feed the new
+        table's rows to its views a second time."""
+        self._mirrors.pop(name, None)
+        for mirrors in self._mirrors.values():
+            if name in mirrors:
+                mirrors.remove(name)
 
     def _mirror_insert(self, source_table: str, rows: Sequence[Row]) -> None:
         for mirror_name in self._mirrors.get(source_table, ()):
@@ -501,11 +518,10 @@ class MPPDatabase:
         next_id: int,
         pad_nulls: int = 0,
     ) -> Tuple[int, int]:
-        """INSERT ... SELECT with a leading sequence column, fully
-        distributed: each segment stamps ids from its slice of the
-        sequence (only per-segment row *counts* travel to the master),
-        then rows ship to their home segments.  Returns (inserted,
-        next sequence value)."""
+        """INSERT ... SELECT with a leading sequence column: the
+        result is localized on the master, which stamps ids segment by
+        segment from one sequence, then rows ship to their home
+        segments.  Returns (inserted, next sequence value)."""
         table = self.table(table_name)
         padding: Row = (None,) * pad_nulls
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Tuple, TypeVar, Union
 
 from ..core.backends import Backend
 from ..core.config import BackendConfig
@@ -31,6 +31,7 @@ SNAPSHOT_FORMAT = "probkb-snapshot"
 SNAPSHOT_VERSION = 1
 
 FactKeyNames = Tuple[str, str, str, str, str]
+_P = TypeVar("_P", bound=ProbKB)
 
 
 def snapshot_dict(probkb: ProbKB) -> dict:
@@ -100,18 +101,10 @@ def save_snapshot(probkb: ProbKB, path: str) -> str:
     return path
 
 
-def load_snapshot(
-    path: str, backend: Union[BackendConfig, Backend, str] = "single"
-) -> ProbKB:
-    """Rebuild a warm ProbKB from a snapshot — no grounding run.
-
-    The expanded fact set is bulk-loaded as-is (the closure is already
-    in it), TProb is refilled from the stored marginals, and the
-    generation counter resumes where the snapshot left off.
-
-    ``backend`` takes a :class:`~repro.api.BackendConfig` (or a live
-    backend, or the ``"single"``/``"mpp"`` shorthand).
-    """
+def read_snapshot(path: str) -> Tuple[KnowledgeBase, dict]:
+    """Parse and check a snapshot file: the KB it stores (the expanded
+    fact set is its fact list — the closure is already in it) and the
+    raw payload for :func:`restore_snapshot`."""
     with open(path) as handle:
         payload = json.load(handle)
     if payload.get("format") != SNAPSHOT_FORMAT:
@@ -121,7 +114,6 @@ def load_snapshot(
             f"snapshot version {payload.get('version')!r} not supported "
             f"(expected {SNAPSHOT_VERSION})"
         )
-
     kb = KnowledgeBase(
         classes={name: set(members) for name, members in payload["classes"].items()},
         relations=[Relation(*triple) for triple in payload["relations"]],
@@ -137,21 +129,35 @@ def load_snapshot(
         ],
         validate=False,
     )
-    probkb = ProbKB(kb, backend=backend)
-    _restore_marginals(probkb, payload["marginals"])
+    return kb, payload
+
+
+def restore_snapshot(probkb: _P, payload: dict) -> _P:
+    """Finish a warm start on a ProbKB just built over
+    :func:`read_snapshot`'s KB: refill TProb from the stored marginals
+    and resume the generation counter where the snapshot left off."""
+    if payload["marginals"]:
+        probkb.materialize_marginals(
+            {
+                Fact(relation, subject, subject_class, obj, object_class): probability
+                for relation, subject, subject_class, obj, object_class, probability
+                in payload["marginals"]
+            }
+        )
     probkb.generation = int(payload.get("generation", 0))
     return probkb
 
 
-def _restore_marginals(probkb: ProbKB, rows: List[list]) -> int:
-    if not rows:
-        return 0
-    marginals = {
-        Fact(relation, subject, subject_class, obj, object_class): probability
-        for relation, subject, subject_class, obj, object_class, probability
-        in rows
-    }
-    return probkb.materialize_marginals(marginals)
+def load_snapshot(
+    path: str, backend: Union[BackendConfig, Backend, str] = "single"
+) -> ProbKB:
+    """Rebuild a warm ProbKB from a snapshot — no grounding run.
+
+    ``backend`` takes a :class:`~repro.api.BackendConfig` (or a live
+    backend, or the ``"single"``/``"mpp"`` shorthand).
+    """
+    kb, payload = read_snapshot(path)
+    return restore_snapshot(ProbKB(kb, backend=backend), payload)
 
 
 def export_sqlite(probkb: ProbKB, path: str) -> str:
@@ -160,10 +166,9 @@ def export_sqlite(probkb: ProbKB, path: str) -> str:
     Single-node backends only (the MPP simulator's tables are sharded);
     handy for inspecting a serving KB with standard sqlite tooling.
     """
-    from ..core.backends import SingleNodeBackend
     from ..relational.sqlite_bridge import SqliteMirror
 
-    if not isinstance(probkb.backend, SingleNodeBackend):
+    if probkb.backend.is_mpp:
         raise ValueError("sqlite export requires the single-node backend")
     if os.path.exists(path):
         os.remove(path)

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from repro import ExpansionSession, ProbKB
+from repro import ExpansionSession, Fact, ProbKB
 from repro.api import (
     BackendConfig,
     ConstraintResult,
@@ -135,3 +135,53 @@ class TestSessionLifecycle:
         with ProbKB(paper_kb()) as system:
             system.ground()
             assert system.fact_count() > 0
+
+
+#: everything ExpansionSession defines; the rest it inherits
+SESSION_ADDITIONS = {
+    "from_snapshot",
+    "probkb",
+    "executor_info",
+    "expand_delta",
+    "analyze",
+    "query",
+    "serve",
+    "save_snapshot",
+}
+
+
+class TestOneImplementation:
+    """The session is a ProbKB, not a wrapper around one."""
+
+    def test_session_is_its_own_probkb(self, session):
+        assert isinstance(session, ProbKB)
+        assert session.probkb is session
+
+    def test_session_redefines_nothing_of_probkb(self):
+        defined = {
+            name for name in vars(ExpansionSession) if not name.startswith("__")
+        }
+        assert defined - {"_delta"} == SESSION_ADDITIONS
+        assert defined.isdisjoint(vars(ProbKB))
+        for name, member in vars(ProbKB).items():
+            if callable(member):  # every method, __init__/__enter__ included
+                assert getattr(ExpansionSession, name) is member, name
+
+    def test_from_snapshot_builds_a_session_that_expands(self, session, tmp_path):
+        session.ground()
+        session.materialize_marginals()
+        path = session.save_snapshot(str(tmp_path / "kb.json"))
+        with ExpansionSession.from_snapshot(
+            path, inference=InferenceConfig(sweeps=20, seed=3)
+        ) as warm:
+            assert type(warm) is ExpansionSession
+            assert warm.inference_config.sweeps == 20
+            assert warm.generation == session.generation
+            assert dict(warm.query()) == dict(session.query())
+            result = warm.expand_delta(
+                [Fact("born_in", "Saul Bellow", "Writer", "Brooklyn", "Place", 0.9)]
+            )
+            assert result.new_facts >= 1
+            assert ("live_in", "Saul Bellow", "Brooklyn") in {
+                (f.relation, f.subject, f.object) for f in warm.all_facts()
+            }

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro import BackendConfig, Fact, MPPConfig, ProbKB
+from repro import Atom, BackendConfig, Fact, HornClause, MPPConfig, ProbKB
+from repro.analyze import AnalysisWarning
+from repro.core.clauses import ClauseError
+from repro.serve.snapshot import load_snapshot, save_snapshot
 
 from .paper_example import EXPECTED_CLOSURE, paper_kb
 
@@ -129,3 +132,40 @@ def test_add_rules_into_an_occupied_partition_on_mpp(num_workers):
     assert mpp == single
     sizes, facts, weights = mpp
     assert sizes[0] == 4 and facts == EXPECTED_CLOSURE and len(weights) == 8
+
+
+def test_failed_add_rules_batch_leaves_nothing_behind(tmp_path):
+    """A snapshot's KB is validate=False, so a malformed rule is first
+    rejected by the relational load — after `good`, earlier in the same
+    batch, was classified.  The failure must not mark `good` as stored
+    (it never was) or leave either rule in the KB."""
+    kb = paper_kb()
+    good = kb.rules.pop(2)  # grow_up_in <- born_in over (Writer, Place)
+    three_atom_body = HornClause.make(
+        Atom("located_in", ("x", "y")),
+        [
+            Atom("born_in", ("z", "x")),
+            Atom("born_in", ("z", "y")),
+            Atom("live_in", ("z", "y")),
+        ],
+        0.5,
+        {"x": "Place", "y": "City", "z": "Writer"},
+    )
+    with ProbKB(kb) as cold:
+        cold.ground()
+        path = save_snapshot(cold, str(tmp_path / "kb.json"))
+    with load_snapshot(path) as system:
+        rules_before = len(system.kb.rules)
+        m1_before = system.backend.table_size("M1")
+        with pytest.warns(AnalysisWarning), pytest.raises(ClauseError):
+            system.add_rules([good, three_atom_body])
+        assert len(system.kb.rules) == rules_before
+        assert system.backend.table_size("M1") == m1_before
+
+        system.add_rules([good])
+        assert system.kb.rules[-1] == good
+        assert system.backend.table_size("M1") == m1_before + 1
+        assert triples(system) == EXPECTED_CLOSURE
+        rkb = system.rkb
+        assert system.backend.project("DR", ("id", "name")) == rkb.relations.rows()
+        assert system.backend.project("DC", ("id", "name")) == rkb.classes.rows()

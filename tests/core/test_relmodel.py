@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core import Dictionary, MPPBackend, RelationalKB, SingleNodeBackend
+from repro.core import (
+    Dictionary,
+    MPPBackend,
+    ProbKB,
+    RelationalKB,
+    SingleNodeBackend,
+)
 from repro.core.backends import TPI_VIEWS
 from repro.relational import Scan
 
@@ -105,6 +111,35 @@ class TestMPPLoad:
             assert backend.has_table(view)
             assert backend.table_size(view) == backend.table_size("TP")
         assert set(backend.db._mirrors["TP"]) == set(TPI_VIEWS)
+
+    @pytest.mark.parametrize(
+        "num_workers", [0, pytest.param(2, marks=pytest.mark.mpp)]
+    )
+    def test_second_kb_on_a_live_backend_equals_a_fresh_one(self, num_workers):
+        """Reloading replaces TΠ and its views; the first load's mirror
+        registrations must go with them (left in place, every new fact
+        reached each view twice: 12-row views, 20 factors instead of 8)."""
+
+        def grounded(backend):
+            system = ProbKB(paper_kb(), backend=backend)
+            system.ground()
+            return (
+                sorted(fact.key for fact in system.all_facts()),
+                sorted(row[-1] for row in system.factor_rows()),
+                {view: backend.table_size(view) for view in TPI_VIEWS},
+                sorted(backend.db._mirrors["TP"]),
+            )
+
+        with MPPBackend(nseg=2, num_workers=num_workers) as backend:
+            grounded(backend)
+            second = grounded(backend)
+        with MPPBackend(nseg=2, num_workers=num_workers) as backend:
+            fresh = grounded(backend)
+        assert second == fresh
+        facts, factor_weights, view_sizes, mirrors = second
+        assert len(facts) == 7 and len(factor_weights) == 8
+        assert set(view_sizes.values()) == {7}
+        assert mirrors == sorted(TPI_VIEWS)
 
     def test_no_views_without_matviews(self):
         backend = MPPBackend(nseg=3, use_matviews=False)

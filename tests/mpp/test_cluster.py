@@ -254,6 +254,27 @@ def test_matview_refresh_picks_up_new_rows():
     assert len(cluster.table("v")) == len(PEOPLE) + 1
 
 
+def test_mirror_registrations_follow_their_tables():
+    """Registering twice mirrors once; replacing or dropping a table
+    forgets the registrations from it and into it."""
+    _, cluster = make_pair()
+    person_schema = cluster.table("person").schema
+    cluster.create_redistributed_matview("v", "person", ["city"])
+    cluster.add_mirror("person", "v")
+    cluster.add_mirror("person", "v")
+    cluster.insert_rows("person", [(999, "new", 30)])
+    assert len(cluster.table("v")) == len(PEOPLE) + 1
+
+    cluster.create_redistributed_matview("v", "person", ["city"])  # replaces v
+    assert cluster._mirrors["person"] == []
+    cluster.add_mirror("person", "v")
+    cluster.create_table(person_schema, HashDistribution(["id"]), replace=True)
+    assert "person" not in cluster._mirrors
+    cluster.add_mirror("person", "v")
+    cluster.drop_table("v")
+    assert cluster._mirrors["person"] == []
+
+
 def test_elapsed_time_accumulates():
     _, cluster = make_pair()
     before = cluster.elapsed_seconds
