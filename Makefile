@@ -2,7 +2,7 @@ PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: test test-no-numpy test-mpp bench bench-mpp bench-delta bench-infer \
-	bench-columnar bench-e2e bench-e2e-compare lint lint-conc loc
+	bench-columnar bench-e2e bench-e2e-out bench-e2e-compare lint lint-conc loc
 
 # Tier-1 suite: serial executors only (the `mpp` marker is excluded
 # via addopts in pyproject.toml).
@@ -47,6 +47,12 @@ bench-columnar:
 # four workloads, each in a fresh process (benchmarks/e2e/README.md).
 bench-e2e:
 	$(PYTHON) benchmarks/e2e/run.py
+
+# The same run, written to the results file a PR checks in at the repo
+# root: `make bench-e2e-out OUT=BENCH_<pr>.json`, then judge it against
+# the previous one with bench-e2e-compare.
+bench-e2e-out:
+	$(PYTHON) benchmarks/e2e/run.py --out $(OUT)
 
 # Judge results file B against A, per (workload, end-to-end metric);
 # exits non-zero on a regression beyond the metric's bound.

@@ -6,7 +6,7 @@ from .distribution import (
     HashDistribution,
     RandomDistribution,
     ReplicatedDistribution,
-    partition_rows,
+    partition_batch,
     stable_hash,
 )
 from .placement import choose_fallback_motion
@@ -40,6 +40,6 @@ __all__ = [
     "WorkerPool",
     "choose_fallback_motion",
     "collect_mpp_statistics",
-    "partition_rows",
+    "partition_batch",
     "stable_hash",
 ]

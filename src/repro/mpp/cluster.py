@@ -53,8 +53,8 @@ import warnings
 import weakref
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar, Union
 
+from ..relational.columnar import ColumnBatch
 from ..relational.cost import CostClock
-from ..relational.executor import Result
 from ..relational.expr import Expr, resolve_column
 from ..relational.operators import AggregateSpec
 from ..relational.plan import (
@@ -70,18 +70,18 @@ from ..relational.plan import (
     Sort,
     UnionAll,
     Values,
-    walk,
+    bind_scans,
 )
 from ..relational.schema import TableSchema
-from ..relational.table import Table
-from ..relational.types import ExecutionError, Row, ensure
+from ..relational.table import Table, batch_of_result, batch_of_rows
+from ..relational.types import ExecutionError, Result, Row, ensure
 from ..relational.verify import verify_plan, verify_plans_enabled
 from .distribution import (
     DistributionPolicy,
     HashDistribution,
     RandomDistribution,
     ReplicatedDistribution,
-    partition_rows,
+    partition_batch,
 )
 from .placement import Input, Move, join_detail, motion_label, place, qualified, table_dist
 from .plannodes import DistDesc, PhysicalNode
@@ -125,17 +125,20 @@ class MPPTable:
             return len(self.parts[0])
         return sum(len(part) for part in self.parts)
 
-    def all_rows(self) -> List[Row]:
+    def column_batch(self) -> ColumnBatch:
+        """Every stored row once, in segment order."""
         if isinstance(self.policy, ReplicatedDistribution):
-            return list(self.parts[0].rows)
-        rows: List[Row] = []
-        for part in self.parts:
-            rows.extend(part.rows)
-        return rows
+            return self.parts[0].column_batch()
+        return ColumnBatch.concat(
+            self.schema.column_names, [part.column_batch() for part in self.parts]
+        )
+
+    def all_rows(self) -> List[Row]:
+        return self.column_batch().to_rows()
 
     def project(self, column_names: Sequence[str]) -> List[Row]:
         positions = self.schema.positions(column_names)
-        return [tuple(row[pos] for pos in positions) for row in self.all_rows()]
+        return list(self.column_batch().tuples(positions))
 
 
 class FrameRef:
@@ -164,30 +167,23 @@ class FrameRef:
 
 
 class Shards:
-    """A statement's result rows, fetched into the master process."""
+    """A statement's result, fetched into the master process: one batch
+    per segment."""
 
     __slots__ = ("columns", "parts", "dist")
 
     def __init__(
-        self, columns: List[str], parts: List[List[Row]], dist: DistDesc
+        self, columns: List[str], parts: List[ColumnBatch], dist: DistDesc
     ) -> None:
         self.columns = columns
         self.parts = parts
         self.dist = dist
 
-    @property
-    def total_rows(self) -> int:
+    def gathered(self) -> ColumnBatch:
+        """Every result row once, in segment order."""
         if self.dist.kind == "replicated":
-            return len(self.parts[0])
-        return sum(len(part) for part in self.parts)
-
-    def gathered(self) -> List[Row]:
-        if self.dist.kind == "replicated":
-            return list(self.parts[0])
-        rows: List[Row] = []
-        for part in self.parts:
-            rows.extend(part)
-        return rows
+            return self.parts[0]
+        return ColumnBatch.concat(self.columns, self.parts)
 
 
 class MPPDatabase:
@@ -349,13 +345,13 @@ class MPPDatabase:
         except WorkerCrashError as error:
             self._degrade(error)
 
-    def _pool_send_shards(self, name: str, shards: List[List[Row]]) -> None:
-        """Ship per-segment row lists to the workers owning them."""
+    def _pool_send_shards(self, name: str, shards: List[ColumnBatch]) -> None:
+        """Ship per-segment batches to the workers owning them."""
         if self.pool is None:
             return
 
         def build(worker_id: int, segments: List[int]) -> Tuple:
-            payload = {seg: shards[seg] for seg in segments if shards[seg]}
+            payload = {seg: shards[seg] for seg in segments if shards[seg].nrows}
             return ("insert_shards", name, payload)
 
         try:
@@ -422,12 +418,12 @@ class MPPDatabase:
         source_name = self._matview_sources.get(name)
         ensure(source_name is not None, ExecutionError, f"{name!r} is not a matview")
         view = self.table(name)
-        rows = self.table(source_name).all_rows()  # type: ignore[arg-type]
+        stored = self.table(source_name).column_batch()  # type: ignore[arg-type]
         for part in view.parts:
             part.truncate()
         self._pool_send(("truncate", name))
         self._timed_statement(
-            lambda: self._load_partitioned(view, rows, charge_ship=True)
+            lambda: self._load_partitioned(view, stored, charge_ship=True)
         )
 
     def refresh_all_matviews(self) -> None:
@@ -460,10 +456,10 @@ class MPPDatabase:
             if name in mirrors:
                 mirrors.remove(name)
 
-    def _mirror_insert(self, source_table: str, rows: Sequence[Row]) -> None:
+    def _mirror_insert(self, source_table: str, batch: ColumnBatch) -> None:
         for mirror_name in self._mirrors.get(source_table, ()):
             self._load_partitioned(
-                self.table(mirror_name), rows, charge_ship=True
+                self.table(mirror_name), batch, charge_ship=True
             )
 
     def _mirror_delete(
@@ -483,14 +479,11 @@ class MPPDatabase:
     def bulkload(self, table_name: str, rows: Sequence[Row]) -> int:
         """COPY-style load: one statement, rows hashed to their segments."""
         table = self.table(table_name)
-        row_list = list(rows)
-
-        def work() -> int:
-            stored = self._load_partitioned(table, row_list, charge_ship=False)
-            self._mirror_insert(table_name, row_list)
-            return stored
-
-        return self._timed_statement(work)
+        return self._timed_statement(
+            lambda: self._insert_whole(
+                table, batch_of_rows(table.schema, rows), charge_ship=False
+            )
+        )
 
     insert_rows = bulkload
 
@@ -503,11 +496,13 @@ class MPPDatabase:
             shards, node = self._run_plan(plan)
             self.last_plan = node
             if shards.dist.kind != "replicated":
-                return self._insert_shipped(table, shards.parts)
-            rows = shards.gathered()
-            stored = self._load_partitioned(table, rows, charge_ship=True)
-            self._mirror_insert(table_name, rows)
-            return stored
+                return self._insert_shipped(
+                    table,
+                    [batch_of_result(table.schema, part) for part in shards.parts],
+                )
+            # every copy of a replicated result is the whole of it
+            batch = batch_of_result(table.schema, shards.parts[0])
+            return self._insert_whole(table, batch, charge_ship=True)
 
         return self._timed_statement(work)
 
@@ -520,25 +515,23 @@ class MPPDatabase:
     ) -> Tuple[int, int]:
         """INSERT ... SELECT with a leading sequence column: the
         result is localized on the master, which stamps ids segment by
-        segment from one sequence, then rows ship to their home
+        segment from one sequence, then the batches ship to their home
         segments.  Returns (inserted, next sequence value)."""
         table = self.table(table_name)
-        padding: Row = (None,) * pad_nulls
 
         def work() -> Tuple[int, int]:
             shards, node = self._run_plan(plan)
             self.last_plan = node
-            source_parts = (
-                [shards.gathered()]
-                if shards.dist.kind == "replicated"
-                else shards.parts
-            )
-            sequence = itertools.count(next_id)
-            stamped = [
-                [(next(sequence),) + row + padding for row in part]
-                for part in source_parts
-            ]
-            return self._insert_shipped(table, stamped), next(sequence)
+            sequence = next_id
+            stamped = []
+            # every copy of a replicated result is the whole of it
+            replicated = shards.dist.kind == "replicated"
+            for part in shards.parts[:1] if replicated else shards.parts:
+                stamped.append(
+                    batch_of_result(table.schema, part, sequence, pad_nulls)
+                )
+                sequence += part.nrows
+            return self._insert_shipped(table, stamped), sequence
 
         return self._timed_statement(work)
 
@@ -555,17 +548,19 @@ class MPPDatabase:
         def work() -> int:
             shards, node = self._run_plan(key_plan)
             self.last_plan = node
-            keys: Set[Row] = set(shards.gathered())
+            keys: Set[Row] = set(shards.gathered().tuples())
             self.master_clock.rows_shipped += len(keys)
-            removed = 0
+            removed = []
             for seg, part in enumerate(table.parts):
                 self.segment_clocks[seg].rows_broadcast += len(keys)
-                removed += part.delete_in(column_names, keys)
+                removed.append(part.delete_in(column_names, keys))
             self._pool_send(
                 ("delete_keys", table_name, tuple(column_names), list(keys))
             )
             self._mirror_delete(table_name, column_names, keys)
-            return removed
+            if isinstance(table.policy, ReplicatedDistribution):
+                return removed[0]  # every copy lost the same rows
+            return sum(removed)
 
         return self._timed_statement(work)
 
@@ -582,7 +577,7 @@ class MPPDatabase:
 
         def work() -> Result:
             shards, node = self._run_plan(plan)
-            rows = shards.gathered()
+            rows = shards.gathered().to_rows()
             self.master_clock.rows_shipped += len(rows)
             gather = PhysicalNode("Gather Motion", rows=len(rows))
             gather.dist = DistDesc.arbitrary()
@@ -617,53 +612,67 @@ class MPPDatabase:
     # ------------------------------------------------------------------ internals
 
     def _insert_shipped(
-        self, table: MPPTable, source_parts: Sequence[Sequence[Row]]
+        self, table: MPPTable, source_parts: Sequence[ColumnBatch]
     ) -> int:
-        """Ship every row from the segment it sits on (its index in
+        """Validate a statement's result once, whole; then ship every
+        row from the segment it sits on (its batch's index in
         ``source_parts``) to its home segment(s) in ``table``, charging
         the receivers; then insert, and feed the mirrors the same rows.
         A replicated target receives every row on every segment — a
         broadcast."""
+        columns = table.schema.column_names
+        table.schema.validate_batch(ColumnBatch.concat(columns, source_parts))
         replicated = isinstance(table.policy, ReplicatedDistribution)
-        incoming: List[List[Row]] = [[] for _ in range(self.nseg)]
+        received: List[List[ColumnBatch]] = [[] for _ in range(self.nseg)]
         for seg, part in enumerate(source_parts):
-            if replicated:
-                for target, received in enumerate(incoming):
-                    if target != seg:
-                        self.segment_clocks[target].rows_broadcast += len(part)
-                    received.extend(part)
-                continue
-            for row in part:
-                target = table.policy.segment_of(
-                    row, table.key_positions, self.nseg
-                )
-                if target != seg:
-                    self.segment_clocks[target].rows_shipped += 1
-                incoming[target].append(row)
+            pieces = partition_batch(
+                part, table.policy, table.key_positions, self.nseg
+            )
+            for target, piece in enumerate(pieces):
+                if target != seg and replicated:
+                    self.segment_clocks[target].rows_broadcast += piece.nrows
+                elif target != seg:
+                    self.segment_clocks[target].rows_shipped += piece.nrows
+                received[target].append(piece)
+        incoming = [ColumnBatch.concat(columns, pieces) for pieces in received]
         inserted = self._store_shards(table, incoming)
-        self._mirror_insert(
-            table.name,
-            incoming[0] if replicated
-            else [row for part in incoming for row in part],
-        )
+        if self._mirrors.get(table.name):
+            self._mirror_insert(
+                table.name,
+                incoming[0] if replicated else ColumnBatch.concat(columns, incoming),
+            )
         return inserted
 
-    def _load_partitioned(
-        self, table: MPPTable, rows: Sequence[Row], charge_ship: bool
+    def _insert_whole(
+        self, table: MPPTable, batch: ColumnBatch, charge_ship: bool
     ) -> int:
-        shards = partition_rows(rows, table.policy, table.key_positions, self.nseg)
+        """Validate, then insert, a statement's rows that sit on no
+        segment yet (client rows, a replicated result), and feed the
+        mirrors the same rows."""
+        table.schema.validate_batch(batch)
+        stored = self._load_partitioned(table, batch, charge_ship)
+        self._mirror_insert(table.name, batch)
+        return stored
+
+    def _load_partitioned(
+        self, table: MPPTable, batch: ColumnBatch, charge_ship: bool
+    ) -> int:
+        shards = partition_batch(
+            batch, table.policy, table.key_positions, self.nseg
+        )
         if charge_ship:
             for clock, shard in zip(self.segment_clocks, shards):
-                clock.rows_shipped += len(shard)
+                clock.rows_shipped += shard.nrows
         return self._store_shards(table, shards)
 
-    def _store_shards(self, table: MPPTable, shards: List[List[Row]]) -> int:
-        """Append per-segment row lists to the table's shards (and the
-        pool's copies of them); returns the rows actually stored, once
-        per row for a replicated table."""
+    def _store_shards(self, table: MPPTable, shards: List[ColumnBatch]) -> int:
+        """Append per-segment batches, which their statement already
+        validated, to the table's shards (and the pool's copies of
+        them); returns the rows actually stored, once per row for a
+        replicated table."""
         inserted = stored = 0
         for seg, shard in enumerate(shards):
-            stored = table.parts[seg].insert(shard)
+            stored = table.parts[seg].insert_batch(shard, validate=False)
             self.segment_clocks[seg].rows_inserted += stored
             inserted += stored
         self._pool_send_shards(table.name, shards)
@@ -837,16 +846,14 @@ class SegmentOps:
         )
 
     def localize(self, ref: FrameRef) -> Shards:
-        """Fetch a frame's rows into the master process."""
+        """Fetch a frame's batches into the master process."""
         replicated = ref.dist.kind == "replicated"
         command = ("fetch", ref.handle, (0,) if replicated else None)
-        parts: List[List[Row]] = [[] for _ in range(self.nseg)]
+        fetched: Dict[int, ColumnBatch] = {}
         for payload in self._dispatch(command).values():
-            for seg, batch in payload["batches"].items():
-                parts[seg] = batch.to_rows()
-        if replicated:
-            # full copies on every segment, shared read-only
-            parts = [parts[0]] * self.nseg
+            fetched.update(payload["batches"])
+        # a replicated frame is full copies everywhere: share segment 0's
+        parts = [fetched[0 if replicated else seg] for seg in range(self.nseg)]
         return Shards(ref.columns, parts, ref.dist)
 
 
@@ -867,16 +874,8 @@ class _MPPExecutor:
     # -- entry ---------------------------------------------------------------
 
     def exec_plan(self, plan: PlanNode) -> Tuple[FrameRef, PhysicalNode]:
-        self._bind(plan)
+        bind_scans(plan, self.cluster.tables)
         return self._exec(plan)
-
-    def _bind(self, plan: PlanNode) -> None:
-        for node in walk(plan):
-            if isinstance(node, Scan):
-                table = self.cluster.tables.get(node.table_name)
-                if table is None:
-                    raise ExecutionError(f"unknown table {node.table_name!r}")
-                node.set_table_columns(table.schema.column_names)
 
     # -- timing helper ---------------------------------------------------------
 

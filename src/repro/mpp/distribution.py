@@ -12,6 +12,7 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from ..relational.columnar import ColumnBatch
 from ..relational.types import Row, Value
 
 
@@ -31,7 +32,8 @@ def stable_hash(values: Sequence[Value]) -> int:
 class DistributionPolicy:
     """Base class; concrete policies say where each row lives."""
 
-    def segment_of(self, row: Row, key_positions: Sequence[int], nseg: int) -> int:
+    def segment_of(self, key: Row, nseg: int) -> int:
+        """Home segment of a row, given its distribution-key values."""
         raise NotImplementedError
 
     @property
@@ -52,8 +54,7 @@ class HashDistribution(DistributionPolicy):
     def __init__(self, columns: Sequence[str]) -> None:
         object.__setattr__(self, "columns", tuple(columns))
 
-    def segment_of(self, row: Row, key_positions: Sequence[int], nseg: int) -> int:
-        key = tuple(row[pos] for pos in key_positions)
+    def segment_of(self, key: Row, nseg: int) -> int:
         return stable_hash(key) % nseg
 
     @property
@@ -70,7 +71,7 @@ class RandomDistribution(DistributionPolicy):
     def __init__(self) -> None:
         self._next = 0
 
-    def segment_of(self, row: Row, key_positions: Sequence[int], nseg: int) -> int:
+    def segment_of(self, key: Row, nseg: int) -> int:
         seg = self._next % nseg
         self._next += 1
         return seg
@@ -82,23 +83,30 @@ class RandomDistribution(DistributionPolicy):
 class ReplicatedDistribution(DistributionPolicy):
     """Every segment holds a full copy (Greenplum replicated tables)."""
 
-    def segment_of(self, row: Row, key_positions: Sequence[int], nseg: int) -> int:
+    def segment_of(self, key: Row, nseg: int) -> int:
         raise AssertionError("replicated tables are copied, not partitioned")
 
     def describe(self) -> str:
         return "DISTRIBUTED REPLICATED"
 
 
-def partition_rows(
-    rows: Sequence[Row],
+def partition_batch(
+    batch: ColumnBatch,
     policy: DistributionPolicy,
     key_positions: Sequence[int],
     nseg: int,
-) -> List[List[Row]]:
-    """Split rows into per-segment lists according to a policy."""
+) -> List[ColumnBatch]:
+    """Split a batch into per-segment batches according to a policy,
+    preserving row order within each — the one partitioner, for motions
+    and DML alike.  A replicated policy puts the same (immutable) batch
+    on every segment.
+
+    Callers charge shipping costs themselves — who pays depends on the
+    statement (redistribute charges receivers, broadcast charges copies).
+    """
     if isinstance(policy, ReplicatedDistribution):
-        return [list(rows) for _ in range(nseg)]
-    shards: List[List[Row]] = [[] for _ in range(nseg)]
-    for row in rows:
-        shards[policy.segment_of(row, key_positions, nseg)].append(row)
-    return shards
+        return [batch] * nseg
+    targets: List[List[int]] = [[] for _ in range(nseg)]
+    for index, key in enumerate(batch.tuples(key_positions)):
+        targets[policy.segment_of(key, nseg)].append(index)
+    return [batch.gather(indices) for indices in targets]

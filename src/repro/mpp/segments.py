@@ -47,9 +47,9 @@ from ..relational.cost import CostClock
 from ..relational.expr import Expr
 from ..relational.table import Table
 from ..relational.types import Row
-from .distribution import stable_hash
+from .distribution import HashDistribution, partition_batch
 
-__all__ = ["Exchange", "LocalExchange", "SegmentInterpreter", "partition_by_hash"]
+__all__ = ["Exchange", "LocalExchange", "SegmentInterpreter"]
 
 #: one segment-to-segment hop of a motion: ``(from_seg, to_seg)``
 Hop = Tuple[int, int]
@@ -81,19 +81,9 @@ class LocalExchange:
         return {hop: self._pieces.pop((epoch, *hop)) for hop in expected}
 
 
-def partition_by_hash(
-    batch: ColumnBatch, positions: Sequence[int], nseg: int
-) -> List[ColumnBatch]:
-    """Split a batch into per-target-segment pieces by stable hash of
-    the key columns, preserving row order within each piece.
-
-    Callers charge shipping costs themselves — who pays depends on the
-    motion (redistribute charges receivers, broadcast charges copies).
-    """
-    targets: List[List[int]] = [[] for _ in range(nseg)]
-    for i, key in enumerate(zip(*[batch.cols[pos] for pos in positions])):
-        targets[stable_hash(key) % nseg].append(i)
-    return [batch.gather(indices) for indices in targets]
+#: a redistribute motion hashes on key *positions*; the policy's column
+#: names only matter to the catalog
+_BY_HASH = HashDistribution(())
 
 
 class SegmentInterpreter:
@@ -345,8 +335,8 @@ class SegmentInterpreter:
         sources = (0,) if source_replicated else range(self.nseg)
         for seg in self.segments:
             if seg in sources:
-                pieces = partition_by_hash(
-                    self.frames[source][seg], positions, self.nseg
+                pieces = partition_batch(
+                    self.frames[source][seg], _BY_HASH, positions, self.nseg
                 )
                 for target, piece in enumerate(pieces):
                     self.exchange.send(epoch, seg, target, piece)

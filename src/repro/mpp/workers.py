@@ -423,12 +423,12 @@ class _WorkerState(SegmentInterpreter):
         return {}
 
     def _cmd_insert_shards(
-        self, name: str, shard_map: Dict[int, List[Row]]
+        self, name: str, shard_map: Dict[int, ColumnBatch]
     ) -> dict:
         shards = self.tables[name]
-        for seg, rows in shard_map.items():
-            # the master validated these rows before shipping them
-            shards[seg].insert(rows, validate=False)
+        for seg, batch in shard_map.items():
+            # the master validated the statement before shipping it
+            shards[seg].insert_batch(batch, validate=False)
         return {}
 
     def _cmd_delete_keys(

@@ -16,7 +16,6 @@ from .columnar import (
 from .columnar_exec import ColumnarExecutor
 from .cost import CostClock
 from .database import Database
-from .executor import Executor, Result
 from .expr import (
     And,
     Col,
@@ -58,6 +57,7 @@ from .types import (
     ExecutionError,
     PlanError,
     RelationalError,
+    Result,
     Row,
     SchemaError,
     Value,
@@ -77,7 +77,6 @@ __all__ = [
     "Database",
     "Distinct",
     "ExecutionError",
-    "Executor",
     "Expr",
     "FLOAT",
     "Filter",

@@ -23,12 +23,14 @@ differential tests compare against.
 
 from __future__ import annotations
 
+import itertools
 import os
 from collections import defaultdict
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -89,10 +91,11 @@ class ColumnBatch:
     """A materialized relation stored one list per column.
 
     ``cols[i][j]`` is column ``i`` of row ``j``.  Column lists are
-    treated as immutable once a batch is built — kernels always
-    allocate fresh lists — so batches may share columns (projection of
-    a column is a reference, not a copy) and :class:`~.table.Table` can
-    cache one batch per table.
+    immutable once a batch is built — kernels always allocate fresh
+    lists — so batches may share columns (projection of a column is a
+    reference, not a copy).  A batch is also what a
+    :class:`~.table.Table` stores: a mutation replaces the table's
+    batch, so one handed out by a scan never changes.
 
     Numpy views of individual columns are derived lazily and cached:
     ``_np_cache[pos]`` holds the raw ``np.asarray`` result, or
@@ -126,7 +129,11 @@ class ColumnBatch:
     def concat(
         cls, columns: Sequence[str], batches: Sequence["ColumnBatch"]
     ) -> "ColumnBatch":
-        """The batches' rows appended in order, under ``columns``."""
+        """The batches' rows appended in order, under ``columns``.  A
+        single non-empty input is not copied: its columns are shared."""
+        filled = [batch for batch in batches if batch.nrows]
+        if len(filled) == 1:
+            return filled[0].rename(columns)
         cols: List[List[Value]] = [[] for _ in columns]
         for batch in batches:
             for out, col in zip(cols, batch.cols):
@@ -138,10 +145,13 @@ class ColumnBatch:
         # ndarrays would double every motion piece on the wire
         return ColumnBatch, (self.columns, self.cols, self.nrows)
 
+    def tuples(self, positions: Optional[Sequence[int]] = None) -> Iterator[Row]:
+        """The rows (projected on ``positions``), lazily."""
+        cols = self.cols if positions is None else [self.cols[p] for p in positions]
+        return zip(*cols) if cols else itertools.repeat((), self.nrows)
+
     def to_rows(self) -> List[Row]:
-        if not self.cols or not self.nrows:
-            return [()] * self.nrows if not self.cols else []
-        return list(zip(*self.cols))
+        return list(self.tuples())
 
     def __len__(self) -> int:
         return self.nrows

@@ -1,25 +1,28 @@
-"""Columnar plan executor: the vectorized twin of :class:`Executor`.
+"""Columnar plan executor: the single-node plan walker.
 
-Evaluates the same logical plan trees as the row engine, but carries
+Evaluates logical plan trees by carrying
 :class:`~repro.relational.columnar.ColumnBatch` values between the
 operator functions of :mod:`repro.relational.operators` (shared with
-the MPP segments).  Results are bit-identical to the
-row engine — same rows, same order — and every operator charges the
-:class:`~repro.relational.cost.CostClock` the exact counters the row
-engine charges for the same plan, so ``repro explain`` cost summaries
-and the modelled benchmark timings are engine-independent.
+the MPP segments) and returns the root's batch — rows are built by
+whoever hands the result out of the engine.  Results are bit-identical
+to the row-at-a-time reference engine — same rows, same order — and
+every operator charges the :class:`~repro.relational.cost.CostClock`
+the exact counters the reference charges for the same plan, so
+``repro explain`` cost summaries and the modelled benchmark timings
+are engine-independent.
 
 :class:`~repro.relational.database.Database` always builds this
-executor; the row engine is the reference tests construct by hand.
+executor; the row engine (``relational/executor.py``) is the reference
+tests construct by hand, and nothing here imports it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional
 
 from . import operators
 from .columnar import ColumnBatch
-from .executor import Executor, Result
+from .cost import CostClock
 from .expr import resolve_column
 from .plan import (
     Aggregate,
@@ -34,23 +37,24 @@ from .plan import (
     Sort,
     UnionAll,
     Values,
+    bind_scans,
 )
-from .types import ExecutionError, Row
+from .table import Table
+from .types import ExecutionError
 
 
-class ColumnarExecutor(Executor):
+class ColumnarExecutor:
     """Evaluates logical plans over columnar batches: resolves each
     node's column references and hands the batches to the shared
     operators in :mod:`repro.relational.operators`."""
 
-    def run(self, plan: PlanNode) -> Result:
-        self.bind(plan)
-        batch = self._eval_batch(plan)
-        return Result(batch.columns, batch.to_rows())
+    def __init__(self, tables: Mapping[str, Table], clock: CostClock) -> None:
+        self._tables = tables
+        self._clock = clock
 
-    def _eval(self, plan: PlanNode) -> Tuple[List[str], List[Row]]:
-        batch = self._eval_batch(plan)
-        return batch.columns, batch.to_rows()
+    def run(self, plan: PlanNode) -> ColumnBatch:
+        bind_scans(plan, self._tables)
+        return self._eval_batch(plan)
 
     def _eval_batch(self, plan: PlanNode) -> ColumnBatch:
         clock = self._clock

@@ -13,15 +13,15 @@ operations ProbKB's grounding and quality-control algorithms need:
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .columnar import ColumnBatch
 from .columnar_exec import ColumnarExecutor
 from .cost import CostClock
-from .executor import Result
 from .plan import PlanNode
 from .schema import TableSchema
-from .table import Table
-from .types import ExecutionError, Row, ensure
+from .table import Table, batch_of_result
+from .types import ExecutionError, Result, Row, ensure
 from .verify import verify_plan, verify_plans_enabled
 
 
@@ -78,11 +78,16 @@ class Database:
 
     # -- queries -------------------------------------------------------------
 
-    def query(self, plan: PlanNode) -> Result:
-        """Execute a read-only plan; charges one statement of overhead."""
+    def _run(self, plan: PlanNode) -> ColumnBatch:
+        """Execute a plan as one statement; the result stays columnar."""
         self._maybe_verify(plan)
         self.clock.charge_query()
         return self._executor().run(plan)
+
+    def query(self, plan: PlanNode) -> Result:
+        """Execute a read-only plan; charges one statement of overhead."""
+        batch = self._run(plan)
+        return Result(batch.columns, batch.to_rows())
 
     def execute_sql(self, sql: str) -> Result:
         """Parse and execute a SELECT statement (the dialect to_sql emits)."""
@@ -111,17 +116,9 @@ class Database:
 
     def insert_from(self, table_name: str, plan: PlanNode) -> int:
         """INSERT INTO table SELECT ... — one statement."""
-        self._maybe_verify(plan)
-        self.clock.charge_query()
-        result = self._executor().run(plan)
+        result = self._run(plan)
         table = self.table(table_name)
-        ensure(
-            len(result.columns) == len(table.schema),
-            ExecutionError,
-            f"insert arity mismatch into {table_name!r}: "
-            f"{len(result.columns)} != {len(table.schema)}",
-        )
-        inserted = table.insert(result.rows)
+        inserted = table.insert_batch(batch_of_result(table.schema, result))
         self.clock.rows_inserted += inserted
         return inserted
 
@@ -140,18 +137,13 @@ class Database:
         merges new facts into TΠ without round-tripping them through
         the client.
         """
-        self._maybe_verify(plan)
-        self.clock.charge_query()
-        result = self._executor().run(plan)
+        result = self._run(plan)
         table = self.table(table_name)
-        padding: Row = (None,) * pad_nulls
-        rows = [
-            (next_id + offset,) + row + padding
-            for offset, row in enumerate(result.rows)
-        ]
-        inserted = table.insert(rows)
+        inserted = table.insert_batch(
+            batch_of_result(table.schema, result, next_id, pad_nulls)
+        )
         self.clock.rows_inserted += inserted
-        return inserted, next_id + len(rows)
+        return inserted, next_id + result.nrows
 
     def delete_in(
         self,
@@ -160,12 +152,8 @@ class Database:
         key_plan: PlanNode,
     ) -> int:
         """DELETE FROM table WHERE (cols) IN (SELECT ... ) — one statement."""
-        self._maybe_verify(key_plan)
-        self.clock.charge_query()
-        result = self._executor().run(key_plan)
-        keys: Set[Row] = set(result.rows)
-        table = self.table(table_name)
-        removed = table.delete_in(column_names, keys)
+        keys = set(self._run(key_plan).tuples())
+        removed = self.table(table_name).delete_in(column_names, keys)
         self.clock.rows_output += removed
         return removed
 
@@ -190,12 +178,10 @@ class Database:
     def refresh_matview(self, name: str) -> int:
         plan = self._matview_defs.get(name)
         ensure(plan is not None, ExecutionError, f"{name!r} is not a matview")
-        self._maybe_verify(plan)  # type: ignore[arg-type]
-        self.clock.charge_query()
-        result = self._executor().run(plan)  # type: ignore[arg-type]
+        result = self._run(plan)  # type: ignore[arg-type]
         table = self.table(name)
         table.truncate()
-        inserted = table.insert(result.rows, validate=False)
+        inserted = table.insert_batch(result, validate=False)
         self.clock.rows_inserted += inserted
         return inserted
 

@@ -9,7 +9,7 @@ comparisons.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .columnar import null_first_sort_key
 from .cost import CostClock
@@ -27,40 +27,9 @@ from .plan import (
     Sort,
     UnionAll,
     Values,
-    walk,
+    bind_scans,
 )
-from .types import ExecutionError, Row, Value
-
-
-class Result:
-    """A materialized query result."""
-
-    __slots__ = ("columns", "rows")
-
-    def __init__(self, columns: List[str], rows: List[Row]) -> None:
-        self.columns = columns
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self) -> Iterator[Row]:
-        return iter(self.rows)
-
-    def sorted_rows(self) -> List[Row]:
-        """Rows in a canonical order (NULLs first), for comparisons."""
-        return sorted(self.rows, key=_null_safe_key)
-
-    def column(self, name: str) -> List[Value]:
-        pos = resolve_column(name, self.columns)
-        return [row[pos] for row in self.rows]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Result({self.columns}, {len(self.rows)} rows)"
-
-
-def _null_safe_key(row: Row) -> Tuple:
-    return tuple((value is not None, value) for value in row)
+from .types import ExecutionError, Result, Row, Value
 
 
 class Executor:
@@ -81,17 +50,8 @@ class Executor:
 
     # -- public API --------------------------------------------------------
 
-    def bind(self, plan: PlanNode) -> None:
-        """Resolve every Scan against the catalog (fills output columns)."""
-        for node in walk(plan):
-            if isinstance(node, Scan):
-                table = self._tables.get(node.table_name)
-                if table is None:
-                    raise ExecutionError(f"unknown table {node.table_name!r}")
-                node.set_table_columns(table.schema.column_names)
-
     def run(self, plan: PlanNode) -> Result:
-        self.bind(plan)
+        bind_scans(plan, self._tables)
         columns, rows = self._eval(plan)
         return Result(columns, rows)
 

@@ -36,7 +36,7 @@ from .columnar import (
 from .cost import CostClock
 from .expr import Col, Const, Expr, resolve_column
 from .table import Table
-from .types import Row, Value
+from .types import Value
 
 #: ``(function, argument column or None, output name)`` — the shape of
 #: :attr:`repro.relational.plan.Aggregate.aggregates`
@@ -44,7 +44,7 @@ AggregateSpec = Tuple[str, Optional[str], str]
 
 
 def scan_table(table: Table, columns: Sequence[str], clock: CostClock) -> ColumnBatch:
-    """The table's cached batch under the scan's output column names."""
+    """The table's stored batch under the scan's output column names."""
     clock.rows_scanned += len(table)
     return table.column_batch().rename(columns)
 
@@ -63,7 +63,6 @@ def project_batch(
     clock: CostClock,
 ) -> ColumnBatch:
     cols: List[List[Value]] = []
-    rows: Optional[List[Row]] = None  # lazily zipped for opaque exprs
     for expr, _name in outputs:
         if isinstance(expr, Col):
             pos = resolve_column(expr.name, child.columns)
@@ -71,10 +70,8 @@ def project_batch(
         elif isinstance(expr, Const):
             cols.append([expr.value] * child.nrows)
         else:
-            if rows is None:
-                rows = child.to_rows()
             evaluate = expr.bind(child.columns)
-            cols.append([evaluate(row) for row in rows])
+            cols.append([evaluate(row) for row in child.tuples()])
     clock.rows_output += child.nrows
     return ColumnBatch(out_columns, cols, child.nrows)
 

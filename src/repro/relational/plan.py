@@ -9,10 +9,10 @@ or rendered to SQL text for the sqlite conformance tests.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .expr import Expr
-from .types import PlanError, Row, ensure
+from .types import ExecutionError, PlanError, Row, ensure
 
 
 class PlanNode:
@@ -368,3 +368,13 @@ def walk(plan: PlanNode) -> Iterator[PlanNode]:
 
 def scans_of(plan: PlanNode) -> List[Scan]:
     return [node for node in walk(plan) if isinstance(node, Scan)]
+
+
+def bind_scans(plan: PlanNode, tables: Mapping[str, Any]) -> None:
+    """Resolve every Scan against a catalog of tables (anything with a
+    ``schema``), filling in its output columns."""
+    for node in scans_of(plan):
+        table = tables.get(node.table_name)
+        if table is None:
+            raise ExecutionError(f"unknown table {node.table_name!r}")
+        node.set_table_columns(table.schema.column_names)

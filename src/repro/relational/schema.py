@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .types import VALID_TYPES, Row, SchemaError, check_value, ensure
+from .types import VALID_TYPES, SchemaError, ensure, first_invalid
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from .columnar import ColumnBatch
 
 
 @dataclass(frozen=True)
@@ -88,19 +91,30 @@ class TableSchema:
 
     # -- validation ----------------------------------------------------
 
-    def validate_row(self, row: Row) -> None:
-        """Raise :class:`SchemaError` if ``row`` does not fit this schema."""
-        if len(row) != len(self.columns):
+    def check_arity(self, arity: int) -> None:
+        if arity != len(self.columns):
             raise SchemaError(
-                f"row arity {len(row)} != schema arity {len(self.columns)} "
+                f"row arity {arity} != schema arity {len(self.columns)} "
                 f"for table {self.name!r}"
             )
-        for value, col in zip(row, self.columns):
-            if not check_value(value, col.type):
-                raise SchemaError(
-                    f"value {value!r} invalid for column "
-                    f"{self.name}.{col.name} of type {col.type}"
-                )
+
+    def validate_batch(self, batch: "ColumnBatch") -> None:
+        """Raise :class:`SchemaError` if ``batch`` does not fit this
+        schema, naming the offending value that comes first in row-major
+        order.  Column-major: one pass per column, no row is built."""
+        self.check_arity(len(batch.cols))
+        first: Optional[Tuple[int, int]] = None  # (row, column position)
+        for pos, (values, col) in enumerate(zip(batch.cols, self.columns)):
+            row = first_invalid(values, col.type)
+            if row is not None and (first is None or row < first[0]):
+                first = (row, pos)
+        if first is not None:
+            row, pos = first
+            col = self.columns[pos]
+            raise SchemaError(
+                f"value {batch.cols[pos][row]!r} invalid for column "
+                f"{self.name}.{col.name} of type {col.type}"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cols = ", ".join(f"{c.name} {c.type}" for c in self.columns)

@@ -14,8 +14,7 @@ import sqlite3
 from typing import Any, List, Optional
 
 from .database import Database
-from .executor import _null_safe_key
-from .types import FLOAT, INT, Row, TEXT
+from .types import FLOAT, INT, TEXT, Row, _null_safe_key
 
 _SQLITE_TYPES = {INT: "INTEGER", FLOAT: "REAL", TEXT: "TEXT"}
 

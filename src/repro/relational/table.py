@@ -1,50 +1,69 @@
-"""In-memory table storage with optional unique-key deduplication and
-hash indexes.
+"""In-memory, column-resident table storage with optional unique-key
+deduplication.
 
-A :class:`Table` stores rows as tuples.  When the schema declares a
-``unique_key``, inserts use set semantics on that key: a row whose key
-already exists is dropped.  This is how ProbKB's fact table avoids
-re-deriving known facts across grounding iterations.
+A :class:`Table` stores one :class:`~.columnar.ColumnBatch` — the same
+representation the operators work on — so a statement's result reaches
+storage, and the next scan reads it back, without a row being built.
+Rows exist only for readers outside the engine (:attr:`Table.rows`).
+
+When the schema declares a ``unique_key``, inserts use set semantics on
+that key: a row whose key already exists is dropped.  This is how
+ProbKB's fact table avoids re-deriving known facts across grounding
+iterations.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from .columnar import ColumnBatch
 from .schema import TableSchema
-from .types import ExecutionError, Row, Value, ensure
+from .types import ExecutionError, Row, ensure
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .columnar import ColumnBatch
+
+def batch_of_rows(table_schema: TableSchema, rows: Iterable[Row]) -> ColumnBatch:
+    """Client rows as a batch under the schema's columns.  A ragged row
+    raises the arity :class:`SchemaError` here, before the transpose
+    could silently truncate it."""
+    staged = [tuple(row) for row in rows]
+    for arity in set(map(len, staged)):
+        table_schema.check_arity(arity)
+    return ColumnBatch.from_rows(table_schema.column_names, staged)
+
+
+def batch_of_result(
+    table_schema: TableSchema,
+    result: ColumnBatch,
+    next_id: Optional[int] = None,
+    pad_nulls: int = 0,
+) -> ColumnBatch:
+    """An ``INSERT ... SELECT`` result shaped for its target: a leading
+    sequence column counting from ``next_id`` (if given), the result's
+    columns, then ``pad_nulls`` NULL columns."""
+    cols = list(result.cols)
+    if next_id is not None:
+        cols.insert(0, list(range(next_id, next_id + result.nrows)))
+    cols += [[None] * result.nrows] * pad_nulls
+    ensure(
+        len(cols) == len(table_schema),
+        ExecutionError,
+        f"insert arity mismatch into {table_schema.name!r}: "
+        f"{len(cols)} != {len(table_schema)}",
+    )
+    return ColumnBatch(table_schema.column_names, cols, result.nrows)
 
 
 class Table:
-    """An in-memory relation."""
+    """An in-memory relation: a schema, one column batch, and the set of
+    unique keys stored so far."""
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
-        self.rows: List[Row] = []
+        self._stored = ColumnBatch.from_rows(schema.column_names, ())
         self._key_positions: Optional[Tuple[int, ...]] = None
-        self._key_set: Optional[Set[Row]] = None
         if schema.unique_key is not None:
             self._key_positions = schema.positions(schema.unique_key)
-            self._key_set = set()
-        # lazily built hash indexes: column positions -> key -> row ids
-        self._indexes: Dict[Tuple[int, ...], Dict[Row, List[int]]] = {}
-        # lazily built columnar view of the rows (see column_batch)
-        self._batch: Optional["ColumnBatch"] = None
+        self._key_set: Set[Row] = set()
 
     # -- basic properties ------------------------------------------------
 
@@ -53,140 +72,80 @@ class Table:
         return self.schema.name
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._stored.nrows
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)
 
-    def _key_of(self, row: Row) -> Row:
-        assert self._key_positions is not None
-        return tuple(row[pos] for pos in self._key_positions)
+    @property
+    def rows(self) -> List[Row]:
+        """The stored rows as tuples, built on each access — for readers
+        outside the engine (the reference executor, sqlite, tests)."""
+        return self._stored.to_rows()
+
+    def column_batch(self) -> ColumnBatch:
+        """The stored batch.  It is immutable: a mutation replaces it,
+        so scans share it (and its numpy views) instead of copying."""
+        return self._stored
+
+    def project(self, column_names: Sequence[str]) -> List[Row]:
+        return list(self._stored.tuples(self.schema.positions(column_names)))
 
     # -- mutation ----------------------------------------------------------
 
     def insert(self, rows: Iterable[Row], validate: bool = True) -> int:
-        """Insert rows; returns the number actually stored.
+        """Insert client rows; see :meth:`insert_batch`."""
+        return self.insert_batch(batch_of_rows(self.schema, rows), validate)
+
+    def insert_batch(self, batch: ColumnBatch, validate: bool = True) -> int:
+        """Append a batch; returns the number of rows actually stored.
 
         With a unique key, duplicate-keyed rows are dropped (first writer
-        wins), including duplicates within ``rows`` itself.
+        wins), including duplicates within ``batch`` itself.
 
         The insert is atomic under validation failure: the whole batch
-        is validated before any row is stored, so a bad row midway
-        through ``rows`` leaves the table untouched.
+        is validated before anything is stored, so a bad value anywhere
+        in it leaves the table untouched.
         """
-        staged = [tuple(row) for row in rows]
         if validate:
-            for row in staged:
-                self.schema.validate_row(row)
-        inserted = 0
-        append = self.rows.append
-        if self._key_set is None:
-            for row in staged:
-                append(row)
-            inserted = len(staged)
-        else:
-            key_set = self._key_set
-            for row in staged:
-                key = self._key_of(row)
-                if key in key_set:
-                    continue
-                key_set.add(key)
-                append(row)
-                inserted += 1
-        if inserted:
-            self._invalidate_derived()
-        return inserted
-
-    def delete_where(self, predicate: Callable[[Row], bool]) -> int:
-        """Delete rows matching ``predicate``; returns the number removed."""
-        kept = [row for row in self.rows if not predicate(row)]
-        removed = len(self.rows) - len(kept)
-        if removed:
-            self.rows = kept
-            self._rebuild_key_set()
-            self._invalidate_derived()
-        return removed
+            self.schema.validate_batch(batch)
+        if self._key_positions is not None:
+            fresh: List[int] = []
+            for index, key in enumerate(batch.tuples(self._key_positions)):
+                if key not in self._key_set:
+                    self._key_set.add(key)
+                    fresh.append(index)
+            if len(fresh) < batch.nrows:
+                batch = batch.gather(fresh)
+        if batch.nrows:
+            self._stored = ColumnBatch.concat(
+                self.schema.column_names, [self._stored, batch]
+            )
+        return batch.nrows
 
     def delete_in(self, column_names: Sequence[str], keys: Set[Row]) -> int:
-        """Delete rows whose projection on ``column_names`` is in ``keys``.
+        """Delete rows whose projection on ``column_names`` is in ``keys``;
+        returns the number removed.
 
         This implements ``DELETE FROM t WHERE (c1, ..., cn) IN (...)`` —
         the shape of ProbKB's constraint-application Query 3.
         """
         positions = self.schema.positions(column_names)
-        return self.delete_where(
-            lambda row: tuple(row[pos] for pos in positions) in keys
-        )
+        kept = [
+            index
+            for index, key in enumerate(self._stored.tuples(positions))
+            if key not in keys
+        ]
+        removed = self._stored.nrows - len(kept)
+        if removed:
+            self._stored = self._stored.gather(kept)
+            if self._key_positions is not None:
+                self._key_set = set(self._stored.tuples(self._key_positions))
+        return removed
 
     def truncate(self) -> None:
-        self.rows = []
-        if self._key_set is not None:
-            self._key_set = set()
-        self._invalidate_derived()
-
-    def _invalidate_derived(self) -> None:
-        """Drop caches derived from the rows (hash indexes, batch)."""
-        self._indexes.clear()
-        self._batch = None
-
-    def _rebuild_key_set(self) -> None:
-        if self._key_positions is None:
-            return
-        self._key_set = {self._key_of(row) for row in self.rows}
-        if len(self._key_set) != len(self.rows):
-            raise ExecutionError(
-                f"unique key violated in table {self.name!r} after delete"
-            )
-
-    # -- lookup ------------------------------------------------------------
-
-    def contains_key(self, key: Row) -> bool:
-        """True if a row with this unique key exists (requires unique key)."""
-        ensure(
-            self._key_set is not None,
-            ExecutionError,
-            f"table {self.name!r} has no unique key",
-        )
-        return key in self._key_set  # type: ignore[operator]
-
-    def index_on(self, column_names: Sequence[str]) -> Dict[Row, List[int]]:
-        """Return (building if necessary) a hash index on the given columns.
-
-        Maps each key tuple to the list of row ids having that key.
-        Indexes are invalidated by any mutation.
-        """
-        positions = self.schema.positions(column_names)
-        index = self._indexes.get(positions)
-        if index is None:
-            index = defaultdict(list)
-            for row_id, row in enumerate(self.rows):
-                index[tuple(row[pos] for pos in positions)].append(row_id)
-            index = dict(index)
-            self._indexes[positions] = index
-        return index
-
-    def column_batch(self) -> "ColumnBatch":
-        """The rows in columnar form, cached until the next mutation.
-
-        The batch (and its column lists) must be treated as immutable —
-        the columnar executor shares the lists between scans instead of
-        copying the table per statement.
-        """
-        if self._batch is None:
-            from .columnar import ColumnBatch
-
-            self._batch = ColumnBatch.from_rows(
-                self.schema.column_names, self.rows
-            )
-        return self._batch
-
-    def project(self, column_names: Sequence[str]) -> List[Row]:
-        positions = self.schema.positions(column_names)
-        return [tuple(row[pos] for pos in positions) for row in self.rows]
-
-    def column(self, column_name: str) -> List[Value]:
-        pos = self.schema.position(column_name)
-        return [row[pos] for row in self.rows]
+        self._stored = ColumnBatch.from_rows(self.schema.column_names, ())
+        self._key_set = set()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Table({self.name}, {len(self.rows)} rows)"
+        return f"Table({self.name}, {len(self)} rows)"

@@ -1,6 +1,8 @@
-"""Value and row types shared by the relational engine.
+"""Value, row and result types shared by the relational engine.
 
-The engine stores rows as plain Python tuples.  Column values are limited
+Rows are plain Python tuples; they exist at the engine's edges (client
+input, ``Values``, a query's :class:`Result`) while tables and operators
+hold columns.  Column values are limited
 to the small set of scalar types the ProbKB relational model needs:
 integers (identifiers, dictionary-encoded symbols), floats (weights),
 strings (symbolic debugging tables), and NULL (``None``).
@@ -8,7 +10,7 @@ strings (symbolic debugging tables), and NULL (``None``).
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 Value = Union[int, float, str, None]
 Row = Tuple[Value, ...]
@@ -26,6 +28,7 @@ _PYTHON_TYPES = {
 }
 
 VALID_TYPES = frozenset(_PYTHON_TYPES)
+_NONE_TYPE = type(None)
 
 
 def check_value(value: Value, type_tag: str) -> bool:
@@ -41,6 +44,27 @@ def check_value(value: Value, type_tag: str) -> bool:
     return isinstance(value, _PYTHON_TYPES[type_tag])
 
 
+def first_invalid(values: Sequence[Value], type_tag: str) -> Optional[int]:
+    """Index of the first value :func:`check_value` rejects, or None.
+
+    Decided once per distinct Python type in the column, never by a
+    numpy dtype: ``np.asarray([1, True])`` is a clean ``int64`` array,
+    and ``bool`` must stay out of ``int`` columns.
+    """
+    allowed = _PYTHON_TYPES[type_tag]
+    if all(
+        kind is _NONE_TYPE
+        or (issubclass(kind, allowed) and not issubclass(kind, bool))
+        for kind in set(map(type, values))
+    ):
+        return None
+    return next(
+        index
+        for index, value in enumerate(values)
+        if not check_value(value, type_tag)
+    )
+
+
 def sql_literal(value: Value) -> str:
     """Render a value as a SQL literal (PostgreSQL/SQLite compatible)."""
     if value is None:
@@ -48,6 +72,39 @@ def sql_literal(value: Value) -> str:
     if isinstance(value, str):
         return "'" + value.replace("'", "''") + "'"
     return repr(value)
+
+
+class Result:
+    """A materialized query result."""
+
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns: List[str], rows: List[Row]) -> None:
+        self.columns = columns
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[Row]:
+        return iter(self.rows)
+
+    def sorted_rows(self) -> List[Row]:
+        """Rows in a canonical order (NULLs first), for comparisons."""
+        return sorted(self.rows, key=_null_safe_key)
+
+    def column(self, name: str) -> List[Value]:
+        from .expr import resolve_column  # expr imports this module
+
+        pos = resolve_column(name, self.columns)
+        return [row[pos] for row in self.rows]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Result({self.columns}, {len(self.rows)} rows)"
+
+
+def _null_safe_key(row: Row) -> Tuple:
+    return tuple((value is not None, value) for value in row)
 
 
 class RelationalError(Exception):

@@ -1,6 +1,9 @@
 """Config-object tests: validation, frozenness, backend resolution."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -217,3 +220,24 @@ def test_executor_env_var_changes_nothing(monkeypatch):
     backend = build_backend()
     assert type(backend.db._executor()) is ColumnarExecutor
     assert backend.executor_info()["engine"] == "columnar"
+
+
+def test_production_imports_do_not_load_the_reference_executor():
+    """The row ``Executor`` is a test reference, imported by path; no
+    production module may pull it in (it used to be the base class of
+    ``ColumnarExecutor`` and the home of ``Result``)."""
+    code = (
+        "import sys, repro, repro.api, repro.cli, repro.core, repro.mpp, "
+        "repro.relational, repro.serve\n"
+        "print('repro.relational.executor' in sys.modules)"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert completed.stdout.strip() == "False"
+    assert not hasattr(repro.relational, "Executor")

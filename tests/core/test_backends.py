@@ -7,9 +7,9 @@ import pytest
 
 from repro.analyze import PlanEnvironment
 from repro.analyze.plans import _EnvironmentScans
-from repro.core import MPPBackend, RelationalKB, SingleNodeBackend
-from repro.core.backends import Backend
-from repro.relational import schema
+from repro.core import MPPBackend, ProbKB, RelationalKB, SingleNodeBackend
+from repro.core.backends import TPI_VIEWS, Backend
+from repro.relational import TableSchema, schema
 
 from .paper_example import paper_kb
 
@@ -75,3 +75,52 @@ def test_placement_arguments_are_ignored_on_a_single_node():
         assert cluster.table_size("A") == cluster.table_size("B") == 2
         assert [len(part) for part in cluster.db.table("B").parts] == [2, 2, 2]
         assert cluster.project("B", ("k",)) == [(1,), (2,)]
+
+
+def test_validation_runs_once_per_statement(monkeypatch):
+    """The schema check belongs to the statement, not to storage: one
+    ``validate_batch`` per bulkload / INSERT ... SELECT, on the target's
+    schema over the whole result, and none from the per-segment stores
+    or the four TΠ views every TΠ write is mirrored into."""
+    checks = []
+    validate = TableSchema.validate_batch
+
+    def counting(self, batch):
+        checks.append((self.name, batch.nrows))
+        validate(self, batch)
+
+    monkeypatch.setattr(TableSchema, "validate_batch", counting)
+    statements = []
+
+    def traced(method):
+        statement = getattr(backend.db, method)
+
+        def run(table_name, *args, **kwargs):
+            before = len(checks)
+            outcome = statement(table_name, *args, **kwargs)
+            statements.append((method, table_name, args, outcome, checks[before:]))
+            return outcome
+
+        setattr(backend.db, method, run)
+
+    with MPPBackend(nseg=4) as backend:
+        for method in ("bulkload", "insert_from", "insert_from_with_ids"):
+            traced(method)
+        system = ProbKB(paper_kb(), backend=backend)
+        assert sorted(backend.db.matviews) == sorted(TPI_VIEWS)
+        system.ground()
+
+    assert {method for method, *_ in statements} == {
+        "bulkload", "insert_from", "insert_from_with_ids",
+    }
+    assert len(checks) == len(statements)
+    for method, table_name, args, outcome, seen in statements:
+        assert [name for name, _ in seen] == [table_name], (method, table_name)
+        (_, checked_rows), = seen
+        if method == "bulkload":
+            assert checked_rows == len(args[0])
+        elif method == "insert_from":
+            assert checked_rows >= outcome
+        else:
+            inserted, next_id = outcome
+            assert checked_rows == next_id - args[1] >= inserted

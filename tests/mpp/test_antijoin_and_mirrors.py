@@ -7,6 +7,7 @@ import pytest
 from repro.mpp import HashDistribution, MPPDatabase, ReplicatedDistribution
 from repro.relational import Database, Scan, Values, schema
 from repro.relational.plan import AntiJoin
+from repro.relational.types import ExecutionError, SchemaError
 
 LEFT = [(i, i % 5) for i in range(40)]
 RIGHT = [(j, 0) for j in range(0, 40, 3)]
@@ -134,3 +135,53 @@ def test_insert_from_with_ids_single_node():
     )
     assert inserted == 2 and next_id == 12
     assert db.table("t").rows == [(10, 5, None), (11, 6, None)]
+
+
+def mirrored(num_workers=0):
+    """``t`` hashed on ``a`` with a mirror ``v`` hashed on ``b``."""
+    cluster = MPPDatabase(nseg=4, num_workers=num_workers)
+    cluster.create_table(schema("t", "a:int", "b:int"), HashDistribution(["a"]))
+    cluster.create_table(schema("v", "a:int", "b:int"), HashDistribution(["b"]))
+    cluster.add_mirror("t", "v")
+    return cluster
+
+
+def one_bad_value():
+    rows = [(i, i * 2) for i in range(40)]
+    rows[25] = (25, "oops")  # hashes to segment 2: segments 0-1 come first
+    return rows
+
+
+def test_failed_insert_leaves_nothing_behind():
+    """Validation runs once, over the whole statement, before any shard
+    or mirror stores a row (it used to run shard by shard, after the
+    lower segments had stored theirs)."""
+    single = Database()
+    single.create_table(schema("t", "a:int", "b:int"))
+    cluster = mirrored()
+    for engine in (single, cluster):
+        with pytest.raises(SchemaError, match="'oops' invalid for column t.b"):
+            engine.insert_from("t", Values(["a", "b"], one_bad_value()))
+    assert len(single.table("t")) == 0
+    for name in ("t", "v"):
+        assert [len(part) for part in cluster.table(name).parts] == [0, 0, 0, 0]
+    assert cluster.work_clock.rows_inserted == 0
+    # and the table still takes the corrected statement whole
+    good = [(i, i * 2) for i in range(40)]
+    assert cluster.insert_from("t", Values(["a", "b"], good)) == 40
+    assert sorted(cluster.table("v").all_rows()) == good
+
+
+@pytest.mark.parametrize("make", [Database, MPPDatabase], ids=["single", "mpp"])
+def test_insert_arity_mismatch_is_one_error_everywhere(make):
+    db = make()
+    db.create_table(schema("t", "a:int", "b:int"))
+    three = Values(["x", "y", "z"], [(1, 2, 3)])
+    message = "insert arity mismatch into 't': 3 != 2"
+    with pytest.raises(ExecutionError, match=message):
+        db.insert_from("t", three)
+    with pytest.raises(ExecutionError, match=message):
+        db.insert_from_with_ids("t", Values(["x"], [(1,)]), next_id=0, pad_nulls=1)
+    with pytest.raises(ExecutionError, match="4 != 2"):
+        db.insert_from_with_ids("t", three, next_id=0)
+    assert len(db.table("t")) == 0

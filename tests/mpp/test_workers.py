@@ -43,6 +43,7 @@ from repro.relational import (
     eq_const,
     schema,
 )
+from repro.relational.types import SchemaError
 
 pytestmark = pytest.mark.mpp
 
@@ -205,6 +206,30 @@ class TestDMLParity:
         serial, pooled = outcomes
         assert serial == pooled
         assert len(serial[1]) == len(PEOPLE)
+
+    def test_failed_insert_leaves_master_and_workers_empty(self):
+        """The statement is validated whole before any shard, mirror or
+        worker copy is fed, so a rejected one reaches none of them."""
+        pooled = MPPDatabase(nseg=4, num_workers=2, worker_timeout=30.0)
+        try:
+            pooled.create_table(schema("t", "a:int", "b:int"), HashDistribution(["a"]))
+            pooled.create_table(schema("v", "a:int", "b:int"), HashDistribution(["b"]))
+            pooled.add_mirror("t", "v")
+            rows = [(i, i * 2) for i in range(40)]
+            rows[25] = (25, "oops")
+            with pytest.raises(SchemaError):
+                pooled.insert_from("t", Values(["a", "b"], rows))
+            assert not pooled.degraded
+            assert pooled.work_clock.rows_inserted == 0
+            for name in ("t", "v"):
+                master = [part.rows for part in pooled.table(name).parts]
+                # a scan's result is fetched segment by segment from the workers
+                workers = [
+                    part.to_rows() for part in pooled._run_plan(Scan(name))[0].parts
+                ]
+                assert master == workers == [[], [], [], []]
+        finally:
+            pooled.close()
 
     def test_executor_info_reports_pool(self):
         pooled = make_cluster(2)

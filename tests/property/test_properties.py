@@ -13,8 +13,15 @@ from repro.core import (
     clause_from_identifier,
 )
 from repro.infer import FactorGraph, exact_marginals, gibbs_marginals
-from repro.mpp import HashDistribution, MPPDatabase, partition_rows, stable_hash
-from repro.relational import Database, Distinct, HashJoin, Scan, schema
+from repro.mpp import (
+    HashDistribution,
+    MPPDatabase,
+    RandomDistribution,
+    ReplicatedDistribution,
+    partition_batch,
+    stable_hash,
+)
+from repro.relational import ColumnBatch, Database, Distinct, HashJoin, Scan, schema
 
 # -- strategies ---------------------------------------------------------------
 
@@ -93,16 +100,28 @@ def test_mpp_join_matches_single_node(left, right, nseg):
 
 @given(rows=rows2, nseg=st.integers(min_value=1, max_value=7))
 @settings(max_examples=40, deadline=None)
-def test_partition_rows_is_a_partition(rows, nseg):
-    policy = HashDistribution(["a"])
-    shards = partition_rows(rows, policy, (0,), nseg)
-    assert sum(len(s) for s in shards) == len(rows)
-    recombined = Counter(row for shard in shards for row in shard)
+def test_partition_batch_is_a_partition(rows, nseg):
+    batch = ColumnBatch.from_rows(["a", "b"], rows)
+    shards = partition_batch(batch, HashDistribution(["a"]), (0,), nseg)
+    assert sum(shard.nrows for shard in shards) == len(rows)
+    recombined = Counter(row for shard in shards for row in shard.to_rows())
     assert recombined == Counter(map(tuple, rows))
-    # deterministic placement: same key -> same shard
+    # deterministic placement: same key -> same shard; input order kept
     for seg, shard in enumerate(shards):
-        for row in shard:
-            assert stable_hash((row[0],)) % nseg == seg
+        assert shard.to_rows() == [
+            row for row in rows if stable_hash((row[0],)) % nseg == seg
+        ]
+    # random: round-robin, and the policy's counter carries on across calls
+    policy = RandomDistribution()
+    for start in (0, len(rows)):
+        shards = partition_batch(batch, policy, (), nseg)
+        for seg, shard in enumerate(shards):
+            assert shard.to_rows() == [
+                row for i, row in enumerate(rows, start) if i % nseg == seg
+            ]
+    # replicated: the same batch everywhere, not a copy per segment
+    copies = partition_batch(batch, ReplicatedDistribution(), (), nseg)
+    assert len(copies) == nseg and all(copy is batch for copy in copies)
 
 
 @given(values=st.lists(st.one_of(small_int, names), min_size=1, max_size=4))

@@ -9,7 +9,6 @@ from repro.relational.cost import (
     ROW_SCAN_S,
     ROW_SHIP_S,
 )
-from repro.relational.types import ExecutionError
 
 
 class TestCostClock:
@@ -75,20 +74,12 @@ class TestTable:
         table = self.make(unique=["a"])
         assert table.insert([(1, 1), (1, 2), (2, 2)]) == 2
 
-    def test_contains_key(self):
-        table = self.make(unique=["a", "b"])
-        table.insert([(1, 2)])
-        assert table.contains_key((1, 2))
-        assert not table.contains_key((2, 1))
-        keyless = self.make()
-        with pytest.raises(ExecutionError):
-            keyless.contains_key((1,))
-
-    def test_delete_where(self):
+    def test_delete_in(self):
         table = self.make()
         table.insert([(i, i % 2) for i in range(10)])
-        removed = table.delete_where(lambda row: row[1] == 0)
+        removed = table.delete_in(["b"], {(0,)})
         assert removed == 5 and len(table) == 5
+        assert list(table) == [(i, 1) for i in range(1, 10, 2)]  # order kept
 
     def test_delete_in_rebuilds_key_set(self):
         table = self.make(unique=["a"])
@@ -97,19 +88,11 @@ class TestTable:
         # the deleted key can be re-inserted
         assert table.insert([(1, 9)]) == 1
 
-    def test_index_on_invalidated_by_mutation(self):
-        table = self.make()
-        table.insert([(1, 2), (1, 3)])
-        index = table.index_on(["a"])
-        assert index[(1,)] == [0, 1]
-        table.insert([(1, 4)])
-        assert table.index_on(["a"])[(1,)] == [0, 1, 2]
-
     def test_project_and_column(self):
         table = self.make()
         table.insert([(1, 2), (3, 4)])
         assert table.project(["b", "a"]) == [(2, 1), (4, 3)]
-        assert table.column("a") == [1, 3]
+        assert table.column_batch().cols == [[1, 3], [2, 4]]
 
     def test_truncate(self):
         table = self.make(unique=["a"])

@@ -15,6 +15,7 @@ Runs the whole matrix twice: numpy fast paths on, and forced off via
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -37,6 +38,7 @@ from repro.relational import (
     SqliteMirror,
     UnionAll,
     col,
+    const,
     eq,
     eq_const,
     schema,
@@ -298,3 +300,71 @@ class TestDmlParity:
         assert db.table("out").rows == [
             (100 + offset,) + row for offset, row in enumerate(reference)
         ]
+
+    @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+    @pytest.mark.parametrize("nseg", [1, 3])
+    def test_dml_statements_single_node_vs_mpp(self, nseg, placement, no_numpy):
+        """The five DML statements leave the same table behind on both
+        databases — contents, ids, return values, rows stored — wherever
+        the target lives, with a mirror of it riding along."""
+        rng = random.Random(SEED + 5)
+        rows_r = random_rows(rng, NROWS)
+        rows_s = random_rows(rng, NROWS // 2)
+        # per-segment dedup is only global when equal keys share a segment
+        key = None if placement == "random" else ["k", "lab", "v"]
+        target = schema(
+            "T", "id:int", "k:int", "lab:text", "v:int", "note:float", unique_key=key
+        )
+        single = build_db(rows_r, rows_s)
+        single.create_table(target)
+        mpp = build_mpp(nseg, "hash", rows_r, rows_s)
+        mpp.create_table(target, PLACEMENTS[placement]())
+        mpp.create_redistributed_matview("T_by_v", "T", ["v"])
+        mpp.add_mirror("T", "T_by_v")
+        # R and S are loaded: count what the statements below store
+        single.clock.reset()
+        inserted_before = mpp.work_clock.rows_inserted
+
+        def both(statement):
+            ours, theirs = statement(single), statement(mpp)
+            assert ours == theirs
+            assert Counter(single.table("T").rows) == Counter(mpp.table("T").all_rows())
+            return ours
+
+        loaded = [(1000 + i,) + row + (None,) for i, row in enumerate(rows_r)]
+        both(lambda db: db.bulkload("T", loaded))
+        both(lambda db: db.insert_from("T", Project(
+            Scan("S", "s"),
+            [(const(-1), "id"), (col("s.k"), "k"), (col("s.lab"), "lab"),
+             (col("s.v"), "v"), (const(0.5), "note")],
+        )))
+        # a total order at the root: both databases number the same rows
+        # in the same order, whatever segments computed them
+        numbered = Sort(
+            Distinct(Project(
+                HashJoin(Scan("R", "r"), Scan("S", "s"), ["r.k"], ["s.k"]),
+                [(col("s.k"), "k"), (col("r.lab"), "lab"), (col("s.v"), "v")],
+            )),
+            [("k", False), ("lab", False), ("v", True)],
+        )
+        stored, next_id = both(
+            lambda db: db.insert_from_with_ids("T", numbered, 5000, pad_nulls=1)
+        )
+        assert next_id > 5000 and (key is None) == (stored == next_id - 5000)
+        removed = both(lambda db: db.delete_in("T", ["k"], Project(
+            Filter(Scan("S", "s"), eq_const("s.lab", "x")), [(col("s.k"), "k")]
+        )))
+        assert removed > 0 and len(single.table("T")) > 0
+
+        view = mpp.table("T_by_v")
+        assert Counter(view.all_rows()) == Counter(mpp.table("T").all_rows())
+        copies = nseg if placement == "replicated" else 1
+        assert (
+            mpp.work_clock.rows_inserted - inserted_before
+            == single.clock.rows_inserted * (copies + 1)  # + the mirror's
+        )
+
+        both(lambda db: db.truncate("T"))
+        assert len(single.table("T")) == 0
+        # the key set went with the rows
+        both(lambda db: db.insert_rows("T", loaded[:10]))
