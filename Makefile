@@ -1,8 +1,8 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-no-numpy test-mpp bench bench-mpp bench-delta bench-infer \
-	bench-columnar bench-e2e bench-e2e-out bench-e2e-compare lint lint-conc loc
+.PHONY: test test-no-numpy test-mpp bench bench-columnar bench-e2e \
+	bench-e2e-out bench-e2e-compare lint lint-conc loc
 
 # Tier-1 suite: serial executors only (the `mpp` marker is excluded
 # via addopts in pyproject.toml).
@@ -22,21 +22,6 @@ test-mpp:
 # Modelled-cost paper figures (benchmarks/results/*.txt).
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks -m "not mpp" -q
-
-# Delta vs full expansion wall-clock on a 10k-fact KB (bit-identical
-# marginals asserted; single-fact flushes must be >=5x cheaper).
-bench-delta:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_delta_expansion.py -q
-
-# Real wall-clock of serial vs pooled grounding; needs >=2 cores for
-# the speedup target, always checks bit-identical output.
-bench-mpp:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_mpp_wallclock.py -m mpp -q
-
-# Serial vs color-parallel gibbs through the engine registry; the
-# bit-identity gate runs everywhere, the speedup target needs >=2 cores.
-bench-infer:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_inference_engines.py -m mpp -q
 
 # Columnar executor vs row engine on grounding-shaped operators
 # (>=2x with numpy; engines checked bit-identical before timing).

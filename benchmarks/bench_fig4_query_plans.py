@@ -11,8 +11,7 @@ redistribute both sides).
 
 import random
 
-
-from repro import Fact, KnowledgeBase, ProbKB, Relation
+from repro import Fact, GroundingConfig, KnowledgeBase, ProbKB, Relation
 from repro.bench import scaled, write_result
 from repro.core import Atom, HornClause, MPPBackend, ground_atoms_plan
 
@@ -62,7 +61,7 @@ def run_query13(kb, use_matviews):
     system = ProbKB(
         kb,
         backend=MPPBackend(nseg=8, use_matviews=use_matviews),
-        apply_constraints=False,
+        grounding=GroundingConfig(apply_constraints=False),
     )
     backend = system.backend
     before = backend.elapsed_seconds

@@ -63,11 +63,9 @@ from ..relational.plan import (
     Distinct,
     Filter,
     HashJoin,
-    Limit,
     PlanNode,
     Project,
     Scan,
-    Sort,
     UnionAll,
     Values,
     bind_scans,
@@ -212,7 +210,6 @@ class MPPDatabase:
         #: simulated elapsed seconds (parallel time), accumulated per query
         self.elapsed_seconds = 0.0
         self.last_plan: Optional[PhysicalNode] = None
-        self._matview_sources: Dict[str, str] = {}
         #: mirror tables kept in sync with a source table's DML —
         #: how redistributed matviews stay fresh incrementally
         self._mirrors: Dict[str, List[str]] = {}
@@ -379,7 +376,6 @@ class MPPDatabase:
 
     def drop_table(self, name: str) -> None:
         self.tables.pop(name, None)
-        self._matview_sources.pop(name, None)
         self._forget_mirrors(name)
         self._pool_send(("drop_table", name))
 
@@ -402,6 +398,7 @@ class MPPDatabase:
 
         Same rows as ``source_table`` but hash-distributed on
         ``key_columns`` so joins on those columns are collocated.
+        Filled here, once; :meth:`add_mirror` keeps it current.
         """
         source = self.table(source_table)
         view_schema = TableSchema(
@@ -410,30 +407,12 @@ class MPPDatabase:
         view = self.create_table(
             view_schema, HashDistribution(key_columns), replace=True
         )
-        self._matview_sources[name] = source_table
-        self.refresh_matview(name)
-        return view
-
-    def refresh_matview(self, name: str) -> None:
-        source_name = self._matview_sources.get(name)
-        ensure(source_name is not None, ExecutionError, f"{name!r} is not a matview")
-        view = self.table(name)
-        stored = self.table(source_name).column_batch()  # type: ignore[arg-type]
-        for part in view.parts:
-            part.truncate()
-        self._pool_send(("truncate", name))
         self._timed_statement(
-            lambda: self._load_partitioned(view, stored, charge_ship=True)
+            lambda: self._load_partitioned(
+                view, source.column_batch(), charge_ship=True
+            )
         )
-
-    def refresh_all_matviews(self) -> None:
-        """Algorithm 1's ``redistribute(TΠ)`` step."""
-        for name in list(self._matview_sources):
-            self.refresh_matview(name)
-
-    @property
-    def matviews(self) -> List[str]:
-        return list(self._matview_sources)
+        return view
 
     # -- mirrors (incremental matview maintenance) --------------------------
 
@@ -586,12 +565,6 @@ class MPPDatabase:
             return Result(shards.columns, rows)
 
         return self._timed_statement(work)
-
-    def execute_sql(self, sql: str) -> Result:
-        """Parse and execute a SELECT statement on the cluster."""
-        from ..relational.sqlparse import parse_sql
-
-        return self.query(parse_sql(sql))
 
     def explain_last(self) -> str:
         """EXPLAIN ANALYZE text of the most recent statement's plan."""
@@ -835,16 +808,6 @@ class SegmentOps:
     def gather_first(self, source: FrameRef) -> FrameRef:
         return self._motion("gather_first", source, (), DistDesc.arbitrary())
 
-    def sort(self, child: FrameRef, keys: Sequence[Tuple[int, bool]]) -> FrameRef:
-        return self._run(
-            "sort", (child.handle, list(keys)), child.columns, DistDesc.arbitrary()
-        )
-
-    def limit(self, child: FrameRef, limit: int) -> FrameRef:
-        return self._run(
-            "limit", (child.handle, limit), child.columns, DistDesc.arbitrary()
-        )
-
     def localize(self, ref: FrameRef) -> Shards:
         """Fetch a frame's batches into the master process."""
         replicated = ref.dist.kind == "replicated"
@@ -902,8 +865,6 @@ class _MPPExecutor:
             Distinct: self._exec_distinct,
             Aggregate: self._exec_aggregate,
             UnionAll: self._exec_union,
-            Sort: self._exec_sort,
-            Limit: self._exec_limit,
         }.get(type(plan))
         if handler is None:
             raise ExecutionError(f"unsupported MPP plan node {type(plan).__name__}")
@@ -1028,7 +989,7 @@ class _MPPExecutor:
         )
         return shards, node
 
-    # -- distinct / aggregate / union / sort / limit -------------------------------
+    # -- distinct / aggregate / union ---------------------------------------------
 
     def _exec_distinct(self, plan: Distinct) -> Tuple[FrameRef, PhysicalNode]:
         (child,), child_nodes, _ = self._placed(plan, plan.child)
@@ -1062,31 +1023,4 @@ class _MPPExecutor:
         shards = self._timed(
             node, lambda: self.ops.union(children, plan.output_columns, dist)
         )
-        return shards, node
-
-    def _exec_sort(self, plan: Sort) -> Tuple[FrameRef, PhysicalNode]:
-        """Global order requires a gather; the sort runs on segment 0
-        (a merge of per-segment sorted runs in a real system)."""
-        (child,), child_nodes, _ = self._placed(plan, plan.child)
-        positions = [
-            (resolve_column(name, child.columns), descending)
-            for name, descending in plan.keys
-        ]
-        node = PhysicalNode("Sort", plan.describe().replace("Sort: ", ""))
-        node.children.extend(child_nodes)
-        shards = self._timed(node, lambda: self.ops.sort(child, positions))
-        return shards, node
-
-    def _exec_limit(self, plan: Limit) -> Tuple[FrameRef, PhysicalNode]:
-        if plan.limit < 0:
-            # same guard as the single-node executors (a negative limit
-            # would silently slice rows off the end), raised here so the
-            # error never reaches a worker and costs the pool
-            raise ExecutionError(
-                f"Limit must be non-negative, got {plan.limit}"
-            )
-        (child,), child_nodes, _ = self._placed(plan, plan.child)
-        node = PhysicalNode("Limit", str(plan.limit))
-        node.children.extend(child_nodes)
-        shards = self._timed(node, lambda: self.ops.limit(child, plan.limit))
         return shards, node

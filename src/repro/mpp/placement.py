@@ -32,10 +32,8 @@ from ..relational.plan import (
     AntiJoin,
     Distinct,
     HashJoin,
-    Limit,
     PlanNode,
     Project,
-    Sort,
     UnionAll,
 )
 from ..relational.statistics import TableDistribution
@@ -202,9 +200,6 @@ def place(plan: PlanNode, inputs: Sequence[Input], nseg: int) -> Placement:
         if subset_perm(child.dist, group_keys) is not None:
             return Placement((None,), out_dist)
         return Placement((redistribute(group_keys),), out_dist)
-    if isinstance(plan, (Sort, Limit)):
-        # a global order / a global row budget needs one segment
-        return _moved(GATHER)
     raise ExecutionError(f"no placement rule for {type(plan).__name__}")
 
 

@@ -275,22 +275,6 @@ class SegmentInterpreter:
 
         return self._each(handle, work)
 
-    def _cmd_sort(
-        self, handle: int, source: int, keys: Sequence[Tuple[int, bool]]
-    ) -> dict:
-        child = self.frames[source]
-        return self._first(
-            handle,
-            self._columns(source),
-            lambda seg, clock: operators.sort_batch(child[seg], keys, clock),
-        )
-
-    def _cmd_limit(self, handle: int, source: int, limit: int) -> dict:
-        child = self.frames[source]
-        return self._first(
-            handle, self._columns(source), lambda seg, _clock: child[seg].head(limit)
-        )
-
     # -- motions -------------------------------------------------------------
 
     def _assemble(

@@ -59,11 +59,9 @@ from ..relational.plan import (
     Distinct,
     Filter,
     HashJoin,
-    Limit,
     PlanNode,
     Project,
     Scan,
-    Sort,
     UnionAll,
     Values,
     walk,
@@ -365,10 +363,6 @@ class StaticPlanner:
             return self._est_aggregate(plan)
         if isinstance(plan, UnionAll):
             return self._est_union(plan)
-        if isinstance(plan, Sort):
-            return self._est_sort(plan)
-        if isinstance(plan, Limit):
-            return self._est_limit(plan)
         raise ExecutionError(
             f"unsupported plan node {type(plan).__name__} in static planner"
         )
@@ -603,7 +597,7 @@ class StaticPlanner:
             node=node,
         )
 
-    # -- distinct / aggregate / union / sort / limit ------------------------------
+    # -- distinct / aggregate / union --------------------------------------------
 
     def _est_distinct(self, plan: Distinct) -> _Est:
         (child,), dist, _ = self._placed(plan, plan.child)
@@ -691,40 +685,5 @@ class StaticPlanner:
             nulls={},
             mcv={},
             tables=tables,
-            node=node,
-        )
-
-    def _est_sort(self, plan: Sort) -> _Est:
-        (child,), dist, _ = self._placed(plan, plan.child)
-        node = PhysicalNode("Sort", plan.describe().replace("Sort: ", ""))
-        node.children.append(child.node)
-        # sort runs on segment 0 and charges both probe and output
-        node.seconds = child.rows * (ROW_PROBE_S + ROW_OUTPUT_S)
-        node.rows = int(round(child.rows))
-        return _Est(
-            columns=child.columns,
-            rows=child.rows,
-            dist=dist,
-            ndv=child.ndv,
-            nulls=child.nulls,
-            mcv=child.mcv,
-            tables=child.tables,
-            node=node,
-        )
-
-    def _est_limit(self, plan: Limit) -> _Est:
-        (child,), dist, _ = self._placed(plan, plan.child)
-        rows = self._cap(min(child.rows, float(plan.limit)))
-        node = PhysicalNode("Limit", str(plan.limit))
-        node.children.append(child.node)
-        node.rows = int(round(rows))
-        return _Est(
-            columns=child.columns,
-            rows=rows,
-            dist=dist,
-            ndv=self._scaled_ndv(dict(child.ndv), rows),
-            nulls=child.nulls,
-            mcv=child.mcv,
-            tables=child.tables,
             node=node,
         )

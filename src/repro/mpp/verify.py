@@ -21,7 +21,7 @@ checks, at every node:
   distribution is redundant (warning);
 * ``PKB211`` — the receiver's distribution requirement holds
   (Distinct input not arbitrary, grouped HashAggregate hashed within
-  its group keys, global aggregates/Sort/Limit gathered first);
+  its group keys, global aggregates gathered first);
 * ``PKB212`` — the node itself is malformed: unknown kind, wrong child
   count, unparsable detail, or a declared ``dist`` inconsistent with
   the derivation (for motions, with the motion's own semantics).
@@ -62,8 +62,6 @@ _CHILD_COUNTS: Dict[str, Optional[int]] = {
     "Project": 1,
     "Distinct": 1,
     "HashAggregate": 1,
-    "Sort": 1,
-    "Limit": 1,
     "Redistribute Motion": 1,
     "Broadcast Motion": 1,
     "Gather Motion": 1,
@@ -255,19 +253,6 @@ class _PhysicalChecker:
             return self._derive_aggregate(node, path, children[0])
         if kind == "Append":
             return self._derive_append(children)
-        if kind in ("Sort", "Limit"):
-            if self.nseg > 1 and children[0] is not None:
-                if children[0] is not _SINGLETON and children[0].kind != "singleton":
-                    self.emit(
-                        "PKB211",
-                        path,
-                        f"{kind}: input is {_describe(children[0])} but a "
-                        "global ordering needs all rows on one segment — "
-                        "gather first",
-                        kind=kind,
-                        input=_describe(children[0]),
-                    )
-            return _SINGLETON
         if kind == "Redistribute Motion":
             return self._derive_redistribute(node, path, children[0])
         if kind == "Broadcast Motion":

@@ -37,17 +37,14 @@ from .plan import (
     Distinct,
     Filter,
     HashJoin,
-    Limit,
     PlanNode,
     Project,
     Scan,
-    Sort,
     UnionAll,
     Values,
 )
 from .schema import Column, TableSchema, schema
 from .sqlite_bridge import SqliteMirror
-from .sqlparse import SqlParseError, parse_sql
 from .sqltext import to_sql
 from .table import Table
 from .types import (
@@ -83,7 +80,6 @@ __all__ = [
     "HashJoin",
     "INT",
     "IsNull",
-    "Limit",
     "Not",
     "Or",
     "PlanError",
@@ -94,8 +90,6 @@ __all__ = [
     "Row",
     "Scan",
     "SchemaError",
-    "Sort",
-    "SqlParseError",
     "SqliteMirror",
     "TEXT",
     "Table",
@@ -109,7 +103,6 @@ __all__ = [
     "eq",
     "eq_const",
     "numpy_enabled",
-    "parse_sql",
     "schema",
     "to_sql",
 ]

@@ -28,7 +28,6 @@ import os
 from collections import defaultdict
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterator,
     List,
@@ -168,12 +167,6 @@ class ColumnBatch:
             self.columns,
             [gather_column(col, indices) for col in self.cols],
             _index_count(indices),
-        )
-
-    def head(self, count: int) -> "ColumnBatch":
-        return ColumnBatch(
-            self.columns, [col[:count] for col in self.cols],
-            min(count, self.nrows),
         )
 
     # -- numpy views -------------------------------------------------------
@@ -456,60 +449,6 @@ def aggregate_column(
     if func == "sum":
         return sum(values)
     raise ExecutionError(f"unknown aggregate {func!r}")
-
-
-# -- sort --------------------------------------------------------------------
-
-
-def null_first_sort_key(pos: int, descending: bool) -> Callable[[Row], Tuple[bool, Value]]:
-    """Per-key sort key pinning NULLS FIRST in *both* directions.
-
-    Ascending sorts on ``(value is not None, value)`` unreversed;
-    descending sorts on ``(value is None, value)`` reversed — either
-    way every NULL lands before every non-NULL.
-    """
-    if descending:
-        return lambda row: (row[pos] is None, row[pos])
-    return lambda row: (row[pos] is not None, row[pos])
-
-
-def sort_indices(
-    batch: ColumnBatch, keys: Sequence[Tuple[int, bool]]
-) -> IndexSeq:
-    """Stable multi-key sort permutation, NULLS FIRST both directions."""
-    np = get_numpy()
-    if np is not None:
-        perm = _np_sort(batch, keys)
-        if perm is not None:
-            return perm
-    indices = list(range(batch.nrows))
-    cols = batch.cols
-    for pos, descending in reversed(list(keys)):
-        col = cols[pos]
-        if descending:
-            indices.sort(key=lambda i: (col[i] is None, col[i]), reverse=True)
-        else:
-            indices.sort(key=lambda i: (col[i] is not None, col[i]))
-    return indices
-
-
-def _np_sort(batch: ColumnBatch, keys: Sequence[Tuple[int, bool]]) -> Any:
-    """Int-only numpy sort path (no NULLs possible), or None."""
-    np = get_numpy()
-    arrays = []
-    for pos, descending in keys:
-        arr = batch.int_array(pos)
-        if arr is None:
-            return None
-        if descending and arr.size and int(arr.min()) == -(2 ** 63):
-            return None  # negation would overflow
-        arrays.append((arr, descending))
-    indices = np.arange(batch.nrows)
-    for arr, descending in reversed(arrays):
-        key = arr[indices]
-        order = np.argsort(-key if descending else key, kind="stable")
-        indices = indices[order]
-    return indices
 
 
 # -- vectorized predicates ---------------------------------------------------

@@ -30,11 +30,9 @@ from .plan import (
     Distinct,
     Filter,
     HashJoin,
-    Limit,
     PlanNode,
     Project,
     Scan,
-    Sort,
     UnionAll,
     Values,
     bind_scans,
@@ -98,17 +96,4 @@ class ColumnarExecutor:
         if isinstance(plan, UnionAll):
             children = [self._eval_batch(child) for child in plan.children]
             return operators.union_batches(children, plan.output_columns, clock)
-        if isinstance(plan, Sort):
-            child = self._eval_batch(plan.child)
-            keys = [
-                (resolve_column(name, child.columns), descending)
-                for name, descending in plan.keys
-            ]
-            return operators.sort_batch(child, keys, clock)
-        if isinstance(plan, Limit):
-            if plan.limit < 0:
-                raise ExecutionError(
-                    f"Limit must be non-negative, got {plan.limit}"
-                )
-            return self._eval_batch(plan.child).head(plan.limit)
         raise ExecutionError(f"unsupported plan node {type(plan).__name__}")

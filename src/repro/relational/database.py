@@ -6,14 +6,13 @@ operations ProbKB's grounding and quality-control algorithms need:
 * DDL: ``create_table`` (with optional unique key for set semantics);
 * queries: ``query(plan)``;
 * DML: ``insert_rows``, ``insert_from(plan)`` (INSERT ... SELECT),
-  ``delete_in`` (DELETE ... WHERE (cols) IN (subquery));
-* materialized views: stored copies refreshed from a defining plan.
+  ``delete_in`` (DELETE ... WHERE (cols) IN (subquery)).
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .columnar import ColumnBatch
 from .columnar_exec import ColumnarExecutor
@@ -21,7 +20,7 @@ from .cost import CostClock
 from .plan import PlanNode
 from .schema import TableSchema
 from .table import Table, batch_of_result
-from .types import ExecutionError, Result, Row, ensure
+from .types import ExecutionError, Result, Row
 from .verify import verify_plan, verify_plans_enabled
 
 
@@ -32,7 +31,6 @@ class Database:
         self.name = name
         self.tables: Dict[str, Table] = {}
         self.clock = CostClock()
-        self._matview_defs: Dict[str, PlanNode] = {}
         #: debug gate: statically verify every distinct plan once before
         #: it executes (None defers to the PROBKB_VERIFY_PLANS env var)
         self.verify_plans = verify_plans_enabled(verify_plans)
@@ -65,7 +63,6 @@ class Database:
 
     def drop_table(self, name: str) -> None:
         self.tables.pop(name, None)
-        self._matview_defs.pop(name, None)
 
     def table(self, name: str) -> Table:
         try:
@@ -88,12 +85,6 @@ class Database:
         """Execute a read-only plan; charges one statement of overhead."""
         batch = self._run(plan)
         return Result(batch.columns, batch.to_rows())
-
-    def execute_sql(self, sql: str) -> Result:
-        """Parse and execute a SELECT statement (the dialect to_sql emits)."""
-        from .sqlparse import parse_sql
-
-        return self.query(parse_sql(sql))
 
     @property
     def elapsed_seconds(self) -> float:
@@ -160,34 +151,6 @@ class Database:
     def truncate(self, table_name: str) -> None:
         self.clock.charge_query()
         self.table(table_name).truncate()
-
-    # -- materialized views ----------------------------------------------------
-
-    def create_matview(
-        self,
-        name: str,
-        plan: PlanNode,
-        table_schema: TableSchema,
-    ) -> Table:
-        """Create a materialized view: a stored table + its defining plan."""
-        table = self.create_table(table_schema, replace=True)
-        self._matview_defs[name] = plan
-        self.refresh_matview(name)
-        return table
-
-    def refresh_matview(self, name: str) -> int:
-        plan = self._matview_defs.get(name)
-        ensure(plan is not None, ExecutionError, f"{name!r} is not a matview")
-        result = self._run(plan)  # type: ignore[arg-type]
-        table = self.table(name)
-        table.truncate()
-        inserted = table.insert_batch(result, validate=False)
-        self.clock.rows_inserted += inserted
-        return inserted
-
-    @property
-    def matviews(self) -> List[str]:
-        return list(self._matview_defs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Database({self.name}, tables={list(self.tables)})"

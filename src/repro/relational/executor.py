@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .columnar import null_first_sort_key
 from .cost import CostClock
 from .expr import resolve_column
 from .plan import (
@@ -20,11 +19,9 @@ from .plan import (
     Distinct,
     Filter,
     HashJoin,
-    Limit,
     PlanNode,
     Project,
     Scan,
-    Sort,
     UnionAll,
     Values,
     bind_scans,
@@ -76,16 +73,6 @@ class Executor:
             return self._eval_aggregate(plan)
         if isinstance(plan, UnionAll):
             return self._eval_union(plan)
-        if isinstance(plan, Sort):
-            return self._eval_sort(plan)
-        if isinstance(plan, Limit):
-            if plan.limit < 0:
-                # a negative limit would silently slice from the end
-                raise ExecutionError(
-                    f"Limit must be non-negative, got {plan.limit}"
-                )
-            columns, rows = self._eval(plan.child)
-            return columns, rows[: plan.limit]
         raise ExecutionError(f"unsupported plan node {type(plan).__name__}")
 
     def _eval_scan(self, plan: Scan) -> Tuple[List[str], List[Row]]:
@@ -214,24 +201,6 @@ class Executor:
             predicate = plan.having.bind(out_columns)
             out_rows = [row for row in out_rows if predicate(row)]
         return out_columns, out_rows
-
-    def _eval_sort(self, plan: Sort) -> Tuple[List[str], List[Row]]:
-        columns, rows = self._eval(plan.child)
-        positions = [
-            (resolve_column(name, columns), descending)
-            for name, descending in plan.keys
-        ]
-        # stable multi-key sort: apply keys right-to-left.  NULLs sort
-        # first in BOTH directions (the descending key flips the NULL
-        # test so the reverse pass cannot push NULLs to the end).
-        ordered = list(rows)
-        for pos, descending in reversed(positions):
-            ordered.sort(
-                key=null_first_sort_key(pos, descending), reverse=descending
-            )
-        self._clock.rows_probed += len(ordered)
-        self._clock.rows_output += len(ordered)
-        return columns, ordered
 
     def _eval_union(self, plan: UnionAll) -> Tuple[List[str], List[Row]]:
         out_columns = plan.output_columns

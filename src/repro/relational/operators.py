@@ -31,7 +31,6 @@ from .columnar import (
     gather_column,
     group_indices,
     join_indices,
-    sort_indices,
 )
 from .cost import CostClock
 from .expr import Col, Const, Expr, resolve_column
@@ -154,13 +153,3 @@ def union_batches(
     clock.rows_output += out.nrows
     return out
 
-
-def sort_batch(
-    child: ColumnBatch, keys: Sequence[Tuple[int, bool]], clock: CostClock
-) -> ColumnBatch:
-    """Stable multi-key sort on ``(position, descending)`` keys, NULLS
-    FIRST in both directions."""
-    ordered = child.gather(sort_indices(child, keys))
-    clock.rows_probed += ordered.nrows
-    clock.rows_output += ordered.nrows
-    return ordered

@@ -316,49 +316,6 @@ class UnionAll(PlanNode):
         return f"Append ({len(self._children)} children)"
 
 
-class Sort(PlanNode):
-    """ORDER BY: (column, descending) pairs; NULLs sort first."""
-
-    def __init__(
-        self, child: PlanNode, keys: Sequence[Tuple[str, bool]]
-    ) -> None:
-        ensure(len(keys) > 0, PlanError, "sort needs at least one key")
-        self.child = child
-        self.keys = [(name, bool(desc)) for name, desc in keys]
-
-    @property
-    def output_columns(self) -> List[str]:
-        return self.child.output_columns
-
-    @property
-    def children(self) -> List[PlanNode]:
-        return [self.child]
-
-    def describe(self) -> str:
-        parts = ", ".join(
-            f"{name} {'DESC' if desc else 'ASC'}" for name, desc in self.keys
-        )
-        return f"Sort: {parts}"
-
-
-class Limit(PlanNode):
-    def __init__(self, child: PlanNode, limit: int) -> None:
-        ensure(limit >= 0, PlanError, "limit must be non-negative")
-        self.child = child
-        self.limit = limit
-
-    @property
-    def output_columns(self) -> List[str]:
-        return self.child.output_columns
-
-    @property
-    def children(self) -> List[PlanNode]:
-        return [self.child]
-
-    def describe(self) -> str:
-        return f"Limit {self.limit}"
-
-
 def walk(plan: PlanNode) -> Iterator[PlanNode]:
     """Yield every node of the plan tree (pre-order)."""
     yield plan

@@ -22,11 +22,9 @@ from .plan import (
     Distinct,
     Filter,
     HashJoin,
-    Limit,
     PlanNode,
     Project,
     Scan,
-    Sort,
     UnionAll,
     Values,
 )
@@ -42,25 +40,24 @@ def _render(plan: PlanNode) -> str:
     if isinstance(plan, UnionAll):
         parts = [_render(child) for child in plan.children]
         return "\nUNION ALL\n".join(parts)
-    if isinstance(plan, Limit):
-        return _render(plan.child) + f"\nLIMIT {plan.limit}"
-    if isinstance(plan, Sort):
-        # NULLs sort first in both directions in our engine; sqlite's
-        # default for DESC is NULLS LAST, so pin it explicitly.
-        keys = ", ".join(
-            f"{name} DESC NULLS FIRST" if desc else name
-            for name, desc in plan.keys
-        )
-        return _render(plan.child) + f"\nORDER BY {keys}"
     select = _Select()
     select.absorb(plan)
     return select.render()
+
+
+#: The shape nodes of one SELECT block, ranked outermost-first: a block
+#: is ``SELECT [DISTINCT] <projection> … [GROUP BY …]`` and nothing else.
+_SHAPE_RANK = {Distinct: 1, Project: 2, Aggregate: 3}
 
 
 class _Select:
     """Accumulates one SELECT block from a plan subtree."""
 
     def __init__(self) -> None:
+        # what absorb() has passed on its way down, for its one rule
+        self.shape_rank = 0  # rank of the innermost shape node
+        self.has_from = False  # a FROM item (join, scan, values)
+        self.has_where = False  # a WHERE predicate (filter, anti-join)
         self.outputs: Optional[List[Tuple[str, str]]] = None  # (sql, name)
         self.distinct = False
         self.from_items: List[str] = []  # "table alias"
@@ -73,15 +70,32 @@ class _Select:
     # -- absorption of plan nodes ------------------------------------------
 
     def absorb(self, plan: PlanNode) -> None:
+        rank = _SHAPE_RANK.get(type(plan))
+        if rank is not None:
+            # anything else would need a subquery, or HAVING for a
+            # predicate above the GROUP BY; flattening it prints SQL
+            # that means something different from the plan
+            ensure(
+                rank > self.shape_rank
+                and not self.has_from
+                and not (self.has_where and isinstance(plan, Aggregate)),
+                PlanError,
+                f"cannot render {type(plan).__name__} here: one SELECT block "
+                "takes Distinct, Project, Aggregate in that order, above its "
+                "FROM items, with predicates below the Aggregate",
+            )
+            self.shape_rank = rank
+        elif isinstance(plan, (Filter, AntiJoin)):
+            self.has_where = True
+        else:
+            self.has_from = True
         if isinstance(plan, Project):
-            ensure(self.outputs is None, PlanError, "nested projections unsupported")
             self.outputs = [(expr.to_sql(), name) for expr, name in plan.outputs]
             self.absorb(plan.child)
         elif isinstance(plan, Distinct):
             self.distinct = True
             self.absorb(plan.child)
         elif isinstance(plan, Aggregate):
-            ensure(not self.aggregates, PlanError, "nested aggregates unsupported")
             self.group_by = list(plan.group_by)
             self.aggregates = list(plan.aggregates)
             self.having_expr = plan.having
@@ -124,9 +138,8 @@ class _Select:
         where = self.join_conditions + self.filters
         if where:
             sql.append("WHERE " + "\n  AND ".join(where))
-        if self.group_by or self.aggregates:
-            if self.group_by:
-                sql.append("GROUP BY " + ", ".join(self.group_by))
+        if self.group_by:
+            sql.append("GROUP BY " + ", ".join(self.group_by))
         if self.having_expr is not None:
             # HAVING must use the aggregate expressions themselves;
             # the plan's predicate references their output aliases

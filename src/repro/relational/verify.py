@@ -6,9 +6,9 @@ but wrong factor tables, not crashes.  This module is the machine-checked
 definition of what a *well-formed* logical plan is: output columns are
 derivable bottom-up, every expression binds only to in-scope columns,
 join keys agree in arity and (when schemas are known) in type, and the
-bag/set discipline around ``Distinct``/``UnionAll``/``Sort``/``Limit``
-holds.  Findings carry stable ``PKB201``-``PKB208`` codes; the physical
-(MPP) layer adds ``PKB209``-``PKB212`` in :mod:`repro.mpp.verify`.
+bag/set discipline around ``Distinct``/``UnionAll`` holds.  Findings
+carry stable ``PKB201``-``PKB208`` codes; the physical (MPP) layer adds
+``PKB209``-``PKB212`` in :mod:`repro.mpp.verify`.
 
 The verifier is deliberately pure: it never binds scans, touches
 clocks, or mutates the plan, so running it cannot change what a plan
@@ -38,11 +38,9 @@ from .plan import (
     Distinct,
     Filter,
     HashJoin,
-    Limit,
     PlanNode,
     Project,
     Scan,
-    Sort,
     UnionAll,
     Values,
 )
@@ -74,9 +72,8 @@ LOGICAL_CODES: Dict[str, Tuple[str, str]] = register_codes({
     "PKB206": (ERROR, "UnionAll children are shape-incompatible "
                       "(arity error; column-name drift warns)"),
     "PKB207": (ERROR, "Aggregate group-key/output inconsistency"),
-    "PKB208": (WARNING, "bag/set or ordering discipline violation "
-                        "(redundant Distinct, Limit without Sort, "
-                        "negative Limit — the last is an error)"),
+    "PKB208": (WARNING, "bag/set discipline violation (redundant "
+                        "Distinct)"),
 })
 
 #: values of ``PROBKB_VERIFY_PLANS`` that switch the runtime gate on
@@ -285,10 +282,6 @@ class _Checker:
             return self._check_aggregate(node, path)
         if isinstance(node, UnionAll):
             return self._check_union(node, path)
-        if isinstance(node, Sort):
-            return self._check_sort(node, path)
-        if isinstance(node, Limit):
-            return self._check_limit(node, path)
         # an unknown operator class: treat as opaque pass-through
         scopes = [self.check(child, f"{path}.{i}")
                   for i, child in enumerate(node.children)]
@@ -373,39 +366,6 @@ class _Checker:
                 f"Distinct over {node.child.__class__.__name__}: the input "
                 "is already duplicate-free, the dedup is redundant",
                 operator="Distinct",
-                child=node.child.__class__.__name__,
-            )
-        return scope
-
-    def _check_sort(self, node: Sort, path: str) -> _Scope:
-        scope = self.check(node.child, f"{path}.0")
-        for name, _desc in node.keys:
-            self._resolve(name, scope, path, "Sort", "key")
-        return scope
-
-    def _check_limit(self, node: Limit, path: str) -> _Scope:
-        scope = self.check(node.child, f"{path}.0")
-        if node.limit < 0:
-            # Python slicing would quietly turn rows[:-n] into "drop the
-            # last n rows"; the executor rejects this, and so do we.
-            self.emit(
-                "PKB208",
-                path,
-                f"Limit {node.limit}: negative limits are rejected (a "
-                "negative Python slice would keep all but the last "
-                f"{-node.limit} rows instead of failing)",
-                severity=ERROR,
-                operator="Limit",
-                limit=node.limit,
-            )
-        if not isinstance(node.child, Sort):
-            self.emit(
-                "PKB208",
-                path,
-                f"Limit {node.limit} over "
-                f"{node.child.__class__.__name__}: without a Sort child the "
-                "kept prefix is an arbitrary subset of the input bag",
-                operator="Limit",
                 child=node.child.__class__.__name__,
             )
         return scope

@@ -225,11 +225,20 @@ def test_executor_env_var_changes_nothing(monkeypatch):
 def test_production_imports_do_not_load_the_reference_executor():
     """The row ``Executor`` is a test reference, imported by path; no
     production module may pull it in (it used to be the base class of
-    ``ColumnarExecutor`` and the home of ``Result``)."""
+    ``ColumnarExecutor`` and the home of ``Result``).  The engine takes
+    plan trees only: every SQL-named thing it exposes is an output
+    (renderer, sqlite mirror), no database has a method that reads SQL,
+    and the operator set is the nine the grounder builds."""
     code = (
         "import sys, repro, repro.api, repro.cli, repro.core, repro.mpp, "
         "repro.relational, repro.serve\n"
-        "print('repro.relational.executor' in sys.modules)"
+        "from repro.relational import Database, PlanNode\n"
+        "print('repro.relational.executor' in sys.modules)\n"
+        "print(sorted(n for n in dir(repro.relational) if 'sql' in n.lower()))\n"
+        "print([n for db in (Database, repro.mpp.MPPDatabase) for n in dir(db)"
+        " if 'sql' in n.lower()])\n"
+        "print(sorted(n for n, v in vars(repro.relational).items()"
+        " if isinstance(v, type) and issubclass(v, PlanNode)))"
     )
     completed = subprocess.run(
         [sys.executable, "-c", code],
@@ -239,5 +248,11 @@ def test_production_imports_do_not_load_the_reference_executor():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert completed.returncode == 0, completed.stderr[-2000:]
-    assert completed.stdout.strip() == "False"
+    assert completed.stdout.splitlines() == [
+        "False",
+        "['SqliteMirror', 'sqlite_bridge', 'sqltext', 'to_sql']",
+        "[]",
+        "['Aggregate', 'AntiJoin', 'Distinct', 'Filter', 'HashJoin', 'PlanNode', "
+        "'Project', 'Scan', 'UnionAll', 'Values']",
+    ]
     assert not hasattr(repro.relational, "Executor")

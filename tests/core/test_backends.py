@@ -107,7 +107,7 @@ def test_validation_runs_once_per_statement(monkeypatch):
         for method in ("bulkload", "insert_from", "insert_from_with_ids"):
             traced(method)
         system = ProbKB(paper_kb(), backend=backend)
-        assert sorted(backend.db.matviews) == sorted(TPI_VIEWS)
+        assert set(TPI_VIEWS) <= set(backend.db.tables)
         system.ground()
 
     assert {method for method, *_ in statements} == {

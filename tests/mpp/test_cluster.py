@@ -1,6 +1,8 @@
 """MPP simulator tests: result parity with the single-node engine,
 motion planning, matviews, and simulated-time accounting."""
 
+from collections import Counter
+
 import pytest
 
 from repro.mpp import (
@@ -17,7 +19,6 @@ from repro.relational import (
     Distinct,
     Filter,
     HashJoin,
-    Limit,
     Project,
     Scan,
     UnionAll,
@@ -164,12 +165,6 @@ def test_union_parity():
     assert_same(single, cluster, factory)
 
 
-def test_limit():
-    _, cluster = make_pair()
-    result = cluster.query(Limit(Scan("person"), 5))
-    assert len(result) == 5
-
-
 def test_insert_from_dedups_across_segments():
     cluster = MPPDatabase(nseg=4)
     cluster.create_table(
@@ -246,12 +241,25 @@ def test_redistributed_matview():
     assert explain.count("Motion") == 1  # only the Gather
 
 
-def test_matview_refresh_picks_up_new_rows():
+def test_matview_mirrors_its_source():
+    """A view is filled from its source at creation and then follows
+    the source's DML as a mirror — there is no refresh."""
     _, cluster = make_pair()
     cluster.create_redistributed_matview("v", "person", ["city"])
-    cluster.bulkload("person", [(999, "new", 30)])
-    cluster.refresh_all_matviews()
-    assert len(cluster.table("v")) == len(PEOPLE) + 1
+    cluster.add_mirror("person", "v")
+
+    def in_step():
+        return Counter(cluster.table("v").all_rows()) == Counter(
+            cluster.table("person").all_rows()
+        )
+
+    assert in_step() and len(cluster.table("v")) == len(PEOPLE)
+    cluster.insert_from(
+        "person", Values(["id", "name", "city"], [(999, "new", 30), (998, "n2", 10)])
+    )
+    assert in_step() and len(cluster.table("v")) == len(PEOPLE) + 2
+    removed = cluster.delete_in("person", ["city"], Values(["k"], [(10,)]))
+    assert removed > 0 and in_step()
 
 
 def test_mirror_registrations_follow_their_tables():

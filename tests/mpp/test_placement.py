@@ -37,10 +37,8 @@ from repro.relational import (
     Distinct,
     Filter,
     HashJoin,
-    Limit,
     Project,
     Scan,
-    Sort,
     UnionAll,
     Values,
     col,
@@ -255,12 +253,6 @@ def test_aggregate_placement(group_by, dist, moves, out_dist):
     assert place(plan, [left(dist)], 4) == Placement(moves, out_dist)
 
 
-@pytest.mark.parametrize("dist", [ARBITRARY, hashed("L.a"), REPLICATED])
-def test_sort_and_limit_always_gather(dist):
-    for plan in (Sort(values(L_COLS), [("a", False)]), Limit(values(L_COLS), 3)):
-        assert place(plan, [left(dist)], 4) == Placement((GATHER,), ARBITRARY)
-
-
 @pytest.mark.parametrize(
     "dists, out_dist",
     [
@@ -419,12 +411,7 @@ def random_plan(rng):
             plan = Filter(plan, eq_const(rng.choice(columns), 1))
     # at most one operator that needs all rows on one segment, on top:
     # stacking two makes the second gather a (harmless) PKB210 warning
-    top = rng.choice([None, None, "sort", "limit", "global"])
-    if top == "sort":
-        plan = Sort(plan, [(rng.choice(plan.output_columns), rng.random() < 0.5)])
-    elif top == "limit":
-        plan = Limit(plan, 7)
-    elif top == "global":
+    if rng.random() < 0.4:
         plan = Aggregate(plan, [], [("count", None, "n")])
     return plan, exact
 

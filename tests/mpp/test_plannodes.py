@@ -67,8 +67,8 @@ class TestPhysicalNode:
         assert rebuilt.to_dict() == tree.to_dict()
 
     def test_from_dict_defaults_missing_fields(self):
-        node = PhysicalNode.from_dict({"kind": "Limit"})
-        assert node == PhysicalNode("Limit")
+        node = PhysicalNode.from_dict({"kind": "Distinct"})
+        assert node == PhysicalNode("Distinct")
 
 
 class TestCostClock:

@@ -33,10 +33,8 @@ from repro.relational import (
     Distinct,
     Filter,
     HashJoin,
-    Limit,
     Project,
     Scan,
-    Sort,
     UnionAll,
     Values,
     col,
@@ -90,18 +88,12 @@ def plans():
         "anti_join": lambda: AntiJoin(
             Scan("person", "P"), Scan("city", "C"), ["P.city"], ["C.id"]
         ),
-        "union_sort_limit": lambda: Limit(
-            Sort(
-                UnionAll(
-                    [
-                        Project(Scan("person", "P"), [(col("P.id"), "id")]),
-                        Project(Scan("city", "C"), [(col("C.id"), "id")]),
-                        Values(["id"], [(7,), (None,)]),
-                    ]
-                ),
-                [("id", True)],
-            ),
-            9,
+        "union": lambda: UnionAll(
+            [
+                Project(Scan("person", "P"), [(col("P.id"), "id")]),
+                Project(Scan("city", "C"), [(col("C.id"), "id")]),
+                Values(["id"], [(7,), (None,)]),
+            ]
         ),
     }
 

@@ -17,10 +17,8 @@ from repro.relational.columnar import (
     get_numpy,
     group_indices,
     join_indices,
-    null_first_sort_key,
     numpy_enabled,
     predicate_mask,
-    sort_indices,
 )
 from repro.relational import Database, HashJoin, Scan, operators, schema
 from repro.relational.cost import CostClock
@@ -57,12 +55,10 @@ class TestColumnBatch:
         assert batch.to_rows() == rows
         assert batch.columns == ["x", "y", "z"]
 
-    def test_gather_and_head(self):
+    def test_gather(self):
         rows = [(i, i * 10) for i in range(5)]
         batch = ColumnBatch.from_rows(["a", "b"], rows)
         assert batch.gather([3, 0]).to_rows() == [(3, 30), (0, 0)]
-        assert batch.head(2).to_rows() == rows[:2]
-        assert batch.head(0).to_rows() == []
 
     def test_rename_shares_columns(self):
         batch = ColumnBatch.from_rows(["a"], [(1,), (2,)])
@@ -223,35 +219,6 @@ class TestDistinctAndGroup:
         assert aggregate_column("min", values, [1]) is None
 
 
-class TestSortKernel:
-    def _sort(self, rows, keys):
-        width = len(rows[0]) if rows else 1
-        batch = ColumnBatch.from_rows([f"c{i}" for i in range(width)], rows)
-        return [rows[int(i)] for i in sort_indices(batch, keys)]
-
-    def test_nulls_first_both_directions(self, no_numpy):
-        rows = [(3,), (None,), (1,), (2,)]
-        assert self._sort(rows, [(0, False)]) == [(None,), (1,), (2,), (3,)]
-        assert self._sort(rows, [(0, True)]) == [(None,), (3,), (2,), (1,)]
-
-    def test_multi_key_stable(self, no_numpy):
-        rows = [(1, "b"), (2, "a"), (1, "a"), (2, "b")]
-        ordered = self._sort(rows, [(0, False), (1, True)])
-        assert ordered == [(1, "b"), (1, "a"), (2, "b"), (2, "a")]
-
-    def test_int64_min_does_not_overflow(self, no_numpy):
-        lo = -(2 ** 63)
-        rows = [(0,), (lo,), (5,)]
-        assert self._sort(rows, [(0, True)]) == [(5,), (0,), (lo,)]
-
-    def test_sort_key_helper(self):
-        asc = null_first_sort_key(0, False)
-        desc = null_first_sort_key(0, True)
-        assert asc((None,)) < asc((0,))
-        # reverse=True flips, so NULL must carry the *largest* key
-        assert desc((None,)) > desc((10 ** 9,))
-
-
 class TestPredicateMask:
     def _mask(self, expr, rows, cols):
         batch = ColumnBatch.from_rows(cols, rows)
@@ -307,11 +274,3 @@ class TestSharedOperators:
         # the operator is handed batches, not tables, outside a statement
         db.clock.rows_scanned = db.clock.queries = 0
         assert ours_clock.snapshot() == db.clock.snapshot()
-
-    def test_sort_charges_probe_and_output(self, no_numpy):
-        clock = CostClock()
-        batch = ColumnBatch.from_rows(["a"], [(2,), (None,), (1,)])
-        ordered = operators.sort_batch(batch, [(0, False)], clock)
-        assert ordered.to_rows() == [(None,), (1,), (2,)]
-        assert clock.rows_probed == 3
-        assert clock.rows_output == 3

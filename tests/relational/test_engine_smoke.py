@@ -113,15 +113,6 @@ def test_insert_from(db):
     assert count == 4
 
 
-def test_matview_refresh(db):
-    plan = Project(Scan("person"), [(col("person.id"), "id")])
-    db.create_matview("person_ids", plan, schema("person_ids", "id:int"))
-    assert len(db.table("person_ids")) == 4
-    db.bulkload("person", [(5, "eve", 20)])
-    db.refresh_matview("person_ids")
-    assert len(db.table("person_ids")) == 5
-
-
 def test_cost_clock_monotone(db):
     before = db.clock.seconds
     db.query(Scan("person"))

@@ -7,7 +7,6 @@ from repro.relational import (
     Database,
     ExecutionError,
     HashJoin,
-    Limit,
     PlanError,
     Project,
     Scan,
@@ -16,7 +15,6 @@ from repro.relational import (
     Values,
     schema,
 )
-from repro.relational.plan import Sort
 from repro.relational.schema import Column, TableSchema
 
 
@@ -71,12 +69,6 @@ class TestDatabaseErrors:
         with pytest.raises(ExecutionError):
             db.insert_from("t", Scan("u"))
 
-    def test_refresh_non_matview(self):
-        db = Database()
-        db.create_table(schema("t", "a:int"))
-        with pytest.raises(ExecutionError):
-            db.refresh_matview("t")
-
     def test_drop_table(self):
         db = Database()
         db.create_table(schema("t", "a:int"))
@@ -100,14 +92,6 @@ class TestPlanErrors:
         second = Values(["a", "b"], [(1, 2)])
         with pytest.raises(PlanError):
             UnionAll([first, second])
-
-    def test_negative_limit(self):
-        with pytest.raises(PlanError):
-            Limit(Scan("a"), -1)
-
-    def test_empty_sort(self):
-        with pytest.raises(PlanError):
-            Sort(Scan("a"), [])
 
     def test_unknown_aggregate(self):
         with pytest.raises(PlanError):
@@ -157,7 +141,3 @@ class TestEdgeSemantics:
     def test_bool_rejected_as_int(self, db):
         with pytest.raises(SchemaError):
             db.table("t").insert([(True, 1.0)])
-
-    def test_limit_zero(self, db):
-        db.bulkload("t", [(1, 1.0)])
-        assert db.query(Limit(Scan("t"), 0)).rows == []

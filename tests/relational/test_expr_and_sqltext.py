@@ -144,6 +144,43 @@ class TestSqlText:
         )
         self.check(db, plan)
 
+    def test_min_with_having(self, db):
+        plan = Aggregate(
+            Scan("t"),
+            group_by=["t.b"],
+            aggregates=[("count", None, "n"), ("min", "t.a", "lo")],
+            having=Compare(">", col("n"), const(1)),
+        )
+        self.check(db, plan)
+
+    def test_filter_above_distinct_projection(self, db):
+        # a predicate over output columns commutes with both: still one block
+        deduped = Distinct(Project(Scan("t"), [(col("t.b"), "b")]))
+        self.check(db, Filter(deduped, Compare(">", col("b"), const(10))))
+
+    #: shapes one SELECT block cannot express; flattening them printed
+    #: SQL that sqlite rejected or that returned different rows
+    NEEDS_SUBQUERY = {
+        "filter_above_aggregate": lambda: Filter(
+            Aggregate(Scan("t"), ["t.a"], [("count", None, "n")]),
+            Compare(">", col("n"), const(1)),
+        ),
+        "project_above_distinct": lambda: Project(
+            Distinct(Scan("t")), [(col("t.b"), "b")]
+        ),
+        "distinct_under_join": lambda: HashJoin(
+            Distinct(Project(Scan("t", "x"), [(col("x.a"), "a")])),
+            Scan("t", "y"), ["a"], ["y.a"],
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(NEEDS_SUBQUERY))
+    def test_unrenderable_shapes_are_rejected(self, db, shape):
+        plan = self.NEEDS_SUBQUERY[shape]()
+        db.query(plan)  # a well-formed plan: the engine runs it
+        with pytest.raises(PlanError, match="one SELECT block"):
+            to_sql(plan)
+
     def test_explain_text(self, db):
         plan = Filter(Scan("t"), eq_const("t.a", 1))
         text = plan.explain()

@@ -10,10 +10,8 @@ from repro.relational.plan import (
     Distinct,
     Filter,
     HashJoin,
-    Limit,
     Project,
     Scan,
-    Sort,
     UnionAll,
     Values,
 )
@@ -174,13 +172,6 @@ def test_pkb203_ambiguous_join_key():
     assert finding.code == "PKB203" and finding.path == "root"
 
 
-def test_pkb203_sort_key_out_of_scope():
-    plan = Sort(bound_scan(), [("ghost", False)])
-    (finding,) = verify_plan(plan).findings
-    assert finding.code == "PKB203"
-    assert "Sort: key" in finding.message
-
-
 # -- PKB204: join key arity --------------------------------------------------
 
 
@@ -311,7 +302,7 @@ def test_aggregate_clean_when_well_formed():
     assert verify_plan(plan).findings == ()
 
 
-# -- PKB208: bag/set and ordering discipline ---------------------------------
+# -- PKB208: bag/set discipline ----------------------------------------------
 
 
 def test_pkb208_distinct_over_distinct():
@@ -320,16 +311,6 @@ def test_pkb208_distinct_over_distinct():
     assert finding.code == "PKB208" and finding.severity == "warning"
     assert finding.path == "root"
     assert "Distinct over Distinct" in finding.message
-
-
-def test_pkb208_limit_without_sort():
-    plan = Limit(bound_scan(), 5)
-    (finding,) = verify_plan(plan).findings
-    assert finding.code == "PKB208" and finding.severity == "warning"
-    assert "Limit 5 over Scan" in finding.message
-    # Limit directly over Sort is the sanctioned shape
-    ordered = Limit(Sort(bound_scan(), [("a", False)]), 5)
-    assert verify_plan(ordered).findings == ()
 
 
 # -- nesting: paths address the offending node -------------------------------
