@@ -17,6 +17,7 @@ Run with ``make bench-columnar``; the report is checked in at
 ``benchmarks/results/columnar.txt``.
 """
 
+import os
 import random
 import time
 
@@ -127,7 +128,8 @@ def test_columnar_operator_speedup():
         lines,
         title=(
             "Columnar executor vs row engine "
-            f"(|L|={N_LEFT}, |R|={N_RIGHT}, numpy={'on' if numpy_on else 'off'})"
+            f"(|L|={N_LEFT}, |R|={N_RIGHT}, numpy={'on' if numpy_on else 'off'}, "
+            f"{os.cpu_count()} host cores)"
         ),
     )
     report += "\n\n(engines verified bit-identical on every measured query)"

@@ -51,9 +51,9 @@ from __future__ import annotations
 import itertools
 import warnings
 import weakref
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
-from ..relational.columnar import ColumnBatch
+from ..relational.columnar import ColumnBatch, distinct_indices
 from ..relational.cost import CostClock
 from ..relational.expr import Expr, resolve_column
 from ..relational.operators import AggregateSpec
@@ -442,16 +442,14 @@ class MPPDatabase:
             )
 
     def _mirror_delete(
-        self, source_table: str, column_names: Sequence[str], keys: Set[Row]
+        self, source_table: str, column_names: Sequence[str], keys: ColumnBatch
     ) -> None:
         for mirror_name in self._mirrors.get(source_table, ()):
             mirror = self.table(mirror_name)
             for seg, part in enumerate(mirror.parts):
                 self.segment_clocks[seg].rows_broadcast += len(keys)
                 part.delete_in(column_names, keys)
-            self._pool_send(
-                ("delete_keys", mirror_name, tuple(column_names), list(keys))
-            )
+            self._pool_send(("delete_keys", mirror_name, tuple(column_names), keys))
 
     # ------------------------------------------------------------------ DML
 
@@ -527,15 +525,14 @@ class MPPDatabase:
         def work() -> int:
             shards, node = self._run_plan(key_plan)
             self.last_plan = node
-            keys: Set[Row] = set(shards.gathered().tuples())
+            keys = shards.gathered()
+            keys = keys.gather(distinct_indices(keys))  # IN (...) is a set
             self.master_clock.rows_shipped += len(keys)
             removed = []
             for seg, part in enumerate(table.parts):
                 self.segment_clocks[seg].rows_broadcast += len(keys)
                 removed.append(part.delete_in(column_names, keys))
-            self._pool_send(
-                ("delete_keys", table_name, tuple(column_names), list(keys))
-            )
+            self._pool_send(("delete_keys", table_name, tuple(column_names), keys))
             self._mirror_delete(table_name, column_names, keys)
             if isinstance(table.policy, ReplicatedDistribution):
                 return removed[0]  # every copy lost the same rows

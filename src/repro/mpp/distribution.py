@@ -12,7 +12,7 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..relational.columnar import ColumnBatch
+from ..relational.columnar import ColumnBatch, get_numpy, key_groups
 from ..relational.types import Row, Value
 
 
@@ -106,6 +106,15 @@ def partition_batch(
     """
     if isinstance(policy, ReplicatedDistribution):
         return [batch] * nseg
+    hashed = isinstance(policy, HashDistribution)
+    groups = key_groups(batch, key_positions) if hashed else None
+    if groups is not None:
+        # int keys: hash each distinct key once, fan the rows out by group
+        np = get_numpy()
+        first, group = groups
+        distinct = batch.project(key_positions).gather(first).tuples()
+        home = np.array([stable_hash(key) % nseg for key in distinct])[group]
+        return [batch.gather(np.nonzero(home == seg)[0]) for seg in range(nseg)]
     targets: List[List[int]] = [[] for _ in range(nseg)]
     for index, key in enumerate(batch.tuples(key_positions)):
         targets[policy.segment_of(key, nseg)].append(index)

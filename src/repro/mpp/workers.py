@@ -55,7 +55,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..relational.columnar import ColumnBatch
 from ..relational.schema import TableSchema
 from ..relational.table import Table
-from ..relational.types import Row
 from .segments import Hop, SegmentInterpreter
 
 __all__ = ["WorkerCrashError", "WorkerPool", "QueueExchange"]
@@ -432,11 +431,10 @@ class _WorkerState(SegmentInterpreter):
         return {}
 
     def _cmd_delete_keys(
-        self, name: str, column_names: Tuple[str, ...], keys: List[Row]
+        self, name: str, column_names: Tuple[str, ...], keys: ColumnBatch
     ) -> dict:
-        key_set = set(keys)
         for shard in self.tables[name].values():
-            shard.delete_in(column_names, key_set)
+            shard.delete_in(column_names, keys)
         return {}
 
 

@@ -1,19 +1,20 @@
 """Columnar batches and vectorized kernels for the relational engine.
 
-The row-at-a-time executor spends most of its time building Python
-tuples and probing dicts one row at a time.  Grounding is dominated by
-a handful of relational operators over integer key columns (Section 4
-of the paper pushes grounding into exactly these operators), so this
-module re-implements them over :class:`ColumnBatch` — one array per
-column — with two interchangeable kernel backends:
+Grounding is dominated by a handful of relational operators over
+integer key columns (Section 4 of the paper pushes grounding into
+exactly these operators), so this module implements them over
+:class:`ColumnBatch` — one typed array or one list per column — with
+two interchangeable kernel backends:
 
-* a **numpy fast path**: multi-column integer keys are encoded into a
-  single ``int64`` code array and joins/anti-joins/distinct run as
-  ``argsort``/``searchsorted``/``unique``/``isin`` over the codes;
-* a **pure-Python fallback** with identical semantics (dict/set row
-  loops over zipped key columns), used when numpy is unavailable,
-  disabled via ``PROBKB_NO_NUMPY``, or when a column is not losslessly
-  int64-convertible (NULLs, strings, floats, huge ints).
+* a **numpy fast path** over :class:`TypedColumn` s: gather and concat
+  are one array operation per column; multi-column integer keys are
+  encoded into a single ``int64`` code array and joins / anti-joins /
+  distinct / group-by run as ``argsort`` / ``searchsorted`` / ``isin``
+  / ``unique`` / ``bincount`` over the codes;
+* a **pure-Python fallback** with identical semantics (dict/set loops
+  over zipped key columns), used when numpy is unavailable or disabled
+  via ``PROBKB_NO_NUMPY``, when a column is a list (see
+  :func:`column_of`) or when a key column holds NULLs.
 
 Both paths produce the *same rows in the same order* as the row engine
 and charge the *same* :class:`~repro.relational.cost.CostClock`
@@ -26,87 +27,191 @@ from __future__ import annotations
 import itertools
 import os
 from collections import defaultdict
-from typing import (
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .expr import And, Col, Compare, Const, Expr, IsNull, Not, Or
-from .types import ExecutionError, Row, Value
+from .expr import COMPARE_OPS, And, Col, Compare, Const, Expr, IsNull, Not, Or, resolve_column
+from .types import FLOAT, INT, ExecutionError, Row, Value, first_invalid
 
-__all__ = [
-    "ColumnBatch",
-    "get_numpy",
-    "numpy_enabled",
-]
-
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
+__all__ = ["ColumnBatch", "TypedColumn", "get_numpy", "numpy_enabled", "set_numpy"]
 
 #: Largest combined key range the int64 encoding may cover; above this
 #: the multi-column Horner encoding could overflow and we fall back.
 _MAX_CODE_RANGE = 2 ** 62
 
-_np_module: Any = None
-_np_import_failed = False
+
+try:
+    import numpy as _installed_numpy
+except ImportError:  # pragma: no cover - exercised by the CI lane
+    _installed_numpy = None
+
+#: The numpy module the kernels use, or None.  Resolved here, once: the
+#: Makefile, the CI lane and the benchmark harness all set
+#: ``PROBKB_NO_NUMPY`` before the process starts.
+_numpy: Any = _installed_numpy
+if os.environ.get("PROBKB_NO_NUMPY", "").strip().lower() in ("1", "true", "yes", "on"):
+    _numpy = None
 
 
 def get_numpy() -> Any:
-    """The numpy module, or None (not importable or ``PROBKB_NO_NUMPY``).
-
-    The env var is consulted on every call so tests (and the no-numpy
-    CI lane) can flip it without re-importing the engine.
-    """
-    global _np_module, _np_import_failed
-    if os.environ.get("PROBKB_NO_NUMPY", "").strip().lower() in _TRUTHY:
-        return None
-    if _np_module is None and not _np_import_failed:
-        try:
-            import numpy
-
-            _np_module = numpy
-        except ImportError:  # pragma: no cover - exercised by the CI lane
-            _np_import_failed = True
-    return _np_module
+    """The numpy module, or None (not importable, or switched off)."""
+    return _numpy
 
 
 def numpy_enabled() -> bool:
     """True when the columnar kernels may use their numpy fast paths."""
-    return get_numpy() is not None
+    return _numpy is not None
 
 
-#: Sentinel in the per-batch numpy cache: "tried, not convertible".
-_NOT_CONVERTIBLE = False
+def set_numpy(enabled: bool) -> None:
+    """The one switch besides ``PROBKB_NO_NUMPY``: turn the numpy fast
+    paths on (when numpy is importable) or off.  Columns built so far
+    keep their kind and stay readable either way."""
+    global _numpy
+    _numpy = _installed_numpy if enabled else None
+
 
 IndexSeq = Union[Sequence[int], Any]  # list of ints or np.ndarray
 
 
-class ColumnBatch:
-    """A materialized relation stored one list per column.
+class TypedColumn:
+    """An ``int64`` or ``float64`` array plus an optional boolean null
+    mask (True = NULL; ``values`` under a set bit is unspecified).
+    Immutable, like a column list."""
 
-    ``cols[i][j]`` is column ``i`` of row ``j``.  Column lists are
-    immutable once a batch is built — kernels always allocate fresh
-    lists — so batches may share columns (projection of a column is a
-    reference, not a copy).  A batch is also what a
+    __slots__ = ("values", "mask")
+
+    def __init__(self, values: Any, mask: Any = None) -> None:
+        self.values = values
+        self.mask = mask if mask is not None and mask.any() else None
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, row: int) -> Value:
+        if self.mask is not None and self.mask[row]:
+            return None
+        return self.values[row].item()
+
+    def tolist(self) -> List[Value]:
+        out = self.values.tolist()  # Python scalars, never numpy's
+        if self.mask is not None:
+            for row in self.mask.nonzero()[0].tolist():
+                out[row] = None
+        return out
+
+    def take(self, indices: IndexSeq) -> "TypedColumn":
+        return TypedColumn(
+            self.values[indices], None if self.mask is None else self.mask[indices]
+        )
+
+
+ColumnData = Union[List[Value], TypedColumn]
+
+
+def column_of(values: List[Value]) -> ColumnData:
+    """The column for Python values entering the engine — the one place
+    a column's kind is decided.  Ints become an ``int64`` array, floats
+    a ``float64`` one, NULLs the mask (nothing but NULLs: ``int64``).
+    The list itself is the column when an array would retype a value
+    (text, ``bool``, ints mixed with floats, an int beyond int64) or
+    lose its identity (the row engine's sets find a NaN by ``is``)."""
+    np = _numpy
+    kinds = set(map(type, values))
+    nullable = type(None) in kinds
+    kinds.discard(type(None))
+    if np is None or not (kinds <= {int} or kinds == {float}):
+        return values
+    mask, filled = None, values
+    if nullable:
+        mask = np.array([value is None for value in values])
+        filled = [0 if value is None else value for value in values]
+    try:
+        array = np.array(filled, dtype=np.float64 if kinds == {float} else np.int64)
+    except OverflowError:
+        return values
+    if array.dtype.kind == "f" and np.isnan(array).any():
+        return values
+    return TypedColumn(array, mask)
+
+
+def values_of(column: ColumnData) -> List[Value]:
+    """The column as a list of Python scalars."""
+    return column.tolist() if isinstance(column, TypedColumn) else column
+
+
+def gather_columns(cols: Sequence[ColumnData], indices: IndexSeq) -> List[ColumnData]:
+    """Every column at ``indices`` (with repetition): one fancy index
+    per typed column, one comprehension per list column; the index
+    sequence is converted at most once each way."""
+    np = _numpy
+    typed = [isinstance(col, TypedColumn) for col in cols]
+    array = np.asarray(indices, dtype=np.intp) if np is not None and any(typed) else indices
+    plain = indices.tolist() if hasattr(indices, "tolist") and not all(typed) else indices
+    return [
+        col.take(array) if is_typed else [col[i] for i in plain]
+        for col, is_typed in zip(cols, typed)
+    ]
+
+
+def concat_columns(parts: Sequence[ColumnData]) -> ColumnData:
+    """The parts appended in order: one ``np.concatenate`` when they are
+    typed alike.  NULL has no type, so an all-NULL part takes its
+    neighbours' dtype; any other mix goes back through the Python
+    values, which decide the kind again."""
+    np = _numpy
+    if np is not None and all(isinstance(part, TypedColumn) for part in parts):
+        nulls = [part.mask is not None and part.mask.all() for part in parts]
+        dtypes = {part.values.dtype for part, null in zip(parts, nulls) if not null}
+        if len(dtypes) <= 1:
+            dtype = dtypes.pop() if dtypes else np.int64
+            values = [
+                np.zeros(len(part), dtype) if null else part.values
+                for part, null in zip(parts, nulls)
+            ]
+            if all(part.mask is None for part in parts):
+                return TypedColumn(np.concatenate(values))
+            masks = [
+                np.zeros(len(part), bool) if part.mask is None else part.mask
+                for part in parts
+            ]
+            return TypedColumn(np.concatenate(values), np.concatenate(masks))
+    return column_of([value for part in parts for value in values_of(part)])
+
+
+def first_invalid_row(column: ColumnData, type_tag: str) -> Optional[int]:
+    """Row of the first value a ``type_tag`` column rejects, or None: a
+    dtype test for a typed column (no ``bool`` gets into one),
+    :func:`~.types.first_invalid` over the values of a list."""
+    if not isinstance(column, TypedColumn):
+        return first_invalid(column, type_tag)
+    if type_tag == FLOAT or (type_tag == INT and column.values.dtype.kind == "i"):
+        return None
+    rows = range(len(column)) if column.mask is None else (~column.mask).nonzero()[0]
+    return int(rows[0]) if len(rows) else None
+
+
+class ColumnBatch:
+    """A materialized relation stored one column at a time.
+
+    ``cols[i]`` is column ``i`` — a :class:`TypedColumn` or a Python
+    list, see :func:`column_of` — and ``cols[i][j]`` its value in row
+    ``j``.  Columns are immutable once a batch is built (kernels always
+    allocate fresh ones), so batches may share them: projecting a column
+    is a reference, not a copy.  A batch is also what a
     :class:`~.table.Table` stores: a mutation replaces the table's
     batch, so one handed out by a scan never changes.
 
-    Numpy views of individual columns are derived lazily and cached:
-    ``_np_cache[pos]`` holds the raw ``np.asarray`` result, or
-    ``False`` when the column is not cleanly array-convertible.
+    Only Python scalars leave a batch: :meth:`tuples`, :meth:`to_rows`
+    and ``cols[i][j]`` never hand out a numpy scalar.  It pickles as its
+    columns, a typed one as its array buffers.
     """
 
-    __slots__ = ("columns", "cols", "nrows", "_np_cache")
+    __slots__ = ("columns", "cols", "nrows")
 
     def __init__(
         self,
         columns: Sequence[str],
-        cols: Sequence[List[Value]],
+        cols: Sequence[ColumnData],
         nrows: Optional[int] = None,
     ) -> None:
         self.columns = list(columns)
@@ -114,15 +219,11 @@ class ColumnBatch:
         if nrows is None:
             nrows = len(self.cols[0]) if self.cols else 0
         self.nrows = nrows
-        self._np_cache: Dict[int, Any] = {}
 
     @classmethod
     def from_rows(cls, columns: Sequence[str], rows: Sequence[Row]) -> "ColumnBatch":
-        if rows:
-            cols: List[List[Value]] = [list(values) for values in zip(*rows)]
-        else:
-            cols = [[] for _ in columns]
-        return cls(columns, cols, len(rows))
+        transposed = zip(*rows) if rows else [() for _ in columns]
+        return cls(columns, [column_of(list(values)) for values in transposed], len(rows))
 
     @classmethod
     def concat(
@@ -133,21 +234,15 @@ class ColumnBatch:
         filled = [batch for batch in batches if batch.nrows]
         if len(filled) == 1:
             return filled[0].rename(columns)
-        cols: List[List[Value]] = [[] for _ in columns]
-        for batch in batches:
-            for out, col in zip(cols, batch.cols):
-                out.extend(col)
-        return cls(columns, cols, sum(batch.nrows for batch in batches))
-
-    def __reduce__(self) -> Tuple[Any, ...]:
-        # ship the column lists only: ``_np_cache`` is derived, and its
-        # ndarrays would double every motion piece on the wire
-        return ColumnBatch, (self.columns, self.cols, self.nrows)
+        if not filled:
+            return cls.from_rows(columns, ())
+        cols = [concat_columns(parts) for parts in zip(*(b.cols for b in filled))]
+        return cls(columns, cols, sum(batch.nrows for batch in filled))
 
     def tuples(self, positions: Optional[Sequence[int]] = None) -> Iterator[Row]:
         """The rows (projected on ``positions``), lazily."""
         cols = self.cols if positions is None else [self.cols[p] for p in positions]
-        return zip(*cols) if cols else itertools.repeat((), self.nrows)
+        return zip(*map(values_of, cols)) if cols else itertools.repeat((), self.nrows)
 
     def to_rows(self) -> List[Row]:
         return list(self.tuples())
@@ -157,132 +252,61 @@ class ColumnBatch:
 
     def rename(self, columns: Sequence[str]) -> "ColumnBatch":
         """Same data under different column names (columns are shared)."""
-        renamed = ColumnBatch(columns, self.cols, self.nrows)
-        renamed._np_cache = self._np_cache  # same columns, same arrays
-        return renamed
+        return ColumnBatch(columns, self.cols, self.nrows)
+
+    def project(self, positions: Sequence[int]) -> "ColumnBatch":
+        """The columns at ``positions`` (shared), as a batch."""
+        names = [self.columns[pos] for pos in positions]
+        return ColumnBatch(names, [self.cols[pos] for pos in positions], self.nrows)
 
     def gather(self, indices: IndexSeq) -> "ColumnBatch":
         """Rows at ``indices`` (with repetition), as a new batch."""
         return ColumnBatch(
-            self.columns,
-            [gather_column(col, indices) for col in self.cols],
-            _index_count(indices),
+            self.columns, gather_columns(self.cols, indices), len(indices)
         )
 
-    # -- numpy views -------------------------------------------------------
-
-    def _raw_array(self, pos: int) -> Any:
-        """``np.asarray`` of a column, cached; None if not convertible."""
-        np = get_numpy()
-        if np is None:
-            return None
-        cached = self._np_cache.get(pos)
-        if cached is not None:
-            return None if cached is _NOT_CONVERTIBLE else cached
-        try:
-            arr = np.asarray(self.cols[pos])
-        except (ValueError, OverflowError, TypeError):
-            arr = None
-        if arr is not None and (arr.ndim != 1 or arr.dtype.kind == "O"):
-            arr = None
-        self._np_cache[pos] = arr if arr is not None else _NOT_CONVERTIBLE
-        return arr
-
     def int_array(self, pos: int) -> Any:
-        """Column as an ``int64`` array, or None.
-
-        Only pure int/bool columns qualify: floats are excluded so the
-        encoding can never equate ``2**60`` with ``2.0**60``'s rounding
-        neighbours, and NULLs force the object dtype (excluded).
-        """
-        arr = self._raw_array(pos)
-        if arr is None or arr.dtype.kind not in "bi":
-            return None
-        np = get_numpy()
-        return arr.astype(np.int64, copy=False)
+        """The column's ``int64`` array, or None.  Floats are excluded so
+        the key encoding can never equate ``2**60`` with ``2.0**60``'s
+        rounding neighbours."""
+        arr = self.num_array(pos)
+        return arr if arr is not None and arr.dtype.kind == "i" else None
 
     def num_array(self, pos: int) -> Any:
-        """Column as a numeric array (int/float/bool), or None."""
-        arr = self._raw_array(pos)
-        if arr is None or arr.dtype.kind not in "bif":
-            return None
-        return arr
+        """The column's array, or None for a list or a column with NULLs."""
+        col = self.cols[pos]
+        return col.values if isinstance(col, TypedColumn) and col.mask is None else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ColumnBatch({self.columns}, {self.nrows} rows)"
 
 
-def _index_count(indices: IndexSeq) -> int:
-    size = getattr(indices, "size", None)
-    return int(size) if size is not None else len(indices)
-
-
-def gather_column(col: List[Value], indices: IndexSeq) -> List[Value]:
-    """``[col[i] for i in indices]``, vectorized when indices is an array."""
-    np = get_numpy()
-    if np is not None and isinstance(indices, np.ndarray):
-        arr = np.empty(len(col), dtype=object)
-        arr[:] = col
-        return list(arr[indices])
-    return [col[i] for i in indices]
-
-
 # -- integer key encoding ----------------------------------------------------
 
 
-def _encode_pair(
-    left: ColumnBatch,
-    right: ColumnBatch,
-    lpos: Sequence[int],
-    rpos: Sequence[int],
-) -> Optional[Tuple[Any, Any]]:
-    """Encode both sides' key columns into comparable int64 code arrays.
-
-    Returns None (→ pure-Python fallback) unless every key column on
-    both sides is int64-convertible and the combined key range fits in
-    an int64.  Offsets/ranges are computed over the union of both
-    sides, so equal tuples — and only equal tuples — get equal codes.
-    """
-    np = get_numpy()
-    if np is None or not left.nrows or not right.nrows:
+def _encode(*sides: Tuple[ColumnBatch, Sequence[int]]) -> Optional[List[Any]]:
+    """One int64 code array per ``(batch, key positions)`` side, by
+    Horner's rule over the key columns' value ranges.  Ranges are taken
+    over all sides together, so equal tuples — and only equal tuples —
+    get equal codes.  None (→ pure-Python fallback) unless every side
+    has rows, every key column an ``int_array``, and the combined range
+    fits in an int64."""
+    np = _numpy
+    if np is None or not all(batch.nrows for batch, _ in sides):
         return None
-    larrs = [left.int_array(pos) for pos in lpos]
-    rarrs = [right.int_array(pos) for pos in rpos]
-    if any(a is None for a in larrs) or any(a is None for a in rarrs):
+    keys = [[batch.int_array(pos) for pos in positions] for batch, positions in sides]
+    if any(arr is None for arrays in keys for arr in arrays):
         return None
-    lcode = np.zeros(left.nrows, dtype=np.int64)
-    rcode = np.zeros(right.nrows, dtype=np.int64)
+    codes = [np.zeros(batch.nrows, dtype=np.int64) for batch, _ in sides]
     total = 1
-    for la, ra in zip(larrs, rarrs):
-        low = min(int(la.min()), int(ra.min()))
-        high = max(int(la.max()), int(ra.max()))
-        span = high - low + 1
+    for arrays in zip(*keys):
+        low = min(int(arr.min()) for arr in arrays)
+        span = max(int(arr.max()) for arr in arrays) - low + 1
         total *= span
         if total > _MAX_CODE_RANGE:
             return None
-        lcode = lcode * span + (la - low)
-        rcode = rcode * span + (ra - low)
-    return lcode, rcode
-
-
-def _encode_one(batch: ColumnBatch, positions: Sequence[int]) -> Any:
-    """Encode one side's key columns into an int64 code array, or None."""
-    np = get_numpy()
-    if np is None or not batch.nrows:
-        return None
-    arrays = [batch.int_array(pos) for pos in positions]
-    if any(a is None for a in arrays):
-        return None
-    code = np.zeros(batch.nrows, dtype=np.int64)
-    total = 1
-    for arr in arrays:
-        low = int(arr.min())
-        span = int(arr.max()) - low + 1
-        total *= span
-        if total > _MAX_CODE_RANGE:
-            return None
-        code = code * span + (arr - low)
-    return code
+        codes = [code * span + (arr - low) for code, arr in zip(codes, arrays)]
+    return codes
 
 
 # -- join kernels ------------------------------------------------------------
@@ -304,25 +328,23 @@ def join_indices(
     never match.
     """
     build_left = left.nrows <= right.nrows
-    if build_left:
-        build, probe = left, right
-        bpos, ppos = lpos, rpos
-    else:
-        build, probe = right, left
-        bpos, ppos = rpos, lpos
-
-    pair = _encode_pair(build, probe, bpos, ppos)
-    if pair is not None:
-        build_idx, probe_idx = _np_join(pair[0], pair[1])
-    else:
+    (build, bpos), (probe, ppos) = (
+        ((left, lpos), (right, rpos)) if build_left else ((right, rpos), (left, lpos))
+    )
+    codes = _encode((build, bpos), (probe, ppos))
+    if codes is not None:
+        build_idx, probe_idx = _np_join(*codes)
+    elif build.nrows:
         build_idx, probe_idx = _dict_join(build, probe, bpos, ppos)
+    else:
+        build_idx, probe_idx = [], []  # nothing to match: skip the probe
     if build_left:
         return build_idx, probe_idx, build.nrows, probe.nrows
     return probe_idx, build_idx, build.nrows, probe.nrows
 
 
 def _np_join(bcode: Any, pcode: Any) -> Tuple[Any, Any]:
-    np = get_numpy()
+    np = _numpy
     order = np.argsort(bcode, kind="stable")
     sorted_codes = bcode[order]
     lo = np.searchsorted(sorted_codes, pcode, side="left")
@@ -344,13 +366,13 @@ def _dict_join(
     ppos: Sequence[int],
 ) -> Tuple[List[int], List[int]]:
     table: Dict[Tuple[Value, ...], List[int]] = defaultdict(list)
-    for i, key in enumerate(zip(*[build.cols[pos] for pos in bpos])):
+    for i, key in enumerate(build.tuples(bpos)):
         if None in key:
             continue  # SQL semantics: NULL keys never join
         table[key].append(i)
     build_idx: List[int] = []
     probe_idx: List[int] = []
-    for j, key in enumerate(zip(*[probe.cols[pos] for pos in ppos])):
+    for j, key in enumerate(probe.tuples(ppos)):
         matches = table.get(key)
         if not matches:
             continue
@@ -371,22 +393,16 @@ def anti_join_indices(
     tuple (including NULL-bearing ones) enters the existing-set, and a
     left row survives iff its tuple is absent.
     """
-    np = get_numpy()
+    np = _numpy
     if not left.nrows:
         return []
     if not right.nrows:
         return np.arange(left.nrows) if np is not None else list(range(left.nrows))
-    pair = _encode_pair(left, right, lpos, rpos)
-    if pair is not None:
-        lcode, rcode = pair
-        kept = ~np.isin(lcode, rcode)
-        return np.nonzero(kept)[0]
-    existing = set(zip(*[right.cols[pos] for pos in rpos]))
-    return [
-        i
-        for i, key in enumerate(zip(*[left.cols[pos] for pos in lpos]))
-        if key not in existing
-    ]
+    codes = _encode((left, lpos), (right, rpos))
+    if codes is not None:
+        return np.nonzero(~np.isin(*codes))[0]
+    existing = set(right.tuples(rpos))
+    return [i for i, key in enumerate(left.tuples(lpos)) if key not in existing]
 
 
 # -- distinct / grouping -----------------------------------------------------
@@ -397,18 +413,45 @@ def distinct_indices(batch: ColumnBatch) -> IndexSeq:
     order (first writer wins, as in the row engine's set-based dedup)."""
     if not batch.nrows:
         return []
-    code = _encode_one(batch, range(len(batch.cols)))
-    if code is not None:
-        np = get_numpy()
-        _, first = np.unique(code, return_index=True)
-        return np.sort(first)
-    seen: set = set()
-    kept: List[int] = []
-    for i, row in enumerate(zip(*batch.cols)):
-        if row not in seen:
-            seen.add(row)
-            kept.append(i)
-    return kept
+    codes = _encode((batch, range(len(batch.cols))))
+    if codes is not None:
+        return _numpy.sort(_numpy.unique(codes[0], return_index=True)[1])
+    groups = group_indices(batch, range(len(batch.cols)))
+    return [rows[0] for rows in groups.values()]
+
+
+def fresh_key_indices(
+    batch: ColumnBatch, stored: ColumnBatch, positions: Sequence[int]
+) -> IndexSeq:
+    """Indices of the ``batch`` rows a unique key on ``positions`` lets
+    into ``stored``: the key is neither stored nor carried by an earlier
+    row of the batch (first writer wins)."""
+    keys = batch.project(positions)
+    first = distinct_indices(keys)
+    if not stored.nrows:
+        return first
+    absent = anti_join_indices(
+        keys.gather(first), stored, range(len(positions)), positions
+    )
+    return first[absent] if hasattr(first, "dtype") else [first[i] for i in absent]
+
+
+def key_groups(
+    batch: ColumnBatch, positions: Sequence[int]
+) -> Optional[Tuple[Any, Any]]:
+    """``(first, group)`` over an int-encodable key: ``first[g]`` is the
+    row where the ``g``-th distinct key first occurs (groups in
+    first-occurrence order), ``group[i]`` the group of row ``i``.
+    None → the caller's Python loop."""
+    np = _numpy
+    codes = _encode((batch, positions))
+    if codes is None:
+        return None
+    _, first, inverse = np.unique(codes[0], return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse]
 
 
 def group_indices(
@@ -416,15 +459,30 @@ def group_indices(
 ) -> "Dict[Tuple[Value, ...], List[int]]":
     """Row indices per group key, keys in first-occurrence order
     (matching the row engine's dict-insertion iteration order)."""
-    groups: Dict[Tuple[Value, ...], List[int]] = defaultdict(list)
     if not group_pos:
-        groups[()] = list(range(batch.nrows))
-        if not batch.nrows:
-            groups[()] = []
-        return groups
-    for i, key in enumerate(zip(*[batch.cols[pos] for pos in group_pos])):
+        return {(): list(range(batch.nrows))}
+    groups: Dict[Tuple[Value, ...], List[int]] = defaultdict(list)
+    for i, key in enumerate(batch.tuples(group_pos)):
         groups[key].append(i)
     return dict(groups)
+
+
+#: Each aggregate but COUNT, over the non-NULL values of one group in
+#: input order.
+_REDUCERS: Dict[str, Callable[[List[Value]], Value]] = {
+    "count_distinct": lambda values: len(set(values)),
+    "min": lambda values: min(values) if values else None,
+    "max": lambda values: max(values) if values else None,
+    "sum": lambda values: sum(values) if values else None,
+}
+
+
+def _reducer(func: str, col: Optional[ColumnData]) -> Callable[[List[Value]], Value]:
+    if col is None:
+        raise ExecutionError(f"aggregate {func!r} requires a column")
+    if func not in _REDUCERS:
+        raise ExecutionError(f"unknown aggregate {func!r}")
+    return _REDUCERS[func]
 
 
 def aggregate_column(
@@ -435,20 +493,64 @@ def aggregate_column(
         if col is None:
             return len(indices)
         return sum(1 for i in indices if col[i] is not None)
-    if col is None:
-        raise ExecutionError(f"aggregate {func!r} requires a column")
-    values = [col[i] for i in indices if col[i] is not None]
-    if func == "count_distinct":
-        return len(set(values))
-    if not values:
-        return None
-    if func == "min":
-        return min(values)
-    if func == "max":
-        return max(values)
-    if func == "sum":
-        return sum(values)
-    raise ExecutionError(f"unknown aggregate {func!r}")
+    return _reducer(func, col)([col[i] for i in indices if col[i] is not None])
+
+
+def _aggregate_typed(
+    func: str, col: Optional[TypedColumn], group: Any, ngroups: int
+) -> ColumnData:
+    """One aggregate over every group of :func:`key_groups` at once."""
+    np = _numpy
+    values = None if col is None else col.values
+    if col is not None and col.mask is not None:
+        valid = ~col.mask
+        group, values = group[valid], values[valid]
+    counts = np.bincount(group, minlength=ngroups).astype(np.int64, copy=False)
+    if func == "count":
+        return TypedColumn(counts)
+    reduce = _reducer(func, col)
+    if func in ("min", "max") and values.dtype.kind == "i":
+        info = np.iinfo(np.int64)
+        out = np.full(ngroups, info.max if func == "min" else info.min, np.int64)
+        (np.minimum if func == "min" else np.maximum).at(out, group, values)
+        return TypedColumn(out, counts == 0)
+    # float ties (0.0 / -0.0), the order a sum is added in, int sums
+    # beyond int64: Python's own reduction over each group's values, in
+    # input order, is the reference — one call per group, no row loop
+    ordered = values[np.argsort(group, kind="stable")].tolist()
+    ends = np.cumsum(counts).tolist()
+    return column_of(
+        [reduce(ordered[start:end]) for start, end in zip([0] + ends, ends)]
+    )
+
+
+def grouped_aggregates(
+    batch: ColumnBatch,
+    group_pos: Sequence[int],
+    funcs: Sequence[str],
+    agg_pos: Sequence[Optional[int]],
+) -> Tuple[List[ColumnData], int]:
+    """The group-key columns, then one column per aggregate (``funcs``
+    over the columns at ``agg_pos``, None for ``COUNT(*)``), and the
+    number of groups — groups in first-occurrence order."""
+    agg_cols = [None if pos is None else batch.cols[pos] for pos in agg_pos]
+    typed = all(col is None or isinstance(col, TypedColumn) for col in agg_cols)
+    groups = key_groups(batch, group_pos) if typed else None
+    if groups is not None:
+        first, group = groups
+        out = gather_columns([batch.cols[pos] for pos in group_pos], first)
+        for func, col in zip(funcs, agg_cols):
+            out.append(_aggregate_typed(func, col, group, len(first)))
+        return out, len(first)
+    index = group_indices(batch, group_pos)
+    keys = zip(*index) if index else [() for _ in group_pos]
+    out = [column_of(list(values)) for values in keys]
+    for func, col in zip(funcs, agg_cols):
+        values = None if col is None else values_of(col)
+        out.append(column_of(
+            [aggregate_column(func, values, rows) for rows in index.values()]
+        ))
+    return out, len(index)
 
 
 # -- vectorized predicates ---------------------------------------------------
@@ -458,36 +560,36 @@ def predicate_mask(expr: Expr, batch: ColumnBatch) -> Any:
     """A boolean selection array for ``expr`` over ``batch``, or None.
 
     Only shapes whose NULL semantics are provably identical to the
-    bound-row evaluator vectorize: comparisons between numeric columns
-    and numeric columns/constants (numeric dtypes cannot hold NULLs;
-    IEEE NaN comparisons agree elementwise with Python's), IS [NOT]
-    NULL over numeric columns, and AND/OR/NOT over vectorizable
+    bound-row evaluator vectorize: comparisons between NULL-free typed
+    columns and such columns / numeric constants, IS [NOT] NULL over
+    typed columns (the mask), and AND/OR/NOT over vectorizable
     operands.  Anything else returns None and the caller falls back to
     the row loop.
     """
-    np = get_numpy()
-    if np is None or not batch.nrows:
+    if _numpy is None or not batch.nrows:
         return None
     return _mask(expr, batch)
 
 
-def _operand_array(expr: Expr, batch: ColumnBatch) -> Any:
-    np = get_numpy()
-    if isinstance(expr, Col):
-        from .expr import resolve_column
+def _typed_column(expr: Expr, batch: ColumnBatch) -> Optional[TypedColumn]:
+    if not isinstance(expr, Col):
+        return None
+    try:
+        col = batch.cols[resolve_column(expr.name, batch.columns)]
+    except Exception:
+        return None
+    return col if isinstance(col, TypedColumn) else None
 
-        try:
-            pos = resolve_column(expr.name, batch.columns)
-        except Exception:
-            return None
-        return batch.num_array(pos)
+
+def _operand_array(expr: Expr, batch: ColumnBatch) -> Any:
     if isinstance(expr, Const) and isinstance(expr.value, (int, float, bool)):
-        return np.asarray(expr.value)
-    return None
+        return _numpy.asarray(expr.value)
+    col = _typed_column(expr, batch)
+    return None if col is None or col.mask is not None else col.values
 
 
 def _mask(expr: Expr, batch: ColumnBatch) -> Any:
-    np = get_numpy()
+    np = _numpy
     if isinstance(expr, Compare):
         left = _operand_array(expr.left, batch)
         right = _operand_array(expr.right, batch)
@@ -495,45 +597,20 @@ def _mask(expr: Expr, batch: ColumnBatch) -> Any:
             return None
         if left.ndim == 0 and right.ndim == 0:
             return None  # const-vs-const: leave to the row path
-        with np.errstate(invalid="ignore"):
-            if expr.op == "=":
-                result = left == right
-            elif expr.op == "<>":
-                result = left != right
-            elif expr.op == "<":
-                result = left < right
-            elif expr.op == "<=":
-                result = left <= right
-            elif expr.op == ">":
-                result = left > right
-            else:
-                result = left >= right
-        return result
+        with np.errstate(invalid="ignore"):  # a NaN constant
+            return COMPARE_OPS[expr.op](left, right)
     if isinstance(expr, IsNull):
-        if not isinstance(expr.operand, Col):
-            return None
-        operand = _operand_array(expr.operand, batch)
-        if operand is None:
-            return None  # column may hold NULLs: row path decides
-        # numeric dtype → no NULLs in the column
-        value = bool(expr.negated)
-        return np.full(batch.nrows, value, dtype=bool)
-    if isinstance(expr, And):
+        col = _typed_column(expr.operand, batch)
+        if col is None:
+            return None  # a list column: the row path decides
+        nulls = np.zeros(batch.nrows, dtype=bool) if col.mask is None else col.mask
+        return ~nulls if expr.negated else nulls
+    if isinstance(expr, (And, Or)):
         masks = [_mask(op, batch) for op in expr.operands]
         if any(m is None for m in masks):
             return None
-        combined = masks[0]
-        for m in masks[1:]:
-            combined = combined & m
-        return combined
-    if isinstance(expr, Or):
-        masks = [_mask(op, batch) for op in expr.operands]
-        if any(m is None for m in masks):
-            return None
-        combined = masks[0]
-        for m in masks[1:]:
-            combined = combined | m
-        return combined
+        combine = np.logical_and if isinstance(expr, And) else np.logical_or
+        return combine.reduce(masks)
     if isinstance(expr, Not):
         inner = _mask(expr.operand, batch)
         return None if inner is None else ~inner
@@ -544,7 +621,6 @@ def filter_batch_indices(predicate: Expr, batch: ColumnBatch) -> IndexSeq:
     """Indices of rows satisfying ``predicate`` (vectorized if possible)."""
     mask = predicate_mask(predicate, batch)
     if mask is not None:
-        np = get_numpy()
-        return np.nonzero(mask)[0]
+        return _numpy.nonzero(mask)[0]
     bound = predicate.bind(batch.columns)
-    return [i for i, row in enumerate(zip(*batch.cols)) if bound(row)]
+    return [i for i, row in enumerate(batch.tuples()) if bound(row)]

@@ -143,7 +143,7 @@ class Database:
         key_plan: PlanNode,
     ) -> int:
         """DELETE FROM table WHERE (cols) IN (SELECT ... ) — one statement."""
-        keys = set(self._run(key_plan).tuples())
+        keys = self._run(key_plan)
         removed = self.table(table_name).delete_in(column_names, keys)
         self.clock.rows_output += removed
         return removed

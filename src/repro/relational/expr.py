@@ -80,7 +80,7 @@ class Const(Expr):
         return sql_literal(self.value)
 
 
-_COMPARE_OPS: Dict[str, Callable[[Value, Value], bool]] = {
+COMPARE_OPS: Dict[str, Callable[[Value, Value], bool]] = {
     "=": operator.eq,
     "<>": operator.ne,
     "<": operator.lt,
@@ -94,7 +94,7 @@ class Compare(Expr):
     """Binary comparison with SQL NULL semantics (NULL compares false)."""
 
     def __init__(self, op: str, left: Expr, right: Expr) -> None:
-        ensure(op in _COMPARE_OPS, PlanError, f"unknown comparison {op!r}")
+        ensure(op in COMPARE_OPS, PlanError, f"unknown comparison {op!r}")
         self.op = op
         self.left = left
         self.right = right
@@ -102,7 +102,7 @@ class Compare(Expr):
     def bind(self, columns: Sequence[str]) -> BoundEvaluator:
         lhs = self.left.bind(columns)
         rhs = self.right.bind(columns)
-        fn = _COMPARE_OPS[self.op]
+        fn = COMPARE_OPS[self.op]
 
         def evaluate(row: Row) -> bool:
             left_value = lhs(row)

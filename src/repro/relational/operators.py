@@ -23,19 +23,18 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .columnar import (
+    ColumnData,
     ColumnBatch,
-    aggregate_column,
     anti_join_indices,
+    column_of,
     distinct_indices,
     filter_batch_indices,
-    gather_column,
-    group_indices,
+    grouped_aggregates,
     join_indices,
 )
 from .cost import CostClock
 from .expr import Col, Const, Expr, resolve_column
 from .table import Table
-from .types import Value
 
 #: ``(function, argument column or None, output name)`` — the shape of
 #: :attr:`repro.relational.plan.Aggregate.aggregates`
@@ -61,16 +60,16 @@ def project_batch(
     out_columns: Sequence[str],
     clock: CostClock,
 ) -> ColumnBatch:
-    cols: List[List[Value]] = []
+    cols: List[ColumnData] = []
     for expr, _name in outputs:
         if isinstance(expr, Col):
             pos = resolve_column(expr.name, child.columns)
             cols.append(child.cols[pos])  # shared, never mutated
         elif isinstance(expr, Const):
-            cols.append([expr.value] * child.nrows)
+            cols.append(column_of([expr.value] * child.nrows))
         else:
             evaluate = expr.bind(child.columns)
-            cols.append([evaluate(row) for row in child.tuples()])
+            cols.append(column_of([evaluate(row) for row in child.tuples()]))
     clock.rows_output += child.nrows
     return ColumnBatch(out_columns, cols, child.nrows)
 
@@ -86,9 +85,11 @@ def join_batches(
     """Equi-join; NULL keys never match, the residual predicate filters
     the joined rows (uncharged, as in the row engine)."""
     lidx, ridx, built, probed = join_indices(left, right, lpos, rpos)
-    out_cols = [gather_column(col, lidx) for col in left.cols]
-    out_cols += [gather_column(col, ridx) for col in right.cols]
-    out = ColumnBatch(left.columns + right.columns, out_cols)
+    out = ColumnBatch(
+        left.columns + right.columns,
+        left.gather(lidx).cols + right.gather(ridx).cols,
+        len(lidx),
+    )
     clock.rows_built += built
     clock.rows_probed += probed
     clock.rows_output += out.nrows
@@ -130,15 +131,10 @@ def aggregate_batch(
     """Group-by + aggregates, groups in first-occurrence order; a
     global aggregate (no group columns) over empty input emits one
     row.  HAVING filters the charged output, like a join residual."""
-    agg_cols = [child.cols[pos] if pos is not None else None for pos in agg_pos]
-    groups = group_indices(child, group_pos)
-    out_cols: List[List[Value]] = [[] for _ in out_columns]
-    for key, indices in groups.items():
-        for pos, value in enumerate(key):
-            out_cols[pos].append(value)
-        for offset, ((func, _, _), col) in enumerate(zip(aggregates, agg_cols)):
-            out_cols[len(key) + offset].append(aggregate_column(func, col, indices))
-    out = ColumnBatch(out_columns, out_cols, len(groups))
+    cols, ngroups = grouped_aggregates(
+        child, group_pos, [func for func, _, _ in aggregates], agg_pos
+    )
+    out = ColumnBatch(out_columns, cols, ngroups)
     clock.rows_probed += child.nrows
     clock.rows_output += out.nrows
     if having is not None:

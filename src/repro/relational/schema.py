@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .types import VALID_TYPES, SchemaError, ensure, first_invalid
-
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from .columnar import ColumnBatch
+from .columnar import ColumnBatch, first_invalid_row
+from .types import VALID_TYPES, SchemaError, ensure
 
 
 @dataclass(frozen=True)
@@ -98,14 +96,15 @@ class TableSchema:
                 f"for table {self.name!r}"
             )
 
-    def validate_batch(self, batch: "ColumnBatch") -> None:
+    def validate_batch(self, batch: ColumnBatch) -> None:
         """Raise :class:`SchemaError` if ``batch`` does not fit this
         schema, naming the offending value that comes first in row-major
-        order.  Column-major: one pass per column, no row is built."""
+        order.  Column-major: a dtype test per typed column, one pass
+        over a list column, no row is built."""
         self.check_arity(len(batch.cols))
         first: Optional[Tuple[int, int]] = None  # (row, column position)
         for pos, (values, col) in enumerate(zip(batch.cols, self.columns)):
-            row = first_invalid(values, col.type)
+            row = first_invalid_row(values, col.type)
             if row is not None and (first is None or row < first[0]):
                 first = (row, pos)
         if first is not None:

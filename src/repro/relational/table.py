@@ -9,14 +9,15 @@ Rows exist only for readers outside the engine (:attr:`Table.rows`).
 When the schema declares a ``unique_key``, inserts use set semantics on
 that key: a row whose key already exists is dropped.  This is how
 ProbKB's fact table avoids re-deriving known facts across grounding
-iterations.
+iterations.  The stored key columns are the key set (membership is an
+anti-join against them), so a delete leaves nothing else to rebuild.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .columnar import ColumnBatch
+from .columnar import ColumnBatch, anti_join_indices, column_of, fresh_key_indices
 from .schema import TableSchema
 from .types import ExecutionError, Row, ensure
 
@@ -42,8 +43,8 @@ def batch_of_result(
     columns, then ``pad_nulls`` NULL columns."""
     cols = list(result.cols)
     if next_id is not None:
-        cols.insert(0, list(range(next_id, next_id + result.nrows)))
-    cols += [[None] * result.nrows] * pad_nulls
+        cols.insert(0, column_of(list(range(next_id, next_id + result.nrows))))
+    cols += [column_of([None] * result.nrows)] * pad_nulls
     ensure(
         len(cols) == len(table_schema),
         ExecutionError,
@@ -54,8 +55,8 @@ def batch_of_result(
 
 
 class Table:
-    """An in-memory relation: a schema, one column batch, and the set of
-    unique keys stored so far."""
+    """An in-memory relation: a schema and one column batch (whose key
+    columns are the set of unique keys stored so far)."""
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
@@ -63,7 +64,6 @@ class Table:
         self._key_positions: Optional[Tuple[int, ...]] = None
         if schema.unique_key is not None:
             self._key_positions = schema.positions(schema.unique_key)
-        self._key_set: Set[Row] = set()
 
     # -- basic properties ------------------------------------------------
 
@@ -85,7 +85,7 @@ class Table:
 
     def column_batch(self) -> ColumnBatch:
         """The stored batch.  It is immutable: a mutation replaces it,
-        so scans share it (and its numpy views) instead of copying."""
+        so scans share it instead of copying."""
         return self._stored
 
     def project(self, column_names: Sequence[str]) -> List[Row]:
@@ -110,11 +110,7 @@ class Table:
         if validate:
             self.schema.validate_batch(batch)
         if self._key_positions is not None:
-            fresh: List[int] = []
-            for index, key in enumerate(batch.tuples(self._key_positions)):
-                if key not in self._key_set:
-                    self._key_set.add(key)
-                    fresh.append(index)
+            fresh = fresh_key_indices(batch, self._stored, self._key_positions)
             if len(fresh) < batch.nrows:
                 batch = batch.gather(fresh)
         if batch.nrows:
@@ -123,29 +119,27 @@ class Table:
             )
         return batch.nrows
 
-    def delete_in(self, column_names: Sequence[str], keys: Set[Row]) -> int:
-        """Delete rows whose projection on ``column_names`` is in ``keys``;
-        returns the number removed.
+    def delete_in(
+        self, column_names: Sequence[str], keys: Union[ColumnBatch, Iterable[Row]]
+    ) -> int:
+        """Delete rows whose projection on ``column_names`` is in ``keys``
+        (a batch of key columns, or client key rows); returns the number
+        removed.
 
         This implements ``DELETE FROM t WHERE (c1, ..., cn) IN (...)`` —
         the shape of ProbKB's constraint-application Query 3.
         """
+        if not isinstance(keys, ColumnBatch):
+            keys = ColumnBatch.from_rows(column_names, list(keys))
         positions = self.schema.positions(column_names)
-        kept = [
-            index
-            for index, key in enumerate(self._stored.tuples(positions))
-            if key not in keys
-        ]
+        kept = anti_join_indices(self._stored, keys, positions, range(len(positions)))
         removed = self._stored.nrows - len(kept)
         if removed:
             self._stored = self._stored.gather(kept)
-            if self._key_positions is not None:
-                self._key_set = set(self._stored.tuples(self._key_positions))
         return removed
 
     def truncate(self) -> None:
         self._stored = ColumnBatch.from_rows(self.schema.column_names, ())
-        self._key_set = set()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Table({self.name}, {len(self)} rows)"

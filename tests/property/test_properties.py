@@ -124,6 +124,45 @@ def test_partition_batch_is_a_partition(rows, nseg):
     assert len(copies) == nseg and all(copy is batch for copy in copies)
 
 
+key_value = st.one_of(
+    st.none(),
+    names,
+    st.integers(-9, 9),
+    st.sampled_from([-(2 ** 63), 2 ** 63 - 1, 2 ** 63, -(2 ** 70), 2 ** 40]),
+)
+#: columns drawn from one kind (typed when int) and from all of them
+key_column = st.sampled_from([st.integers(-9, 9), st.integers(-(2 ** 62), 2 ** 62), key_value])
+
+
+@given(data=st.data(), nseg=st.integers(min_value=1, max_value=7))
+@settings(max_examples=80, deadline=None)
+def test_partition_batch_assigns_segments_like_per_row_stable_hash(data, nseg):
+    """Hashing each distinct key once must place every row where
+    ``stable_hash(key) % nseg`` of its own key does."""
+    nrows = data.draw(st.integers(0, 30))
+    cols = [
+        data.draw(st.lists(kind, min_size=nrows, max_size=nrows))
+        for kind in data.draw(st.lists(key_column, min_size=2, max_size=3))
+    ]
+    rows = list(zip(*cols))
+    batch = ColumnBatch.from_rows([f"c{i}" for i in range(len(cols))], rows)
+    positions = data.draw(st.sampled_from([(0,), (1, 0), tuple(range(len(cols)))]))
+    shards = partition_batch(
+        batch, HashDistribution([f"c{p}" for p in positions]), positions, nseg
+    )
+    for seg, shard in enumerate(shards):
+        assert shard.to_rows() == [
+            row for row in rows
+            if stable_hash(tuple(row[p] for p in positions)) % nseg == seg
+        ]
+    policy = RandomDistribution()
+    for start in (0, nrows):  # round-robin, the counter carries on
+        for seg, shard in enumerate(partition_batch(batch, policy, (), nseg)):
+            assert shard.to_rows() == [
+                row for i, row in enumerate(rows, start) if i % nseg == seg
+            ]
+
+
 @given(values=st.lists(st.one_of(small_int, names), min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_stable_hash_deterministic_and_type_sensitive(values):

@@ -2,7 +2,7 @@
 
 Every kernel must behave identically with numpy fast paths enabled and
 with the pure-Python fallback (``PROBKB_NO_NUMPY=1``); the tests that
-matter run under both via the ``no_numpy`` fixture parameterization.
+matter run under both via the ``no_numpy`` fixture (``conftest.py``).
 """
 
 import pickle
@@ -19,6 +19,7 @@ from repro.relational.columnar import (
     join_indices,
     numpy_enabled,
     predicate_mask,
+    set_numpy,
 )
 from repro.relational import Database, HashJoin, Scan, operators, schema
 from repro.relational.cost import CostClock
@@ -27,24 +28,18 @@ from repro.relational.expr import conj, eq_const
 from .rowref import run_query
 
 
-@pytest.fixture(params=[False, True], ids=["numpy", "no-numpy"])
-def no_numpy(request, monkeypatch):
-    """Run the test twice: numpy fast paths on, then forced off."""
-    if request.param:
-        monkeypatch.setenv("PROBKB_NO_NUMPY", "1")
-    else:
-        monkeypatch.delenv("PROBKB_NO_NUMPY", raising=False)
-    return request.param
-
-
 class TestEngineSelection:
-    def test_no_numpy_gate(self, monkeypatch):
-        monkeypatch.setenv("PROBKB_NO_NUMPY", "1")
-        assert get_numpy() is None
-        assert not numpy_enabled()
-        monkeypatch.delenv("PROBKB_NO_NUMPY")
-        # numpy is baked into the test image; the fast path must be on
-        assert numpy_enabled()
+    def test_no_numpy_gate(self):
+        before = numpy_enabled()
+        try:
+            set_numpy(False)
+            assert get_numpy() is None
+            assert not numpy_enabled()
+            set_numpy(True)
+            # numpy is baked into the test image; the fast path must be on
+            assert numpy_enabled()
+        finally:
+            set_numpy(before)
 
 
 class TestColumnBatch:
@@ -66,21 +61,18 @@ class TestColumnBatch:
         assert renamed.columns == ["b"]
         assert renamed.cols[0] is batch.cols[0]
 
-    def test_pickle_ships_columns_not_numpy_views(self):
-        rows = [(i, float(i), "s") for i in range(200)]
-        cold = ColumnBatch.from_rows(["a", "b", "c"], rows)
-        warm = ColumnBatch.from_rows(["a", "b", "c"], rows)
-        for pos in range(3):
-            warm.int_array(pos), warm.num_array(pos)
-        if numpy_enabled():
-            assert warm._np_cache
-        wire = pickle.dumps(warm)
-        assert len(wire) <= len(pickle.dumps(cold))
+    def test_pickle_ships_array_buffers(self, no_numpy):
+        rows = [(i, float(i), "s", None if i % 7 else i) for i in range(200)]
+        batch = ColumnBatch.from_rows(["a", "b", "c", "d"], rows)
+        wire = pickle.dumps(batch)
+        if not no_numpy:
+            # three typed columns at 8 bytes a value, one mask, one list
+            assert len(wire) < 200 * (3 * 8 + 1 + 8)
         shipped = pickle.loads(wire)
-        assert shipped.columns == warm.columns
+        assert shipped.columns == batch.columns
         assert shipped.to_rows() == rows
-        assert shipped.nrows == warm.nrows
-        assert shipped._np_cache == {}
+        assert shipped.nrows == batch.nrows
+        assert [type(col) for col in shipped.cols] == [type(col) for col in batch.cols]
 
     def test_int_array_rejects_floats_and_strings(self, no_numpy):
         np = get_numpy()

@@ -50,15 +50,6 @@ SEED = 20260809
 NROWS = 120
 
 
-@pytest.fixture(params=[False, True], ids=["numpy", "no-numpy"])
-def no_numpy(request, monkeypatch):
-    if request.param:
-        monkeypatch.setenv("PROBKB_NO_NUMPY", "1")
-    else:
-        monkeypatch.delenv("PROBKB_NO_NUMPY", raising=False)
-    return request.param
-
-
 def random_rows(rng, nrows):
     """int keys with NULLs and skew, a string column, an int payload."""
     rows = []

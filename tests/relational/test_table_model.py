@@ -102,14 +102,6 @@ for case in (TestKeylessTable, TestKeyedTable):
     case.settings = settings(max_examples=40, stateful_step_count=20, deadline=None)
 
 
-@pytest.fixture(params=[False, True], ids=["numpy", "no-numpy"])
-def no_numpy(request, monkeypatch):
-    if request.param:
-        monkeypatch.setenv("PROBKB_NO_NUMPY", "1")
-    else:
-        monkeypatch.delenv("PROBKB_NO_NUMPY", raising=False)
-
-
 class TestPinnedValidation:
     """``np.asarray([1, True])`` is a clean int64 array: validation must
     look at the Python values, with numpy on or off."""
