@@ -30,7 +30,7 @@ from .config import BackendConfig, GroundingConfig, InferenceConfig, build_backe
 from .grounding import Grounder, GroundingResult
 from .lineage import LineageIndex
 from .model import Fact, KnowledgeBase
-from .relmodel import FACT_KEY_COLUMNS, RelationalKB, create_tprob_if_missing
+from .relmodel import FACT_KEY_COLUMNS, RelationalKB, store_marginals
 from .results import ConstraintResult, InferenceResult
 from .sqlgen import (
     apply_constraints_key_plan,
@@ -294,9 +294,6 @@ class ProbKB:
         config = config or self.inference_config
         engine = self.inference_engine(config)
         rows = self.factor_rows()
-        num_variables = len(
-            {var for row in rows for var in row[:3] if var is not None}
-        )
         started = time.perf_counter()
         marginals = engine.marginals(rows, config)
         elapsed = time.perf_counter() - started
@@ -312,7 +309,7 @@ class ProbKB:
             num_sweeps=config.sweeps,
             seed=config.seed,
             elapsed_seconds=elapsed,
-            num_variables=num_variables,
+            num_variables=len(marginals),
             num_factors=len(rows),
         )
 
@@ -356,8 +353,8 @@ class ProbKB:
         """The gibbs engine's pool driver, or ``None`` for other engines.
 
         The delta path hands this to
-        :func:`repro.delta.inference.sample_components` so big touched
-        components ride the worker pool too.
+        :func:`repro.infer.sample_components` so big touched components
+        ride the worker pool too.
         """
         config = config or self.inference_config
         if config.engine != "gibbs":
@@ -411,8 +408,6 @@ class ProbKB:
         """
         if marginals is None:
             marginals = self.infer(config)
-        if not create_tprob_if_missing(self.backend):
-            self.backend.truncate("TProb")
         key_to_id = {
             row[1:]: row[0]
             for row in self.backend.project("TP", ("I",) + FACT_KEY_COLUMNS)
@@ -422,7 +417,7 @@ class ProbKB:
             fact_id = key_to_id.get(self.rkb.encode_fact_key(fact))
             if fact_id is not None:
                 rows.append((fact_id, probability))
-        inserted = self.backend.insert_rows("TProb", rows)
+        inserted = store_marginals(self.backend, rows)
         self.generation += 1
         return inserted
 

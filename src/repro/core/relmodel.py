@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..relational import PlanNode, TableSchema, schema
+from ..relational import PlanNode, Project, Scan, TableSchema, col, schema
 from ..relational.types import Row
 from .backends import Backend
 from .clauses import (
@@ -335,7 +335,6 @@ class RelationalKB:
         tuned MPP backend the NOT EXISTS probes the Txy view and stays
         collocated instead of re-shipping TΠ every iteration.
         """
-        from ..relational import Scan
         from ..relational.plan import AntiJoin
 
         left_keys = list(FACT_KEY_COLUMNS)
@@ -366,8 +365,6 @@ class RelationalKB:
         flow from there into TΠ.  Inferred facts get NULL weight until
         marginal inference fills them in (Section 4.3).
         """
-        from ..relational import Scan
-
         self.backend.truncate("TDelta")
         self.backend.insert_from(
             "TDelta", self.guard_candidates(Scan("TNew", "N"))
@@ -387,8 +384,6 @@ class RelationalKB:
         grounding derives exactly their consequences.  Returns the
         number of genuinely new facts.
         """
-        from ..relational import Project, Scan, col
-
         rows: List[Row] = []
         for fact in facts:
             rows.append(self.encode_fact_key(fact) + (fact.weight,))
@@ -428,16 +423,12 @@ class RelationalKB:
 
     def delta_capture_rows(self) -> List[Row]:
         """The captured (I, R, x, C1, y, C2, w) rows of the current window."""
-        from ..relational import Scan
-
         return self.backend.query(Scan("TDAcc", "D")).rows
 
     def _merge_with_capture(self, plan: PlanNode, pad_nulls: int) -> int:
         """Merge new facts into TΠ via the TDCur scratch table so their
         id-bearing rows can also be appended to TDAcc — the plan runs
         once, keeping id assignment identical to the direct merge."""
-        from ..relational import Scan
-
         self.backend.truncate("TDCur")
         inserted, self._next_fact_id = self.backend.insert_from_with_ids(
             "TDCur", plan, self._next_fact_id, pad_nulls=pad_nulls
@@ -509,13 +500,30 @@ class RelationalKB:
         )
 
 
-def create_tprob_if_missing(backend: Backend) -> bool:
-    """Create TProb unless it exists; True when this call created it
-    (so the caller knows it is empty)."""
-    if backend.has_table("TProb"):
-        return False
-    backend.create_table(TPROB_SCHEMA, dist_keys=["I"])
-    return True
+def store_marginals(
+    backend: Backend, rows: Sequence[Tuple[int, float]], replace: bool = True
+) -> int:
+    """The one writer of TProb: ``(fact id, probability)`` rows replace
+    its contents, or with ``replace=False`` only the rows of their ids.
+    Returns the number of rows inserted."""
+    if not backend.has_table("TProb"):
+        backend.create_table(TPROB_SCHEMA, dist_keys=["I"])
+    elif replace:
+        backend.truncate("TProb")
+    if replace:
+        return backend.insert_rows("TProb", rows)
+    if not rows:
+        return 0
+    # upsert through a scratch table: delete the refreshed ids, then
+    # re-insert — both sides stay inside the engine
+    if not backend.has_table("TProbNew"):
+        backend.create_table(schema("TProbNew", "I:int", "p:float"), dist_keys=["I"])
+    backend.truncate("TProbNew")
+    backend.insert_rows("TProbNew", rows)
+    backend.delete_in(
+        "TProb", ["I"], Project(Scan("TProbNew", "N"), [(col("N.I"), "I")])
+    )
+    return backend.insert_from("TProb", Scan("TProbNew", "N"))
 
 
 def key_to_row(key: FactKey) -> Tuple[int, int, int, int, int]:

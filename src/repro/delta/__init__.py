@@ -8,30 +8,23 @@ that cost O(delta):
   newly flushed facts and derives just the *new* ground factors by
   substituting the delta relation into each occurrence of the facts
   table in the six partition join patterns.
-- :mod:`repro.delta.components` maintains an incremental
-  connected-component index over the factor graph so inference knows
-  which islands a flush touched.
-- :mod:`repro.delta.inference` re-samples only touched components with
-  per-component seeds, leaving untouched marginals verbatim.
 - :mod:`repro.delta.expander` drives both stages behind
   ``DeltaExpander.expand_delta(facts)`` with a ground/infer/commit split
-  the serve layer double-buffers.
+  the serve layer double-buffers.  It keeps an incremental
+  connected-component index over the factor graph
+  (:class:`repro.infer.ComponentIndex`) so it knows which islands a
+  flush touched, and re-samples only those with per-component seeds
+  (:func:`repro.infer.sample_components`), leaving untouched marginals
+  verbatim.
 """
 
-from .components import ComponentIndex
 from .expander import DeltaExpander, DeltaResult, PendingDelta
 from .grounding import DeltaGrounder, DeltaGroundingResult
-from .inference import build_component_graph, component_seed, componentwise_marginals, sample_component
 
 __all__ = [
-    "ComponentIndex",
     "DeltaExpander",
     "DeltaGrounder",
     "DeltaGroundingResult",
     "DeltaResult",
     "PendingDelta",
-    "build_component_graph",
-    "component_seed",
-    "componentwise_marginals",
-    "sample_component",
 ]

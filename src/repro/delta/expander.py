@@ -15,32 +15,27 @@ layer can double-buffer flushes:
   previous result and upsert them into TProb.
 
 Because each component's marginals depend only on its own members,
-factors, and seed (see :mod:`repro.delta.inference`), the spliced
+factors, and seed (see :mod:`repro.infer.components`), the spliced
 result is bit-identical to re-sampling the whole factor graph
-componentwise from scratch.  The delta path is Gibbs-only.
+componentwise from scratch.  The delta path is Gibbs-only: constructing
+an expander over any other engine raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, FrozenSet, List, Optional, Sequence, TYPE_CHECKING
 
 from ..core.config import InferenceConfig
-from ..core.relmodel import create_tprob_if_missing
-from ..relational import Project, Scan, col
-from ..relational import schema as make_schema
+from ..core.relmodel import store_marginals
+from ..infer.components import ComponentIndex, ComponentSnapshot, sample_components
 from ..relational.types import Row
-from .components import ComponentIndex
 from .grounding import DeltaGrounder, DeltaGroundingResult
-from .inference import sample_components
 
 if TYPE_CHECKING:
     from ..core.model import Fact
     from ..core.probkb import ProbKB
-
-#: (anchor, sorted member ids, factor rows) — a component frozen at ground time
-ComponentSnapshot = Tuple[int, List[int], List[Row]]
 
 
 @dataclass
@@ -58,7 +53,7 @@ class PendingDelta:
 
     @property
     def resampled_variables(self) -> int:
-        return sum(len(members) for _, members, _ in self.snapshots)
+        return sum(len(members) for members, _ in self.snapshots)
 
 
 @dataclass
@@ -91,8 +86,14 @@ class DeltaExpander:
     ) -> None:
         self.probkb = probkb
         self.inference = inference or probkb.inference_config
-        #: pool driver for gibbs configs (None for other engines); big
-        #: touched components ride the worker pool through it
+        if self.inference.engine != "gibbs":
+            raise ValueError(
+                "delta expansion re-samples components with the 'gibbs' "
+                f"engine only, got engine {self.inference.engine!r}; use "
+                "InferenceConfig(engine='gibbs') or full expansion"
+            )
+        #: the gibbs engine's pool driver; big touched components ride
+        #: the worker pool through it
         self.driver = probkb.inference_driver(self.inference)
         self.grounder = DeltaGrounder(probkb)
         self.index = ComponentIndex()
@@ -115,27 +116,9 @@ class DeltaExpander:
         into.  Also the recovery path after rule changes or errors."""
         if self.probkb.grounding is None:
             self.probkb.ground()
-        rows = self.probkb.factor_rows()
-        variable_ids = {
-            var for row in rows for var in row[:3] if var is not None
-        }
-        self.index = ComponentIndex.from_factor_rows(variable_ids, rows)
-        self.marginals = dict(
-            sample_components(
-                [
-                    (self.index.members(root), self.index.factors(root))
-                    for root in self.index.roots()
-                ],
-                self.inference.sweeps,
-                self.inference.seed,
-                driver=self.driver,
-            )
-        )
-        self._relation_of = {
-            row[0]: row[1]
-            for row in self.probkb.backend.project("TP", ("I", "R"))
-        }
-        self._store_marginals(self.marginals, full=True)
+        snapshots = self._reindex(self.probkb.factor_rows())
+        self.marginals = dict(self._sample(snapshots))
+        store_marginals(self.probkb.backend, sorted(self.marginals.items()))
         self.probkb.generation += 1
         self._primed = True
 
@@ -155,14 +138,7 @@ class DeltaExpander:
             touched = self.index.add_factors(grounding.new_factor_rows)
             for row in grounding.new_fact_rows:
                 self._relation_of[row[0]] = row[1]
-            snapshots: List[ComponentSnapshot] = [
-                (
-                    self.index.anchor(root),
-                    self.index.members(root),
-                    self.index.factors(root),
-                )
-                for root in sorted(touched, key=self.index.anchor)
-            ]
+            snapshots = self.index.snapshots(touched)
             pending = PendingDelta(
                 grounding=grounding,
                 snapshots=snapshots,
@@ -174,29 +150,28 @@ class DeltaExpander:
     def _rebuild_pending(self, grounding: DeltaGroundingResult) -> PendingDelta:
         """Constraint deletions made the index stale: rebuild it from the
         freshly re-grounded TΦ and schedule every component."""
-        rows = grounding.new_factor_rows  # the whole rebuilt TΦ
-        variable_ids = {
-            var for row in rows for var in row[:3] if var is not None
-        }
-        self.index = ComponentIndex.from_factor_rows(variable_ids, rows)
-        self._relation_of = {
-            row[0]: row[1]
-            for row in self.probkb.backend.project("TP", ("I", "R"))
-        }
+        snapshots = self._reindex(grounding.new_factor_rows)  # the whole rebuilt TΦ
         self.marginals = {}
-        snapshots: List[ComponentSnapshot] = [
-            (
-                self.index.anchor(root),
-                self.index.members(root),
-                self.index.factors(root),
-            )
-            for root in self.index.roots()
-        ]
         return PendingDelta(
             grounding=grounding,
             snapshots=snapshots,
             touched_relations=frozenset(),
             full_rebuild=True,
+        )
+
+    def _reindex(self, rows: Sequence[Row]) -> List[ComponentSnapshot]:
+        """Rebuild the component index and the ``{I: R}`` map from a
+        whole TΦ; every component's snapshot, in anchor order."""
+        self.index = ComponentIndex.from_factor_rows(rows)
+        self._relation_of = {
+            row[0]: row[1]
+            for row in self.probkb.backend.project("TP", ("I", "R"))
+        }
+        return self.index.snapshots(self.index.roots())
+
+    def _sample(self, snapshots: Sequence[ComponentSnapshot]) -> Dict[int, float]:
+        return sample_components(
+            snapshots, self.inference.sweeps, self.inference.seed, driver=self.driver
         )
 
     def _relation_names(
@@ -206,7 +181,7 @@ class DeltaExpander:
         relations of the new facts plus of every member of a touched
         component (their probabilities move)."""
         relation_ids = set(grounding.touched_relation_ids)
-        for _, members, _ in snapshots:
+        for members, _ in snapshots:
             for member in members:
                 rid = self._relation_of.get(member)
                 if rid is not None:
@@ -217,21 +192,19 @@ class DeltaExpander:
     def infer(self, pending: PendingDelta) -> Dict[int, float]:
         """Phase B (no lock): re-sample the snapshot components.  Pure —
         reads only the snapshots, so it may overlap a later ground()."""
-        return sample_components(
-            [(members, rows) for _anchor, members, rows in pending.snapshots],
-            self.inference.sweeps,
-            self.inference.seed,
-            driver=self.driver,
-        )
+        return self._sample(pending.snapshots)
 
     def commit(self, pending: PendingDelta, refreshed: Dict[int, float]) -> None:
         """Phase C (write lock): splice the refreshed marginals in."""
         if pending.full_rebuild:
             self.marginals = dict(refreshed)
-            self._store_marginals(refreshed, full=True)
         else:
             self.marginals.update(refreshed)
-            self._store_marginals(refreshed, full=False)
+        store_marginals(
+            self.probkb.backend,
+            sorted(refreshed.items()),
+            replace=pending.full_rebuild,
+        )
         self.probkb.generation += 1
         self._primed = True
 
@@ -259,30 +232,3 @@ class DeltaExpander:
             infer_seconds=inferred - grounded,
             commit_seconds=time.perf_counter() - inferred,  # lint: disable=RC003 (timing metadata, not sampling)
         )
-
-    # -- TProb maintenance -------------------------------------------------------
-
-    def _store_marginals(self, marginals: Dict[int, float], full: bool) -> None:
-        backend = self.probkb.backend
-        create_tprob_if_missing(backend)
-        rows = sorted(marginals.items())
-        if full:
-            backend.truncate("TProb")
-            backend.insert_rows("TProb", rows)
-            return
-        if not rows:
-            return
-        # upsert through a scratch table: delete the refreshed ids, then
-        # re-insert — both sides stay inside the engine
-        if not backend.has_table("TProbNew"):
-            backend.create_table(
-                make_schema("TProbNew", "I:int", "p:float"), dist_keys=["I"]
-            )
-        backend.truncate("TProbNew")
-        backend.insert_rows("TProbNew", rows)
-        backend.delete_in(
-            "TProb",
-            ["I"],
-            Project(Scan("TProbNew", "N"), [(col("N.I"), "I")]),
-        )
-        backend.insert_from("TProb", Scan("TProbNew", "N"))

@@ -6,6 +6,13 @@ paper: computing P(fact is true) for every ground atom.
 """
 
 from .bp import BPResult, bp_marginals
+from .components import (
+    ComponentIndex,
+    build_component_graph,
+    component_seed,
+    componentwise_marginals,
+    sample_components,
+)
 from .exact import exact_map, exact_marginals
 from .factor_graph import ClauseFactor, FactorGraph
 from .gibbs import (
@@ -23,20 +30,25 @@ from .registry import (
     registered_engines,
 )
 
-# NOTE: .parallel is intentionally not imported here — it pulls in the
-# worker-pool machinery; engines load it lazily when num_workers >= 2.
+# NOTE: .parallel is not imported here — it pulls in the worker-pool
+# machinery (repro.mpp.workers).  GibbsEngine.__init__ imports it, at
+# every num_workers: the driver is also the serial path's bookkeeping.
 
 __all__ = [
     "BPResult",
     "ChainDiagnostics",
     "ClauseFactor",
+    "ComponentIndex",
     "FactorGraph",
     "GibbsResult",
     "InferenceEngine",
     "MAPResult",
     "GibbsSampler",
     "bp_marginals",
+    "build_component_graph",
     "build_engine",
+    "component_seed",
+    "componentwise_marginals",
     "exact_map",
     "exact_marginals",
     "annealed_map",
@@ -45,4 +57,5 @@ __all__ = [
     "icm_map",
     "register_engine",
     "registered_engines",
+    "sample_components",
 ]

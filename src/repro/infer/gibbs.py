@@ -4,8 +4,8 @@ The paper runs the parallel Gibbs sampler of Gonzalez et al. (AISTATS'11)
 on GraphLab.  That algorithm colours the Markov blanket graph and updates
 all variables of one colour simultaneously — valid because same-coloured
 variables are conditionally independent.  We reproduce it faithfully:
-a greedy colouring (networkx) partitions variables into colour classes,
-and each sweep updates the classes in sequence.
+a greedy largest-first colouring partitions variables into colour
+classes, and each sweep updates the classes in sequence.
 
 There is one sweep kernel, :meth:`GibbsSampler.run_stream`: every draw
 comes from a counter-based stream keyed by ``(seed, sweep, color,
@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
-
-import networkx as nx
 
 from .factor_graph import FactorGraph
 
@@ -95,19 +93,25 @@ class GibbsSampler:
         self._colors = self._color()
 
     def _color(self) -> List[List[int]]:
-        """Colour classes of the Markov blanket graph."""
-        markov = nx.Graph()
-        markov.add_nodes_from(range(self.graph.num_variables))
-        for factor in self.graph.factors:
-            variables = list(set(factor.variables))
-            for i, u in enumerate(variables):
-                for v in variables[i + 1 :]:
-                    markov.add_edge(u, v)
-        coloring = nx.greedy_color(markov, strategy="largest_first")
-        classes: Dict[int, List[int]] = {}
-        for var, color in coloring.items():
-            classes.setdefault(color, []).append(var)
-        return [sorted(classes[c]) for c in sorted(classes)]
+        """Colour classes of the Markov blanket graph.
+
+        Greedy largest-first: variables by descending degree (ties in
+        index order) each take the smallest colour no already-coloured
+        neighbour holds.  The classes fix the sweep order and the draw
+        keys, so this rule is part of the determinism contract.
+        """
+        neighbors = self.graph.neighbors()
+        color_of = [-1] * len(neighbors)
+        for var in sorted(range(len(neighbors)), key=lambda v: -len(neighbors[v])):
+            taken = {color_of[u] for u in neighbors[var]}
+            color = 0
+            while color in taken:
+                color += 1
+            color_of[var] = color
+        classes: List[List[int]] = [[] for _ in range(max(color_of, default=-1) + 1)]
+        for var, color in enumerate(color_of):
+            classes[color].append(var)
+        return classes
 
     @property
     def num_colors(self) -> int:

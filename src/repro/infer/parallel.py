@@ -23,7 +23,7 @@ make this free rather than hard:
 1. Every draw in :meth:`~repro.infer.gibbs.GibbsSampler.run_stream`
    is a pure function of ``(component seed, sweep, color, var)`` —
    no shared RNG stream to serialise.
-2. :func:`~repro.delta.inference.build_component_graph` is canonical,
+2. :func:`~repro.infer.components.build_component_graph` is canonical,
    so every process derives the same dense indexing and colouring from
    a component's content alone.
 
@@ -41,7 +41,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..mpp.workers import WorkerCrashError, WorkerPool, _WorkerState
-from ..relational.types import Row
+from .components import (
+    ComponentSnapshot,
+    build_component_graph,
+    component_seed,
+    sample_serially,
+)
 from .gibbs import GibbsSampler
 
 #: components with at least this many variables are sharded across the
@@ -50,9 +55,6 @@ DEFAULT_SHARD_THRESHOLD = 512
 
 _BATCH_TASK = "repro.infer.parallel:_task_sample_batch"
 _SHARD_TASK = "repro.infer.parallel:_task_sample_shards"
-
-#: ``(sorted member ids, factor rows)`` — one component's content
-ComponentSnapshot = Tuple[List[int], List[Row]]
 
 
 # ------------------------------------------------------------------ planning
@@ -119,32 +121,9 @@ def split_ranges(n: int, parts: int) -> List[Tuple[int, int]]:
 # ------------------------------------------------------------ worker tasks
 
 
-def _sample_batch(
-    snapshots: Sequence[ComponentSnapshot], num_sweeps: int, seed: int
-) -> Tuple[Dict[int, float], int]:
-    """Sample whole components in-process; the serial reference.
-
-    Returns ``(marginals, max colours seen)``.  This exact loop runs on
-    the master in serial/degraded mode and inside each worker for its
-    batch, which is what makes the two modes bit-identical.
-    """
-    from ..delta.inference import build_component_graph, component_seed
-
-    marginals: Dict[int, float] = {}
-    max_colors = 0
-    for member_ids, rows in snapshots:
-        members = sorted(member_ids)
-        graph = build_component_graph(members, rows)
-        sampler = GibbsSampler(graph, seed=component_seed(seed, members[0]))
-        result = sampler.run_stream(num_sweeps=num_sweeps)
-        marginals.update(result.marginals)
-        max_colors = max(max_colors, result.num_colors)
-    return marginals, max_colors
-
-
 def _task_sample_batch(state: _WorkerState, payload: Dict[str, Any]) -> Dict[str, Any]:
     """Pool task: sample this worker's batch of whole components."""
-    marginals, colors = _sample_batch(
+    marginals, colors = sample_serially(
         payload["components"], payload["num_sweeps"], payload["seed"]
     )
     return {"marginals": marginals, "colors": colors}
@@ -157,8 +136,6 @@ def _run_shard_job(state: _WorkerState, job: Dict[str, Any]) -> Tuple[Dict[int, 
     sweeps only its contiguous range, and trades boundary states with
     its peers at the end of every colour.
     """
-    from ..delta.inference import build_component_graph
-
     graph = build_component_graph(job["members"], job["rows"])
     sampler = GibbsSampler(graph, seed=job["seed"])
     ranges: List[Tuple[int, int]] = job["ranges"]
@@ -319,12 +296,12 @@ class ParallelGibbsDriver:
     ) -> Dict[int, float]:
         """Marginals over a batch of component snapshots.
 
-        Bit-identical to :func:`repro.delta.inference.sample_components`
+        Bit-identical to :func:`repro.infer.components.sample_components`
         without a driver, for any ``num_workers``.
         """
         started = time.perf_counter()  # lint: disable=RC003 (timing metadata, not sampling)
         if not self.active or not snapshots:
-            marginals, colors = _sample_batch(snapshots, num_sweeps, seed)
+            marginals, colors = sample_serially(snapshots, num_sweeps, seed)
             self._record(started, snapshots, sharded=0, colors=colors, pooled=False)
             return marginals
         try:
@@ -332,7 +309,7 @@ class ParallelGibbsDriver:
         except WorkerCrashError as error:
             self._degrade(error)
             started = time.perf_counter()  # lint: disable=RC003 (timing metadata, not sampling)
-            marginals, colors = _sample_batch(snapshots, num_sweeps, seed)
+            marginals, colors = sample_serially(snapshots, num_sweeps, seed)
             self._record(started, snapshots, sharded=0, colors=colors, pooled=False)
             return marginals
 
@@ -343,8 +320,6 @@ class ParallelGibbsDriver:
         seed: int,
         started: float,
     ) -> Dict[int, float]:
-        from ..delta.inference import component_seed
-
         pool = self._ensure_pool()
         plan = plan_shards(snapshots, pool.num_workers, self.shard_threshold)
         marginals: Dict[int, float] = {}

@@ -38,6 +38,7 @@ from typing import (
 )
 
 from ..relational.types import Row
+from .components import componentwise_marginals
 from .factor_graph import FactorGraph
 
 if TYPE_CHECKING:
@@ -138,8 +139,6 @@ class GibbsEngine:
     def marginals(
         self, rows: Sequence[Row], config: "InferenceConfig"
     ) -> Dict[int, float]:
-        from ..delta.inference import componentwise_marginals
-
         return componentwise_marginals(
             rows, config.sweeps, config.seed, driver=self.driver
         )

@@ -228,9 +228,13 @@ def test_production_imports_do_not_load_the_reference_executor():
     ``ColumnarExecutor`` and the home of ``Result``).  The engine takes
     plan trees only: every SQL-named thing it exposes is an output
     (renderer, sqlite mirror), no database has a method that reads SQL,
-    and the operator set is the nine the grounder builds."""
+    and the operator set is the nine the grounder builds.  The import
+    graph: ``repro.infer`` stands alone (``repro.delta`` is its client,
+    loaded only by the layers above), and nothing loads ``networkx``."""
     code = (
-        "import sys, repro, repro.api, repro.cli, repro.core, repro.mpp, "
+        "import sys, repro.infer\n"
+        "print([m for m in sys.modules if m.startswith('repro.delta')])\n"
+        "import repro, repro.api, repro.cli, repro.core, repro.mpp, "
         "repro.relational, repro.serve\n"
         "from repro.relational import Database, PlanNode\n"
         "print('repro.relational.executor' in sys.modules)\n"
@@ -238,7 +242,8 @@ def test_production_imports_do_not_load_the_reference_executor():
         "print([n for db in (Database, repro.mpp.MPPDatabase) for n in dir(db)"
         " if 'sql' in n.lower()])\n"
         "print(sorted(n for n, v in vars(repro.relational).items()"
-        " if isinstance(v, type) and issubclass(v, PlanNode)))"
+        " if isinstance(v, type) and issubclass(v, PlanNode)))\n"
+        "print('networkx' in sys.modules)"
     )
     completed = subprocess.run(
         [sys.executable, "-c", code],
@@ -249,10 +254,12 @@ def test_production_imports_do_not_load_the_reference_executor():
     )
     assert completed.returncode == 0, completed.stderr[-2000:]
     assert completed.stdout.splitlines() == [
+        "[]",
         "False",
         "['SqliteMirror', 'sqlite_bridge', 'sqltext', 'to_sql']",
         "[]",
         "['Aggregate', 'AntiJoin', 'Distinct', 'Filter', 'HashJoin', 'PlanNode', "
         "'Project', 'Scan', 'UnionAll', 'Values']",
+        "False",
     ]
     assert not hasattr(repro.relational, "Executor")

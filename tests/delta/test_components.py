@@ -2,13 +2,13 @@
 
 import random
 
-from repro.delta import (
+from repro.infer import (
     ComponentIndex,
     build_component_graph,
     component_seed,
     componentwise_marginals,
-    sample_component,
 )
+from repro.infer.components import sample_component
 
 
 class TestComponentIndex:
@@ -73,12 +73,16 @@ class TestComponentIndex:
         roots = index.roots()
         assert [index.anchor(r) for r in roots] == [0, 4]
 
-    def test_from_factor_rows_registers_isolated_variables(self):
+    def test_from_factor_rows_registers_every_mentioned_id(self):
+        # 0 and 3 occur only in bodies, 7 only in its unit factor
         index = ComponentIndex.from_factor_rows(
-            [0, 1, 2], [(1, 0, None, 1.0)]
+            [(1, 0, None, 1.0), (2, 1, 3, 0.5), (7, None, None, 0.9)]
         )
-        assert len(index) == 2  # {0,1} and the isolated {2}
-        assert index.members(2) == [2]
+        assert all(var in index for var in (0, 1, 2, 3, 7))
+        assert len(index) == 2
+        assert index.members(3) == [0, 1, 2, 3]
+        assert index.members(7) == [7]
+        assert index.factors(7) == [(7, None, None, 0.9)]
 
 
 class TestDeterminism:

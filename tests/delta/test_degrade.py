@@ -8,7 +8,7 @@ with bit-identical marginals, and the driver stays serial until reset.
 
 import pytest
 
-from repro.delta.inference import sample_components
+from repro.infer import sample_components
 from repro.infer.parallel import ParallelGibbsDriver
 from repro.mpp.workers import WorkerCrashError
 

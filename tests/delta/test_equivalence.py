@@ -24,7 +24,8 @@ from repro import (
 )
 from repro.api import ExpansionSession
 from repro.datasets import paper_kb
-from repro.delta import DeltaExpander, componentwise_marginals
+from repro.delta import DeltaExpander
+from repro.infer import componentwise_marginals
 
 SWEEPS = 60
 SEED = 3

@@ -13,8 +13,10 @@ import time
 import pytest
 
 from repro import Fact, InferenceConfig, ProbKB
+from repro.api import ExpansionSession
 from repro.datasets import paper_kb
-from repro.delta import componentwise_marginals
+from repro.delta import DeltaExpander
+from repro.infer import componentwise_marginals
 from repro.serve import IngestConfig, KBService, ServiceConfig
 
 SWEEPS = 80
@@ -46,6 +48,36 @@ def service():
 
 
 BATCH = [Fact("born_in", "Saul Bellow", "Writer", "Brooklyn", "Place", 0.88)]
+
+
+class TestGibbsOnly:
+    """The delta path re-samples components with the gibbs kernel; a
+    config naming another engine is refused where the expander is
+    built, not sampled with gibbs and reported under the other name."""
+
+    BP = InferenceConfig(engine="bp")
+
+    def test_expander_rejects_other_engines(self):
+        with ProbKB(expandable_kb()) as system:
+            with pytest.raises(ValueError, match="'gibbs'.*'bp'"):
+                DeltaExpander(system, inference=self.BP)
+
+    def test_expander_rejects_the_session_default_too(self):
+        with ProbKB(expandable_kb(), inference=self.BP) as system:
+            with pytest.raises(ValueError, match="'gibbs'.*'bp'"):
+                DeltaExpander(system)
+
+    def test_session_expand_delta_rejects_other_engines(self):
+        with ExpansionSession(expandable_kb()) as session:
+            with pytest.raises(ValueError, match="'gibbs'.*'bp'"):
+                session.expand_delta(BATCH, inference=self.BP)
+            # nothing was pinned: the session can still expand with gibbs
+            assert session.expand_delta(BATCH).new_facts == 3
+
+    def test_service_rejects_other_engines(self):
+        with ProbKB(expandable_kb()) as system:
+            with pytest.raises(ValueError, match="'gibbs'.*'bp'"):
+                KBService(system, ServiceConfig(expansion="delta", inference=self.BP))
 
 
 class TestDeltaFlush:

@@ -2,6 +2,7 @@
 enumeration on small graphs, plus structural/diagnostic checks."""
 
 import math
+import random
 
 import pytest
 
@@ -106,6 +107,56 @@ def test_chromatic_coloring_is_valid():
         class_set = set(color_class)
         for var in color_class:
             assert class_set.isdisjoint(neighbors[var])
+
+
+def clause_graph(num_variables, clauses):
+    graph = FactorGraph()
+    for var in range(num_variables):
+        graph.variable(var)
+    for head, body in clauses:
+        graph.add_clause(head, body, 1.0)
+    return graph
+
+
+@pytest.mark.parametrize(
+    "num_variables, clauses, expected",
+    [
+        # triangle 0-1-2 with 3 pendant on 2: 2 has the largest degree
+        (4, [(0, [1, 2]), (3, [2])], [[2], [0, 3], [1]]),
+        # star centred on 0
+        (5, [(0, [1]), (0, [2]), (0, [3]), (0, [4])], [[0], [1, 2, 3, 4]]),
+        # two disjoint edges: all degrees tie, index order decides
+        (4, [(0, [1]), (2, [3])], [[0, 2], [1, 3]]),
+    ],
+    ids=["triangle_with_pendant", "star", "two_disjoint_edges"],
+)
+def test_color_classes_are_greedy_largest_first(num_variables, clauses, expected):
+    """The classes fix the sweep order and the draw keys, so the rule is
+    pinned literally (captured from the networkx-backed colouring)."""
+    assert GibbsSampler(clause_graph(num_variables, clauses))._colors == expected
+
+
+def test_color_classes_equal_networkx_largest_first():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(24)
+    for _ in range(250):
+        n = rng.randint(1, 30)
+        clauses = [
+            (rng.randrange(n), [rng.randrange(n) for _ in range(rng.randint(0, 2))])
+            for _ in range(rng.randint(0, 3 * n))
+        ]
+        graph = clause_graph(n, clauses)
+        markov = nx.Graph()
+        markov.add_nodes_from(range(n))
+        for var, others in enumerate(graph.neighbors()):
+            markov.add_edges_from((var, other) for other in others)
+        coloring = nx.greedy_color(markov, strategy="largest_first")
+        classes = {}
+        for var, color in coloring.items():
+            classes.setdefault(color, []).append(var)
+        assert GibbsSampler(graph)._colors == [
+            sorted(classes[color]) for color in sorted(classes)
+        ]
 
 
 def test_gibbs_deterministic_for_seed():

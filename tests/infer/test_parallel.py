@@ -12,7 +12,7 @@ import pytest
 
 from repro.api import ExpansionSession, InferenceConfig
 from repro.datasets.paper_example import paper_kb
-from repro.delta.inference import componentwise_marginals, sample_components
+from repro.infer import componentwise_marginals, sample_components
 from repro.infer.parallel import (
     ParallelGibbsDriver,
     plan_shards,
