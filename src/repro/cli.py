@@ -175,32 +175,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument("--sweeps", type=int, default=200)
     serve_cmd.add_argument("--cache-size", type=int, default=256)
-    serve_cmd.add_argument(
-        "--cache-policy",
-        choices=("lru", "lfu", "ttl"),
-        default="lru",
-        help="query-cache eviction policy",
-    )
-    serve_cmd.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=None,
-        help="entry lifetime in seconds (required with --cache-policy ttl)",
-    )
     serve_cmd.add_argument("--flush-size", type=int, default=64)
     serve_cmd.add_argument("--flush-interval", type=float, default=0.2)
     serve_cmd.add_argument("--max-queue", type=int, default=4096)
     serve_cmd.add_argument(
-        "--infer-on-flush",
-        action="store_true",
-        help="re-materialize marginals after every ingest flush",
-    )
-    serve_cmd.add_argument(
         "--expansion",
         choices=("full", "delta"),
-        default=None,
+        default="full",
         help="how flushes refresh the KB: 'full' re-expansion or the "
-        "incremental 'delta' path (env PROBKB_SERVE_EXPANSION)",
+        "incremental 'delta' path",
     )
     serve_cmd.add_argument(
         "--verbose", action="store_true", help="log every HTTP request"
@@ -529,7 +512,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def build_serve_service(args, logger=None, expansion="full"):
+def build_serve_service(args, logger=None):
     """Build the KBService for ``serve`` (separate for testability)."""
     import os
 
@@ -569,16 +552,13 @@ def build_serve_service(args, logger=None, expansion="full"):
 
     config = ServiceConfig(
         cache_size=args.cache_size,
-        cache_policy=getattr(args, "cache_policy", "lru"),
-        cache_ttl=getattr(args, "cache_ttl", None),
         ingest=IngestConfig(
             max_queue=args.max_queue,
             flush_size=args.flush_size,
             flush_interval=args.flush_interval,
         ),
-        infer_on_flush=args.infer_on_flush,
         inference=InferenceConfig(sweeps=args.sweeps),
-        expansion=expansion,
+        expansion=args.expansion,
     )
     return KBService(system, config, logger=logger)
 
@@ -596,12 +576,9 @@ def cmd_serve(args) -> int:
         request_timeout=args.request_timeout,
         max_body_bytes=args.max_body_bytes,
         log_json=args.log_json,
-        expansion=args.expansion,
     )
     logger = JsonLogger(enabled=serve_config.log_json)
-    service = build_serve_service(
-        args, logger=logger, expansion=serve_config.expansion
-    )
+    service = build_serve_service(args, logger=logger)
     server = make_server(
         service,
         host=args.host,

@@ -10,7 +10,7 @@ that cost O(delta):
   table in the six partition join patterns.
 - :mod:`repro.delta.expander` drives both stages behind
   ``DeltaExpander.expand_delta(facts)`` with a ground/infer/commit split
-  the serve layer double-buffers.  It keeps an incremental
+  that lets the serve layer re-sample without its write lock.  It keeps an incremental
   connected-component index over the factor graph
   (:class:`repro.infer.ComponentIndex`) so it knows which islands a
   flush touched, and re-samples only those with per-component seeds

@@ -3,13 +3,12 @@
 Drives both delta stages and maintains the materialized state they
 update: the connected-component index, the in-memory marginals map, and
 the TProb table.  The flow is split into three phases so the serve
-layer can double-buffer flushes:
+layer can release its write lock while a flush re-samples — queries
+keep running through the costly phase:
 
 - :meth:`ground` (needs the write lock): delta-ground the flush, fold
   the new factors into the component index, and snapshot the touched
-  components' payloads.  Snapshots are *copies* — the index's
-  small-to-large merging mutates payload lists in place, so a later
-  flush's ``ground`` may not disturb an in-flight inference.
+  components' payloads.
 - :meth:`infer` (lock-free, pure): re-sample the snapshot components.
 - :meth:`commit` (write lock): splice the refreshed marginals into the
   previous result and upsert them into TProb.
@@ -191,7 +190,7 @@ class DeltaExpander:
 
     def infer(self, pending: PendingDelta) -> Dict[int, float]:
         """Phase B (no lock): re-sample the snapshot components.  Pure —
-        reads only the snapshots, so it may overlap a later ground()."""
+        reads only the snapshots, so readers may query meanwhile."""
         return self._sample(pending.snapshots)
 
     def commit(self, pending: PendingDelta, refreshed: Dict[int, float]) -> None:
@@ -211,7 +210,7 @@ class DeltaExpander:
     def expand_delta(
         self, facts: Sequence["Fact"], max_iterations: Optional[int] = None
     ) -> DeltaResult:
-        """Ground + infer + commit in one call (the non-pipelined path)."""
+        """Ground + infer + commit in one call."""
         started = time.perf_counter()  # lint: disable=RC003 (timing metadata, not sampling)
         pending = self.ground(facts, max_iterations)
         grounded = time.perf_counter()  # lint: disable=RC003 (timing metadata, not sampling)

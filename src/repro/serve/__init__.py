@@ -2,8 +2,8 @@
 
 Wraps a :class:`~repro.ProbKB` in a long-lived, concurrency-safe
 service: readers-writer locking for pattern queries vs evidence ingest,
-micro-batched ingest with backpressure and a dead-letter list, a query
-cache (lru/lfu/ttl eviction) invalidated by KB generation, warm-restart
+micro-batched ingest with backpressure and a dead-letter list, an LRU
+query cache invalidated by KB generation, warm-restart
 snapshots, optional O(delta) flush expansion (``expansion="delta"``,
 see :mod:`repro.delta` and ``docs/incremental.md``), and a stdlib JSON
 HTTP API hardened with bearer-token auth,
@@ -22,16 +22,9 @@ Typical embedding::
 ``python -m repro.cli serve --kb <dir>`` runs the HTTP front end.
 """
 
-from .cache import EVICTION_POLICIES, QueryCache
+from .cache import QueryCache
 from .config import ServeConfig
-from .engine import (
-    EXPANSION_MODES,
-    DeltaPipeline,
-    KBService,
-    QueryResult,
-    RWLock,
-    ServiceConfig,
-)
+from .engine import EXPANSION_MODES, KBService, QueryResult, RWLock, ServiceConfig
 from .http import KBServer, make_server
 from .ingest import EvidenceQueue, IngestConfig, IngestOverflow, IngestWorker, coalesce
 from .limiter import RateLimiter
@@ -40,8 +33,6 @@ from .metrics import LatencyRing, ServiceMetrics
 from .snapshot import export_sqlite, load_snapshot, save_snapshot, snapshot_dict
 
 __all__ = [
-    "DeltaPipeline",
-    "EVICTION_POLICIES",
     "EXPANSION_MODES",
     "EvidenceQueue",
     "IngestConfig",

@@ -12,58 +12,29 @@ evicts only entries tagged (via ``put(..., predicates=...)``) with one
 of the touched relation names — a delta flush over ``born_in`` leaves
 cached ``works_at`` answers warm.
 
-Eviction is pluggable (``policy=``):
-
-``lru``
-    Least-recently-used (the default, and the previous behavior): a hit
-    refreshes the entry, the coldest entry goes first.
-``lfu``
-    Least-frequently-used: each hit increments a use count and the entry
-    with the fewest uses goes first (ties: least recently touched).
-    Better when a few hot patterns dominate but occasionally a scan of
-    one-off queries would otherwise flush them out.
-``ttl``
-    Insertion-ordered with an expiry: entries older than ``ttl`` seconds
-    are dropped on access and swept on insert; capacity overflow evicts
-    the oldest entry.  Useful when staleness is bounded by wall clock
-    rather than by generation alone (e.g. probabilities drift as
-    materialization reruns).
+Capacity overflow evicts the least-recently-used entry: a hit
+refreshes the entry, the coldest entry goes first.
 """
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterable,
-    Optional,
-    Tuple,
-)
+from typing import Any, Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
 
 from ..devtools.sanitizer import make_lock
 
-EVICTION_POLICIES = ("lru", "lfu", "ttl")
-
 
 class _Entry:
-    __slots__ = ("generation", "value", "uses", "stored_at", "predicates")
+    __slots__ = ("generation", "value", "predicates")
 
     def __init__(
         self,
         generation: int,
         value: Any,
-        stored_at: float,
         predicates: Optional[FrozenSet[str]] = None,
     ) -> None:
         self.generation = generation
         self.value = value
-        self.uses = 0
-        self.stored_at = stored_at
         #: the predicates (relation names) the result depends on; None
         #: means "unknown / all" — such entries fall to any invalidation
         self.predicates = predicates
@@ -76,34 +47,16 @@ class QueryCache:
     ``(relation, subject, object, min_probability)``.
     """
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        policy: str = "lru",
-        ttl: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-        if policy not in EVICTION_POLICIES:
-            raise ValueError(
-                f"unknown eviction policy {policy!r}; "
-                f"choose from {', '.join(EVICTION_POLICIES)}"
-            )
-        if policy == "ttl":
-            if ttl is None or ttl <= 0:
-                raise ValueError("ttl policy needs ttl > 0 seconds")
         self.capacity = capacity
-        self.policy = policy
-        self.ttl = ttl
-        self._clock = clock
         self._lock = make_lock("QueryCache._lock")
         self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()  # guarded by: self._lock
         self._generation = 0  # guarded by: self._lock
         self.hits = 0  # guarded by: self._lock
         self.misses = 0  # guarded by: self._lock
         self.evictions = 0  # guarded by: self._lock
-        self.expirations = 0  # guarded by: self._lock
         #: entries evicted by predicate-scoped invalidation
         self.invalidations = 0  # guarded by: self._lock
 
@@ -167,13 +120,6 @@ class QueryCache:
             self.invalidations += len(doomed)
             return len(doomed)
 
-    def _expired(self, entry: _Entry, now: float) -> bool:
-        return (
-            self.policy == "ttl"
-            and self.ttl is not None
-            and now - entry.stored_at > self.ttl
-        )
-
     def get(self, key: Hashable) -> Tuple[bool, Any]:
         """Return ``(hit, value)``; only live current-generation entries hit."""
         with self._lock:
@@ -185,16 +131,7 @@ class QueryCache:
                 del self._entries[key]
                 self.misses += 1
                 return False, None
-            if self._expired(entry, self._clock()):
-                del self._entries[key]
-                self.expirations += 1
-                self.misses += 1
-                return False, None
-            entry.uses += 1
-            if self.policy in ("lru", "lfu"):
-                # recency is the primary (lru) or tie-breaking (lfu) signal;
-                # ttl keeps insertion order so the oldest entry stays first
-                self._entries.move_to_end(key)
+            self._entries.move_to_end(key)
             self.hits += 1
             return True, entry.value
 
@@ -218,43 +155,11 @@ class QueryCache:
                 generation = self._generation
             if generation != self._generation:
                 return
-            now = self._clock()
-            if self.policy == "ttl":
-                self._sweep_expired(now)
-            if key not in self._entries:
-                # evict before inserting so the newcomer never competes
-                # (an lfu entry starts at 0 uses and would evict itself)
-                while len(self._entries) >= self.capacity:
-                    self._evict_one()
-            self._entries[key] = _Entry(generation, value, now, predicates)
+            if key not in self._entries and len(self._entries) >= self.capacity:
+                self._entries.popitem(last=False)  # the coldest entry
+                self.evictions += 1
+            self._entries[key] = _Entry(generation, value, predicates)
             self._entries.move_to_end(key)
-
-    # holds: self._lock
-    def _sweep_expired(self, now: float) -> None:
-        expired = [
-            key for key, entry in self._entries.items() if self._expired(entry, now)
-        ]
-        for key in expired:
-            del self._entries[key]
-            self.expirations += 1
-
-    # holds: self._lock
-    def _evict_one(self) -> None:
-        if self.policy == "lfu":
-            # O(capacity) scan; capacities here are hundreds, not millions.
-            # Iteration order is least-recently-touched first, so `<` makes
-            # recency the tie-breaker for equal use counts.
-            victim = None
-            fewest = None
-            for key, entry in self._entries.items():
-                if fewest is None or entry.uses < fewest:
-                    victim, fewest = key, entry.uses
-            assert victim is not None
-            del self._entries[victim]
-        else:
-            # lru: coldest first; ttl: oldest insertion first
-            self._entries.popitem(last=False)
-        self.evictions += 1
 
     def __len__(self) -> int:
         with self._lock:
@@ -272,13 +177,10 @@ class QueryCache:
             return {
                 "size": len(self._entries),
                 "capacity": self.capacity,
-                "policy": self.policy,
-                "ttl": self.ttl,
                 "generation": self._generation,
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "expirations": self.expirations,
                 "invalidations": self.invalidations,
                 "hit_rate": self.hits / total if total else 0.0,
             }

@@ -16,7 +16,6 @@ Environment variables (all optional)::
     PROBKB_SERVE_TIMEOUT       per-request handler budget, seconds
     PROBKB_SERVE_MAX_BODY      request-body cap, bytes
     PROBKB_SERVE_LOG_JSON      1/true/yes/on enables JSON request logs
-    PROBKB_SERVE_EXPANSION     flush expansion mode: "full" or "delta"
 """
 
 from __future__ import annotations
@@ -58,17 +57,6 @@ def _parse_tokens(raw: str) -> Tuple[str, ...]:
     return tuple(token.strip() for token in raw.split(",") if token.strip())
 
 
-def _parse_expansion(name: str, raw: str) -> str:
-    from .engine import EXPANSION_MODES
-
-    lowered = raw.strip().lower()
-    if lowered not in EXPANSION_MODES:
-        raise ValueError(
-            f"{name} must be one of {', '.join(EXPANSION_MODES)}, got {raw!r}"
-        )
-    return lowered
-
-
 @dataclass(frozen=True)
 class ServeConfig:
     """How the HTTP front end admits, bounds, and logs requests.
@@ -90,9 +78,6 @@ class ServeConfig:
     max_body_bytes: int = 1 << 20
     #: emit one structured JSON log line per request/flush/error
     log_json: bool = False
-    #: how ingest flushes refresh the KB: "full" re-expansion (default)
-    #: or the incremental "delta" path (:mod:`repro.delta`)
-    expansion: str = "full"
 
     def __post_init__(self) -> None:
         if self.rate_limit < 0:
@@ -109,13 +94,6 @@ class ServeConfig:
             )
         if any(not token for token in self.auth_tokens):
             raise ValueError("auth tokens must be non-empty strings")
-        from .engine import EXPANSION_MODES
-
-        if self.expansion not in EXPANSION_MODES:
-            raise ValueError(
-                f"expansion must be one of {', '.join(EXPANSION_MODES)}; "
-                f"got {self.expansion!r}"
-            )
 
     @property
     def auth_enabled(self) -> bool:
@@ -137,7 +115,6 @@ class ServeConfig:
             "TIMEOUT": _parse_float,
             "MAX_BODY": _parse_int,
             "LOG_JSON": _parse_bool,
-            "EXPANSION": _parse_expansion,
         }
         field_for = {
             "AUTH_TOKEN": "auth_tokens",
@@ -146,7 +123,6 @@ class ServeConfig:
             "TIMEOUT": "request_timeout",
             "MAX_BODY": "max_body_bytes",
             "LOG_JSON": "log_json",
-            "EXPANSION": "expansion",
         }
         overrides: Dict[str, object] = {}
         for suffix, parse in parsers.items():

@@ -11,12 +11,11 @@ under, which is what the torn-read assertions in the concurrency tests
 
 from __future__ import annotations
 
-import queue as queue_module
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.clauses import HornClause
 from ..core.config import InferenceConfig
@@ -24,7 +23,7 @@ from ..core.model import Fact
 from ..core.probkb import ProbKB
 from ..delta import DeltaExpander, PendingDelta
 from ..devtools.sanitizer import get_sanitizer, make_lock, shadow_token
-from .cache import EVICTION_POLICIES, QueryCache
+from .cache import QueryCache
 from .ingest import EvidenceQueue, IngestConfig, IngestWorker
 from .logging import NULL_LOGGER, JsonLogger
 from .metrics import ServiceMetrics
@@ -117,15 +116,7 @@ class ServiceConfig:
     """Serving-layer tuning, independent of the wrapped KB's own config."""
 
     cache_size: int = 256
-    #: query-cache eviction policy: "lru" (default), "lfu", or "ttl"
-    cache_policy: str = "lru"
-    #: entry lifetime in seconds; required when ``cache_policy="ttl"``
-    cache_ttl: Optional[float] = None
     ingest: IngestConfig = field(default_factory=IngestConfig)
-    #: rerun marginal inference + TProb after each flush; costly, so off
-    #: by default — queries then report None for fresh inferred facts
-    #: until the operator materializes.
-    infer_on_flush: bool = False
     latency_window: int = 1024
     #: how flush/materialize inference runs (fewer sweeps than the
     #: offline default: serving favours latency)
@@ -137,11 +128,6 @@ class ServiceConfig:
     expansion: str = "full"
 
     def __post_init__(self) -> None:
-        if self.cache_policy not in EVICTION_POLICIES:
-            raise ValueError(
-                f"unknown cache_policy {self.cache_policy!r}; "
-                f"choose from {', '.join(EVICTION_POLICIES)}"
-            )
         if self.expansion not in EXPANSION_MODES:
             raise ValueError(
                 f"unknown expansion {self.expansion!r}; "
@@ -159,91 +145,6 @@ class QueryResult(NamedTuple):
     cache_hit: bool
 
 
-class DeltaPipeline:
-    """FIFO handoff from delta grounding to delta inference.
-
-    Stage A (grounding, under the write lock) submits a
-    :class:`~repro.delta.PendingDelta`; this single consumer thread runs
-    stages B+C (re-sample off-lock, then commit under the write lock).
-    Double buffering falls out of the split: while batch N's components
-    are being re-sampled here, the ingest worker is free to ground batch
-    N+1.  FIFO order plus A-time payload snapshots make the interleaving
-    sequentially equivalent — if N+1 merged one of N's components, N+1's
-    own re-sample is queued behind N's and overwrites any stale splice.
-    """
-
-    def __init__(
-        self,
-        finish: Callable[[PendingDelta], None],
-        logger: Optional[JsonLogger] = None,
-        on_error: Optional[Callable[[BaseException], None]] = None,
-    ) -> None:
-        self._finish = finish
-        self._logger = logger if logger is not None else NULL_LOGGER
-        self._on_error = on_error
-        self._queue: "queue_module.Queue[Optional[PendingDelta]]" = (
-            queue_module.Queue()
-        )
-        self._lock = make_lock("DeltaPipeline._lock")
-        self._thread: Optional[threading.Thread] = None  # guarded by: self._lock
-        # written only by the consumer thread, read anywhere (stats)
-        self.errors = 0
-
-    def submit(self, pending: PendingDelta) -> None:
-        with self._lock:
-            if self._thread is None or not self._thread.is_alive():
-                # first submit, or the pipeline was stopped: a finished
-                # Thread cannot be restarted, so hand work to a fresh one
-                self._thread = threading.Thread(
-                    target=self._run, name="probkb-delta-infer", daemon=True
-                )
-                self._thread.start()
-        self._queue.put(pending)
-
-    def drain(self) -> None:
-        """Block until every submitted delta has been committed."""
-        self._queue.join()
-
-    def stop(self) -> None:
-        # the lock is held across put+join so a concurrent submit cannot
-        # spin up a second consumer while the sentinel is in flight;
-        # _run never takes this lock, so the join cannot deadlock
-        with self._lock:
-            thread = self._thread
-            self._thread = None
-            if thread is not None and thread.is_alive():
-                self._queue.put(None)
-                thread.join()
-
-    @property
-    def depth(self) -> int:
-        """Deltas grounded but not yet committed (approximate)."""
-        return self._queue.qsize()
-
-    def _run(self) -> None:
-        while True:
-            # sentinel wakeup: stop() enqueues None behind pending work
-            item = self._queue.get()  # lint: disable=RC004
-            try:
-                if item is None:
-                    return
-                try:
-                    self._finish(item)
-                except Exception as error:
-                    # the consumer must outlive any one bad delta:
-                    # swallowing here keeps the thread draining so later
-                    # submits are not enqueued forever (see RC005)
-                    self.errors += 1
-                    self._logger.log("delta_error", error=repr(error))
-                    if self._on_error is not None:
-                        try:
-                            self._on_error(error)
-                        except Exception:  # pragma: no cover - defensive
-                            pass
-            finally:
-                self._queue.task_done()
-
-
 class KBService:
     """A long-lived, concurrency-safe front end over one ProbKB."""
 
@@ -257,11 +158,7 @@ class KBService:
         self.config = config or ServiceConfig()
         self.logger = logger if logger is not None else NULL_LOGGER
         self.lock = RWLock(name="KBService.lock")
-        self.cache = QueryCache(
-            self.config.cache_size,
-            policy=self.config.cache_policy,
-            ttl=self.config.cache_ttl,
-        )
+        self.cache = QueryCache(self.config.cache_size)
         self.cache.bump(probkb.generation)
         self.metrics = ServiceMetrics(self.config.latency_window)
         self.queue = EvidenceQueue(self.config.ingest)
@@ -272,14 +169,8 @@ class KBService:
             logger=self.logger,
         )
         self.delta: Optional[DeltaExpander] = None
-        self.pipeline: Optional[DeltaPipeline] = None
         if self.config.expansion == "delta":
             self.delta = DeltaExpander(probkb, inference=self.config.inference)
-            self.pipeline = DeltaPipeline(
-                self._finish_delta,
-                logger=self.logger,
-                on_error=self._on_delta_error,
-            )
         # wall-clock birth time stays externally visible; elapsed time is
         # measured on the monotonic clock, immune to NTP steps (RC006)
         self.started_at = time.time()
@@ -297,9 +188,6 @@ class KBService:
     def stop(self) -> None:
         if self._running:
             self.worker.stop(drain=True)
-            if self.pipeline is not None:
-                self.pipeline.drain()
-                self.pipeline.stop()
             self._running = False
 
     def __enter__(self) -> "KBService":
@@ -383,13 +271,11 @@ class KBService:
     def flush(self) -> int:
         """Apply all pending evidence now; returns facts applied.
 
-        In delta mode this also waits for the inference pipeline, so on
-        return the refreshed marginals are committed and queryable.
+        In delta mode each flush runs ground, infer and commit before
+        the next starts, so on return the refreshed marginals are
+        committed and queryable.
         """
-        applied = self.worker.flush()
-        if self.pipeline is not None:
-            self.pipeline.drain()
-        return applied
+        return self.worker.flush()
 
     def retry_dead_letter(self) -> Tuple[int, int]:
         """Requeue dead-lettered facts (``POST /dead-letter/retry``).
@@ -413,31 +299,31 @@ class KBService:
         screens the batch — under ``"strict"`` a defective rule raises
         :class:`~repro.analyze.AnalysisError` and nothing changes.
         Returns the number of new facts the rules derived.
+
+        A flush in progress finishes first (ingest flush lock, then the
+        write lock), so its inference can never be committed over the
+        re-primed marginals of the new rule set.
         """
-        if self.pipeline is not None:
-            # let in-flight delta commits land before the rules reshape TΦ
-            self.pipeline.drain()
-        with self.lock.write_locked():
+        with self.worker.paused(), self.lock.write_locked():
             outcome = self.probkb.add_rules(rules)
             if self.delta is not None:
                 # new rules invalidate the component index and every
                 # marginal; re-prime = one full componentwise expansion
                 self.delta.prime()
-            elif self.config.infer_on_flush:
-                self.probkb.materialize_marginals(config=self.config.inference)
             self.cache.bump(self.probkb.generation)
         return outcome.total_new_facts
 
     def _apply_batch(self, batch: List[Fact]) -> None:
-        """The single writer: evidence -> delta regrounding -> new generation."""
+        """The single writer: evidence -> regrounding -> new generation.
+
+        Runs on whichever thread flushes, under the ingest worker's
+        flush lock."""
         if self.delta is not None:
             self._apply_batch_delta(batch)
             return
         started = time.perf_counter()
         with self.lock.write_locked():
             self.probkb.add_evidence(batch)
-            if self.config.infer_on_flush:
-                self.probkb.materialize_marginals(config=self.config.inference)
             generation = self.probkb.generation
             self.cache.bump(generation)
         self.metrics.record_ingest(len(batch))
@@ -450,9 +336,14 @@ class KBService:
         )
 
     def _apply_batch_delta(self, batch: List[Fact]) -> None:
-        """Stage A of a delta flush: ground + snapshot under the write
-        lock, then hand the pending delta to the inference pipeline."""
-        assert self.delta is not None and self.pipeline is not None
+        """A delta flush: ground + snapshot under the write lock, then
+        re-sample and commit (:meth:`_refresh_delta`).
+
+        A failed ground raises (the worker retries, then dead-letters).
+        A failed re-sample or commit does not: the batch's facts are
+        merged already, so it is logged and counted, and the next flush
+        re-primes."""
+        assert self.delta is not None
         started = time.perf_counter()
         try:
             with self.lock.write_locked():
@@ -491,11 +382,16 @@ class KBService:
             queue_depth=self.queue.depth,
             latency_ms=round(ground_seconds * 1000, 3),
         )
-        self.pipeline.submit(pending)
+        try:
+            self._refresh_delta(pending)
+        except Exception as error:
+            self.delta.invalidate()
+            self.metrics.record_delta_error()
+            self.logger.log("delta_error", error=repr(error))
 
-    def _finish_delta(self, pending: PendingDelta) -> None:
-        """Stages B+C, on the pipeline thread: re-sample the snapshot
-        components lock-free, then splice under the write lock."""
+    def _refresh_delta(self, pending: PendingDelta) -> None:
+        """Re-sample the snapshot components with no lock held (queries
+        keep running), then splice under the write lock."""
         assert self.delta is not None
         started = time.perf_counter()
         refreshed = self.delta.infer(pending)
@@ -524,30 +420,21 @@ class KBService:
             commit_ms=round((committed - inferred) * 1000, 3),
         )
 
-    def _on_delta_error(self, error: BaseException) -> None:
-        """Pipeline error hook: a failed stage B/C leaves the expander's
-        component index unreliable — re-prime on the next flush."""
-        assert self.delta is not None
-        self.delta.invalidate()
-        self.metrics.record_delta_error()
-
     def materialize(self, num_sweeps: Optional[int] = None) -> int:
-        """Recompute + store marginals under the write lock."""
+        """Recompute + store marginals under the write lock, after any
+        flush in progress (the order :meth:`add_rules` takes)."""
         inference = self.config.inference
         if num_sweeps is not None:
             inference = replace(inference, sweeps=num_sweeps)
-        if self.delta is not None:
-            # the delta path keeps TProb fresh; an explicit materialize
-            # re-primes the baseline under the requested config
-            self.pipeline.drain()  # type: ignore[union-attr]
-            with self.lock.write_locked():
+        with self.worker.paused(), self.lock.write_locked():
+            if self.delta is not None:
+                # the delta path keeps TProb fresh; an explicit
+                # materialize re-primes the baseline under the given config
                 self.delta.inference = inference
                 self.delta.prime()
                 stored = len(self.delta.marginals)
-                self.cache.bump(self.probkb.generation)
-            return stored
-        with self.lock.write_locked():
-            stored = self.probkb.materialize_marginals(config=inference)
+            else:
+                stored = self.probkb.materialize_marginals(config=inference)
             self.cache.bump(self.probkb.generation)
         return stored
 
@@ -573,13 +460,11 @@ class KBService:
             "inference": self.probkb.inference_info(self.config.inference),
             "cache": self.cache.stats(),
         }
-        if self.delta is not None and self.pipeline is not None:
+        if self.delta is not None:
             report["delta_state"] = {
                 "primed": self.delta.primed,
                 "components": self.delta.index.component_count(),
                 "scored_facts": len(self.delta.marginals),
-                "pending_inference": self.pipeline.depth,
-                "errors": self.pipeline.errors,
             }
         if self.worker.last_error is not None:
             report["last_ingest_error"] = repr(self.worker.last_error)

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.model import Fact
 from ..devtools.sanitizer import make_lock
@@ -231,6 +232,14 @@ class IngestWorker:
                     queue_depth=self.queue.depth,
                 )
         # shutdown: leave leftovers for stop(drain=True)
+
+    @contextmanager
+    def paused(self) -> Iterator[None]:
+        """Hold off every flush (the worker's and synchronous ones) for
+        the block; a flush already applying finishes first.  For the
+        other KB writers, which must not interleave with a flush."""
+        with self._flush_lock:
+            yield
 
     def _flush_once(self, max_items: Optional[int]) -> int:
         with self._flush_lock:

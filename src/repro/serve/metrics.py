@@ -161,7 +161,7 @@ class ServiceMetrics:
         self.delta_commit_latency.observe(commit_seconds)
 
     def record_delta_error(self) -> None:
-        """A delta refresh died on the pipeline thread (and was logged)."""
+        """A delta flush's re-sample or commit raised (and was logged)."""
         with self._lock:
             self.delta_errors += 1
 

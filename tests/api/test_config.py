@@ -9,6 +9,7 @@ import pytest
 
 import repro.core
 import repro.relational
+import repro.serve
 from repro import ProbKB
 from repro.api import (
     BackendConfig,
@@ -20,7 +21,7 @@ from repro.api import (
 from repro.core import MPPBackend, SingleNodeBackend
 from repro.datasets.paper_example import paper_kb
 from repro.relational import ColumnarExecutor, Database
-from repro.serve import ServiceConfig, load_snapshot
+from repro.serve import QueryCache, ServeConfig, ServiceConfig, load_snapshot
 
 
 class TestMPPConfig:
@@ -164,10 +165,19 @@ class TestBuildBackend:
             ProbKB(paper_kb(), backend=3.14)
 
 
-def _cli_infer_method():
-    from repro.cli import build_parser
+def _cli(*argv):
+    def parse():
+        from repro.cli import build_parser
 
-    build_parser().parse_args(["infer", "--kb", "somewhere", "--method", "bp"])
+        build_parser().parse_args(list(argv))
+
+    return parse
+
+
+def _build_serve_service_expansion():
+    from repro.cli import build_serve_service
+
+    build_serve_service(None, expansion="delta")
 
 
 #: every pre-config spelling and every engine-selector spelling, with
@@ -196,7 +206,7 @@ LEGACY_SPELLINGS = {
     "ServiceConfig(seed=)": (lambda: ServiceConfig(seed=1), TypeError),
     "load_snapshot(nseg=)": (lambda: load_snapshot("kb.json", nseg=2), TypeError),
     "make_backend": (lambda: repro.core.make_backend, AttributeError),
-    "repro infer --method": (_cli_infer_method, SystemExit),
+    "repro infer --method": (_cli("infer", "--kb", "kb", "--method", "bp"), SystemExit),
     "BackendConfig(executor=)": (lambda: BackendConfig(executor="rows"), TypeError),
     "SingleNodeBackend(executor=)": (
         lambda: SingleNodeBackend(executor="rows"), TypeError),
@@ -205,6 +215,21 @@ LEGACY_SPELLINGS = {
     "resolve_executor": (lambda: repro.relational.resolve_executor, AttributeError),
     "make_executor": (lambda: repro.relational.make_executor, AttributeError),
     "EXECUTOR_ENGINES": (lambda: repro.relational.EXECUTOR_ENGINES, AttributeError),
+    # serve settings no caller set, and the second inference thread
+    "ServiceConfig(cache_policy=)": (lambda: ServiceConfig(cache_policy="lfu"), TypeError),
+    "ServiceConfig(cache_ttl=)": (lambda: ServiceConfig(cache_ttl=5.0), TypeError),
+    "ServiceConfig(infer_on_flush=)": (
+        lambda: ServiceConfig(infer_on_flush=True), TypeError),
+    "QueryCache(policy=)": (lambda: QueryCache(4, policy="lfu"), TypeError),
+    "ServeConfig(expansion=)": (lambda: ServeConfig(expansion="delta"), TypeError),
+    "PROBKB_SERVE_EXPANSION": (
+        lambda: ServeConfig.from_env({"PROBKB_SERVE_EXPANSION": "delta"}).expansion,
+        AttributeError),
+    "build_serve_service(expansion=)": (_build_serve_service_expansion, TypeError),
+    "repro serve --cache-policy": (_cli("serve", "--cache-policy", "lfu"), SystemExit),
+    "repro serve --cache-ttl": (_cli("serve", "--cache-ttl", "5"), SystemExit),
+    "repro serve --infer-on-flush": (_cli("serve", "--infer-on-flush"), SystemExit),
+    "DeltaPipeline": (lambda: repro.serve.DeltaPipeline, AttributeError),
 }
 
 

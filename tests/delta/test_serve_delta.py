@@ -1,10 +1,11 @@
 """KBService with ``expansion="delta"``: fresh marginals on the ingest path.
 
 Serve-level contract: a flush grounds the delta under the write lock,
-re-samples only the touched components on the pipeline thread, and
-splices — so queries see scored probabilities continuously, without an
-operator ``materialize``, and cached queries over untouched predicates
-stay warm across flushes.
+re-samples only the touched components with no lock held, and splices
+under the write lock again, all on the thread that flushes — so queries
+see scored probabilities continuously, without an operator
+``materialize``, and cached queries over untouched predicates stay warm
+across flushes.
 """
 
 import threading
@@ -103,6 +104,8 @@ class TestDeltaFlush:
         assert service.delta.marginals == expected
 
     def test_worker_flush_drains_through_pipeline(self, service):
+        """A flush the worker thread started is committed by the time
+        an explicit ``flush()`` returns: both hold the flush lock."""
         facts = [
             Fact("born_in", "Grace Paley", "Writer", "New York City", "City", 0.93),
             Fact("live_in", "Grace Paley", "Writer", "Brooklyn", "Place", 0.81),
@@ -113,7 +116,7 @@ class TestDeltaFlush:
         deadline = time.monotonic() + 5
         while service.worker.flushes == 0 and time.monotonic() < deadline:
             time.sleep(0.01)
-        service.flush()  # waits out the inference pipeline too
+        service.flush()
         result = service.query(subject="Grace Paley", min_probability=0.01)
         assert len(result.facts) >= 2
         assert all(probability is not None for _, probability in result.facts)
@@ -183,7 +186,6 @@ class TestStats:
         assert state["primed"] is True
         assert state["components"] >= 1
         assert state["scored_facts"] == len(service.delta.marginals)
-        assert state["pending_inference"] == 0
         delta = stats["delta"]
         assert delta["flushes"] >= 1
         assert delta["facts"] >= 3
@@ -219,31 +221,67 @@ class TestDeadLetterRetry:
         assert service.stats()["dead_letter_retries"] == 0
 
 
+class RecordingLogger:
+    def __init__(self):
+        self.events = []
+
+    def log(self, event, **fields):
+        self.events.append((event, fields))
+
+
 class TestDeltaErrorRecovery:
-    def test_failed_inference_is_logged_counted_and_survivable(self, service):
-        real_infer = service.delta.infer
-        calls = []
+    """A re-sample or commit that raises leaves the flush's facts
+    merged: it is logged and counted, the expander re-primes on the next
+    flush, and the batch is neither retried nor dead-lettered."""
 
-        def exploding(pending):
-            calls.append(pending)
-            raise RuntimeError("inference backend offline")
+    def test_failed_inference_is_logged_counted_and_survivable(self):
+        system = ProbKB(expandable_kb(), backend="single")
+        system.ground()
+        logger = RecordingLogger()
+        with KBService(system, delta_config(), logger=logger) as service:
+            real_infer = service.delta.infer
+            failed = threading.Event()
 
-        service.delta.infer = exploding
-        service.ingest(BATCH, flush=True)
-        service.pipeline.drain()
-        assert len(calls) == 1
+            def exploding(pending):
+                service.delta.infer = real_infer  # raise once
+                failed.set()
+                raise RuntimeError("inference backend offline")
 
-        stats = service.stats()
-        assert stats["delta_state"]["errors"] == 1
-        assert stats["delta"]["errors"] == 1
-        assert not service.delta.primed  # invalidated for re-prime
+            service.delta.infer = exploding
+            service.ingest(BATCH)  # the worker thread flushes it
+            assert failed.wait(10)
+            service.flush()  # returns once the worker's flush returned
 
-        # the pipeline thread survived: the next flush re-primes and
-        # scores the batch end to end
-        service.delta.infer = real_infer
-        more = [Fact("born_in", "Grace Paley", "Writer", "New York City", "City", 0.93)]
-        service.ingest(more, flush=True)
-        service.pipeline.drain()
-        result = service.query(subject="Grace Paley", min_probability=0.01)
-        assert result.facts
-        assert service.stats()["delta_state"]["errors"] == 1  # no new errors
+            stats = service.stats()
+            assert stats["ingest_flushes"] == 1
+            assert stats["delta"]["errors"] == 1
+            errors = [fields for event, fields in logger.events if event == "delta_error"]
+            assert len(errors) == 1
+            assert "inference backend offline" in errors[0]["error"]
+            assert stats["dead_letter_facts"] == 0
+            assert stats["ingest_retries"] == 0
+            assert "probkb-ingest" in {thread.name for thread in threading.enumerate()}
+            assert not service.delta.primed  # invalidated for re-prime
+
+            # the next flush re-primes, which scores the first batch too
+            more = [Fact("born_in", "Grace Paley", "Writer", "New York City", "City", 0.93)]
+            service.ingest(more, flush=True)
+            assert service.delta.primed
+            for subject in ("Saul Bellow", "Grace Paley"):
+                result = service.query(subject=subject, min_probability=0.01)
+                assert result.facts
+                assert all(probability is not None for _, probability in result.facts)
+            assert service.stats()["delta"]["errors"] == 1  # no new errors
+
+    def test_delta_mode_starts_only_the_ingest_thread(self):
+        system = ProbKB(expandable_kb(), backend="single")
+        system.ground()
+        before = set(threading.enumerate())
+        with KBService(system, delta_config()) as service:
+            service.ingest(BATCH, flush=True)
+            service.ingest(
+                [Fact("born_in", "Grace Paley", "Writer", "New York City", "City", 0.93)]
+            )
+            service.flush()
+            started = [t.name for t in threading.enumerate() if t not in before]
+        assert started == ["probkb-ingest"]

@@ -118,77 +118,3 @@ class TestPredicateScopedInvalidation:
         cache.put("a", 1, generation=cache.generation)  # legacy call shape
         assert cache.get("a") == (True, 1)
 
-
-class TestEvictionPolicies:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            QueryCache(capacity=4, policy="random")
-
-    def test_ttl_policy_requires_positive_ttl(self):
-        with pytest.raises(ValueError):
-            QueryCache(capacity=4, policy="ttl")
-        with pytest.raises(ValueError):
-            QueryCache(capacity=4, policy="ttl", ttl=0)
-
-    def test_lfu_evicts_least_used(self):
-        cache = QueryCache(capacity=2, policy="lfu")
-        cache.put("hot", 1)
-        cache.put("cold", 2)
-        cache.get("hot")
-        cache.get("hot")
-        cache.get("cold")
-        cache.put("new", 3)  # overflow: "cold" (1 use) goes, "hot" (2) stays
-        assert cache.get("hot") == (True, 1)
-        assert cache.get("cold") == (False, None)
-        assert cache.get("new") == (True, 3)
-        assert cache.evictions == 1
-
-    def test_lfu_tie_breaks_by_recency(self):
-        cache = QueryCache(capacity=2, policy="lfu")
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("b")  # both used; a is 0 uses, b is 1
-        cache.get("a")
-        cache.get("b")  # a:1 use, b:2 uses
-        cache.put("c", 3)
-        assert cache.get("a") == (False, None)
-        assert cache.get("b") == (True, 2)
-
-    def test_ttl_expires_entries_on_access(self):
-        clock = [100.0]
-        cache = QueryCache(capacity=8, policy="ttl", ttl=5.0, clock=lambda: clock[0])
-        cache.put("a", 1)
-        clock[0] += 4.0
-        assert cache.get("a") == (True, 1)  # still fresh
-        clock[0] += 2.0  # now 6s old: past the 5s ttl
-        assert cache.get("a") == (False, None)
-        assert cache.expirations == 1
-        assert len(cache) == 0
-
-    def test_ttl_sweeps_expired_on_put(self):
-        clock = [0.0]
-        cache = QueryCache(capacity=8, policy="ttl", ttl=1.0, clock=lambda: clock[0])
-        cache.put("a", 1)
-        cache.put("b", 2)
-        clock[0] += 2.0
-        cache.put("c", 3)  # insert sweeps the expired a and b
-        assert len(cache) == 1
-        assert cache.expirations == 2
-
-    def test_ttl_capacity_overflow_evicts_oldest(self):
-        clock = [0.0]
-        cache = QueryCache(capacity=2, policy="ttl", ttl=100.0, clock=lambda: clock[0])
-        cache.put("a", 1)
-        clock[0] += 1.0
-        cache.put("b", 2)
-        clock[0] += 1.0
-        cache.put("c", 3)
-        assert cache.get("a") == (False, None)  # oldest insertion evicted
-        assert cache.get("b") == (True, 2)
-        assert cache.get("c") == (True, 3)
-
-    def test_policy_reported_in_stats(self):
-        cache = QueryCache(capacity=4, policy="lfu")
-        stats = cache.stats()
-        assert stats["policy"] == "lfu"
-        assert stats["expirations"] == 0

@@ -11,6 +11,10 @@ Correctness bar (mirrors the serving layer's consistency model):
 
 Runs in tier-1 with 4 readers x 200 queries and 3 evidence batches;
 export REPRO_STRESS=1 to scale up.
+
+The second half pins the other writers against a delta flush:
+``add_rules`` and ``materialize`` arriving while a flush grounds must
+not have their marginals overwritten by that flush's older inference.
 """
 
 import os
@@ -18,8 +22,10 @@ import threading
 import time
 from collections import defaultdict
 
-from repro import Fact, ProbKB
+from repro import Fact, InferenceConfig, ProbKB
+from repro.core import Atom, HornClause
 from repro.datasets import paper_kb
+from repro.infer import componentwise_marginals
 from repro.serve import IngestConfig, KBService, ServiceConfig
 
 STRESS = os.environ.get("REPRO_STRESS") == "1"
@@ -156,3 +162,122 @@ def test_concurrent_readers_and_ingest():
     assert stats["cache_hit_rate"] > 0
     assert stats["queries"] == READERS * QUERIES_PER_READER
     assert stats["ingest_batches"] >= 1
+
+
+# -- a flush racing the other KB writers -------------------------------------
+
+SWEEPS = 80
+SEED = 5
+FLUSHED = [Fact("born_in", "Saul Bellow", "Writer", "Brooklyn", "Place", 0.88)]
+#: adds a factor to every component holding a grow_up_in(Writer, Place)
+#: fact — the flushed fact's component among them
+NEW_RULE = HornClause.make(
+    Atom("live_in", ("x", "y")),
+    [Atom("grow_up_in", ("x", "y"))],
+    0.8,
+    {"x": "Writer", "y": "Place"},
+)
+PATIENCE = 30.0  # seconds; only a deadlock ever waits this long
+
+
+class _Announcing:
+    """Lock proxy: sets ``event`` when ``thread`` starts to acquire."""
+
+    def __init__(self, lock, thread, event):
+        self.lock, self.thread, self.event = lock, thread, event
+
+    def __enter__(self):
+        if threading.current_thread() is self.thread:
+            self.event.set()
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.lock.__exit__(*exc_info)
+
+
+def race_flush_against(write):
+    """Flush one batch while ``write(service)`` runs on a second thread;
+    returns the service afterwards.
+
+    The interleaving is forced with events.  The flush blocks inside
+    ``delta.ground``, holding the write lock, until the rival writer
+    has started to wait for a lock: the write lock, or the ingest flush
+    lock if the service serializes on that.  Should the rival get the
+    write lock before the flush has committed, the events also make the
+    flush's inference run before the rival writes and its commit land
+    after — the one order in which a pre-write snapshot goes stale.
+    """
+    system = ProbKB(expandable_kb(), backend="single")
+    system.ground()
+    service = KBService(
+        system,
+        ServiceConfig(
+            expansion="delta", inference=InferenceConfig(sweeps=SWEEPS, seed=SEED)
+        ),
+    )
+    grounding, rival_waiting = threading.Event(), threading.Event()
+    inferred, rival_done = threading.Event(), threading.Event()
+    flusher = threading.Thread(
+        target=service.ingest, args=(FLUSHED,), kwargs={"flush": True}
+    )
+
+    def rival_writes():
+        try:
+            write(service)
+        finally:
+            rival_done.set()
+
+    rival = threading.Thread(target=rival_writes)
+    real_ground, real_infer = service.delta.ground, service.delta.infer
+    real_acquire = service.lock.acquire_write
+
+    def ground(*args, **kwargs):
+        grounding.set()
+        rival_waiting.wait(PATIENCE)
+        return real_ground(*args, **kwargs)
+
+    def infer(pending):
+        refreshed = real_infer(pending)
+        inferred.set()
+        if threading.current_thread() is not flusher:
+            rival_done.wait(PATIENCE)  # inference off the flushing thread
+        return refreshed
+
+    def acquire_write():
+        if threading.current_thread() is rival:
+            rival_waiting.set()
+            inferred.wait(PATIENCE)
+        real_acquire()
+
+    service.delta.ground, service.delta.infer = ground, infer
+    service.lock.acquire_write = acquire_write
+    service.worker._flush_lock = _Announcing(
+        service.worker._flush_lock, rival, rival_waiting
+    )
+    flusher.start()
+    assert grounding.wait(PATIENCE)
+    rival.start()
+    for thread in (flusher, rival):
+        thread.join(PATIENCE)
+        assert not thread.is_alive()
+    return service
+
+
+def stored_marginals(probkb):
+    return dict(probkb.backend.project("TProb", ("I", "p")))
+
+
+def test_add_rules_waits_for_an_inflight_delta_flush():
+    service = race_flush_against(lambda svc: svc.add_rules([NEW_RULE]))
+    probkb = service.probkb
+    assert stored_marginals(probkb) == componentwise_marginals(
+        probkb.factor_rows(), SWEEPS, SEED
+    )
+
+
+def test_materialize_waits_for_an_inflight_delta_flush():
+    service = race_flush_against(lambda svc: svc.materialize(num_sweeps=2 * SWEEPS))
+    probkb = service.probkb
+    assert stored_marginals(probkb) == componentwise_marginals(
+        probkb.factor_rows(), 2 * SWEEPS, SEED
+    )

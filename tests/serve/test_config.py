@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from repro.cli import build_parser, build_serve_service
+from repro.datasets import paper_kb, save_kb
 from repro.serve import JsonLogger, RateLimiter, ServeConfig
 
 
@@ -27,21 +29,19 @@ class TestServeConfig:
             ServeConfig(max_body_bytes=-1)
         with pytest.raises(ValueError):
             ServeConfig(auth_tokens=("ok", ""))
-        with pytest.raises(ValueError):
-            ServeConfig(expansion="bogus")
 
-    def test_expansion_default_is_full(self):
-        assert ServeConfig().expansion == "full"
-        assert ServeConfig.from_env({}).expansion == "full"
-
-    def test_from_env_rejects_unknown_expansion(self):
-        with pytest.raises(ValueError, match="PROBKB_SERVE_EXPANSION"):
-            ServeConfig.from_env({"PROBKB_SERVE_EXPANSION": "eager"})
-
-    def test_resolve_expansion_flag_overrides_env(self):
-        env = {"PROBKB_SERVE_EXPANSION": "delta"}
-        assert ServeConfig.resolve(env, expansion=None).expansion == "delta"
-        assert ServeConfig.resolve(env, expansion="full").expansion == "full"
+    def test_expansion_default_is_full(self, tmp_path):
+        """``expansion`` is an engine setting, not a front-end one: its
+        one spelling is ``ServiceConfig.expansion``, which ``repro serve
+        --expansion`` feeds directly."""
+        assert not hasattr(ServeConfig(), "expansion")
+        kb_dir = str(tmp_path / "kb")
+        save_kb(paper_kb(), kb_dir)
+        for flags, expansion in (([], "full"), (["--expansion", "delta"], "delta")):
+            args = build_parser().parse_args(["serve", "--kb", kb_dir, *flags])
+            service = build_serve_service(args)
+            assert service.config.expansion == expansion
+            assert (service.delta is not None) == (expansion == "delta")
 
     def test_from_env_reads_every_knob(self):
         env = {
@@ -51,7 +51,6 @@ class TestServeConfig:
             "PROBKB_SERVE_TIMEOUT": "1.5",
             "PROBKB_SERVE_MAX_BODY": "2048",
             "PROBKB_SERVE_LOG_JSON": "true",
-            "PROBKB_SERVE_EXPANSION": "Delta",
         }
         config = ServeConfig.from_env(env)
         assert config.auth_tokens == ("alpha", "beta")
@@ -60,7 +59,6 @@ class TestServeConfig:
         assert config.request_timeout == 1.5
         assert config.max_body_bytes == 2048
         assert config.log_json is True
-        assert config.expansion == "delta"  # normalized to lower case
 
     def test_from_env_ignores_unset_variables(self):
         assert ServeConfig.from_env({}) == ServeConfig()

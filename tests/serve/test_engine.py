@@ -153,17 +153,3 @@ class TestMaterializeAndStats:
         assert stats["executor"]["mode"] == "single-node"
         assert stats["inference"]["engine"] == "gibbs"
         assert stats["inference"]["num_workers"] == 0
-
-    def test_infer_on_flush_scores_immediately(self):
-        system = ProbKB(expandable_kb(), backend="single")
-        system.ground()
-        config = ServiceConfig(
-            infer_on_flush=True, inference=InferenceConfig(sweeps=100)
-        )
-        with KBService(system, config) as service:
-            service.ingest(TestIngest.BATCH, flush=True)
-            result = service.query(subject="Saul Bellow", min_probability=0.01)
-            assert result.facts
-            assert all(
-                probability is not None for _, probability in result.facts
-            )
