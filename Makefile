@@ -14,8 +14,8 @@ test:
 test-no-numpy:
 	PROBKB_NO_NUMPY=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
-# Multi-process tests: spawn real worker processes (the MPP executor
-# plus the color-parallel inference driver in tests/infer).
+# Multi-process tests: spawn real worker processes (the MPP executor's
+# worker pool, plus the inference driver's process pool in tests/infer).
 test-mpp:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests -m mpp -q
 

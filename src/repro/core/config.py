@@ -116,19 +116,17 @@ class InferenceConfig:
     ``"gibbs"``, ``"bp"``); unknown names raise a :class:`ValueError`
     listing what is registered.  ``num_workers=0`` (the default) samples
     serially in the master process; ``num_workers >= 2`` runs the gibbs
-    engine's componentwise sweep on a persistent worker pool
-    (:mod:`repro.infer.parallel`) — marginals are bit-identical either
-    way at a fixed seed.  ``shard_threshold`` is the component size at
-    which a single component is swept by all workers together instead of
-    one.
+    engine's componentwise sweep on a persistent process pool
+    (:mod:`repro.infer.parallel`), whole components per worker —
+    marginals are bit-identical either way at a fixed seed.  A dead
+    worker degrades the engine to serial sampling at once, so there is
+    no timeout to tune.
     """
 
     engine: str = "gibbs"
     sweeps: int = 500
     seed: int = 0
     num_workers: int = 0
-    worker_timeout: float = 60.0
-    shard_threshold: int = 512
 
     def __post_init__(self) -> None:
         from ..infer.registry import registered_engines
@@ -143,14 +141,6 @@ class InferenceConfig:
         if self.num_workers < 0:
             raise ValueError(
                 f"num_workers must be >= 0, got {self.num_workers}"
-            )
-        if self.worker_timeout <= 0:
-            raise ValueError(
-                f"worker_timeout must be > 0, got {self.worker_timeout}"
-            )
-        if self.shard_threshold < 2:
-            raise ValueError(
-                f"shard_threshold must be >= 2, got {self.shard_threshold}"
             )
 
 

@@ -323,12 +323,7 @@ class ProbKB:
         with the ProbKB.
         """
         config = config or self.inference_config
-        key = (
-            config.engine,
-            config.num_workers,
-            config.worker_timeout,
-            config.shard_threshold,
-        )
+        key = (config.engine, config.num_workers)
         engine = self._engines.get(key)
         if engine is None:
             engine = build_engine(config)

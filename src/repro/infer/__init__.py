@@ -30,9 +30,10 @@ from .registry import (
     registered_engines,
 )
 
-# NOTE: .parallel is not imported here — it pulls in the worker-pool
-# machinery (repro.mpp.workers).  GibbsEngine.__init__ imports it, at
-# every num_workers: the driver is also the serial path's bookkeeping.
+# NOTE: .parallel is not imported here — it pulls in
+# concurrent.futures and multiprocessing.  GibbsEngine.__init__ imports
+# it, at every num_workers: the driver is also the serial path's
+# bookkeeping.
 
 __all__ = [
     "BPResult",

@@ -25,9 +25,9 @@ Two ingredients make a component's marginals a function of its content:
 
 Sampling uses the counter-based stream kernel
 (:meth:`~repro.infer.gibbs.GibbsSampler.run_stream`), whose draws are a
-pure function of ``(seed, sweep, color, var)`` — the same property that
-lets :mod:`repro.infer.parallel` shard a component across worker
-processes with bit-identical marginals.  Callers that hold a parallel
+pure function of ``(seed, sweep, color, var)`` — the property that
+lets :mod:`repro.infer.parallel` sample components in worker processes
+with bit-identical marginals.  Callers that hold a parallel
 driver pass it via the ``driver=`` parameters here; ``None`` means
 sample serially in-process.
 """

@@ -10,17 +10,16 @@ classes, and each sweep updates the classes in sequence.
 There is one sweep kernel, :meth:`GibbsSampler.run_stream`: every draw
 comes from a counter-based stream keyed by ``(seed, sweep, color,
 variable)``, so the draw for a variable is a pure function of its key,
-independent of which process samples it or in what order.  Splitting a
-colour class across worker processes (states synchronized at a
-per-colour barrier, :mod:`repro.infer.parallel`) therefore yields
-marginals bit-identical to a serial run.
+independent of which process samples it or in what order.  Sampling a
+component in a worker process (:mod:`repro.infer.parallel`) therefore
+yields marginals bit-identical to a serial run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from .factor_graph import FactorGraph
 
@@ -38,7 +37,7 @@ def _mix64(z: int) -> int:
 
 
 def stream_key(seed: int, sweep: int, color: int) -> int:
-    """The per-(seed, sweep, color) stream for the shardable kernel."""
+    """The per-(seed, sweep, color) stream of the sweep kernel."""
     z = _mix64(seed & _MASK)
     z = _mix64(z ^ (((sweep + 2) * 0xD1B54A32D192ED03) & _MASK))
     return _mix64(z ^ (((color + 1) * 0x8CB92BA72F3D8DD7) & _MASK))
@@ -47,9 +46,8 @@ def stream_key(seed: int, sweep: int, color: int) -> int:
 def stream_uniform(key: int, var: int) -> float:
     """Uniform in [0, 1) for one variable of one stream.
 
-    A pure function of ``(key, var)`` — the property that makes the
-    chromatic sweep shardable: any process sampling ``var`` at a given
-    (seed, sweep, color) draws exactly this number.
+    A pure function of ``(key, var)``: any process sampling ``var`` at a
+    given (seed, sweep, color) draws exactly this number.
     """
     z = _mix64(key ^ (((var + 1) * 0x9E3779B97F4A7C15) & _MASK))
     return (z >> 11) * (2.0 ** -53)
@@ -62,11 +60,6 @@ def stream_state(seed: int, num_variables: int) -> List[int]:
         1 if stream_uniform(key, var) < 0.5 else 0
         for var in range(num_variables)
     ]
-
-
-#: per-colour boundary-state exchange: ``(sweep, color, my_updates) ->
-#: other shards' updates`` (see :mod:`repro.infer.parallel`)
-ExchangeFn = Callable[[int, int, Dict[int, int]], Dict[int, int]]
 
 
 @dataclass
@@ -139,65 +132,39 @@ class GibbsSampler:
         return 1.0 / (1.0 + math.exp(-delta))
 
     def run_stream(
-        self,
-        num_sweeps: int = 500,
-        burn_in: Optional[int] = None,
-        owned: Optional[Sequence[int]] = None,
-        exchange: Optional[ExchangeFn] = None,
+        self, num_sweeps: int = 500, burn_in: Optional[int] = None
     ) -> GibbsResult:
-        """Shardable chromatic sweep with counter-based RNG.
+        """Chromatic sweep with counter-based RNG.
 
         Each draw is a pure function of ``(seed, sweep, color, var)``
-        (see :func:`stream_uniform`), so partitioning the variables over
-        ``owned`` sets across processes — with boundary states merged
-        back through ``exchange`` at the end of every colour — produces
-        marginals bit-identical to a single-process run over all
-        variables.
-
-        ``owned`` restricts which (dense) variable indices this caller
-        samples and reports; ``None`` means all of them.  ``exchange``
-        is called once per (sweep, colour) — even when this shard owns
-        no variable of that colour — with the updates just made, and
-        must return the other shards' updates for the same colour.
+        (see :func:`stream_uniform`), so the marginals do not depend on
+        which process runs the sweep.
         """
         n = self.graph.num_variables
         if burn_in is None:
             burn_in = max(1, num_sweeps // 4) if num_sweeps > 1 else 0
-        owned_set = set(range(n)) if owned is None else set(owned)
-        owned_sorted = sorted(owned_set)
-        # per-colour slices of the owned set, precomputed once
-        owned_by_color = [
-            [var for var in color_class if var in owned_set]
-            for color_class in self._colors
-        ]
         state = stream_state(self.seed, n)
-        true_counts = {var: 0 for var in owned_sorted}
+        true_counts = [0] * n
         kept = 0
         for sweep in range(num_sweeps):
             for color, color_class in enumerate(self._colors):
                 key = stream_key(self.seed, sweep, color)
-                updates: Dict[int, int] = {}
                 # same-colour variables are conditionally independent,
                 # so in-place updates cannot leak into each other's
                 # conditionals within this loop
-                for var in owned_by_color[color]:
+                for var in color_class:
                     p_true = self._conditional_true_probability(var, state)
-                    value = 1 if stream_uniform(key, var) < p_true else 0
-                    state[var] = value
-                    updates[var] = value
-                if exchange is not None:
-                    for var, value in exchange(sweep, color, updates).items():
-                        state[var] = value
+                    state[var] = 1 if stream_uniform(key, var) < p_true else 0
             if sweep >= burn_in:
                 kept += 1
-                for var in owned_sorted:
+                for var in range(n):
                     true_counts[var] += state[var]
         if kept == 0:
             kept = 1  # degenerate configuration: report last state
-            true_counts = {var: state[var] for var in owned_sorted}
+            true_counts = list(state)
         marginals = {
             self.graph.external_id(var): true_counts[var] / kept
-            for var in owned_sorted
+            for var in range(n)
         }
         depth = sum(
             max(1, len(color_class)) for color_class in self._colors

@@ -17,7 +17,7 @@ An engine is any object with the :class:`InferenceEngine` surface:
 plus ``info()`` and ``close()``.  The built-ins:
 
 - ``"gibbs"`` — componentwise chromatic Gibbs via the stream kernel;
-  with ``num_workers >= 2`` it samples on the persistent worker pool
+  with ``num_workers >= 2`` it samples on a persistent process pool
   (:mod:`repro.infer.parallel`) with bit-identical marginals.
 - ``"bp"`` — loopy belief propagation over the full graph
   (deterministic, no workers).
@@ -26,6 +26,7 @@ plus ``info()`` and ``close()``.  The built-ins:
 from __future__ import annotations
 
 import time
+import warnings
 from typing import (
     Any,
     Callable,
@@ -130,11 +131,7 @@ class GibbsEngine:
         from .parallel import ParallelGibbsDriver
 
         self.config = config
-        self.driver = ParallelGibbsDriver(
-            num_workers=config.num_workers,
-            worker_timeout=config.worker_timeout,
-            shard_threshold=config.shard_threshold,
-        )
+        self.driver = ParallelGibbsDriver(num_workers=config.num_workers)
 
     def marginals(
         self, rows: Sequence[Row], config: "InferenceConfig"
@@ -171,6 +168,14 @@ class BPEngine:
             "converged": result.converged,
             "wall_seconds": time.perf_counter() - started,  # lint: disable=RC003 (timing metadata, not sampling)
         }
+        if not result.converged:
+            warnings.warn(
+                f"belief propagation did not converge in {result.iterations} "
+                f"iterations (final residual {result.max_residual:.3g}); "
+                "marginals are approximate",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         return result.marginals
 
     def info(self) -> Dict[str, Any]:

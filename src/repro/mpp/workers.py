@@ -31,19 +31,10 @@ Commands are dispatched in lockstep: every worker acknowledges every
 command before the next is sent, so a reply mismatch, a dead process,
 or a timeout all surface as :class:`WorkerCrashError` — the signal for
 the database to degrade to its serial executor.
-
-Beyond the relational operators, the pool speaks a *generic task
-protocol*: ``("task", "module:attr", payload)`` resolves the named
-callable by import (so it works under both fork and spawn starts) and
-invokes it as ``handler(worker_state, payload)``.  Parallel inference
-(:mod:`repro.infer.parallel`) rides the pool this way, reusing the
-lockstep dispatch, crash detection, and the worker-to-worker exchange
-queues without touching the relational command set.
 """
 
 from __future__ import annotations
 
-import importlib
 import multiprocessing
 import os
 import queue
@@ -211,28 +202,6 @@ class WorkerPool:
         self.dispatch(("ping",))
         return True
 
-    def run_tasks(self, spec: str, payloads: Sequence[Any]) -> Dict[int, Any]:
-        """Run a generic task on every worker (one payload each).
-
-        ``spec`` names the handler as ``"module:attr"``; it is imported
-        inside each worker and called as ``handler(worker_state,
-        payload)``.  Returns ``{worker_id: handler return value}``;
-        failures surface as :class:`WorkerCrashError` like any other
-        lockstep command."""
-        if len(payloads) != self.num_workers:
-            raise ValueError(
-                f"need one payload per worker ({self.num_workers}), "
-                f"got {len(payloads)}"
-            )
-        replies = self.dispatch(
-            per_worker=lambda worker_id, _segs: (
-                "task", spec, payloads[worker_id],
-            )
-        )
-        return {
-            worker_id: reply["result"] for worker_id, reply in replies.items()
-        }
-
     def reset_intermediates(self) -> None:
         """Drop worker-side intermediate frames between statements."""
         self.dispatch(("reset",))
@@ -314,7 +283,7 @@ class QueueExchange:
 class _WorkerState(SegmentInterpreter):
     """Everything one worker process owns: the segment interpreter over
     its segments' table shards, plus what only a pool member needs —
-    the mirrored-DML commands and the generic task protocol."""
+    the mirrored-DML commands."""
 
     def __init__(
         self,
@@ -332,77 +301,9 @@ class _WorkerState(SegmentInterpreter):
             lambda name, seg: self.tables[name][seg],
             QueueExchange(exchange_queues, seg_worker, worker_id),
         )
-        self.worker_id = worker_id
-        self.exchange_queues = exchange_queues
-        self.inbox = exchange_queues[worker_id]
-        #: task-exchange pieces that arrived ahead of their barrier:
-        #: epoch -> from_worker -> payload (tasks run many barriers per
-        #: command, so a fast peer's next-epoch piece must be buffered,
-        #: not dropped like a stale motion piece)
-        self.task_mail: Dict[Any, Dict[int, Any]] = {}
-
-    # -- generic worker-to-worker exchange (task protocol) --------------------
-
-    def send_to_worker(self, epoch: Any, to_worker: int, payload: Any) -> None:
-        """Ship an arbitrary payload to a peer worker's inbox.
-
-        Same wire shape as motions — ``(epoch, from, to, payload)`` —
-        but addressed by *worker* id, not segment.  Task code uses tuple
-        epochs (e.g. ``(base, sweep, color)``), which can never collide
-        with the integer motion epochs on a shared inbox."""
-        self.exchange_queues[to_worker].put(
-            (epoch, self.worker_id, to_worker, payload)
-        )
-
-    def collect_from_workers(
-        self, epoch: Any, from_workers: Sequence[int]
-    ) -> Dict[int, Any]:
-        """Await one payload per peer for ``epoch``.
-
-        Unlike motions — one collective exchange per lockstep command —
-        a task runs many barriers inside one command, so peers drift out
-        of step: a fast peer's piece for a *later* barrier can arrive
-        while this worker still waits on the current one.  Those pieces
-        are buffered in :attr:`task_mail` and drained when their barrier
-        comes up; only non-tuple (motion) epochs are dropped as stale.
-        """
-        expected = set(from_workers)
-        got: Dict[int, Any] = {}
-        buffered = self.task_mail.get(epoch)
-        if buffered:
-            for peer in list(expected):
-                if peer in buffered:
-                    got[peer] = buffered.pop(peer)
-                    expected.discard(peer)
-            if not buffered:
-                self.task_mail.pop(epoch, None)
-        deadline = time.monotonic() + _EXCHANGE_TIMEOUT_S
-        while expected:
-            try:
-                message = self.inbox.get(timeout=_POLL_S)
-            except queue.Empty:
-                if time.monotonic() > deadline:
-                    raise RuntimeError(
-                        f"task epoch {epoch} timed out waiting for {expected}"
-                    )
-                continue
-            msg_epoch, from_worker, _to_worker, payload = message
-            if msg_epoch == epoch and from_worker in expected:
-                got[from_worker] = payload
-                expected.discard(from_worker)
-            elif isinstance(msg_epoch, tuple):
-                self.task_mail.setdefault(msg_epoch, {})[from_worker] = payload
-            # else: stale piece from an aborted motion — drop
-        return got
 
     def _cmd_ping(self) -> dict:
         return {}
-
-    def _cmd_task(self, spec: str, payload: Any) -> dict:
-        """Generic task: resolve ``module:attr`` and run it in-process."""
-        # leftovers can only come from an aborted earlier task dispatch
-        self.task_mail.clear()
-        return {"result": _resolve_task(spec)(self, payload)}
 
     # -- DML mirroring -------------------------------------------------------
 
@@ -436,26 +337,6 @@ class _WorkerState(SegmentInterpreter):
         for shard in self.tables[name].values():
             shard.delete_in(column_names, keys)
         return {}
-
-
-#: resolved task handlers, cached per worker process
-_TASK_CACHE: Dict[str, Callable[[_WorkerState, Any], Any]] = {}
-
-
-def _resolve_task(spec: str) -> Callable[[_WorkerState, Any], Any]:
-    """Import-resolve a ``"module:attr"`` task spec (cached).
-
-    Resolution happens inside the worker, so the protocol needs no
-    pre-registration and survives the spawn start method (where workers
-    do not inherit the master's module state)."""
-    handler = _TASK_CACHE.get(spec)
-    if handler is None:
-        module_name, _, attr = spec.partition(":")
-        if not module_name or not attr:
-            raise ValueError(f"task spec must be 'module:attr', got {spec!r}")
-        handler = getattr(importlib.import_module(module_name), attr)
-        _TASK_CACHE[spec] = handler
-    return handler
 
 
 def _worker_main(

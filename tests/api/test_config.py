@@ -80,8 +80,9 @@ class TestInferenceConfig:
         config = InferenceConfig()
         assert (config.engine, config.sweeps, config.seed) == ("gibbs", 500, 0)
         assert config.num_workers == 0
-        assert config.worker_timeout == 60.0
-        assert config.shard_threshold == 512
+        assert [f.name for f in dataclasses.fields(config)] == [
+            "engine", "sweeps", "seed", "num_workers",
+        ]
 
     def test_modern_kwargs_do_not_warn(self):
         import warnings
@@ -104,8 +105,6 @@ class TestInferenceConfig:
         [
             {"sweeps": 0},
             {"num_workers": -1},
-            {"shard_threshold": 1},
-            {"worker_timeout": -1},
         ],
     )
     def test_validation(self, kwargs):
@@ -255,7 +254,10 @@ def test_production_imports_do_not_load_the_reference_executor():
     (renderer, sqlite mirror), no database has a method that reads SQL,
     and the operator set is the nine the grounder builds.  The import
     graph: ``repro.infer`` stands alone (``repro.delta`` is its client,
-    loaded only by the layers above), and nothing loads ``networkx``."""
+    loaded only by the layers above; its process pool is the standard
+    library's, so ``repro.infer.parallel`` loads no ``repro.mpp`` module
+    once the top-level package's own imports are set aside), and
+    nothing loads ``networkx``."""
     code = (
         "import sys, repro.infer\n"
         "print([m for m in sys.modules if m.startswith('repro.delta')])\n"
@@ -288,3 +290,22 @@ def test_production_imports_do_not_load_the_reference_executor():
         "False",
     ]
     assert not hasattr(repro.relational, "Executor")
+    # a bare ``repro`` package, so only repro.infer's own imports run
+    bare = (
+        "import importlib.util, sys, types\n"
+        "package = types.ModuleType('repro')\n"
+        "package.__path__ = list("
+        "importlib.util.find_spec('repro').submodule_search_locations)\n"
+        "sys.modules['repro'] = package\n"
+        "import repro.infer.parallel\n"
+        "print([m for m in sys.modules if m.startswith('repro.mpp')])"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", bare],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert completed.stdout.splitlines() == ["[]"]

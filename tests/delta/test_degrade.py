@@ -6,11 +6,12 @@ covers the contract: the degrade warns once, the batch still completes
 with bit-identical marginals, and the driver stays serial until reset.
 """
 
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.infer import sample_components
 from repro.infer.parallel import ParallelGibbsDriver
-from repro.mpp.workers import WorkerCrashError
 
 SNAPSHOTS = [
     ([0, 1, 2], [(1, 0, None, 1.2), (2, 1, None, 0.7), (0, None, None, 0.9)]),
@@ -21,7 +22,7 @@ SEED = 3
 
 
 def crashing(*args, **kwargs):
-    raise WorkerCrashError("inference worker 1 died (exitcode=-9)")
+    raise BrokenProcessPool("inference worker 1 died (exitcode=-9)")
 
 
 def test_crash_warns_and_falls_back_to_identical_serial(monkeypatch):

@@ -3,6 +3,7 @@ enumeration on small graphs, plus structural/diagnostic checks."""
 
 import math
 import random
+import warnings
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.infer import (
     exact_marginals,
     gibbs_marginals,
 )
+from repro.infer.registry import build_engine
 
 
 def single_fact_graph(weight=1.0):
@@ -97,6 +99,38 @@ def test_bp_close_on_loopy_graph():
     result = bp_marginals(graph, max_iterations=300)
     for var, p in exact.items():
         assert result.marginals[var] == pytest.approx(p, abs=0.08)
+
+
+def frustrated_triangle_rows():
+    """Three facts that each want to be true (+5) but penalise every
+    pair being true together (-10 per direction): damped loopy BP
+    oscillates on this loop instead of converging."""
+    pairs = [(1, 2), (2, 3), (3, 1)]
+    rows = [(a, b, None, -10.0) for x, y in pairs for a, b in ((x, y), (y, x))]
+    return rows + [(var, None, None, 5.0) for var in (1, 2, 3)]
+
+
+def test_bp_engine_warns_when_it_does_not_converge():
+    rows = frustrated_triangle_rows()
+    reference = bp_marginals(FactorGraph.from_factor_rows(rows))
+    assert not reference.converged
+    engine = build_engine("bp")
+    with pytest.warns(RuntimeWarning) as caught:
+        marginals = engine.marginals(rows, engine.config)
+    assert len(caught) == 1
+    message = str(caught[0].message)
+    assert "did not converge in 100 iterations" in message
+    assert f"final residual {reference.max_residual:.3g}" in message
+    assert set(marginals) == {1, 2, 3}
+    assert engine.info()["converged"] is False
+
+
+def test_bp_engine_is_silent_when_it_converges():
+    engine = build_engine("bp")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        engine.marginals([(1, None, None, 0.8), (2, 1, None, 1.2)], engine.config)
+    assert engine.info()["converged"] is True
 
 
 def test_chromatic_coloring_is_valid():

@@ -1,4 +1,4 @@
-"""Color-parallel Gibbs on the worker pool: bit-identity and degrade.
+"""Componentwise Gibbs on the process pool: bit-identity and degrade.
 
 Everything here spawns real worker processes, so the module carries the
 ``mpp`` marker and runs outside tier-1 (``make test-mpp`` /
@@ -6,6 +6,7 @@ Everything here spawns real worker processes, so the module carries the
 parallel-inference surface is in one place.
 """
 
+import multiprocessing
 import random
 
 import pytest
@@ -13,11 +14,7 @@ import pytest
 from repro.api import ExpansionSession, InferenceConfig
 from repro.datasets.paper_example import paper_kb
 from repro.infer import componentwise_marginals, sample_components
-from repro.infer.parallel import (
-    ParallelGibbsDriver,
-    plan_shards,
-    split_ranges,
-)
+from repro.infer.parallel import ParallelGibbsDriver, plan_batches
 
 pytestmark = pytest.mark.mpp
 
@@ -51,46 +48,24 @@ def random_rows(seed, n_vars=60, n_extra_edges=25):
     return rows
 
 
-def one_big_component(n_vars=80, seed=7):
-    """A single connected component big enough to shard at threshold 16."""
-    rng = random.Random(seed)
-    rows = [
-        (var, var - 1, None, round(rng.uniform(0.4, 2.0), 3))
-        for var in range(1, n_vars)
-    ]
-    for _ in range(n_vars // 2):
-        head, b1, b2 = rng.sample(range(n_vars), 3)
-        rows.append((head, b1, b2, round(rng.uniform(0.3, 1.5), 3)))
-    return rows
-
-
 # ------------------------------------------------------------------ planner
 
 
-class TestShardPlanner:
-    def test_split_ranges_contiguous_and_even(self):
-        ranges = split_ranges(10, 4)
-        assert ranges == [(0, 3), (3, 6), (6, 8), (8, 10)]
-        assert split_ranges(2, 4) == [(0, 1), (1, 2), (2, 2), (2, 2)]
-
-    def test_big_components_shard_small_ones_batch(self):
+class TestBatchPlanner:
+    def test_whole_components_packed_by_cost(self):
         snapshots = [
-            (list(range(100)), []),          # big -> sharded
+            (list(range(100)), []),
             ([100, 101], [(100, 101, None, 1.0)]),
             ([102, 103], [(102, 103, None, 1.0)]),
             ([104], []),
         ]
-        plan = plan_shards(snapshots, num_workers=2, shard_threshold=64)
-        assert plan.sharded == [0]
-        assert plan.batched_components == 3
-        assert sorted(i for batch in plan.batches for i in batch) == [1, 2, 3]
+        assert plan_batches(snapshots, num_workers=2) == [[0], [1, 2, 3]]
 
     def test_planning_is_deterministic(self):
         snapshots = [(list(range(i * 10, i * 10 + 5)), []) for i in range(9)]
-        first = plan_shards(snapshots, num_workers=4)
-        second = plan_shards(snapshots, num_workers=4)
-        assert first.batches == second.batches
-        assert first.sharded == second.sharded
+        first = plan_batches(snapshots, num_workers=4)
+        assert first == plan_batches(snapshots, num_workers=4)
+        assert sorted(i for batch in first for i in batch) == list(range(9))
 
 
 # --------------------------------------------------------------- bit-identity
@@ -115,33 +90,6 @@ class TestSerialParallelEquivalence:
             assert componentwise_marginals(rows, 30, 4, driver=driver) == serial
             assert driver.pool is None  # never spawned anything
 
-    @pytest.mark.parametrize("num_workers", [2, 3, 4])
-    def test_huge_component_sharded_identical(self, num_workers):
-        rows = one_big_component()
-        serial = componentwise_marginals(rows, num_sweeps=30, seed=9)
-        driver = ParallelGibbsDriver(num_workers=num_workers, shard_threshold=16)
-        try:
-            pooled = componentwise_marginals(rows, num_sweeps=30, seed=9, driver=driver)
-            info = driver.info()
-            assert info["sharded_components"] == 1
-            assert not driver.degraded
-        finally:
-            driver.close()
-        assert pooled == serial
-
-    def test_mixed_batch_and_shard_identical(self):
-        rows = one_big_component(n_vars=40) + [
-            (1000, 1001, None, 1.2),
-            (1002, 1003, 1004, 0.7),
-        ]
-        serial = componentwise_marginals(rows, num_sweeps=25, seed=2)
-        with ParallelGibbsDriver(num_workers=2, shard_threshold=16) as driver:
-            pooled = componentwise_marginals(rows, num_sweeps=25, seed=2, driver=driver)
-            info = driver.info()
-            assert info["sharded_components"] == 1
-            assert info["components"] == 3
-        assert pooled == serial
-
     def test_session_marginals_identical_across_worker_counts(self):
         results = []
         for num_workers in (0, 2):
@@ -159,11 +107,12 @@ class TestCrashDegrade:
     def test_worker_death_degrades_to_identical_serial(self):
         rows = random_rows(8)
         serial = componentwise_marginals(rows, num_sweeps=30, seed=6)
-        driver = ParallelGibbsDriver(num_workers=2, worker_timeout=30.0)
+        driver = ParallelGibbsDriver(num_workers=2)
         try:
             assert componentwise_marginals(rows, 30, 6, driver=driver) == serial
-            driver.pool.processes[0].terminate()
-            driver.pool.processes[0].join()
+            victim = next(iter(driver.pool._processes.values()))
+            victim.terminate()
+            victim.join()
             with pytest.warns(RuntimeWarning, match="inference worker pool lost"):
                 survived = componentwise_marginals(rows, 30, 6, driver=driver)
             assert survived == serial
@@ -178,6 +127,35 @@ class TestCrashDegrade:
             assert driver.info()["pooled"] is True
         finally:
             driver.close()
+
+
+# ------------------------------------------------------------------ cleanup
+
+
+def child_pids():
+    return {process.pid for process in multiprocessing.active_children()}
+
+
+class TestNoLeakedProcesses:
+    def test_driver_close_reaps_its_workers(self):
+        before = child_pids()
+        driver = ParallelGibbsDriver(num_workers=2)
+        componentwise_marginals(random_rows(3), 20, 1, driver=driver)
+        workers = set(driver.pool._processes)
+        assert workers and workers <= child_pids()
+        driver.close()
+        assert driver.pool is None
+        assert child_pids() <= before
+
+    def test_session_exit_reaps_its_workers(self):
+        before = child_pids()
+        config = InferenceConfig(sweeps=20, seed=0, num_workers=2)
+        with ExpansionSession(paper_kb(), inference=config) as session:
+            session.ground()
+            session.infer()
+            assert session.inference_info()["pooled"] is True
+            assert child_pids() - before
+        assert child_pids() <= before
 
 
 # ------------------------------------------------------------ config plumbing
