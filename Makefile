@@ -15,7 +15,7 @@ test-no-numpy:
 	PROBKB_NO_NUMPY=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
 # Multi-process tests: spawn real worker processes (the MPP executor's
-# worker pool, plus the inference driver's process pool in tests/infer).
+# worker pool).
 test-mpp:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests -m mpp -q
 

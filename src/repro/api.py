@@ -128,8 +128,7 @@ class ExpansionSession(ProbKB):
         ``docs/incremental.md``.
 
         ``inference`` pins the delta sampler's config on the first call
-        (default: the session's); gibbs configs with ``num_workers >= 2``
-        re-sample big touched components on the worker pool.  Passing a
+        (default: the session's).  Passing a
         different config after the baseline is primed raises — the
         splice contract requires one config per expander lifetime.
         """

@@ -117,13 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="inference engine (see repro.infer.registry)",
     )
     infer_cmd.add_argument("--sweeps", type=int, default=500)
-    infer_cmd.add_argument(
-        "--infer-workers",
-        type=int,
-        default=0,
-        help="worker processes for color-parallel Gibbs (0 = serial; "
-        "marginals are bit-identical either way)",
-    )
     infer_cmd.add_argument("--top", type=int, default=20)
 
     evaluate_cmd = commands.add_parser(
@@ -463,19 +456,14 @@ def cmd_ground(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    config = InferenceConfig(
-        engine=args.engine,
-        sweeps=args.sweeps,
-        num_workers=args.infer_workers,
-    )
+    config = InferenceConfig(engine=args.engine, sweeps=args.sweeps)
     system = _build_system(args)
     system.ground(args.iterations)
     marginals = system.infer(config)
     info = system.inference_info(config)
-    workers = info.get("num_workers", 0)
-    mode = "pooled" if info.get("pooled") else "serial"
     print(
-        f"engine={info.get('engine')} workers={workers} ({mode}) "
+        f"engine={info.get('engine')} kernel={info.get('kernel', '-')} "
+        f"components={info.get('components', '-')} "
         f"colors={info.get('colors', '-')} "
         f"wall={info.get('wall_seconds', 0.0):.3f}s"
     )

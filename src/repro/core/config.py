@@ -114,19 +114,14 @@ class InferenceConfig:
 
     ``engine`` names a factory in :mod:`repro.infer.registry` (built-ins:
     ``"gibbs"``, ``"bp"``); unknown names raise a :class:`ValueError`
-    listing what is registered.  ``num_workers=0`` (the default) samples
-    serially in the master process; ``num_workers >= 2`` runs the gibbs
-    engine's componentwise sweep on a persistent process pool
-    (:mod:`repro.infer.parallel`), whole components per worker —
-    marginals are bit-identical either way at a fixed seed.  A dead
-    worker degrades the engine to serial sampling at once, so there is
-    no timeout to tune.
+    listing what is registered.  The gibbs engine samples every component
+    in one in-process pass (:mod:`repro.infer.components`), so there are
+    no workers to size.
     """
 
     engine: str = "gibbs"
     sweeps: int = 500
     seed: int = 0
-    num_workers: int = 0
 
     def __post_init__(self) -> None:
         from ..infer.registry import registered_engines
@@ -138,10 +133,6 @@ class InferenceConfig:
             )
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
-        if self.num_workers < 0:
-            raise ValueError(
-                f"num_workers must be >= 0, got {self.num_workers}"
-            )
 
 
 BackendSpec = Union[BackendConfig, Backend, str]

@@ -84,9 +84,8 @@ class ProbKB:
             semi_naive=self.grounding_config.semi_naive,
         )
         self.grounding: Optional[GroundingResult] = None
-        #: live engines keyed by their construction-relevant tuning, so
-        #: repeated infer() calls reuse one worker pool per shape
-        self._engines: Dict[Tuple[str, int, float, int], InferenceEngine] = {}
+        #: live engines keyed by engine name, reused across infer() calls
+        self._engines: Dict[str, InferenceEngine] = {}
         #: monotone counter, bumped every time stored state mutates
         self.generation = 0
 
@@ -318,44 +317,29 @@ class ProbKB:
     ) -> InferenceEngine:
         """The live engine for ``config`` (default: the session's).
 
-        Engines are cached per construction-relevant tuning — one
-        worker pool per shape, reused across infer() calls — and closed
-        with the ProbKB.
+        Engines are cached per engine name, so ``inference_info()``
+        describes the last call whichever path made it, and closed with
+        the ProbKB.
         """
         config = config or self.inference_config
-        key = (config.engine, config.num_workers)
-        engine = self._engines.get(key)
+        engine = self._engines.get(config.engine)
         if engine is None:
             engine = build_engine(config)
-            self._engines[key] = engine
+            self._engines[config.engine] = engine
         return engine
 
     def inference_info(
         self, config: Optional[InferenceConfig] = None
     ) -> Dict[str, Any]:
-        """Engine introspection (engine, workers, colours, last wall
-        clock) — the inference counterpart of ``executor_info()``."""
+        """Engine introspection (engine, kernel, components, colours and
+        wall clock of the last call) — the inference counterpart of
+        ``executor_info()``."""
         config = config or self.inference_config
         return {
             "sweeps": config.sweeps,
             "seed": config.seed,
             **self.inference_engine(config).info(),
         }
-
-    def inference_driver(
-        self, config: Optional[InferenceConfig] = None
-    ) -> Optional[Any]:
-        """The gibbs engine's pool driver, or ``None`` for other engines.
-
-        The delta path hands this to
-        :func:`repro.infer.sample_components` so big touched components
-        ride the worker pool too.
-        """
-        config = config or self.inference_config
-        if config.engine != "gibbs":
-            return None
-        engine = self.inference_engine(config)
-        return getattr(engine, "driver", None)
 
     # -- results ----------------------------------------------------------------------
 

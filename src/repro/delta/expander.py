@@ -28,7 +28,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, TYPE_CHECKING
 
 from ..core.config import InferenceConfig
 from ..core.relmodel import store_marginals
-from ..infer.components import ComponentIndex, ComponentSnapshot, sample_components
+from ..infer.components import ComponentIndex, ComponentSnapshot
+from ..infer.registry import GibbsEngine
 from ..relational.types import Row
 from .grounding import DeltaGrounder, DeltaGroundingResult
 
@@ -85,15 +86,16 @@ class DeltaExpander:
     ) -> None:
         self.probkb = probkb
         self.inference = inference or probkb.inference_config
-        if self.inference.engine != "gibbs":
+        #: the session's gibbs engine, so ``inference_info()`` reports
+        #: the flushes' sampling too
+        engine = probkb.inference_engine(self.inference)
+        if not isinstance(engine, GibbsEngine):
             raise ValueError(
                 "delta expansion re-samples components with the 'gibbs' "
                 f"engine only, got engine {self.inference.engine!r}; use "
                 "InferenceConfig(engine='gibbs') or full expansion"
             )
-        #: the gibbs engine's pool driver; big touched components ride
-        #: the worker pool through it
-        self.driver = probkb.inference_driver(self.inference)
+        self.engine = engine
         self.grounder = DeltaGrounder(probkb)
         self.index = ComponentIndex()
         self.marginals: Dict[int, float] = {}
@@ -169,9 +171,7 @@ class DeltaExpander:
         return self.index.snapshots(self.index.roots())
 
     def _sample(self, snapshots: Sequence[ComponentSnapshot]) -> Dict[int, float]:
-        return sample_components(
-            snapshots, self.inference.sweeps, self.inference.seed, driver=self.driver
-        )
+        return self.engine.sample(snapshots, self.inference)
 
     def _relation_names(
         self, snapshots: Sequence[ComponentSnapshot], grounding: DeltaGroundingResult

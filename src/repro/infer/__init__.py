@@ -8,6 +8,7 @@ paper: computing P(fact is true) for every ground atom.
 from .bp import BPResult, bp_marginals
 from .components import (
     ComponentIndex,
+    ComponentSample,
     build_component_graph,
     component_seed,
     componentwise_marginals,
@@ -30,16 +31,12 @@ from .registry import (
     registered_engines,
 )
 
-# NOTE: .parallel is not imported here — it pulls in
-# concurrent.futures and multiprocessing.  GibbsEngine.__init__ imports
-# it, at every num_workers: the driver is also the serial path's
-# bookkeeping.
-
 __all__ = [
     "BPResult",
     "ChainDiagnostics",
     "ClauseFactor",
     "ComponentIndex",
+    "ComponentSample",
     "FactorGraph",
     "GibbsResult",
     "InferenceEngine",

@@ -23,25 +23,24 @@ Two ingredients make a component's marginals a function of its content:
    the base seed and its minimum member id via a splitmix-style mix, so
    sampling order and the fate of other components are irrelevant.
 
-Sampling uses the counter-based stream kernel
-(:meth:`~repro.infer.gibbs.GibbsSampler.run_stream`), whose draws are a
-pure function of ``(seed, sweep, color, var)`` — the property that
-lets :mod:`repro.infer.parallel` sample components in worker processes
-with bit-identical marginals.  Callers that hold a parallel
-driver pass it via the ``driver=`` parameters here; ``None`` means
-sample serially in-process.
+Sampling draws from counter-based streams, a pure function of
+``(component seed, sweep, color, var)``, so a batch of components is
+sampled in one pass of the numpy block kernel
+(:func:`~repro.infer.gibbs.block_marginals`) with the marginals each
+would get alone from the scalar kernel
+(:meth:`~repro.infer.gibbs.GibbsSampler.run_stream`), which runs when
+numpy is off.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
+from ..relational.columnar import get_numpy
 from ..relational.types import Row
 from .factor_graph import FactorGraph
-from .gibbs import GibbsResult, GibbsSampler
-
-if TYPE_CHECKING:
-    from .parallel import ParallelGibbsDriver
+from .gibbs import GibbsResult, GibbsSampler, block_marginals
 
 _MASK = (1 << 64) - 1
 
@@ -195,67 +194,72 @@ def build_component_graph(member_ids: Iterable[int], rows: Iterable[Row]) -> Fac
     return graph
 
 
+def component_sampler(
+    member_ids: Iterable[int], rows: Iterable[Row], seed: int
+) -> GibbsSampler:
+    """One component's canonical chain, seeded by its anchor."""
+    members = sorted(member_ids)
+    graph = build_component_graph(members, rows)
+    return GibbsSampler(graph, seed=component_seed(seed, members[0]))
+
+
 def sample_component(
     member_ids: Iterable[int],
     rows: Iterable[Row],
     num_sweeps: int,
     seed: int,
 ) -> GibbsResult:
-    """One component's chain, seeded by its anchor."""
-    members = sorted(member_ids)
-    graph = build_component_graph(members, rows)
-    sampler = GibbsSampler(graph, seed=component_seed(seed, members[0]))
-    return sampler.run_stream(num_sweeps=num_sweeps)
+    """One component on the scalar kernel."""
+    return component_sampler(member_ids, rows, seed).run_stream(num_sweeps=num_sweeps)
 
 
-def sample_serially(
-    snapshots: Sequence[ComponentSnapshot], num_sweeps: int, seed: int
-) -> Tuple[Dict[int, float], int]:
-    """Sample whole components in-process, one after another.
+@dataclass
+class ComponentSample:
+    """Marginals of a batch of components, and how they were sampled."""
 
-    Returns ``(marginals, max colours seen)``.  This exact loop runs on
-    the master in serial/degraded mode and inside each pool worker for
-    its batch, which is what makes the two modes bit-identical.
-    """
-    marginals: Dict[int, float] = {}
-    max_colors = 0
-    for members, rows in snapshots:
-        result = sample_component(members, rows, num_sweeps, seed)
-        marginals.update(result.marginals)
-        max_colors = max(max_colors, result.num_colors)
-    return marginals, max_colors
+    marginals: Dict[int, float]
+    components: int
+    #: the most colour classes any component of the batch has
+    colors: int
+    #: ``"numpy"`` (block kernel) or ``"python"`` (scalar kernel)
+    kernel: str
 
 
 def sample_components(
-    snapshots: Sequence[ComponentSnapshot],
-    num_sweeps: int,
-    seed: int,
-    driver: Optional["ParallelGibbsDriver"] = None,
-) -> Dict[int, float]:
+    snapshots: Sequence[ComponentSnapshot], num_sweeps: int, seed: int
+) -> ComponentSample:
     """Marginals over a batch of ``(members, rows)`` component snapshots.
 
-    With a driver the batch runs on the worker pool; without one it runs
-    serially in-process.  Either way the result is bit-identical — the
-    driver's contract (see :mod:`repro.infer.parallel`).
+    The one sampling call of ``ProbKB.infer``, :func:`componentwise_marginals`
+    and the delta path.  With numpy on, the whole batch is one pass of the
+    block kernel; without it, each component runs the scalar kernel in
+    turn.  The marginals are ``==`` either way.
     """
-    if driver is not None:
-        return driver.sample_components(snapshots, num_sweeps, seed)
-    return sample_serially(snapshots, num_sweeps, seed)[0]
+    samplers = [component_sampler(members, rows, seed) for members, rows in snapshots]
+    colors = max((sampler.num_colors for sampler in samplers), default=0)
+    if get_numpy() is not None:
+        return ComponentSample(
+            block_marginals(samplers, num_sweeps), len(samplers), colors, "numpy"
+        )
+    marginals: Dict[int, float] = {}
+    for sampler in samplers:
+        marginals.update(sampler.run_stream(num_sweeps).marginals)
+    return ComponentSample(marginals, len(samplers), colors, "python")
+
+
+def all_snapshots(rows: Sequence[Row]) -> List[ComponentSnapshot]:
+    """Every component of a full TΦ, in anchor order."""
+    index = ComponentIndex.from_factor_rows(rows)
+    return index.snapshots(index.roots())
 
 
 def componentwise_marginals(
-    rows: Sequence[Row],
-    num_sweeps: int,
-    seed: int,
-    driver: Optional["ParallelGibbsDriver"] = None,
+    rows: Sequence[Row], num_sweeps: int, seed: int
 ) -> Dict[int, float]:
-    """Marginals over a full TΦ, sampled one component at a time.
+    """Marginals over a full TΦ, sampled componentwise.
 
     This is the full-expansion reference the delta path is bit-identical
     to: a delta flush re-samples the touched components with the same
     inputs this function would give them.
     """
-    index = ComponentIndex.from_factor_rows(rows)
-    return sample_components(
-        index.snapshots(index.roots()), num_sweeps, seed, driver=driver
-    )
+    return sample_components(all_snapshots(rows), num_sweeps, seed).marginals

@@ -16,11 +16,11 @@ An engine is any object with the :class:`InferenceEngine` surface:
 ``marginals(rows, config)`` mapping TΦ rows to ``{fact id: P(true)}``,
 plus ``info()`` and ``close()``.  The built-ins:
 
-- ``"gibbs"`` — componentwise chromatic Gibbs via the stream kernel;
-  with ``num_workers >= 2`` it samples on a persistent process pool
-  (:mod:`repro.infer.parallel`) with bit-identical marginals.
+- ``"gibbs"`` — componentwise chromatic Gibbs: every component in one
+  pass of the numpy block kernel, or one scalar chain per component
+  with numpy off, with ``==`` marginals either way.
 - ``"bp"`` — loopy belief propagation over the full graph
-  (deterministic, no workers).
+  (deterministic).
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ from typing import (
     Union,
 )
 
+from ..relational.columnar import get_numpy
 from ..relational.types import Row
-from .components import componentwise_marginals
+from .components import ComponentSnapshot, all_snapshots, sample_components
 from .factor_graph import FactorGraph
 
 if TYPE_CHECKING:
@@ -62,7 +63,7 @@ class InferenceEngine(Protocol):
         ...
 
     def close(self) -> None:
-        """Release engine resources (worker pools); idempotent."""
+        """Release engine resources; idempotent."""
         ...
 
 
@@ -117,34 +118,44 @@ def build_engine(spec: "InferenceConfig | str | InferenceEngine") -> InferenceEn
 
 
 class GibbsEngine:
-    """Componentwise chromatic Gibbs, optionally on the worker pool.
+    """Componentwise chromatic Gibbs (:mod:`repro.infer.components`).
 
-    Sampling always goes component-by-component through the stream
-    kernel, so serial (``num_workers=0``) and pooled runs are
-    bit-identical at a fixed seed — the determinism contract
-    :mod:`repro.infer.parallel` documents.
+    ``info()`` reports the kernel, components, colours and wall clock of
+    the last call, whether it came from :meth:`marginals` or from a delta
+    flush through :meth:`sample`.
     """
 
     name = "gibbs"
 
     def __init__(self, config: "InferenceConfig") -> None:
-        from .parallel import ParallelGibbsDriver
-
         self.config = config
-        self.driver = ParallelGibbsDriver(num_workers=config.num_workers)
+        self._last: Dict[str, Any] = {}
 
     def marginals(
         self, rows: Sequence[Row], config: "InferenceConfig"
     ) -> Dict[int, float]:
-        return componentwise_marginals(
-            rows, config.sweeps, config.seed, driver=self.driver
-        )
+        return self.sample(all_snapshots(rows), config)
+
+    def sample(
+        self, snapshots: Sequence[ComponentSnapshot], config: "InferenceConfig"
+    ) -> Dict[int, float]:
+        """Marginals of a batch of component snapshots."""
+        started = time.perf_counter()  # lint: disable=RC003 (timing metadata, not sampling)
+        sample = sample_components(snapshots, config.sweeps, config.seed)
+        self._last = {
+            "kernel": sample.kernel,
+            "components": sample.components,
+            "colors": sample.colors,
+            "wall_seconds": time.perf_counter() - started,  # lint: disable=RC003 (timing metadata, not sampling)
+        }
+        return sample.marginals
 
     def info(self) -> Dict[str, Any]:
-        return {"engine": self.name, **self.driver.info()}
+        kernel = "numpy" if get_numpy() is not None else "python"
+        return {"engine": self.name, "kernel": kernel, **self._last}
 
     def close(self) -> None:
-        self.driver.close()
+        return None
 
 
 class BPEngine:
@@ -179,7 +190,7 @@ class BPEngine:
         return result.marginals
 
     def info(self) -> Dict[str, Any]:
-        return {"engine": self.name, "num_workers": 0, **self._last}
+        return {"engine": self.name, **self._last}
 
     def close(self) -> None:
         return None

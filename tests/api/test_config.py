@@ -1,6 +1,7 @@
 """Config-object tests: validation, frozenness, backend resolution."""
 
 import dataclasses
+import importlib
 import os
 import subprocess
 import sys
@@ -79,9 +80,8 @@ class TestInferenceConfig:
     def test_defaults(self):
         config = InferenceConfig()
         assert (config.engine, config.sweeps, config.seed) == ("gibbs", 500, 0)
-        assert config.num_workers == 0
         assert [f.name for f in dataclasses.fields(config)] == [
-            "engine", "sweeps", "seed", "num_workers",
+            "engine", "sweeps", "seed",
         ]
 
     def test_modern_kwargs_do_not_warn(self):
@@ -89,22 +89,22 @@ class TestInferenceConfig:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            config = InferenceConfig(engine="bp", sweeps=64, num_workers=2)
-        assert (config.engine, config.sweeps) == ("bp", 64)
+            config = InferenceConfig(engine="bp", sweeps=64, seed=3)
+        assert (config.engine, config.sweeps, config.seed) == ("bp", 64, 3)
 
     def test_frozen_and_replaceable(self):
-        config = InferenceConfig(sweeps=100, num_workers=2)
+        config = InferenceConfig(sweeps=100, seed=2)
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.sweeps = 7
         bumped = dataclasses.replace(config, sweeps=200)
-        assert (bumped.sweeps, bumped.num_workers) == (200, 2)
-        assert len({config, InferenceConfig(sweeps=100, num_workers=2)}) == 1
+        assert (bumped.sweeps, bumped.seed) == (200, 2)
+        assert len({config, InferenceConfig(sweeps=100, seed=2)}) == 1
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"sweeps": 0},
-            {"num_workers": -1},
+            {"sweeps": -1},
         ],
     )
     def test_validation(self, kwargs):
@@ -229,6 +229,13 @@ LEGACY_SPELLINGS = {
     "repro serve --cache-ttl": (_cli("serve", "--cache-ttl", "5"), SystemExit),
     "repro serve --infer-on-flush": (_cli("serve", "--infer-on-flush"), SystemExit),
     "DeltaPipeline": (lambda: repro.serve.DeltaPipeline, AttributeError),
+    # the inference process pool the block kernel made redundant
+    "InferenceConfig(num_workers=)": (lambda: InferenceConfig(num_workers=2), TypeError),
+    "repro infer --infer-workers": (
+        _cli("infer", "--kb", "kb", "--infer-workers", "2"), SystemExit),
+    "ProbKB.inference_driver": (lambda: ProbKB(paper_kb()).inference_driver, AttributeError),
+    "repro.infer.parallel": (lambda: importlib.import_module("repro.infer.parallel"),
+                             ImportError),
 }
 
 
@@ -254,10 +261,9 @@ def test_production_imports_do_not_load_the_reference_executor():
     (renderer, sqlite mirror), no database has a method that reads SQL,
     and the operator set is the nine the grounder builds.  The import
     graph: ``repro.infer`` stands alone (``repro.delta`` is its client,
-    loaded only by the layers above; its process pool is the standard
-    library's, so ``repro.infer.parallel`` loads no ``repro.mpp`` module
-    once the top-level package's own imports are set aside), and
-    nothing loads ``networkx``."""
+    loaded only by the layers above, and ``repro.infer`` loads no
+    ``repro.mpp`` module once the top-level package's own imports are
+    set aside), and nothing loads ``networkx``."""
     code = (
         "import sys, repro.infer\n"
         "print([m for m in sys.modules if m.startswith('repro.delta')])\n"
@@ -297,7 +303,7 @@ def test_production_imports_do_not_load_the_reference_executor():
         "package.__path__ = list("
         "importlib.util.find_spec('repro').submodule_search_locations)\n"
         "sys.modules['repro'] = package\n"
-        "import repro.infer.parallel\n"
+        "import repro.infer\n"
         "print([m for m in sys.modules if m.startswith('repro.mpp')])"
     )
     completed = subprocess.run(

@@ -18,6 +18,7 @@ from repro.api import ExpansionSession
 from repro.datasets import paper_kb
 from repro.delta import DeltaExpander
 from repro.infer import componentwise_marginals
+from repro.relational.columnar import numpy_enabled
 from repro.serve import IngestConfig, KBService, ServiceConfig
 
 SWEEPS = 80
@@ -193,6 +194,15 @@ class TestStats:
         assert delta["ground_latency"]["count"] >= 1
         assert delta["infer_latency"]["count"] >= 1
         assert delta["commit_latency"]["count"] >= 1
+
+    def test_inference_block_describes_the_last_flush(self, service):
+        """The flush re-samples through the session's engine, so
+        ``inference`` reports its batch, not the priming run's."""
+        service.ingest(BATCH, flush=True)
+        inference = service.stats()["inference"]
+        assert inference["kernel"] == ("numpy" if numpy_enabled() else "python")
+        assert 1 <= inference["components"] < service.delta.index.component_count()
+        assert inference["colors"] >= 1
 
 
 class TestDeadLetterRetry:

@@ -152,4 +152,5 @@ class TestMaterializeAndStats:
         assert stats["cache"]["generation"] == service.generation
         assert stats["executor"]["mode"] == "single-node"
         assert stats["inference"]["engine"] == "gibbs"
-        assert stats["inference"]["num_workers"] == 0
+        assert stats["inference"]["kernel"] in ("numpy", "python")
+        assert "num_workers" not in stats["inference"]
