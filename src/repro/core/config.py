@@ -40,7 +40,6 @@ class MPPConfig:
     num_segments: int = 8
     num_workers: int = 0
     policy: str = "matviews"
-    worker_timeout: float = 60.0
 
     def __post_init__(self) -> None:
         if self.num_segments < 1:
@@ -50,10 +49,6 @@ class MPPConfig:
         if self.policy not in MPP_POLICIES:
             raise ValueError(
                 f"unknown MPP policy {self.policy!r} (use one of {MPP_POLICIES})"
-            )
-        if self.worker_timeout <= 0:
-            raise ValueError(
-                f"worker_timeout must be > 0, got {self.worker_timeout}"
             )
 
     @property
@@ -164,6 +159,5 @@ def build_backend(spec: BackendSpec = BackendConfig()) -> Backend:
         use_matviews=mpp.use_matviews,
         name=spec.name or "probkb-p",
         num_workers=mpp.num_workers,
-        worker_timeout=mpp.worker_timeout,
         verify_plans=verify,
     )

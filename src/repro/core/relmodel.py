@@ -164,7 +164,6 @@ class RelationalKB:
         self.entities = Dictionary()
         self.classes = Dictionary()
         self.relations = Dictionary()
-        self._fact_keys: Set[FactKey] = set()
         self._next_fact_id = 0
         self._capture_delta = False
         self.nonempty_partitions: List[int] = []
@@ -228,12 +227,13 @@ class RelationalKB:
 
         # TΠ
         tp_rows: List[Row] = []
+        fact_keys: Set[FactKey] = set()
         for fact in kb.facts:
             key = self.encode_fact_key(fact)
-            if key in self._fact_keys:
+            if key in fact_keys:
                 continue
-            self._fact_keys.add(key)
-            tp_rows.append((self._next_fact_id,) + key_to_row(key) + (fact.weight,))
+            fact_keys.add(key)
+            tp_rows.append((self._next_fact_id,) + key + (fact.weight,))
             self._next_fact_id += 1
 
         # MLN tables
@@ -479,13 +479,6 @@ class RelationalKB:
         self.nonempty_partitions.sort()
         return inserted
 
-    def insert_new_facts(self, rows: Iterable[Row]) -> int:
-        """Merge literal (R, x, C1, y, C2) rows into TΠ with set
-        semantics — the row-level variant of the staged merge."""
-        self.backend.truncate("TNew")
-        self.backend.insert_rows("TNew", [tuple(row[:5]) for row in rows])
-        return self.merge_staged()
-
     # -- introspection ----------------------------------------------------------------
 
     def fact_count(self) -> int:
@@ -524,7 +517,3 @@ def store_marginals(
         "TProb", ["I"], Project(Scan("TProbNew", "N"), [(col("N.I"), "I")])
     )
     return backend.insert_from("TProb", Scan("TProbNew", "N"))
-
-
-def key_to_row(key: FactKey) -> Tuple[int, int, int, int, int]:
-    return key

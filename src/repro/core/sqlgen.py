@@ -148,7 +148,8 @@ def ground_atoms_plan(
     """Query 1-i: derive the head facts of every rule in partition i.
 
     Output columns: (R, x, C1, y, C2) — id assignment and NULL weights
-    are handled by :meth:`RelationalKB.insert_new_facts`.
+    are handled by :meth:`RelationalKB.stage_candidates` /
+    :meth:`RelationalKB.merge_staged`.
     """
     plan, _, head = _mln_body_join(partition, backend, mln_alias)
     return Project(

@@ -20,8 +20,10 @@ Execution modes
 ---------------
 
 The plan walker (:class:`_MPPExecutor`) applies the motions and records
-the physical plan; the per-segment work is one command per operator, built
-by :class:`SegmentOps` and executed by the segment interpreter of
+the physical plan; the per-segment work is one command per operator — a
+scan, or the operator's step bound once in the master
+(:func:`repro.relational.operators.bind_step`) — and one per motion,
+sent by :class:`SegmentOps` and executed by the segment interpreter of
 :mod:`repro.mpp.segments`.  Serial and pooled execution are that one
 interpreter — what differs is where it runs and the exchange its
 motions use:
@@ -51,25 +53,13 @@ from __future__ import annotations
 import itertools
 import warnings
 import weakref
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..relational.columnar import ColumnBatch, distinct_indices
 from ..relational.cost import CostClock
-from ..relational.expr import Expr, resolve_column
-from ..relational.operators import AggregateSpec
-from ..relational.plan import (
-    Aggregate,
-    AntiJoin,
-    Distinct,
-    Filter,
-    HashJoin,
-    PlanNode,
-    Project,
-    Scan,
-    UnionAll,
-    Values,
-    bind_scans,
-)
+from ..relational.expr import resolve_column
+from ..relational.operators import bind_step
+from ..relational.plan import PlanNode, Scan, bind_scans
 from ..relational.schema import TableSchema
 from ..relational.table import Table, batch_of_result, batch_of_rows
 from ..relational.types import ExecutionError, Result, Row, ensure
@@ -81,7 +71,16 @@ from .distribution import (
     ReplicatedDistribution,
     partition_batch,
 )
-from .placement import Input, Move, join_detail, motion_label, place, qualified, table_dist
+from .placement import (
+    Input,
+    Move,
+    Placement,
+    dist_after,
+    motion_label,
+    operator_label,
+    place,
+    table_dist,
+)
 from .plannodes import DistDesc, PhysicalNode
 from .segments import LocalExchange, SegmentInterpreter
 from .workers import WorkerCrashError, WorkerPool
@@ -666,12 +665,13 @@ class MPPDatabase:
 
 
 class SegmentOps:
-    """One command per physical operator, dispatched to the segment
-    interpreter(s): every worker of the cluster's pool, or — with no
-    pool — one in-process interpreter that owns all segments and reads
-    the master's table shards in place.
+    """Commands dispatched to the segment interpreter(s): every worker
+    of the cluster's pool, or — with no pool — one in-process
+    interpreter that owns all segments and reads the master's table
+    shards in place.
 
-    Each method returns a :class:`FrameRef`; the rows stay with the
+    :meth:`run` sends a scan or a bound operator step, :meth:`move` a
+    motion; each returns a :class:`FrameRef` and the rows stay with the
     interpreters.  Their per-segment clock deltas ride back on the
     replies and are merged into the cluster's segment clocks, so the
     planner's timing and EXPLAIN output do not depend on the mode."""
@@ -696,7 +696,7 @@ class SegmentOps:
             self._dispatch = lambda command: {0: local.execute(command)}
             self._next_epoch = itertools.count(1).__next__
 
-    def _run(
+    def run(
         self, op: str, args: Tuple, columns: List[str], dist: DistDesc
     ) -> FrameRef:
         handle = self._next_handle()
@@ -708,102 +708,13 @@ class SegmentOps:
                 self.clocks[seg].merge(delta)
         return FrameRef(columns, dist, handle, counts)
 
-    def scan(self, table: MPPTable, columns: List[str], dist: DistDesc) -> FrameRef:
-        return self._run("scan", (table.name, columns), columns, dist)
-
-    def values(self, rows: List[Row], columns: List[str]) -> FrameRef:
-        return self._run("values", (rows, columns), columns, DistDesc.arbitrary())
-
-    def filter(self, child: FrameRef, predicate: Expr) -> FrameRef:
-        return self._run(
-            "filter", (child.handle, predicate), child.columns, child.dist
-        )
-
-    def project(
-        self,
-        child: FrameRef,
-        outputs: Sequence[Tuple[Expr, str]],
-        out_columns: List[str],
-        dist: DistDesc,
-    ) -> FrameRef:
-        args = (child.handle, list(outputs), out_columns)
-        return self._run("project", args, out_columns, dist)
-
-    def join(
-        self,
-        left: FrameRef,
-        right: FrameRef,
-        lpos: List[int],
-        rpos: List[int],
-        residual: Optional[Expr],
-        out_dist: DistDesc,
-    ) -> FrameRef:
-        both_replicated = (
-            left.dist.kind == "replicated" and right.dist.kind == "replicated"
-        )
-        args = (left.handle, right.handle, lpos, rpos, residual, both_replicated)
-        return self._run("join", args, left.columns + right.columns, out_dist)
-
-    def anti_join(
-        self,
-        left: FrameRef,
-        right: FrameRef,
-        lpos: List[int],
-        rpos: List[int],
-        out_dist: DistDesc,
-    ) -> FrameRef:
-        args = (
-            left.handle, right.handle, lpos, rpos, left.dist.kind == "replicated"
-        )
-        return self._run("anti_join", args, left.columns, out_dist)
-
-    def distinct(self, child: FrameRef) -> FrameRef:
-        return self._run("distinct", (child.handle,), child.columns, child.dist)
-
-    def aggregate(
-        self,
-        child: FrameRef,
-        group_pos: List[int],
-        aggregates: Sequence[AggregateSpec],
-        agg_pos: Sequence[Optional[int]],
-        having: Optional[Expr],
-        out_columns: List[str],
-        out_dist: DistDesc,
-    ) -> FrameRef:
-        args = (
-            child.handle, group_pos, list(aggregates), list(agg_pos), having,
-            out_columns,
-        )
-        return self._run("aggregate", args, out_columns, out_dist)
-
-    def union(
-        self, children: List[FrameRef], out_columns: List[str], dist: DistDesc
-    ) -> FrameRef:
-        sources = [
-            (child.handle, child.dist.kind == "replicated") for child in children
-        ]
-        return self._run("union", (sources, out_columns), out_columns, dist)
-
-    def _motion(
-        self, op: str, source: FrameRef, args: Tuple, dist: DistDesc
-    ) -> FrameRef:
-        args = (source.handle,) + args + (
-            self._next_epoch(), source.dist.kind == "replicated",
-        )
-        return self._run(op, args, source.columns, dist)
-
-    def redistribute(
-        self, source: FrameRef, positions: List[int], keys: List[str]
-    ) -> FrameRef:
-        return self._motion(
-            "redistribute", source, (positions,), DistDesc.hash_on(keys)
-        )
-
-    def broadcast(self, source: FrameRef) -> FrameRef:
-        return self._motion("broadcast", source, (), DistDesc.replicated())
-
-    def gather_first(self, source: FrameRef) -> FrameRef:
-        return self._motion("gather_first", source, (), DistDesc.arbitrary())
+    def move(self, source: FrameRef, move: Move) -> FrameRef:
+        """Apply one motion :func:`~repro.mpp.placement.place` chose."""
+        args: Tuple = (source.handle,)
+        if move[0] == "redistribute":
+            args += ([resolve_column(key, source.columns) for key in move[1]],)
+        args += (self._next_epoch(), source.dist.kind == "replicated")
+        return self.run(move[0], args, source.columns, dist_after(move))
 
     def localize(self, ref: FrameRef) -> Shards:
         """Fetch a frame's batches into the master process."""
@@ -821,9 +732,11 @@ class _MPPExecutor:
     """Plan walker over distributed frames.
 
     :func:`repro.mpp.placement.place` decides the motions, from the
-    frames' actual sizes; this class applies them, records the physical
-    plan, and sends the per-segment work through :class:`SegmentOps` to
-    the segment interpreter(s) — in-process, or the cluster's pool."""
+    frames' actual sizes, and which operators run once;
+    :func:`repro.relational.operators.bind_step` binds each operator.
+    This class applies the motions, records the physical plan, and
+    sends the per-segment work through :class:`SegmentOps` to the
+    segment interpreter(s) — in-process, or the cluster's pool."""
 
     def __init__(self, cluster: MPPDatabase) -> None:
         self.cluster = cluster
@@ -831,13 +744,9 @@ class _MPPExecutor:
         self.clocks = cluster.segment_clocks
         self.ops = SegmentOps(cluster)
 
-    # -- entry ---------------------------------------------------------------
-
     def exec_plan(self, plan: PlanNode) -> Tuple[FrameRef, PhysicalNode]:
         bind_scans(plan, self.cluster.tables)
         return self._exec(plan)
-
-    # -- timing helper ---------------------------------------------------------
 
     def _timed(self, node: PhysicalNode, work: Callable[[], FrameRef]) -> FrameRef:
         before = [clock.seconds for clock in self.clocks]
@@ -849,34 +758,32 @@ class _MPPExecutor:
         node.dist = shards.dist
         return shards
 
-    # -- dispatch ----------------------------------------------------------------
-
     def _exec(self, plan: PlanNode) -> Tuple[FrameRef, PhysicalNode]:
-        handler = {
-            Scan: self._exec_scan,
-            Values: self._exec_values,
-            Filter: self._exec_filter,
-            Project: self._exec_project,
-            HashJoin: self._exec_join,
-            AntiJoin: self._exec_anti_join,
-            Distinct: self._exec_distinct,
-            Aggregate: self._exec_aggregate,
-            UnionAll: self._exec_union,
-        }.get(type(plan))
-        if handler is None:
-            raise ExecutionError(f"unsupported MPP plan node {type(plan).__name__}")
-        return handler(plan)
-
-    # -- placement -----------------------------------------------------------
+        if isinstance(plan, Scan):
+            columns = plan.output_columns
+            dist = table_dist(self.cluster.table(plan.table_name).policy, plan.alias)
+            node = PhysicalNode(*operator_label(plan, []))
+            args = (plan.table_name, columns)
+            return self._timed(node, lambda: self.ops.run("scan", args, columns, dist)), node
+        frames, nodes, placement = self._placed(plan)
+        inputs = [frame.columns for frame in frames]
+        step = bind_step(plan, inputs)
+        node = PhysicalNode(*operator_label(plan, inputs))
+        node.children.extend(nodes)
+        args = (step, [frame.handle for frame in frames], placement.once)
+        ref = self._timed(
+            node, lambda: self.ops.run("step", args, step.columns, placement.out_dist)
+        )
+        return ref, node
 
     def _placed(
-        self, plan: PlanNode, *child_plans: PlanNode
-    ) -> Tuple[List[FrameRef], List[PhysicalNode], DistDesc]:
+        self, plan: PlanNode
+    ) -> Tuple[List[FrameRef], List[PhysicalNode], Placement]:
         """Execute the children, then move them where the placement
         rules want them given their actual sizes.  Returns the (possibly
         moved) frames, their (possibly motion-wrapped) plan nodes, and
-        the output distribution of ``plan``."""
-        results = [self._exec(child) for child in child_plans]
+        the placement."""
+        results = [self._exec(child) for child in plan.children]
         placement = place(
             plan,
             [Input(ref.columns, ref.dist, ref.total_rows) for ref, _ in results],
@@ -889,135 +796,11 @@ class _MPPExecutor:
                 frame, node = self._move(frame, node, move)
             frames.append(frame)
             nodes.append(node)
-        return frames, nodes, placement.out_dist
+        return frames, nodes, placement
 
     def _move(
         self, frame: FrameRef, child_node: PhysicalNode, move: Move
     ) -> Tuple[FrameRef, PhysicalNode]:
-        work: Callable[[], FrameRef]
-        if move[0] == "redistribute":
-            keys = list(move[1])
-            positions = [resolve_column(k, frame.columns) for k in keys]
-            work = lambda: self.ops.redistribute(frame, positions, keys)
-        elif move[0] == "broadcast":
-            work = lambda: self.ops.broadcast(frame)
-        else:
-            work = lambda: self.ops.gather_first(frame)
         node = PhysicalNode(*motion_label(move))
         node.children.append(child_node)
-        return self._timed(node, work), node
-
-    # -- leaf nodes -----------------------------------------------------------
-
-    def _exec_scan(self, plan: Scan) -> Tuple[FrameRef, PhysicalNode]:
-        table = self.cluster.table(plan.table_name)
-        columns = plan.output_columns
-        dist = table_dist(table.policy, plan.alias)
-        node = PhysicalNode("Seq Scan", f"on {plan.table_name}")
-        shards = self._timed(node, lambda: self.ops.scan(table, columns, dist))
-        return shards, node
-
-    def _exec_values(self, plan: Values) -> Tuple[FrameRef, PhysicalNode]:
-        node = PhysicalNode("Values", rows=len(plan.rows))
-        shards = self.ops.values(list(plan.rows), plan.output_columns)
-        node.dist = shards.dist
-        return shards, node
-
-    # -- unary nodes ----------------------------------------------------------
-
-    def _exec_filter(self, plan: Filter) -> Tuple[FrameRef, PhysicalNode]:
-        child, child_node = self._exec(plan.child)
-        node = PhysicalNode("Filter", plan.predicate.to_sql())
-        node.children.append(child_node)
-        shards = self._timed(node, lambda: self.ops.filter(child, plan.predicate))
-        return shards, node
-
-    def _exec_project(self, plan: Project) -> Tuple[FrameRef, PhysicalNode]:
-        (child,), child_nodes, dist = self._placed(plan, plan.child)
-        node = PhysicalNode("Project")
-        node.children.extend(child_nodes)
-        shards = self._timed(
-            node,
-            lambda: self.ops.project(
-                child, plan.outputs, plan.output_columns, dist
-            ),
-        )
-        return shards, node
-
-    # -- joins ------------------------------------------------------------------
-
-    @staticmethod
-    def _join_keys(
-        plan: Union[HashJoin, AntiJoin], left: FrameRef, right: FrameRef
-    ) -> Tuple[str, List[int], List[int]]:
-        """The join's EXPLAIN detail and its key positions on each side."""
-        detail = join_detail(
-            qualified(plan.left_keys, left.columns),
-            qualified(plan.right_keys, right.columns),
-        )
-        lpos = [resolve_column(k, left.columns) for k in plan.left_keys]
-        rpos = [resolve_column(k, right.columns) for k in plan.right_keys]
-        return detail, lpos, rpos
-
-    def _exec_join(self, plan: HashJoin) -> Tuple[FrameRef, PhysicalNode]:
-        (left, right), child_nodes, out_dist = self._placed(
-            plan, plan.left, plan.right
-        )
-        detail, lpos, rpos = self._join_keys(plan, left, right)
-        node = PhysicalNode("Hash Join", detail)
-        node.children.extend(child_nodes)
-        shards = self._timed(
-            node,
-            lambda: self.ops.join(
-                left, right, lpos, rpos, plan.residual, out_dist
-            ),
-        )
-        return shards, node
-
-    def _exec_anti_join(self, plan: AntiJoin) -> Tuple[FrameRef, PhysicalNode]:
-        (left, right), child_nodes, out_dist = self._placed(
-            plan, plan.left, plan.right
-        )
-        detail, lpos, rpos = self._join_keys(plan, left, right)
-        node = PhysicalNode("Hash Anti Join", detail)
-        node.children.extend(child_nodes)
-        shards = self._timed(
-            node, lambda: self.ops.anti_join(left, right, lpos, rpos, out_dist)
-        )
-        return shards, node
-
-    # -- distinct / aggregate / union ---------------------------------------------
-
-    def _exec_distinct(self, plan: Distinct) -> Tuple[FrameRef, PhysicalNode]:
-        (child,), child_nodes, _ = self._placed(plan, plan.child)
-        node = PhysicalNode("Distinct")
-        node.children.extend(child_nodes)
-        shards = self._timed(node, lambda: self.ops.distinct(child))
-        return shards, node
-
-    def _exec_aggregate(self, plan: Aggregate) -> Tuple[FrameRef, PhysicalNode]:
-        (child,), child_nodes, out_dist = self._placed(plan, plan.child)
-        group_pos = [resolve_column(c, child.columns) for c in plan.group_by]
-        agg_pos = [
-            resolve_column(c, child.columns) if c is not None else None
-            for _, c, _ in plan.aggregates
-        ]
-        node = PhysicalNode("HashAggregate", f"group by ({', '.join(plan.group_by)})")
-        node.children.extend(child_nodes)
-        shards = self._timed(
-            node,
-            lambda: self.ops.aggregate(
-                child, group_pos, plan.aggregates, agg_pos, plan.having,
-                plan.output_columns, out_dist,
-            ),
-        )
-        return shards, node
-
-    def _exec_union(self, plan: UnionAll) -> Tuple[FrameRef, PhysicalNode]:
-        children, child_nodes, dist = self._placed(plan, *plan.children)
-        node = PhysicalNode("Append")
-        node.children.extend(child_nodes)
-        shards = self._timed(
-            node, lambda: self.ops.union(children, plan.output_columns, dist)
-        )
-        return shards, node
+        return self._timed(node, lambda: self.ops.move(frame, move)), node

@@ -5,7 +5,9 @@ A join, anti-join, distinct or aggregate runs segment-locally only when
 its inputs are collocated; otherwise a redistribute, broadcast or gather
 motion is paid first.  :func:`place` is that rule set as a pure function
 of a logical plan node and, per child, the ``(columns, dist, rows)`` of
-its output.  The two plan walkers consume it and differ only in where
+its output; it also decides which operators compute on segment 0 only.
+The two plan walkers consume it, and the EXPLAIN labels of
+:func:`operator_label` / :func:`motion_label`, and differ only in where
 ``rows`` comes from:
 
 * the executor (:mod:`repro.mpp.cluster`) feeds actual intermediate
@@ -31,10 +33,13 @@ from ..relational.plan import (
     Aggregate,
     AntiJoin,
     Distinct,
+    Filter,
     HashJoin,
     PlanNode,
     Project,
+    Scan,
     UnionAll,
+    Values,
 )
 from ..relational.statistics import TableDistribution
 from ..relational.types import ExecutionError
@@ -71,6 +76,13 @@ class Placement(NamedTuple):
     moves: Tuple[Optional[Move], ...]
     #: distribution of the operator's own output
     out_dist: DistDesc
+    #: one entry per child: True when, after its move, its rows count
+    #: once, on segment 0 (see :func:`place`)
+    once: Tuple[bool, ...]
+
+
+#: ``(moves, out_dist)`` of one operator, before the run-once rule
+_Route = Tuple[Tuple[Optional[Move], ...], DistDesc]
 
 
 def choose_fallback_motion(left_rows: float, right_rows: float, nseg: int) -> str:
@@ -91,10 +103,26 @@ def choose_fallback_motion(left_rows: float, right_rows: float, nseg: int) -> st
     return FALLBACK_REDISTRIBUTE_BOTH
 
 
-def join_detail(left_keys: Sequence[str], right_keys: Sequence[str]) -> str:
-    return "on " + " AND ".join(
-        f"{l} = {r}" for l, r in zip(left_keys, right_keys)
-    )
+#: the EXPLAIN kind of each operator whose node carries no detail
+_PLAIN_KINDS: Dict[type, str] = {
+    Values: "Values", Project: "Project", Distinct: "Distinct", UnionAll: "Append",
+}
+
+
+def operator_label(plan: PlanNode, inputs: Sequence[Sequence[str]]) -> Tuple[str, str]:
+    """The EXPLAIN kind and detail of the plan node recording ``plan``
+    over inputs with the column lists ``inputs``."""
+    if isinstance(plan, Scan):
+        return "Seq Scan", f"on {plan.table_name}"
+    if isinstance(plan, Filter):
+        return "Filter", plan.predicate.to_sql()
+    if isinstance(plan, (HashJoin, AntiJoin)):
+        keys = zip(qualified(plan.left_keys, inputs[0]), qualified(plan.right_keys, inputs[1]))
+        detail = "on " + " AND ".join(f"{lk} = {rk}" for lk, rk in keys)
+        return ("Hash Join" if isinstance(plan, HashJoin) else "Hash Anti Join"), detail
+    if isinstance(plan, Aggregate):
+        return "HashAggregate", f"group by ({', '.join(plan.group_by)})"
+    return _PLAIN_KINDS[type(plan)], ""
 
 
 def motion_label(move: Move) -> Tuple[str, str]:
@@ -168,11 +196,26 @@ def project_dist(
 
 def place(plan: PlanNode, inputs: Sequence[Input], nseg: int) -> Placement:
     """Where the inputs of ``plan`` must move before it can run
-    segment-locally, and how its output is then distributed."""
+    segment-locally, how its output is then distributed, and the
+    run-once rule: an operator over gathered input, or over full copies
+    whose output is one copy, computes on segment 0 only, and a
+    replicated ``UnionAll`` child contributes its rows there only."""
+    moves, out_dist = _route(plan, inputs, nseg)
+    replicated = tuple(
+        (child.dist if move is None else dist_after(move)).kind == "replicated"
+        for child, move in zip(inputs, moves)
+    )
+    if isinstance(plan, UnionAll):
+        return Placement(moves, out_dist, replicated)
+    once = GATHER in moves or (all(replicated) and out_dist.kind != "replicated")
+    return Placement(moves, out_dist, (once,) * len(inputs))
+
+
+def _route(plan: PlanNode, inputs: Sequence[Input], nseg: int) -> _Route:
     if isinstance(plan, HashJoin):
-        return _place_join(plan, inputs[0], inputs[1], nseg)
+        return _route_join(plan, inputs[0], inputs[1], nseg)
     if isinstance(plan, AntiJoin):
-        return _place_anti_join(plan, inputs[0], inputs[1])
+        return _route_anti_join(plan, inputs[0], inputs[1])
     if isinstance(plan, UnionAll):
         # replicated children contribute one copy, so they mix with anything
         dists = {
@@ -180,32 +223,34 @@ def place(plan: PlanNode, inputs: Sequence[Input], nseg: int) -> Placement:
             for child in inputs
         }
         out_dist = dists.pop() if len(dists) == 1 else DistDesc.arbitrary()
-        return Placement((None,) * len(inputs), out_dist)
+        return (None,) * len(inputs), out_dist
+    if isinstance(plan, Values):
+        return (), DistDesc.arbitrary()
+    if not isinstance(plan, (Filter, Project, Distinct, Aggregate)):
+        raise ExecutionError(f"no placement rule for {type(plan).__name__}")
     (child,) = inputs
+    if isinstance(plan, Filter):
+        return (None,), child.dist
     if isinstance(plan, Project):
-        return Placement(
-            (None,), project_dist(plan.outputs, child.columns, child.dist)
-        )
+        return (None,), project_dist(plan.outputs, child.columns, child.dist)
     if isinstance(plan, Distinct):
         # equal rows must meet on one segment: any hash or a full copy
         # guarantees it, an arbitrary spread does not
         if child.dist.kind != "arbitrary":
-            return Placement((None,), child.dist)
+            return (None,), child.dist
         return _moved(redistribute(child.columns))
-    if isinstance(plan, Aggregate):
-        if not plan.group_by:
-            return _moved(GATHER)
-        out_dist = DistDesc.hash_on(plan.group_by)
-        group_keys = qualified(plan.group_by, child.columns)
-        if subset_perm(child.dist, group_keys) is not None:
-            return Placement((None,), out_dist)
-        return Placement((redistribute(group_keys),), out_dist)
-    raise ExecutionError(f"no placement rule for {type(plan).__name__}")
+    if not plan.group_by:  # an Aggregate from here on
+        return _moved(GATHER)
+    out_dist = DistDesc.hash_on(plan.group_by)
+    group_keys = qualified(plan.group_by, child.columns)
+    if subset_perm(child.dist, group_keys) is not None:
+        return (None,), out_dist
+    return (redistribute(group_keys),), out_dist
 
 
-def _moved(move: Move) -> Placement:
+def _moved(move: Move) -> _Route:
     """A unary operator that keeps the distribution its move produces."""
-    return Placement((move,), dist_after(move))
+    return (move,), dist_after(move)
 
 
 def dist_after(move: Move) -> DistDesc:
@@ -217,15 +262,15 @@ def dist_after(move: Move) -> DistDesc:
     return DistDesc.arbitrary()
 
 
-def _place_join(plan: HashJoin, left: Input, right: Input, nseg: int) -> Placement:
+def _route_join(plan: HashJoin, left: Input, right: Input, nseg: int) -> _Route:
     # replicated inputs join locally against anything
     if left.dist.kind == "replicated" and right.dist.kind == "replicated":
         # every segment computes the full result; one copy is kept
-        return Placement((None, None), DistDesc.arbitrary())
+        return (None, None), DistDesc.arbitrary()
     if left.dist.kind == "replicated":
-        return Placement((None, None), right.dist)
+        return (None, None), right.dist
     if right.dist.kind == "replicated":
-        return Placement((None, None), left.dist)
+        return (None, None), left.dist
 
     left_keys = qualified(plan.left_keys, left.columns)
     right_keys = qualified(plan.right_keys, right.columns)
@@ -234,28 +279,28 @@ def _place_join(plan: HashJoin, left: Input, right: Input, nseg: int) -> Placeme
     left_perm = subset_perm(left.dist, left_keys)
     right_perm = subset_perm(right.dist, right_keys)
     if left_perm is not None and left_perm == right_perm:
-        return Placement((None, None), left.dist)
+        return (None, None), left.dist
     if left_perm is not None:
         # move right to hash on the columns corresponding to left's
         keys = [right_keys[i] for i in left_perm]
-        return Placement((None, redistribute(keys)), left.dist)
+        return (None, redistribute(keys)), left.dist
     if right_perm is not None:
         keys = [left_keys[i] for i in right_perm]
-        return Placement((redistribute(keys), None), right.dist)
+        return (redistribute(keys), None), right.dist
 
     # neither collocated: redistribute both vs broadcast the smaller
     choice = choose_fallback_motion(left.rows, right.rows, nseg)
     if choice == FALLBACK_BROADCAST_LEFT:
-        return Placement((BROADCAST, None), right.dist)
+        return (BROADCAST, None), right.dist
     if choice == FALLBACK_BROADCAST_RIGHT:
-        return Placement((None, BROADCAST), left.dist)
-    return Placement(
+        return (None, BROADCAST), left.dist
+    return (
         (redistribute(left_keys), redistribute(right_keys)),
         DistDesc.hash_on(left_keys),
     )
 
 
-def _place_anti_join(plan: AntiJoin, left: Input, right: Input) -> Placement:
+def _route_anti_join(plan: AntiJoin, left: Input, right: Input) -> _Route:
     """NOT EXISTS is valid per segment when every right row that could
     match a left row lives on the left row's segment: the right side is
     replicated, or both sides are hashed on the (corresponding) keys."""
@@ -279,4 +324,4 @@ def _place_anti_join(plan: AntiJoin, left: Input, right: Input) -> Placement:
     if out_dist.kind == "replicated":
         # each copy filtered against the same right rows: keep one
         out_dist = DistDesc.arbitrary()
-    return Placement((left_move, right_move), out_dist)
+    return (left_move, right_move), out_dist

@@ -4,10 +4,12 @@ A :class:`SegmentInterpreter` owns some of the cluster's segments and
 executes the physical operators the planner sends it, one command per
 operator, over those segments' shards.  Intermediate results stay
 inside it as *frames* — one :class:`~repro.relational.columnar.ColumnBatch`
-per owned segment, keyed by a planner-assigned handle — and every
-relational operator is the shared function from
-:mod:`repro.relational.operators`, charged to a per-segment clock
-delta that rides back on the command's reply.
+per owned segment, keyed by a planner-assigned handle.  It knows six
+commands: a scan, a *step* — any other operator, bound once by the
+planner (:func:`repro.relational.operators.bind_step`) and run here
+as it is on a single node — the three motions, and fetch / reset.
+Every command is charged to a per-segment clock delta that rides back
+on its reply.
 
 The same class runs in both execution modes; what differs is who owns
 which segments and the *exchange* that motions move pieces through:
@@ -44,9 +46,7 @@ from typing import (
 from ..relational import operators
 from ..relational.columnar import ColumnBatch
 from ..relational.cost import CostClock
-from ..relational.expr import Expr
 from ..relational.table import Table
-from ..relational.types import Row
 from .distribution import HashDistribution, partition_batch
 
 __all__ = ["Exchange", "LocalExchange", "SegmentInterpreter"]
@@ -158,121 +158,26 @@ class SegmentInterpreter:
             ),
         )
 
-    def _cmd_values(self, handle: int, rows: List[Row], columns: List[str]) -> dict:
-        return self._first(
-            handle, columns, lambda _seg, _clock: ColumnBatch.from_rows(columns, rows)
-        )
-
-    def _cmd_filter(self, handle: int, source: int, predicate: Expr) -> dict:
-        child = self.frames[source]
-        return self._each(
-            handle,
-            lambda seg, clock: operators.filter_batch(child[seg], predicate, clock),
-        )
-
-    def _cmd_project(
+    def _cmd_step(
         self,
         handle: int,
-        source: int,
-        outputs: Sequence[Tuple[Expr, str]],
-        out_columns: List[str],
+        step: operators.Step,
+        sources: Sequence[int],
+        once: Sequence[bool],
     ) -> dict:
-        child = self.frames[source]
-        return self._each(
-            handle,
-            lambda seg, clock: operators.project_batch(
-                child[seg], outputs, out_columns, clock
-            ),
-        )
-
-    def _cmd_join(
-        self,
-        handle: int,
-        left: int,
-        right: int,
-        lpos: List[int],
-        rpos: List[int],
-        residual: Optional[Expr],
-        both_replicated: bool,
-    ) -> dict:
-        lframe, rframe = self.frames[left], self.frames[right]
+        """Run a bound operator (:func:`repro.relational.operators.bind_step`)
+        over the ``sources`` frames.  ``once`` is placement's run-once
+        rule, per input: off segment 0 an input that counts once
+        contributes nothing, and when every input counts once — or there
+        is none — the operator computes on segment 0 alone."""
+        frames = [self.frames[source] for source in sources]
+        elsewhere = [frame for frame, first in zip(frames, once) if not first]
 
         def work(seg: int, clock: CostClock) -> ColumnBatch:
-            return operators.join_batches(
-                lframe[seg], rframe[seg], lpos, rpos, residual, clock
-            )
+            return step.run([frame[seg] for frame in (elsewhere if seg else frames)], clock)
 
-        if both_replicated:
-            columns = self._columns(left) + self._columns(right)
-            return self._first(handle, columns, work)
-        return self._each(handle, work)
-
-    def _cmd_anti_join(
-        self,
-        handle: int,
-        left: int,
-        right: int,
-        lpos: List[int],
-        rpos: List[int],
-        left_replicated: bool,
-    ) -> dict:
-        lframe, rframe = self.frames[left], self.frames[right]
-
-        def work(seg: int, clock: CostClock) -> ColumnBatch:
-            return operators.anti_join_batches(
-                lframe[seg], rframe[seg], lpos, rpos, clock
-            )
-
-        if left_replicated:
-            return self._first(handle, self._columns(left), work)
-        return self._each(handle, work)
-
-    def _cmd_distinct(self, handle: int, source: int) -> dict:
-        child = self.frames[source]
-        return self._each(
-            handle, lambda seg, clock: operators.distinct_batch(child[seg], clock)
-        )
-
-    def _cmd_aggregate(
-        self,
-        handle: int,
-        source: int,
-        group_pos: List[int],
-        aggregates: Sequence[operators.AggregateSpec],
-        agg_pos: Sequence[Optional[int]],
-        having: Optional[Expr],
-        out_columns: List[str],
-    ) -> dict:
-        child = self.frames[source]
-
-        def work(seg: int, clock: CostClock) -> ColumnBatch:
-            return operators.aggregate_batch(
-                child[seg], group_pos, aggregates, agg_pos, having,
-                out_columns, clock,
-            )
-
-        if not group_pos:
-            # global aggregate: the planner gathered its input to segment 0
-            return self._first(handle, out_columns, work)
-        return self._each(handle, work)
-
-    def _cmd_union(
-        self,
-        handle: int,
-        sources: Sequence[Tuple[int, bool]],
-        out_columns: List[str],
-    ) -> dict:
-        """``sources``: ``(handle, replicated)`` per child; a replicated
-        child contributes its rows once, on segment 0."""
-
-        def work(seg: int, clock: CostClock) -> ColumnBatch:
-            children = [
-                self.frames[source][seg]
-                for source, replicated in sources
-                if seg == 0 or not replicated
-            ]
-            return operators.union_batches(children, out_columns, clock)
-
+        if all(once):
+            return self._first(handle, step.columns, work)
         return self._each(handle, work)
 
     # -- motions -------------------------------------------------------------
@@ -341,7 +246,7 @@ class SegmentInterpreter:
             handle, source, epoch, range(self.nseg), range(self.nseg), "rows_broadcast"
         )
 
-    def _cmd_gather_first(
+    def _cmd_gather(
         self, handle: int, source: int, epoch: int, source_replicated: bool
     ) -> dict:
         if source_replicated:

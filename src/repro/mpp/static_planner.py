@@ -77,8 +77,8 @@ from .placement import (
     Input,
     Move,
     dist_after,
-    join_detail,
     motion_label,
+    operator_label,
     place,
     qualified,
     table_dist,
@@ -382,7 +382,7 @@ class StaticPlanner:
             ndv[qualified] = float(max(1, column.distinct)) if rows else 0.0
             nulls[qualified] = column.null_fraction
             mcv[qualified] = column.mcv_fraction
-        node = PhysicalNode("Seq Scan", f"on {plan.table_name}")
+        node = PhysicalNode(*operator_label(plan, []))
         node.rows = int(round(rows))
         node.seconds = rows / self._parallelism(dist) * ROW_SCAN_S
         return _Est(
@@ -398,7 +398,7 @@ class StaticPlanner:
 
     def _est_values(self, plan: Values) -> _Est:
         rows = float(len(plan.rows))
-        node = PhysicalNode("Values", rows=len(plan.rows))
+        node = PhysicalNode(*operator_label(plan, []), rows=len(plan.rows))
         return _Est(
             columns=plan.output_columns,
             rows=rows,
@@ -433,7 +433,7 @@ class StaticPlanner:
                     resolve_column(conjunct.left.name, child.columns)
                 ]
                 ndv[column] = 1.0
-        node = PhysicalNode("Filter", plan.predicate.to_sql())
+        node = PhysicalNode(*operator_label(plan, [child.columns]))
         node.children.append(child.node)
         parallelism = self._parallelism(child.dist)
         node.seconds = (
@@ -468,7 +468,7 @@ class StaticPlanner:
                 mcv[name] = 1.0
             else:
                 ndv[name] = child.rows
-        node = PhysicalNode("Project")
+        node = PhysicalNode(*operator_label(plan, [child.columns]))
         node.children.append(child.node)
         node.seconds = (
             child.rows * ROW_OUTPUT_S / self._parallelism(child.dist)
@@ -518,7 +518,7 @@ class StaticPlanner:
             nulls={**left.nulls, **right.nulls},
             mcv={**left.mcv, **right.mcv},
             tables=left.tables | right.tables,
-            node=PhysicalNode("Hash Join", join_detail(left_keys, right_keys)),
+            node=PhysicalNode(*operator_label(plan, [left.columns, right.columns])),
         )
         if plan.residual is not None:
             residual_sel = min(
@@ -534,7 +534,7 @@ class StaticPlanner:
 
         self._joins.append(
             JoinEstimate(
-                detail=join_detail(left_keys, right_keys),
+                detail=est.node.detail,
                 left_rows=left.rows,
                 right_rows=right.rows,
                 est_rows=rows,
@@ -576,7 +576,7 @@ class StaticPlanner:
         matched = min(1.0, distinct_right / max(distinct_left, 1.0))
         rows = self._cap(left.rows * (1.0 - matched))
 
-        node = PhysicalNode("Hash Anti Join", join_detail(left_keys, right_keys))
+        node = PhysicalNode(*operator_label(plan, [left.columns, right.columns]))
         node.children.extend([left.node, right.node])
         right_eff = right.rows / self._parallelism(right.dist)
         left_eff = left.rows / self._parallelism(left.dist)
@@ -605,7 +605,7 @@ class StaticPlanner:
         for column in child.columns:
             distinct = min(distinct * self._ndv_of(child, column), MAX_ROWS)
         rows = self._cap(min(child.rows, distinct))
-        node = PhysicalNode("Distinct")
+        node = PhysicalNode(*operator_label(plan, [child.columns]))
         node.children.append(child.node)
         parallelism = self._parallelism(child.dist)
         node.seconds = (
@@ -639,9 +639,7 @@ class StaticPlanner:
             ndv[name] = min(self._ndv_of(child, name), max(rows, 1.0))
         for _, _, out_name in plan.aggregates:
             ndv[out_name] = rows
-        node = PhysicalNode(
-            "HashAggregate", f"group by ({', '.join(plan.group_by)})"
-        )
+        node = PhysicalNode(*operator_label(plan, [child.columns]))
         node.children.append(child.node)
         parallelism = self._parallelism(child.dist) if plan.group_by else 1.0
         node.seconds = (
@@ -669,7 +667,7 @@ class StaticPlanner:
             for child in children:
                 total += child.ndv.get(child.columns[pos], child.rows)
             ndv[name] = min(total, max(rows, 1.0))
-        node = PhysicalNode("Append")
+        node = PhysicalNode(*operator_label(plan, [child.columns for child in children]))
         node.children.extend(child.node for child in children)
         # the executor charges rows_output for every concatenated row
         node.seconds = rows * ROW_OUTPUT_S / self._parallelism(dist)

@@ -4,8 +4,9 @@ Architecture (paper Figure 4: master + shared-nothing segment hosts)::
 
     master (planner, authoritative shards)        worker k (segments k, k+W, ...)
     --------------------------------------        --------------------------------
-    SegmentOps.<op> ─── command queue k ────────▶ run the operator on each
-                                                  owned segment (repro.mpp.segments)
+    SegmentOps.run ──── command queue k ────────▶ run the scan / bound step
+                                                  on each owned segment
+                                                  (repro.mpp.segments)
                    ◀─── shared reply queue ────── ack {row counts, clock deltas}
     motions:            workers exchange pickled column batches directly over
                         per-worker inbox queues, tagged with a motion epoch
@@ -36,7 +37,6 @@ the database to degrade to its serial executor.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import queue
 import signal
 import threading
@@ -71,20 +71,15 @@ class WorkerPool:
         nseg: int,
         num_workers: int,
         reply_timeout: float = 60.0,
-        start_method: Optional[str] = None,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1 (0 means serial mode)")
         self.nseg = nseg
         self.num_workers = min(int(num_workers), nseg)
         self.reply_timeout = reply_timeout
-        if start_method is None:
-            start_method = os.environ.get("REPRO_MPP_START_METHOD")
-        if start_method is None:
-            # fork keeps spawn latency negligible; spawn is the portable fallback
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        context = multiprocessing.get_context(start_method)
+        # fork keeps spawn latency negligible; spawn is the portable fallback
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
         #: segment -> owning worker id
         self.seg_worker: Tuple[int, ...] = tuple(
             seg % self.num_workers for seg in range(nseg)
@@ -94,7 +89,6 @@ class WorkerPool:
         self.exchange_queues = [context.Queue() for _ in range(self.num_workers)]
         self._seq = 0
         self._epoch = 0
-        self._handle = 0
         self._closed = False
         self.processes = []
         # Forked children inherit the parent's SIGINT disposition, and a
@@ -131,10 +125,6 @@ class WorkerPool:
         return [
             seg for seg in range(self.nseg) if self.seg_worker[seg] == worker_id
         ]
-
-    def next_handle(self) -> int:
-        self._handle += 1
-        return self._handle
 
     def next_epoch(self) -> int:
         self._epoch += 1

@@ -29,7 +29,7 @@ import os
 from collections import defaultdict
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .expr import COMPARE_OPS, And, Col, Compare, Const, Expr, IsNull, Not, Or, resolve_column
+from .expr import COMPARE_OPS, And, Col, Compare, Const, Expr, IsNull, Not, Or
 from .types import FLOAT, INT, ExecutionError, Row, Value, first_invalid
 
 __all__ = ["ColumnBatch", "TypedColumn", "get_numpy", "numpy_enabled", "set_numpy"]
@@ -575,7 +575,7 @@ def _typed_column(expr: Expr, batch: ColumnBatch) -> Optional[TypedColumn]:
     if not isinstance(expr, Col):
         return None
     try:
-        col = batch.cols[resolve_column(expr.name, batch.columns)]
+        col = batch.cols[expr.position(batch.columns)]
     except Exception:
         return None
     return col if isinstance(col, TypedColumn) else None

@@ -12,9 +12,9 @@ false, which is what the ProbKB queries rely on).
 from __future__ import annotations
 
 import operator
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-from .types import PlanError, Row, Value, ensure, sql_literal
+from .types import PlanError, Row, Value, sql_literal
 
 BoundEvaluator = Callable[[Row], Value]
 
@@ -46,14 +46,22 @@ class Expr:
 
 
 class Col(Expr):
-    """A reference to an output column by (possibly qualified) name."""
+    """A reference to an output column by (possibly qualified) name, or
+    by ``pos`` once :func:`repro.relational.operators.bind_step` has
+    resolved it against its operator's input."""
 
-    def __init__(self, name: str) -> None:
-        ensure(bool(name), PlanError, "column reference must be non-empty")
+    def __init__(self, name: str, pos: Optional[int] = None) -> None:
+        if not name:
+            raise PlanError("column reference must be non-empty")
         self.name = name
+        self.pos = pos
+
+    def position(self, columns: Sequence[str]) -> int:
+        """Where this column is in ``columns``."""
+        return resolve_column(self.name, columns) if self.pos is None else self.pos
 
     def bind(self, columns: Sequence[str]) -> BoundEvaluator:
-        pos = resolve_column(self.name, columns)
+        pos = self.position(columns)
         return lambda row: row[pos]
 
     def referenced_columns(self) -> List[str]:
@@ -94,7 +102,8 @@ class Compare(Expr):
     """Binary comparison with SQL NULL semantics (NULL compares false)."""
 
     def __init__(self, op: str, left: Expr, right: Expr) -> None:
-        ensure(op in COMPARE_OPS, PlanError, f"unknown comparison {op!r}")
+        if op not in COMPARE_OPS:
+            raise PlanError(f"unknown comparison {op!r}")
         self.op = op
         self.left = left
         self.right = right
@@ -141,7 +150,8 @@ class IsNull(Expr):
 
 class And(Expr):
     def __init__(self, *operands: Expr) -> None:
-        ensure(len(operands) >= 1, PlanError, "AND needs at least one operand")
+        if not operands:
+            raise PlanError("AND needs at least one operand")
         self.operands = list(operands)
 
     def bind(self, columns: Sequence[str]) -> BoundEvaluator:
@@ -157,7 +167,8 @@ class And(Expr):
 
 class Or(Expr):
     def __init__(self, *operands: Expr) -> None:
-        ensure(len(operands) >= 1, PlanError, "OR needs at least one operand")
+        if not operands:
+            raise PlanError("OR needs at least one operand")
         self.operands = list(operands)
 
     def bind(self, columns: Sequence[str]) -> BoundEvaluator:

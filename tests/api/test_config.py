@@ -21,6 +21,7 @@ from repro.api import (
 )
 from repro.core import MPPBackend, SingleNodeBackend
 from repro.datasets.paper_example import paper_kb
+from repro.mpp.workers import WorkerPool
 from repro.relational import ColumnarExecutor, Database
 from repro.serve import QueryCache, ServeConfig, ServiceConfig, load_snapshot
 
@@ -43,7 +44,6 @@ class TestMPPConfig:
             {"num_segments": 0},
             {"num_workers": -1},
             {"policy": "mirrored"},
-            {"worker_timeout": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -236,6 +236,9 @@ LEGACY_SPELLINGS = {
     "ProbKB.inference_driver": (lambda: ProbKB(paper_kb()).inference_driver, AttributeError),
     "repro.infer.parallel": (lambda: importlib.import_module("repro.infer.parallel"),
                              ImportError),
+    # the MPP pool's reply timeout: MPPDatabase / MPPBackend keep the keyword
+    "MPPConfig(worker_timeout=)": (lambda: MPPConfig(worker_timeout=30.0), TypeError),
+    "WorkerPool(start_method=)": (lambda: WorkerPool(2, 1, start_method="spawn"), TypeError),
 }
 
 

@@ -94,14 +94,6 @@ class TestEncodeDecode:
         assert decoded.key == fact.key
         assert decoded.weight == fact.weight
 
-    def test_insert_new_facts_row_api(self):
-        local = RelationalKB(paper_kb(), SingleNodeBackend())
-        fact = paper_kb().facts[0]
-        key = local.encode_fact_key(fact)
-        assert local.insert_new_facts([key]) == 0  # already present
-        fresh = (key[0], key[1], key[2], key[1], key[2])  # a new combination
-        assert local.insert_new_facts([fresh, fresh]) == 1  # deduped batch
-
 
 class TestMPPLoad:
     def test_views_created_and_registered(self):

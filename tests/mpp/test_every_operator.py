@@ -1,8 +1,9 @@
 """Every plan operator is handled by every consumer of plan trees.
 
-A ``PlanNode`` subclass is implemented in seven places (two single-node
-executors, the MPP executor, motion placement, the static planner, the
-verifier, the SQL renderer).  This suite builds one minimal well-formed
+A ``PlanNode`` subclass is implemented in six places (the operator step
+the single-node and MPP executors share, the row reference executor,
+motion placement and EXPLAIN labels, the static planner, the verifier,
+the SQL renderer).  This suite builds one minimal well-formed
 instance per concrete subclass of ``relational/plan.py`` and hands it to
 each of them, so an operator cannot exist in the IR without a producer
 noticing, nor be missing from one walker.
@@ -67,9 +68,9 @@ DEFECTIVE = {
     UnionAll: lambda: UnionAll([Values(["a"], [(1,)]), Values(["b"], [(2,)])]),
 }
 
-#: nodes the walkers never ask ``place`` about: leaves have no input,
-#: and a filter runs wherever its input already is
-NEVER_PLACED = {Scan, Values, Filter}
+#: nodes the walkers never ask ``place`` about: a scan reads its table
+#: where it lies
+NEVER_PLACED = {Scan}
 
 OPERATORS = sorted(
     (

@@ -8,6 +8,7 @@ executor ran verifies clean against the independent checker
 produces the executed tree.
 """
 
+import itertools
 import random
 
 import pytest
@@ -22,7 +23,6 @@ from repro.mpp.placement import (
     BROADCAST,
     GATHER,
     Input,
-    Placement,
     place,
     redistribute,
     subset_perm,
@@ -47,6 +47,7 @@ from repro.relational import (
 )
 from repro.relational.statistics import TableDistribution
 from repro.relational.types import ExecutionError
+from repro.relational.verify import verify_plan
 
 ARBITRARY = DistDesc.arbitrary()
 REPLICATED = DistDesc.replicated()
@@ -62,6 +63,12 @@ R_COLS = ["R.x", "R.y", "R.z"]
 
 def values(columns):
     return Values(columns, [])
+
+
+def routed(plan, inputs, nseg=4):
+    """The moves and output distribution ``place`` chose."""
+    placement = place(plan, inputs, nseg)
+    return placement.moves, placement.out_dist
 
 
 def left(dist, rows=100):
@@ -129,7 +136,7 @@ def join(left_keys=("a", "b"), right_keys=("x", "y")):
     ],
 )
 def test_join_placement_by_distribution(left_in, right_in, moves, out_dist):
-    assert place(join(), [left_in, right_in], 4) == Placement(moves, out_dist)
+    assert routed(join(), [left_in, right_in]) == (moves, out_dist)
 
 
 @pytest.mark.parametrize(
@@ -161,15 +168,13 @@ def test_join_placement_by_distribution(left_in, right_in, moves, out_dist):
 )
 def test_join_fallback_is_cost_based(left_rows, right_rows, nseg, moves, out_dist):
     inputs = [left(ARBITRARY, left_rows), right(hashed("R.z"), right_rows)]
-    assert place(join(), inputs, nseg) == Placement(moves, out_dist)
+    assert routed(join(), inputs, nseg) == (moves, out_dist)
 
 
 def test_join_keys_resolve_unqualified_names():
     plan = join(left_keys=["b"], right_keys=["y"])
     inputs = [left(hashed("L.b")), right(ARBITRARY)]
-    assert place(plan, inputs, 4) == Placement(
-        (None, redistribute(["R.y"])), hashed("L.b")
-    )
+    assert routed(plan, inputs) == ((None, redistribute(["R.y"])), hashed("L.b"))
 
 
 def anti_join():
@@ -217,7 +222,7 @@ def anti_join():
     ],
 )
 def test_anti_join_placement(left_in, right_in, moves, out_dist):
-    assert place(anti_join(), [left_in, right_in], 4) == Placement(moves, out_dist)
+    assert routed(anti_join(), [left_in, right_in]) == (moves, out_dist)
 
 
 @pytest.mark.parametrize(
@@ -230,7 +235,7 @@ def test_anti_join_placement(left_in, right_in, moves, out_dist):
 )
 def test_distinct_placement(dist, moves, out_dist):
     plan = Distinct(values(L_COLS))
-    assert place(plan, [left(dist)], 4) == Placement(moves, out_dist)
+    assert routed(plan, [left(dist)]) == (moves, out_dist)
 
 
 @pytest.mark.parametrize(
@@ -250,7 +255,7 @@ def test_distinct_placement(dist, moves, out_dist):
 )
 def test_aggregate_placement(group_by, dist, moves, out_dist):
     plan = Aggregate(values(L_COLS), group_by, [("count", None, "n")])
-    assert place(plan, [left(dist)], 4) == Placement(moves, out_dist)
+    assert routed(plan, [left(dist)]) == (moves, out_dist)
 
 
 @pytest.mark.parametrize(
@@ -267,7 +272,7 @@ def test_aggregate_placement(group_by, dist, moves, out_dist):
 def test_union_never_moves_and_keeps_a_shared_distribution(dists, out_dist):
     plan = UnionAll([values(["a", "b"]) for _ in dists])
     inputs = [Input(["a", "b"], dist, 10) for dist in dists]
-    assert place(plan, inputs, 4) == Placement((None,) * len(dists), out_dist)
+    assert routed(plan, inputs) == ((None,) * len(dists), out_dist)
 
 
 @pytest.mark.parametrize(
@@ -286,12 +291,56 @@ def test_union_never_moves_and_keeps_a_shared_distribution(dists, out_dist):
 )
 def test_project_placement(outputs, dist, out_dist):
     plan = Project(values(L_COLS), outputs)
-    assert place(plan, [left(dist)], 4) == Placement((None,), out_dist)
+    assert routed(plan, [left(dist)]) == ((None,), out_dist)
+
+
+@pytest.mark.parametrize("dist", [ARBITRARY, hashed("L.a"), REPLICATED])
+def test_filter_and_values_never_move(dist):
+    plan = Filter(values(L_COLS), eq_const("a", 1))
+    assert routed(plan, [left(dist)]) == ((None,), dist)
+    assert routed(values(L_COLS), []) == ((), ARBITRARY)
 
 
 def test_placement_rejects_nodes_without_a_rule():
-    with pytest.raises(ExecutionError, match="no placement rule for Filter"):
-        place(Filter(values(L_COLS), eq_const("a", 1)), [left(ARBITRARY)], 4)
+    # a scan reads a stored table where it lies: the walkers never ask
+    with pytest.raises(ExecutionError, match="no placement rule for Scan"):
+        place(Scan("t"), [], 4)
+
+
+def unary(dist):
+    return [left(dist)]
+
+
+@pytest.mark.parametrize(
+    "plan, inputs, once",
+    [
+        # full copies in, one copy out: computed on segment 0 only
+        (join(), [left(REPLICATED), right(REPLICATED)], (True, True)),
+        (anti_join(), [left(REPLICATED), right(REPLICATED)], (True, True)),
+        # a partitioned side makes every segment's share count
+        (join(), [left(REPLICATED), right(hashed("R.x"))], (False, False)),
+        # (the replicated left is redistributed to meet the right)
+        (anti_join(), [left(REPLICATED), right(hashed("R.y"))], (False, False)),
+        # full copies in, full copies out: every segment keeps its copy
+        (Filter(values(L_COLS), eq_const("a", 1)), unary(REPLICATED), (False,)),
+        (Project(values(L_COLS), [(col("a"), "a")]), unary(REPLICATED), (False,)),
+        (Distinct(values(L_COLS)), unary(REPLICATED), (False,)),
+        # a global aggregate runs where its gathered input is
+        (Aggregate(values(L_COLS), [], [("count", None, "n")]), unary(hashed("L.a")), (True,)),
+        (Aggregate(values(L_COLS), [], [("count", None, "n")]), unary(REPLICATED), (True,)),
+        (Aggregate(values(L_COLS), ["a"], [("count", None, "n")]), unary(REPLICATED), (False,)),
+        # a replicated union child contributes its rows on segment 0 only
+        (
+            UnionAll([values(["a", "b"]), values(["a", "b"])]),
+            [Input(["a", "b"], hashed("a"), 10), Input(["a", "b"], REPLICATED, 10)],
+            (False, True),
+        ),
+        # no input: the interpreter computes it once, on segment 0
+        (values(L_COLS), [], ()),
+    ],
+)
+def test_run_once_rule(plan, inputs, once):
+    assert place(plan, inputs, 4).once == once
 
 
 def test_subset_perm_is_positions_in_hash_order():
@@ -380,6 +429,9 @@ def random_plan(rng):
     """A random plan and whether every size a join's fallback can see is
     exactly known from table statistics (joins over leaves only)."""
     exact = True
+    # a fresh name per aggregate: a stacked group-by may take an earlier
+    # count as a key, and then must not emit a second column of its name
+    counts = (f"n{i}" for i in itertools.count())
     leaves = [random_leaf(rng, table) for table in rng.sample(sorted(TABLES), 3)]
     shape = rng.choice(["leaf", "join", "join", "anti", "union", "deep"])
     if shape == "leaf":
@@ -404,7 +456,7 @@ def random_plan(rng):
             plan = Distinct(plan)
         elif step == "group":
             keys = rng.sample(columns, rng.choice([1, 2]))
-            plan = Aggregate(plan, keys, [("count", None, "n")])
+            plan = Aggregate(plan, keys, [("count", None, next(counts))])
         elif step == "rename":
             plan = rename_all(rng, plan, f"p{len(columns)}_")
         else:
@@ -412,7 +464,7 @@ def random_plan(rng):
     # at most one operator that needs all rows on one segment, on top:
     # stacking two makes the second gather a (harmless) PKB210 warning
     if rng.random() < 0.4:
-        plan = Aggregate(plan, [], [("count", None, "n")])
+        plan = Aggregate(plan, [], [("count", None, next(counts))])
     return plan, exact
 
 
@@ -428,6 +480,10 @@ def test_walkers_agree_and_executed_plans_verify_clean(seed, nseg):
     for _ in range(40):
         db = random_cluster(rng, nseg)
         plan, exact = random_plan(rng)
+        # no error (what PROBKB_VERIFY_PLANS rejects); unions of
+        # different tables and stacked dedups warn (PKB206 / PKB208)
+        logical = verify_plan(plan, tables=db.tables)
+        assert logical.ok, (plan.explain(), logical.render())
         planner = StaticPlanner(collect_mpp_statistics(db), nseg)
         static = planner.plan(plan)
         db.query(plan)

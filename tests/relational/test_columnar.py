@@ -21,9 +21,28 @@ from repro.relational.columnar import (
     predicate_mask,
     set_numpy,
 )
-from repro.relational import Database, HashJoin, Scan, operators, schema
+from repro.relational import (
+    Aggregate,
+    Database,
+    HashJoin,
+    Project,
+    Scan,
+    Values,
+    operators,
+    schema,
+)
 from repro.relational.cost import CostClock
-from repro.relational.expr import conj, eq_const
+from repro.relational.expr import (
+    Compare,
+    Expr,
+    IsNull,
+    Not,
+    Or,
+    col,
+    conj,
+    const,
+    eq_const,
+)
 
 from .rowref import run_query
 
@@ -266,3 +285,32 @@ class TestSharedOperators:
         # the operator is handed batches, not tables, outside a statement
         db.clock.rows_scanned = db.clock.queries = 0
         assert ours_clock.snapshot() == db.clock.snapshot()
+
+    def test_bound_steps_resolve_positions_and_pickle(self, no_numpy):
+        """``bind_step`` names every column by position, and the step a
+        pool worker unpickles runs exactly as the master's."""
+        left = ColumnBatch.from_rows(["l.k", "l.v"], [(1, 10), (2, None), (1, 30)])
+        right = ColumnBatch.from_rows(["r.k", "r.w"], [(1, 5), (2, 7)])
+        join = HashJoin(
+            Values(left.columns, []), Values(right.columns, []), ["k"], ["r.k"],
+            residual=Or(IsNull(col("v")), Not(Compare("<", col("w"), col("v")))),
+        )
+        group = Aggregate(
+            Values(left.columns, []), ["k"], [("sum", "v", "total")],
+            having=Compare(">", col("total"), const(15)),
+        )
+        rename = Project(Values(left.columns, []), [(col("v"), "v"), (const(0), "z")])
+        for plan, inputs in [(join, [left, right]), (group, [left]), (rename, [left])]:
+            step = operators.bind_step(plan, [batch.columns for batch in inputs])
+            exprs = [e for e in step.params.values() if isinstance(e, Expr)]
+            for expr in exprs + step.params.get("exprs", []):
+                expr.bind([])  # no name left to look up
+            ours, shipped = CostClock(), CostClock()
+            direct = step.run(inputs, ours)
+            copied = pickle.loads(pickle.dumps(step)).run(inputs, shipped)
+            assert direct.to_rows() == copied.to_rows()
+            assert direct.columns == copied.columns == step.columns
+            assert ours.snapshot() == shipped.snapshot()
+        assert operators.bind_step(join, [left.columns, right.columns]).run(
+            [left, right], CostClock()
+        ).to_rows() == [(2, None, 2, 7)]  # w < v on both k = 1 rows
