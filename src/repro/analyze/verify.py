@@ -26,10 +26,10 @@ from ..core.backends import TPI_VIEWS
 from ..core.clauses import PARTITION_INDEXES
 from ..core.model import KnowledgeBase
 from ..core.relmodel import TP_SCHEMA, mln_schema
+from ..mpp.placement import table_dist
 from ..mpp.plannodes import DistDesc
 from ..mpp.static_planner import StaticPlanner
 from ..mpp.verify import verify_physical_plan
-from ..relational.statistics import StatisticsCatalog, TableDistribution
 from ..relational.types import ExecutionError
 from ..relational.verify import VerificationReport, verify_plan
 from .findings import Finding
@@ -48,21 +48,6 @@ def grounding_schemas() -> Dict[str, object]:
     for partition in PARTITION_INDEXES:
         schemas[f"M{partition}"] = mln_schema(partition)
     return schemas
-
-
-def _catalog_dists(catalog: StatisticsCatalog) -> Dict[str, DistDesc]:
-    """Translate the statistics catalog's table distributions for the
-    physical verifier (``TableDistribution`` -> ``DistDesc``)."""
-    dists: Dict[str, DistDesc] = {}
-    for name in catalog.table_names:
-        dist: TableDistribution = catalog.distribution(name)
-        if dist.kind == "hash" and dist.columns:
-            dists[name] = DistDesc.hash_on(dist.columns)
-        elif dist.kind == "replicated":
-            dists[name] = DistDesc.replicated()
-        else:
-            dists[name] = DistDesc.arbitrary()
-    return dists
 
 
 def verify_partition_plans(
@@ -87,7 +72,10 @@ def verify_partition_plans(
     if mpp:
         catalog = kb_statistics(kb, env)
         planner = StaticPlanner(catalog, env.effective_segments)
-        table_dists = _catalog_dists(catalog)
+        table_dists = {
+            name: table_dist(catalog.distribution(name))
+            for name in catalog.table_names
+        }
     for name, _partition, plan in plans:
         reports.append(verify_plan(plan, tables=schemas, name=name))
         if planner is not None:

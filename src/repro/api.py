@@ -42,12 +42,6 @@ from .core.grounding import GroundingResult, IterationStats
 from .core.model import Fact
 from .core.probkb import ProbKB
 from .core.results import ConstraintResult, InferenceResult
-from .infer.registry import (
-    InferenceEngine,
-    build_engine,
-    register_engine,
-    registered_engines,
-)
 from .relational.verify import VerificationReport
 
 __all__ = [
@@ -59,15 +53,11 @@ __all__ = [
     "GroundingConfig",
     "GroundingResult",
     "InferenceConfig",
-    "InferenceEngine",
     "InferenceResult",
     "IterationStats",
     "MPPConfig",
     "VerificationReport",
     "build_backend",
-    "build_engine",
-    "register_engine",
-    "registered_engines",
 ]
 
 

@@ -32,6 +32,7 @@ from .core import (
     MPPConfig,
     ProbKB,
 )
+from .core.config import INFERENCE_ENGINES
 from .datasets import (
     ReVerbSherlockConfig,
     WorldConfig,
@@ -113,8 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_arguments(infer_cmd)
     infer_cmd.add_argument(
         "--engine",
+        choices=INFERENCE_ENGINES,
         default="gibbs",
-        help="inference engine (see repro.infer.registry)",
+        help="marginal-inference engine (default: gibbs)",
     )
     infer_cmd.add_argument("--sweeps", type=int, default=500)
     infer_cmd.add_argument("--top", type=int, default=20)

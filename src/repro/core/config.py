@@ -103,15 +103,19 @@ class GroundingConfig:
             )
 
 
+#: Marginal-inference engines: ``"gibbs"`` samples componentwise
+#: (:mod:`repro.infer.components`), ``"bp"`` runs loopy belief
+#: propagation over the whole graph (:mod:`repro.infer.bp`).
+INFERENCE_ENGINES = ("bp", "gibbs")
+
+
 @dataclass(frozen=True)
 class InferenceConfig:
     """How marginal inference runs over the ground factor graph.
 
-    ``engine`` names a factory in :mod:`repro.infer.registry` (built-ins:
-    ``"gibbs"``, ``"bp"``); unknown names raise a :class:`ValueError`
-    listing what is registered.  The gibbs engine samples every component
-    in one in-process pass (:mod:`repro.infer.components`), so there are
-    no workers to size.
+    ``engine`` is one of :data:`INFERENCE_ENGINES`.  The gibbs engine
+    samples every component in one in-process pass, so there are no
+    workers to size; ``sweeps`` and ``seed`` are its tuning.
     """
 
     engine: str = "gibbs"
@@ -119,12 +123,10 @@ class InferenceConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        from ..infer.registry import registered_engines
-
-        if self.engine not in registered_engines():
+        if self.engine not in INFERENCE_ENGINES:
             raise ValueError(
                 f"unknown inference engine {self.engine!r} "
-                f"(registered: {', '.join(registered_engines())})"
+                f"(use one of {INFERENCE_ENGINES})"
             )
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")

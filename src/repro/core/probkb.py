@@ -18,9 +18,11 @@ import time
 import warnings
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
-from ..infer import FactorGraph
-from ..infer.registry import InferenceEngine, build_engine
+from ..infer.bp import bp_marginals
+from ..infer.components import ComponentSnapshot, all_snapshots, sample_components
+from ..infer.factor_graph import FactorGraph
 from ..relational import Scan, to_sql
+from ..relational.columnar import get_numpy
 from ..relational.expr import IsNull, col
 from ..relational.plan import Filter
 from ..relational.types import Row
@@ -84,8 +86,8 @@ class ProbKB:
             semi_naive=self.grounding_config.semi_naive,
         )
         self.grounding: Optional[GroundingResult] = None
-        #: live engines keyed by engine name, reused across infer() calls
-        self._engines: Dict[str, InferenceEngine] = {}
+        #: what the last inference run reported, keyed by engine name
+        self._last_inference: Dict[str, Dict[str, Any]] = {}
         #: monotone counter, bumped every time stored state mutates
         self.generation = 0
 
@@ -131,9 +133,6 @@ class ProbKB:
 
     def close(self) -> None:
         """Release backend resources (worker pools); idempotent."""
-        engines, self._engines = self._engines, {}
-        for engine in engines.values():
-            engine.close()
         self.backend.close()
 
     def __enter__(self: _Self) -> _Self:
@@ -291,10 +290,12 @@ class ProbKB:
         and factor-graph size.
         """
         config = config or self.inference_config
-        engine = self.inference_engine(config)
         rows = self.factor_rows()
         started = time.perf_counter()
-        marginals = engine.marginals(rows, config)
+        if config.engine == "gibbs":
+            marginals = self.sample_snapshots(all_snapshots(rows), config)
+        else:
+            marginals = self._bp_marginals(rows)
         elapsed = time.perf_counter() - started
         by_id = self._facts_by_id()
         resolved = {
@@ -312,34 +313,61 @@ class ProbKB:
             num_factors=len(rows),
         )
 
-    def inference_engine(
-        self, config: Optional[InferenceConfig] = None
-    ) -> InferenceEngine:
-        """The live engine for ``config`` (default: the session's).
-
-        Engines are cached per engine name, so ``inference_info()``
-        describes the last call whichever path made it, and closed with
-        the ProbKB.
-        """
+    def sample_snapshots(
+        self,
+        snapshots: Sequence[ComponentSnapshot],
+        config: Optional[InferenceConfig] = None,
+    ) -> Dict[int, float]:
+        """Gibbs marginals of a batch of component snapshots, keyed by
+        fact id.  :meth:`infer` and the delta path both sample here, so
+        :meth:`inference_info` describes whichever ran last."""
         config = config or self.inference_config
-        engine = self._engines.get(config.engine)
-        if engine is None:
-            engine = build_engine(config)
-            self._engines[config.engine] = engine
-        return engine
+        started = time.perf_counter()
+        sample = sample_components(snapshots, config.sweeps, config.seed)
+        self._last_inference["gibbs"] = {
+            "kernel": sample.kernel,
+            "components": sample.components,
+            "colors": sample.colors,
+            "wall_seconds": time.perf_counter() - started,
+        }
+        return sample.marginals
+
+    def _bp_marginals(self, rows: Sequence[Row]) -> Dict[int, float]:
+        """Loopy BP over the whole factor graph; warns once when it stops
+        unconverged."""
+        started = time.perf_counter()
+        result = bp_marginals(FactorGraph.from_factor_rows(rows))
+        self._last_inference["bp"] = {
+            "iterations": result.iterations,
+            "converged": result.converged,
+            "wall_seconds": time.perf_counter() - started,
+        }
+        if not result.converged:
+            warnings.warn(
+                f"belief propagation did not converge in {result.iterations} "
+                f"iterations (final residual {result.max_residual:.3g}); "
+                "marginals are approximate",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        return result.marginals
 
     def inference_info(
         self, config: Optional[InferenceConfig] = None
     ) -> Dict[str, Any]:
         """Engine introspection (engine, kernel, components, colours and
-        wall clock of the last call) — the inference counterpart of
-        ``executor_info()``."""
+        wall clock of the engine's last run, from :meth:`infer` or a
+        delta flush) — the inference counterpart of ``executor_info()``."""
         config = config or self.inference_config
-        return {
+        info: Dict[str, Any] = {
             "sweeps": config.sweeps,
             "seed": config.seed,
-            **self.inference_engine(config).info(),
+            "engine": config.engine,
         }
+        if config.engine == "gibbs":
+            info["kernel"] = "numpy" if get_numpy() is not None else "python"
+        info.update(self._last_inference.get(config.engine, {}))
+        return info
 
     # -- results ----------------------------------------------------------------------
 

@@ -17,7 +17,7 @@ Because each component's marginals depend only on its own members,
 factors, and seed (see :mod:`repro.infer.components`), the spliced
 result is bit-identical to re-sampling the whole factor graph
 componentwise from scratch.  The delta path is Gibbs-only: constructing
-an expander over any other engine raises ``ValueError``.
+an expander for any other engine raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, TYPE_CHECKING
 from ..core.config import InferenceConfig
 from ..core.relmodel import store_marginals
 from ..infer.components import ComponentIndex, ComponentSnapshot
-from ..infer.registry import GibbsEngine
 from ..relational.types import Row
 from .grounding import DeltaGrounder, DeltaGroundingResult
 
@@ -86,16 +85,12 @@ class DeltaExpander:
     ) -> None:
         self.probkb = probkb
         self.inference = inference or probkb.inference_config
-        #: the session's gibbs engine, so ``inference_info()`` reports
-        #: the flushes' sampling too
-        engine = probkb.inference_engine(self.inference)
-        if not isinstance(engine, GibbsEngine):
+        if self.inference.engine != "gibbs":
             raise ValueError(
                 "delta expansion re-samples components with the 'gibbs' "
                 f"engine only, got engine {self.inference.engine!r}; use "
                 "InferenceConfig(engine='gibbs') or full expansion"
             )
-        self.engine = engine
         self.grounder = DeltaGrounder(probkb)
         self.index = ComponentIndex()
         self.marginals: Dict[int, float] = {}
@@ -118,7 +113,7 @@ class DeltaExpander:
         if self.probkb.grounding is None:
             self.probkb.ground()
         snapshots = self._reindex(self.probkb.factor_rows())
-        self.marginals = dict(self._sample(snapshots))
+        self.marginals = self.probkb.sample_snapshots(snapshots, self.inference)
         store_marginals(self.probkb.backend, sorted(self.marginals.items()))
         self.probkb.generation += 1
         self._primed = True
@@ -170,9 +165,6 @@ class DeltaExpander:
         }
         return self.index.snapshots(self.index.roots())
 
-    def _sample(self, snapshots: Sequence[ComponentSnapshot]) -> Dict[int, float]:
-        return self.engine.sample(snapshots, self.inference)
-
     def _relation_names(
         self, snapshots: Sequence[ComponentSnapshot], grounding: DeltaGroundingResult
     ) -> FrozenSet[str]:
@@ -189,9 +181,10 @@ class DeltaExpander:
         return frozenset(relations.name(rid) for rid in relation_ids)
 
     def infer(self, pending: PendingDelta) -> Dict[int, float]:
-        """Phase B (no lock): re-sample the snapshot components.  Pure —
-        reads only the snapshots, so readers may query meanwhile."""
-        return self._sample(pending.snapshots)
+        """Phase B (no lock): re-sample the snapshot components.  Reads
+        only the snapshots, so readers may query meanwhile; the session
+        records the batch for ``inference_info()``."""
+        return self.probkb.sample_snapshots(pending.snapshots, self.inference)
 
     def commit(self, pending: PendingDelta, refreshed: Dict[int, float]) -> None:
         """Phase C (write lock): splice the refreshed marginals in."""

@@ -24,12 +24,6 @@ from .gibbs import (
     gibbs_with_diagnostics,
 )
 from .map_inference import MAPResult, annealed_map, icm_map
-from .registry import (
-    InferenceEngine,
-    build_engine,
-    register_engine,
-    registered_engines,
-)
 
 __all__ = [
     "BPResult",
@@ -39,12 +33,10 @@ __all__ = [
     "ComponentSample",
     "FactorGraph",
     "GibbsResult",
-    "InferenceEngine",
     "MAPResult",
     "GibbsSampler",
     "bp_marginals",
     "build_component_graph",
-    "build_engine",
     "component_seed",
     "componentwise_marginals",
     "exact_map",
@@ -53,7 +45,5 @@ __all__ = [
     "gibbs_marginals",
     "gibbs_with_diagnostics",
     "icm_map",
-    "register_engine",
-    "registered_engines",
     "sample_components",
 ]

@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 from ..relational.columnar import get_numpy
 from ..relational.types import Row
 from .factor_graph import FactorGraph
-from .gibbs import GibbsResult, GibbsSampler, block_marginals
+from .gibbs import GibbsSampler, block_marginals
 
 _MASK = (1 << 64) - 1
 
@@ -201,16 +201,6 @@ def component_sampler(
     members = sorted(member_ids)
     graph = build_component_graph(members, rows)
     return GibbsSampler(graph, seed=component_seed(seed, members[0]))
-
-
-def sample_component(
-    member_ids: Iterable[int],
-    rows: Iterable[Row],
-    num_sweeps: int,
-    seed: int,
-) -> GibbsResult:
-    """One component on the scalar kernel."""
-    return component_sampler(member_ids, rows, seed).run_stream(num_sweeps=num_sweeps)
 
 
 @dataclass

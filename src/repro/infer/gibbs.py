@@ -119,9 +119,6 @@ class GibbsResult:
     num_sweeps: int
     num_colors: int
 
-    def probability(self, external_id: int) -> float:
-        return self.marginals[external_id]
-
 
 class GibbsSampler:
     """Single-site Gibbs with chromatic scheduling."""

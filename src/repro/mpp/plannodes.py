@@ -110,17 +110,3 @@ class DistDesc:
     @staticmethod
     def arbitrary() -> "DistDesc":
         return DistDesc("arbitrary")
-
-    def matches_keys(self, keys: Sequence[str]) -> Optional[Tuple[int, ...]]:
-        """If this is a hash distribution on a permutation of ``keys``,
-        return that permutation (indices into ``keys``); else None.
-
-        Two results are collocated for a join when both are hashed on the
-        join keys *in the same order*, so the permutation matters.
-        """
-        if self.kind != "hash" or self.columns is None:
-            return None
-        if len(self.columns) != len(keys) or set(self.columns) != set(keys):
-            return None
-        key_list = list(keys)
-        return tuple(key_list.index(c) for c in self.columns)

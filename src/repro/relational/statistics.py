@@ -12,10 +12,9 @@ module provides the same three ingredients for the static plan estimator
   MPP distribution (:class:`TableDistribution`), the static analogue of
   Greenplum's ``gp_distribution_policy`` catalog.
 
-Statistics can be collected from raw rows (:func:`table_stats`), from a
-single-node :class:`~repro.relational.database.Database`
-(:func:`collect_database_statistics`), or synthesized directly from a
-knowledge base before any table exists (:mod:`repro.analyze.plans`).
+Statistics can be collected from raw rows (:func:`table_stats`) or
+synthesized directly from a knowledge base before any table exists
+(:mod:`repro.analyze.plans`).
 """
 
 from __future__ import annotations
@@ -147,23 +146,3 @@ class StatisticsCatalog:
             return self._distributions[name]
         except KeyError:
             raise ExecutionError(f"no distribution for table {name!r}") from None
-
-
-def collect_database_statistics(
-    db: object,
-    table_names: Optional[Iterable[str]] = None,
-) -> StatisticsCatalog:
-    """ANALYZE a single-node :class:`~repro.relational.database.Database`.
-
-    The MPP equivalent (which also records distributions) lives in
-    :func:`repro.mpp.static_planner.collect_mpp_statistics`.
-    """
-    tables: Mapping[str, object] = getattr(db, "tables")
-    catalog = StatisticsCatalog(num_segments=1)
-    names = list(table_names) if table_names is not None else list(tables)
-    for name in names:
-        table = tables[name]
-        table_schema = getattr(table, "schema")
-        rows: Sequence[Row] = getattr(table, "rows")
-        catalog.add(name, table_stats(table_schema.column_names, rows))
-    return catalog

@@ -201,18 +201,21 @@ class IngestWorker:
         self._stop = threading.Event()
         self._idle = threading.Event()
         self._idle.set()
+        self._thread: Optional[threading.Thread] = None
+
+    def start(self) -> None:
+        """Start a fresh worker thread; a stopped worker can start again."""
+        self._stop.clear()
         self._thread = threading.Thread(
             target=self._run, name="probkb-ingest", daemon=True
         )
-
-    def start(self) -> None:
         self._thread.start()
 
     def stop(self, drain: bool = True) -> None:
         """Stop the worker; with ``drain`` flush whatever is still queued."""
         self._stop.set()
         self.queue.wake()
-        if self._thread.is_alive():
+        if self._thread is not None and self._thread.is_alive():
             self._thread.join()
         if drain:
             self.flush()

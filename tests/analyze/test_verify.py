@@ -16,9 +16,9 @@ from repro.analyze import (
     partition_plans,
     verify_partition_plans,
 )
-from repro.analyze.verify import _catalog_dists
 from repro.core.model import KnowledgeBase
 from repro.datasets import paper_kb
+from repro.mpp.placement import table_dist
 from repro.mpp.plannodes import DistDesc
 from repro.relational.statistics import StatisticsCatalog, TableDistribution, table_stats
 
@@ -119,7 +119,7 @@ def test_catalog_dists_translate_every_kind():
     catalog.add("H", stats, TableDistribution.hash_on(["a"]))
     catalog.add("R", stats, TableDistribution.replicated())
     catalog.add("X", stats, TableDistribution.random())
-    dists = _catalog_dists(catalog)
+    dists = {name: table_dist(catalog.distribution(name)) for name in "HRX"}
     assert dists["H"] == DistDesc.hash_on(["a"])
     assert dists["R"] == DistDesc.replicated()
     assert dists["X"] == DistDesc.arbitrary()

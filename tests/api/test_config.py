@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import repro.api
 import repro.core
 import repro.relational
 import repro.serve
@@ -74,7 +75,7 @@ class TestBackendConfig:
 
 class TestInferenceConfig:
     def test_unknown_engine_lists_registered(self):
-        with pytest.raises(ValueError, match="registered: .*gibbs"):
+        with pytest.raises(ValueError, match="use one of .*'bp'.*'gibbs'"):
             InferenceConfig(engine="oracle")
 
     def test_defaults(self):
@@ -239,6 +240,14 @@ LEGACY_SPELLINGS = {
     # the MPP pool's reply timeout: MPPDatabase / MPPBackend keep the keyword
     "MPPConfig(worker_timeout=)": (lambda: MPPConfig(worker_timeout=30.0), TypeError),
     "WorkerPool(start_method=)": (lambda: WorkerPool(2, 1, start_method="spawn"), TypeError),
+    # the engine plugin layer: ProbKB calls the gibbs and bp kernels itself
+    "repro.infer.registry": (lambda: importlib.import_module("repro.infer.registry"),
+                             ImportError),
+    "register_engine": (lambda: repro.api.register_engine, AttributeError),
+    "registered_engines": (lambda: repro.api.registered_engines, AttributeError),
+    "build_engine": (lambda: repro.api.build_engine, AttributeError),
+    "InferenceEngine": (lambda: repro.api.InferenceEngine, AttributeError),
+    "ProbKB.inference_engine": (lambda: ProbKB(paper_kb()).inference_engine, AttributeError),
 }
 
 

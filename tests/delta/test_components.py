@@ -8,7 +8,7 @@ from repro.infer import (
     component_seed,
     componentwise_marginals,
 )
-from repro.infer.components import sample_component
+from repro.infer.components import component_sampler
 
 
 class TestComponentIndex:
@@ -101,9 +101,9 @@ class TestDeterminism:
         rows = [(1, 0, None, 1.2), (2, 1, None, 0.7), (0, None, None, 0.9)]
         shuffled = list(rows)
         random.Random(7).shuffle(shuffled)
-        assert sample_component([0, 1, 2], rows, 50, seed=3) == sample_component(
-            [2, 0, 1], shuffled, 50, seed=3
-        )
+        assert component_sampler([0, 1, 2], rows, seed=3).run_stream(
+            50
+        ) == component_sampler([2, 0, 1], shuffled, seed=3).run_stream(50)
 
     def test_componentwise_marginals_ignore_component_order(self):
         rows = [

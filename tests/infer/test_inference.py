@@ -7,6 +7,8 @@ import warnings
 
 import pytest
 
+from repro import InferenceConfig, ProbKB
+from repro.datasets import paper_kb
 from repro.infer import (
     FactorGraph,
     GibbsSampler,
@@ -15,7 +17,6 @@ from repro.infer import (
     exact_marginals,
     gibbs_marginals,
 )
-from repro.infer.registry import build_engine
 
 
 def single_fact_graph(weight=1.0):
@@ -101,36 +102,52 @@ def test_bp_close_on_loopy_graph():
         assert result.marginals[var] == pytest.approx(p, abs=0.08)
 
 
-def frustrated_triangle_rows():
+def frustrated_triangle_rows(a, b, c):
     """Three facts that each want to be true (+5) but penalise every
     pair being true together (-10 per direction): damped loopy BP
     oscillates on this loop instead of converging."""
-    pairs = [(1, 2), (2, 3), (3, 1)]
-    rows = [(a, b, None, -10.0) for x, y in pairs for a, b in ((x, y), (y, x))]
-    return rows + [(var, None, None, 5.0) for var in (1, 2, 3)]
+    pairs = [(a, b), (b, c), (c, a)]
+    rows = [(x, y, None, -10.0) for p, q in pairs for x, y in ((p, q), (q, p))]
+    return rows + [(var, None, None, 5.0) for var in (a, b, c)]
+
+
+BP = InferenceConfig(engine="bp")
+
+
+def system_with_factors(make_rows):
+    """The grounded paper KB, its ``infer`` handed the factor table
+    ``make_rows`` builds over the KB's first three fact ids."""
+    system = ProbKB(paper_kb(), inference=BP)
+    system.ground()
+    ids = sorted(row[0] for row in system.backend.project("TP", ("I",)))[:3]
+    rows = make_rows(*ids)
+    system.factor_rows = lambda: rows
+    return system, rows
 
 
 def test_bp_engine_warns_when_it_does_not_converge():
-    rows = frustrated_triangle_rows()
+    system, rows = system_with_factors(frustrated_triangle_rows)
     reference = bp_marginals(FactorGraph.from_factor_rows(rows))
     assert not reference.converged
-    engine = build_engine("bp")
     with pytest.warns(RuntimeWarning) as caught:
-        marginals = engine.marginals(rows, engine.config)
+        marginals = system.infer()
     assert len(caught) == 1
     message = str(caught[0].message)
     assert "did not converge in 100 iterations" in message
     assert f"final residual {reference.max_residual:.3g}" in message
-    assert set(marginals) == {1, 2, 3}
-    assert engine.info()["converged"] is False
+    assert len(marginals) == 3
+    assert system.inference_info()["converged"] is False
 
 
 def test_bp_engine_is_silent_when_it_converges():
-    engine = build_engine("bp")
+    system, _ = system_with_factors(
+        lambda a, b, c: [(a, None, None, 0.8), (b, a, None, 1.2)]
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        engine.marginals([(1, None, None, 0.8), (2, 1, None, 1.2)], engine.config)
-    assert engine.info()["converged"] is True
+        marginals = system.infer()
+    assert len(marginals) == 2
+    assert system.inference_info()["converged"] is True
 
 
 def test_chromatic_coloring_is_valid():

@@ -130,6 +130,27 @@ class TestIngest:
         assert service.generation > generation  # flush still versioned
 
 
+def _ingest_threads():
+    return {t for t in threading.enumerate() if t.name == "probkb-ingest"}
+
+
+class TestLifecycle:
+    def test_stopped_service_starts_again(self):
+        system = ProbKB(expandable_kb(), backend="single")
+        system.ground()
+        service = KBService(system)
+        before = _ingest_threads()
+        with service:
+            assert _ingest_threads() - before
+        assert not _ingest_threads() - before
+        with service:
+            assert _ingest_threads() - before
+            service.ingest(TestIngest.BATCH, flush=True)
+            facts = service.query(subject="Saul Bellow", relation="born_in").facts
+            assert [fact.object for fact, _ in facts] == ["Brooklyn"]
+        assert not _ingest_threads() - before
+
+
 class TestMaterializeAndStats:
     def test_materialize_scores_fresh_facts(self, service):
         service.ingest(TestIngest.BATCH, flush=True)

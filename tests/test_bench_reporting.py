@@ -86,12 +86,6 @@ class TestPhysicalNode:
 
 
 class TestDistDesc:
-    def test_matches_keys_permutation(self):
-        dist = DistDesc.hash_on(["b", "a"])
-        assert dist.matches_keys(["a", "b"]) == (1, 0)
-        assert dist.matches_keys(["a", "c"]) is None
-        assert DistDesc.replicated().matches_keys(["a"]) is None
-
     def test_factories(self):
         assert DistDesc.arbitrary().kind == "arbitrary"
         assert DistDesc.hash_on(("x",)).columns == ("x",)

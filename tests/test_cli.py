@@ -1,5 +1,7 @@
 """CLI tests: every subcommand end to end over a temp KB directory."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -66,13 +68,32 @@ def test_ground_mpp_semi_naive(kb_dir, capsys):
     assert code == 0
 
 
-def test_infer(kb_dir, capsys):
+@pytest.mark.parametrize(
+    "engine, summary",
+    [
+        ("gibbs", r"engine=gibbs kernel=(numpy|python) components=\d+ colors=\d+ "),
+        ("bp", r"engine=bp kernel=- components=- colors=- "),
+    ],
+    ids=["gibbs", "bp"],
+)
+def test_infer(kb_dir, capsys, engine, summary):
     code = main(
-        ["infer", "--kb", kb_dir, "--iterations", "3", "--sweeps", "60", "--top", "5"]
+        [
+            "infer", "--kb", kb_dir, "--iterations", "3", "--sweeps", "60",
+            "--top", "5", "--engine", engine,
+        ]
     )
     assert code == 0
     out = capsys.readouterr().out
+    assert re.match(summary + r"wall=\d+\.\d{3}s$", out.splitlines()[0])
     assert "inferred facts" in out and "P=" in out
+
+
+def test_infer_rejects_an_unknown_engine(kb_dir, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["infer", "--kb", kb_dir, "--engine", "nope"])
+    assert exited.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
 
 
 def test_evaluate(capsys):
