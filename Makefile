@@ -49,17 +49,16 @@ bench-e2e-compare:
 loc:
 	@find src/repro -name '*.py' | xargs cat | grep -v '^\s*$$' | grep -v '^\s*#' | wc -l
 
-# Static checks: ruff (style/imports) + mypy (strict on repro.analyze,
-# repro.core, repro.quality, repro.serve — see pyproject.toml).  Each
-# tool is skipped
-# with a notice when not installed, so `make lint` is safe in minimal
-# environments; CI installs both and runs them for real.
 # Concurrency & determinism linter over the repo's own source
 # (RC001-009, see docs/devtools.md).  Pure stdlib: runs everywhere,
 # fails on ANY finding.
 lint-conc:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli devtools lint src/repro
 
+# Static checks: ruff (style/imports) + mypy (strict on repro.analyze,
+# repro.core, repro.quality, repro.serve — see pyproject.toml).  Each
+# tool is skipped with a notice when not installed, so `make lint` is
+# safe in minimal environments; CI installs both and runs them for real.
 lint: lint-conc
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks; \

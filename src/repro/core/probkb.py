@@ -14,6 +14,7 @@ quality control, and marginal inference:
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
@@ -23,8 +24,8 @@ from ..infer.components import ComponentSnapshot, all_snapshots, sample_componen
 from ..infer.factor_graph import FactorGraph
 from ..relational import Scan, to_sql
 from ..relational.columnar import get_numpy
-from ..relational.expr import IsNull, col
-from ..relational.plan import Filter
+from ..relational.expr import IsNull, col, conj, eq_const
+from ..relational.plan import Filter, HashJoin, PlanNode, Project
 from ..relational.types import Row
 from .backends import Backend
 from .clauses import HornClause
@@ -437,12 +438,16 @@ class ProbKB:
     ) -> List[Tuple[Fact, Optional[float]]]:
         """Query the expanded KB by pattern, with stored probabilities.
 
-        Filters run as relational plans inside the backend.  Facts
-        without a materialized marginal (or before materialization)
-        carry probability None and pass any threshold of 0.
+        Filters run as relational plans inside the backend: one statement
+        fetches the matched TΠ rows, a second joins them with TProb for
+        their probabilities (collocated on MPP: both tables are hashed on
+        ``I``), so only the matched facts' marginals leave the engine.
+        Facts without a materialized marginal (or before
+        materialization) carry probability None and pass any threshold
+        of 0.
         """
-        from ..relational.expr import conj, eq_const
-
+        if math.isnan(min_probability):
+            raise ValueError("min_probability must be a number, got nan")
         predicates = []
         if relation is not None:
             relation_id = self.rkb.relations.lookup(relation)
@@ -460,14 +465,16 @@ class ProbKB:
                 return []
             predicates.append(eq_const("T.y", object_id))
 
-        plan: "Scan" = Scan("TP", "T")
+        plan: PlanNode = Scan("TP", "T")
         if predicates:
             plan = Filter(plan, conj(*predicates))
         rows = self.backend.query(plan).rows
 
         probabilities: Dict[int, float] = {}
-        if self.backend.has_table("TProb"):
-            probabilities = dict(self.backend.query(Scan("TProb")).rows)
+        if rows and self.backend.has_table("TProb"):
+            joined = HashJoin(plan, Scan("TProb", "P"), ["T.I"], ["P.I"])
+            matched = Project(joined, [(col("T.I"), "I"), (col("P.p"), "p")])
+            probabilities = dict(self.backend.query(matched).rows)
 
         results: List[Tuple[Fact, Optional[float]]] = []
         for row in rows:

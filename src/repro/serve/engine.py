@@ -11,6 +11,7 @@ under, which is what the torn-read assertions in the concurrency tests
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from contextlib import contextmanager
@@ -206,6 +207,9 @@ class KBService:
         min_probability: float = 0.0,
     ) -> QueryResult:
         """Pattern-query the expanded KB, through the generation cache."""
+        if math.isnan(min_probability):
+            # nan != nan: every such key would miss and crowd the cache
+            raise ValueError("min_probability must be a number, got nan")
         started = time.perf_counter()
         key = (relation, subject, object, min_probability)
         hit, cached = self.cache.get(key)

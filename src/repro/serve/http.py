@@ -425,9 +425,9 @@ class KBRequestHandler(BaseHTTPRequestHandler):
             try:
                 min_probability = float(raw)
             except ValueError:
-                raise BadRequest(
-                    f"min_probability must be a number, got {raw!r}"
-                ) from None
+                min_probability = math.nan
+            if math.isnan(min_probability):
+                raise BadRequest(f"min_probability must be a number, got {raw!r}")
         unknown = set(params) - {
             "relation", "subject", "object", "min_probability"
         }

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Tuple, TypeVar, Union
+from typing import Any, Dict, Tuple, TypeVar, Union
 
 from ..core.backends import Backend
 from ..core.config import BackendConfig
@@ -104,9 +104,14 @@ def save_snapshot(probkb: ProbKB, path: str) -> str:
 def read_snapshot(path: str) -> Tuple[KnowledgeBase, dict]:
     """Parse and check a snapshot file: the KB it stores (the expanded
     fact set is its fact list — the closure is already in it) and the
-    raw payload for :func:`restore_snapshot`."""
+    raw payload for :func:`restore_snapshot`.  A malformed file raises
+    ``ValueError`` naming the path and the field or row that is wrong."""
     with open(path) as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"{path!r}: a snapshot is a JSON object, got {type(payload).__name__}"
+        )
     if payload.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"{path!r} is not a {SNAPSHOT_FORMAT} file")
     if payload.get("version") != SNAPSHOT_VERSION:
@@ -114,22 +119,41 @@ def read_snapshot(path: str) -> Tuple[KnowledgeBase, dict]:
             f"snapshot version {payload.get('version')!r} not supported "
             f"(expected {SNAPSHOT_VERSION})"
         )
+    classes = _field(path, payload, "classes", kind=dict)
     kb = KnowledgeBase(
-        classes={name: set(members) for name, members in payload["classes"].items()},
-        relations=[Relation(*triple) for triple in payload["relations"]],
-        facts=[
-            Fact(relation, subject, subject_class, obj, object_class, weight)
-            for relation, subject, subject_class, obj, object_class, weight
-            in payload["facts"]
-        ],
-        rules=[_parse_rule_line(line) for line in payload["rules"]],
+        classes={name: set(members) for name, members in classes.items()},
+        relations=[Relation(*row) for row in _field(path, payload, "relations", 3)],
+        facts=[Fact(*row) for row in _field(path, payload, "facts", 6)],
+        rules=[_parse_rule_line(line) for line in _field(path, payload, "rules")],
         constraints=[
             FunctionalConstraint(relation, arg=arg, degree=degree)
-            for relation, arg, degree in payload["constraints"]
+            for relation, arg, degree in _field(path, payload, "constraints", 3)
         ],
         validate=False,
     )
+    _field(path, payload, "marginals", 6)
     return kb, payload
+
+
+def _field(
+    path: str, payload: dict, name: str, width: int = 0, kind: type = list
+) -> Any:
+    """The snapshot's ``name`` field, a ``kind`` (JSON array or object);
+    with ``width``, a list of rows of ``width`` values each."""
+    if name not in payload:
+        raise ValueError(f"{path!r}: snapshot field {name!r} is missing")
+    rows = payload[name]
+    if not isinstance(rows, kind):
+        raise ValueError(
+            f"{path!r}: snapshot field {name!r} must be a {kind.__name__}, "
+            f"got {type(rows).__name__}"
+        )
+    for index, row in enumerate(rows if width else ()):
+        if not isinstance(row, list) or len(row) != width:
+            raise ValueError(
+                f"{path!r}: {name}[{index}] must be a list of {width} values, got {row!r}"
+            )
+    return rows
 
 
 def restore_snapshot(probkb: _P, payload: dict) -> _P:

@@ -1,8 +1,11 @@
 """Materialized marginals and the query-time interface."""
 
+import itertools
+
 import pytest
 
-from repro import Fact, InferenceConfig, ProbKB
+from repro import Fact, InferenceConfig, KnowledgeBase, ProbKB, Relation
+from repro.core import MPPBackend
 
 from .paper_example import paper_kb
 
@@ -78,6 +81,12 @@ def test_threshold_with_materialized_probabilities(system):
     assert system.query_facts(min_probability=1.01) == []
 
 
+def test_nan_threshold_rejected(system):
+    # p < nan is always false: nan would silently mean "no threshold"
+    with pytest.raises(ValueError, match="min_probability"):
+        system.query_facts(min_probability=float("nan"))
+
+
 def expandable_system():
     kb = paper_kb()
     kb.classes["Writer"].update({"Saul Bellow", "Grace Paley"})
@@ -135,6 +144,122 @@ class TestAddEvidenceTwice:
         # for both evidence facts (weights 0.88 and 0.93)
         weights = {row[3] for row in system.factor_rows()}
         assert {0.88, 0.93} <= weights
+
+
+TP_COLUMNS = ("I", "R", "x", "C1", "y", "C2", "w")
+MASKS = list(itertools.product((False, True), repeat=3))
+
+
+def brute_force(probkb, pattern, min_probability):
+    """``query_facts`` by hand: every stored TΠ row in stored order, its
+    TProb probability (None when unscored), the pattern and threshold
+    checked in Python."""
+    probabilities = {}
+    if probkb.backend.has_table("TProb"):
+        probabilities = dict(probkb.backend.project("TProb", ("I", "p")))
+    expected = []
+    for row in probkb.backend.project("TP", TP_COLUMNS):
+        fact = probkb.rkb.decode_fact(row)
+        if any(getattr(fact, name) != value for name, value in pattern.items()):
+            continue
+        probability = probabilities.get(row[0])
+        if probability is None:
+            if min_probability > 0.0:
+                continue
+        elif probability < min_probability:
+            continue
+        expected.append((fact, probability))
+    return expected
+
+
+def oracle_patterns(probkb):
+    """Every bound/unbound combination of (relation, subject, object),
+    bound to the values of every stored fact."""
+    facts = probkb.all_facts()
+    patterns = []
+    for mask in MASKS:
+        names = [n for n, bound in zip(("relation", "subject", "object"), mask) if bound]
+        values = sorted({tuple(getattr(f, n) for n in names) for f in facts})
+        patterns += [dict(zip(names, v)) for v in values]
+    return patterns
+
+
+def oracle_system(backend, stage):
+    kb = paper_kb()
+    kb.classes["Writer"].add("Saul Bellow")
+    probkb = ProbKB(kb, backend=MPPBackend(nseg=3) if backend == "mpp" else "single")
+    probkb.ground()
+    if stage != "grounded":
+        probkb.materialize_marginals(config=InferenceConfig(sweeps=50, seed=0))
+    if stage == "evidence":
+        probkb.add_evidence(
+            [Fact("born_in", "Saul Bellow", "Writer", "Brooklyn", "Place", 0.88)]
+        )
+    return probkb
+
+
+@pytest.mark.parametrize("stage", ["grounded", "materialized", "evidence"])
+@pytest.mark.parametrize("backend", ["single", "mpp"])
+def test_query_oracle(backend, stage):
+    probkb = oracle_system(backend, stage)
+    everything = [p for _, p in brute_force(probkb, {}, 0.0)]
+    # each stage exercises what it is for: no scores, all scored, a mix
+    assert (None in everything) == (stage != "materialized")
+    assert any(p is not None for p in everything) == (stage != "grounded")
+    for pattern in oracle_patterns(probkb):
+        for threshold in (0.0, 0.5):
+            got = probkb.query_facts(**pattern, min_probability=threshold)
+            assert got == brute_force(probkb, pattern, threshold), (pattern, threshold)
+
+
+def scored_kb(size):
+    """A rule-free KB of ``size`` facts, every one given a marginal."""
+    people = [f"p{i}" for i in range(size)]
+    kb = KnowledgeBase(
+        classes={"Person": people, "City": ["c0", "c1", "c2"]},
+        relations=[Relation("lives_in", "Person", "City")],
+        facts=[
+            Fact("lives_in", person, "Person", f"c{i % 3}", "City", 0.9)
+            for i, person in enumerate(people)
+        ],
+    )
+    return kb, {fact: (i % 10) / 10 for i, fact in enumerate(kb.facts)}
+
+
+@pytest.mark.parametrize("backend", ["single", "mpp"])
+def test_query_reads_only_the_matched_probabilities(backend, monkeypatch):
+    kb, marginals = scored_kb(150)
+    probkb = ProbKB(kb, backend=MPPBackend(nseg=3) if backend == "mpp" else "single")
+    probkb.ground()
+    probkb.materialize_marginals(marginals)
+    assert probkb.backend.table_size("TProb") >= 100
+
+    statements = []
+    original = probkb.backend.query
+
+    def traced(plan):
+        result = original(plan)
+        explain = probkb.backend.explain_last() if backend == "mpp" else ""
+        statements.append((plan, len(result.rows), explain))
+        return result
+
+    monkeypatch.setattr(probkb.backend, "query", traced)
+    for pattern, threshold in [
+        ({"relation": "lives_in", "subject": "p7"}, 0.0),
+        ({"subject": "p42"}, 0.0),
+        ({"relation": "lives_in", "subject": "p9"}, 0.5),
+    ]:
+        statements.clear()
+        answer = probkb.query_facts(**pattern, min_probability=threshold)
+        assert len(answer) == 1
+        assert len(statements) <= 2
+        assert sum(rows for _, rows, _ in statements) <= 2 * len(answer)
+        probability_plans = [
+            explain for plan, _, explain in statements if "TProb" in plan.explain()
+        ]
+        assert probability_plans
+        for explain in probability_plans:
+            assert "Redistribute" not in explain and "Broadcast" not in explain
 
 
 def test_works_on_mpp_backend():

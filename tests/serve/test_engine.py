@@ -84,6 +84,13 @@ class TestQueries:
         assert not tight.cache_hit
         assert len(tight.facts) <= len(loose.facts)
 
+    def test_nan_threshold_rejected_before_the_cache(self, service):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="min_probability"):
+                service.query(min_probability=float("nan"))
+        stats = service.cache.stats()
+        assert stats["size"] == 0 and stats["misses"] == 0
+
 
 class TestIngest:
     BATCH = [Fact("born_in", "Saul Bellow", "Writer", "Brooklyn", "Place", 0.88)]

@@ -236,8 +236,9 @@ class TestErrors:
         assert code == 400 and "unknown parameters" in payload["error"]
 
     def test_bad_min_probability_400(self, base_url):
-        code, _ = http_error(base_url + "/facts?min_probability=often")
-        assert code == 400
+        for value in ("often", "nan"):
+            code, payload = http_error(base_url + f"/facts?min_probability={value}")
+            assert code == 400 and "min_probability" in payload["error"], value
 
     def test_evidence_missing_fields_400(self, base_url):
         code, payload = http_error(

@@ -95,6 +95,37 @@ class TestFormat:
         with pytest.raises(ValueError, match="version"):
             load_snapshot(path)
 
+    def test_rejects_a_non_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError, match=r"list\.json.*JSON object, got list"):
+            load_snapshot(str(path))
+
+    def test_rejects_a_missing_field(self, tmp_path):
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"format": "probkb-snapshot", "version": 1}))
+        with pytest.raises(ValueError, match=r"bare\.json.*field 'classes' is missing"):
+            load_snapshot(str(path))
+
+    def test_rejects_a_short_fact_row(self, tmp_path):
+        path = save_snapshot(expanded_system(), str(tmp_path / "kb.json"))
+        payload = json.load(open(path))
+        payload["facts"][3] = payload["facts"][3][:2]
+        open(path, "w").write(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"kb\.json.*facts\[3\] must be a list of 6"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "field, value, kind", [("classes", [], "dict"), ("facts", 5, "list")]
+    )
+    def test_rejects_a_field_of_the_wrong_type(self, tmp_path, field, value, kind):
+        path = save_snapshot(expanded_system(), str(tmp_path / "kb.json"))
+        payload = json.load(open(path))
+        payload[field] = value
+        open(path, "w").write(json.dumps(payload))
+        with pytest.raises(ValueError, match=rf"kb\.json.*field '{field}' must be a {kind}"):
+            load_snapshot(path)
+
     def test_save_is_atomic(self, tmp_path):
         system = expanded_system()
         path = save_snapshot(system, str(tmp_path / "kb.json"))
