@@ -2,7 +2,7 @@ PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: test test-no-numpy test-mpp bench bench-columnar bench-e2e \
-	bench-e2e-out bench-e2e-compare lint lint-conc loc
+	bench-e2e-out bench-e2e-compare profile lint lint-conc loc
 
 # Tier-1 suite: serial executors only (the `mpp` marker is excluded
 # via addopts in pyproject.toml).
@@ -43,6 +43,16 @@ bench-e2e-out:
 # exits non-zero on a regression beyond the metric's bound.
 bench-e2e-compare:
 	$(PYTHON) benchmarks/e2e/run.py --compare $(A) $(B)
+
+# Where the time goes, by hand: cProfile over one short run of a
+# benchmark workload (`make profile W=serve_mixed [SEED=4]`), then the
+# top 25 functions by cumulative time.  Read the shares, not the
+# absolutes: the profiler inflates per-call Python.
+SEED ?= 4
+profile:
+	$(PYTHON) -m cProfile -o profile.out benchmarks/e2e/run.py \
+		--workload $(W) --seed $(SEED) --seconds 1 --trace 0
+	$(PYTHON) -c "import pstats; pstats.Stats('profile.out').sort_stats('cumulative').print_stats(25)"
 
 # Size of the library: non-blank, non-comment lines under src/repro
 # (the number the simplicity PRs quote).

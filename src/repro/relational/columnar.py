@@ -10,7 +10,9 @@ two interchangeable kernel backends:
   are one array operation per column; multi-column integer keys are
   encoded into a single ``int64`` code array and joins / anti-joins /
   distinct / group-by run as ``argsort`` / ``searchsorted`` / ``isin``
-  / ``unique`` / ``bincount`` over the codes;
+  / ``unique`` / ``bincount`` over the codes, and a join or anti-join
+  against a table's stored batch probes that batch's sorted
+  :class:`KeyIndex` instead of encoding it;
 * a **pure-Python fallback** with identical semantics (dict/set loops
   over zipped key columns), used when numpy is unavailable or disabled
   via ``PROBKB_NO_NUMPY``, when a column is a list (see
@@ -25,9 +27,12 @@ differential tests compare against.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from collections import defaultdict
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from .expr import COMPARE_OPS, And, Col, Compare, Const, Expr, IsNull, Not, Or
 from .types import FLOAT, INT, ExecutionError, Row, Value, first_invalid
@@ -206,7 +211,7 @@ class ColumnBatch:
     columns, a typed one as its array buffers.
     """
 
-    __slots__ = ("columns", "cols", "nrows")
+    __slots__ = ("columns", "cols", "nrows", "indexes", "__weakref__")
 
     def __init__(
         self,
@@ -219,6 +224,13 @@ class ColumnBatch:
         if nrows is None:
             nrows = len(self.cols[0]) if self.cols else 0
         self.nrows = nrows
+        #: a table's stored batch: key positions -> its :class:`KeyIndex`
+        #: (None when the key cannot be indexed), filled by :func:`key_index`;
+        #: None for every other batch
+        self.indexes: Optional[Dict[Tuple[int, ...], Optional["KeyIndex"]]] = None
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return ColumnBatch, (self.columns, self.cols, self.nrows)  # never an index
 
     @classmethod
     def from_rows(cls, columns: Sequence[str], rows: Sequence[Row]) -> "ColumnBatch":
@@ -251,8 +263,11 @@ class ColumnBatch:
         return self.nrows
 
     def rename(self, columns: Sequence[str]) -> "ColumnBatch":
-        """Same data under different column names (columns are shared)."""
-        return ColumnBatch(columns, self.cols, self.nrows)
+        """Same data under different column names (columns and key
+        indexes are shared)."""
+        out = ColumnBatch(columns, self.cols, self.nrows)
+        out.indexes = self.indexes
+        return out
 
     def project(self, positions: Sequence[int]) -> "ColumnBatch":
         """The columns at ``positions`` (shared), as a batch."""
@@ -309,6 +324,112 @@ def _encode(*sides: Tuple[ColumnBatch, Sequence[int]]) -> Optional[List[Any]]:
     return codes
 
 
+class KeyIndex(NamedTuple):
+    """A stored batch's key columns, sorted: ``codes`` holds each row's
+    Horner code over fixed per-column ranges (``lows`` / ``spans``) in
+    ascending order, ties in row order, and ``rows`` the row of each."""
+
+    lows: Tuple[int, ...]
+    spans: Tuple[int, ...]
+    codes: Any
+    rows: Any
+
+    def encode(self, batch: ColumnBatch, positions: Sequence[int]) -> Any:
+        """``batch``'s codes on ``positions`` under these ranges, -1
+        where a value falls outside them; None unless every key column
+        is an ``int_array``."""
+        np = _numpy
+        arrays = [batch.int_array(pos) for pos in positions]
+        if np is None or any(arr is None for arr in arrays):
+            return None
+        codes, inside = 0, True
+        for arr, low, span in zip(arrays, self.lows, self.spans):
+            shifted = arr - low
+            # as unsigned, a value below the range lands above it
+            inside = inside & (shifted.view(np.uint64) < span)
+            codes = codes * span + shifted  # wraps only where not inside
+        return np.where(inside, codes, -1)
+
+    def lookup(
+        self, batch: ColumnBatch, positions: Sequence[int]
+    ) -> Optional[Tuple[Any, Any]]:
+        """Per ``batch`` row, ``(lo, hi)``: the stored rows with its key
+        are ``rows[lo:hi]``.  None when the batch cannot be encoded."""
+        codes = self.encode(batch, positions)
+        if codes is None:
+            return None
+        return self.codes.searchsorted(codes, "left"), self.codes.searchsorted(codes, "right")
+
+    def merged(
+        self, batch: ColumnBatch, positions: Sequence[int], offset: int
+    ) -> Optional["KeyIndex"]:
+        """The index after ``batch`` is appended at row ``offset``, or
+        None when one of its keys falls outside the ranges."""
+        codes = self.encode(batch, positions)
+        if codes is None or (codes < 0).any():
+            return None
+        order = _numpy.argsort(codes, kind="stable")
+        at = self.codes.searchsorted(codes[order], "right")  # after equal stored keys
+        insert = _numpy.insert
+        return self._replace(
+            codes=insert(self.codes, at, codes[order]), rows=insert(self.rows, at, order + offset)
+        )
+
+
+def key_index(batch: ColumnBatch, positions: Sequence[int]) -> Optional[KeyIndex]:
+    """The index of a stored batch (see :class:`~.table.Table`) on
+    ``positions``, built on first use; None for any other batch, or for
+    keys it cannot hold (not NULL-free ints, or too wide a range).  Each
+    column's range is its stored values' with their width again on each
+    side, so appends of nearby keys merge into it."""
+    np = _numpy
+    key = tuple(positions)
+    if np is None or batch.indexes is None or not batch.nrows or not key:
+        return None
+    if key not in batch.indexes:
+        arrays = [batch.int_array(pos) for pos in key]
+        index = None
+        if all(arr is not None for arr in arrays):
+            lows, spans = [], []
+            for arr in arrays:
+                low, high = int(arr.min()), int(arr.max())
+                pad = high - low + 1
+                low, high = max(low - pad, -2 ** 63), min(high + pad, 2 ** 63 - 2)
+                lows.append(low)
+                spans.append(high - low + 1)
+            if math.prod(spans) <= _MAX_CODE_RANGE:
+                index = KeyIndex(tuple(lows), tuple(spans), None, None)
+                codes = index.encode(batch, key)
+                order = np.argsort(codes, kind="stable")
+                index = index._replace(codes=codes[order], rows=order)
+        batch.indexes[key] = index
+    return batch.indexes[key]
+
+
+def _probe(
+    indexed: ColumnBatch, ipos: Sequence[int], other: ColumnBatch, opos: Sequence[int]
+) -> Optional[Tuple[Any, Any, Any]]:
+    """``(rows, lo, hi)`` of ``other``'s keys looked up in ``indexed``'s
+    key index (see :meth:`KeyIndex.lookup`), or None when either side
+    cannot take part."""
+    index = key_index(indexed, ipos)
+    found = None if index is None else index.lookup(other, opos)
+    return None if found is None else (index.rows, *found)
+
+
+def _expand(rows: Any, lo: Any, hi: Any) -> Tuple[Any, Any]:
+    """``(rows[lo[j]:hi[j]] for every j, concatenated; the j of each)``."""
+    np = _numpy
+    counts = hi - lo
+    total = int(counts.sum())
+    if not total:
+        return lo[:0], lo[:0]
+    owner = np.repeat(np.arange(lo.size), counts)
+    # position within each run of matches
+    intra = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    return rows[np.repeat(lo, counts) + intra], owner
+
+
 # -- join kernels ------------------------------------------------------------
 
 
@@ -331,8 +452,15 @@ def join_indices(
     (build, bpos), (probe, ppos) = (
         ((left, lpos), (right, rpos)) if build_left else ((right, rpos), (left, lpos))
     )
-    codes = _encode((build, bpos), (probe, ppos))
-    if codes is not None:
+    by_build = _probe(build, bpos, probe, ppos)
+    by_probe = None if by_build is not None else _probe(probe, ppos, build, bpos)
+    if by_build is not None:  # a stored build side: its index is the sorted hash table
+        build_idx, probe_idx = _expand(*by_build)
+    elif by_probe is not None:  # a stored probe side: its rows per build key, probe-major
+        probe_idx, build_idx = _expand(*by_probe)
+        order = _numpy.argsort(probe_idx, kind="stable")
+        build_idx, probe_idx = build_idx[order], probe_idx[order]
+    elif (codes := _encode((build, bpos), (probe, ppos))) is not None:
         build_idx, probe_idx = _np_join(*codes)
     elif build.nrows:
         build_idx, probe_idx = _dict_join(build, probe, bpos, ppos)
@@ -344,19 +472,10 @@ def join_indices(
 
 
 def _np_join(bcode: Any, pcode: Any) -> Tuple[Any, Any]:
-    np = _numpy
-    order = np.argsort(bcode, kind="stable")
+    order = _numpy.argsort(bcode, kind="stable")
     sorted_codes = bcode[order]
-    lo = np.searchsorted(sorted_codes, pcode, side="left")
-    hi = np.searchsorted(sorted_codes, pcode, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    probe_idx = np.repeat(np.arange(pcode.size), counts)
-    cum = np.cumsum(counts)
-    # position within each probe row's run of matches
-    intra = np.arange(total) - np.repeat(cum - counts, counts)
-    build_idx = order[np.repeat(lo, counts) + intra]
-    return build_idx, probe_idx
+    lo = sorted_codes.searchsorted(pcode, "left")
+    return _expand(order, lo, sorted_codes.searchsorted(pcode, "right"))
 
 
 def _dict_join(
@@ -398,6 +517,15 @@ def anti_join_indices(
         return []
     if not right.nrows:
         return np.arange(left.nrows) if np is not None else list(range(left.nrows))
+    found = _probe(right, rpos, left, lpos)
+    if found is not None:  # a stored right side
+        _, lo, hi = found
+        return np.nonzero(lo == hi)[0]
+    found = _probe(left, lpos, right, rpos)
+    if found is not None:  # a stored left side: drop the rows the keys hit
+        keep = np.ones(left.nrows, dtype=bool)
+        keep[_expand(*found)[0]] = False
+        return np.nonzero(keep)[0]
     codes = _encode((left, lpos), (right, rpos))
     if codes is not None:
         return np.nonzero(~np.isin(*codes))[0]

@@ -11,6 +11,11 @@ that key: a row whose key already exists is dropped.  This is how
 ProbKB's fact table avoids re-deriving known facts across grounding
 iterations.  The stored key columns are the key set (membership is an
 anti-join against them), so a delete leaves nothing else to rebuild.
+
+The stored batch carries its own key indexes
+(:func:`~.columnar.key_index`): built on the first probe of a column
+list, merged on an append, gone with the batch a delete or truncate
+replaces.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ class Table:
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
-        self._stored = ColumnBatch.from_rows(schema.column_names, ())
+        self._store(ColumnBatch.from_rows(schema.column_names, ()))
         self._key_positions: Optional[Tuple[int, ...]] = None
         if schema.unique_key is not None:
             self._key_positions = schema.positions(schema.unique_key)
@@ -114,9 +119,14 @@ class Table:
             if len(fresh) < batch.nrows:
                 batch = batch.gather(fresh)
         if batch.nrows:
-            self._stored = ColumnBatch.concat(
-                self.schema.column_names, [self._stored, batch]
-            )
+            old = self._stored
+            indexes = {
+                positions: merged
+                for positions, index in old.indexes.items()
+                if index is not None
+                and (merged := index.merged(batch, positions, old.nrows)) is not None
+            }
+            self._store(ColumnBatch.concat(self.schema.column_names, [old, batch]), indexes)
         return batch.nrows
 
     def delete_in(
@@ -135,11 +145,17 @@ class Table:
         kept = anti_join_indices(self._stored, keys, positions, range(len(positions)))
         removed = self._stored.nrows - len(kept)
         if removed:
-            self._stored = self._stored.gather(kept)
+            self._store(self._stored.gather(kept))
         return removed
 
     def truncate(self) -> None:
-        self._stored = ColumnBatch.from_rows(self.schema.column_names, ())
+        self._store(ColumnBatch.from_rows(self.schema.column_names, ()))
+
+    def _store(self, batch: ColumnBatch, indexes: Optional[dict] = None) -> None:
+        """Replace the stored batch (a fresh object, never a shared one)
+        and give it its key indexes — none, or an append's merged ones."""
+        batch.indexes = {} if indexes is None else indexes
+        self._stored = batch
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Table({self.name}, {len(self)} rows)"
