@@ -7,6 +7,7 @@ from .distribution import (
     RandomDistribution,
     ReplicatedDistribution,
     partition_batch,
+    partition_parts,
     stable_hash,
 )
 from .placement import choose_fallback_motion
@@ -41,5 +42,6 @@ __all__ = [
     "choose_fallback_motion",
     "collect_mpp_statistics",
     "partition_batch",
+    "partition_parts",
     "stable_hash",
 ]

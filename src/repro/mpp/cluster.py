@@ -70,6 +70,7 @@ from .distribution import (
     RandomDistribution,
     ReplicatedDistribution,
     partition_batch,
+    partition_parts,
 )
 from .placement import (
     Input,
@@ -593,10 +594,10 @@ class MPPDatabase:
         table.schema.validate_batch(ColumnBatch.concat(columns, source_parts))
         replicated = isinstance(table.policy, ReplicatedDistribution)
         received: List[List[ColumnBatch]] = [[] for _ in range(self.nseg)]
-        for seg, part in enumerate(source_parts):
-            pieces = partition_batch(
-                part, table.policy, table.key_positions, self.nseg
-            )
+        routed = partition_parts(
+            source_parts, table.policy, table.key_positions, self.nseg
+        )
+        for seg, pieces in enumerate(routed):
             for target, piece in enumerate(pieces):
                 if target != seg and replicated:
                     self.segment_clocks[target].rows_broadcast += piece.nrows

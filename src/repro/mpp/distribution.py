@@ -10,10 +10,15 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
-from ..relational.columnar import ColumnBatch, get_numpy, key_groups
+from ..relational.columnar import ColumnBatch, get_numpy
 from ..relational.types import Row, Value
+
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised by the CI lane
+    np = None
 
 
 def stable_hash(values: Sequence[Value]) -> int:
@@ -21,12 +26,87 @@ def stable_hash(values: Sequence[Value]) -> int:
 
     Python's builtin ``hash`` is salted per process for strings, which
     would make segment assignment non-deterministic across runs; crc32
-    keeps the simulator reproducible.
+    keeps the simulator reproducible.  ``-0.0`` hashes as ``0.0``: the
+    two are equal, so a join or a distinct must find them on one segment.
     """
     payload = "\x1f".join(
-        f"{type(v).__name__}:{v!r}" for v in values
+        f"{type(v).__name__}:{v + 0.0 if type(v) is float else v!r}" for v in values
     ).encode("utf-8")
     return zlib.crc32(payload)
+
+
+# -- stable_hash of int64 key columns, vectorised ------------------------------
+#
+# crc32 is affine in a message's bytes: zlib starts its register at
+# 0xFFFFFFFF, shifts it over each byte and XORs in that byte's term (both
+# linear steps), and inverts it at the end.  So "int:<a>\x1fint:<b>..." can
+# advance the register a whole field at a time: shift it over the
+# field's length (four lookups, one per register byte), then XOR in the
+# field's terms — one for its head ("int:" or "\x1fint:", and the sign),
+# one per group of three digits.  The tables come from zlib, once.
+
+
+def _linear(message: bytes, after: int = 0) -> int:
+    """The XOR share of ``message`` and ``after`` zero bytes in a crc32."""
+    return zlib.crc32(message + bytes(after)) ^ zlib.crc32(bytes(len(message) + after))
+
+
+def _shifted(shift: Any, register: Any, n: Any) -> Any:
+    """``register`` after ``n`` more zero bytes (``n`` may be an array)."""
+    base = n * 1024
+    return (
+        shift[base + (register & 0xFF)] ^ shift[base + 256 + (register >> 8 & 0xFF)]
+        ^ shift[base + 512 + (register >> 16 & 0xFF)] ^ shift[base + 768 + (register >> 24)]
+    )
+
+
+def _crc_tables() -> Tuple[Any, Any, Any, Any]:
+    """Flattened ``shift[n, i, b]`` (a register holding only ``b``, in
+    byte ``i``, after ``n`` zero bytes), ``groups[k, s, c]`` (the last
+    ``s`` digits of ``c`` as the ``k``-th group of three from a field's
+    end), ``heads[h, d]`` (head ``h`` before ``d`` digits); powers of 10."""
+    byte = np.array([_linear(bytes([b])) for b in range(256)], np.uint32)
+    shift = np.zeros((26, 4, 256), np.uint32)  # a field is at most 25 bytes
+    shift[0] = np.arange(256, dtype=np.uint32) << np.arange(0, 32, 8, dtype=np.uint32)[:, None]
+    for n in range(25):
+        shift[n + 1] = (shift[n] >> 8) ^ byte[shift[n] & 0xFF]
+    shift = shift.reshape(-1)
+    groups = np.zeros((7, 4, 1000), np.uint32)
+    for s in (1, 2, 3):
+        groups[0, s] = [_linear(f"{c % 10 ** s:0{s}d}".encode()) for c in range(1000)]
+    for k in range(1, 7):
+        groups[k] = _shifted(shift, groups[k - 1], 3)
+    heads = np.array(
+        [[_linear(h, d) for d in range(20)] for h in (b"int:", b"\x1fint:", b"int:-", b"\x1fint:-")],
+        np.uint32,
+    )
+    powers = 10 ** np.arange(20, dtype=np.uint64)
+    return shift, groups.reshape(-1), heads.reshape(-1), powers
+
+
+_CRC: Any = _crc_tables() if np is not None else None
+
+
+def stable_hash_int64(arrays: Sequence[Any], nrows: int) -> Any:
+    """:func:`stable_hash` of every row of the ``int64`` key columns
+    ``arrays``, as ``uint32``, with no per-key Python and no string.
+    Digits come from the ``uint64`` magnitude (so ``-2**63`` works),
+    their count from ``searchsorted`` over the powers of ten."""
+    shift, groups, heads, powers = _CRC
+    register = np.full(nrows, 0xFFFFFFFF, np.uint32)
+    for field, values in enumerate(arrays):
+        negative = values < 0
+        magnitude = values.view(np.uint64)
+        magnitude = np.where(negative, ~magnitude + np.uint64(1), magnitude)
+        ndigits = np.searchsorted(powers[1:], magnitude, side="right") + 1
+        terms = heads[(2 * negative + (field > 0)) * 20 + ndigits]
+        for k in range((int(ndigits.max()) + 2) // 3 if nrows else 0):
+            group = (magnitude % np.uint64(1000)).astype(np.intp)
+            terms ^= groups[(4 * k + np.clip(ndigits - 3 * k, 0, 3)) * 1000 + group]
+            magnitude = magnitude // np.uint64(1000)
+        length = ndigits + negative + 4 + (field > 0)
+        register = _shifted(shift, register, length) ^ terms
+    return ~register
 
 
 class DistributionPolicy:
@@ -90,32 +170,83 @@ class ReplicatedDistribution(DistributionPolicy):
         return "DISTRIBUTED REPLICATED"
 
 
+#: Fewer rows than this in one routing call take the scalar path: the
+#: kernel and its array fan-out cost ≈40-130 µs more than the list one
+#: whatever the size, and ``stable_hash`` ≈0.6-1 µs a row.  On a 2-core
+#: host (CPU time, 1 or 8 source parts, one- or two-column keys) the
+#: two paths cross at 80-125 rows.
+_KERNEL_MIN_ROWS = 96
+
+
+def _homes(
+    parts: Sequence[ColumnBatch],
+    policy: DistributionPolicy,
+    key_positions: Sequence[int],
+    nseg: int,
+) -> Any:
+    """Home segment of every row of ``parts`` in order: an array when a
+    hash key is all ``int64`` over enough rows, else a list."""
+    keys = ColumnBatch.concat(
+        [str(pos) for pos in key_positions], [part.project(key_positions) for part in parts]
+    )
+    arrays = [keys.int_array(pos) for pos in range(len(key_positions))]
+    if (
+        isinstance(policy, HashDistribution)
+        and get_numpy() is not None
+        and keys.nrows >= _KERNEL_MIN_ROWS
+        and all(array is not None for array in arrays)
+    ):
+        return stable_hash_int64(arrays, keys.nrows) % nseg
+    return [policy.segment_of(key, nseg) for key in keys.tuples()]
+
+
+def partition_parts(
+    parts: Sequence[ColumnBatch],
+    policy: DistributionPolicy,
+    key_positions: Sequence[int],
+    nseg: int,
+) -> List[List[ColumnBatch]]:
+    """Split every source part of one motion or DML statement into
+    per-segment pieces according to a policy — ``[part][segment]``,
+    row order kept within each piece — the one partitioner, for motions
+    and DML alike.  The parts' keys are hashed together, once; a random
+    policy's round-robin runs across the parts in order.  A replicated
+    policy puts each (immutable) part on every segment.
+
+    Callers charge shipping costs themselves — who pays depends on the
+    statement (redistribute charges receivers, broadcast charges copies).
+    """
+    if isinstance(policy, ReplicatedDistribution):
+        return [[part] * nseg for part in parts]
+    homes = _homes(parts, policy, key_positions, nseg)
+    out: List[List[ColumnBatch]] = []
+    if isinstance(homes, list):
+        rows = iter(homes)
+        for part in parts:
+            targets: List[List[int]] = [[] for _ in range(nseg)]
+            for index, home in zip(range(part.nrows), rows):
+                targets[home].append(index)
+            out.append([part.gather(indices) for indices in targets])
+        return out
+    # one stable sort by (part, home) keeps row order inside every piece;
+    # each part's rows keep its span, so a row's offset there is its start
+    sizes = [part.nrows for part in parts]
+    part_of = np.repeat(np.arange(len(parts)), sizes)
+    code = part_of * nseg + homes
+    order = np.argsort(code, kind="stable")
+    bounds = np.searchsorted(code[order], np.arange(len(parts) * nseg + 1)).tolist()
+    order -= (np.cumsum(sizes) - sizes)[part_of]
+    for p, part in enumerate(parts):
+        cells = bounds[p * nseg:(p + 1) * nseg + 1]
+        out.append([part.gather(order[lo:hi]) for lo, hi in zip(cells, cells[1:])])
+    return out
+
+
 def partition_batch(
     batch: ColumnBatch,
     policy: DistributionPolicy,
     key_positions: Sequence[int],
     nseg: int,
 ) -> List[ColumnBatch]:
-    """Split a batch into per-segment batches according to a policy,
-    preserving row order within each — the one partitioner, for motions
-    and DML alike.  A replicated policy puts the same (immutable) batch
-    on every segment.
-
-    Callers charge shipping costs themselves — who pays depends on the
-    statement (redistribute charges receivers, broadcast charges copies).
-    """
-    if isinstance(policy, ReplicatedDistribution):
-        return [batch] * nseg
-    hashed = isinstance(policy, HashDistribution)
-    groups = key_groups(batch, key_positions) if hashed else None
-    if groups is not None:
-        # int keys: hash each distinct key once, fan the rows out by group
-        np = get_numpy()
-        first, group = groups
-        distinct = batch.project(key_positions).gather(first).tuples()
-        home = np.array([stable_hash(key) % nseg for key in distinct])[group]
-        return [batch.gather(np.nonzero(home == seg)[0]) for seg in range(nseg)]
-    targets: List[List[int]] = [[] for _ in range(nseg)]
-    for index, key in enumerate(batch.tuples(key_positions)):
-        targets[policy.segment_of(key, nseg)].append(index)
-    return [batch.gather(indices) for indices in targets]
+    """:func:`partition_parts` of one batch: its per-segment pieces."""
+    return partition_parts([batch], policy, key_positions, nseg)[0]

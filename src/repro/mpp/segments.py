@@ -47,7 +47,7 @@ from ..relational import operators
 from ..relational.columnar import ColumnBatch
 from ..relational.cost import CostClock
 from ..relational.table import Table
-from .distribution import HashDistribution, partition_batch
+from .distribution import HashDistribution, partition_parts
 
 __all__ = ["Exchange", "LocalExchange", "SegmentInterpreter"]
 
@@ -222,13 +222,12 @@ class SegmentInterpreter:
         # every copy of a replicated frame is the whole relation:
         # segment 0 alone sends it
         sources = (0,) if source_replicated else range(self.nseg)
-        for seg in self.segments:
-            if seg in sources:
-                pieces = partition_batch(
-                    self.frames[source][seg], _BY_HASH, positions, self.nseg
-                )
-                for target, piece in enumerate(pieces):
-                    self.exchange.send(epoch, seg, target, piece)
+        owned = [seg for seg in self.segments if seg in sources]
+        parts = [self.frames[source][seg] for seg in owned]
+        pieces = partition_parts(parts, _BY_HASH, positions, self.nseg)
+        for seg, row in zip(owned, pieces):
+            for target, piece in enumerate(row):
+                self.exchange.send(epoch, seg, target, piece)
         return self._assemble(
             handle, source, epoch, sources, range(self.nseg), "rows_shipped"
         )

@@ -154,6 +154,26 @@ def test_distinct_parity():
     assert_same(single, cluster, factory)
 
 
+def test_signed_zero_keys_meet_on_one_segment():
+    """``0.0 == -0.0``, so they must hash to one segment: a redistributed
+    join matches them with each other and a distinct keeps one."""
+    single, cluster = Database(), MPPDatabase(nseg=8)
+    for table, key, rows in [
+        (schema("l", "a:int", "b:float"), "a", [(1, 0.0), (2, -0.0)]),
+        (schema("r", "c:float", "d:int"), "d", [(0.0, 1), (-0.0, 2)]),
+        (schema("t", "x:float"), "x", [(0.0,), (-0.0,)]),
+    ]:
+        single.create_table(table)
+        cluster.create_table(table, HashDistribution([key]))
+        single.bulkload(table.name, rows)
+        cluster.bulkload(table.name, rows)
+    join = lambda: HashJoin(Scan("l"), Scan("r"), ["l.b"], ["r.c"])
+    assert len(single.query(join()).rows) == 4
+    assert Counter(cluster.query(join()).rows) == Counter(single.query(join()).rows)
+    assert len(single.query(Distinct(Scan("t"))).rows) == 1
+    assert len(cluster.query(Distinct(Scan("t"))).rows) == 1
+
+
 def test_union_parity():
     single, cluster = make_pair()
     factory = lambda: UnionAll(

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on the core invariants."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -19,8 +20,10 @@ from repro.mpp import (
     RandomDistribution,
     ReplicatedDistribution,
     partition_batch,
+    partition_parts,
     stable_hash,
 )
+from repro.mpp.distribution import stable_hash_int64
 from repro.relational import ColumnBatch, Database, Distinct, HashJoin, Scan, schema
 
 # -- strategies ---------------------------------------------------------------
@@ -161,6 +164,78 @@ def test_partition_batch_assigns_segments_like_per_row_stable_hash(data, nseg):
             assert shard.to_rows() == [
                 row for i, row in enumerate(rows, start) if i % nseg == seg
             ]
+
+
+#: int64 values whose canonical form sits on an edge: every digit count
+#: from both sides, both signs, and the int64 extremes
+int64_edges = sorted(
+    {0, -1, 2 ** 63 - 1, -(2 ** 63)}
+    | {sign * (10 ** k - d) for k in range(19) for d in (0, 1) for sign in (1, -1)}
+)
+int64_value = st.one_of(
+    st.sampled_from(int64_edges), st.integers(-(2 ** 63), 2 ** 63 - 1)
+)
+
+
+def test_stable_hash_int64_covers_every_edge_value():
+    np = pytest.importorskip("numpy")
+    for width in range(6):
+        rows = [tuple(int64_edges[(i + k) % len(int64_edges)] for k in range(width))
+                for i in range(len(int64_edges))]
+        arrays = [np.array(column, np.int64) for column in zip(*rows)]
+        assert stable_hash_int64(arrays, len(rows)).tolist() == list(map(stable_hash, rows))
+
+
+@given(data=st.data(), width=st.integers(0, 5), nrows=st.integers(0, 40))
+@settings(max_examples=80, deadline=None)
+def test_stable_hash_int64_equals_stable_hash(data, width, nrows):
+    """The vectorised kernel is :func:`stable_hash` bit for bit; width 0
+    is ``crc32(b"") == 0``."""
+    np = pytest.importorskip("numpy")
+    rows = data.draw(
+        st.lists(st.tuples(*[int64_value] * width), min_size=nrows, max_size=nrows)
+    )
+    arrays = [np.array([row[k] for row in rows], np.int64) for k in range(width)]
+    got = stable_hash_int64(arrays, nrows)
+    assert got.dtype == np.uint32
+    assert got.tolist() == [stable_hash(row) for row in rows]
+
+
+@given(data=st.data(), nseg=st.integers(min_value=1, max_value=8))
+@settings(max_examples=60, deadline=None)
+def test_partition_parts_routes_every_part_like_per_row_stable_hash(data, nseg):
+    """One call over 1-8 source parts (0 to 480 rows together, so both
+    sides of the scalar / kernel crossover): each part's pieces are its
+    rows routed by ``stable_hash(key) % nseg``, in row order."""
+    sizes = data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=8))
+    kind = data.draw(st.sampled_from([st.integers(-50, 50), int64_value, key_value]))
+    parts_rows = [
+        data.draw(st.lists(st.tuples(kind, st.integers(-9, 9)), min_size=n, max_size=n))
+        for n in sizes
+    ]
+    parts = [ColumnBatch.from_rows(["k", "v"], rows) for rows in parts_rows]
+    positions = data.draw(st.sampled_from([(0,), (1, 0)]))
+    routed = partition_parts(parts, HashDistribution(["k"]), positions, nseg)
+    assert len(routed) == len(parts)
+    for rows, pieces in zip(parts_rows, routed):
+        assert [piece.to_rows() for piece in pieces] == [
+            [row for row in rows
+             if stable_hash(tuple(row[p] for p in positions)) % nseg == seg]
+            for seg in range(nseg)
+        ]
+    # round-robin runs across the parts in order, and on into the next call
+    policy = RandomDistribution()
+    for start in (0, sum(sizes)):
+        routed = partition_parts(parts, policy, (), nseg)
+        for first, rows, pieces in zip(itertools.accumulate([start] + sizes), parts_rows, routed):
+            assert [piece.to_rows() for piece in pieces] == [
+                [row for i, row in enumerate(rows, first) if i % nseg == seg]
+                for seg in range(nseg)
+            ]
+    # replicated: every part everywhere, not a copy per segment
+    copies = partition_parts(parts, ReplicatedDistribution(), (), nseg)
+    assert all(copy is part for part, row in zip(parts, copies) for copy in row)
+    assert all(len(row) == nseg for row in copies)
 
 
 @given(values=st.lists(st.one_of(small_int, names), min_size=1, max_size=4))
