@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-no-numpy test-mpp bench bench-columnar bench-e2e \
+.PHONY: test test-no-numpy test-mpp bench bench-e2e \
 	bench-e2e-out bench-e2e-compare profile lint lint-conc loc
 
 # Tier-1 suite: serial executors only (the `mpp` marker is excluded
@@ -19,14 +19,10 @@ test-no-numpy:
 test-mpp:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests -m mpp -q
 
-# Modelled-cost paper figures (benchmarks/results/*.txt).
+# Modelled-cost paper figures (benchmarks/results/*.txt) and the
+# reporting helpers' own tests (benchmarks/test_reporting.py).
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks -m "not mpp" -q
-
-# Columnar executor vs row engine on grounding-shaped operators
-# (>=2x with numpy; engines checked bit-identical before timing).
-bench-columnar:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/bench_columnar.py -q
 
 # The benchmark BENCHMARK.json declares: end-to-end wall-clock of the
 # four workloads, each in a fresh process (benchmarks/e2e/README.md).

@@ -9,8 +9,9 @@ the statements each strategy issues.
 
 
 from repro import GroundingConfig, ProbKB, TuffyT
-from repro.bench import format_table, scaled, write_result
 from repro.datasets import s1_kb
+
+from reporting import format_table, scaled, write_result
 
 RULE_COUNTS = [200, 1000, 4000]
 

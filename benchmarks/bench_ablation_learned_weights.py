@@ -10,12 +10,13 @@ set's precision against top-θ score cleaning.
 
 
 from repro import GroundingConfig, ProbKB
-from repro.bench import format_table, scaled, write_result
 from repro.core import KnowledgeBase
 from repro.datasets import ReVerbSherlockConfig, generate
 from repro.datasets.world import WorldConfig
 from repro.learn import build_tied_graph, learn_weights, observed_from_judge
 from repro.quality import QualityConfig, run_quality_experiment, cleaned_kb
+
+from reporting import format_table, scaled, write_result
 
 WEIGHT_THRESHOLD = 0.3
 

@@ -7,11 +7,11 @@ workload and reports the speedup curve and its parallel efficiency.
 """
 
 
-from repro.bench import format_table, scaled, write_result
 from repro.core import MPPBackend
 from repro.datasets import s2_kb
 
 from bench_fig6a_vary_rules import ground_once_probkb
+from reporting import format_table, scaled, write_result
 
 SEGMENTS = [1, 2, 4, 8, 16]
 

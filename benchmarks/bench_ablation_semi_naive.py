@@ -9,8 +9,9 @@ beyond the paper (its future-work discussion of incremental grounding).
 
 
 from repro import Fact, GroundingConfig, KnowledgeBase, ProbKB, Relation
-from repro.bench import format_table, scaled, write_result
 from repro.core import Atom, HornClause
+
+from reporting import format_table, scaled, write_result
 
 
 def chain_kb(length):

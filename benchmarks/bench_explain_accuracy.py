@@ -16,12 +16,11 @@ import statistics
 
 from repro import GroundingConfig, ProbKB
 from repro.analyze import PlanEnvironment, estimate_plans
-from repro.bench import scaled, write_result
-from repro.bench.reporting import results_dir
 from repro.core import MPPBackend, ground_atoms_plan, ground_factors_plan
 from repro.datasets.paper_example import paper_kb
 
 from bench_fig4_query_plans import synthetic_kb
+from reporting import results_dir, scaled, write_result
 
 NSEG = 8
 

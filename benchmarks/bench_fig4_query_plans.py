@@ -12,8 +12,9 @@ redistribute both sides).
 import random
 
 from repro import Fact, GroundingConfig, KnowledgeBase, ProbKB, Relation
-from repro.bench import scaled, write_result
 from repro.core import Atom, HornClause, MPPBackend, ground_atoms_plan
+
+from reporting import scaled, write_result
 
 
 def synthetic_kb(n_facts, n_rules=40, seed=0):

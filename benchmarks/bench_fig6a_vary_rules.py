@@ -9,9 +9,10 @@ while both ProbKB variants stay nearly flat (six batch queries).
 
 
 from repro import GroundingConfig, ProbKB, TuffyT
-from repro.bench import format_series, format_table, scaled, write_result
 from repro.core import MPPBackend
 from repro.datasets import s1_kb
+
+from reporting import format_series, format_table, scaled, write_result
 
 RULE_COUNTS = [200, 1000, 3000, 8000]
 

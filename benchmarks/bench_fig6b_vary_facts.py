@@ -8,11 +8,11 @@ divides the scan/join work across segments.
 
 
 from repro import ProbKB
-from repro.bench import format_series, format_table, scaled, write_result
 from repro.core import MPPBackend
 from repro.datasets import s2_kb
 
 from bench_fig6a_vary_rules import ground_once_probkb, ground_once_tuffy
+from reporting import format_series, format_table, scaled, write_result
 
 FACT_COUNTS = [4000, 10000, 25000, 60000]
 

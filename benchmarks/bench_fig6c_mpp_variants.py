@@ -9,11 +9,11 @@ fact sweep.  Expected shape: both MPP variants beat single-node
 
 
 from repro import ProbKB
-from repro.bench import format_series, format_table, scaled, write_result
 from repro.core import MPPBackend
 from repro.datasets import s2_kb
 
 from bench_fig6a_vary_rules import ground_once_probkb
+from reporting import format_series, format_table, scaled, write_result
 
 FACT_COUNTS = [4000, 10000, 25000, 60000]
 NSEG = 8

@@ -8,8 +8,9 @@ vs the estimated number of correct facts.
 """
 
 
-from repro.bench import format_series, format_table, write_result
 from repro.quality import run_figure7a
+
+from reporting import format_series, format_table, write_result
 
 #: the paper's reported endpoints (#facts inferred, precision)
 PAPER_ENDPOINTS = {

@@ -9,8 +9,9 @@ hand-audit of 100 sampled violations.
 
 
 from repro import GroundingConfig, ProbKB
-from repro.bench import format_table, write_result
 from repro.quality import CATEGORY_LABELS, categorize_violations
+
+from reporting import format_table, write_result
 
 PAPER_DISTRIBUTION = {
     "ambiguity_detected": 0.34,

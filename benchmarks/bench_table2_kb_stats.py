@@ -5,10 +5,10 @@ the benchmark machine; the paper's values are printed alongside so the
 ratios (facts ≈ 1.5× entities, rules ≪ relations) can be compared.
 """
 
-from repro.bench import format_table, write_result
 from repro.datasets import generate
 
 from conftest import bench_config
+from reporting import format_table, write_result
 
 PAPER_STATS = {
     "relations": 82_768,

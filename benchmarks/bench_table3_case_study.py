@@ -12,10 +12,11 @@ query-count effects the paper measures visible inside one process.
 
 
 from repro import GroundingConfig, ProbKB, TuffyT
-from repro.bench import format_table, scaled, write_result
 from repro.core import MPPBackend
 from repro.datasets import ReVerbSherlockConfig, WorldConfig, generate
 from repro.quality import precleaned_kb
+
+from reporting import format_table, scaled, write_result
 
 ITERATIONS = 4
 

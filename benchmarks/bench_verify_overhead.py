@@ -24,13 +24,13 @@ from repro.analyze import (
     kb_statistics,
     partition_plans,
 )
-from repro.bench import scaled, write_result
 from repro.core import GroundingConfig, MPPBackend
 from repro.mpp.static_planner import StaticPlanner
 from repro.mpp.verify import verify_physical_plan
 from repro.relational.verify import verify_plan
 
 from bench_fig4_query_plans import synthetic_kb
+from reporting import scaled, write_result
 
 NSEG = 8
 

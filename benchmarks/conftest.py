@@ -6,8 +6,9 @@ the paper's sizes are quoted in each benchmark's report for comparison.
 
 import pytest
 
-from repro.bench import scaled
 from repro.datasets import ReVerbSherlockConfig, WorldConfig, generate
+
+from reporting import scaled
 
 
 def bench_config(seed: int = 0) -> ReVerbSherlockConfig:

@@ -1,4 +1,4 @@
-"""Benchmark reporting helpers.
+"""Reporting helpers shared by the ``bench_*.py`` scripts beside this file.
 
 Each benchmark regenerates one of the paper's tables or figures and
 prints it in the same layout, with the paper's reported values alongside
@@ -56,9 +56,7 @@ def format_series(
 
 def results_dir() -> str:
     """benchmarks/results/ next to the benchmark files."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    repo_root = os.path.dirname(os.path.dirname(os.path.dirname(here)))
-    directory = os.path.join(repo_root, "benchmarks", "results")
+    directory = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")
     os.makedirs(directory, exist_ok=True)
     return directory
 

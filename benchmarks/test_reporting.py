@@ -1,17 +1,9 @@
-"""Benchmark reporting helpers."""
+"""The reporting helpers the bench_*.py scripts print and scale with."""
 
 import os
 
-import pytest
-
-from repro.bench import (
-    bench_scale,
-    format_series,
-    format_table,
-    scaled,
-    write_result,
-)
-from repro.mpp.plannodes import DistDesc, PhysicalNode
+import reporting
+from reporting import bench_scale, format_series, format_table, scaled, write_result
 
 
 class TestFormatTable:
@@ -38,8 +30,6 @@ def test_format_series():
 
 
 def test_write_result(tmp_path, monkeypatch, capsys):
-    import repro.bench.reporting as reporting
-
     monkeypatch.setattr(reporting, "results_dir", lambda: str(tmp_path))
     path = write_result("unit_test_report", "hello world")
     assert os.path.exists(path)
@@ -66,26 +56,3 @@ class TestScaling:
     def test_minimum(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE", "0.0001")
         assert scaled(100) == 1
-
-
-class TestPhysicalNode:
-    def test_explain_tree(self):
-        leaf = PhysicalNode("Seq Scan", "on t", rows=10, seconds=0.001)
-        root = PhysicalNode("Hash Join", children=[leaf], rows=5, seconds=0.002)
-        text = root.explain()
-        assert text.splitlines()[0].startswith("Hash Join")
-        assert text.splitlines()[1].strip().startswith("Seq Scan on t")
-
-    def test_total_seconds_and_find(self):
-        leaf = PhysicalNode("Seq Scan", seconds=0.5)
-        mid = PhysicalNode("Redistribute Motion", children=[leaf], seconds=0.25)
-        root = PhysicalNode("Hash Join", children=[mid], seconds=0.25)
-        assert root.total_seconds() == pytest.approx(1.0)
-        assert len(root.find_all("Seq Scan")) == 1
-        assert root.find_all("Broadcast Motion") == []
-
-
-class TestDistDesc:
-    def test_factories(self):
-        assert DistDesc.arbitrary().kind == "arbitrary"
-        assert DistDesc.hash_on(("x",)).columns == ("x",)

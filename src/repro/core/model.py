@@ -190,9 +190,6 @@ class KnowledgeBase:
                     f"fact {fact}: entity {entity!r} not in class {class_name!r}"
                 )
 
-    def has_fact_key(self, key: Tuple[str, str, str, str, str]) -> bool:
-        return key in self._fact_keys
-
     # -- summary -----------------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:

@@ -487,11 +487,6 @@ class RelationalKB:
     def factor_count(self) -> int:
         return self.backend.table_size("TF")
 
-    def rule_count(self) -> int:
-        return sum(
-            self.backend.table_size(f"M{i}") for i in PARTITION_INDEXES
-        )
-
 
 def store_marginals(
     backend: Backend, rows: Sequence[Tuple[int, float]], replace: bool = True

@@ -8,9 +8,10 @@ KBs and for inspecting them with standard tools.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
-from typing import Dict, List, Set
+from typing import Callable, Dict, Iterator, List, Set, TypeVar
 
 from ..core import (
     Atom,
@@ -26,6 +27,8 @@ RULES_FILE = "rules.tsv"
 CLASSES_FILE = "classes.tsv"
 RELATIONS_FILE = "relations.tsv"
 CONSTRAINTS_FILE = "constraints.tsv"
+
+T = TypeVar("T")
 
 
 def save_kb(kb: KnowledgeBase, directory: str) -> None:
@@ -78,45 +81,13 @@ def load_kb(directory: str, analysis: str = "warn") -> KnowledgeBase:
             f"unknown analysis mode {analysis!r} (use one of {ANALYSIS_MODES})"
         )
     classes: Dict[str, Set[str]] = {}
-    with open(os.path.join(directory, CLASSES_FILE)) as handle:
-        for line in handle:
-            class_name, entity = line.rstrip("\n").split("\t")
-            classes.setdefault(class_name, set()).add(entity)
-
-    relations: List[Relation] = []
-    with open(os.path.join(directory, RELATIONS_FILE)) as handle:
-        for line in handle:
-            name, domain, range_ = line.rstrip("\n").split("\t")
-            relations.append(Relation(name, domain, range_))
-
-    facts: List[Fact] = []
-    with open(os.path.join(directory, FACTS_FILE)) as handle:
-        for line in handle:
-            fields = line.rstrip("\n").split("\t")
-            relation, subject, subject_class, obj, object_class, weight = fields
-            facts.append(
-                Fact(
-                    relation,
-                    subject,
-                    subject_class,
-                    obj,
-                    object_class,
-                    float(weight) if weight else None,
-                )
-            )
-
-    rules: List[HornClause] = []
-    with open(os.path.join(directory, RULES_FILE)) as handle:
-        for line in handle:
-            rules.append(_parse_rule_line(line.rstrip("\n")))
-
-    constraints: List[FunctionalConstraint] = []
-    with open(os.path.join(directory, CONSTRAINTS_FILE)) as handle:
-        for line in handle:
-            relation, arg, degree = line.rstrip("\n").split("\t")
-            constraints.append(
-                FunctionalConstraint(relation, arg=int(arg), degree=int(degree))
-            )
+    for class_name, entity in _records(directory, CLASSES_FILE, 2, tuple):
+        classes.setdefault(class_name, set()).add(entity)
+    relations = list(_records(directory, RELATIONS_FILE, 3, lambda f: Relation(*f)))
+    facts = list(_records(directory, FACTS_FILE, 6, _parse_fact))
+    # weight, score, head, body atoms..., variable classes
+    rules = list(_records(directory, RULES_FILE, 4, _parse_rule_fields, exact=False))
+    constraints = list(_records(directory, CONSTRAINTS_FILE, 3, _parse_constraint))
 
     kb = KnowledgeBase(
         classes=classes,
@@ -158,15 +129,74 @@ def _atom_text(atom: Atom) -> str:
     return f"{atom.relation}({atom.args[0]},{atom.args[1]})"
 
 
+def _records(
+    directory: str,
+    filename: str,
+    num_fields: int,
+    parse: Callable[[List[str]], T],
+    exact: bool = True,
+) -> Iterator[T]:
+    """``parse`` of every line's tab-separated fields, in file order.
+
+    A line with other than ``num_fields`` fields (with ``exact=False``,
+    fewer), or one ``parse`` rejects, raises ``ValueError`` naming the
+    file and the 1-based line.
+    """
+    path = os.path.join(directory, filename)
+    with open(path) as handle:
+        for number, line in enumerate(handle, start=1):
+            text = line.rstrip("\n")
+            fields = text.split("\t") if text else []
+            try:
+                if len(fields) < num_fields or (exact and len(fields) > num_fields):
+                    expected = num_fields if exact else f"at least {num_fields}"
+                    raise ValueError(f"expected {expected} fields, found {len(fields)}")
+                record = parse(fields)
+            except ValueError as error:
+                raise ValueError(f"{path} line {number}: {error}") from None
+            yield record
+
+
+def _weight(text: str) -> float:
+    weight = float(text)
+    if not math.isfinite(weight):
+        raise ValueError(f"weight {text!r} is not finite")
+    return weight
+
+
+def _parse_fact(fields: List[str]) -> Fact:
+    relation, subject, subject_class, obj, object_class, weight = fields
+    return Fact(
+        relation,
+        subject,
+        subject_class,
+        obj,
+        object_class,
+        _weight(weight) if weight else None,
+    )
+
+
+def _parse_constraint(fields: List[str]) -> FunctionalConstraint:
+    relation, arg, degree = fields
+    return FunctionalConstraint(relation, arg=int(arg), degree=int(degree))
+
+
 def _parse_atom(text: str) -> Atom:
-    relation, _, args = text.partition("(")
-    first, second = args.rstrip(")").split(",")
-    return Atom(relation, (first, second))
+    relation, paren, args = text.partition("(")
+    parts = args.rstrip(")").split(",") if paren else []
+    if len(parts) != 2:
+        raise ValueError(
+            f"atom {text!r}: expected rel(a,b) with 2 arguments, found {len(parts)}"
+        )
+    return Atom(relation, (parts[0], parts[1]))
 
 
 def _parse_rule_line(line: str) -> HornClause:
-    fields = line.split("\t")
-    weight, score = float(fields[0]), float(fields[1])
+    return _parse_rule_fields(line.split("\t"))
+
+
+def _parse_rule_fields(fields: List[str]) -> HornClause:
+    weight, score = _weight(fields[0]), float(fields[1])
     atoms = [_parse_atom(text) for text in fields[2:-1]]
     var_classes = {}
     for item in fields[-1].split(","):

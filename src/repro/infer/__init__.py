@@ -14,36 +14,22 @@ from .components import (
     componentwise_marginals,
     sample_components,
 )
-from .exact import exact_map, exact_marginals
+from .exact import exact_marginals
 from .factor_graph import ClauseFactor, FactorGraph
-from .gibbs import (
-    ChainDiagnostics,
-    GibbsResult,
-    GibbsSampler,
-    gibbs_marginals,
-    gibbs_with_diagnostics,
-)
-from .map_inference import MAPResult, annealed_map, icm_map
+from .gibbs import GibbsResult, GibbsSampler
 
 __all__ = [
     "BPResult",
-    "ChainDiagnostics",
     "ClauseFactor",
     "ComponentIndex",
     "ComponentSample",
     "FactorGraph",
     "GibbsResult",
-    "MAPResult",
     "GibbsSampler",
     "bp_marginals",
     "build_component_graph",
     "component_seed",
     "componentwise_marginals",
-    "exact_map",
     "exact_marginals",
-    "annealed_map",
-    "gibbs_marginals",
-    "gibbs_with_diagnostics",
-    "icm_map",
     "sample_components",
 ]

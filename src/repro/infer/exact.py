@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List
+from typing import Dict
 
 from .factor_graph import FactorGraph
 
@@ -36,26 +36,3 @@ def exact_marginals(graph: FactorGraph) -> Dict[int, float]:
     return {
         graph.external_id(var): true_mass[var] / partition for var in range(n)
     }
-
-
-def exact_map(graph: FactorGraph) -> Dict[int, int]:
-    """The most probable world (MAP assignment), keyed by external id.
-
-    ProbKB itself uses marginal inference (Section 2.2) but the paper
-    notes MAP as the other inference mode; exposing it makes the oracle
-    reusable for tests of hard-constraint behaviour.
-    """
-    n = graph.num_variables
-    if n > MAX_EXACT_VARIABLES:
-        raise ValueError(
-            f"exact inference limited to {MAX_EXACT_VARIABLES} variables, "
-            f"graph has {n}"
-        )
-    best_score = -math.inf
-    best: List[int] = [0] * n
-    for assignment in itertools.product((0, 1), repeat=n):
-        score = graph.log_score(assignment)
-        if score > best_score:
-            best_score = score
-            best = list(assignment)
-    return {graph.external_id(var): best[var] for var in range(n)}

@@ -214,15 +214,6 @@ class GibbsSampler:
         )
 
 
-def gibbs_marginals(
-    graph: FactorGraph, num_sweeps: int = 500, seed: int = 0
-) -> Dict[int, float]:
-    """Convenience wrapper: marginals keyed by external variable id."""
-    if graph.num_variables == 0:
-        return {}
-    return GibbsSampler(graph, seed=seed).run_stream(num_sweeps=num_sweeps).marginals
-
-
 class _ColorStep:
     """The arrays of one block colour: the colour-``c`` class of every
     sampler that has one, and the factors touching those variables."""
@@ -355,65 +346,3 @@ def block_marginals(
         counts = state[:total].astype(np.int64)
     ids = [var for sampler in samplers for var in sampler.graph.external_ids()]
     return dict(zip(ids, (counts / kept).tolist()))
-
-
-@dataclass
-class ChainDiagnostics:
-    """Pooled marginals plus Gelman-Rubin convergence diagnostics."""
-
-    marginals: Dict[int, float]
-    r_hat: Dict[int, float]
-    num_chains: int
-    num_sweeps: int
-
-    @property
-    def max_r_hat(self) -> float:
-        return max(self.r_hat.values(), default=1.0)
-
-    def converged(self, threshold: float = 1.1) -> bool:
-        """The usual heuristic: all R-hat below ~1.1."""
-        return self.max_r_hat < threshold
-
-
-def gibbs_with_diagnostics(
-    graph: FactorGraph,
-    num_chains: int = 4,
-    num_sweeps: int = 400,
-    seed: int = 0,
-) -> ChainDiagnostics:
-    """Run several independent chains and report pooled marginals with
-    the Gelman-Rubin statistic per variable.
-
-    For binary samples the within-chain variance is a function of the
-    chain mean (m(1-m)·n/(n-1)), so per-chain marginals suffice:
-
-        W  = mean_c  m_c (1 - m_c) n/(n-1)
-        B  = n · Var_c(m_c)
-        R̂ = sqrt( ((n-1)/n · W + B/n) / W )
-    """
-    if graph.num_variables == 0:
-        return ChainDiagnostics({}, {}, num_chains, num_sweeps)
-    chains = [
-        GibbsSampler(graph, seed=seed + 9973 * chain).run_stream(num_sweeps)
-        for chain in range(num_chains)
-    ]
-    kept = max(1, num_sweeps - burn_in_sweeps(num_sweeps))
-
-    marginals: Dict[int, float] = {}
-    r_hat: Dict[int, float] = {}
-    for external in graph.external_ids():
-        means = [chain.marginals[external] for chain in chains]
-        pooled = sum(means) / len(means)
-        marginals[external] = pooled
-        if kept < 2 or num_chains < 2:
-            r_hat[external] = 1.0
-            continue
-        within = sum(m * (1 - m) * kept / (kept - 1) for m in means) / len(means)
-        grand = pooled
-        between = kept * sum((m - grand) ** 2 for m in means) / (len(means) - 1)
-        if within <= 0:
-            r_hat[external] = 1.0 if between == 0 else math.inf
-            continue
-        var_plus = (kept - 1) / kept * within + between / kept
-        r_hat[external] = math.sqrt(var_plus / within)
-    return ChainDiagnostics(marginals, r_hat, num_chains, num_sweeps)

@@ -12,8 +12,8 @@ the exact counters the reference charges for the same plan, so
 are engine-independent.
 
 :class:`~repro.relational.database.Database` always builds this
-executor; the row engine (``relational/executor.py``) is the reference
-tests construct by hand, and nothing here imports it.
+executor; the row engine (``tests/relational/executor.py``) is the
+reference tests construct by hand, and nothing in ``src`` imports it.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ the single-node :class:`~repro.relational.columnar_exec.ColumnarExecutor`
 process or, pickled, inside a pool worker.
 
 Rows, row order and charges are pinned against the row-at-a-time
-:class:`~repro.relational.executor.Executor` by
+reference engine in ``tests/relational/executor.py`` by
 ``tests/relational/test_differential.py``.
 """
 

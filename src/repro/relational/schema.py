@@ -81,9 +81,6 @@ class TableSchema:
     def positions(self, column_names: Iterable[str]) -> Tuple[int, ...]:
         return tuple(self.position(name) for name in column_names)
 
-    def has_column(self, column_name: str) -> bool:
-        return column_name in self._index
-
     def __len__(self) -> int:
         return len(self.columns)
 

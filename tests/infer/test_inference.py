@@ -13,9 +13,7 @@ from repro.infer import (
     FactorGraph,
     GibbsSampler,
     bp_marginals,
-    exact_map,
     exact_marginals,
-    gibbs_marginals,
 )
 
 
@@ -77,7 +75,7 @@ def test_rule_raises_head_probability():
 def test_gibbs_matches_exact_on_chain():
     graph = chain_graph()
     exact = exact_marginals(graph)
-    approx = gibbs_marginals(graph, num_sweeps=4000, seed=7)
+    approx = GibbsSampler(graph, seed=7).run_stream(4000).marginals
     for var, p in exact.items():
         assert approx[var] == pytest.approx(p, abs=0.05)
 
@@ -212,17 +210,9 @@ def test_color_classes_equal_networkx_largest_first():
 
 def test_gibbs_deterministic_for_seed():
     graph = chain_graph()
-    first = gibbs_marginals(graph, num_sweeps=100, seed=42)
-    second = gibbs_marginals(graph, num_sweeps=100, seed=42)
+    first = GibbsSampler(graph, seed=42).run_stream(100).marginals
+    second = GibbsSampler(graph, seed=42).run_stream(100).marginals
     assert first == second
-
-
-def test_exact_map_prefers_satisfying_world():
-    graph = FactorGraph()
-    graph.add_clause(1, [], 3.0)
-    graph.add_clause(2, [1], 3.0)
-    assignment = exact_map(graph)
-    assert assignment == {1: 1, 2: 1}
 
 
 def test_exact_rejects_large_graphs():
@@ -236,7 +226,7 @@ def test_exact_rejects_large_graphs():
 def test_empty_graph():
     graph = FactorGraph()
     assert exact_marginals(graph) == {}
-    assert gibbs_marginals(graph) == {}
+    assert GibbsSampler(graph).run_stream().marginals == {}
     assert bp_marginals(graph).marginals == {}
 
 
@@ -247,31 +237,3 @@ def test_from_factor_rows_with_nulls():
     assert graph.num_factors == 3
     assert graph.factors[0].body == ()
     assert len(graph.factors[2].body) == 2
-
-
-def test_multichain_diagnostics_converge_on_chain_graph():
-    from repro.infer import exact_marginals, gibbs_with_diagnostics
-
-    graph = chain_graph()
-    diagnostics = gibbs_with_diagnostics(graph, num_chains=4, num_sweeps=1500, seed=2)
-    assert diagnostics.converged(threshold=1.1)
-    exact = exact_marginals(graph)
-    for var, p in exact.items():
-        assert diagnostics.marginals[var] == pytest.approx(p, abs=0.06)
-
-
-def test_multichain_diagnostics_shapes():
-    from repro.infer import gibbs_with_diagnostics
-
-    graph = chain_graph()
-    diagnostics = gibbs_with_diagnostics(graph, num_chains=3, num_sweeps=50, seed=0)
-    assert set(diagnostics.marginals) == set(diagnostics.r_hat)
-    assert diagnostics.num_chains == 3
-    assert diagnostics.max_r_hat >= 1.0
-
-
-def test_multichain_empty_graph():
-    from repro.infer import FactorGraph, gibbs_with_diagnostics
-
-    diagnostics = gibbs_with_diagnostics(FactorGraph())
-    assert diagnostics.marginals == {} and diagnostics.converged()

@@ -1,4 +1,4 @@
-"""PhysicalNode (EXPLAIN trees) and CostClock (modelled time) units.
+"""PhysicalNode (EXPLAIN trees), DistDesc and CostClock (modelled time) units.
 
 These two types carry `repro explain`'s numbers; their invariants —
 lossless dict round-trips, additive totals, exact counter arithmetic —
@@ -7,7 +7,7 @@ are what make the estimate-vs-actual comparisons meaningful.
 
 import pytest
 
-from repro.mpp import PhysicalNode
+from repro.mpp import DistDesc, PhysicalNode
 from repro.relational.cost import (
     QUERY_OVERHEAD_S,
     ROW_SCAN_S,
@@ -69,6 +69,27 @@ class TestPhysicalNode:
     def test_from_dict_defaults_missing_fields(self):
         node = PhysicalNode.from_dict({"kind": "Distinct"})
         assert node == PhysicalNode("Distinct")
+
+    def test_explain_tree(self):
+        leaf = PhysicalNode("Seq Scan", "on t", rows=10, seconds=0.001)
+        root = PhysicalNode("Hash Join", children=[leaf], rows=5, seconds=0.002)
+        text = root.explain()
+        assert text.splitlines()[0].startswith("Hash Join")
+        assert text.splitlines()[1].strip().startswith("Seq Scan on t")
+
+    def test_total_seconds_and_find(self):
+        leaf = PhysicalNode("Seq Scan", seconds=0.5)
+        mid = PhysicalNode("Redistribute Motion", children=[leaf], seconds=0.25)
+        root = PhysicalNode("Hash Join", children=[mid], seconds=0.25)
+        assert root.total_seconds() == pytest.approx(1.0)
+        assert len(root.find_all("Seq Scan")) == 1
+        assert root.find_all("Broadcast Motion") == []
+
+
+class TestDistDesc:
+    def test_factories(self):
+        assert DistDesc.arbitrary().kind == "arbitrary"
+        assert DistDesc.hash_on(("x",)).columns == ("x",)
 
 
 class TestCostClock:

@@ -13,7 +13,7 @@ from repro.core import (
     classify_clause,
     clause_from_identifier,
 )
-from repro.infer import FactorGraph, exact_marginals, gibbs_marginals
+from repro.infer import FactorGraph, GibbsSampler, exact_marginals
 from repro.mpp import (
     HashDistribution,
     MPPDatabase,
@@ -304,7 +304,7 @@ def test_exact_marginals_are_probabilities(graph):
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_gibbs_tracks_exact(graph):
     exact = exact_marginals(graph)
-    approx = gibbs_marginals(graph, num_sweeps=2500, seed=1)
+    approx = GibbsSampler(graph, seed=1).run_stream(2500).marginals
     for var, probability in exact.items():
         assert approx[var] == pytest.approx(probability, abs=0.12)
 

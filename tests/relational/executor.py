@@ -1,6 +1,7 @@
-"""Single-node, set-oriented plan executor.
+"""The row engine: a single-node, set-oriented plan executor.
 
-Materializing, hash-join based executor.  All work is charged to the
+Materializing, hash-join based executor, kept beside the tests as the
+reference the columnar operators are held to.  All work is charged to the
 database's :class:`~repro.relational.cost.CostClock`; see that module for
 why cost-model time (rather than raw wall-clock) drives the benchmark
 comparisons.
@@ -11,9 +12,9 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .cost import CostClock
-from .expr import resolve_column
-from .plan import (
+from repro.relational.cost import CostClock
+from repro.relational.expr import resolve_column
+from repro.relational.plan import (
     Aggregate,
     AntiJoin,
     Distinct,
@@ -26,17 +27,16 @@ from .plan import (
     Values,
     bind_scans,
 )
-from .types import ExecutionError, Result, Row, Value
+from repro.relational.types import ExecutionError, Result, Row, Value
 
 
 class Executor:
     """Evaluates logical plans against a table catalog (row-at-a-time).
 
-    Not reachable from any config: this is the reference the
-    differential suite holds the columnar operators to, row order and
-    clock charges included; tests build it by hand over a
-    :class:`~repro.relational.database.Database`'s tables and clock.
-    The vectorized twin every database runs lives in
+    The reference the differential suite holds the columnar operators
+    to, row order and clock charges included; tests build it by hand
+    over a :class:`~repro.relational.database.Database`'s tables and
+    clock.  The vectorized twin every database runs lives in
     :mod:`repro.relational.columnar_exec`.
     """
 

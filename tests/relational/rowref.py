@@ -1,12 +1,13 @@
 """The row engine as the differential suites' reference.
 
-No config reaches :class:`~repro.relational.executor.Executor`: a
-``Database`` always runs the columnar executor, so the suites that hold
-the columnar operators (and through them sqlite and MPP) to the row
-engine build it by hand over the database's own tables and clock.
+The row :class:`~tests.relational.executor.Executor` lives beside the
+tests, not in ``src``: a ``Database`` always runs the columnar executor,
+so the suites that hold the columnar operators (and through them sqlite
+and MPP) to the row engine build it by hand over the database's own
+tables and clock.
 """
 
-from repro.relational.executor import Executor
+from .executor import Executor
 
 ENGINES = ("rows", "columnar")
 
