@@ -15,7 +15,7 @@ import os
 import statistics
 
 from repro import GroundingConfig, ProbKB
-from repro.analyze import PlanEnvironment, estimate_plans
+from repro.analyze import estimate_plans
 from repro.core import MPPBackend, ground_atoms_plan, ground_factors_plan
 from repro.datasets.paper_example import paper_kb
 
@@ -43,7 +43,7 @@ def measure_workload(label, kb, use_matviews=True):
         backend=backend,
         grounding=GroundingConfig(apply_constraints=False, analysis="off"),
     )
-    report = estimate_plans(system.kb, PlanEnvironment.from_backend(backend))
+    report = estimate_plans(system.kb, backend)
     builders = {"1": ground_atoms_plan, "2": ground_factors_plan}
     records = []
     for query in report.queries:

@@ -18,14 +18,8 @@ asserts the verifier walks stay under 5% of grounding.
 import time
 
 from repro import ProbKB
-from repro.analyze import (
-    PlanEnvironment,
-    grounding_schemas,
-    kb_statistics,
-    partition_plans,
-)
+from repro.analyze import estimate_plans, grounding_schemas
 from repro.core import GroundingConfig, MPPBackend
-from repro.mpp.static_planner import StaticPlanner
 from repro.mpp.verify import verify_physical_plan
 from repro.relational.verify import verify_plan
 
@@ -35,10 +29,11 @@ from reporting import scaled, write_result
 NSEG = 8
 
 
-def ground_wallclock(kb, verify_plans):
+def ground_wallclock(kb, verify_plans, monkeypatch):
+    monkeypatch.setenv("PROBKB_VERIFY_PLANS", "1" if verify_plans else "0")
     system = ProbKB(
         kb,
-        backend=MPPBackend(nseg=NSEG, verify_plans=verify_plans),
+        backend=MPPBackend(nseg=NSEG),
         grounding=GroundingConfig(apply_constraints=False, analysis="off"),
     )
     start = time.perf_counter()
@@ -49,28 +44,25 @@ def ground_wallclock(kb, verify_plans):
 def verifier_walks_wallclock(kb, repeats=20):
     """Time only what the gate adds: the verify passes over plans that
     the planner has already produced."""
-    env = PlanEnvironment(kind="mpp", num_segments=NSEG)
-    plans = partition_plans(kb, env)
-    planner = StaticPlanner(kb_statistics(kb, env), NSEG)
-    roots = [(name, planner.plan(plan).root) for name, _, plan in plans]
+    queries = estimate_plans(kb, MPPBackend(nseg=NSEG)).queries
     schemas = grounding_schemas()
 
     start = time.perf_counter()
     for _ in range(repeats):
-        for (name, _, plan), (_, root) in zip(plans, roots):
-            assert verify_plan(plan, tables=schemas, name=name).ok
-            assert verify_physical_plan(root, NSEG, name=name).ok
+        for query in queries:
+            assert verify_plan(query.plan, tables=schemas, name=query.name).ok
+            assert verify_physical_plan(query.root, NSEG, name=query.name).ok
     elapsed = (time.perf_counter() - start) / repeats
-    return elapsed, len(plans)
+    return elapsed, len(queries)
 
 
-def test_verify_overhead(benchmark):
+def test_verify_overhead(benchmark, monkeypatch):
     kb = synthetic_kb(scaled(20_000))
 
     def workload():
-        ground_wallclock(kb, verify_plans=False)  # warm-up
-        baseline_s = ground_wallclock(kb, verify_plans=False)
-        gated_s = ground_wallclock(kb, verify_plans=True)
+        ground_wallclock(kb, False, monkeypatch)  # warm-up
+        baseline_s = ground_wallclock(kb, False, monkeypatch)
+        gated_s = ground_wallclock(kb, True, monkeypatch)
         verify_s, plans = verifier_walks_wallclock(kb)
         return baseline_s, gated_s, verify_s, plans
 

@@ -38,7 +38,6 @@ from .findings import (
 )
 from .plans import (
     FACTS_TABLES,
-    PlanEnvironment,
     QueryPlanEstimate,
     StaticPlanReport,
     check_plans,
@@ -53,6 +52,7 @@ from .verify import (
     check_plan_soundness,
     grounding_schemas,
     verify_partition_plans,
+    verify_report,
 )
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "FACTS_TABLES",
     "Finding",
     "INFO",
-    "PlanEnvironment",
     "QueryPlanEstimate",
     "SEVERITIES",
     "SchemaIndex",
@@ -90,4 +89,5 @@ __all__ = [
     "partition_plans",
     "strongly_connected_components",
     "verify_partition_plans",
+    "verify_report",
 ]

@@ -9,21 +9,23 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ..core.backends import Backend
 from ..core.model import KnowledgeBase
+from ..relational.types import ExecutionError
 from .constraints import check_constraints
 from .depgraph import check_dependencies
 from .findings import AnalysisReport, Finding
-from .plans import PlanEnvironment, check_plans
+from .plans import check_plans, estimate_plans
 from .rules import check_dead_rules, check_duplicates
 from .safety import check_safety
 from .typecheck import SchemaIndex, check_types
-from .verify import check_plan_soundness
+from .verify import soundness_findings, verify_report
 
 
 def analyze(
     kb: KnowledgeBase,
     include_infos: bool = True,
-    environment: Optional[PlanEnvironment] = None,
+    backend: Optional[Backend] = None,
 ) -> AnalysisReport:
     """Statically analyze a KB program before grounding.
 
@@ -31,18 +33,24 @@ def analyze(
     (PKB006), duplicates (PKB008), dead rules (PKB009), constraint
     consistency (PKB010-012), dependency analysis (PKB013-014), static
     plan analysis (PKB101-105), and plan-IR verification (PKB201-212)
-    for ``environment`` (defaulting to the paper's 8-segment MPP
-    cluster with matviews).
+    of the grounding queries planned for ``backend`` (default: the
+    paper's 8-segment MPP cluster with matviews).  Every rule is
+    classified once and every query planned once, whatever the passes.
     """
     index = SchemaIndex(kb)
     findings: List[Finding] = []
     findings.extend(check_safety(kb, index))
     findings.extend(check_types(kb, index))
-    findings.extend(check_duplicates(kb))
-    findings.extend(check_dead_rules(kb))
+    findings.extend(check_duplicates(kb, index))
+    findings.extend(check_dead_rules(kb, index))
     findings.extend(check_constraints(kb, index))
-    findings.extend(check_plans(kb, environment, include_infos=include_infos))
-    findings.extend(check_plan_soundness(kb, environment))
+    try:
+        plans = estimate_plans(kb, backend, index)
+    except ExecutionError:
+        pass  # a KB too broken to plan is the other passes' business
+    else:
+        findings.extend(check_plans(plans, include_infos=include_infos))
+        findings.extend(soundness_findings(verify_report(plans)))
     if include_infos:
         findings.extend(check_dependencies(kb, index))
     findings.sort(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..core.clauses import ClauseError, classify_clause
 from ..core.model import TYPE_I, FunctionalConstraint, KnowledgeBase
 from .findings import Finding
 from .typecheck import SchemaIndex
@@ -78,14 +77,11 @@ def _check_self_violations(
         by_relation.setdefault(constraint.relation, []).append(constraint)
 
     findings: List[Finding] = []
-    for rule_index, rule in enumerate(kb.rules):
+    for rule_index, _ in index.classified:
+        rule = kb.rules[rule_index]
         relevant = by_relation.get(rule.head.relation)
         if not relevant:
             continue
-        try:
-            classify_clause(rule)
-        except ClauseError:
-            continue  # unclassifiable shapes have their own findings
         head_subject, head_object = rule.head.args
         classes = rule.classes
         for constraint in relevant:

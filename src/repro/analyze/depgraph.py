@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.clauses import ClauseError, classify_clause
 from ..core.model import KnowledgeBase
 from .findings import Finding
 from .rules import live_relations
@@ -29,15 +28,12 @@ from .typecheck import SchemaIndex
 Edge = Tuple[str, str]
 
 
-def dependency_edges(kb: KnowledgeBase) -> List[Edge]:
+def dependency_edges(kb: KnowledgeBase, index: SchemaIndex) -> List[Edge]:
     """Distinct (body relation, head relation) edges, in rule order."""
     edges: List[Edge] = []
     seen: Set[Edge] = set()
-    for rule in kb.rules:
-        try:
-            classify_clause(rule)
-        except ClauseError:
-            continue
+    for rule_index, _ in index.classified:
+        rule = kb.rules[rule_index]
         for atom in rule.body:
             edge = (atom.relation, rule.head.relation)
             if edge not in seen:
@@ -103,10 +99,9 @@ def strongly_connected_components(
     return components
 
 
-def fixpoint_depth_bound(kb: KnowledgeBase) -> Optional[int]:
+def fixpoint_depth_bound(edges: Sequence[Edge]) -> Optional[int]:
     """Iterations after which naive grounding *must* have converged, or
     ``None`` when the rule set is recursive (no static bound)."""
-    edges = dependency_edges(kb)
     nodes = sorted({n for edge in edges for n in edge})
     components = strongly_connected_components(nodes, edges)
     component_of = {
@@ -136,7 +131,7 @@ def grounding_size_bound(kb: KnowledgeBase, index: SchemaIndex) -> int:
     """An upper bound on |TΠ| after any number of iterations: for every
     relation signature that could ever hold facts, the full cross
     product of its class extents."""
-    live = live_relations(kb)
+    live = live_relations(kb, index)
     bound = 0
     counted: Set[Tuple[str, str, str]] = set()
     for relation in sorted(live):
@@ -159,7 +154,7 @@ def grounding_size_bound(kb: KnowledgeBase, index: SchemaIndex) -> int:
 
 def check_dependencies(kb: KnowledgeBase, index: SchemaIndex) -> List[Finding]:
     findings: List[Finding] = []
-    edges = dependency_edges(kb)
+    edges = dependency_edges(kb, index)
     nodes = sorted({n for edge in edges for n in edge})
     self_loops = {source for source, target in edges if source == target}
     recursive = False
@@ -178,7 +173,7 @@ def check_dependencies(kb: KnowledgeBase, index: SchemaIndex) -> List[Finding]:
                     details={"cycle": component},
                 )
             )
-    depth = fixpoint_depth_bound(kb)
+    depth = fixpoint_depth_bound(edges)
     size = grounding_size_bound(kb, index)
     if depth is None:
         depth_text = "unbounded (recursive rule set)"

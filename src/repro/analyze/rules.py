@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from ..core.clauses import ClassifiedClause, ClauseError, classify_clause
+from ..core.clauses import ClassifiedClause
 from ..core.model import KnowledgeBase
 from .findings import Finding
+from .typecheck import SchemaIndex
 
 CanonicalKey = Tuple[int, Tuple[str, ...], Tuple[str, ...]]
 
@@ -33,22 +34,10 @@ def canonical_key(classified: ClassifiedClause) -> CanonicalKey:
     return (classified.partition, classified.relations, classified.classes)
 
 
-def _classified_rules(
-    kb: KnowledgeBase,
-) -> List[Tuple[int, ClassifiedClause]]:
-    classified: List[Tuple[int, ClassifiedClause]] = []
-    for rule_index, rule in enumerate(kb.rules):
-        try:
-            classified.append((rule_index, classify_clause(rule)))
-        except ClauseError:
-            continue  # shape findings (safety pass) cover these
-    return classified
-
-
-def check_duplicates(kb: KnowledgeBase) -> List[Finding]:
+def check_duplicates(kb: KnowledgeBase, index: SchemaIndex) -> List[Finding]:
     findings: List[Finding] = []
     first_seen: Dict[CanonicalKey, int] = {}
-    for rule_index, classified in _classified_rules(kb):
+    for rule_index, classified in index.classified:
         key = canonical_key(classified)
         original = first_seen.setdefault(key, rule_index)
         if original == rule_index:
@@ -73,11 +62,11 @@ def check_duplicates(kb: KnowledgeBase) -> List[Finding]:
     return findings
 
 
-def live_relations(kb: KnowledgeBase) -> Set[str]:
+def live_relations(kb: KnowledgeBase, index: SchemaIndex) -> Set[str]:
     """Relations that can hold at least one fact across any fixpoint."""
     live = {fact.relation for fact in kb.facts}
     rules: List[Tuple[str, Set[str]]] = []
-    for rule_index, _ in _classified_rules(kb):
+    for rule_index, _ in index.classified:
         rule = kb.rules[rule_index]
         rules.append(
             (rule.head.relation, {atom.relation for atom in rule.body})
@@ -92,10 +81,10 @@ def live_relations(kb: KnowledgeBase) -> Set[str]:
     return live
 
 
-def check_dead_rules(kb: KnowledgeBase) -> List[Finding]:
+def check_dead_rules(kb: KnowledgeBase, index: SchemaIndex) -> List[Finding]:
     findings: List[Finding] = []
-    live = live_relations(kb)
-    for rule_index, _ in _classified_rules(kb):
+    live = live_relations(kb, index)
+    for rule_index, _ in index.classified:
         rule = kb.rules[rule_index]
         starved = sorted(
             {atom.relation for atom in rule.body if atom.relation not in live}

@@ -18,12 +18,7 @@ from __future__ import annotations
 import math
 from typing import List
 
-from ..core.clauses import (
-    ClauseError,
-    HornClause,
-    classify_clause,
-    partition_patterns_text,
-)
+from ..core.clauses import HornClause, partition_patterns_text
 from ..core.model import KnowledgeBase
 from .findings import Finding
 from .typecheck import SchemaIndex
@@ -32,8 +27,7 @@ from .typecheck import SchemaIndex
 def check_rule_shape(
     rule: HornClause, rule_index: int, index: SchemaIndex
 ) -> List[Finding]:
-    """All shape findings for one rule (used standalone by the serving
-    layer's rule-ingest gate)."""
+    """All shape findings for rule ``rule_index`` of the index's KB."""
     findings: List[Finding] = []
     rule_text = str(rule)
 
@@ -115,23 +109,21 @@ def check_rule_shape(
     # PKB005 only when classification fails for a *new* reason: untyped
     # variables and unbound head variables already fail classification
     # and have their own codes above.
-    if not untyped and not unbound:
-        try:
-            classify_clause(rule)
-        except ClauseError as error:
-            findings.append(
-                Finding(
-                    code="PKB005",
-                    message=(
-                        f"rule cannot be mapped onto MLN partitions M1-M6 "
-                        f"({error}); supported shapes: "
-                        f"{partition_patterns_text()}"
-                    ),
-                    rule=rule_text,
-                    rule_index=rule_index,
-                    details={"reason": str(error)},
-                )
+    error = index.clause_errors.get(rule_index)
+    if error is not None and not untyped and not unbound:
+        findings.append(
+            Finding(
+                code="PKB005",
+                message=(
+                    f"rule cannot be mapped onto MLN partitions M1-M6 "
+                    f"({error}); supported shapes: "
+                    f"{partition_patterns_text()}"
+                ),
+                rule=rule_text,
+                rule_index=rule_index,
+                details={"reason": str(error)},
             )
+        )
 
     if not math.isfinite(rule.weight) or rule.weight <= 0:
         findings.append(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
+from ..core.clauses import ClassifiedClause, ClauseError, classify_clause
 from ..core.model import KnowledgeBase
 from .findings import Finding
 
@@ -21,10 +22,21 @@ ClassPair = Tuple[str, str]
 
 
 class SchemaIndex:
-    """Per-relation allowed class pairs, precomputed once per analysis."""
+    """Per-relation allowed class pairs and every rule's Definition-6
+    classification, precomputed once per analysis."""
 
     def __init__(self, kb: KnowledgeBase) -> None:
         self.kb = kb
+        #: (rule index, classification) of every rule that maps onto a
+        #: partition, in rule order; the others' ClauseError by index
+        #: (the safety pass reports those, every other pass skips them)
+        self.classified: List[Tuple[int, ClassifiedClause]] = []
+        self.clause_errors: Dict[int, ClauseError] = {}
+        for rule_index, rule in enumerate(kb.rules):
+            try:
+                self.classified.append((rule_index, classify_clause(rule)))
+            except ClauseError as error:
+                self.clause_errors[rule_index] = error
         self.known_relations: Set[str] = set(kb.relations)
         self.known_classes: Set[str] = set(kb.classes)
         self._compatible_cache: Dict[ClassPair, bool] = {}

@@ -28,7 +28,7 @@ if TYPE_CHECKING:
     from .delta import DeltaExpander, DeltaResult
     from .serve.engine import KBService, ServiceConfig
 
-from .analyze import AnalysisReport, PlanEnvironment, analyze as analyze_kb
+from .analyze import AnalysisReport, analyze as analyze_kb
 from .core.backends import Backend
 from .core.config import (
     ANALYSIS_MODES,
@@ -137,9 +137,7 @@ class ExpansionSession(ProbKB):
         """Run the static analyzer over the session's KB (pure; see
         :mod:`repro.analyze`).  Independent of the pre-flight gate — it
         always runs, whatever ``GroundingConfig.analysis`` says."""
-        return analyze_kb(
-            self.kb, environment=PlanEnvironment.from_backend(self.backend)
-        )
+        return analyze_kb(self.kb, backend=self.backend)
 
     def query(
         self,

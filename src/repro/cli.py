@@ -31,6 +31,7 @@ from .core import (
     InferenceConfig,
     MPPConfig,
     ProbKB,
+    build_backend,
 )
 from .core.config import INFERENCE_ENGINES
 from .datasets import (
@@ -290,24 +291,13 @@ def _add_environment_arguments(cmd: argparse.ArgumentParser) -> None:
     )
 
 
-def _plan_environment(args):
-    from .analyze import PlanEnvironment
-
-    if args.backend == "single":
-        return PlanEnvironment(kind="single", num_segments=1, use_matviews=False)
-    return PlanEnvironment(
-        kind="mpp",
-        num_segments=args.nseg,
-        use_matviews=args.policy == "matviews",
-    )
-
-
 def _backend_config(args) -> BackendConfig:
     return BackendConfig(
         kind=args.backend,
         mpp=MPPConfig(
             num_segments=args.nseg,
             num_workers=getattr(args, "mpp_workers", 0),
+            policy=getattr(args, "policy", "matviews"),
         ),
     )
 
@@ -372,11 +362,8 @@ def cmd_analyze(args) -> int:
     kb = _load_for_analysis(args.kb)
     if kb is None:
         return 2
-    report = analyze(
-        kb,
-        include_infos=not args.no_infos,
-        environment=_plan_environment(args),
-    )
+    with build_backend(_backend_config(args)) as backend:
+        report = analyze(kb, include_infos=not args.no_infos, backend=backend)
     if args.json:
         print(report.to_json(indent=2))
     else:
@@ -391,14 +378,14 @@ def cmd_explain(args) -> int:
     """Static EXPLAIN: estimated plan trees for every grounding query."""
     import json
 
-    from .analyze import estimate_plans, verify_partition_plans
+    from .analyze import estimate_plans, verify_report
 
     kb = _load_for_analysis(args.kb)
     if kb is None:
         return 2
-    environment = _plan_environment(args)
-    report = estimate_plans(kb, environment)
-    reports = verify_partition_plans(kb, environment) if args.verify else []
+    with build_backend(_backend_config(args)) as backend:
+        report = estimate_plans(kb, backend)
+    reports = verify_report(report) if args.verify else []
     if args.json:
         payload = report.to_dict()
         if args.verify:

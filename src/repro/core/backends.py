@@ -56,7 +56,8 @@ class Backend:
     """The one statement surface over either database."""
 
     is_mpp = False
-    #: the physical design the static analyzer plans for
+    #: Section 4.4's physical design: segments, and whether the
+    #: redistributed views of TΠ exist (what the analyzer plans for)
     nseg = 1
     use_matviews = False
 
@@ -164,12 +165,8 @@ class Backend:
 class SingleNodeBackend(Backend):
     """ProbKB on a single-node RDBMS (the PostgreSQL role)."""
 
-    def __init__(
-        self,
-        name: str = "probkb",
-        verify_plans: Optional[bool] = None,
-    ) -> None:
-        super().__init__(name, Database(name, verify_plans=verify_plans))
+    def __init__(self, name: str = "probkb") -> None:
+        super().__init__(name, Database(name))
 
 
 class MPPBackend(Backend):
@@ -186,7 +183,6 @@ class MPPBackend(Backend):
         name: str = "probkb-p",
         num_workers: int = 0,
         worker_timeout: float = 60.0,
-        verify_plans: Optional[bool] = None,
     ) -> None:
         super().__init__(
             name,
@@ -195,13 +191,11 @@ class MPPBackend(Backend):
                 name=name,
                 num_workers=num_workers,
                 worker_timeout=worker_timeout,
-                verify_plans=verify_plans,
             ),
         )
         self.nseg = nseg
         self.use_matviews = use_matviews
         self.num_workers = num_workers
-        self._views_created = False
 
     def create_table(
         self,
@@ -240,9 +234,10 @@ class MPPBackend(Backend):
         for view_name, keys in TPI_VIEWS.items():
             self.db.create_redistributed_matview(view_name, "TP", keys)
             self.db.add_mirror("TP", view_name)
-        self._views_created = True
 
     def tpi_scan(self, alias: str, entity_join_columns: Sequence[str]) -> Scan:
-        if not self._views_created:
+        """The matching view when the design has them (the load creates
+        them before any grounding query is compiled), else TΠ."""
+        if not self.use_matviews:
             return Scan("TP", alias)
         return Scan(tpi_view(entity_join_columns), alias)

@@ -68,9 +68,6 @@ class BackendConfig:
     kind: str = "single"
     mpp: MPPConfig = field(default_factory=MPPConfig)
     name: Optional[str] = None
-    #: debug gate: statically verify every distinct plan once before it
-    #: executes (False still honors the PROBKB_VERIFY_PLANS env var)
-    verify_plans: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:
@@ -150,16 +147,12 @@ def build_backend(spec: BackendSpec = BackendConfig()) -> Backend:
         raise TypeError(
             f"expected BackendConfig, Backend, or 'single'/'mpp'; got {spec!r}"
         )
-    # verify_plans=False means "not forced here": pass None so the
-    # PROBKB_VERIFY_PLANS env var still switches the gate on
-    verify = spec.verify_plans or None
     if spec.kind == "single":
-        return SingleNodeBackend(name=spec.name or "probkb", verify_plans=verify)
+        return SingleNodeBackend(name=spec.name or "probkb")
     mpp = spec.mpp
     return MPPBackend(
         nseg=mpp.num_segments,
         use_matviews=mpp.use_matviews,
         name=spec.name or "probkb-p",
         num_workers=mpp.num_workers,
-        verify_plans=verify,
     )

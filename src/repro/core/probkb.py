@@ -106,16 +106,9 @@ class ProbKB:
         mode = self.grounding_config.analysis
         if mode == "off":
             return None
-        from ..analyze import (
-            AnalysisError,
-            AnalysisWarning,
-            PlanEnvironment,
-            analyze,
-        )
+        from ..analyze import AnalysisError, AnalysisWarning, analyze
 
-        report = analyze(
-            self.kb, environment=PlanEnvironment.from_backend(self.backend)
-        )
+        report = analyze(self.kb, backend=self.backend)
         if report.has_errors and mode == "strict":
             raise AnalysisError(report)
         problems = report.errors + report.warnings
@@ -255,26 +248,22 @@ class ProbKB:
         return outcome
 
     def explain(self) -> "StaticPlanReport":
-        """Static EXPLAIN of every grounding query for this backend's
-        environment — Figure 4's plan trees with estimated rows and
-        modelled seconds, without executing anything (see
-        :mod:`repro.analyze.plans` and the ``repro explain`` CLI)."""
-        from ..analyze import PlanEnvironment, estimate_plans
+        """Static EXPLAIN of every grounding query for this backend —
+        Figure 4's plan trees with estimated rows and modelled seconds,
+        without executing anything (see :mod:`repro.analyze.plans` and
+        the ``repro explain`` CLI)."""
+        from ..analyze import estimate_plans
 
-        return estimate_plans(
-            self.kb, PlanEnvironment.from_backend(self.backend)
-        )
+        return estimate_plans(self.kb, self.backend)
 
     def verify_plans(self) -> List["VerificationReport"]:
-        """Run the plan verifier (PKB201-212) over every grounding query
-        for this backend's environment: the logical plans plus, on a
-        multi-segment cluster, the statically planned physical plans.
-        Pure — nothing executes, no table changes."""
-        from ..analyze import PlanEnvironment, verify_partition_plans
+        """Run the plan verifier (PKB201-212) over the plans of
+        :meth:`explain`: the logical plans plus, on a multi-segment
+        cluster, the statically planned physical plans.  Pure — nothing
+        executes, no table changes."""
+        from ..analyze import verify_report
 
-        return verify_partition_plans(
-            self.kb, PlanEnvironment.from_backend(self.backend)
-        )
+        return verify_report(self.explain())
 
     def factor_rows(self) -> List[Row]:
         return self.backend.query(Scan("TF")).rows

@@ -35,9 +35,8 @@ from .clauses import PARTITION_BODY_PATTERNS
 
 class FactScans(Protocol):
     """What compiling a grounding query needs from a backend: which
-    stored copy of TΠ each body atom scans.  A live
-    :class:`~repro.core.backends.Backend` answers for its tables, the
-    static analyzer for tables that do not exist yet."""
+    stored copy of TΠ each body atom scans
+    (:meth:`~repro.core.backends.Backend.tpi_scan`)."""
 
     def tpi_scan(self, alias: str, entity_join_columns: Sequence[str]) -> Scan: ...
 
@@ -308,34 +307,46 @@ def singleton_factors_plan(backend: FactScans, table: str = "TP") -> PlanNode:
     )
 
 
-def apply_constraints_key_plan(functionality_type: int) -> PlanNode:
-    """Query 3's subquery: entities violating functional constraints.
+#: per functionality type: the group's entity column, its class column,
+#: and Query 3's grouping (R, entity, class, other class)
+_VIOLATION_GROUPS = {
+    1: ("T.x", "T.C1", ("T.R", "T.x", "T.C1", "T.C2")),
+    2: ("T.y", "T.C2", ("T.R", "T.y", "T.C2", "T.C1")),
+}
 
-    For Type I the result is the violating (x, C1) pairs — subjects
-    associated with more than δ objects under a functional relation;
-    Type II is the mirror image on (y, C2).
-    """
-    if functionality_type == 1:
-        entity_col, class_col = "T.x", "T.C1"
-        group_by = ["T.R", "T.x", "T.C1", "T.C2"]
-    elif functionality_type == 2:
-        entity_col, class_col = "T.y", "T.C2"
-        group_by = ["T.R", "T.y", "T.C2", "T.C1"]
-    else:
+
+def violating_groups_plan(functionality_type: int) -> PlanNode:
+    """Query 3's HAVING aggregate over TΠ ⋈ FC: one row
+    (R, entity, class, other class, n, mindeg) per group whose join-row
+    count n exceeds the smallest functionality degree δ among the
+    relation's constraints of this type (``count(*) > min(FC.deg)``)."""
+    if functionality_type not in _VIOLATION_GROUPS:
         raise ValueError(f"functionality type must be 1 or 2, got {functionality_type}")
-
+    _, _, group_by = _VIOLATION_GROUPS[functionality_type]
     joined = HashJoin(
         Scan("TP", "T"),
         Filter(Scan("FC", "FC"), eq_const("FC.arg", functionality_type)),
         ["T.R"],
         ["FC.R"],
     )
-    aggregated = Aggregate(
+    return Aggregate(
         joined,
-        group_by=group_by,
+        group_by=list(group_by),
         aggregates=[("count", None, "n"), ("min", "FC.deg", "mindeg")],
         having=Compare(">", col("n"), col("mindeg")),
     )
+
+
+def apply_constraints_key_plan(functionality_type: int) -> PlanNode:
+    """Query 3's subquery: entities violating functional constraints.
+
+    For Type I the result is the violating (x, C1) pairs — subjects
+    associated with more than δ objects under a functional relation;
+    Type II is the mirror image on (y, C2).  It projects
+    :func:`violating_groups_plan` onto the groups' keys.
+    """
+    aggregated = violating_groups_plan(functionality_type)
+    entity_col, class_col, _ = _VIOLATION_GROUPS[functionality_type]
     projected = Project(
         aggregated, [(col(entity_col), "x"), (col(class_col), "C1")]
     )

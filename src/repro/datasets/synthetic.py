@@ -114,16 +114,3 @@ def _fact_signatures(kb: KnowledgeBase) -> List[Tuple[str, str, str]]:
     """(relation, subject class, object class) triples observed in the
     base facts — random edges follow the KB's own signature mix."""
     return sorted({(f.relation, f.subject_class, f.object_class) for f in kb.facts})
-
-
-def _rule_signatures(kb: KnowledgeBase) -> List[Tuple[str, str, str]]:
-    """(relation, subject class, object class) triples the rule bodies
-    consume — edges on these are guaranteed to exercise the rules."""
-    signatures: Set[Tuple[str, str, str]] = set()
-    for rule in kb.rules:
-        classes = rule.classes
-        for atom in rule.body:
-            signatures.add(
-                (atom.relation, classes[atom.args[0]], classes[atom.args[1]])
-            )
-    return sorted(signatures)

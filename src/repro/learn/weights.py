@@ -58,9 +58,6 @@ class LearningResult:
     pll_trace: List[float] = field(default_factory=list)
     iterations: int = 0
 
-    def weight_of(self, rule_index: int) -> float:
-        return self.weights[rule_index]
-
 
 def build_tied_graph(system: ProbKB) -> TiedGraph:
     """Ground every rule separately and build the tagged factor graph.

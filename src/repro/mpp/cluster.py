@@ -199,7 +199,6 @@ class MPPDatabase:
         name: str = "mpp",
         num_workers: int = 0,
         worker_timeout: float = 60.0,
-        verify_plans: Optional[bool] = None,
     ) -> None:
         ensure(nseg >= 1, ExecutionError, "need at least one segment")
         self.name = name
@@ -214,8 +213,8 @@ class MPPDatabase:
         #: how redistributed matviews stay fresh incrementally
         self._mirrors: Dict[str, List[str]] = {}
         #: debug gate: statically verify every distinct plan once before
-        #: it executes (None defers to the PROBKB_VERIFY_PLANS env var)
-        self.verify_plans = verify_plans_enabled(verify_plans)
+        #: it executes (switched on by the PROBKB_VERIFY_PLANS env var)
+        self.verify_plans = verify_plans_enabled()
         self._verified_plans: "weakref.WeakSet[PlanNode]" = weakref.WeakSet()
         self.pool: Optional[WorkerPool] = None
         self.num_workers = 0

@@ -12,7 +12,7 @@ estimated rows and seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 
 @dataclass
@@ -70,26 +70,6 @@ class PhysicalNode:
         if self.children:
             payload["children"] = [c.to_dict() for c in self.children]
         return payload
-
-    @staticmethod
-    def from_dict(payload: Mapping[str, Any]) -> "PhysicalNode":
-        children: Sequence[Mapping[str, Any]] = payload.get("children", ())
-        raw_dist = payload.get("dist")
-        dist: Optional["DistDesc"] = None
-        if raw_dist is not None:
-            columns = raw_dist.get("columns")
-            dist = DistDesc(
-                kind=str(raw_dist["kind"]),
-                columns=tuple(columns) if columns is not None else None,
-            )
-        return PhysicalNode(  # lint: disable=RC009 deserializer, not a planner
-            kind=str(payload["kind"]),
-            detail=str(payload.get("detail", "")),
-            children=[PhysicalNode.from_dict(c) for c in children],
-            seconds=float(payload.get("seconds", 0.0)),
-            rows=int(payload.get("rows", 0)),
-            dist=dist,
-        )
 
 
 @dataclass(frozen=True)

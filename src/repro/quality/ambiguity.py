@@ -14,12 +14,14 @@ from the lineage in TΦ.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core import Fact, ProbKB, TYPE_I, TYPE_II
 from ..core.lineage import LineageIndex
+from ..core.sqlgen import violating_groups_plan
+from ..relational import Scan
 from ..datasets.reverb_sherlock import GeneratedKB
 
 AMBIGUOUS_ENTITY = "ambiguity_detected"
@@ -74,43 +76,46 @@ class ViolationAudit:
 def find_violations(system: ProbKB) -> List[Violation]:
     """All functional-constraint violations currently in TΠ.
 
-    Recomputes Query 3's grouping in Python so the violating *groups*
-    (not just entity keys) are available for categorization.
+    The violating *groups* are the ones Query 3's HAVING aggregate
+    reports (:func:`~repro.core.sqlgen.violating_groups_plan`), run on
+    the backend; each comes back with its facts, for categorization.
     """
-    facts_by_id = {
-        row[0]: system.rkb.decode_fact(row)
-        for row in system.backend.query(
-            __import__("repro.relational", fromlist=["Scan"]).Scan("TP")
-        ).rows
-    }
-    constraints = system.kb.constraints
-    groups: Dict[Tuple[str, str, str, str, int], List[Tuple[int, Fact]]] = defaultdict(list)
-    degree_of: Dict[Tuple[str, int], int] = {}
-    for constraint in constraints:
-        degree_of[(constraint.relation, constraint.arg)] = constraint.degree
-    for fact_id, fact in facts_by_id.items():
-        for arg in (TYPE_I, TYPE_II):
-            if (fact.relation, arg) not in degree_of:
-                continue
-            if arg == TYPE_I:
-                key = (fact.relation, fact.subject, fact.subject_class, fact.object_class, arg)
-            else:
-                key = (fact.relation, fact.object, fact.object_class, fact.subject_class, arg)
-            groups[key].append((fact_id, fact))
+    rkb = system.rkb
+    groups: Dict[Tuple[int, ...], List[Tuple[int, Fact]]] = {}
+    for arg in (TYPE_I, TYPE_II):
+        for row in system.backend.query(violating_groups_plan(arg)).rows:
+            groups[(arg,) + tuple(row[:4])] = []
+    if not groups:
+        return []
+    for row in system.backend.query(Scan("TP")).rows:
+        fact_id, relation, x, c1, y, c2, _ = row
+        for key in ((TYPE_I, relation, x, c1, c2), (TYPE_II, relation, y, c2, c1)):
+            members = groups.get(key)
+            if members is not None:
+                members.append((fact_id, rkb.decode_fact(row)))
 
-    violations = []
-    for (relation, entity, entity_class, _, arg), members in sorted(groups.items()):
-        degree = degree_of[(relation, arg)]
-        if len(members) > degree:
-            violations.append(
-                Violation(
-                    entity=entity,
-                    entity_class=entity_class,
-                    relation=relation,
-                    facts=sorted(members),
-                )
-            )
-    return violations
+    named = sorted(
+        (
+            (
+                rkb.relations.name(relation),
+                rkb.entities.name(entity),
+                rkb.classes.name(entity_class),
+                rkb.classes.name(other_class),
+                arg,
+            ),
+            members,
+        )
+        for (arg, relation, entity, entity_class, other_class), members in groups.items()
+    )
+    return [
+        Violation(
+            entity=entity,
+            entity_class=entity_class,
+            relation=relation,
+            facts=sorted(members),
+        )
+        for (relation, entity, entity_class, _, _), members in named
+    ]
 
 
 def categorize_violations(

@@ -12,7 +12,7 @@ operations ProbKB's grounding and quality-control algorithms need:
 from __future__ import annotations
 
 import weakref
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .columnar import ColumnBatch
 from .columnar_exec import ColumnarExecutor
@@ -27,13 +27,13 @@ from .verify import verify_plan, verify_plans_enabled
 class Database:
     """An in-memory single-node relational database."""
 
-    def __init__(self, name: str = "db", verify_plans: Optional[bool] = None) -> None:
+    def __init__(self, name: str = "db") -> None:
         self.name = name
         self.tables: Dict[str, Table] = {}
         self.clock = CostClock()
         #: debug gate: statically verify every distinct plan once before
-        #: it executes (None defers to the PROBKB_VERIFY_PLANS env var)
-        self.verify_plans = verify_plans_enabled(verify_plans)
+        #: it executes (switched on by the PROBKB_VERIFY_PLANS env var)
+        self.verify_plans = verify_plans_enabled()
         self._verified_plans: "weakref.WeakSet[PlanNode]" = weakref.WeakSet()
 
     def _maybe_verify(self, plan: PlanNode) -> None:

@@ -80,10 +80,8 @@ LOGICAL_CODES: Dict[str, Tuple[str, str]] = register_codes({
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 
-def verify_plans_enabled(override: Optional[bool] = None) -> bool:
-    """Resolve the runtime verify gate: explicit override, else env var."""
-    if override is not None:
-        return bool(override)
+def verify_plans_enabled() -> bool:
+    """The runtime verify gate: is ``PROBKB_VERIFY_PLANS`` set truthy?"""
     return os.environ.get("PROBKB_VERIFY_PLANS", "").strip().lower() in _TRUTHY
 
 

@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from ..analyze import verify_report
 from ..core.clauses import HornClause
 from ..core.config import InferenceConfig
 from ..core.model import Fact
@@ -118,7 +119,6 @@ class ServiceConfig:
 
     cache_size: int = 256
     ingest: IngestConfig = field(default_factory=IngestConfig)
-    latency_window: int = 1024
     #: how flush/materialize inference runs (fewer sweeps than the
     #: offline default: serving favours latency)
     inference: Optional[InferenceConfig] = None
@@ -161,7 +161,7 @@ class KBService:
         self.lock = RWLock(name="KBService.lock")
         self.cache = QueryCache(self.config.cache_size)
         self.cache.bump(probkb.generation)
-        self.metrics = ServiceMetrics(self.config.latency_window)
+        self.metrics = ServiceMetrics()
         self.queue = EvidenceQueue(self.config.ingest)
         self.worker = IngestWorker(
             self.queue,
@@ -246,7 +246,7 @@ class KBService:
         reports for every plan in the payload."""
         with self.lock.read_locked():
             report = self.probkb.explain()
-            verified = self.probkb.verify_plans()
+            verified = verify_report(report)
             generation = self.probkb.generation
         payload = report.to_dict()
         payload["verified"] = [r.to_dict() for r in verified]

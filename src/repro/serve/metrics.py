@@ -60,10 +60,14 @@ class LatencyRing:
         }
 
 
+#: samples each latency ring keeps
+LATENCY_WINDOW = 1024
+
+
 class ServiceMetrics:
     """Counters for the serving layer, safe for concurrent updates."""
 
-    def __init__(self, latency_window: int = 1024) -> None:
+    def __init__(self) -> None:
         self._lock = make_lock("ServiceMetrics._lock")
         self.queries = 0  # guarded by: self._lock
         self.cache_hits = 0  # guarded by: self._lock
@@ -84,10 +88,10 @@ class ServiceMetrics:
         self.delta_resampled_variables = 0  # guarded by: self._lock
         self.delta_full_rebuilds = 0  # guarded by: self._lock
         self.delta_errors = 0  # guarded by: self._lock
-        self.query_latency = LatencyRing(latency_window)
-        self.delta_ground_latency = LatencyRing(latency_window)
-        self.delta_infer_latency = LatencyRing(latency_window)
-        self.delta_commit_latency = LatencyRing(latency_window)
+        self.query_latency = LatencyRing(LATENCY_WINDOW)
+        self.delta_ground_latency = LatencyRing(LATENCY_WINDOW)
+        self.delta_infer_latency = LatencyRing(LATENCY_WINDOW)
+        self.delta_commit_latency = LatencyRing(LATENCY_WINDOW)
 
     def record_query(self, seconds: float, cache_hit: bool) -> None:
         with self._lock:

@@ -8,20 +8,19 @@ entity skews the join key (PKB104).
 """
 
 import itertools
-import json
 
 import pytest
 
 from repro.analyze import (
     AnalysisError,
-    PlanEnvironment,
-    StaticPlanReport,
     analyze,
     check_plans,
     estimate_plans,
     kb_statistics,
 )
+from repro.analyze import plans as plans_pass
 from repro.core import Atom, Fact, HornClause, KnowledgeBase, Relation
+from repro.core.backends import MPPBackend, SingleNodeBackend
 
 from .conftest import good_rule, make_kb
 
@@ -120,43 +119,38 @@ def balanced_kb(n=500):
     return _thing_kb(facts)
 
 
-NAIVE = PlanEnvironment(
-    kind="mpp",
-    num_segments=8,
-    use_matviews=False,
-    large_motion_rows=50,
-    skew_min_rows=10**9,
-)
+NAIVE = MPPBackend(nseg=8, use_matviews=False)
+
+
+def plan_findings(kb, backend=None, include_infos=False):
+    return check_plans(estimate_plans(kb, backend), include_infos=include_infos)
 
 
 def codes(findings):
     return sorted({f.code for f in findings})
 
 
-def test_pkb101_broadcast_of_large_relation():
-    findings = check_plans(wide_kb(), NAIVE, include_infos=False)
+def test_pkb101_broadcast_of_large_relation(monkeypatch):
+    monkeypatch.setattr(plans_pass, "LARGE_MOTION_ROWS", 50)
+    monkeypatch.setattr(plans_pass, "SKEW_MIN_ROWS", 10**9)
+    findings = plan_findings(wide_kb(), NAIVE)
     assert codes(findings) == ["PKB101"]
     finding = findings[0]
     assert finding.severity == "warning"
     assert "TP" in finding.details["source_tables"]
-    assert finding.details["rows"] >= NAIVE.large_motion_rows
+    assert finding.details["rows"] >= 50
 
 
-def test_pkb102_non_collocated_facts_join():
-    env = PlanEnvironment(
-        kind="mpp",
-        num_segments=8,
-        use_matviews=False,
-        large_motion_rows=400,
-        skew_min_rows=10**9,
-    )
-    findings = check_plans(balanced_kb(), env, include_infos=False)
+def test_pkb102_non_collocated_facts_join(monkeypatch):
+    monkeypatch.setattr(plans_pass, "LARGE_MOTION_ROWS", 400)
+    monkeypatch.setattr(plans_pass, "SKEW_MIN_ROWS", 10**9)
+    findings = plan_findings(balanced_kb(), NAIVE)
     assert codes(findings) == ["PKB102"]
     assert all("TP" in f.details["source_tables"] for f in findings)
 
 
 def test_pkb103_cardinality_explosion_default_thresholds():
-    findings = check_plans(dense_kb(), include_infos=False)
+    findings = plan_findings(dense_kb())
     assert "PKB103" in codes(findings)
     (finding,) = [
         f for f in findings if f.code == "PKB103" and "1-4" in f.message
@@ -167,7 +161,7 @@ def test_pkb103_cardinality_explosion_default_thresholds():
 
 
 def test_pkb104_skewed_join_key_default_thresholds():
-    findings = check_plans(hub_kb(), include_infos=False)
+    findings = plan_findings(hub_kb())
     assert "PKB104" in codes(findings)
     finding = [f for f in findings if f.code == "PKB104"][0]
     assert finding.severity == "warning"
@@ -176,8 +170,8 @@ def test_pkb104_skewed_join_key_default_thresholds():
 
 def test_pkb105_summary_is_info_only():
     kb = make_kb(rules=[good_rule()])
-    with_infos = check_plans(kb, include_infos=True)
-    without = check_plans(kb, include_infos=False)
+    with_infos = plan_findings(kb, include_infos=True)
+    without = plan_findings(kb, include_infos=False)
     assert codes(with_infos) == ["PKB105"]
     assert codes(without) == []
     (summary,) = with_infos
@@ -207,10 +201,8 @@ def test_strict_gate_rejects_predicted_explosion():
 
 def test_estimates_respect_environment():
     kb = hub_kb(50)
-    mpp = estimate_plans(kb, PlanEnvironment())
-    single = estimate_plans(
-        kb, PlanEnvironment(kind="single", num_segments=1, use_matviews=False)
-    )
+    mpp = estimate_plans(kb, MPPBackend())
+    single = estimate_plans(kb, SingleNodeBackend())
     assert [q.name for q in mpp.queries] == [q.name for q in single.queries]
     # one segment has no interconnect: no motions, matviews irrelevant
     assert any(q.motions for q in mpp.queries)
@@ -220,24 +212,19 @@ def test_estimates_respect_environment():
         and not q.root.find_all("Broadcast Motion")
         for q in single.queries
     )
-
-
-def test_report_round_trips_through_json():
-    report = estimate_plans(hub_kb(50))
-    payload = json.loads(report.to_json())
-    rebuilt = StaticPlanReport.from_dict(payload)
-    assert rebuilt.to_dict() == report.to_dict()
-    assert rebuilt.environment == report.environment
-    assert rebuilt.query("Query 1-4").estimated_rows == report.query(
-        "Query 1-4"
-    ).estimated_rows
+    assert single.to_dict()["environment"] == {
+        "kind": "single",
+        "num_segments": 1,
+        "use_matviews": False,
+    }
+    assert mpp.query("Query 1-4").partition == 4
     with pytest.raises(KeyError):
-        report.query("Query 9-9")
+        mpp.query("Query 9-9")
 
 
 def test_kb_statistics_match_kb_shape():
     kb = hub_kb(100)
-    catalog = kb_statistics(kb, PlanEnvironment())
+    catalog = kb_statistics(kb, MPPBackend())
     tp = catalog.stats("TP")
     assert tp.rows == len(kb.facts)
     assert tp.column("R").distinct == 2  # q1 and q2
@@ -252,7 +239,7 @@ def test_kb_statistics_match_kb_shape():
         facts=list(kb.facts) + list(kb.facts),
         rules=kb.rules,
     )
-    assert kb_statistics(duplicated, PlanEnvironment()).stats("TP").rows == tp.rows
+    assert kb_statistics(duplicated, MPPBackend()).stats("TP").rows == tp.rows
 
 
 def test_unclassifiable_rules_are_skipped():
@@ -274,4 +261,4 @@ def test_unclassifiable_rules_are_skipped():
         validate=False,
     )
     assert estimate_plans(kb).queries == []
-    assert check_plans(kb, include_infos=True) == []
+    assert plan_findings(kb, include_infos=True) == []

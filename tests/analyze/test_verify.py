@@ -8,7 +8,6 @@ import pytest
 
 from repro.analyze import (
     CODES,
-    PlanEnvironment,
     analyze,
     check_plan_soundness,
     estimate_plans,
@@ -16,6 +15,7 @@ from repro.analyze import (
     partition_plans,
     verify_partition_plans,
 )
+from repro.core.backends import MPPBackend, SingleNodeBackend
 from repro.core.model import KnowledgeBase
 from repro.datasets import paper_kb
 from repro.mpp.placement import table_dist
@@ -24,8 +24,8 @@ from repro.relational.statistics import StatisticsCatalog, TableDistribution, ta
 
 GOLDEN = Path(__file__).parent / "golden"
 
-SINGLE = PlanEnvironment(kind="single", num_segments=1, use_matviews=False)
-MPP = PlanEnvironment()  # the paper's default: 8 segments, matviews on
+SINGLE = SingleNodeBackend()
+MPP = MPPBackend()  # the paper's default: 8 segments, matviews on
 
 
 def nonempty_partitions(kb):
@@ -57,14 +57,14 @@ def test_paper_kb_plans_verify_clean(env):
         assert report.ok and not report.findings, report.render()
     # two queries per nonempty partition, doubled by [static] on MPP
     expected = 2 * len(nonempty_partitions(kb))
-    if env.effective_segments > 1:
+    if env.nseg > 1:
         expected *= 2
     assert len(reports) == expected
     names = [r.plan_name for r in reports]
     for partition in nonempty_partitions(kb):
         assert f"Query 1-{partition}" in names
         assert f"Query 2-{partition}" in names
-        if env.effective_segments > 1:
+        if env.nseg > 1:
             assert f"Query 1-{partition} [static]" in names
             assert f"Query 2-{partition} [static]" in names
 

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import repro.analyze
 import repro.api
 import repro.core
 import repro.infer
@@ -262,6 +263,12 @@ LEGACY_SPELLINGS = {
     "exact_map": (lambda: repro.infer.exact_map, AttributeError),
     "gibbs_marginals": (lambda: repro.infer.gibbs_marginals, AttributeError),
     "gibbs_with_diagnostics": (lambda: repro.infer.gibbs_with_diagnostics, AttributeError),
+    # the analyzer plans for the live Backend; the verify gate is the
+    # PROBKB_VERIFY_PLANS env var alone; the latency ring size is fixed
+    "PlanEnvironment": (lambda: repro.analyze.PlanEnvironment, AttributeError),
+    "BackendConfig(verify_plans=)": (lambda: BackendConfig(verify_plans=True), TypeError),
+    "Database(verify_plans=)": (lambda: Database("d", verify_plans=True), TypeError),
+    "ServiceConfig(latency_window=)": (lambda: ServiceConfig(latency_window=64), TypeError),
 }
 
 

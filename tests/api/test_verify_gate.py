@@ -7,21 +7,19 @@ from repro import BackendConfig, ExpansionSession, GroundingConfig, MPPConfig
 from repro.datasets import paper_kb
 
 BACKENDS = {
-    "serial": lambda verify: BackendConfig(kind="single", verify_plans=verify),
-    "mpp-adaptive": lambda verify: BackendConfig(
-        kind="mpp",
-        verify_plans=verify,
-        mpp=MPPConfig(num_segments=4),
-    ),
+    "serial": BackendConfig(kind="single"),
+    "mpp-adaptive": BackendConfig(kind="mpp", mpp=MPPConfig(num_segments=4)),
 }
 
 
-def ground(config):
+def ground(config, gate, monkeypatch):
+    monkeypatch.setenv("PROBKB_VERIFY_PLANS", gate)
     with ExpansionSession(
         paper_kb(with_constraints=True),
         backend=config,
         grounding=GroundingConfig(analysis="off"),
     ) as session:
+        assert session.probkb.backend.db.verify_plans is (gate == "1")
         result = session.ground()
         facts = sorted(
             (f.relation, f.subject, f.object) for f in session.probkb.all_facts()
@@ -31,10 +29,9 @@ def ground(config):
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS), ids=sorted(BACKENDS))
-def test_grounding_is_bit_identical_with_the_gate_on(name):
-    make = BACKENDS[name]
-    verified = ground(make(True))
-    unverified = ground(make(False))
+def test_grounding_is_bit_identical_with_the_gate_on(name, monkeypatch):
+    verified = ground(BACKENDS[name], "1", monkeypatch)
+    unverified = ground(BACKENDS[name], "0", monkeypatch)
     assert verified == unverified
     new_facts, facts, factors = verified
     assert new_facts > 0 and facts and factors

@@ -1,15 +1,15 @@
 """Backend is one statement surface over either database: subclasses add
 construction and (MPP) Section 4.4's physical design, never a second
-copy of a statement; and there is one TΠ-view choice, shared by the
-executing backend and the static analyzer."""
+copy of a statement; and there is one TΠ-view choice, the backend's
+own, which the static analyzer plans through."""
 
 import pytest
 
-from repro.analyze import PlanEnvironment
-from repro.analyze.plans import _EnvironmentScans
+from repro.analyze import estimate_plans
 from repro.core import MPPBackend, ProbKB, RelationalKB, SingleNodeBackend
 from repro.core.backends import TPI_VIEWS, Backend
-from repro.relational import TableSchema, schema
+from repro.relational import Scan, TableSchema, schema
+from repro.relational.plan import walk
 
 from .paper_example import paper_kb
 
@@ -52,14 +52,13 @@ def test_statement_surface_is_defined_once(backend, name):
 
 @pytest.mark.parametrize("columns", [(), ("x",), ("y",), ("x", "y")])
 def test_backend_and_analyzer_scan_the_same_table(backend, columns):
-    scans = _EnvironmentScans(PlanEnvironment.from_backend(backend))
-    executed = backend.tpi_scan("T", columns)
-    compiled = scans.tpi_scan("T", columns)
-    assert (executed.table_name, executed.alias) == (
-        compiled.table_name,
-        compiled.alias,
-    )
-    assert backend.has_table(executed.table_name)
+    """The analyzer compiles its plans through the backend's own
+    ``tpi_scan``, so every table they scan exists once the KB is loaded."""
+    assert backend.has_table(backend.tpi_scan("T", columns).table_name)
+    for query in estimate_plans(paper_kb(), backend).queries:
+        for node in walk(query.plan):
+            if isinstance(node, Scan):
+                assert backend.has_table(node.table_name), (query.name, node)
 
 
 def test_placement_arguments_are_ignored_on_a_single_node():

@@ -60,16 +60,6 @@ class TestPhysicalNode:
         assert "detail" not in payload
         assert "children" not in payload
 
-    def test_dict_round_trip_is_lossless(self):
-        tree = sample_tree()
-        rebuilt = PhysicalNode.from_dict(tree.to_dict())
-        assert rebuilt == tree
-        assert rebuilt.to_dict() == tree.to_dict()
-
-    def test_from_dict_defaults_missing_fields(self):
-        node = PhysicalNode.from_dict({"kind": "Distinct"})
-        assert node == PhysicalNode("Distinct")
-
     def test_explain_tree(self):
         leaf = PhysicalNode("Seq Scan", "on t", rows=10, seconds=0.001)
         root = PhysicalNode("Hash Join", children=[leaf], rows=5, seconds=0.002)

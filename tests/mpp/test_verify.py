@@ -274,8 +274,8 @@ PEOPLE = [(i, f"p{i}", (i % 7) * 10) for i in range(60)]
 CITIES = [(c * 10, f"city{c}", c * 1000) for c in range(7)]
 
 
-def make_cluster(nseg=4, verify_plans=None, city_policy=None):
-    cluster = MPPDatabase(nseg=nseg, verify_plans=verify_plans)
+def make_cluster(nseg=4, city_policy=None):
+    cluster = MPPDatabase(nseg=nseg)
     cluster.create_table(
         schema("person", "id:int", "name:text", "city:int"),
         HashDistribution(["id"]),
@@ -296,17 +296,21 @@ def join_plan():
 
 
 @pytest.mark.parametrize("policy", [None, ReplicatedDistribution()])
-def test_gate_on_results_identical_and_plans_clean(policy):
-    loud = make_cluster(verify_plans=True, city_policy=policy)
-    quiet = make_cluster(verify_plans=False, city_policy=policy)
+def test_gate_on_results_identical_and_plans_clean(policy, monkeypatch):
+    monkeypatch.setenv("PROBKB_VERIFY_PLANS", "1")
+    loud = make_cluster(city_policy=policy)
+    monkeypatch.setenv("PROBKB_VERIFY_PLANS", "0")
+    quiet = make_cluster(city_policy=policy)
+    assert loud.verify_plans and not quiet.verify_plans
     assert (
         loud.query(join_plan()).sorted_rows()
         == quiet.query(join_plan()).sorted_rows()
     )
 
 
-def test_gate_rejects_a_malformed_plan_before_execution():
-    cluster = make_cluster(verify_plans=True)
+def test_gate_rejects_a_malformed_plan_before_execution(monkeypatch):
+    monkeypatch.setenv("PROBKB_VERIFY_PLANS", "1")
+    cluster = make_cluster()
     bad = Filter(Scan("person", "p"), Compare("=", Col("ghost"), Const(1)))
     with pytest.raises(PlanVerificationError) as info:
         cluster.query(bad)
@@ -319,11 +323,11 @@ def test_gate_env_var_reaches_the_cluster(monkeypatch):
     assert make_cluster().verify_plans is True
     monkeypatch.delenv("PROBKB_VERIFY_PLANS")
     assert make_cluster().verify_plans is False
-    assert make_cluster(verify_plans=True).verify_plans is True
 
 
-def test_single_node_gate_rejects_malformed_plans():
-    db = Database(verify_plans=True)
+def test_single_node_gate_rejects_malformed_plans(monkeypatch):
+    monkeypatch.setenv("PROBKB_VERIFY_PLANS", "1")
+    db = Database()
     db.create_table(schema("t", "a:int"))
     db.bulkload("t", [(1,)])
     bad = Filter(Scan("t"), Compare("=", Col("ghost"), Const(1)))
@@ -333,8 +337,9 @@ def test_single_node_gate_rejects_malformed_plans():
     assert db.query(good).rows == [(1,)]
 
 
-def test_each_plan_object_is_verified_once():
-    cluster = make_cluster(verify_plans=True)
+def test_each_plan_object_is_verified_once(monkeypatch):
+    monkeypatch.setenv("PROBKB_VERIFY_PLANS", "1")
+    cluster = make_cluster()
     plan = join_plan()
     cluster.query(plan)
     assert plan in cluster._verified_plans

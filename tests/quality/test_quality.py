@@ -177,3 +177,33 @@ class TestViolationAudit:
         )
         system.ground(max_iterations=3)
         assert find_violations(system) == []
+
+    @pytest.mark.parametrize("degrees", [(1, 2), (2, 1)], ids=["1,2", "2,1"])
+    def test_violations_are_the_groups_query3_removes(self, degrees):
+        """Two TYPE_I constraints on one relation: Query 3 applies the
+        smallest degree (``min(FC.deg)``) whatever their order, and the
+        audit must report exactly the groups Query 3 deletes."""
+        from repro.core import Fact, FunctionalConstraint, KnowledgeBase, TYPE_I
+        from repro.datasets import paper_kb
+
+        base = paper_kb()
+        classes = {name: set(members) for name, members in base.classes.items()}
+        classes["Place"].add("Queens")
+        kb = KnowledgeBase(
+            classes=classes,
+            relations=base.relations.values(),
+            facts=list(base.facts)
+            + [Fact("born_in", "Ruth Gruber", "Writer", "Queens", "Place", weight=0.5)],
+            rules=base.rules,
+            constraints=[
+                FunctionalConstraint("born_in", arg=TYPE_I, degree=degree)
+                for degree in degrees
+            ],
+        )
+        system = ProbKB(kb, grounding=GroundingConfig(analysis="off"))
+        audited = {fact for v in find_violations(system) for _, fact in v.facts}
+        before = set(system._facts_by_id().values())
+        removed = system.apply_constraints()
+        deleted = before - set(system._facts_by_id().values())
+        assert int(removed) == 3
+        assert audited == deleted

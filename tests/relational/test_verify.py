@@ -84,7 +84,7 @@ def test_clean_report_raises_nothing():
     report.raise_if_errors()
 
 
-def test_gate_env_var_and_override(monkeypatch):
+def test_gate_is_the_env_var(monkeypatch):
     monkeypatch.delenv("PROBKB_VERIFY_PLANS", raising=False)
     assert verify_plans_enabled() is False
     for value in ("1", "true", "YES", " on "):
@@ -92,9 +92,6 @@ def test_gate_env_var_and_override(monkeypatch):
         assert verify_plans_enabled() is True
     monkeypatch.setenv("PROBKB_VERIFY_PLANS", "0")
     assert verify_plans_enabled() is False
-    assert verify_plans_enabled(override=True) is True
-    monkeypatch.setenv("PROBKB_VERIFY_PLANS", "1")
-    assert verify_plans_enabled(override=False) is False
 
 
 # -- PKB201: unbound scan of an unknown table --------------------------------
