@@ -44,6 +44,30 @@ from .datasets import (
 from .quality import QualityConfig, run_quality_experiment
 
 
+def _iteration_cap(raw: str) -> int:
+    """``--iterations``: an int >= 1, else a usage error."""
+    from .core.grounding import check_iteration_cap
+
+    try:
+        value = int(raw)
+        check_iteration_cap(value)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return value
+
+
+def _seconds(raw: str) -> float:
+    """``--flush-interval``: a finite number >= 0, else a usage error."""
+    from .serve.config import require_finite
+
+    try:
+        value = float(raw)
+        require_finite("flush_interval", value)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="probkb",
@@ -131,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate_cmd.add_argument(
         "--constraints", action="store_true", help="apply semantic constraints"
     )
-    evaluate_cmd.add_argument("--iterations", type=int, default=10)
+    evaluate_cmd.add_argument("--iterations", type=_iteration_cap, default=10)
 
     serve_cmd = commands.add_parser(
         "serve", help="ground a KB and serve it over HTTP (repro.serve)"
@@ -150,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="worker processes for the MPP backend (0 = serial execution)",
     )
-    serve_cmd.add_argument("--iterations", type=int, default=None)
+    serve_cmd.add_argument("--iterations", type=_iteration_cap, default=None)
     serve_cmd.add_argument(
         "--no-constraints", action="store_true", help="skip quality control"
     )
@@ -172,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--sweeps", type=int, default=200)
     serve_cmd.add_argument("--cache-size", type=int, default=256)
     serve_cmd.add_argument("--flush-size", type=int, default=64)
-    serve_cmd.add_argument("--flush-interval", type=float, default=0.2)
+    serve_cmd.add_argument("--flush-interval", type=_seconds, default=0.2)
     serve_cmd.add_argument("--max-queue", type=int, default=4096)
     serve_cmd.add_argument(
         "--expansion",
@@ -258,7 +282,7 @@ def _add_pipeline_arguments(cmd: argparse.ArgumentParser) -> None:
         default=0,
         help="worker processes for the MPP backend (0 = serial execution)",
     )
-    cmd.add_argument("--iterations", type=int, default=None)
+    cmd.add_argument("--iterations", type=_iteration_cap, default=None)
     cmd.add_argument(
         "--no-constraints", action="store_true", help="skip quality control"
     )
@@ -546,14 +570,18 @@ def cmd_serve(args) -> int:
 
     from .serve import JsonLogger, ServeConfig, make_server, save_snapshot
 
-    serve_config = ServeConfig.resolve(
-        auth_tokens=tuple(args.auth_token) if args.auth_token else None,
-        rate_limit=args.rate_limit,
-        rate_burst=args.rate_burst,
-        request_timeout=args.request_timeout,
-        max_body_bytes=args.max_body_bytes,
-        log_json=args.log_json,
-    )
+    try:
+        serve_config = ServeConfig.resolve(
+            auth_tokens=tuple(args.auth_token) if args.auth_token else None,
+            rate_limit=args.rate_limit,
+            rate_burst=args.rate_burst,
+            request_timeout=args.request_timeout,
+            max_body_bytes=args.max_body_bytes,
+            log_json=args.log_json,
+        )
+    except ValueError as error:  # a flag or a PROBKB_SERVE_* value
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     logger = JsonLogger(enabled=serve_config.log_json)
     service = build_serve_service(args, logger=logger)
     server = make_server(

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .backends import Backend, MPPBackend, SingleNodeBackend
+from .grounding import check_iteration_cap
 
 #: TΠ-view policies for the MPP backend (Section 4.4): ``"matviews"``
 #: maintains the four redistributed materialized views, ``"naive"``
@@ -93,6 +94,7 @@ class GroundingConfig:
     analysis: str = "warn"
 
     def __post_init__(self) -> None:
+        check_iteration_cap(self.max_iterations)
         if self.analysis not in ANALYSIS_MODES:
             raise ValueError(
                 f"unknown analysis mode {self.analysis!r} "

@@ -30,6 +30,12 @@ from .sqlgen import (
 DEFAULT_MAX_ITERATIONS = 15
 
 
+def check_iteration_cap(max_iterations: Optional[int]) -> None:
+    """Reject a grounding cap below 1 (None means the default cap)."""
+    if max_iterations is not None and max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+
+
 @dataclass
 class IterationStats:
     """What one grounding iteration produced and cost."""
@@ -154,6 +160,7 @@ class Grounder:
         self, max_iterations: Optional[int] = None
     ) -> Tuple[List[IterationStats], bool]:
         """Iterate to closure (or the iteration cap); True if converged."""
+        check_iteration_cap(max_iterations)
         cap = max_iterations if max_iterations is not None else DEFAULT_MAX_ITERATIONS
         iterations: List[IterationStats] = []
         converged = False

@@ -30,7 +30,7 @@ from ..relational.types import Row
 from .backends import Backend
 from .clauses import HornClause
 from .config import BackendConfig, GroundingConfig, InferenceConfig, build_backend
-from .grounding import Grounder, GroundingResult
+from .grounding import Grounder, GroundingResult, check_iteration_cap
 from .lineage import LineageIndex
 from .model import Fact, KnowledgeBase
 from .relmodel import FACT_KEY_COLUMNS, RelationalKB, store_marginals
@@ -175,6 +175,7 @@ class ProbKB:
         existing closure.  TΦ is rebuilt afterwards (factors are a
         function of the final atom set).
         """
+        check_iteration_cap(max_iterations)  # before the evidence is merged
         incremental = Grounder(
             self.rkb,
             apply_constraints=self.grounder.apply_constraints_each_iteration,
@@ -204,6 +205,7 @@ class ProbKB:
         grounding pass derives their consequences (a new rule must see
         every existing fact, so the semi-naive delta does not apply).
         """
+        check_iteration_cap(max_iterations)  # before the rules are merged
         rules = list(rules)
         rules_before = len(self.kb.rules)
         report_before = self.analysis_report

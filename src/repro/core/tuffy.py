@@ -18,7 +18,9 @@ from ..relational import Database, Filter, HashJoin, PlanNode, Project, Scan, co
 from ..relational.expr import And, Expr, IsNull, conj, eq_const
 from ..relational.types import Row
 from .clauses import PARTITION_BODY_PATTERNS, classify_clause
-from .grounding import DEFAULT_MAX_ITERATIONS, GroundingResult, IterationStats
+from .grounding import (
+    DEFAULT_MAX_ITERATIONS, GroundingResult, IterationStats, check_iteration_cap,
+)
 from .model import Fact, KnowledgeBase
 from .relmodel import Dictionary, TF_SCHEMA
 
@@ -228,6 +230,7 @@ class TuffyT:
     def ground_atoms(
         self, max_iterations: Optional[int] = None
     ) -> Tuple[List[IterationStats], bool]:
+        check_iteration_cap(max_iterations)
         cap = max_iterations if max_iterations is not None else DEFAULT_MAX_ITERATIONS
         iterations: List[IterationStats] = []
         converged = False

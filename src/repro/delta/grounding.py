@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, TYPE_CHECKING
 
-from ..core.grounding import Grounder, IterationStats
+from ..core.grounding import Grounder, IterationStats, check_iteration_cap
 from ..core.sqlgen import (
     DELTA_FACTS_TABLE,
     ground_factors_delta_plans,
@@ -80,6 +80,7 @@ class DeltaGrounder:
         self, facts: Sequence["Fact"], max_iterations: Optional[int] = None
     ) -> DeltaGroundingResult:
         """Merge ``facts``, close the atoms, and maintain TΦ in O(delta)."""
+        check_iteration_cap(max_iterations)  # before the facts are merged
         started = time.perf_counter()  # lint: disable=RC003 (timing metadata, not sampling)
         rkb = self.rkb
         grounder = Grounder(

@@ -6,13 +6,14 @@ exactly these operators), so this module implements them over
 :class:`ColumnBatch` — one typed array or one list per column — with
 two interchangeable kernel backends:
 
-* a **numpy fast path** over :class:`TypedColumn` s: gather and concat
-  are one array operation per column; multi-column integer keys are
-  encoded into a single ``int64`` code array and joins / anti-joins /
-  distinct / group-by run as ``argsort`` / ``searchsorted`` / ``isin``
-  / ``unique`` / ``bincount`` over the codes, and a join or anti-join
-  against a table's stored batch probes that batch's sorted
-  :class:`KeyIndex` instead of encoding it;
+* a **numpy fast path** over :class:`TypedColumn` s: a gather of a
+  large batch hands on row indexes (:class:`DeferredColumn`), a small
+  one and a concat are one array operation per column; multi-column
+  integer keys are encoded into a single ``int64`` code array and
+  joins / anti-joins / distinct / group-by run as ``argsort`` /
+  ``searchsorted`` / ``isin`` / ``unique`` / ``bincount`` over the
+  codes, and a join or anti-join against a table's stored batch probes
+  that batch's sorted :class:`KeyIndex` instead of encoding it;
 * a **pure-Python fallback** with identical semantics (dict/set loops
   over zipped key columns), used when numpy is unavailable or disabled
   via ``PROBKB_NO_NUMPY``, when a column is a list (see
@@ -31,7 +32,7 @@ import math
 import os
 from collections import defaultdict
 from typing import (
-    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 from .expr import COMPARE_OPS, And, Col, Compare, Const, Expr, IsNull, Not, Or
@@ -42,6 +43,11 @@ __all__ = ["ColumnBatch", "TypedColumn", "get_numpy", "numpy_enabled", "set_nump
 #: Largest combined key range the int64 encoding may cover; above this
 #: the multi-column Horner encoding could overflow and we fall back.
 _MAX_CODE_RANGE = 2 ** 62
+
+#: Fewest keys a sorted-code probe (:meth:`KeyIndex.runs`) finds with one
+#: binary search: below it two ``searchsorted`` calls cost less than the
+#: one search's extra array steps (measured on 10^4-10^6 codes).
+_ONE_SEARCH_MIN_KEYS = 256
 
 
 try:
@@ -110,7 +116,56 @@ class TypedColumn:
         )
 
 
+class DeferredColumn(TypedColumn):
+    """``base`` gathered at ``index``, not yet copied: what a gather (a
+    join's, a filter's, a motion piece's) hands on.  ``values`` and
+    ``mask`` are gathered the first time something reads them and kept
+    in their slots, so every later read is a plain attribute read.
+    ``base`` is never deferred itself: gathering a deferred column
+    composes its index instead.  It pickles as the plain column it
+    stands for, so only its own rows travel."""
+
+    __slots__ = ("base", "index")
+
+    def __init__(self, base: TypedColumn, index: Any) -> None:
+        self.base, self.index = base, index
+        if base.mask is None:
+            self.mask = None
+
+    def __getattr__(self, name: str) -> Any:  # a slot not filled yet
+        if name == "values":
+            self.values = self.base.values[self.index]
+            return self.values
+        if name == "mask":
+            mask = self.base.mask[self.index]
+            self.mask = mask if mask.any() else None
+            return self.mask
+        raise AttributeError(name)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def take(self, indices: IndexSeq) -> TypedColumn:
+        return self.base.take(self.index[indices])
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return TypedColumn, (self.values, self.mask)
+
+
 ColumnData = Union[List[Value], TypedColumn]
+
+#: Fewest rows a gather defers its typed columns for.  Below it a column
+#: is copied at once: a deferred one costs a Python object and a first
+#: read through ``__getattr__`` per column, more than the copy it saves
+#: on a small batch (the MPP segments' many per-segment pieces).
+_DEFER_MIN_ROWS = 1024
+
+
+def settled(column: ColumnData) -> ColumnData:
+    """The column with its values gathered and its base let go."""
+    if isinstance(column, DeferredColumn):
+        return TypedColumn(column.values, column.mask)
+    return column
 
 
 def column_of(values: List[Value]) -> ColumnData:
@@ -139,23 +194,63 @@ def column_of(values: List[Value]) -> ColumnData:
     return TypedColumn(array, mask)
 
 
+def constant_column(value: Value, nrows: int) -> ColumnData:
+    """``nrows`` copies of ``value``, of the kind :func:`column_of`
+    gives them; a NULL (``int64`` under a full mask) and an ``int64``
+    int are built as the array directly."""
+    np = _numpy
+    if np is not None and value is None:
+        return TypedColumn(np.zeros(nrows, np.int64), np.ones(nrows, bool))
+    if np is not None and type(value) is int and -(2 ** 63) <= value < 2 ** 63:
+        return TypedColumn(np.full(nrows, value, np.int64))
+    return column_of([value] * nrows)
+
+
+def int_range(start: int, stop: int) -> ColumnData:
+    """``range(start, stop)`` as a column of the kind :func:`column_of`
+    gives it, built by ``np.arange`` when it fits in an ``int64``."""
+    np = _numpy
+    if np is not None and -(2 ** 63) <= start and stop <= 2 ** 63:
+        return TypedColumn(np.arange(start, stop, dtype=np.int64))
+    return column_of(list(range(start, stop)))
+
+
 def values_of(column: ColumnData) -> List[Value]:
     """The column as a list of Python scalars."""
     return column.tolist() if isinstance(column, TypedColumn) else column
 
 
 def gather_columns(cols: Sequence[ColumnData], indices: IndexSeq) -> List[ColumnData]:
-    """Every column at ``indices`` (with repetition): one fancy index
-    per typed column, one comprehension per list column; the index
-    sequence is converted at most once each way."""
-    np = _numpy
+    """Every column at ``indices`` (with repetition).  From
+    :data:`_DEFER_MIN_ROWS` rows on a typed column is deferred
+    (:class:`DeferredColumn`), not copied: the columns of one input share
+    one index, and a deferred input's index is composed with ``indices``
+    once per distinct index, not once per column.  Below it each typed
+    column is one fancy index.  A list column is gathered at once, by
+    one comprehension; the index sequence is converted at most once each
+    way."""
     typed = [isinstance(col, TypedColumn) for col in cols]
-    array = np.asarray(indices, dtype=np.intp) if np is not None and any(typed) else indices
+    if any(typed):  # a typed column exists only where numpy is installed
+        array = _installed_numpy.asarray(indices, dtype=_installed_numpy.intp)
     plain = indices.tolist() if hasattr(indices, "tolist") and not all(typed) else indices
-    return [
-        col.take(array) if is_typed else [col[i] for i in plain]
-        for col, is_typed in zip(cols, typed)
-    ]
+    if len(indices) < _DEFER_MIN_ROWS:
+        return [
+            col.take(array) if is_typed else [col[i] for i in plain]
+            for col, is_typed in zip(cols, typed)
+        ]
+    composed: Dict[int, Any] = {}
+    out: List[ColumnData] = []
+    for col, is_typed in zip(cols, typed):
+        if not is_typed:
+            out.append([col[i] for i in plain])
+        elif isinstance(col, DeferredColumn):
+            index = composed.get(id(col.index))
+            if index is None:
+                index = composed[id(col.index)] = col.index[array]
+            out.append(DeferredColumn(col.base, index))
+        else:
+            out.append(DeferredColumn(col, array))
+    return out
 
 
 def concat_columns(parts: Sequence[ColumnData]) -> ColumnData:
@@ -200,15 +295,17 @@ class ColumnBatch:
 
     ``cols[i]`` is column ``i`` — a :class:`TypedColumn` or a Python
     list, see :func:`column_of` — and ``cols[i][j]`` its value in row
-    ``j``.  Columns are immutable once a batch is built (kernels always
-    allocate fresh ones), so batches may share them: projecting a column
-    is a reference, not a copy.  A batch is also what a
-    :class:`~.table.Table` stores: a mutation replaces the table's
-    batch, so one handed out by a scan never changes.
+    ``j``.  Columns are immutable once a batch is built (kernels never
+    write into one), so batches may share them: projecting a column is a
+    reference, not a copy, and a gathered column may be a deferred view
+    of its input.  A batch is also what a :class:`~.table.Table` stores:
+    a mutation replaces the table's batch, so one handed out by a scan
+    never changes.
 
     Only Python scalars leave a batch: :meth:`tuples`, :meth:`to_rows`
     and ``cols[i][j]`` never hand out a numpy scalar.  It pickles as its
-    columns, a typed one as its array buffers.
+    columns, a typed one as its array buffers (a deferred one as its own
+    rows).
     """
 
     __slots__ = ("columns", "cols", "nrows", "indexes", "__weakref__")
@@ -324,15 +421,21 @@ def _encode(*sides: Tuple[ColumnBatch, Sequence[int]]) -> Optional[List[Any]]:
     return codes
 
 
-class KeyIndex(NamedTuple):
+class KeyIndex:
     """A stored batch's key columns, sorted: ``codes`` holds each row's
     Horner code over fixed per-column ranges (``lows`` / ``spans``) in
-    ascending order, ties in row order, and ``rows`` the row of each."""
+    ascending order, ties in row order, and ``rows`` the row of each.
+    An append makes a new index (:meth:`merged`)."""
 
-    lows: Tuple[int, ...]
-    spans: Tuple[int, ...]
-    codes: Any
-    rows: Any
+    __slots__ = ("lows", "spans", "codes", "rows", "_runs")
+
+    def __init__(
+        self, lows: Tuple[int, ...], spans: Tuple[int, ...], codes: Any = None, rows: Any = None
+    ) -> None:
+        self.lows, self.spans, self.codes, self.rows = lows, spans, codes, rows
+        #: ``(distinct codes, bounds)``: the ``i``-th distinct code's rows
+        #: are ``codes[bounds[i]:bounds[i + 1]]``; found by :meth:`runs`
+        self._runs: Any = None
 
     def encode(self, batch: ColumnBatch, positions: Sequence[int]) -> Any:
         """``batch``'s codes on ``positions`` under these ranges, -1
@@ -356,9 +459,29 @@ class KeyIndex(NamedTuple):
         """Per ``batch`` row, ``(lo, hi)``: the stored rows with its key
         are ``rows[lo:hi]``.  None when the batch cannot be encoded."""
         codes = self.encode(batch, positions)
-        if codes is None:
-            return None
-        return self.codes.searchsorted(codes, "left"), self.codes.searchsorted(codes, "right")
+        return None if codes is None else self.runs(codes)
+
+    def runs(self, keys: Any) -> Tuple[Any, Any]:
+        """``(lo, hi)`` per code of ``keys``: ``codes[lo:hi]`` equal it.
+        One ``searchsorted`` over the distinct codes finds each key's
+        run, whose bounds give both.  The runs are found once per index,
+        by the first probe of at least a sixteenth as many keys as codes
+        (they cost about as much as searching that many keys again);
+        until then, and for fewer than :data:`_ONE_SEARCH_MIN_KEYS` keys,
+        it is the two searches."""
+        np = _numpy
+        codes = self.codes
+        if keys.size < _ONE_SEARCH_MIN_KEYS or not codes.size or (
+            self._runs is None and keys.size * 16 < codes.size
+        ):
+            return codes.searchsorted(keys, "left"), codes.searchsorted(keys, "right")
+        if self._runs is None:
+            starts = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+            self._runs = codes[np.append(0, starts)], np.concatenate(([0], starts, [codes.size]))
+        distinct, bounds = self._runs
+        run = distinct.searchsorted(keys, "left")
+        found = distinct.take(run, mode="clip") == keys
+        return bounds.take(run), bounds.take(run + found)
 
     def merged(
         self, batch: ColumnBatch, positions: Sequence[int], offset: int
@@ -371,8 +494,11 @@ class KeyIndex(NamedTuple):
         order = _numpy.argsort(codes, kind="stable")
         at = self.codes.searchsorted(codes[order], "right")  # after equal stored keys
         insert = _numpy.insert
-        return self._replace(
-            codes=insert(self.codes, at, codes[order]), rows=insert(self.rows, at, order + offset)
+        return KeyIndex(
+            self.lows,
+            self.spans,
+            insert(self.codes, at, codes[order]),
+            insert(self.rows, at, order + offset),
         )
 
 
@@ -398,10 +524,10 @@ def key_index(batch: ColumnBatch, positions: Sequence[int]) -> Optional[KeyIndex
                 lows.append(low)
                 spans.append(high - low + 1)
             if math.prod(spans) <= _MAX_CODE_RANGE:
-                index = KeyIndex(tuple(lows), tuple(spans), None, None)
+                index = KeyIndex(tuple(lows), tuple(spans))
                 codes = index.encode(batch, key)
                 order = np.argsort(codes, kind="stable")
-                index = index._replace(codes=codes[order], rows=order)
+                index.codes, index.rows = codes[order], order
         batch.indexes[key] = index
     return batch.indexes[key]
 
@@ -473,9 +599,8 @@ def join_indices(
 
 def _np_join(bcode: Any, pcode: Any) -> Tuple[Any, Any]:
     order = _numpy.argsort(bcode, kind="stable")
-    sorted_codes = bcode[order]
-    lo = sorted_codes.searchsorted(pcode, "left")
-    return _expand(order, lo, sorted_codes.searchsorted(pcode, "right"))
+    build = KeyIndex((), (), bcode[order], order)  # probed like a stored index
+    return _expand(order, *build.runs(pcode))
 
 
 def _dict_join(

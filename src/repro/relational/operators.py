@@ -25,6 +25,7 @@ from .columnar import (
     ColumnBatch,
     anti_join_indices,
     column_of,
+    constant_column,
     distinct_indices,
     filter_batch_indices,
     grouped_aggregates,
@@ -81,7 +82,7 @@ def project_batch(
         if isinstance(expr, Col):
             cols.append(child.cols[expr.position(child.columns)])  # shared, never mutated
         elif isinstance(expr, Const):
-            cols.append(column_of([expr.value] * child.nrows))
+            cols.append(constant_column(expr.value, child.nrows))
         else:
             evaluate = expr.bind(child.columns)
             cols.append(column_of([evaluate(row) for row in child.tuples()]))
@@ -98,7 +99,9 @@ def join_batches(
     clock: CostClock,
 ) -> ColumnBatch:
     """Equi-join; NULL keys never match, the residual predicate filters
-    the joined rows (uncharged, as in the row engine)."""
+    the joined rows (uncharged, as in the row engine).  No value is
+    copied here: each typed output column is its input column deferred
+    at that side's index vector (see :func:`~.columnar.gather_columns`)."""
     lidx, ridx, built, probed = join_indices(left, right, lpos, rpos)
     out = ColumnBatch(
         left.columns + right.columns,

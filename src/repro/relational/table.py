@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .columnar import ColumnBatch, anti_join_indices, column_of, fresh_key_indices
+from .columnar import (
+    ColumnBatch, anti_join_indices, constant_column, fresh_key_indices, int_range, settled,
+)
 from .schema import TableSchema
 from .types import ExecutionError, Row, ensure
 
@@ -48,8 +50,8 @@ def batch_of_result(
     columns, then ``pad_nulls`` NULL columns."""
     cols = list(result.cols)
     if next_id is not None:
-        cols.insert(0, column_of(list(range(next_id, next_id + result.nrows))))
-    cols += [column_of([None] * result.nrows)] * pad_nulls
+        cols.insert(0, int_range(next_id, next_id + result.nrows))
+    cols += [constant_column(None, result.nrows)] * pad_nulls
     ensure(
         len(cols) == len(table_schema),
         ExecutionError,
@@ -152,10 +154,11 @@ class Table:
         self._store(ColumnBatch.from_rows(self.schema.column_names, ()))
 
     def _store(self, batch: ColumnBatch, indexes: Optional[dict] = None) -> None:
-        """Replace the stored batch (a fresh object, never a shared one)
-        and give it its key indexes — none, or an append's merged ones."""
-        batch.indexes = {} if indexes is None else indexes
-        self._stored = batch
+        """Replace the stored batch by ``batch``'s columns, gathered (a
+        table never pins the base of a deferred column), and give it its
+        key indexes — none, or an append's merged ones."""
+        self._stored = ColumnBatch(batch.columns, map(settled, batch.cols), batch.nrows)
+        self._stored.indexes = {} if indexes is None else indexes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Table({self.name}, {len(self)} rows)"

@@ -20,6 +20,7 @@ Environment variables (all optional)::
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, Mapping, Optional, Tuple
@@ -53,6 +54,13 @@ def _parse_int(name: str, raw: str) -> int:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
+def require_finite(name: str, value: float) -> None:
+    """Reject a NaN, an infinity or a negative value for field ``name``
+    (a time or a rate): a wait on one spins, raises or never ends."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+
+
 def _parse_tokens(raw: str) -> Tuple[str, ...]:
     return tuple(token.strip() for token in raw.split(",") if token.strip())
 
@@ -80,14 +88,10 @@ class ServeConfig:
     log_json: bool = False
 
     def __post_init__(self) -> None:
-        if self.rate_limit < 0:
-            raise ValueError(f"rate_limit must be >= 0, got {self.rate_limit}")
+        require_finite("rate_limit", self.rate_limit)
         if self.rate_burst < 1:
             raise ValueError(f"rate_burst must be >= 1, got {self.rate_burst}")
-        if self.request_timeout < 0:
-            raise ValueError(
-                f"request_timeout must be >= 0, got {self.request_timeout}"
-            )
+        require_finite("request_timeout", self.request_timeout)
         if self.max_body_bytes < 0:
             raise ValueError(
                 f"max_body_bytes must be >= 0, got {self.max_body_bytes}"

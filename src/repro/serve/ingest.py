@@ -29,6 +29,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.model import Fact
 from ..devtools.sanitizer import make_lock
+from .config import require_finite
 from .logging import NULL_LOGGER, JsonLogger
 
 
@@ -52,8 +53,8 @@ class IngestConfig:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
         if self.flush_size < 1:
             raise ValueError(f"flush_size must be >= 1, got {self.flush_size}")
-        if self.flush_interval < 0:
-            raise ValueError("flush_interval must be >= 0")
+        require_finite("flush_interval", self.flush_interval)
+        require_finite("put_timeout", self.put_timeout)
         if self.dead_letter_max < 0:
             raise ValueError(
                 f"dead_letter_max must be >= 0, got {self.dead_letter_max}"

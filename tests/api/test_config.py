@@ -122,6 +122,31 @@ class TestGroundingConfig:
         assert config.apply_constraints
         assert not config.semi_naive
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_a_cap_below_one_is_rejected(self, cap):
+        with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+            GroundingConfig(max_iterations=cap)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_every_grounding_path_rejects_a_cap_below_one(self, cap):
+        """``ground``, ``add_evidence``, ``add_rules`` and the delta
+        flush all raise instead of grounding nothing, and leave the KB
+        as it was."""
+        kb = paper_kb()
+        fact, rule = next(iter(kb.facts)), kb.rules[0]
+        with repro.api.ExpansionSession(kb) as session:
+            session.ground()
+            facts, rules = session.fact_count(), len(session.kb.rules)
+            for call in (
+                lambda: session.ground(cap),
+                lambda: session.add_evidence([fact], max_iterations=cap),
+                lambda: session.add_rules([rule], max_iterations=cap),
+                lambda: session.expand_delta([fact], cap),
+            ):
+                with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+                    call()
+            assert (session.fact_count(), len(session.kb.rules)) == (facts, rules)
+
 
 class TestBuildBackend:
     def test_default_is_single_node(self):

@@ -23,13 +23,18 @@ from contextlib import contextmanager
 import pytest
 
 from repro.mpp import HashDistribution, MPPDatabase, RandomDistribution, ReplicatedDistribution
-from repro.relational import Database, HashJoin, Project, Scan, col, columnar, schema
+from repro.relational import ColumnBatch, Database, HashJoin, Project, Scan, col, columnar, schema
 from repro.relational.plan import AntiJoin
+from repro.relational.table import Table
 
 from .rowref import run_query
 
 SEED = 20261016
 STEPS = 120
+
+needs_numpy = pytest.mark.skipif(
+    not columnar.numpy_enabled(), reason="the key index is a numpy structure"
+)
 
 SCHEMAS = {
     "F": schema("F", "a:int", "b:int", "v:int", unique_key=["a", "b"]),
@@ -198,3 +203,67 @@ def test_probes_match_the_reencoding_path_and_the_row_engine(no_numpy, nseg):
             for index in (part.column_batch().indexes or {}).values()
         )
     assert (indexed > 0) == columnar.numpy_enabled()
+
+
+# -- one binary search per probe -------------------------------------------------
+
+
+@pytest.mark.parametrize("nseg", [None, 3], ids=["single", "mpp3"])
+def test_the_stream_with_one_search_per_probe(no_numpy, nseg, monkeypatch):
+    """The stream above, with every probe of enough keys taking the
+    one-search path (its crossover is far above these tables' sizes)."""
+    monkeypatch.setattr(columnar, "_ONE_SEARCH_MIN_KEYS", 1)
+    test_probes_match_the_reencoding_path_and_the_row_engine(no_numpy, nseg)
+
+
+def two_searches(codes, keys):
+    return codes.searchsorted(keys, "left"), codes.searchsorted(keys, "right")
+
+
+def assert_bounds(found, codes, keys):
+    lo, hi = found
+    want_lo, want_hi = two_searches(codes, keys)
+    assert lo.tolist() == want_lo.tolist()
+    assert hi.tolist() == want_hi.tolist()
+
+
+@needs_numpy
+@pytest.mark.parametrize("min_keys", [1, columnar._ONE_SEARCH_MIN_KEYS])
+def test_one_search_bounds_equal_two_searches(min_keys, monkeypatch):
+    """Random sorted codes with duplicates, an empty index, probes that
+    miss (-1 is what ``encode`` gives a key outside the ranges) and
+    probes of every size, the runs found by the first probe that needs
+    them and reused by the rest."""
+    monkeypatch.setattr(columnar, "_ONE_SEARCH_MIN_KEYS", min_keys)
+    np = columnar.get_numpy()
+    rng = np.random.default_rng(SEED)
+    for ncodes in (0, 1, 7, 300, 5000):
+        span = ncodes // 3 + 2
+        codes = np.sort(rng.integers(0, span, ncodes))
+        index = columnar.KeyIndex((0,), (span,), codes, np.arange(ncodes))
+        for nkeys in (0, 1, 40, 2000, 20000, 3):
+            keys = rng.integers(-1, span + 2, nkeys)
+            assert_bounds(index.runs(keys), codes, keys)
+
+
+@needs_numpy
+def test_one_search_after_merged_appends(monkeypatch):
+    """Each append merges the stored index into a new one, which finds
+    its own runs on its first probe."""
+    monkeypatch.setattr(columnar, "_ONE_SEARCH_MIN_KEYS", 1)
+    rng = random.Random(SEED)
+    table = Table(SCHEMAS["K"])
+    table.insert([(rng.randrange(20), rng.randrange(5)) for _ in range(200)])
+    for step in range(8):
+        stored = table.column_batch()
+        index = columnar.key_index(stored, (0, 1))
+        if step:
+            assert index is merged
+        for nkeys in (0, 2, 150):
+            probe = ColumnBatch.from_rows(
+                ["a", "b"], [(rng.randrange(-100, 120), rng.randrange(6)) for _ in range(nkeys)]
+            )
+            assert_bounds(index.lookup(probe, (0, 1)), index.codes, index.encode(probe, (0, 1)))
+        table.insert([(rng.randrange(20), rng.randrange(5)) for _ in range(50)])
+        merged = table.column_batch().indexes[(0, 1)]
+        assert merged is not None and merged is not index

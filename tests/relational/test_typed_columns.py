@@ -25,18 +25,20 @@ from repro import InferenceConfig, ProbKB
 from repro.datasets import paper_kb
 from repro.relational import (
     Aggregate,
+    ColumnarExecutor,
     ColumnBatch,
     Compare,
     Database,
+    Project,
     Scan,
     col,
     const,
     schema,
 )
-from repro.relational.columnar import TypedColumn, numpy_enabled, set_numpy
+from repro.relational.columnar import TypedColumn, column_of, numpy_enabled, set_numpy
 from repro.relational.cost import CostClock
 from repro.relational.operators import aggregate_batch
-from repro.relational.table import Table
+from repro.relational.table import Table, batch_of_result
 
 needs_numpy = pytest.mark.skipif(not numpy_enabled(), reason="typed columns need numpy")
 
@@ -318,3 +320,42 @@ def test_unique_key_table_needs_no_key_set():
     assert table.insert([(1, 9), (2, 9)]) == 1  # the deleted key is free again
     assert table.rows == [(2, 2), (1, 9)]
     assert not hasattr(table, "_key_set")
+
+
+# -- constants, id sequences and NULL padding are built as arrays -----------------
+
+
+def kind(column):
+    """What decides a column's behaviour: list or dtype, mask, values."""
+    if not isinstance(column, TypedColumn):
+        return ("list", exact_rows([tuple(column)]))
+    mask = None if column.mask is None else column.mask.tolist()
+    return (column.values.dtype.name, mask, exact_rows([tuple(column.tolist())]))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [None, 0, -(2 ** 63), 2 ** 63 - 1, 2 ** 63, True, 1.5, math.nan, "a"],
+    ids=repr,
+)
+@pytest.mark.parametrize("nrows", [0, 1, 4])
+def test_a_projected_constant_is_the_kind_column_of_gives(value, nrows, no_numpy):
+    db = Database("const")
+    db.create_table(schema("R", "v:int"))
+    db.bulkload("R", [(i,) for i in range(nrows)])
+    plan = Project(Scan("R", "r"), [(const(value), "c")])
+    (column,) = ColumnarExecutor(db.tables, CostClock()).run(plan).cols
+    assert kind(column) == kind(column_of([value] * nrows))
+
+
+@pytest.mark.parametrize("next_id", [None, 0, -(2 ** 63), 2 ** 63 - 3, 2 ** 63 - 2, 2 ** 63])
+@pytest.mark.parametrize("nrows", [0, 2])
+def test_ids_and_null_padding_are_the_kinds_column_of_gives(next_id, nrows, no_numpy):
+    names = ["v", "p", "q"] if next_id is None else ["id", "v", "p", "q"]
+    target = schema("T", *[f"{name}:int" for name in names])
+    result = ColumnBatch.from_rows(["v"], [(i,) for i in range(nrows)])
+    batch = batch_of_result(target, result, next_id, pad_nulls=2)
+    expected = [result.cols[0]] + [column_of([None] * nrows)] * 2
+    if next_id is not None:
+        expected.insert(0, column_of(list(range(next_id, next_id + nrows))))
+    assert [kind(column) for column in batch.cols] == [kind(column) for column in expected]

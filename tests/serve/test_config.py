@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, build_serve_service
+from repro.cli import build_parser, build_serve_service, main
 from repro.datasets import paper_kb, save_kb
 from repro.serve import JsonLogger, RateLimiter, ServeConfig
+from repro.serve.ingest import IngestConfig
 
 
 class TestServeConfig:
@@ -29,6 +30,32 @@ class TestServeConfig:
             ServeConfig(max_body_bytes=-1)
         with pytest.raises(ValueError):
             ServeConfig(auth_tokens=("ok", ""))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("field", ["rate_limit", "request_timeout"])
+    def test_non_finite_values_are_rejected(self, field, value):
+        """A NaN or infinite budget used to be accepted and then made
+        every request's ``Thread.join`` raise."""
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            ServeConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("field", ["flush_interval", "put_timeout"])
+    def test_ingest_timing_must_be_finite(self, field, value):
+        """``flush_interval=nan`` used to make the flusher's wait return
+        at once, forever; ``inf`` made it raise ``OverflowError``."""
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            IngestConfig(**{field: value})
+
+    def test_cli_rejects_non_finite_timing_at_startup(self, monkeypatch, capsys):
+        """Both fail before any KB is loaded, with the field named."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--kb", "no-such-kb", "--flush-interval", "nan"])
+        assert exit_info.value.code == 2
+        assert "flush_interval must be a finite number" in capsys.readouterr().err
+        monkeypatch.setenv("PROBKB_SERVE_TIMEOUT", "inf")
+        assert main(["serve", "--kb", "no-such-kb"]) == 2
+        assert "request_timeout must be a finite number" in capsys.readouterr().err
 
     def test_expansion_default_is_full(self, tmp_path):
         """``expansion`` is an engine setting, not a front-end one: its

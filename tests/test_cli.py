@@ -119,3 +119,12 @@ def test_evaluate(capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("command", ["ground", "infer", "serve"])
+def test_an_iteration_cap_below_one_is_a_usage_error(kb_dir, command, capsys):
+    """It used to ground nothing and report ``converged=False``."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--kb", kb_dir, "--iterations", "-1"])
+    assert exit_info.value.code == 2
+    assert "max_iterations must be >= 1, got -1" in capsys.readouterr().err
