@@ -114,7 +114,8 @@ class ExpansionSession(ProbKB):
         factor-graph components the new ground clauses touch, and
         splices the refreshed marginals into TProb — bit-identical to a
         full componentwise re-expansion at the same seed.  The first
-        call primes the baseline (one full expansion); see
+        call primes the baseline (one full expansion), and so does the
+        first call after any other write to the KB; see
         ``docs/incremental.md``.
 
         ``inference`` pins the delta sampler's config on the first call

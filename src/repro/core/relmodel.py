@@ -26,7 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..relational import PlanNode, Project, Scan, TableSchema, col, schema
+from ..relational import (
+    Compare, Filter, PlanNode, Project, Scan, TableSchema, col, const, schema,
+)
 from ..relational.types import Row
 from .backends import Backend
 from .clauses import (
@@ -64,16 +66,11 @@ TEV_SCHEMA = schema(
     "TEv", "R:int", "x:int", "C1:int", "y:int", "C2:int", "w:float",
     unique_key=FACT_KEY_COLUMNS,
 )
-#: full (id-bearing) copies of every fact merged while delta capture is
-#: active — the seed relation for incremental factor grounding
-#: (:mod:`repro.delta`); accumulates across the iterations of one flush
+#: the (id-bearing) TΠ rows one delta flush added — the seed relation
+#: for incremental factor grounding (:mod:`repro.delta`), filled from
+#: :meth:`RelationalKB.facts_since` once the flush's closure is done
 TDACC_SCHEMA = schema(
     "TDAcc", "I:int", "R:int", "x:int", "C1:int", "y:int", "C2:int", "w:float"
-)
-#: scratch for one merge statement: ids are assigned here first, then the
-#: rows flow unchanged into TΠ and (when capturing) TDAcc
-TDCUR_SCHEMA = schema(
-    "TDCur", "I:int", "R:int", "x:int", "C1:int", "y:int", "C2:int", "w:float"
 )
 #: staging for one partition's incremental factors: the delta-join
 #: variants overlap when several participants are new, and the unique
@@ -95,20 +92,14 @@ DR_SCHEMA = schema("DR", "id:int", "name:text")
 
 
 def mln_schema(partition: int) -> TableSchema:
-    """Schema of MLN table M_i (identifier tuples + weight)."""
-    if partition in (1, 2):
-        return schema(
-            f"M{partition}", "R1:int", "R2:int", "C1:int", "C2:int", "w:float"
-        )
+    """Schema of MLN table M_i (identifier tuples + weight).  The whole
+    row is the unique key: Proposition 1 requires the M_i duplicate-free,
+    at bulkload and across later :meth:`RelationalKB.add_rules` batches."""
+    atoms = range(1, 3 if partition in (1, 2) else 4)
+    ids = [f"R{i}" for i in atoms] + [f"C{i}" for i in atoms]
     return schema(
-        f"M{partition}",
-        "R1:int",
-        "R2:int",
-        "R3:int",
-        "C1:int",
-        "C2:int",
-        "C3:int",
-        "w:float",
+        f"M{partition}", *(f"{name}:int" for name in ids), "w:float",
+        unique_key=ids + ["w"],
     )
 
 
@@ -151,8 +142,9 @@ class Dictionary:
     def __len__(self) -> int:
         return len(self._name_of)
 
-    def rows(self) -> List[Tuple[int, str]]:
-        return list(enumerate(self._name_of))
+    def rows(self, start: int = 0) -> List[Tuple[int, str]]:
+        """``(id, name)`` pairs of the ids from ``start`` on."""
+        return list(enumerate(self._name_of[start:], start))
 
 
 class RelationalKB:
@@ -165,12 +157,6 @@ class RelationalKB:
         self.classes = Dictionary()
         self.relations = Dictionary()
         self._next_fact_id = 0
-        self._capture_delta = False
-        self.nonempty_partitions: List[int] = []
-        #: identifier tuples already stored per partition — Proposition 1
-        #: requires the M_i duplicate-free, both at bulkload and across
-        #: later :meth:`add_rules` batches
-        self._mln_seen: Dict[int, Set[Row]] = {i: set() for i in PARTITION_INDEXES}
         self.load_report = self._load()
 
     def _classify(self, rule: HornClause, rule_index: int) -> ClassifiedClause:
@@ -240,12 +226,7 @@ class RelationalKB:
         mln_rows: Dict[int, List[Row]] = {i: [] for i in PARTITION_INDEXES}
         for rule_index, rule in enumerate(kb.rules):
             classified = self._classify(rule, rule_index)
-            row = self._mln_row(classified)
-            # Proposition 1 requires M_i duplicate-free
-            if row in self._mln_seen[classified.partition]:
-                continue
-            self._mln_seen[classified.partition].add(row)
-            mln_rows[classified.partition].append(row)
+            mln_rows[classified.partition].append(self._mln_row(classified))
 
         # TΩ
         fc_rows = [
@@ -263,7 +244,6 @@ class RelationalKB:
         backend.create_table(TDELTA_SCHEMA, dist_keys=["x"])
         backend.create_table(TEV_SCHEMA, dist_keys=["x"])
         backend.create_table(TDACC_SCHEMA, dist_keys=["I"])
-        backend.create_table(TDCUR_SCHEMA, dist_keys=["I"])
         backend.create_table(TFNEW_SCHEMA, dist_keys=["I1"])
         backend.create_table(TC_SCHEMA, dist_keys=["e"])
         backend.create_table(TR_SCHEMA, dist_keys=["R"])
@@ -285,16 +265,15 @@ class RelationalKB:
         # iteration 1 of semi-naive grounding must see every base fact
         backend.bulkload("TDelta", [row[1:6] for row in tp_rows])
         backend.bulkload("FC", fc_rows)
-        for partition in PARTITION_INDEXES:
-            backend.bulkload(f"M{partition}", mln_rows[partition])
-        self.nonempty_partitions = [
-            i for i in PARTITION_INDEXES if mln_rows[i]
-        ]
+        # M_i's unique key drops duplicate rules (first one wins)
+        rules_by_partition = {
+            i: backend.bulkload(f"M{i}", mln_rows[i]) for i in PARTITION_INDEXES
+        }
         backend.create_tpi_views()
 
         return LoadReport(
             facts=len(tp_rows),
-            rules_by_partition={i: len(mln_rows[i]) for i in PARTITION_INDEXES},
+            rules_by_partition=rules_by_partition,
             constraints=len(fc_rows),
             classes=len(class_rows),
             relations=len(relation_rows),
@@ -369,8 +348,6 @@ class RelationalKB:
         self.backend.insert_from(
             "TDelta", self.guard_candidates(Scan("TNew", "N"))
         )
-        if self._capture_delta:
-            return self._merge_with_capture(Scan("TDelta", "D"), pad_nulls=1)
         inserted, self._next_fact_id = self.backend.insert_from_with_ids(
             "TP", Scan("TDelta", "D"), self._next_fact_id, pad_nulls=1
         )
@@ -381,12 +358,14 @@ class RelationalKB:
 
         New facts (per the usual anti-join guard) keep their extraction
         weights and become the semi-naive delta, so a follow-up delta
-        grounding derives exactly their consequences.  Returns the
-        number of genuinely new facts.
+        grounding derives exactly their consequences.  Names the facts
+        introduce are added to DE / DC / DR.  Returns the number of
+        genuinely new facts.
         """
         rows: List[Row] = []
         for fact in facts:
             rows.append(self.encode_fact_key(fact) + (fact.weight,))
+        self._store_new_names()
         self.backend.truncate("TEv")
         self.backend.insert_rows("TEv", rows)
         guarded = self.guard_candidates(Scan("TEv", "E"))
@@ -398,86 +377,63 @@ class RelationalKB:
                 [(col(f"E.{c}"), c) for c in FACT_KEY_COLUMNS],
             ),
         )
-        if self._capture_delta:
-            return self._merge_with_capture(guarded, pad_nulls=0)
         inserted, self._next_fact_id = self.backend.insert_from_with_ids(
             "TP", guarded, self._next_fact_id, pad_nulls=0
         )
         return inserted
 
-    # -- delta capture (incremental factor grounding) ------------------------------
+    @property
+    def next_fact_id(self) -> int:
+        """The id the next merged fact gets: every TΠ row with a smaller
+        id was there before it (§4.2.3: ids come from one sequence)."""
+        return self._next_fact_id
 
-    def begin_delta_capture(self) -> None:
-        """Start accumulating every merged fact — with its id — in TDAcc.
-
-        :class:`repro.delta.DeltaGrounder` wraps one flush's grounding in
-        a capture window; at the end TDAcc holds exactly the facts the
-        flush added to TΠ, which is the seed relation for the
-        incremental Query 2-i variants.
-        """
-        self.backend.truncate("TDAcc")
-        self._capture_delta = True
-
-    def end_delta_capture(self) -> None:
-        self._capture_delta = False
-
-    def delta_capture_rows(self) -> List[Row]:
-        """The captured (I, R, x, C1, y, C2, w) rows of the current window."""
-        return self.backend.query(Scan("TDAcc", "D")).rows
-
-    def _merge_with_capture(self, plan: PlanNode, pad_nulls: int) -> int:
-        """Merge new facts into TΠ via the TDCur scratch table so their
-        id-bearing rows can also be appended to TDAcc — the plan runs
-        once, keeping id assignment identical to the direct merge."""
-        self.backend.truncate("TDCur")
-        inserted, self._next_fact_id = self.backend.insert_from_with_ids(
-            "TDCur", plan, self._next_fact_id, pad_nulls=pad_nulls
-        )
-        self.backend.insert_from("TP", Scan("TDCur", "D"))
-        self.backend.insert_from("TDAcc", Scan("TDCur", "D"))
-        return inserted
+    def facts_since(self, first_id: int) -> PlanNode:
+        """The TΠ rows (I, R, x, C1, y, C2, w) merged at or after the
+        sequence stood at ``first_id`` and still present."""
+        return Filter(Scan("TP", "T"), Compare(">=", col("T.I"), const(first_id)))
 
     def add_rules(self, rules: Sequence[HornClause]) -> int:
         """Classify new rules and merge them into the MLN tables M1-M6.
 
-        Identifier tuples already present (from the bulkload or an
-        earlier batch) are dropped so the M_i stay duplicate-free
+        M_i's unique key drops identifier tuples already present (from
+        the bulkload or an earlier batch) so the M_i stay duplicate-free
         (Proposition 1).  Dictionary tables gain rows for any relation
         or class name the new rules introduce.  Returns the number of
         genuinely new MLN rows stored.
         """
         # classify the whole batch first: a rule that fits no partition
-        # must raise before any id is minted or any row marked as seen
+        # must raise before any id is minted or any row stored
         batch = [
             self._classify(rule, rule_index)
             for rule_index, rule in enumerate(rules)
         ]
-        relations_before = len(self.relations)
-        classes_before = len(self.classes)
         staged: Dict[int, List[Row]] = {}
         for classified in batch:
-            row = self._mln_row(classified)
-            if row in self._mln_seen[classified.partition]:
-                continue
-            self._mln_seen[classified.partition].add(row)
-            staged.setdefault(classified.partition, []).append(row)
-        # keep DR/DC consistent with the dictionary objects: encoding the
-        # new rules may have minted fresh relation/class ids
-        new_relations = self.relations.rows()[relations_before:]
-        if new_relations:
-            self.backend.insert_rows("DR", new_relations)
-        new_classes = self.classes.rows()[classes_before:]
-        if new_classes:
-            self.backend.insert_rows("DC", new_classes)
-        inserted = 0
-        for partition in sorted(staged):
-            inserted += self.backend.insert_rows(
-                f"M{partition}", staged[partition]
+            staged.setdefault(classified.partition, []).append(
+                self._mln_row(classified)
             )
-            if partition not in self.nonempty_partitions:
-                self.nonempty_partitions.append(partition)
-        self.nonempty_partitions.sort()
-        return inserted
+        self._store_new_names()
+        return sum(
+            self.backend.insert_rows(f"M{partition}", staged[partition])
+            for partition in sorted(staged)
+        )
+
+    @property
+    def nonempty_partitions(self) -> List[int]:
+        """The partitions whose M_i holds a rule, read off the tables."""
+        return [i for i in PARTITION_INDEXES if self.backend.table_size(f"M{i}")]
+
+    def _store_new_names(self) -> None:
+        """Keep DE / DC / DR equal to the dictionaries: ids are dense, so
+        the names minted since a table was written are the ids from its
+        size on."""
+        for table, dictionary in (
+            ("DE", self.entities), ("DC", self.classes), ("DR", self.relations)
+        ):
+            stored = self.backend.table_size(table)
+            if len(dictionary) > stored:
+                self.backend.insert_rows(table, dictionary.rows(stored))
 
     # -- introspection ----------------------------------------------------------------
 

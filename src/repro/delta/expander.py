@@ -29,6 +29,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, TYPE_CHECKING
 from ..core.config import InferenceConfig
 from ..core.relmodel import store_marginals
 from ..infer.components import ComponentIndex, ComponentSnapshot
+from ..relational import HashJoin, Project, Scan, UnionAll, Values, col
 from ..relational.types import Row
 from .grounding import DeltaGrounder, DeltaGroundingResult
 
@@ -94,16 +95,18 @@ class DeltaExpander:
         self.grounder = DeltaGrounder(probkb)
         self.index = ComponentIndex()
         self.marginals: Dict[int, float] = {}
-        self._relation_of: Dict[int, int] = {}
-        self._primed = False
+        #: the KB generation the index and marginals describe; any other
+        #: writer (add_evidence, add_rules, ground, ...) bumps it
+        self._generation: Optional[int] = None
 
     @property
     def primed(self) -> bool:
-        return self._primed
+        """Whether no other writer changed the KB since this expander's last write."""
+        return self._generation == self.probkb.generation
 
     def invalidate(self) -> None:
         """Forget primed state after an error; the next flush re-primes."""
-        self._primed = False
+        self._generation = None
 
     # -- priming (full expansion, establishes the baseline) ----------------------
 
@@ -116,7 +119,7 @@ class DeltaExpander:
         self.marginals = self.probkb.sample_snapshots(snapshots, self.inference)
         store_marginals(self.probkb.backend, sorted(self.marginals.items()))
         self.probkb.generation += 1
-        self._primed = True
+        self._generation = self.probkb.generation
 
     # -- the three delta phases --------------------------------------------------
 
@@ -125,15 +128,13 @@ class DeltaExpander:
     ) -> PendingDelta:
         """Phase A (write lock): merge the flush and snapshot its blast
         radius.  New facts are queryable (unscored) when this returns."""
-        if not self._primed:
+        if not self.primed:
             self.prime()
         grounding = self.grounder.expand(facts, max_iterations)
         if grounding.full_rebuild:
             pending = self._rebuild_pending(grounding)
         else:
             touched = self.index.add_factors(grounding.new_factor_rows)
-            for row in grounding.new_fact_rows:
-                self._relation_of[row[0]] = row[1]
             snapshots = self.index.snapshots(touched)
             pending = PendingDelta(
                 grounding=grounding,
@@ -141,6 +142,7 @@ class DeltaExpander:
                 touched_relations=self._relation_names(snapshots, grounding),
             )
         self.probkb.generation += 1
+        self._generation = self.probkb.generation
         return pending
 
     def _rebuild_pending(self, grounding: DeltaGroundingResult) -> PendingDelta:
@@ -156,13 +158,9 @@ class DeltaExpander:
         )
 
     def _reindex(self, rows: Sequence[Row]) -> List[ComponentSnapshot]:
-        """Rebuild the component index and the ``{I: R}`` map from a
-        whole TΦ; every component's snapshot, in anchor order."""
+        """Rebuild the component index from a whole TΦ; every
+        component's snapshot, in anchor order."""
         self.index = ComponentIndex.from_factor_rows(rows)
-        self._relation_of = {
-            row[0]: row[1]
-            for row in self.probkb.backend.project("TP", ("I", "R"))
-        }
         return self.index.snapshots(self.index.roots())
 
     def _relation_names(
@@ -170,15 +168,15 @@ class DeltaExpander:
     ) -> FrozenSet[str]:
         """Predicates whose query results the flush may have changed:
         relations of the new facts plus of every member of a touched
-        component (their probabilities move)."""
-        relation_ids = set(grounding.touched_relation_ids)
-        for members, _ in snapshots:
-            for member in members:
-                rid = self._relation_of.get(member)
-                if rid is not None:
-                    relation_ids.add(rid)
+        component (their probabilities move), read from TΠ in one query."""
+        members = Values(["M.I"], [(member,) for members, _ in snapshots for member in members])
+        touched = Project(
+            HashJoin(members, Scan("TP", "T"), ["M.I"], ["T.I"]), [(col("T.R"), "R")]
+        )
+        new = Project(self.probkb.rkb.facts_since(grounding.first_fact_id), [(col("T.R"), "R")])
+        rows = self.probkb.backend.query(UnionAll([touched, new])).rows
         relations = self.probkb.rkb.relations
-        return frozenset(relations.name(rid) for rid in relation_ids)
+        return frozenset(relations.name(rid) for (rid,) in rows)
 
     def infer(self, pending: PendingDelta) -> Dict[int, float]:
         """Phase B (no lock): re-sample the snapshot components.  Reads
@@ -198,7 +196,7 @@ class DeltaExpander:
             replace=pending.full_rebuild,
         )
         self.probkb.generation += 1
-        self._primed = True
+        self._generation = self.probkb.generation
 
     def expand_delta(
         self, facts: Sequence["Fact"], max_iterations: Optional[int] = None

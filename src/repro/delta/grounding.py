@@ -3,10 +3,11 @@
 Atom closure already costs O(delta) under the semi-naive grounder; the
 expensive part of the existing ingest path is rebuilding TΦ from
 scratch (factors are a function of the final atom set).  This module
-avoids the rebuild: every fact merged during the flush — evidence and
-derived — is captured with its id in TDAcc, and for each partition the
-Query 2-i join is re-run with TDAcc substituted for each occurrence of
-the facts table (both body positions and the head).  A ground factor is
+avoids the rebuild: the facts the flush merged — evidence and derived —
+are TΠ's id range from the sequence value it started at; they go into
+TDAcc, and for each partition the Query 2-i join is re-run with TDAcc
+substituted for each occurrence of the facts table (both body positions
+and the head).  A ground factor is
 *new* exactly when at least one participant is new (the rules are
 monotone), so the union of the per-occurrence delta joins is exactly
 TΦ_new; staging it through TFNew's unique key removes the overlap
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, TYPE_CHECKING
+from typing import List, Optional, Sequence, TYPE_CHECKING
 
 from ..core.grounding import Grounder, IterationStats, check_iteration_cap
 from ..core.sqlgen import (
@@ -46,7 +47,9 @@ class DeltaGroundingResult:
     """What one delta-grounding pass merged into TΠ and TΦ."""
 
     added_evidence: int  # genuinely new evidence facts (post anti-join)
-    new_fact_rows: List[Row]  # captured (I, R, x, C1, y, C2, w) TΠ rows
+    #: the sequence value the flush started at: the facts it merged and
+    #: kept are the TΠ rows of :meth:`RelationalKB.facts_since` this id
+    first_fact_id: int
     new_factor_rows: List[Row]  # TΦ rows added (or ALL rows on rebuild)
     iterations: List[IterationStats] = field(default_factory=list)
     converged: bool = True
@@ -56,16 +59,12 @@ class DeltaGroundingResult:
 
     @property
     def new_facts(self) -> int:
-        return len(self.new_fact_rows)
+        """Facts the flush merged, counting any its own Query 3 deleted."""
+        return self.added_evidence + sum(stats.new_facts for stats in self.iterations)
 
     @property
     def new_factors(self) -> int:
         return len(self.new_factor_rows)
-
-    @property
-    def touched_relation_ids(self) -> Set[int]:
-        """Relation ids of every fact the flush added (column R)."""
-        return {row[1] for row in self.new_fact_rows}
 
 
 class DeltaGrounder:
@@ -88,15 +87,12 @@ class DeltaGrounder:
             apply_constraints=self.probkb.grounding_config.apply_constraints,
             semi_naive=True,
         )
-        rkb.begin_delta_capture()
-        try:
-            added = rkb.add_evidence(facts)
-            iterations, converged = grounder.ground_atoms(max_iterations)
-        finally:
-            rkb.end_delta_capture()
+        first_fact_id = rkb.next_fact_id
+        added = rkb.add_evidence(facts)
+        iterations, converged = grounder.ground_atoms(max_iterations)
         result = DeltaGroundingResult(
             added_evidence=added,
-            new_fact_rows=rkb.delta_capture_rows(),
+            first_fact_id=first_fact_id,
             new_factor_rows=[],
             iterations=iterations,
             converged=converged,
@@ -110,6 +106,9 @@ class DeltaGrounder:
             grounder.ground_factors()
             result.new_factor_rows = self.backend.query(Scan("TF")).rows
         else:
+            # nothing was deleted: the id range is exactly the new facts
+            self.backend.truncate(DELTA_FACTS_TABLE)
+            self.backend.insert_from(DELTA_FACTS_TABLE, rkb.facts_since(first_fact_id))
             result.new_factor_rows = self._ground_delta_factors()
         result.elapsed_seconds = time.perf_counter() - started  # lint: disable=RC003 (timing metadata, not sampling)
         return result

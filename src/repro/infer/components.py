@@ -51,18 +51,17 @@ ComponentSnapshot = Tuple[List[int], List[Row]]
 class ComponentIndex:
     """Union-find over fact ids, carrying each component's payload.
 
-    Per canonical root the index keeps the component's member fact ids,
-    the TΦ rows whose participants all lie in the component, and the
-    minimum member id (a stable anchor for per-component seeding —
-    unions can only shrink it deterministically).
+    Per canonical root the index keeps the component's member fact ids
+    and the TΦ rows whose participants all lie in the component; its
+    size and its minimum member id (a stable anchor for per-component
+    seeding — unions can only shrink it deterministically) are read off
+    the member list.
     """
 
     def __init__(self) -> None:
         self._parent: Dict[int, int] = {}
-        self._size: Dict[int, int] = {}
         self._members: Dict[int, List[int]] = {}
         self._factors: Dict[int, List[Row]] = {}
-        self._min: Dict[int, int] = {}
 
     @classmethod
     def from_factor_rows(cls, rows: Iterable[Row]) -> "ComponentIndex":
@@ -83,10 +82,8 @@ class ComponentIndex:
         if var in self._parent:
             return
         self._parent[var] = var
-        self._size[var] = 1
         self._members[var] = [var]
         self._factors[var] = []
-        self._min[var] = var
 
     def find(self, var: int) -> int:
         root = var
@@ -100,14 +97,12 @@ class ComponentIndex:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return ra
-        if self._size[ra] < self._size[rb]:
+        if len(self._members[ra]) < len(self._members[rb]):
             ra, rb = rb, ra
         # small-to-large: rb's payload folds into ra's
         self._parent[rb] = ra
-        self._size[ra] += self._size.pop(rb)
         self._members[ra].extend(self._members.pop(rb))
         self._factors[ra].extend(self._factors.pop(rb))
-        self._min[ra] = min(self._min[ra], self._min.pop(rb))
         return ra
 
     def add_factors(self, rows: Iterable[Row]) -> Set[int]:
@@ -139,11 +134,11 @@ class ComponentIndex:
 
     def anchor(self, root: int) -> int:
         """Minimum member id — the component's deterministic seed anchor."""
-        return self._min[self.find(root)]
+        return min(self._members[self.find(root)])
 
     def roots(self) -> List[int]:
         """All canonical roots, ordered by their anchors (deterministic)."""
-        return sorted(self._members, key=lambda root: self._min[root])
+        return sorted(self._members, key=lambda root: min(self._members[root]))
 
     def snapshots(self, roots: Iterable[int]) -> List[ComponentSnapshot]:
         """Copies of the components' payloads, in anchor order — safe to
@@ -152,9 +147,6 @@ class ComponentIndex:
             (self.members(root), self.factors(root))
             for root in sorted(roots, key=self.anchor)
         ]
-
-    def component_count(self) -> int:
-        return len(self._members)
 
 
 def component_seed(base_seed: int, anchor: int) -> int:

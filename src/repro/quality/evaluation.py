@@ -16,9 +16,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..core import Fact, GroundingConfig, ProbKB
 from ..datasets.reverb_sherlock import GeneratedKB, OracleJudge
-from ..relational import Scan, col, const
-from ..relational.expr import Compare
-from ..relational.plan import Filter
 from .rule_cleaning import cleaned_kb
 
 
@@ -134,9 +131,14 @@ def run_quality_experiment(
     estimated_correct = 0.0
 
     for iteration in range(1, max_iterations + 1):
-        first_new_id = system.rkb._next_fact_id
+        first_new_id = system.rkb.next_fact_id
         system.grounder.ground_atoms_iteration(iteration)
-        new_facts = _facts_since(system, first_new_id)
+        # the iteration's facts still in TΠ: those the constraints
+        # already removed were never released, so they are not judged
+        new_facts = [
+            system.rkb.decode_fact(row)
+            for row in system.backend.query(system.rkb.facts_since(first_new_id)).rows
+        ]
         outcome.total_new_facts += len(new_facts)
         if not new_facts:
             break
@@ -159,13 +161,6 @@ def run_quality_experiment(
         if precision == 0.0 and iteration > 1:
             break  # no more correct facts are being inferred
     return outcome
-
-
-def _facts_since(system: ProbKB, first_id: int) -> List[Fact]:
-    """Inferred facts with id >= first_id still present in TΠ (facts the
-    constraints already removed don't count — they were never released)."""
-    plan = Filter(Scan("TP", "T"), Compare(">=", col("T.I"), const(first_id)))
-    return [system.rkb.decode_fact(row) for row in system.backend.query(plan).rows]
 
 
 def run_figure7a(

@@ -467,7 +467,7 @@ class KBService:
         if self.delta is not None:
             report["delta_state"] = {
                 "primed": self.delta.primed,
-                "components": self.delta.index.component_count(),
+                "components": len(self.delta.index),
                 "scored_facts": len(self.delta.marginals),
             }
         if self.worker.last_error is not None:

@@ -169,3 +169,23 @@ def test_failed_add_rules_batch_leaves_nothing_behind(tmp_path):
         rkb = system.rkb
         assert system.backend.project("DR", ("id", "name")) == rkb.relations.rows()
         assert system.backend.project("DC", ("id", "name")) == rkb.classes.rows()
+
+
+@pytest.mark.parametrize("backend", ["single", "mpp"])
+def test_evidence_names_reach_the_dictionary_tables(backend):
+    """A name first seen in evidence gets its DE / DC / DR row, so every
+    TΠ id decodes through the dictionary tables (as export_sqlite needs)."""
+    with ProbKB(paper_kb(), backend=backend) as system:
+        system.ground()
+        system.add_evidence(
+            [Fact("born_in", "Saul Bellow", "Writer", "Brooklyn", "Place", 0.9)]
+        )
+        rkb = system.rkb
+        for table, dictionary in (
+            ("DE", rkb.entities), ("DC", rkb.classes), ("DR", rkb.relations)
+        ):
+            rows = sorted(system.backend.project(table, ("id", "name")))
+            assert rows == dictionary.rows()
+        entity_ids = {row[0] for row in system.backend.project("DE", ("id",))}
+        for _, x, y in system.backend.project("TP", ("I", "x", "y")):
+            assert {x, y} <= entity_ids

@@ -154,3 +154,46 @@ class TestMPPLoad:
         single = SingleNodeBackend()
         RelationalKB(paper_kb(), single)
         assert single.tpi_scan("T", ["x", "y"]).table_name == "TP"
+
+
+BACKENDS = {
+    "single": SingleNodeBackend,
+    "mpp-matviews": lambda: MPPBackend(nseg=3, use_matviews=True),
+    "mpp-naive": lambda: MPPBackend(nseg=3, use_matviews=False),
+}
+
+
+@pytest.mark.parametrize("make_backend", BACKENDS.values(), ids=BACKENDS)
+class TestDuplicateRules:
+    """Proposition 1 needs every M_i duplicate-free; the counts the load
+    and add_rules report are the rows actually stored."""
+
+    @staticmethod
+    def stored(rkb, partition):
+        rows = rkb.backend.query(Scan(f"M{partition}")).rows
+        assert len(rows) == len(set(rows))
+        return len(rows)
+
+    def test_duplicates_within_the_load_are_stored_once(self, make_backend):
+        kb = paper_kb()
+        kb.rules += [kb.rules[0], kb.rules[4], kb.rules[0]]
+        rkb = RelationalKB(kb, make_backend())
+        assert rkb.load_report.rules_by_partition == {1: 4, 2: 0, 3: 2, 4: 0, 5: 0, 6: 0}
+        assert (self.stored(rkb, 1), self.stored(rkb, 3)) == (4, 2)
+        assert rkb.nonempty_partitions == [1, 3]
+
+    def test_duplicates_within_and_across_add_rules_batches(self, make_backend):
+        kb = paper_kb()
+        held_back = kb.rules[4:]  # both partition-3 rules
+        del kb.rules[4:]
+        rkb = RelationalKB(kb, make_backend())
+        assert rkb.nonempty_partitions == [1]
+        # a batch of stored rules only: nothing stored, no partition gained
+        assert rkb.add_rules([kb.rules[0], kb.rules[1]]) == 0
+        assert rkb.nonempty_partitions == [1]
+        # the same new rule twice in one batch is stored once
+        assert rkb.add_rules([held_back[0], held_back[0], kb.rules[2]]) == 1
+        assert rkb.nonempty_partitions == [1, 3]
+        # across batches: the repeat is dropped, the new rule kept
+        assert rkb.add_rules([held_back[0], held_back[1]]) == 1
+        assert (self.stored(rkb, 1), self.stored(rkb, 3)) == (4, 2)

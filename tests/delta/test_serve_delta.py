@@ -201,7 +201,7 @@ class TestStats:
         service.ingest(BATCH, flush=True)
         inference = service.stats()["inference"]
         assert inference["kernel"] == ("numpy" if numpy_enabled() else "python")
-        assert 1 <= inference["components"] < service.delta.index.component_count()
+        assert 1 <= inference["components"] < len(service.delta.index)
         assert inference["colors"] >= 1
 
 
