@@ -84,7 +84,7 @@ class ExpansionSession(ProbKB):
         backend: Union[BackendConfig, Backend] = BackendConfig(),
         inference: InferenceConfig = InferenceConfig(),
     ) -> "ExpansionSession":
-        """Warm-start a session from a snapshot file (no grounding run)."""
+        """Warm-start a session from a snapshot file (no atom closure run)."""
         from .serve.snapshot import read_snapshot, restore_snapshot
 
         kb, payload = read_snapshot(path)

@@ -133,7 +133,9 @@ class Grounder:
         for partition in self.rkb.nonempty_partitions:
             staged = 0
             if self.semi_naive:
-                for plan in ground_atoms_delta_plans(partition, backend):
+                for plan in ground_atoms_delta_plans(
+                    partition, backend, self.rkb.delta_start
+                ):
                     staged += self.rkb.stage_candidates(plan)
             else:
                 staged += self.rkb.stage_candidates(
@@ -211,10 +213,7 @@ class Grounder:
                 ],
             )
             self.backend.insert_from("TDel", doomed)
-            # the delta must not carry deleted facts into the next
-            # iteration's semi-naive joins; it must be purged BEFORE TΠ
-            # (the violating-keys subquery reads TΠ)
-            self.backend.delete_in("TDelta", list(columns), key_plan)
+            # a deleted fact leaves TΠ, and so the semi-naive delta too
             deleted = self.backend.delete_in("TP", list(columns), key_plan)
             per_type[functionality_type] = deleted
             removed += deleted
@@ -237,11 +236,3 @@ class Grounder:
             )
         inserted += backend.insert_from("TF", singleton_factors_plan(backend))
         return inserted, backend.elapsed_seconds - start
-
-    # -- Algorithm 1 -------------------------------------------------------------------
-
-    def run(self, max_iterations: Optional[int] = None) -> GroundingResult:
-        outcome = GroundingResult()
-        outcome.iterations, outcome.converged = self.ground_atoms(max_iterations)
-        outcome.factors, outcome.factor_seconds = self.ground_factors()
-        return outcome

@@ -157,10 +157,7 @@ class ProbKB:
         """Run Algorithm 1; returns per-iteration statistics."""
         if max_iterations is None:
             max_iterations = self.grounding_config.max_iterations
-        self.grounding = self.grounder.run(max_iterations)
-        self.grounding.load_seconds = self.load_seconds
-        self.generation += 1
-        return self.grounding
+        return self._expand_with(self.grounder, max_iterations, reground_factors=True)
 
     def add_evidence(
         self,
@@ -189,10 +186,7 @@ class ProbKB:
         return outcome
 
     def add_rules(
-        self,
-        rules: Sequence[HornClause],
-        max_iterations: Optional[int] = None,
-        reground_factors: bool = True,
+        self, rules: Sequence[HornClause], max_iterations: Optional[int] = None
     ) -> GroundingResult:
         """Incrementally expand the KB with new deductive rules.
 
@@ -226,7 +220,7 @@ class ProbKB:
             apply_constraints=self.grounding_config.apply_constraints,
             semi_naive=False,
         )
-        return self._expand_with(grounder, max_iterations, reground_factors)
+        return self._expand_with(grounder, max_iterations, reground_factors=True)
 
     def _expand_with(
         self,
@@ -234,9 +228,9 @@ class ProbKB:
         max_iterations: Optional[int],
         reground_factors: bool,
     ) -> GroundingResult:
-        """Run an incremental grounder's atom iterations, rebuild TΦ
-        (factors are a function of the final atom set) and record the
-        outcome as this KB's latest grounding."""
+        """Run a grounder's atom iterations, rebuild TΦ (factors are a
+        function of the final atom set) and record the outcome as this
+        KB's latest grounding."""
         outcome = GroundingResult()
         outcome.iterations, outcome.converged = grounder.ground_atoms(
             max_iterations

@@ -26,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..relational import (
-    Compare, Filter, PlanNode, Project, Scan, TableSchema, col, const, schema,
-)
+from ..relational import PlanNode, Scan, TableSchema, Values, schema
 from ..relational.types import Row
 from .backends import Backend
 from .clauses import (
@@ -40,6 +38,7 @@ from .clauses import (
     partition_patterns_text,
 )
 from .model import Fact, KnowledgeBase
+from .sqlgen import id_range
 
 # -- table schemas (shared by all backends) -----------------------------------
 
@@ -56,21 +55,10 @@ TDEL_SCHEMA = schema(
     "TDel", "R:int", "x:int", "C1:int", "y:int", "C2:int",
     unique_key=FACT_KEY_COLUMNS,
 )
-#: the facts merged in the previous iteration (semi-naive grounding)
-TDELTA_SCHEMA = schema(
-    "TDelta", "R:int", "x:int", "C1:int", "y:int", "C2:int",
-    unique_key=FACT_KEY_COLUMNS,
-)
 #: staging for incrementally added evidence (weighted, unlike TNew)
 TEV_SCHEMA = schema(
     "TEv", "R:int", "x:int", "C1:int", "y:int", "C2:int", "w:float",
     unique_key=FACT_KEY_COLUMNS,
-)
-#: the (id-bearing) TΠ rows one delta flush added — the seed relation
-#: for incremental factor grounding (:mod:`repro.delta`), filled from
-#: :meth:`RelationalKB.facts_since` once the flush's closure is done
-TDACC_SCHEMA = schema(
-    "TDAcc", "I:int", "R:int", "x:int", "C1:int", "y:int", "C2:int", "w:float"
 )
 #: staging for one partition's incremental factors: the delta-join
 #: variants overlap when several participants are new, and the unique
@@ -157,6 +145,11 @@ class RelationalKB:
         self.classes = Dictionary()
         self.relations = Dictionary()
         self._next_fact_id = 0
+        #: the id the last merge (or evidence batch) started at: the
+        #: facts it added and Query 3 kept are TΠ's rows with
+        #: ``I >= delta_start``, the semi-naive delta.  0 after the load,
+        #: so iteration 1 joins every base fact.
+        self.delta_start = 0
         self.load_report = self._load()
 
     def _classify(self, rule: HornClause, rule_index: int) -> ClassifiedClause:
@@ -241,9 +234,7 @@ class RelationalKB:
         backend.create_table(TP_SCHEMA, dist_keys=["I"])
         backend.create_table(TNEW_SCHEMA, dist_keys=["x"])
         backend.create_table(TDEL_SCHEMA, dist_keys=["x"])
-        backend.create_table(TDELTA_SCHEMA, dist_keys=["x"])
         backend.create_table(TEV_SCHEMA, dist_keys=["x"])
-        backend.create_table(TDACC_SCHEMA, dist_keys=["I"])
         backend.create_table(TFNEW_SCHEMA, dist_keys=["I1"])
         backend.create_table(TC_SCHEMA, dist_keys=["e"])
         backend.create_table(TR_SCHEMA, dist_keys=["R"])
@@ -262,8 +253,6 @@ class RelationalKB:
         backend.bulkload("TC", tc_rows)
         backend.bulkload("TR", tr_rows)
         backend.bulkload("TP", tp_rows)
-        # iteration 1 of semi-naive grounding must see every base fact
-        backend.bulkload("TDelta", [row[1:6] for row in tp_rows])
         backend.bulkload("FC", fc_rows)
         # M_i's unique key drops duplicate rules (first one wins)
         rules_by_partition = {
@@ -339,17 +328,15 @@ class RelationalKB:
     def merge_staged(self) -> int:
         """TΠ ← TΠ ∪ TNew, assigning fact ids from the sequence.
 
-        The genuinely-new rows are materialized into TDelta first (they
-        are exactly what the next semi-naive iteration must join), then
-        flow from there into TΠ.  Inferred facts get NULL weight until
-        marginal inference fills them in (Section 4.3).
+        The genuinely-new rows get the ids from :attr:`delta_start` on:
+        that id range is what the next semi-naive iteration joins.
+        Inferred facts get NULL weight until marginal inference fills
+        them in (Section 4.3).
         """
-        self.backend.truncate("TDelta")
-        self.backend.insert_from(
-            "TDelta", self.guard_candidates(Scan("TNew", "N"))
-        )
+        self.delta_start = self._next_fact_id
         inserted, self._next_fact_id = self.backend.insert_from_with_ids(
-            "TP", Scan("TDelta", "D"), self._next_fact_id, pad_nulls=1
+            "TP", self.guard_candidates(Scan("TNew", "N")), self._next_fact_id,
+            pad_nulls=1,
         )
         return inserted
 
@@ -357,10 +344,10 @@ class RelationalKB:
         """Incrementally add weighted evidence facts to TΠ.
 
         New facts (per the usual anti-join guard) keep their extraction
-        weights and become the semi-naive delta, so a follow-up delta
-        grounding derives exactly their consequences.  Names the facts
-        introduce are added to DE / DC / DR.  Returns the number of
-        genuinely new facts.
+        weights and, as the id range from :attr:`delta_start`, become
+        the semi-naive delta, so a follow-up delta grounding derives
+        exactly their consequences.  Names the facts introduce are added
+        to DE / DC / DR.  Returns the number of genuinely new facts.
         """
         rows: List[Row] = []
         for fact in facts:
@@ -368,17 +355,10 @@ class RelationalKB:
         self._store_new_names()
         self.backend.truncate("TEv")
         self.backend.insert_rows("TEv", rows)
-        guarded = self.guard_candidates(Scan("TEv", "E"))
-        self.backend.truncate("TDelta")
-        self.backend.insert_from(
-            "TDelta",
-            Project(
-                guarded,
-                [(col(f"E.{c}"), c) for c in FACT_KEY_COLUMNS],
-            ),
-        )
+        self.delta_start = self._next_fact_id
         inserted, self._next_fact_id = self.backend.insert_from_with_ids(
-            "TP", guarded, self._next_fact_id, pad_nulls=0
+            "TP", self.guard_candidates(Scan("TEv", "E")), self._next_fact_id,
+            pad_nulls=0,
         )
         return inserted
 
@@ -391,7 +371,7 @@ class RelationalKB:
     def facts_since(self, first_id: int) -> PlanNode:
         """The TΠ rows (I, R, x, C1, y, C2, w) merged at or after the
         sequence stood at ``first_id`` and still present."""
-        return Filter(Scan("TP", "T"), Compare(">=", col("T.I"), const(first_id)))
+        return id_range(Scan("TP", "T"), first_id)
 
     def add_rules(self, rules: Sequence[HornClause]) -> int:
         """Classify new rules and merge them into the MLN tables M1-M6.
@@ -454,17 +434,8 @@ def store_marginals(
         backend.create_table(TPROB_SCHEMA, dist_keys=["I"])
     elif replace:
         backend.truncate("TProb")
-    if replace:
-        return backend.insert_rows("TProb", rows)
-    if not rows:
+    elif not rows:
         return 0
-    # upsert through a scratch table: delete the refreshed ids, then
-    # re-insert — both sides stay inside the engine
-    if not backend.has_table("TProbNew"):
-        backend.create_table(schema("TProbNew", "I:int", "p:float"), dist_keys=["I"])
-    backend.truncate("TProbNew")
-    backend.insert_rows("TProbNew", rows)
-    backend.delete_in(
-        "TProb", ["I"], Project(Scan("TProbNew", "N"), [(col("N.I"), "I")])
-    )
-    return backend.insert_from("TProb", Scan("TProbNew", "N"))
+    else:
+        backend.delete_in("TProb", ["I"], Values(["I"], [(i,) for i, _ in rows]))
+    return backend.insert_rows("TProb", rows)

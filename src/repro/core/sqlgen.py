@@ -41,12 +41,13 @@ class FactScans(Protocol):
     def tpi_scan(self, alias: str, entity_join_columns: Sequence[str]) -> Scan: ...
 
 
-#: the previous iteration's newly derived facts (semi-naive grounding)
-DELTA_TABLE = "TDelta"
+def id_range(scan: Scan, since: int) -> PlanNode:
+    """The rows of a TΠ scan (TΠ or one of its views) with ``I >= since``:
+    the facts merged since the id sequence stood at ``since`` and still
+    present (§4.2.3 draws every fact id from one ascending sequence) —
+    the delta of semi-naive and incremental grounding."""
+    return Filter(scan, Compare(">=", col(f"{scan.alias}.I"), const(since)))
 
-#: every fact merged during the current delta-capture window, with ids —
-#: the seed relation for incremental factor grounding (repro.delta)
-DELTA_FACTS_TABLE = "TDAcc"
 
 #: class column of the MLN tables for each canonical variable
 _CLASS_COLUMN = {"x": "C1", "y": "C2", "z": "C3"}
@@ -101,31 +102,27 @@ def _mln_body_join(
     partition: int,
     backend: FactScans,
     mln_alias: str = "M",
-    delta_scans: Optional[Sequence[int]] = None,
+    delta_scans: Sequence[int] = (),
+    since: int = 0,
     mln_filter: Optional[Expr] = None,
-    delta_table: str = DELTA_TABLE,
 ) -> Tuple[PlanNode, List[str], Dict[str, str]]:
     """Join M_i with the body TΠ scans; returns (plan, aliases, head map).
 
     ``delta_scans`` (semi-naive grounding) lists the body positions that
-    should scan ``delta_table`` instead of full TΠ (TDelta for atom
-    grounding; TDAcc, which carries ids, for factor grounding).
+    read only the delta, the facts with ids from ``since`` on.
     ``mln_filter`` restricts the MLN table (e.g. to one rule — used by
     weight learning, which needs per-rule ground factors).
     """
     aliases = _body_aliases(partition)
     patterns = PARTITION_BODY_PATTERNS[partition]
     mln_table = f"M{partition}"
-    delta_set = set(delta_scans or ())
 
     plan: PlanNode = Scan(mln_table, mln_alias)
     if mln_filter is not None:
         plan = Filter(plan, mln_filter)
     for index, (pattern, alias) in enumerate(zip(patterns, aliases)):
-        if index in delta_set:
-            scan = Scan(delta_table, alias)
-        else:
-            scan = backend.tpi_scan(alias, _entity_join_columns(partition, index))
+        scan = backend.tpi_scan(alias, _entity_join_columns(partition, index))
+        body: PlanNode = id_range(scan, since) if index in delta_scans else scan
         left_keys = [f"{mln_alias}.R{index + 2}"]
         right_keys = [f"{alias}.R"]
         for pos, var in enumerate(pattern):
@@ -137,7 +134,7 @@ def _mln_body_join(
             assert shared is not None
             left_keys.append(shared[0])
             right_keys.append(shared[1])
-        plan = HashJoin(plan, scan, left_keys, right_keys)
+        plan = HashJoin(plan, body, left_keys, right_keys)
     return plan, aliases, _head_entity_exprs(partition, aliases)
 
 
@@ -164,20 +161,20 @@ def ground_atoms_plan(
 
 
 def ground_atoms_delta_plans(
-    partition: int, backend: FactScans, mln_alias: str = "M"
+    partition: int, backend: FactScans, since: int, mln_alias: str = "M"
 ) -> List[PlanNode]:
     """Semi-naive variants of Query 1-i: every new derivation must use
-    at least one fact from the previous iteration's delta, so
-    single-atom patterns join the delta alone and two-atom patterns get
-    two variants ((Δ, T) and (T, Δ); the Δ⋈Δ overlap is deduplicated by
-    the staging table's key).
+    at least one fact from the previous iteration's delta (the facts
+    with ids from ``since`` on), so single-atom patterns join the delta
+    alone and two-atom patterns get two variants ((Δ, T) and (T, Δ);
+    the Δ⋈Δ overlap is deduplicated by the staging table's key).
     """
     body_size = len(PARTITION_BODY_PATTERNS[partition])
     variants = [(0,)] if body_size == 1 else [(0,), (1,)]
     plans = []
     for delta_scans in variants:
         plan, _, head = _mln_body_join(
-            partition, backend, mln_alias, delta_scans=delta_scans
+            partition, backend, mln_alias, delta_scans=delta_scans, since=since
         )
         plans.append(
             Project(
@@ -214,24 +211,23 @@ def _ground_factors_variant(
     backend: FactScans,
     mln_alias: str = "M",
     mln_filter: Optional[Expr] = None,
-    delta_scans: Optional[Sequence[int]] = None,
+    delta_scans: Sequence[int] = (),
     delta_head: bool = False,
-    delta_table: str = DELTA_FACTS_TABLE,
+    since: int = 0,
 ) -> PlanNode:
     """One Query 2-i shape, with body/head occurrences of TΠ optionally
-    replaced by the id-bearing delta relation (incremental factors)."""
+    restricted to the delta, the facts with ids from ``since`` on
+    (incremental factors)."""
     plan, aliases, head = _mln_body_join(
         partition,
         backend,
         mln_alias,
         delta_scans=delta_scans,
+        since=since,
         mln_filter=mln_filter,
-        delta_table=delta_table,
     )
-    if delta_head:
-        head_scan: PlanNode = Scan(delta_table, "T1")
-    else:
-        head_scan = backend.tpi_scan("T1", ["x", "y"])
+    head_scan = backend.tpi_scan("T1", ["x", "y"])
+    head_side: PlanNode = id_range(head_scan, since) if delta_head else head_scan
     left_keys = [
         f"{mln_alias}.R1",
         f"{mln_alias}.C1",
@@ -240,7 +236,7 @@ def _ground_factors_variant(
         head["y"],
     ]
     right_keys = ["T1.R", "T1.C1", "T1.C2", "T1.x", "T1.y"]
-    plan = HashJoin(plan, head_scan, left_keys, right_keys)
+    plan = HashJoin(plan, head_side, left_keys, right_keys)
 
     outputs = [(col("T1.I"), "I1")]
     body_ids: List[Tuple[Expr, str]] = [
@@ -254,21 +250,18 @@ def _ground_factors_variant(
 
 
 def ground_factors_delta_plans(
-    partition: int,
-    backend: FactScans,
-    mln_alias: str = "M",
-    delta_table: str = DELTA_FACTS_TABLE,
+    partition: int, backend: FactScans, since: int, mln_alias: str = "M"
 ) -> List[PlanNode]:
     """Incremental variants of Query 2-i (semi-naive factor grounding).
 
     TΠ and the M_i only grow on the delta path, so a factor is new iff
-    at least one participating fact is new: one variant per body
-    occurrence substitutes the delta relation there, and a final variant
-    substitutes it for the head probe.  The variants overlap exactly
-    when several participants are new; staging them through a
-    unique-keyed table (TFNew) removes that overlap, and Proposition 1
-    guarantees the dedup never merges two legitimate within-partition
-    factors.
+    at least one participating fact is new (has an id from ``since``
+    on): one variant per body occurrence restricts that occurrence to
+    the delta, and a final variant restricts the head probe.  The
+    variants overlap exactly when several participants are new; staging
+    them through a unique-keyed table (TFNew) removes that overlap, and
+    Proposition 1 guarantees the dedup never merges two legitimate
+    within-partition factors.
     """
     body_size = len(PARTITION_BODY_PATTERNS[partition])
     variants: List[Tuple[Tuple[int, ...], bool]] = [((0,), False)]
@@ -282,20 +275,24 @@ def ground_factors_delta_plans(
             mln_alias,
             delta_scans=delta_scans,
             delta_head=delta_head,
-            delta_table=delta_table,
+            since=since,
         )
         for delta_scans, delta_head in variants
     ]
 
 
-def singleton_factors_plan(backend: FactScans, table: str = "TP") -> PlanNode:
+def singleton_factors_plan(
+    backend: FactScans, since: Optional[int] = None
+) -> PlanNode:
     """groundFactors(TΠ): the uncertain extracted facts (w NOT NULL)
-    become singleton factors (I, NULL, NULL, w).  ``table`` lets the
-    incremental path derive only the delta's singletons (TDAcc)."""
+    become singleton factors (I, NULL, NULL, w).  ``since`` lets the
+    incremental path derive only the singletons of the facts with ids
+    from there on."""
     from ..relational.expr import IsNull
 
-    scan = Scan(table, "T")
-    filtered = Filter(scan, IsNull(col("T.w"), negated=True))
+    scan = Scan("TP", "T")
+    facts = scan if since is None else id_range(scan, since)
+    filtered = Filter(facts, IsNull(col("T.w"), negated=True))
     return Project(
         filtered,
         [

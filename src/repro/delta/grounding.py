@@ -4,17 +4,16 @@ Atom closure already costs O(delta) under the semi-naive grounder; the
 expensive part of the existing ingest path is rebuilding TΦ from
 scratch (factors are a function of the final atom set).  This module
 avoids the rebuild: the facts the flush merged — evidence and derived —
-are TΠ's id range from the sequence value it started at; they go into
-TDAcc, and for each partition the Query 2-i join is re-run with TDAcc
-substituted for each occurrence of the facts table (both body positions
-and the head).  A ground factor is
-*new* exactly when at least one participant is new (the rules are
-monotone), so the union of the per-occurrence delta joins is exactly
-TΦ_new; staging it through TFNew's unique key removes the overlap
-between variants (a factor whose head *and* a body atom are both new
-appears in two variants) without disturbing the cross-partition bag
-semantics of TΦ (Proposition 1: within a partition the join output is
-duplicate-free).
+are TΠ's id range from the sequence value it started at, and for each
+partition the Query 2-i join is re-run with each occurrence of the facts
+table (both body positions and the head) in turn restricted to that
+range.  A ground factor is *new* exactly when at least one participant
+is new (the rules are monotone), so the union of the per-occurrence
+delta joins is exactly TΦ_new; staging it through TFNew's unique key
+removes the overlap between variants (a factor whose head *and* a body
+atom are both new appears in two variants) without disturbing the
+cross-partition bag semantics of TΦ (Proposition 1: within a partition
+the join output is duplicate-free).
 
 Constraint violations break monotonicity — applyConstraints deletes
 facts, which can orphan existing factors — so a flush that removed
@@ -29,11 +28,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
 from ..core.grounding import Grounder, IterationStats, check_iteration_cap
-from ..core.sqlgen import (
-    DELTA_FACTS_TABLE,
-    ground_factors_delta_plans,
-    singleton_factors_plan,
-)
+from ..core.sqlgen import ground_factors_delta_plans, singleton_factors_plan
 from ..relational import Scan
 from ..relational.types import Row
 
@@ -107,19 +102,18 @@ class DeltaGrounder:
             result.new_factor_rows = self.backend.query(Scan("TF")).rows
         else:
             # nothing was deleted: the id range is exactly the new facts
-            self.backend.truncate(DELTA_FACTS_TABLE)
-            self.backend.insert_from(DELTA_FACTS_TABLE, rkb.facts_since(first_fact_id))
-            result.new_factor_rows = self._ground_delta_factors()
+            result.new_factor_rows = self._ground_delta_factors(first_fact_id)
         result.elapsed_seconds = time.perf_counter() - started  # lint: disable=RC003 (timing metadata, not sampling)
         return result
 
-    def _ground_delta_factors(self) -> List[Row]:
-        """Query 2-i with TDAcc substituted per facts-table occurrence."""
+    def _ground_delta_factors(self, since: int) -> List[Row]:
+        """Query 2-i with each facts-table occurrence in turn restricted
+        to the facts with ids from ``since`` on."""
         backend = self.backend
         staged: List[Row] = []
         for partition in self.rkb.nonempty_partitions:
             backend.truncate("TFNew")
-            for plan in ground_factors_delta_plans(partition, backend):
+            for plan in ground_factors_delta_plans(partition, backend, since):
                 backend.insert_from("TFNew", plan)
             rows = backend.query(Scan("TFNew", "F")).rows
             if rows:
@@ -127,9 +121,7 @@ class DeltaGrounder:
                 staged.extend(rows)
         # unit factors for the flush's new *evidence* facts (non-NULL w)
         backend.truncate("TFNew")
-        backend.insert_from(
-            "TFNew", singleton_factors_plan(backend, table=DELTA_FACTS_TABLE)
-        )
+        backend.insert_from("TFNew", singleton_factors_plan(backend, since))
         rows = backend.query(Scan("TFNew", "F")).rows
         if rows:
             backend.insert_from("TF", Scan("TFNew", "F"))

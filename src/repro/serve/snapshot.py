@@ -5,8 +5,9 @@ just restarted should not redo it.  A snapshot stores the *expanded*
 fact set (extraction weights kept, inferred facts NULL-weight, exactly
 as TΠ holds them), the rules/classes/constraints needed to keep
 ingesting, and the materialized marginals (TProb).  Loading bulk-loads
-all of it back and skips grounding entirely — the closure is already
-present, and incremental ingest picks up from there.
+all of it back and skips the atom closure (Query 1) entirely — the
+closure is already present; TΦ is rebuilt from it with one pass of
+Query 2, and incremental ingest picks up from there.
 
 The format is a single JSON document (stable, diffable, backend
 agnostic).  For ad-hoc inspection with sqlite tooling there is also
@@ -158,8 +159,10 @@ def _field(
 
 def restore_snapshot(probkb: _P, payload: dict) -> _P:
     """Finish a warm start on a ProbKB just built over
-    :func:`read_snapshot`'s KB: refill TProb from the stored marginals
-    and resume the generation counter where the snapshot left off."""
+    :func:`read_snapshot`'s KB: rebuild TΦ with Query 2 over the restored
+    closure, refill TProb from the stored marginals and resume the
+    generation counter where the snapshot left off."""
+    probkb.grounder.ground_factors()
     if payload["marginals"]:
         probkb.materialize_marginals(
             {
@@ -175,7 +178,7 @@ def restore_snapshot(probkb: _P, payload: dict) -> _P:
 def load_snapshot(
     path: str, backend: Union[BackendConfig, Backend, str] = "single"
 ) -> ProbKB:
-    """Rebuild a warm ProbKB from a snapshot — no grounding run.
+    """Rebuild a warm ProbKB from a snapshot — no atom closure run.
 
     ``backend`` takes a :class:`~repro.api.BackendConfig` (or a live
     backend, or the ``"single"``/``"mpp"`` shorthand).

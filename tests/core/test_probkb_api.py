@@ -8,6 +8,19 @@ from repro.core import MPPBackend, SingleNodeBackend, build_backend
 from .paper_example import paper_kb
 
 
+def test_second_ground_rebuilds_factors_instead_of_appending():
+    """ground() reruns Query 2 into an emptied TΦ, as add_evidence and
+    add_rules do: grounding twice leaves the factors and marginals of
+    grounding once."""
+    system = ProbKB(paper_kb())
+    system.ground()
+    factors = sorted(system.factor_rows(), key=repr)
+    marginals = system.infer()
+    system.ground()
+    assert sorted(system.factor_rows(), key=repr) == factors
+    assert system.infer() == marginals
+
+
 def test_build_backend_resolution():
     assert isinstance(build_backend("single"), SingleNodeBackend)
     mpp = build_backend(

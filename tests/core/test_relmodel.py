@@ -68,10 +68,11 @@ class TestLoad:
         assert rkb.backend.table_size("TC") == 3
 
     def test_staging_tables_exist(self, rkb):
-        for table in ("TNew", "TDel", "TDelta"):
+        for table in ("TNew", "TDel"):
             assert rkb.backend.has_table(table)
-        # TDelta primed with the base facts for semi-naive iteration 1
-        assert rkb.backend.table_size("TDelta") == 2
+        # no delta copy: semi-naive iteration 1 joins TΠ's ids from 0 on
+        assert not rkb.backend.has_table("TDelta")
+        assert rkb.delta_start == 0
 
     def test_duplicate_facts_deduped_on_load(self):
         kb = paper_kb()

@@ -112,9 +112,9 @@ def test_query_count_per_iteration_is_constant(system):
     before = clock.queries
     system.grounder.ground_atoms_iteration(2)
     per_iteration = clock.queries - before
-    # 2 truncates (TNew, TDelta) + |partitions| staged inserts
-    # + the delta materialization + the merge: O(k), never O(#rules)
-    assert per_iteration == 4 + len(system.rkb.nonempty_partitions)
+    # 1 truncate (TNew) + |partitions| staged inserts + the merge:
+    # O(k), never O(#rules)
+    assert per_iteration == 2 + len(system.rkb.nonempty_partitions)
 
 
 def test_generated_sql_smoke(system):

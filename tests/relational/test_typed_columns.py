@@ -297,9 +297,9 @@ def test_no_list_fallback_on_the_benchmark_shapes():
         system.ground()
         tables = system.backend.db.tables
         assert len(tables["TP"]) and len(tables["TF"]) and len(tables["FC"])
-        names = ["TP", "TF", "TNew", "TDel", "TDelta", "FC"]
+        names = ["TP", "TF", "TNew", "TDel", "FC"]
         names += [f"M{i}" for i in range(1, 7) if len(tables[f"M{i}"])]
-        assert len(names) > 6
+        assert len(names) > 5
         for name in names:
             batch = tables[name].column_batch()
             listed = [

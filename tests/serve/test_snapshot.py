@@ -63,6 +63,27 @@ class TestRoundTrip:
         )
         assert warm.fact_count() > before + 1  # delta inference fired
 
+    @pytest.mark.parametrize(
+        "backend",
+        [BackendConfig(), BackendConfig(kind="mpp", mpp=MPPConfig(num_segments=4))],
+        ids=["single", "mpp"],
+    )
+    def test_warm_start_rebuilds_factors_and_keeps_marginals(self, tmp_path, backend):
+        """A warm KB has TΦ (Query 2 over the restored closure), so it
+        infers every fact again and re-materializing keeps TProb full."""
+        from repro.api import ExpansionSession
+
+        system = expanded_system()
+        path = save_snapshot(system, str(tmp_path / "kb.json"))
+        with ExpansionSession.from_snapshot(path, backend=backend) as warm:
+            assert warm.factor_count() == system.factor_count() > 0
+            stored = warm.backend.table_size("TProb")
+            assert stored == system.backend.table_size("TProb") > 0
+            marginals = warm.infer()
+            assert len(marginals) == len(system.infer())
+            assert warm.materialize_marginals(marginals) == stored
+            assert warm.backend.table_size("TProb") == stored
+
     def test_snapshot_without_marginals(self, tmp_path):
         kb = paper_kb()
         system = ProbKB(kb, backend="single")
