@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-no-numpy test-mpp bench bench-e2e \
+.PHONY: test test-no-numpy test-mpp test-verify bench bench-e2e \
 	bench-e2e-out bench-e2e-compare profile lint lint-conc loc
 
 # Tier-1 suite: serial executors only (the `mpp` marker is excluded
@@ -18,6 +18,13 @@ test-no-numpy:
 # worker pool).
 test-mpp:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests -m mpp -q
+
+# The serial suites with every distinct plan verified before and after
+# it runs (the CI verify lane); the env var is the gate's only switch.
+test-verify:
+	PROBKB_VERIFY_PLANS=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest \
+		tests/mpp tests/relational tests/core tests/delta tests/api \
+		tests/serve tests/quality -q
 
 # Modelled-cost paper figures (benchmarks/results/*.txt) and the
 # reporting helpers' own tests (benchmarks/test_reporting.py).

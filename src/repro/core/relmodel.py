@@ -60,14 +60,6 @@ TEV_SCHEMA = schema(
     "TEv", "R:int", "x:int", "C1:int", "y:int", "C2:int", "w:float",
     unique_key=FACT_KEY_COLUMNS,
 )
-#: staging for one partition's incremental factors: the delta-join
-#: variants overlap when several participants are new, and the unique
-#: key removes exactly that overlap (within a partition Query 2-i output
-#: is duplicate-free — Proposition 1 — so nothing legitimate collides)
-TFNEW_SCHEMA = schema(
-    "TFNew", "I1:int", "I2:int", "I3:int", "w:float",
-    unique_key=("I1", "I2", "I3", "w"),
-)
 TC_SCHEMA = schema("TC", "C:int", "e:int")
 TR_SCHEMA = schema("TR", "R:int", "C1:int", "C2:int")
 FC_SCHEMA = schema("FC", "R:int", "arg:int", "deg:int")
@@ -235,7 +227,6 @@ class RelationalKB:
         backend.create_table(TNEW_SCHEMA, dist_keys=["x"])
         backend.create_table(TDEL_SCHEMA, dist_keys=["x"])
         backend.create_table(TEV_SCHEMA, dist_keys=["x"])
-        backend.create_table(TFNEW_SCHEMA, dist_keys=["I1"])
         backend.create_table(TC_SCHEMA, dist_keys=["e"])
         backend.create_table(TR_SCHEMA, dist_keys=["R"])
         backend.create_table(TF_SCHEMA, dist_keys=["I1"])
@@ -361,6 +352,14 @@ class RelationalKB:
             pad_nulls=0,
         )
         return inserted
+
+    def add_deleted(self, facts: Iterable["Fact"]) -> int:
+        """Put the facts' keys into the graveyard TDel, so no merge
+        admits them (a warm start restores the one its snapshot saved).
+        Names the keys introduce are added to DE / DC / DR."""
+        rows = [self.encode_fact_key(fact) for fact in facts]
+        self._store_new_names()
+        return self.backend.insert_rows("TDel", rows)
 
     @property
     def next_fact_id(self) -> int:

@@ -98,20 +98,35 @@ def _entity_join_columns(partition: int, alias_index: int) -> List[str]:
     return [_ARG_COLUMNS[pos][0]]
 
 
+def _occurrence(scan: Scan, position: int, delta: Optional[int], since: int) -> PlanNode:
+    """What TΠ occurrence ``position`` of a grounding join reads in the
+    semi-naive variant whose delta position is ``delta`` (``None``: the
+    naive query, which reads all of TΠ everywhere).  Occurrences before
+    ``delta`` read only the facts older than ``since``, occurrence
+    ``delta`` reads the delta (ids from ``since`` on), later ones read
+    everything — so the variants of one query are disjoint, and their
+    union is every derivation that uses at least one delta fact."""
+    if delta is None or position > delta:
+        return scan
+    if position == delta:
+        return id_range(scan, since)
+    return Filter(scan, Compare("<", col(f"{scan.alias}.I"), const(since)))
+
+
 def _mln_body_join(
     partition: int,
     backend: FactScans,
     mln_alias: str = "M",
-    delta_scans: Sequence[int] = (),
+    delta: Optional[int] = None,
     since: int = 0,
     mln_filter: Optional[Expr] = None,
 ) -> Tuple[PlanNode, List[str], Dict[str, str]]:
     """Join M_i with the body TΠ scans; returns (plan, aliases, head map).
 
-    ``delta_scans`` (semi-naive grounding) lists the body positions that
-    read only the delta, the facts with ids from ``since`` on.
-    ``mln_filter`` restricts the MLN table (e.g. to one rule — used by
-    weight learning, which needs per-rule ground factors).
+    ``delta`` and ``since`` pick a semi-naive variant (see
+    :func:`_occurrence`).  ``mln_filter`` restricts the MLN table (e.g.
+    to one rule — used by weight learning, which needs per-rule ground
+    factors).
     """
     aliases = _body_aliases(partition)
     patterns = PARTITION_BODY_PATTERNS[partition]
@@ -122,7 +137,6 @@ def _mln_body_join(
         plan = Filter(plan, mln_filter)
     for index, (pattern, alias) in enumerate(zip(patterns, aliases)):
         scan = backend.tpi_scan(alias, _entity_join_columns(partition, index))
-        body: PlanNode = id_range(scan, since) if index in delta_scans else scan
         left_keys = [f"{mln_alias}.R{index + 2}"]
         right_keys = [f"{alias}.R"]
         for pos, var in enumerate(pattern):
@@ -134,20 +148,28 @@ def _mln_body_join(
             assert shared is not None
             left_keys.append(shared[0])
             right_keys.append(shared[1])
-        plan = HashJoin(plan, body, left_keys, right_keys)
+        plan = HashJoin(
+            plan, _occurrence(scan, index, delta, since), left_keys, right_keys
+        )
     return plan, aliases, _head_entity_exprs(partition, aliases)
 
 
 def ground_atoms_plan(
-    partition: int, backend: FactScans, mln_alias: str = "M"
+    partition: int,
+    backend: FactScans,
+    mln_alias: str = "M",
+    delta: Optional[int] = None,
+    since: int = 0,
 ) -> PlanNode:
-    """Query 1-i: derive the head facts of every rule in partition i.
+    """Query 1-i: derive the head facts of every rule in partition i
+    (``delta`` and ``since``: one semi-naive variant, see
+    :func:`_occurrence`).
 
     Output columns: (R, x, C1, y, C2) — id assignment and NULL weights
     are handled by :meth:`RelationalKB.stage_candidates` /
     :meth:`RelationalKB.merge_staged`.
     """
-    plan, _, head = _mln_body_join(partition, backend, mln_alias)
+    plan, _, head = _mln_body_join(partition, backend, mln_alias, delta, since)
     return Project(
         plan,
         [
@@ -163,32 +185,15 @@ def ground_atoms_plan(
 def ground_atoms_delta_plans(
     partition: int, backend: FactScans, since: int, mln_alias: str = "M"
 ) -> List[PlanNode]:
-    """Semi-naive variants of Query 1-i: every new derivation must use
-    at least one fact from the previous iteration's delta (the facts
-    with ids from ``since`` on), so single-atom patterns join the delta
-    alone and two-atom patterns get two variants ((Δ, T) and (T, Δ);
-    the Δ⋈Δ overlap is deduplicated by the staging table's key).
+    """Semi-naive variants of Query 1-i, one per body position: every
+    new derivation uses at least one fact from the previous iteration's
+    delta (the facts with ids from ``since`` on), and the variants are
+    disjoint (:func:`_occurrence`), so a Δ⋈Δ derivation is produced once.
     """
-    body_size = len(PARTITION_BODY_PATTERNS[partition])
-    variants = [(0,)] if body_size == 1 else [(0,), (1,)]
-    plans = []
-    for delta_scans in variants:
-        plan, _, head = _mln_body_join(
-            partition, backend, mln_alias, delta_scans=delta_scans, since=since
-        )
-        plans.append(
-            Project(
-                plan,
-                [
-                    (col(f"{mln_alias}.R1"), "R"),
-                    (col(head["x"]), "x"),
-                    (col(f"{mln_alias}.C1"), "C1"),
-                    (col(head["y"]), "y"),
-                    (col(f"{mln_alias}.C2"), "C2"),
-                ],
-            )
-        )
-    return plans
+    return [
+        ground_atoms_plan(partition, backend, mln_alias, delta, since)
+        for delta in range(len(PARTITION_BODY_PATTERNS[partition]))
+    ]
 
 
 def ground_factors_plan(
@@ -196,38 +201,21 @@ def ground_factors_plan(
     backend: FactScans,
     mln_alias: str = "M",
     mln_filter: Optional[Expr] = None,
+    delta: Optional[int] = None,
+    since: int = 0,
 ) -> PlanNode:
     """Query 2-i: emit ground factors (I1, I2, I3, w) for partition i.
 
     Joins the rule head back against TΠ to find the head fact's id.
     Per Proposition 1 the output is duplicate-free, so factors merge
-    into TΦ with bag union.
+    into TΦ with bag union.  ``delta`` and ``since`` pick one
+    semi-naive variant (:func:`_occurrence`); the head probe is the
+    position after the last body atom.
     """
-    return _ground_factors_variant(partition, backend, mln_alias, mln_filter)
-
-
-def _ground_factors_variant(
-    partition: int,
-    backend: FactScans,
-    mln_alias: str = "M",
-    mln_filter: Optional[Expr] = None,
-    delta_scans: Sequence[int] = (),
-    delta_head: bool = False,
-    since: int = 0,
-) -> PlanNode:
-    """One Query 2-i shape, with body/head occurrences of TΠ optionally
-    restricted to the delta, the facts with ids from ``since`` on
-    (incremental factors)."""
     plan, aliases, head = _mln_body_join(
-        partition,
-        backend,
-        mln_alias,
-        delta_scans=delta_scans,
-        since=since,
-        mln_filter=mln_filter,
+        partition, backend, mln_alias, delta, since, mln_filter
     )
     head_scan = backend.tpi_scan("T1", ["x", "y"])
-    head_side: PlanNode = id_range(head_scan, since) if delta_head else head_scan
     left_keys = [
         f"{mln_alias}.R1",
         f"{mln_alias}.C1",
@@ -236,7 +224,12 @@ def _ground_factors_variant(
         head["y"],
     ]
     right_keys = ["T1.R", "T1.C1", "T1.C2", "T1.x", "T1.y"]
-    plan = HashJoin(plan, head_side, left_keys, right_keys)
+    plan = HashJoin(
+        plan,
+        _occurrence(head_scan, len(aliases), delta, since),
+        left_keys,
+        right_keys,
+    )
 
     outputs = [(col("T1.I"), "I1")]
     body_ids: List[Tuple[Expr, str]] = [
@@ -252,32 +245,18 @@ def _ground_factors_variant(
 def ground_factors_delta_plans(
     partition: int, backend: FactScans, since: int, mln_alias: str = "M"
 ) -> List[PlanNode]:
-    """Incremental variants of Query 2-i (semi-naive factor grounding).
+    """Incremental variants of Query 2-i (semi-naive factor grounding),
+    one per TΠ occurrence: the body atoms, then the head probe.
 
     TΠ and the M_i only grow on the delta path, so a factor is new iff
     at least one participating fact is new (has an id from ``since``
-    on): one variant per body occurrence restricts that occurrence to
-    the delta, and a final variant restricts the head probe.  The
-    variants overlap exactly when several participants are new; staging
-    them through a unique-keyed table (TFNew) removes that overlap, and
-    Proposition 1 guarantees the dedup never merges two legitimate
-    within-partition factors.
+    on).  The variants are disjoint (:func:`_occurrence`) and each is
+    duplicate-free (Proposition 1), so together they produce every new
+    factor of the partition exactly once.
     """
-    body_size = len(PARTITION_BODY_PATTERNS[partition])
-    variants: List[Tuple[Tuple[int, ...], bool]] = [((0,), False)]
-    if body_size == 2:
-        variants.append(((1,), False))
-    variants.append(((), True))
     return [
-        _ground_factors_variant(
-            partition,
-            backend,
-            mln_alias,
-            delta_scans=delta_scans,
-            delta_head=delta_head,
-            since=since,
-        )
-        for delta_scans, delta_head in variants
+        ground_factors_plan(partition, backend, mln_alias, delta=delta, since=since)
+        for delta in range(len(PARTITION_BODY_PATTERNS[partition]) + 1)
     ]
 
 

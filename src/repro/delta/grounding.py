@@ -5,15 +5,16 @@ expensive part of the existing ingest path is rebuilding TΦ from
 scratch (factors are a function of the final atom set).  This module
 avoids the rebuild: the facts the flush merged — evidence and derived —
 are TΠ's id range from the sequence value it started at, and for each
-partition the Query 2-i join is re-run with each occurrence of the facts
-table (both body positions and the head) in turn restricted to that
-range.  A ground factor is *new* exactly when at least one participant
-is new (the rules are monotone), so the union of the per-occurrence
-delta joins is exactly TΦ_new; staging it through TFNew's unique key
-removes the overlap between variants (a factor whose head *and* a body
-atom are both new appears in two variants) without disturbing the
-cross-partition bag semantics of TΦ (Proposition 1: within a partition
-the join output is duplicate-free).
+partition the Query 2-i join is re-run once per occurrence of the facts
+table (the body positions, then the head): occurrence k reads that
+range, the occurrences before k only older facts, the ones after k all
+of TΠ.  A ground factor is *new* exactly when at least one participant
+is new (the rules are monotone), and it lands in the variant of its
+first new participant alone, so the union of the variants is exactly
+TΦ_new with every factor once; the flush reads it with one query and
+appends it to TΦ with one insert, keeping the cross-partition bag
+semantics of TΦ (Proposition 1: within a partition the join output is
+duplicate-free).
 
 Constraint violations break monotonicity — applyConstraints deletes
 facts, which can orphan existing factors — so a flush that removed
@@ -29,7 +30,7 @@ from typing import List, Optional, Sequence, TYPE_CHECKING
 
 from ..core.grounding import Grounder, IterationStats, check_iteration_cap
 from ..core.sqlgen import ground_factors_delta_plans, singleton_factors_plan
-from ..relational import Scan
+from ..relational import Scan, UnionAll
 from ..relational.types import Row
 
 if TYPE_CHECKING:
@@ -107,23 +108,17 @@ class DeltaGrounder:
         return result
 
     def _ground_delta_factors(self, since: int) -> List[Row]:
-        """Query 2-i with each facts-table occurrence in turn restricted
-        to the facts with ids from ``since`` on."""
+        """TΦ_new, read and appended once: every partition's disjoint
+        Query 2-i variants over the facts with ids from ``since`` on,
+        plus the unit factors of the flush's new *evidence* (non-NULL w)."""
         backend = self.backend
-        staged: List[Row] = []
-        for partition in self.rkb.nonempty_partitions:
-            backend.truncate("TFNew")
-            for plan in ground_factors_delta_plans(partition, backend, since):
-                backend.insert_from("TFNew", plan)
-            rows = backend.query(Scan("TFNew", "F")).rows
-            if rows:
-                backend.insert_from("TF", Scan("TFNew", "F"))
-                staged.extend(rows)
-        # unit factors for the flush's new *evidence* facts (non-NULL w)
-        backend.truncate("TFNew")
-        backend.insert_from("TFNew", singleton_factors_plan(backend, since))
-        rows = backend.query(Scan("TFNew", "F")).rows
+        plans = [
+            plan
+            for partition in self.rkb.nonempty_partitions
+            for plan in ground_factors_delta_plans(partition, backend, since)
+        ]
+        plans.append(singleton_factors_plan(backend, since))
+        rows = backend.query(UnionAll(plans)).rows
         if rows:
-            backend.insert_from("TF", Scan("TFNew", "F"))
-            staged.extend(rows)
-        return staged
+            backend.insert_rows("TF", rows)
+        return rows

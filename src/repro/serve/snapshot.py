@@ -3,11 +3,15 @@
 Grounding a large KB to closure is the expensive step; a server that
 just restarted should not redo it.  A snapshot stores the *expanded*
 fact set (extraction weights kept, inferred facts NULL-weight, exactly
-as TΠ holds them), the rules/classes/constraints needed to keep
-ingesting, and the materialized marginals (TProb).  Loading bulk-loads
-all of it back and skips the atom closure (Query 1) entirely — the
-closure is already present; TΦ is rebuilt from it with one pass of
-Query 2, and incremental ingest picks up from there.
+as TΠ holds them), the graveyard TDel (the keys of the facts quality
+control deleted, which no later merge may re-admit), the
+rules/classes/constraints needed to keep ingesting, and the
+materialized marginals (TProb).  Loading bulk-loads all of it back and
+skips the atom closure (Query 1) entirely — the closure is already
+present; TΦ is rebuilt from it with one pass of Query 2, and
+incremental ingest picks up from there exactly as the live KB would.
+Version 2 added the graveyard (``deleted``); a version 1 file lacks it
+and is refused.
 
 The format is a single JSON document (stable, diffable, backend
 agnostic).  For ad-hoc inspection with sqlite tooling there is also
@@ -19,17 +23,17 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Tuple, TypeVar, Union
+from typing import Any, Dict, Sequence, Tuple, TypeVar, Union
 
 from ..core.backends import Backend
 from ..core.config import BackendConfig
 from ..core.model import Fact, FunctionalConstraint, KnowledgeBase, Relation
 from ..core.probkb import ProbKB
-from ..core.relmodel import FACT_KEY_COLUMNS
+from ..core.relmodel import FACT_KEY_COLUMNS, RelationalKB
 from ..datasets.io import _parse_rule_line, _rule_line
 
 SNAPSHOT_FORMAT = "probkb-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 FactKeyNames = Tuple[str, str, str, str, str]
 _P = TypeVar("_P", bound=ProbKB)
@@ -38,6 +42,7 @@ _P = TypeVar("_P", bound=ProbKB)
 def snapshot_dict(probkb: ProbKB) -> dict:
     """The JSON-ready snapshot of a (typically expanded) ProbKB."""
     kb = probkb.kb
+    rkb = probkb.rkb
     facts = [
         [f.relation, f.subject, f.subject_class, f.object, f.object_class, f.weight]
         for f in probkb.all_facts()
@@ -51,6 +56,10 @@ def snapshot_dict(probkb: ProbKB) -> dict:
             [r.name, r.domain, r.range] for r in kb.relations.values()
         ),
         "facts": facts,
+        "deleted": sorted(
+            list(_key_names(rkb, key))
+            for key in probkb.backend.project("TDel", FACT_KEY_COLUMNS)
+        ),
         "rules": [_rule_line(rule) for rule in kb.rules],
         "constraints": [
             [c.relation, c.arg, c.degree] for c in kb.constraints
@@ -60,6 +69,18 @@ def snapshot_dict(probkb: ProbKB) -> dict:
             for key, probability in sorted(_stored_marginals(probkb).items())
         ],
     }
+
+
+def _key_names(rkb: RelationalKB, key: Sequence[int]) -> FactKeyNames:
+    """An encoded fact key (R, x, C1, y, C2) as names."""
+    relation, x, c1, y, c2 = key
+    return (
+        rkb.relations.name(relation),
+        rkb.entities.name(x),
+        rkb.classes.name(c1),
+        rkb.entities.name(y),
+        rkb.classes.name(c2),
+    )
 
 
 def _stored_marginals(probkb: ProbKB) -> Dict[FactKeyNames, float]:
@@ -74,18 +95,8 @@ def _stored_marginals(probkb: ProbKB) -> Dict[FactKeyNames, float]:
     marginals: Dict[FactKeyNames, float] = {}
     for fact_id, probability in probkb.backend.project("TProb", ("I", "p")):
         key = key_by_id.get(fact_id)
-        if key is None:
-            continue
-        relation, x, c1, y, c2 = key
-        marginals[
-            (
-                rkb.relations.name(relation),
-                rkb.entities.name(x),
-                rkb.classes.name(c1),
-                rkb.entities.name(y),
-                rkb.classes.name(c2),
-            )
-        ] = probability
+        if key is not None:
+            marginals[_key_names(rkb, key)] = probability
     return marginals
 
 
@@ -132,6 +143,7 @@ def read_snapshot(path: str) -> Tuple[KnowledgeBase, dict]:
         ],
         validate=False,
     )
+    _field(path, payload, "deleted", 5)
     _field(path, payload, "marginals", 6)
     return kb, payload
 
@@ -159,9 +171,11 @@ def _field(
 
 def restore_snapshot(probkb: _P, payload: dict) -> _P:
     """Finish a warm start on a ProbKB just built over
-    :func:`read_snapshot`'s KB: rebuild TΦ with Query 2 over the restored
-    closure, refill TProb from the stored marginals and resume the
-    generation counter where the snapshot left off."""
+    :func:`read_snapshot`'s KB: refill the graveyard TDel, rebuild TΦ
+    with Query 2 over the restored closure, refill TProb from the stored
+    marginals and resume the generation counter where the snapshot left
+    off."""
+    probkb.rkb.add_deleted(Fact(*key) for key in payload["deleted"])
     probkb.grounder.ground_factors()
     if payload["marginals"]:
         probkb.materialize_marginals(

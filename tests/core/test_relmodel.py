@@ -72,6 +72,8 @@ class TestLoad:
             assert rkb.backend.has_table(table)
         # no delta copy: semi-naive iteration 1 joins TΠ's ids from 0 on
         assert not rkb.backend.has_table("TDelta")
+        # no factor staging: a flush's delta variants are disjoint
+        assert not rkb.backend.has_table("TFNew")
         assert rkb.delta_start == 0
 
     def test_duplicate_facts_deduped_on_load(self):

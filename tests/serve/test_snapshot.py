@@ -6,9 +6,28 @@ import sqlite3
 
 import pytest
 
-from repro import BackendConfig, Fact, InferenceConfig, MPPConfig, ProbKB
+from repro import (
+    Atom,
+    BackendConfig,
+    Fact,
+    FunctionalConstraint,
+    HornClause,
+    InferenceConfig,
+    KnowledgeBase,
+    MPPConfig,
+    ProbKB,
+    Relation,
+)
 from repro.datasets import paper_kb
+from repro.delta import DeltaExpander
 from repro.serve import export_sqlite, load_snapshot, save_snapshot, snapshot_dict
+from repro.serve.snapshot import SNAPSHOT_VERSION
+
+BACKENDS = pytest.mark.parametrize(
+    "backend",
+    [BackendConfig(), BackendConfig(kind="mpp", mpp=MPPConfig(num_segments=4))],
+    ids=["single", "mpp"],
+)
 
 
 def expanded_system():
@@ -18,6 +37,32 @@ def expanded_system():
     system.ground()
     system.materialize_marginals(config=InferenceConfig(sweeps=200, seed=3))
     return system
+
+
+def deleting_kb():
+    """born_in is functional; the rule derives a second birthplace for
+    alice from rome's record, so Query 3 deletes alice's facts (both
+    birthplaces) and keeps rome's."""
+    return KnowledgeBase(
+        classes={"Person": {"alice"}, "City": {"paris", "rome"}},
+        relations=[
+            Relation("born_in", "Person", "City"),
+            Relation("birthplace_of", "City", "Person"),
+        ],
+        facts=[
+            Fact("born_in", "alice", "Person", "paris", "City", 0.9),
+            Fact("birthplace_of", "rome", "City", "alice", "Person", 0.8),
+        ],
+        rules=[
+            HornClause.make(
+                Atom("born_in", ("x", "y")),
+                [Atom("birthplace_of", ("y", "x"))],
+                1.0,
+                {"x": "Person", "y": "City"},
+            )
+        ],
+        constraints=[FunctionalConstraint("born_in", arg=1, degree=1)],
+    )
 
 
 def fact_level(probkb):
@@ -63,11 +108,7 @@ class TestRoundTrip:
         )
         assert warm.fact_count() > before + 1  # delta inference fired
 
-    @pytest.mark.parametrize(
-        "backend",
-        [BackendConfig(), BackendConfig(kind="mpp", mpp=MPPConfig(num_segments=4))],
-        ids=["single", "mpp"],
-    )
+    @BACKENDS
     def test_warm_start_rebuilds_factors_and_keeps_marginals(self, tmp_path, backend):
         """A warm KB has TΦ (Query 2 over the restored closure), so it
         infers every fact again and re-materializing keeps TProb full."""
@@ -84,6 +125,22 @@ class TestRoundTrip:
             assert warm.materialize_marginals(marginals) == stored
             assert warm.backend.table_size("TProb") == stored
 
+    @BACKENDS
+    def test_warm_start_keeps_the_graveyard(self, tmp_path, backend):
+        """The facts Query 3 deleted stay deleted after a warm start: the
+        warm KB's first re-grounding (a delta expander priming it) must
+        not re-admit the derived birthplace, which alone violates nothing."""
+        live = ProbKB(deleting_kb(), backend=backend)
+        live.ground()
+        assert live.backend.table_size("TDel") == 2
+        path = save_snapshot(live, str(tmp_path / "kb.json"))
+        warm = load_snapshot(path, backend=backend)
+        for system in (live, warm):
+            DeltaExpander(system, InferenceConfig(sweeps=10, seed=0)).prime()
+        assert fact_level(warm) == fact_level(live)
+        assert [f.relation for f in warm.all_facts()] == ["birthplace_of"]
+        assert warm.backend.table_size("TDel") == 2
+
     def test_snapshot_without_marginals(self, tmp_path):
         kb = paper_kb()
         system = ProbKB(kb, backend="single")
@@ -98,7 +155,7 @@ class TestFormat:
         payload = snapshot_dict(expanded_system())
         json.dumps(payload)  # no unserializable leftovers
         assert payload["format"] == "probkb-snapshot"
-        assert payload["version"] == 1
+        assert payload["version"] == SNAPSHOT_VERSION
         assert payload["facts"] and payload["rules"] and payload["marginals"]
 
     def test_rejects_wrong_format(self, tmp_path):
@@ -124,7 +181,9 @@ class TestFormat:
 
     def test_rejects_a_missing_field(self, tmp_path):
         path = tmp_path / "bare.json"
-        path.write_text(json.dumps({"format": "probkb-snapshot", "version": 1}))
+        path.write_text(
+            json.dumps({"format": "probkb-snapshot", "version": SNAPSHOT_VERSION})
+        )
         with pytest.raises(ValueError, match=r"bare\.json.*field 'classes' is missing"):
             load_snapshot(str(path))
 
