@@ -2,7 +2,7 @@ PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: test test-no-numpy test-mpp test-verify bench bench-e2e \
-	bench-e2e-out bench-e2e-compare profile lint lint-conc loc
+	bench-e2e-out bench-e2e-x10 bench-e2e-compare profile lint lint-conc loc
 
 # Tier-1 suite: serial executors only (the `mpp` marker is excluded
 # via addopts in pyproject.toml).
@@ -41,6 +41,14 @@ bench-e2e:
 # the previous one with bench-e2e-compare.
 bench-e2e-out:
 	$(PYTHON) benchmarks/e2e/run.py --out $(OUT)
+
+# The four workloads at 10x their pinned size, one second of serving
+# each, where the costs that grow with the KB show: `make bench-e2e-x10
+# OUT=BENCH_<pr>_x10.json`, judged against the previous 10x file.  The
+# golden counts are pinned at 1x and 1/4 only, so a 10x run relies on
+# its own checks ("correct": true); about 18 minutes on 2 cores.
+bench-e2e-x10:
+	$(PYTHON) benchmarks/e2e/run.py --scale 10 --seconds 1 --out $(OUT)
 
 # Judge results file B against A, per (workload, end-to-end metric);
 # exits non-zero on a regression beyond the metric's bound.

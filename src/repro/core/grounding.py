@@ -1,9 +1,10 @@
 """Algorithm 1: SQL-based batch grounding.
 
-Applies every rule of one MLN partition with a single join query,
-iterating to the transitive closure of the ground atoms, then builds the
-ground factor table TΦ with a second round of batch joins plus the
-singleton factors from the uncertain extracted facts.
+Applies every rule of one MLN partition with a single join query, and
+every partition of a round with one INSERT over their union, iterating
+to the transitive closure of the ground atoms; then builds the ground
+factor table TΦ with one INSERT over a second set of batch joins plus
+the singleton factors from the uncertain extracted facts.
 
 Quality control (Section 5) plugs in as the per-iteration
 ``applyConstraints`` step; on MPP backends ``redistribute(TΠ)`` refreshes
@@ -15,14 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..relational import HashJoin, Project, Scan, UnionAll, col
 from .relmodel import RelationalKB
 from .sqlgen import (
     CONSTRAINT_DELETE_COLUMNS,
     apply_constraints_key_plan,
-    ground_atoms_delta_plans,
-    ground_atoms_plan,
-    ground_factors_plan,
-    singleton_factors_plan,
+    ground_atoms_plans,
+    ground_factors_plans,
 )
 
 #: Both Tuffy and ProbKB iterate the same number of times; the paper's
@@ -46,8 +46,6 @@ class IterationStats:
     removed_facts: int  # facts deleted by applyConstraints
     seconds: float  # modelled elapsed time of the iteration
     fact_count: int  # |TΠ| after the iteration
-    #: derived rows by MLN partition (Query 1-i), pre-merge
-    partition_rows: Dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -84,15 +82,6 @@ class GroundingResult:
         derived = sum(stats.derived_rows for stats in self.iterations)
         return derived + self.factors
 
-    @property
-    def per_partition(self) -> Dict[int, int]:
-        """Derived rows by MLN partition, summed over all iterations."""
-        totals: Dict[int, int] = {}
-        for stats in self.iterations:
-            for partition, rows in stats.partition_rows.items():
-                totals[partition] = totals.get(partition, 0) + rows
-        return totals
-
 
 class Grounder:
     """Runs Algorithm 1 over a loaded :class:`RelationalKB`."""
@@ -119,30 +108,20 @@ class Grounder:
     def ground_atoms_iteration(self, iteration: int) -> IterationStats:
         """One pass of Lines 3-7: apply all partitions, merge, constrain.
 
-        Everything stays inside the engine: each partition's batch join
-        is INSERTed (with a NOT EXISTS guard) into the staging table
+        Everything stays inside the engine: one INSERT stages every
+        partition's batch join (each with its NOT EXISTS guard) into
         TNew, and one merge statement moves the staged facts into TΠ
         with freshly assigned ids — no result set ever travels to the
-        client.  O(k) statements per iteration for k partitions.
+        client.  Three statements before Query 3, whatever the number
+        of partitions or rules.
         """
         backend = self.backend
         start = backend.elapsed_seconds
+        since = self.rkb.delta_start if self.semi_naive else None
         backend.truncate("TNew")
-        derived = 0
-        partition_rows: Dict[int, int] = {}
-        for partition in self.rkb.nonempty_partitions:
-            staged = 0
-            if self.semi_naive:
-                for plan in ground_atoms_delta_plans(
-                    partition, backend, self.rkb.delta_start
-                ):
-                    staged += self.rkb.stage_candidates(plan)
-            else:
-                staged += self.rkb.stage_candidates(
-                    ground_atoms_plan(partition, backend)
-                )
-            partition_rows[partition] = staged
-            derived += staged
+        derived = self.rkb.stage_candidates(
+            ground_atoms_plans(self.rkb.nonempty_partitions, backend, since)
+        )
         new_facts = self.rkb.merge_staged()
         removed = 0
         if self.apply_constraints_each_iteration:
@@ -155,7 +134,6 @@ class Grounder:
             removed_facts=removed,
             seconds=backend.elapsed_seconds - start,
             fact_count=self.rkb.fact_count(),
-            partition_rows=partition_rows,
         )
 
     def ground_atoms(
@@ -191,8 +169,6 @@ class Grounder:
         constraint functionality type (Section 5's type I / type II)."""
         if not self.rkb.kb.constraints:
             return 0, {}
-        from ..relational import HashJoin, Project, Scan, col
-
         removed = 0
         per_type: Dict[int, int] = {}
         for functionality_type, columns in CONSTRAINT_DELETE_COLUMNS.items():
@@ -222,17 +198,15 @@ class Grounder:
     # -- ground factors (Lines 8-10) ----------------------------------------------------
 
     def ground_factors(self) -> Tuple[int, float]:
-        """Build TΦ: per-partition factors plus singleton factors, all
-        via INSERT ... SELECT (bag union, Proposition 1).
+        """Build TΦ: every partition's factors plus the singleton
+        factors, as one INSERT ... SELECT over their bag union
+        (Proposition 1).
 
         Returns (factor rows inserted, modelled seconds).
         """
         backend = self.backend
         start = backend.elapsed_seconds
-        inserted = 0
-        for partition in self.rkb.nonempty_partitions:
-            inserted += backend.insert_from(
-                "TF", ground_factors_plan(partition, backend)
-            )
-        inserted += backend.insert_from("TF", singleton_factors_plan(backend))
+        inserted = backend.insert_from(
+            "TF", UnionAll(ground_factors_plans(self.rkb.nonempty_partitions, backend))
+        )
         return inserted, backend.elapsed_seconds - start

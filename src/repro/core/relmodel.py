@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..relational import PlanNode, Scan, TableSchema, Values, schema
+from ..relational import PlanNode, Scan, TableSchema, UnionAll, Values, schema
 from ..relational.types import Row
 from .backends import Backend
 from .clauses import (
@@ -311,23 +311,27 @@ class RelationalKB:
             [f"TGone.{c}" for c in FACT_KEY_COLUMNS],
         )
 
-    def stage_candidates(self, plan: PlanNode) -> int:
-        """INSERT INTO TNew SELECT (guarded candidates) — one statement
-        per partition; TNew's unique key dedups across partitions."""
-        return self.backend.insert_from("TNew", self.guard_candidates(plan))
+    def stage_candidates(self, plans: Sequence[PlanNode]) -> int:
+        """INSERT INTO TNew SELECT the union of the candidate plans, each
+        guarded on its own — one statement per round.  TNew's unique key
+        dedups across plans (the first in union order wins)."""
+        if not plans:
+            return 0
+        return self.backend.insert_from(
+            "TNew", UnionAll([self.guard_candidates(plan) for plan in plans])
+        )
 
     def merge_staged(self) -> int:
         """TΠ ← TΠ ∪ TNew, assigning fact ids from the sequence.
 
-        The genuinely-new rows get the ids from :attr:`delta_start` on:
-        that id range is what the next semi-naive iteration joins.
-        Inferred facts get NULL weight until marginal inference fills
-        them in (Section 4.3).
+        The rows were guarded when staged, so they go in as they are,
+        with the ids from :attr:`delta_start` on: that id range is what
+        the next semi-naive iteration joins.  Inferred facts get NULL
+        weight until marginal inference fills them in (Section 4.3).
         """
         self.delta_start = self._next_fact_id
         inserted, self._next_fact_id = self.backend.insert_from_with_ids(
-            "TP", self.guard_candidates(Scan("TNew", "N")), self._next_fact_id,
-            pad_nulls=1,
+            "TP", Scan("TNew", "N"), self._next_fact_id, pad_nulls=1,
         )
         return inserted
 

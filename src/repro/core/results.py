@@ -1,10 +1,10 @@
 """Typed results for the pipeline entry points.
 
 ``ground()``, ``apply_constraints()``, and ``infer()`` each return an
-object that answers the same three questions the same way — how many
-rows were touched, how long it took (modelled or wall-clock), and how
-the work broke down per partition — while staying drop-in compatible
-with the plain values the old API returned: :class:`ConstraintResult`
+object that answers the same two questions the same way — how many
+rows were touched and how long it took (modelled or wall-clock) —
+while staying drop-in compatible with the plain values the old API
+returned: :class:`ConstraintResult`
 *is* the removed-facts int, :class:`InferenceResult` *is* the
 ``{Fact: probability}`` dict, and
 :class:`~repro.core.grounding.GroundingResult` is unchanged in shape,

@@ -8,6 +8,8 @@ Each partition M_i yields two join queries:
 * ``ground_factors_plan(i)`` — Query 2-i: join the head in as well and
   emit ground factors (I1, I2, I3, w).
 
+``ground_atoms_plans`` / ``ground_factors_plans`` list a round of either
+query over the partitions, which a grounder runs as one statement.
 ``apply_constraints_key_plan`` builds Query 3's violating-entity
 subquery (Section 5.4).  All plans are pure logical plans; they run on
 either backend and render to PostgreSQL SQL via
@@ -182,17 +184,26 @@ def ground_atoms_plan(
     )
 
 
-def ground_atoms_delta_plans(
-    partition: int, backend: FactScans, since: int, mln_alias: str = "M"
+def _deltas(partition: int, since: Optional[int], head: bool) -> List[Optional[int]]:
+    """A round's delta positions for one partition: ``None`` (the naive
+    query) without ``since``, else every body position, then with
+    ``head`` the head probe."""
+    if since is None:
+        return [None]
+    return list(range(len(PARTITION_BODY_PATTERNS[partition]) + int(head)))
+
+
+def ground_atoms_plans(
+    partitions: Sequence[int], backend: FactScans, since: Optional[int] = None
 ) -> List[PlanNode]:
-    """Semi-naive variants of Query 1-i, one per body position: every
-    new derivation uses at least one fact from the previous iteration's
-    delta (the facts with ids from ``since`` on), and the variants are
-    disjoint (:func:`_occurrence`), so a Δ⋈Δ derivation is produced once.
-    """
+    """One round of Query 1: each partition's Query 1-i, or with
+    ``since`` its semi-naive variants, one per body position.  The
+    variants are disjoint (:func:`_occurrence`) and each derivation
+    they produce uses a fact with an id from ``since`` on."""
     return [
-        ground_atoms_plan(partition, backend, mln_alias, delta, since)
-        for delta in range(len(PARTITION_BODY_PATTERNS[partition]))
+        ground_atoms_plan(partition, backend, delta=delta, since=since or 0)
+        for partition in partitions
+        for delta in _deltas(partition, since, head=False)
     ]
 
 
@@ -242,22 +253,23 @@ def ground_factors_plan(
     return Project(plan, outputs)
 
 
-def ground_factors_delta_plans(
-    partition: int, backend: FactScans, since: int, mln_alias: str = "M"
+def ground_factors_plans(
+    partitions: Sequence[int], backend: FactScans, since: Optional[int] = None
 ) -> List[PlanNode]:
-    """Incremental variants of Query 2-i (semi-naive factor grounding),
-    one per TΠ occurrence: the body atoms, then the head probe.
-
-    TΠ and the M_i only grow on the delta path, so a factor is new iff
-    at least one participating fact is new (has an id from ``since``
-    on).  The variants are disjoint (:func:`_occurrence`) and each is
-    duplicate-free (Proposition 1), so together they produce every new
-    factor of the partition exactly once.
-    """
-    return [
-        ground_factors_plan(partition, backend, mln_alias, delta=delta, since=since)
-        for delta in range(len(PARTITION_BODY_PATTERNS[partition]) + 1)
+    """Query 2: each partition's Query 2-i, then the singleton factors.
+    With ``since``, only the new factors: each partition's variants (the
+    body positions, then the head probe), then the new facts'
+    singletons.  TΠ and the M_i only grow on that path, so a factor is
+    new iff one of its facts is; the variants are disjoint and each is
+    duplicate-free (Proposition 1), so the bag union of the list has
+    every (new) factor exactly once."""
+    plans = [
+        ground_factors_plan(partition, backend, delta=delta, since=since or 0)
+        for partition in partitions
+        for delta in _deltas(partition, since, head=True)
     ]
+    plans.append(singleton_factors_plan(backend, since))
+    return plans
 
 
 def singleton_factors_plan(

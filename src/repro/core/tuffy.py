@@ -3,10 +3,10 @@
 Tuffy [Niu et al., VLDB'11] grounds MLNs in an RDBMS but stores *each
 relation in its own table* and applies *each rule with its own SQL
 query* — O(n) statements per iteration for n rules, against ProbKB's
-O(k) for k partitions.  The original Tuffy is untyped; following the
-paper we re-implement it with typing ("Tuffy-T") so both systems derive
-identical facts and differ only in how the work is issued to the
-database.
+three (one staging INSERT for all k partitions).  The original Tuffy is
+untyped; following the paper we re-implement it with typing ("Tuffy-T")
+so both systems derive identical facts and differ only in how the work
+is issued to the database.
 """
 
 from __future__ import annotations

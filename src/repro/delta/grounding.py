@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
 from ..core.grounding import Grounder, IterationStats, check_iteration_cap
-from ..core.sqlgen import ground_factors_delta_plans, singleton_factors_plan
+from ..core.sqlgen import ground_factors_plans
 from ..relational import Scan, UnionAll
 from ..relational.types import Row
 
@@ -112,12 +112,7 @@ class DeltaGrounder:
         Query 2-i variants over the facts with ids from ``since`` on,
         plus the unit factors of the flush's new *evidence* (non-NULL w)."""
         backend = self.backend
-        plans = [
-            plan
-            for partition in self.rkb.nonempty_partitions
-            for plan in ground_factors_delta_plans(partition, backend, since)
-        ]
-        plans.append(singleton_factors_plan(backend, since))
+        plans = ground_factors_plans(self.rkb.nonempty_partitions, backend, since)
         rows = backend.query(UnionAll(plans)).rows
         if rows:
             backend.insert_rows("TF", rows)

@@ -112,7 +112,7 @@ class _Select:
                 self.join_conditions.append(plan.residual.to_sql())
         elif isinstance(plan, AntiJoin):
             self.absorb(plan.left)
-            self.filters.append(_not_exists_sql(plan))
+            self.filters.append(_not_exists_sql(plan, _projected(plan.left)))
         elif isinstance(plan, Scan):
             if plan.alias != plan.table_name:
                 self.from_items.append(f"{plan.table_name} {plan.alias}")
@@ -222,9 +222,22 @@ def _inline_aggregates(expr: Expr, aliases: dict) -> Expr:
     return expr
 
 
-def _not_exists_sql(plan: AntiJoin) -> str:
+def _projected(plan: PlanNode) -> dict:
+    """Output alias -> SQL expression of the projection under a chain of
+    anti-joins (empty when there is none)."""
+    while isinstance(plan, AntiJoin):
+        plan = plan.left
+    if isinstance(plan, Project):
+        return {name: expr.to_sql() for expr, name in plan.outputs}
+    return {}
+
+
+def _not_exists_sql(plan: AntiJoin, aliases: dict) -> str:
     """Render an anti-join whose right side is a (filtered) table scan
-    as a correlated NOT EXISTS predicate."""
+    as a correlated NOT EXISTS predicate.  A left key that is one of the
+    ``aliases`` of a projection below is replaced by its expression:
+    inside the subquery the bare alias would name the probed table's
+    own column."""
     right = plan.right
     extra = []
     if isinstance(right, Filter):
@@ -237,7 +250,7 @@ def _not_exists_sql(plan: AntiJoin) -> str:
     )
     alias = f"anti_{right.alias}"
     conditions = [
-        f"{alias}.{_unqualify(rk)} = {lk}"
+        f"{alias}.{_unqualify(rk)} = {aliases.get(lk, lk)}"
         for lk, rk in zip(plan.left_keys, plan.right_keys)
     ] + [cond.replace(f"{right.alias}.", f"{alias}.") for cond in extra]
     return (

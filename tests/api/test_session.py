@@ -47,11 +47,6 @@ class TestGroundingResult:
         assert result.converged
         assert result.rows_touched > 0
         assert result.elapsed_seconds == result.total_seconds > 0
-        # every derived row is attributed to an MLN partition
-        assert sum(result.per_partition.values()) == sum(
-            stats.derived_rows for stats in result.iterations
-        )
-        assert set(result.per_partition) <= {1, 2, 3, 4, 5, 6}
 
     def test_max_iterations_comes_from_config(self):
         with ExpansionSession(
