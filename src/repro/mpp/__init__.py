@@ -6,8 +6,7 @@ from .distribution import (
     HashDistribution,
     RandomDistribution,
     ReplicatedDistribution,
-    partition_batch,
-    partition_parts,
+    route,
     stable_hash,
 )
 from .placement import choose_fallback_motion
@@ -41,7 +40,6 @@ __all__ = [
     "WorkerPool",
     "choose_fallback_motion",
     "collect_mpp_statistics",
-    "partition_batch",
-    "partition_parts",
+    "route",
     "stable_hash",
 ]

@@ -25,17 +25,19 @@ scan, or the operator's step bound once in the master
 (:func:`repro.relational.operators.bind_step`) — and one per motion,
 sent by :class:`SegmentOps` and executed by the segment interpreter of
 :mod:`repro.mpp.segments`.  Serial and pooled execution are that one
-interpreter — what differs is where it runs and the exchange its
-motions use:
+interpreter — what differs is where it runs and how its motions
+deliver rows:
 
 * ``num_workers=0`` (default): one interpreter in the master process
-  owns every segment, reads the tables' shards in place and exchanges
-  motion pieces in memory — deterministic, dependency-free, and what
+  owns every segment and reads the tables' shards in place; a motion
+  is one sort of the concatenated source parts by target segment and
+  one gather per target — deterministic, dependency-free, and what
   tier-1 tests exercise.
 * ``num_workers>0``: each process of a persistent pool
   (:mod:`repro.mpp.workers`) is an interpreter over its share of the
   segments, commands are dispatched to all of them in lockstep, and
-  motions travel worker-to-worker over ``multiprocessing`` queues.
+  motions travel worker-to-worker as per-(source, target) pieces over
+  ``multiprocessing`` queues — the only place pieces exist.
 
 Either way the rows, their shard placement and the cost clocks are
 bit-identical.
@@ -69,8 +71,7 @@ from .distribution import (
     HashDistribution,
     RandomDistribution,
     ReplicatedDistribution,
-    partition_batch,
-    partition_parts,
+    route,
 )
 from .placement import (
     Input,
@@ -83,7 +84,7 @@ from .placement import (
     table_dist,
 )
 from .plannodes import DistDesc, PhysicalNode
-from .segments import LocalExchange, SegmentInterpreter
+from .segments import SegmentInterpreter
 from .workers import WorkerCrashError, WorkerPool
 
 _T = TypeVar("_T")
@@ -590,20 +591,17 @@ class MPPDatabase:
         A replicated target receives every row on every segment — a
         broadcast."""
         columns = table.schema.column_names
-        table.schema.validate_batch(ColumnBatch.concat(columns, source_parts))
+        batch = ColumnBatch.concat(columns, source_parts)
+        table.schema.validate_batch(batch)
+        sizes = [part.nrows for part in source_parts]
+        incoming, counts = route(batch, sizes, table.policy, table.key_positions, self.nseg)
         replicated = isinstance(table.policy, ReplicatedDistribution)
-        received: List[List[ColumnBatch]] = [[] for _ in range(self.nseg)]
-        routed = partition_parts(
-            source_parts, table.policy, table.key_positions, self.nseg
-        )
-        for seg, pieces in enumerate(routed):
-            for target, piece in enumerate(pieces):
-                if target != seg and replicated:
-                    self.segment_clocks[target].rows_broadcast += piece.nrows
-                elif target != seg:
-                    self.segment_clocks[target].rows_shipped += piece.nrows
-                received[target].append(piece)
-        incoming = [ColumnBatch.concat(columns, pieces) for pieces in received]
+        for target, clock in enumerate(self.segment_clocks):
+            shipped = sum(n for seg, n in enumerate(counts[target]) if seg != target)
+            if replicated:
+                clock.rows_broadcast += shipped
+            else:
+                clock.rows_shipped += shipped
         inserted = self._store_shards(table, incoming)
         if self._mirrors.get(table.name):
             self._mirror_insert(
@@ -626,8 +624,8 @@ class MPPDatabase:
     def _load_partitioned(
         self, table: MPPTable, batch: ColumnBatch, charge_ship: bool
     ) -> int:
-        shards = partition_batch(
-            batch, table.policy, table.key_positions, self.nseg
+        shards, _ = route(
+            batch, [batch.nrows], table.policy, table.key_positions, self.nseg
         )
         if charge_ship:
             for clock, shard in zip(self.segment_clocks, shards):
@@ -691,7 +689,6 @@ class SegmentOps:
                 range(self.nseg),
                 self.nseg,
                 lambda name, seg: cluster.tables[name].parts[seg],
-                LocalExchange(),
             )
             self._dispatch = lambda command: {0: local.execute(command)}
             self._next_epoch = itertools.count(1).__next__

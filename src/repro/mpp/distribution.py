@@ -4,10 +4,16 @@ A hash-distributed table assigns each row to a segment by a stable hash
 of its distribution-key columns (Greenplum's ``DISTRIBUTED BY``).  A
 replicated table keeps a full copy on every segment.  Randomly
 distributed tables round-robin rows (``DISTRIBUTED RANDOMLY``).
+
+:func:`route` applies a policy to one motion's or DML statement's rows:
+one stable sort by home segment and one gather per target, each
+target's rows one run in ascending source order.  Per-(source, target)
+pieces are cut from those runs only where a worker pool ships them.
 """
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
@@ -179,16 +185,14 @@ _KERNEL_MIN_ROWS = 96
 
 
 def _homes(
-    parts: Sequence[ColumnBatch],
+    batch: ColumnBatch,
     policy: DistributionPolicy,
     key_positions: Sequence[int],
     nseg: int,
 ) -> Any:
-    """Home segment of every row of ``parts`` in order: an array when a
+    """Home segment of every row of ``batch`` in order: an array when a
     hash key is all ``int64`` over enough rows, else a list."""
-    keys = ColumnBatch.concat(
-        [str(pos) for pos in key_positions], [part.project(key_positions) for part in parts]
-    )
+    keys = batch.project(key_positions)
     arrays = [keys.int_array(pos) for pos in range(len(key_positions))]
     if (
         isinstance(policy, HashDistribution)
@@ -200,53 +204,34 @@ def _homes(
     return [policy.segment_of(key, nseg) for key in keys.tuples()]
 
 
-def partition_parts(
-    parts: Sequence[ColumnBatch],
-    policy: DistributionPolicy,
-    key_positions: Sequence[int],
-    nseg: int,
-) -> List[List[ColumnBatch]]:
-    """Split every source part of one motion or DML statement into
-    per-segment pieces according to a policy — ``[part][segment]``,
-    row order kept within each piece — the one partitioner, for motions
-    and DML alike.  The parts' keys are hashed together, once; a random
-    policy's round-robin runs across the parts in order.  A replicated
-    policy puts each (immutable) part on every segment.
-
-    Callers charge shipping costs themselves — who pays depends on the
-    statement (redistribute charges receivers, broadcast charges copies).
-    """
-    if isinstance(policy, ReplicatedDistribution):
-        return [[part] * nseg for part in parts]
-    homes = _homes(parts, policy, key_positions, nseg)
-    out: List[List[ColumnBatch]] = []
-    if isinstance(homes, list):
-        rows = iter(homes)
-        for part in parts:
-            targets: List[List[int]] = [[] for _ in range(nseg)]
-            for index, home in zip(range(part.nrows), rows):
-                targets[home].append(index)
-            out.append([part.gather(indices) for indices in targets])
-        return out
-    # one stable sort by (part, home) keeps row order inside every piece;
-    # each part's rows keep its span, so a row's offset there is its start
-    sizes = [part.nrows for part in parts]
-    part_of = np.repeat(np.arange(len(parts)), sizes)
-    code = part_of * nseg + homes
-    order = np.argsort(code, kind="stable")
-    bounds = np.searchsorted(code[order], np.arange(len(parts) * nseg + 1)).tolist()
-    order -= (np.cumsum(sizes) - sizes)[part_of]
-    for p, part in enumerate(parts):
-        cells = bounds[p * nseg:(p + 1) * nseg + 1]
-        out.append([part.gather(order[lo:hi]) for lo, hi in zip(cells, cells[1:])])
-    return out
-
-
-def partition_batch(
+def route(
     batch: ColumnBatch,
+    sizes: Sequence[int],
     policy: DistributionPolicy,
     key_positions: Sequence[int],
     nseg: int,
-) -> List[ColumnBatch]:
-    """:func:`partition_parts` of one batch: its per-segment pieces."""
-    return partition_parts([batch], policy, key_positions, nseg)[0]
+) -> Tuple[List[ColumnBatch], List[List[int]]]:
+    """Route one motion's or DML statement's rows — ``batch``, source
+    parts of ``sizes`` rows concatenated — to ``nseg`` segments: the one
+    router.  The keys are hashed once (a random policy's round-robin
+    runs across the parts in order) and one stable sort by home segment
+    makes each segment's rows one run, in ascending source order.
+    Returns the runs and ``counts[segment][part]`` (one ``bincount``),
+    from which callers charge shipping.  A replicated policy, or one
+    segment, gives every segment the whole batch."""
+    if isinstance(policy, ReplicatedDistribution) or nseg == 1:
+        return [batch] * nseg, [list(sizes)] * nseg
+    homes = _homes(batch, policy, key_positions, nseg)
+    if isinstance(homes, list):
+        counts = [[0] * len(sizes) for _ in range(nseg)]
+        parts = itertools.chain.from_iterable(map(itertools.repeat, range(len(sizes)), sizes))
+        for home, part in zip(homes, parts):
+            counts[home][part] += 1
+        order: Any = sorted(range(batch.nrows), key=homes.__getitem__)
+    else:
+        part_of = np.repeat(np.arange(len(sizes)), sizes)
+        cells = np.bincount(homes * len(sizes) + part_of, minlength=nseg * len(sizes))
+        counts = cells.reshape(nseg, len(sizes)).tolist()
+        order = np.argsort(homes, kind="stable")
+    bounds = [0, *itertools.accumulate(map(sum, counts))]
+    return [batch.gather(order[lo:hi]) for lo, hi in zip(bounds, bounds[1:])], counts

@@ -4,33 +4,38 @@ A :class:`SegmentInterpreter` owns some of the cluster's segments and
 executes the physical operators the planner sends it, one command per
 operator, over those segments' shards.  Intermediate results stay
 inside it as *frames* — one :class:`~repro.relational.columnar.ColumnBatch`
-per owned segment, keyed by a planner-assigned handle.  It knows six
-commands: a scan, a *step* — any other operator, bound once by the
-planner (:func:`repro.relational.operators.bind_step`) and run here
-as it is on a single node — the three motions, and fetch / reset.
-Every command is charged to a per-segment clock delta that rides back
-on its reply.
+per owned segment, keyed by a planner-assigned handle; each has one
+consumer, which drops it.  It knows six commands: a scan, a *step* —
+any other operator, bound once by the planner
+(:func:`repro.relational.operators.bind_step`) and run here as it is
+on a single node — the three motions, and fetch / reset.  Every
+command is charged to a per-segment clock delta that rides back on
+its reply.
 
-The same class runs in both execution modes; what differs is who owns
-which segments and the *exchange* that motions move pieces through:
+A motion is one :func:`~repro.mpp.distribution.route` over the owned
+source parts, concatenated: one stable sort by target segment, after
+which each target's rows are one run, in ascending source order.  The
+same class runs in both execution modes; what differs is who owns
+which segments:
 
 * serial (``num_workers=0``): one interpreter in the master process
-  owns all ``nseg`` segments, reads the master's table shards directly
-  and exchanges pieces through a :class:`LocalExchange` — no queues, no
-  pickling, no second copy of the tables;
+  owns all ``nseg`` segments and reads the master's table shards
+  directly; each run *is* its target's new part;
 * pooled: each worker process (:mod:`repro.mpp.workers`) is an
-  interpreter over its own segments and shard copies, exchanging
-  pickled pieces over ``multiprocessing`` queues.
+  interpreter over its own segments and shard copies; it cuts its runs
+  into per-(source, target) pieces — the only place pieces exist —
+  ships them over an :class:`Exchange` and appends the pieces it
+  receives in ascending source order.
 
-Motions assemble incoming pieces in ascending source-segment order on
-either exchange, so rows, shard placement and clocks are bit-identical
-across the two modes.  This module is a deterministic kernel (RC003):
-exchange deadlines and everything else that reads a wall clock live
-with the queue exchange in :mod:`repro.mpp.workers`.
+So rows, shard placement and clocks are bit-identical across the two
+modes.  This module is a deterministic kernel (RC003): exchange
+deadlines and everything else that reads a wall clock live with the
+queue exchange in :mod:`repro.mpp.workers`.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import (
     Callable,
     Dict,
@@ -47,9 +52,14 @@ from ..relational import operators
 from ..relational.columnar import ColumnBatch
 from ..relational.cost import CostClock
 from ..relational.table import Table
-from .distribution import HashDistribution, partition_parts
+from .distribution import (
+    DistributionPolicy,
+    HashDistribution,
+    ReplicatedDistribution,
+    route,
+)
 
-__all__ = ["Exchange", "LocalExchange", "SegmentInterpreter"]
+__all__ = ["Exchange", "SegmentInterpreter"]
 
 #: one segment-to-segment hop of a motion: ``(from_seg, to_seg)``
 Hop = Tuple[int, int]
@@ -58,7 +68,7 @@ Frame = Dict[int, ColumnBatch]
 
 
 class Exchange(Protocol):
-    """How a motion's pieces travel between segments."""
+    """How a pool worker's motion pieces travel between segments."""
 
     def send(self, epoch: int, from_seg: int, to_seg: int, piece: ColumnBatch) -> None:
         """Ship one piece towards ``to_seg``'s owner."""
@@ -67,38 +77,26 @@ class Exchange(Protocol):
         """Receive this epoch's piece for every expected hop."""
 
 
-class LocalExchange:
-    """In-process exchange for an interpreter that owns every segment:
-    all of a motion's sends complete before its collect starts."""
-
-    def __init__(self) -> None:
-        self._pieces: Dict[Tuple[int, int, int], ColumnBatch] = {}
-
-    def send(self, epoch: int, from_seg: int, to_seg: int, piece: ColumnBatch) -> None:
-        self._pieces[(epoch, from_seg, to_seg)] = piece
-
-    def collect(self, epoch: int, expected: Set[Hop]) -> Dict[Hop, ColumnBatch]:
-        return {hop: self._pieces.pop((epoch, *hop)) for hop in expected}
-
-
 #: a redistribute motion hashes on key *positions*; the policy's column
 #: names only matter to the catalog
 _BY_HASH = HashDistribution(())
+_EVERYWHERE = ReplicatedDistribution()
 
 
 class SegmentInterpreter:
     """Executes operator commands over the segments it owns.
 
-    ``shard_of(table_name, seg)`` resolves a stored table shard.  Every
-    command returns its reply payload: per-segment output row counts
-    and clock deltas."""
+    ``shard_of(table_name, seg)`` resolves a stored table shard.  An
+    interpreter with no ``exchange`` owns every segment.  Every command
+    returns its reply payload: per-segment output row counts and clock
+    deltas."""
 
     def __init__(
         self,
         segments: Iterable[int],
         nseg: int,
         shard_of: Callable[[str, int], Table],
-        exchange: Exchange,
+        exchange: Optional[Exchange] = None,
     ) -> None:
         self.segments = list(segments)
         self.nseg = nseg
@@ -121,9 +119,6 @@ class SegmentInterpreter:
         self.frames[handle] = frame
         counts = {seg: batch.nrows for seg, batch in frame.items()}
         return {"counts": counts, "deltas": deltas}
-
-    def _columns(self, handle: int) -> List[str]:
-        return self.frames[handle][self.segments[0]].columns
 
     def _each(
         self, handle: int, work: Callable[[int, CostClock], ColumnBatch]
@@ -170,7 +165,7 @@ class SegmentInterpreter:
         rule, per input: off segment 0 an input that counts once
         contributes nothing, and when every input counts once — or there
         is none — the operator computes on segment 0 alone."""
-        frames = [self.frames[source] for source in sources]
+        frames = [self.frames.pop(source) for source in sources]
         elsewhere = [frame for frame, first in zip(frames, once) if not first]
 
         def work(seg: int, clock: CostClock) -> ColumnBatch:
@@ -182,34 +177,50 @@ class SegmentInterpreter:
 
     # -- motions -------------------------------------------------------------
 
-    def _assemble(
+    def _move(
         self,
         handle: int,
         source: int,
         epoch: int,
         sources: Sequence[int],
-        targets: Sequence[int],
+        ntargets: int,
+        policy: DistributionPolicy,
+        positions: Sequence[int],
         counter: str,
     ) -> dict:
-        """Receiving half of a motion: every owned target segment
-        appends its pieces in ascending source-segment order (the order
-        that keeps serial and pooled runs bit-identical) and charges
-        ``counter`` for the rows that crossed segments."""
-        columns = self._columns(source)
-        owned = [seg for seg in targets if seg in self.segments]
-        got = self.exchange.collect(
-            epoch, {(from_seg, seg) for from_seg in sources for seg in owned}
-        )
-        deltas = self._fresh_clocks()
-        frame = {seg: ColumnBatch.from_rows(columns, ()) for seg in self.segments}
-        for seg in owned:
-            pieces = [got[(from_seg, seg)] for from_seg in sources]
-            frame[seg] = ColumnBatch.concat(columns, pieces)
-            shipped = sum(
-                piece.nrows for from_seg, piece in zip(sources, pieces) if from_seg != seg
+        """Route the ``source`` frame's parts on the ``sources`` segments
+        to segments ``0 .. ntargets - 1`` and charge each target's
+        ``counter`` for the rows that came from another segment."""
+        frame = self.frames.pop(source)
+        columns = frame[self.segments[0]].columns
+        owned = [seg for seg in sources if seg in self.segments]
+        parts = [frame[seg] for seg in owned]
+        sizes = [part.nrows for part in parts]
+        runs, counts = route(ColumnBatch.concat(columns, parts), sizes, policy, positions, ntargets)
+        targets = [seg for seg in range(ntargets) if seg in self.segments]
+        if self.exchange is None:  # every segment is here: a run is its new part
+            arrived = {target: (runs[target], counts[target]) for target in targets}
+        else:  # a pool worker trades pieces cut from its runs
+            for target, run in enumerate(runs):
+                bounds = [0, *itertools.accumulate(counts[target])]
+                for seg, lo, hi in zip(owned, bounds, bounds[1:]):
+                    self.exchange.send(epoch, seg, target, run.gather(range(lo, hi)))
+            got = self.exchange.collect(
+                epoch, {(seg, target) for seg in sources for target in targets}
             )
-            setattr(deltas[seg], counter, shipped)
-        return self._store(handle, frame, deltas)
+            arrived = {}
+            for target in targets:
+                pieces = [got[(seg, target)] for seg in sources]
+                arrived[target] = (
+                    ColumnBatch.concat(columns, pieces), [piece.nrows for piece in pieces]
+                )
+        deltas = self._fresh_clocks()
+        out = {seg: ColumnBatch.from_rows(columns, ()) for seg in self.segments}
+        for target, (rows, received) in arrived.items():
+            out[target] = rows
+            shipped = sum(n for seg, n in zip(sources, received) if seg != target)
+            setattr(deltas[target], counter, shipped)
+        return self._store(handle, out, deltas)
 
     def _cmd_redistribute(
         self,
@@ -222,14 +233,8 @@ class SegmentInterpreter:
         # every copy of a replicated frame is the whole relation:
         # segment 0 alone sends it
         sources = (0,) if source_replicated else range(self.nseg)
-        owned = [seg for seg in self.segments if seg in sources]
-        parts = [self.frames[source][seg] for seg in owned]
-        pieces = partition_parts(parts, _BY_HASH, positions, self.nseg)
-        for seg, row in zip(owned, pieces):
-            for target, piece in enumerate(row):
-                self.exchange.send(epoch, seg, target, piece)
-        return self._assemble(
-            handle, source, epoch, sources, range(self.nseg), "rows_shipped"
+        return self._move(
+            handle, source, epoch, sources, self.nseg, _BY_HASH, positions, "rows_shipped"
         )
 
     def _cmd_broadcast(
@@ -237,24 +242,22 @@ class SegmentInterpreter:
     ) -> dict:
         if source_replicated:
             # every segment already holds a full copy
-            return self._store(handle, dict(self.frames[source]), self._fresh_clocks())
-        for seg in self.segments:
-            for target in range(self.nseg):
-                self.exchange.send(epoch, seg, target, self.frames[source][seg])
-        return self._assemble(
-            handle, source, epoch, range(self.nseg), range(self.nseg), "rows_broadcast"
+            return self._store(handle, self.frames.pop(source), self._fresh_clocks())
+        return self._move(
+            handle, source, epoch, range(self.nseg), self.nseg, _EVERYWHERE, (),
+            "rows_broadcast",
         )
 
     def _cmd_gather(
         self, handle: int, source: int, epoch: int, source_replicated: bool
     ) -> dict:
         if source_replicated:
-            child = self.frames[source]
-            return self._first(handle, self._columns(source), lambda seg, _clock: child[seg])
-        for seg in self.segments:
-            self.exchange.send(epoch, seg, 0, self.frames[source][seg])
-        return self._assemble(
-            handle, source, epoch, range(self.nseg), (0,), "rows_shipped"
+            child = self.frames.pop(source)
+            columns = child[self.segments[0]].columns
+            return self._first(handle, columns, lambda seg, _clock: child[seg])
+        # segment 0 is the one target
+        return self._move(
+            handle, source, epoch, range(self.nseg), 1, _EVERYWHERE, (), "rows_shipped"
         )
 
     # -- result fetch / cleanup ----------------------------------------------

@@ -21,10 +21,12 @@ makes crash recovery a pure retry.
 
 Determinism: a worker *is* the serial executor's
 :class:`~repro.mpp.segments.SegmentInterpreter`, over fewer segments
-and behind a :class:`QueueExchange` instead of the in-memory one.
-Motions assemble incoming pieces in ascending source-segment order on
-either exchange, and all cost-clock charges for query operators ride
-back on the acks into the master's per-segment clocks.  A pooled run
+and behind a :class:`QueueExchange`.  It routes its owned source parts
+as the serial interpreter routes all of them, cuts each target's run
+into per-source pieces, and appends the pieces a target receives in
+ascending source-segment order — the order of the serial run — and
+all cost-clock charges for query operators ride back on the acks into
+the master's per-segment clocks.  A pooled run
 therefore produces bit-identical tables, query results, and modelled
 times to a serial run.
 

@@ -12,7 +12,7 @@ from repro.mpp import (
     ReplicatedDistribution,
     WorkerCrashError,
 )
-from repro.mpp.segments import LocalExchange, SegmentInterpreter
+from repro.mpp.segments import SegmentInterpreter
 from repro.relational import (
     Aggregate,
     Database,
@@ -347,7 +347,6 @@ class FlakyPool:
             range(cluster.nseg),
             cluster.nseg,
             lambda name, seg: cluster.tables[name].parts[seg],
-            LocalExchange(),
         )
         self.fail_at = fail_at
         self.operators = 0

@@ -1,7 +1,7 @@
 """Pool workers route their owned source parts the way serial does.
 
 Each worker owns segments ``seg % num_workers`` and hashes every part it
-owns in one :func:`~repro.mpp.distribution.partition_parts` call; with 3
+owns in one :func:`~repro.mpp.distribution.route` call; with 3
 workers over 8 segments the ownership is uneven (3, 3, 2).  On inputs
 large enough for the ``int64`` kernel, shards, their row order and the
 segment clocks must equal the serial run's.  Spawns real worker

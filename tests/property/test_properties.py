@@ -19,11 +19,10 @@ from repro.mpp import (
     MPPDatabase,
     RandomDistribution,
     ReplicatedDistribution,
-    partition_batch,
-    partition_parts,
+    route,
     stable_hash,
 )
-from repro.mpp.distribution import stable_hash_int64
+from repro.mpp.distribution import _KERNEL_MIN_ROWS, _homes, stable_hash_int64
 from repro.relational import ColumnBatch, Database, Distinct, HashJoin, Scan, schema
 
 # -- strategies ---------------------------------------------------------------
@@ -101,11 +100,40 @@ def test_mpp_join_matches_single_node(left, right, nseg):
     assert Counter(single.query(plan()).rows) == Counter(cluster.query(plan()).rows)
 
 
+def routed(parts, policy, positions, nseg):
+    """:func:`route` over ``parts``, concatenated, as a motion does."""
+    batch = ColumnBatch.concat(parts[0].columns, parts)
+    return route(batch, [part.nrows for part in parts], policy, positions, nseg)
+
+
+def shards_of(batch, policy, positions, nseg):
+    """Every segment's rows when ``batch`` alone is routed."""
+    return route(batch, [batch.nrows], policy, positions, nseg)[0]
+
+
+def reference_routing(parts_rows, home, nseg):
+    """The per-row reference: piece (s, t) is part s's rows whose
+    ``home(s, i, row)`` is t, in row order; segment t receives its
+    pieces concatenated in source order.  Returns every segment's rows
+    and ``counts[segment][part]``."""
+    pieces = [
+        [[row for i, row in enumerate(rows) if home(s, i, row) == t] for t in range(nseg)]
+        for s, rows in enumerate(parts_rows)
+    ]
+    runs = [[row for part in pieces for row in part[t]] for t in range(nseg)]
+    return runs, [[len(part[t]) for part in pieces] for t in range(nseg)]
+
+
+def assert_routes_like(routing, reference):
+    runs, counts = routing
+    assert ([run.to_rows() for run in runs], counts) == reference
+
+
 @given(rows=rows2, nseg=st.integers(min_value=1, max_value=7))
 @settings(max_examples=40, deadline=None)
 def test_partition_batch_is_a_partition(rows, nseg):
     batch = ColumnBatch.from_rows(["a", "b"], rows)
-    shards = partition_batch(batch, HashDistribution(["a"]), (0,), nseg)
+    shards = shards_of(batch, HashDistribution(["a"]), (0,), nseg)
     assert sum(shard.nrows for shard in shards) == len(rows)
     recombined = Counter(row for shard in shards for row in shard.to_rows())
     assert recombined == Counter(map(tuple, rows))
@@ -117,13 +145,13 @@ def test_partition_batch_is_a_partition(rows, nseg):
     # random: round-robin, and the policy's counter carries on across calls
     policy = RandomDistribution()
     for start in (0, len(rows)):
-        shards = partition_batch(batch, policy, (), nseg)
+        shards = shards_of(batch, policy, (), nseg)
         for seg, shard in enumerate(shards):
             assert shard.to_rows() == [
                 row for i, row in enumerate(rows, start) if i % nseg == seg
             ]
     # replicated: the same batch everywhere, not a copy per segment
-    copies = partition_batch(batch, ReplicatedDistribution(), (), nseg)
+    copies = shards_of(batch, ReplicatedDistribution(), (), nseg)
     assert len(copies) == nseg and all(copy is batch for copy in copies)
 
 
@@ -150,7 +178,7 @@ def test_partition_batch_assigns_segments_like_per_row_stable_hash(data, nseg):
     rows = list(zip(*cols))
     batch = ColumnBatch.from_rows([f"c{i}" for i in range(len(cols))], rows)
     positions = data.draw(st.sampled_from([(0,), (1, 0), tuple(range(len(cols)))]))
-    shards = partition_batch(
+    shards = shards_of(
         batch, HashDistribution([f"c{p}" for p in positions]), positions, nseg
     )
     for seg, shard in enumerate(shards):
@@ -160,7 +188,7 @@ def test_partition_batch_assigns_segments_like_per_row_stable_hash(data, nseg):
         ]
     policy = RandomDistribution()
     for start in (0, nrows):  # round-robin, the counter carries on
-        for seg, shard in enumerate(partition_batch(batch, policy, (), nseg)):
+        for seg, shard in enumerate(shards_of(batch, policy, (), nseg)):
             assert shard.to_rows() == [
                 row for i, row in enumerate(rows, start) if i % nseg == seg
             ]
@@ -205,8 +233,9 @@ def test_stable_hash_int64_equals_stable_hash(data, width, nrows):
 @settings(max_examples=60, deadline=None)
 def test_partition_parts_routes_every_part_like_per_row_stable_hash(data, nseg):
     """One call over 1-8 source parts (0 to 480 rows together, so both
-    sides of the scalar / kernel crossover): each part's pieces are its
-    rows routed by ``stable_hash(key) % nseg``, in row order."""
+    sides of the scalar / kernel crossover): each target's run is its
+    pieces — every part's rows routed by ``stable_hash(key) % nseg``, in
+    row order — concatenated in source order."""
     sizes = data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=8))
     kind = data.draw(st.sampled_from([st.integers(-50, 50), int64_value, key_value]))
     parts_rows = [
@@ -215,27 +244,77 @@ def test_partition_parts_routes_every_part_like_per_row_stable_hash(data, nseg):
     ]
     parts = [ColumnBatch.from_rows(["k", "v"], rows) for rows in parts_rows]
     positions = data.draw(st.sampled_from([(0,), (1, 0)]))
-    routed = partition_parts(parts, HashDistribution(["k"]), positions, nseg)
-    assert len(routed) == len(parts)
-    for rows, pieces in zip(parts_rows, routed):
-        assert [piece.to_rows() for piece in pieces] == [
-            [row for row in rows
-             if stable_hash(tuple(row[p] for p in positions)) % nseg == seg]
-            for seg in range(nseg)
-        ]
+    assert_routes_like(
+        routed(parts, HashDistribution(["k"]), positions, nseg),
+        reference_routing(
+            parts_rows,
+            lambda s, i, row: stable_hash(tuple(row[p] for p in positions)) % nseg,
+            nseg,
+        ),
+    )
     # round-robin runs across the parts in order, and on into the next call
     policy = RandomDistribution()
+    firsts = list(itertools.accumulate([0] + sizes))
     for start in (0, sum(sizes)):
-        routed = partition_parts(parts, policy, (), nseg)
-        for first, rows, pieces in zip(itertools.accumulate([start] + sizes), parts_rows, routed):
-            assert [piece.to_rows() for piece in pieces] == [
-                [row for i, row in enumerate(rows, first) if i % nseg == seg]
-                for seg in range(nseg)
-            ]
-    # replicated: every part everywhere, not a copy per segment
-    copies = partition_parts(parts, ReplicatedDistribution(), (), nseg)
-    assert all(copy is part for part, row in zip(parts, copies) for copy in row)
-    assert all(len(row) == nseg for row in copies)
+        assert_routes_like(
+            routed(parts, policy, (), nseg),
+            reference_routing(parts_rows, lambda s, i, row: (start + firsts[s] + i) % nseg, nseg),
+        )
+    # replicated: the whole concatenation everywhere, not a copy per segment
+    runs, counts = routed(parts, ReplicatedDistribution(), (), nseg)
+    assert len({id(run) for run in runs}) == 1
+    assert runs[0].to_rows() == [row for rows in parts_rows for row in rows]
+    assert counts == [sizes] * nseg
+
+
+#: key columns of every kind a motion routes: int64 (the kernel path
+#: from ``_KERNEL_MIN_ROWS`` rows on) and text, floats with both zeros,
+#: NULLs and mixes (the per-row path)
+route_key = st.sampled_from([
+    st.integers(-(2 ** 40), 2 ** 40),
+    st.one_of(st.none(), st.integers(-9, 9)),
+    names,
+    st.sampled_from([0.0, -0.0, 1.5, -2.25]),
+    key_value,
+])
+
+
+@given(data=st.data(), nseg=st.integers(min_value=1, max_value=8))
+@settings(max_examples=80, deadline=None)
+def test_route_equals_per_row_pieces_concatenated_in_source_order(data, nseg):
+    """Routing with one stable sort by target equals the per-row
+    ``stable_hash`` reference whose pieces are concatenated in source
+    order — rows, row order and per-(source, target) counts — on the
+    kernel and the list path, over empty parts and a single source part
+    (the ``source_replicated`` redistribute)."""
+    nparts = data.draw(st.sampled_from([1, 2, 8]))
+    big = data.draw(st.booleans())
+    sizes = [
+        data.draw(st.integers(0, 3 * _KERNEL_MIN_ROWS // nparts if big else 12))
+        for _ in range(nparts)
+    ]
+    kind = data.draw(route_key)
+    parts_rows = [
+        data.draw(st.lists(st.tuples(kind, kind, small_int), min_size=n, max_size=n))
+        for n in sizes
+    ]
+    parts = [ColumnBatch.from_rows(["k", "j", "v"], rows) for rows in parts_rows]
+    positions = data.draw(st.sampled_from([(0,), (1, 0)]))
+    assert_routes_like(
+        routed(parts, HashDistribution(["k"]), positions, nseg),
+        reference_routing(
+            parts_rows,
+            lambda s, i, row: stable_hash(tuple(row[p] for p in positions)) % nseg,
+            nseg,
+        ),
+    )
+    # the int64 kernel hashes from _KERNEL_MIN_ROWS rows on, else per row
+    batch = ColumnBatch.concat(["k", "j", "v"], parts)
+    kernel = batch.nrows >= _KERNEL_MIN_ROWS and all(
+        batch.int_array(p) is not None for p in positions
+    )
+    homes = _homes(batch, HashDistribution(["k"]), positions, nseg)
+    assert isinstance(homes, list) is not kernel
 
 
 @given(values=st.lists(st.one_of(small_int, names), min_size=1, max_size=4))
