@@ -1,18 +1,13 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-no-numpy test-mpp test-verify bench bench-e2e \
+.PHONY: test test-mpp test-verify bench bench-e2e \
 	bench-e2e-out bench-e2e-x10 bench-e2e-compare profile lint lint-conc loc
 
 # Tier-1 suite: serial executors only (the `mpp` marker is excluded
 # via addopts in pyproject.toml).
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
-
-# Tier-1 again with numpy fast paths forced off: the columnar engine's
-# pure-Python fallback must stay bit-identical (the no-numpy CI lane).
-test-no-numpy:
-	PROBKB_NO_NUMPY=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
 # Multi-process tests: spawn real worker processes (the MPP executor's
 # worker pool).

@@ -475,7 +475,7 @@ def cmd_infer(args) -> int:
     marginals = system.infer(config)
     info = system.inference_info(config)
     print(
-        f"engine={info.get('engine')} kernel={info.get('kernel', '-')} "
+        f"engine={info.get('engine')} "
         f"components={info.get('components', '-')} "
         f"colors={info.get('colors', '-')} "
         f"wall={info.get('wall_seconds', 0.0):.3f}s"

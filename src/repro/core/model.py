@@ -9,6 +9,7 @@ as Γ = (E, C, R, Π, H, Ω), the form the quality-control section uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
@@ -64,6 +65,27 @@ class Fact:
     def __str__(self) -> str:
         prefix = f"{self.weight:.2f} " if self.weight is not None else ""
         return f"{prefix}{self.relation}({self.subject}, {self.object})"
+
+
+def finite_weight(value: object, field: str = "weight") -> float:
+    """``value`` as a fact's or rule's MLN weight: a finite float.  NaN
+    or ±∞ would reach TΦ, where every later inference rejects the
+    factor graph, so each input path calls this before it stores or
+    queues anything; the ValueError names ``field`` and the value."""
+    try:
+        weight = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} must be a number, got {value!r}") from None
+    if not math.isfinite(weight):
+        raise ValueError(f"{field} {value!r} is not finite")
+    return weight
+
+
+def check_weights(facts: Iterable[Fact]) -> None:
+    """:func:`finite_weight` over every weighted fact of ``facts``."""
+    for fact in facts:
+        if fact.weight is not None:
+            finite_weight(fact.weight, f"weight of {fact.relation}({fact.subject}, {fact.object})")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from ..infer.bp import bp_marginals
 from ..infer.components import ComponentSnapshot, all_snapshots, sample_components
 from ..infer.factor_graph import FactorGraph
 from ..relational import Scan, to_sql
-from ..relational.columnar import get_numpy
 from ..relational.expr import IsNull, col, conj, eq_const
 from ..relational.plan import Filter, HashJoin, PlanNode, Project
 from ..relational.types import Row
@@ -32,7 +31,7 @@ from .clauses import HornClause
 from .config import BackendConfig, GroundingConfig, InferenceConfig, build_backend
 from .grounding import Grounder, GroundingResult, check_iteration_cap
 from .lineage import LineageIndex
-from .model import Fact, KnowledgeBase
+from .model import Fact, KnowledgeBase, finite_weight
 from .relmodel import FACT_KEY_COLUMNS, RelationalKB, store_marginals
 from .results import ConstraintResult, InferenceResult
 from .sqlgen import (
@@ -201,6 +200,8 @@ class ProbKB:
         """
         check_iteration_cap(max_iterations)  # before the rules are merged
         rules = list(rules)
+        for rule in rules:
+            finite_weight(rule.weight, f"weight of rule {rule.head}")
         rules_before = len(self.kb.rules)
         report_before = self.analysis_report
         try:
@@ -311,7 +312,6 @@ class ProbKB:
         started = time.perf_counter()
         sample = sample_components(snapshots, config.sweeps, config.seed)
         self._last_inference["gibbs"] = {
-            "kernel": sample.kernel,
             "components": sample.components,
             "colors": sample.colors,
             "wall_seconds": time.perf_counter() - started,
@@ -341,7 +341,7 @@ class ProbKB:
     def inference_info(
         self, config: Optional[InferenceConfig] = None
     ) -> Dict[str, Any]:
-        """Engine introspection (engine, kernel, components, colours and
+        """Engine introspection (engine, components, colours and
         wall clock of the engine's last run, from :meth:`infer` or a
         delta flush) — the inference counterpart of ``executor_info()``."""
         config = config or self.inference_config
@@ -350,8 +350,6 @@ class ProbKB:
             "seed": config.seed,
             "engine": config.engine,
         }
-        if config.engine == "gibbs":
-            info["kernel"] = "numpy" if get_numpy() is not None else "python"
         info.update(self._last_inference.get(config.engine, {}))
         return info
 

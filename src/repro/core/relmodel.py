@@ -37,7 +37,7 @@ from .clauses import (
     classify_clause,
     partition_patterns_text,
 )
-from .model import Fact, KnowledgeBase
+from .model import Fact, KnowledgeBase, check_weights
 from .sqlgen import id_range
 
 # -- table schemas (shared by all backends) -----------------------------------
@@ -342,8 +342,11 @@ class RelationalKB:
         weights and, as the id range from :attr:`delta_start`, become
         the semi-naive delta, so a follow-up delta grounding derives
         exactly their consequences.  Names the facts introduce are added
-        to DE / DC / DR.  Returns the number of genuinely new facts.
+        to DE / DC / DR.  Returns the number of genuinely new facts.  A
+        non-finite weight raises ValueError before anything is written.
         """
+        facts = list(facts)
+        check_weights(facts)
         rows: List[Row] = []
         for fact in facts:
             rows.append(self.encode_fact_key(fact) + (fact.weight,))

@@ -8,7 +8,6 @@ KBs and for inspecting them with standard tools.
 
 from __future__ import annotations
 
-import math
 import os
 import warnings
 from typing import Callable, Dict, Iterator, List, Set, TypeVar
@@ -21,6 +20,7 @@ from ..core import (
     KnowledgeBase,
     Relation,
 )
+from ..core.model import finite_weight
 
 FACTS_FILE = "facts.tsv"
 RULES_FILE = "rules.tsv"
@@ -157,13 +157,6 @@ def _records(
             yield record
 
 
-def _weight(text: str) -> float:
-    weight = float(text)
-    if not math.isfinite(weight):
-        raise ValueError(f"weight {text!r} is not finite")
-    return weight
-
-
 def _parse_fact(fields: List[str]) -> Fact:
     relation, subject, subject_class, obj, object_class, weight = fields
     return Fact(
@@ -172,7 +165,7 @@ def _parse_fact(fields: List[str]) -> Fact:
         subject_class,
         obj,
         object_class,
-        _weight(weight) if weight else None,
+        finite_weight(weight) if weight else None,
     )
 
 
@@ -196,7 +189,7 @@ def _parse_rule_line(line: str) -> HornClause:
 
 
 def _parse_rule_fields(fields: List[str]) -> HornClause:
-    weight, score = _weight(fields[0]), float(fields[1])
+    weight, score = finite_weight(fields[0]), float(fields[1])
     atoms = [_parse_atom(text) for text in fields[2:-1]]
     var_classes = {}
     for item in fields[-1].split(","):

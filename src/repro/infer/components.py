@@ -28,8 +28,7 @@ Sampling draws from counter-based streams, a pure function of
 sampled in one pass of the numpy block kernel
 (:func:`~repro.infer.gibbs.block_marginals`) with the marginals each
 would get alone from the scalar kernel
-(:meth:`~repro.infer.gibbs.GibbsSampler.run_stream`), which runs when
-numpy is off.
+(:meth:`~repro.infer.gibbs.GibbsSampler.run_stream`).
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from ..relational.columnar import get_numpy
 from ..relational.types import Row
 from .factor_graph import FactorGraph
 from .gibbs import GibbsSampler, block_marginals
@@ -197,14 +195,12 @@ def component_sampler(
 
 @dataclass
 class ComponentSample:
-    """Marginals of a batch of components, and how they were sampled."""
+    """Marginals of a batch of components."""
 
     marginals: Dict[int, float]
     components: int
     #: the most colour classes any component of the batch has
     colors: int
-    #: ``"numpy"`` (block kernel) or ``"python"`` (scalar kernel)
-    kernel: str
 
 
 def sample_components(
@@ -213,20 +209,11 @@ def sample_components(
     """Marginals over a batch of ``(members, rows)`` component snapshots.
 
     The one sampling call of ``ProbKB.infer``, :func:`componentwise_marginals`
-    and the delta path.  With numpy on, the whole batch is one pass of the
-    block kernel; without it, each component runs the scalar kernel in
-    turn.  The marginals are ``==`` either way.
+    and the delta path: the whole batch is one pass of the block kernel.
     """
     samplers = [component_sampler(members, rows, seed) for members, rows in snapshots]
     colors = max((sampler.num_colors for sampler in samplers), default=0)
-    if get_numpy() is not None:
-        return ComponentSample(
-            block_marginals(samplers, num_sweeps), len(samplers), colors, "numpy"
-        )
-    marginals: Dict[int, float] = {}
-    for sampler in samplers:
-        marginals.update(sampler.run_stream(num_sweeps).marginals)
-    return ComponentSample(marginals, len(samplers), colors, "python")
+    return ComponentSample(block_marginals(samplers, num_sweeps), len(samplers), colors)
 
 
 def all_snapshots(rows: Sequence[Row]) -> List[ComponentSnapshot]:

@@ -13,7 +13,8 @@ the draw for a variable is a pure function of its key, independent of
 what else is sampled beside it or in what order.
 
 - :meth:`GibbsSampler.run_stream` is the scalar kernel: one variable at
-  a time, in Python.  It is the no-numpy path and the oracle.
+  a time, in Python.  It is the oracle the block kernel is tested
+  against.
 - :func:`block_marginals` samples many graphs (the components of TΦ)
   together, one array step per (sweep, colour) across all of them.
 
@@ -24,11 +25,11 @@ the same :func:`logistic` and draw the same uniforms, so they return
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..relational.columnar import get_numpy
+import numpy as np
+
 from .factor_graph import FactorGraph
 
 _MASK = (1 << 64) - 1
@@ -52,7 +53,6 @@ def _mix64(z: int) -> int:
 
 def mix64_array(z: Any) -> Any:
     """:func:`_mix64` over a ``uint64`` array (numpy wraps mod 2**64)."""
-    np = get_numpy()
     z = z + np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -79,17 +79,10 @@ def stream_uniform(key: int, var: int) -> float:
 def logistic(deltas: Sequence[float]) -> Any:
     """P(x = 1 | blanket) for each Δ = log φ(x=1) − log φ(x=0).
 
-    The one logistic both kernels call.  With numpy on it is ``np.exp``
-    over an array, whose last ulp may differ from ``math.exp``; without
-    numpy it is ``math.exp`` per value.  Beyond ±35 the result is exactly
-    1.0 / 0.0, and Δ is clipped before ``exp`` so nothing overflows.
+    The one logistic both kernels call: ``np.exp`` over an array.
+    Beyond ±35 the result is exactly 1.0 / 0.0, and Δ is clipped before
+    ``exp`` so nothing overflows.
     """
-    np = get_numpy()
-    if np is None:
-        return [
-            1.0 if d > _CLAMP else 0.0 if d < -_CLAMP else 1.0 / (1.0 + math.exp(-d))
-            for d in deltas
-        ]
     deltas = np.asarray(deltas, dtype=np.float64)
     p_true = 1.0 / (1.0 + np.exp(-np.clip(deltas, -_CLAMP, _CLAMP)))
     p_true[deltas > _CLAMP] = 1.0
@@ -226,7 +219,6 @@ class _ColorStep:
         clauses: Sequence[Any],
         var_terms: Any,
     ) -> None:
-        np = get_numpy()
         self.variables = np.array(variables, dtype=np.int64)
         self.var_terms = var_terms[self.variables]
         #: incidence list: (position in ``variables``, global factor)
@@ -258,7 +250,6 @@ def block_marginals(
     :func:`logistic` and redraws against the stream uniforms, whose keys
     are vectorised over the samplers' seeds.
     """
-    np = get_numpy()
     offsets = [0]
     for sampler in samplers:
         offsets.append(offsets[-1] + sampler.graph.num_variables)

@@ -18,13 +18,10 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
-from ..relational.columnar import ColumnBatch, get_numpy
-from ..relational.types import Row, Value
+import numpy as np
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the CI lane
-    np = None
+from ..relational.columnar import ColumnBatch
+from ..relational.types import Row, Value
 
 
 def stable_hash(values: Sequence[Value]) -> int:
@@ -32,11 +29,14 @@ def stable_hash(values: Sequence[Value]) -> int:
 
     Python's builtin ``hash`` is salted per process for strings, which
     would make segment assignment non-deterministic across runs; crc32
-    keeps the simulator reproducible.  ``-0.0`` hashes as ``0.0``: the
-    two are equal, so a join or a distinct must find them on one segment.
+    keeps the simulator reproducible.  Equal numbers hash alike, so a
+    join or a distinct finds them on one segment: an integral float
+    (``1.0``, ``-0.0``) or a bool hashes as the int it equals.
     """
     payload = "\x1f".join(
-        f"{type(v).__name__}:{v + 0.0 if type(v) is float else v!r}" for v in values
+        f"int:{int(v)}" if (type(v) is float and v.is_integer()) or type(v) is bool
+        else f"{type(v).__name__}:{v!r}"
+        for v in values
     ).encode("utf-8")
     return zlib.crc32(payload)
 
@@ -90,7 +90,7 @@ def _crc_tables() -> Tuple[Any, Any, Any, Any]:
     return shift, groups.reshape(-1), heads.reshape(-1), powers
 
 
-_CRC: Any = _crc_tables() if np is not None else None
+_CRC = _crc_tables()
 
 
 def stable_hash_int64(arrays: Sequence[Any], nrows: int) -> Any:
@@ -196,7 +196,6 @@ def _homes(
     arrays = [keys.int_array(pos) for pos in range(len(key_positions))]
     if (
         isinstance(policy, HashDistribution)
-        and get_numpy() is not None
         and keys.nrows >= _KERNEL_MIN_ROWS
         and all(array is not None for array in arrays)
     ):

@@ -9,10 +9,7 @@ Public surface::
     )
 """
 
-from .columnar import (
-    ColumnBatch,
-    numpy_enabled,
-)
+from .columnar import ColumnBatch
 from .columnar_exec import ColumnarExecutor
 from .cost import CostClock
 from .database import Database
@@ -102,7 +99,6 @@ __all__ = [
     "const",
     "eq",
     "eq_const",
-    "numpy_enabled",
     "schema",
     "to_sql",
 ]

@@ -4,9 +4,9 @@ Grounding is dominated by a handful of relational operators over
 integer key columns (Section 4 of the paper pushes grounding into
 exactly these operators), so this module implements them over
 :class:`ColumnBatch` — one typed array or one list per column — with
-two interchangeable kernel backends:
+two kernel paths:
 
-* a **numpy fast path** over :class:`TypedColumn` s: a gather of a
+* a **numpy path** over :class:`TypedColumn` s: a gather of a
   large batch hands on row indexes (:class:`DeferredColumn`), a small
   one and a concat are one array operation per column; multi-column
   integer keys are encoded into a single ``int64`` code array and
@@ -14,10 +14,10 @@ two interchangeable kernel backends:
   ``searchsorted`` / ``isin`` / ``unique`` / ``bincount`` over the
   codes, and a join or anti-join against a table's stored batch probes
   that batch's sorted :class:`KeyIndex` instead of encoding it;
-* a **pure-Python fallback** with identical semantics (dict/set loops
-  over zipped key columns), used when numpy is unavailable or disabled
-  via ``PROBKB_NO_NUMPY``, when a column is a list (see
-  :func:`column_of`) or when a key column holds NULLs.
+* a **pure-Python path** with identical semantics (dict/set loops
+  over zipped key columns), which the inputs select: a column that is a
+  list (see :func:`column_of`), a key column with NULLs, or keys too
+  wide for one ``int64`` code.
 
 Both paths produce the *same rows in the same order* as the row engine
 and charge the *same* :class:`~repro.relational.cost.CostClock`
@@ -29,16 +29,17 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from collections import defaultdict
 from typing import (
     Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
+import numpy as np
+
 from .expr import COMPARE_OPS, And, Col, Compare, Const, Expr, IsNull, Not, Or
 from .types import FLOAT, INT, ExecutionError, Row, Value, first_invalid
 
-__all__ = ["ColumnBatch", "TypedColumn", "get_numpy", "numpy_enabled", "set_numpy"]
+__all__ = ["ColumnBatch", "TypedColumn"]
 
 #: Largest combined key range the int64 encoding may cover; above this
 #: the multi-column Horner encoding could overflow and we fall back.
@@ -50,35 +51,10 @@ _MAX_CODE_RANGE = 2 ** 62
 _ONE_SEARCH_MIN_KEYS = 256
 
 
-try:
-    import numpy as _installed_numpy
-except ImportError:  # pragma: no cover - exercised by the CI lane
-    _installed_numpy = None
-
-#: The numpy module the kernels use, or None.  Resolved here, once: the
-#: Makefile, the CI lane and the benchmark harness all set
-#: ``PROBKB_NO_NUMPY`` before the process starts.
-_numpy: Any = _installed_numpy
-if os.environ.get("PROBKB_NO_NUMPY", "").strip().lower() in ("1", "true", "yes", "on"):
-    _numpy = None
-
-
-def get_numpy() -> Any:
-    """The numpy module, or None (not importable, or switched off)."""
-    return _numpy
-
-
 def numpy_enabled() -> bool:
-    """True when the columnar kernels may use their numpy fast paths."""
-    return _numpy is not None
-
-
-def set_numpy(enabled: bool) -> None:
-    """The one switch besides ``PROBKB_NO_NUMPY``: turn the numpy fast
-    paths on (when numpy is importable) or off.  Columns built so far
-    keep their kind and stay readable either way."""
-    global _numpy
-    _numpy = _installed_numpy if enabled else None
+    """True: numpy is a required dependency and no switch turns its
+    kernels off.  ``benchmarks/e2e/run.py`` records it per run."""
+    return True
 
 
 IndexSeq = Union[Sequence[int], Any]  # list of ints or np.ndarray
@@ -175,11 +151,10 @@ def column_of(values: List[Value]) -> ColumnData:
     The list itself is the column when an array would retype a value
     (text, ``bool``, ints mixed with floats, an int beyond int64) or
     lose its identity (the row engine's sets find a NaN by ``is``)."""
-    np = _numpy
     kinds = set(map(type, values))
     nullable = type(None) in kinds
     kinds.discard(type(None))
-    if np is None or not (kinds <= {int} or kinds == {float}):
+    if not (kinds <= {int} or kinds == {float}):
         return values
     mask, filled = None, values
     if nullable:
@@ -198,10 +173,9 @@ def constant_column(value: Value, nrows: int) -> ColumnData:
     """``nrows`` copies of ``value``, of the kind :func:`column_of`
     gives them; a NULL (``int64`` under a full mask) and an ``int64``
     int are built as the array directly."""
-    np = _numpy
-    if np is not None and value is None:
+    if value is None:
         return TypedColumn(np.zeros(nrows, np.int64), np.ones(nrows, bool))
-    if np is not None and type(value) is int and -(2 ** 63) <= value < 2 ** 63:
+    if type(value) is int and -(2 ** 63) <= value < 2 ** 63:
         return TypedColumn(np.full(nrows, value, np.int64))
     return column_of([value] * nrows)
 
@@ -209,8 +183,7 @@ def constant_column(value: Value, nrows: int) -> ColumnData:
 def int_range(start: int, stop: int) -> ColumnData:
     """``range(start, stop)`` as a column of the kind :func:`column_of`
     gives it, built by ``np.arange`` when it fits in an ``int64``."""
-    np = _numpy
-    if np is not None and -(2 ** 63) <= start and stop <= 2 ** 63:
+    if -(2 ** 63) <= start and stop <= 2 ** 63:
         return TypedColumn(np.arange(start, stop, dtype=np.int64))
     return column_of(list(range(start, stop)))
 
@@ -230,8 +203,8 @@ def gather_columns(cols: Sequence[ColumnData], indices: IndexSeq) -> List[Column
     one comprehension; the index sequence is converted at most once each
     way."""
     typed = [isinstance(col, TypedColumn) for col in cols]
-    if any(typed):  # a typed column exists only where numpy is installed
-        array = _installed_numpy.asarray(indices, dtype=_installed_numpy.intp)
+    if any(typed):
+        array = np.asarray(indices, dtype=np.intp)
     plain = indices.tolist() if hasattr(indices, "tolist") and not all(typed) else indices
     if len(indices) < _DEFER_MIN_ROWS:
         return [
@@ -258,8 +231,7 @@ def concat_columns(parts: Sequence[ColumnData]) -> ColumnData:
     typed alike.  NULL has no type, so an all-NULL part takes its
     neighbours' dtype; any other mix goes back through the Python
     values, which decide the kind again."""
-    np = _numpy
-    if np is not None and all(isinstance(part, TypedColumn) for part in parts):
+    if all(isinstance(part, TypedColumn) for part in parts):
         nulls = [part.mask is not None and part.mask.all() for part in parts]
         dtypes = {part.values.dtype for part, null in zip(parts, nulls) if not null}
         if len(dtypes) <= 1:
@@ -403,8 +375,7 @@ def _encode(*sides: Tuple[ColumnBatch, Sequence[int]]) -> Optional[List[Any]]:
     get equal codes.  None (→ pure-Python fallback) unless every side
     has rows, every key column an ``int_array``, and the combined range
     fits in an int64."""
-    np = _numpy
-    if np is None or not all(batch.nrows for batch, _ in sides):
+    if not all(batch.nrows for batch, _ in sides):
         return None
     keys = [[batch.int_array(pos) for pos in positions] for batch, positions in sides]
     if any(arr is None for arrays in keys for arr in arrays):
@@ -441,9 +412,8 @@ class KeyIndex:
         """``batch``'s codes on ``positions`` under these ranges, -1
         where a value falls outside them; None unless every key column
         is an ``int_array``."""
-        np = _numpy
         arrays = [batch.int_array(pos) for pos in positions]
-        if np is None or any(arr is None for arr in arrays):
+        if any(arr is None for arr in arrays):
             return None
         codes, inside = 0, True
         for arr, low, span in zip(arrays, self.lows, self.spans):
@@ -469,7 +439,6 @@ class KeyIndex:
         (they cost about as much as searching that many keys again);
         until then, and for fewer than :data:`_ONE_SEARCH_MIN_KEYS` keys,
         it is the two searches."""
-        np = _numpy
         codes = self.codes
         if keys.size < _ONE_SEARCH_MIN_KEYS or not codes.size or (
             self._runs is None and keys.size * 16 < codes.size
@@ -491,14 +460,13 @@ class KeyIndex:
         codes = self.encode(batch, positions)
         if codes is None or (codes < 0).any():
             return None
-        order = _numpy.argsort(codes, kind="stable")
+        order = np.argsort(codes, kind="stable")
         at = self.codes.searchsorted(codes[order], "right")  # after equal stored keys
-        insert = _numpy.insert
         return KeyIndex(
             self.lows,
             self.spans,
-            insert(self.codes, at, codes[order]),
-            insert(self.rows, at, order + offset),
+            np.insert(self.codes, at, codes[order]),
+            np.insert(self.rows, at, order + offset),
         )
 
 
@@ -508,9 +476,8 @@ def key_index(batch: ColumnBatch, positions: Sequence[int]) -> Optional[KeyIndex
     keys it cannot hold (not NULL-free ints, or too wide a range).  Each
     column's range is its stored values' with their width again on each
     side, so appends of nearby keys merge into it."""
-    np = _numpy
     key = tuple(positions)
-    if np is None or batch.indexes is None or not batch.nrows or not key:
+    if batch.indexes is None or not batch.nrows or not key:
         return None
     if key not in batch.indexes:
         arrays = [batch.int_array(pos) for pos in key]
@@ -545,7 +512,6 @@ def _probe(
 
 def _expand(rows: Any, lo: Any, hi: Any) -> Tuple[Any, Any]:
     """``(rows[lo[j]:hi[j]] for every j, concatenated; the j of each)``."""
-    np = _numpy
     counts = hi - lo
     total = int(counts.sum())
     if not total:
@@ -584,7 +550,7 @@ def join_indices(
         build_idx, probe_idx = _expand(*by_build)
     elif by_probe is not None:  # a stored probe side: its rows per build key, probe-major
         probe_idx, build_idx = _expand(*by_probe)
-        order = _numpy.argsort(probe_idx, kind="stable")
+        order = np.argsort(probe_idx, kind="stable")
         build_idx, probe_idx = build_idx[order], probe_idx[order]
     elif (codes := _encode((build, bpos), (probe, ppos))) is not None:
         build_idx, probe_idx = _np_join(*codes)
@@ -598,7 +564,7 @@ def join_indices(
 
 
 def _np_join(bcode: Any, pcode: Any) -> Tuple[Any, Any]:
-    order = _numpy.argsort(bcode, kind="stable")
+    order = np.argsort(bcode, kind="stable")
     build = KeyIndex((), (), bcode[order], order)  # probed like a stored index
     return _expand(order, *build.runs(pcode))
 
@@ -637,11 +603,10 @@ def anti_join_indices(
     tuple (including NULL-bearing ones) enters the existing-set, and a
     left row survives iff its tuple is absent.
     """
-    np = _numpy
     if not left.nrows:
         return []
     if not right.nrows:
-        return np.arange(left.nrows) if np is not None else list(range(left.nrows))
+        return np.arange(left.nrows)
     found = _probe(right, rpos, left, lpos)
     if found is not None:  # a stored right side
         _, lo, hi = found
@@ -668,7 +633,7 @@ def distinct_indices(batch: ColumnBatch) -> IndexSeq:
         return []
     codes = _encode((batch, range(len(batch.cols))))
     if codes is not None:
-        return _numpy.sort(_numpy.unique(codes[0], return_index=True)[1])
+        return np.sort(np.unique(codes[0], return_index=True)[1])
     groups = group_indices(batch, range(len(batch.cols)))
     return [rows[0] for rows in groups.values()]
 
@@ -696,7 +661,6 @@ def key_groups(
     row where the ``g``-th distinct key first occurs (groups in
     first-occurrence order), ``group[i]`` the group of row ``i``.
     None → the caller's Python loop."""
-    np = _numpy
     codes = _encode((batch, positions))
     if codes is None:
         return None
@@ -753,7 +717,6 @@ def _aggregate_typed(
     func: str, col: Optional[TypedColumn], group: Any, ngroups: int
 ) -> ColumnData:
     """One aggregate over every group of :func:`key_groups` at once."""
-    np = _numpy
     values = None if col is None else col.values
     if col is not None and col.mask is not None:
         valid = ~col.mask
@@ -819,7 +782,7 @@ def predicate_mask(expr: Expr, batch: ColumnBatch) -> Any:
     operands.  Anything else returns None and the caller falls back to
     the row loop.
     """
-    if _numpy is None or not batch.nrows:
+    if not batch.nrows:
         return None
     return _mask(expr, batch)
 
@@ -836,13 +799,12 @@ def _typed_column(expr: Expr, batch: ColumnBatch) -> Optional[TypedColumn]:
 
 def _operand_array(expr: Expr, batch: ColumnBatch) -> Any:
     if isinstance(expr, Const) and isinstance(expr.value, (int, float, bool)):
-        return _numpy.asarray(expr.value)
+        return np.asarray(expr.value)
     col = _typed_column(expr, batch)
     return None if col is None or col.mask is not None else col.values
 
 
 def _mask(expr: Expr, batch: ColumnBatch) -> Any:
-    np = _numpy
     if isinstance(expr, Compare):
         left = _operand_array(expr.left, batch)
         right = _operand_array(expr.right, batch)
@@ -874,6 +836,6 @@ def filter_batch_indices(predicate: Expr, batch: ColumnBatch) -> IndexSeq:
     """Indices of rows satisfying ``predicate`` (vectorized if possible)."""
     mask = predicate_mask(predicate, batch)
     if mask is not None:
-        return _numpy.nonzero(mask)[0]
+        return np.nonzero(mask)[0]
     bound = predicate.bind(batch.columns)
     return [i for i, row in enumerate(batch.tuples()) if bound(row)]

@@ -21,7 +21,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from ..analyze import verify_report
 from ..core.clauses import HornClause
 from ..core.config import InferenceConfig
-from ..core.model import Fact
+from ..core.model import Fact, check_weights
 from ..core.probkb import ProbKB
 from ..delta import DeltaExpander, PendingDelta
 from ..devtools.sanitizer import get_sanitizer, make_lock, shadow_token
@@ -264,8 +264,10 @@ class KBService:
         """Queue evidence for the next micro-batch flush.
 
         Returns the queue depth after enqueueing.  ``flush=True`` applies
-        everything pending before returning (synchronous ingest).
+        everything pending before returning (synchronous ingest).  A
+        non-finite weight raises ValueError before anything is queued.
         """
+        check_weights(facts)
         depth = self.queue.put(facts)
         if flush:
             self.flush()

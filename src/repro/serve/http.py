@@ -39,7 +39,7 @@ from urllib.parse import parse_qs, urlparse
 
 from ..analyze import AnalysisError
 from ..core.clauses import Atom, ClauseError, HornClause
-from ..core.model import Fact, KnowledgeBaseError
+from ..core.model import Fact, KnowledgeBaseError, finite_weight
 from .config import ServeConfig
 from .engine import KBService
 from .ingest import IngestOverflow
@@ -95,9 +95,9 @@ def fact_from_dict(payload: dict) -> Fact:
     weight = payload.get("weight")
     if weight is not None:
         try:
-            weight = float(weight)
-        except (TypeError, ValueError):
-            raise BadRequest(f"weight must be a number, got {weight!r}") from None
+            weight = finite_weight(weight)
+        except ValueError as error:
+            raise BadRequest(str(error)) from None
     return Fact(
         relation=str(payload["relation"]),
         subject=str(payload["subject"]),
@@ -124,14 +124,12 @@ def rule_from_dict(payload: dict) -> HornClause:
     """Parse ``{"weight", "head", "body", "classes"[, "score"]}``."""
     if not isinstance(payload, dict):
         raise BadRequest(f"each rule must be an object, got {type(payload).__name__}")
+    if "weight" not in payload:
+        raise BadRequest("rule missing 'weight'")
     try:
-        weight = float(payload["weight"])
-    except KeyError:
-        raise BadRequest("rule missing 'weight'") from None
-    except (TypeError, ValueError):
-        raise BadRequest(
-            f"rule weight must be a number, got {payload['weight']!r}"
-        ) from None
+        weight = finite_weight(payload["weight"], "rule weight")
+    except ValueError as error:
+        raise BadRequest(str(error)) from None
     head = _atom_from_dict(payload.get("head"), "rule head")
     raw_body = payload.get("body")
     if not isinstance(raw_body, list) or not raw_body:

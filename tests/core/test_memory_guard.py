@@ -11,11 +11,8 @@ here rather than only in the benchmark's ``peak_rss_mb``.
 
 import tracemalloc
 
-import pytest
-
 from repro.api import ExpansionSession, GroundingConfig
 from repro.datasets import ReVerbSherlockConfig, WorldConfig, generate
-from repro.relational.columnar import numpy_enabled
 
 #: the benchmark's ``reverb_nosc`` world, at 1.75 times the bench config
 #: instead of 3.5 (``benchmarks/e2e/workloads.py``)
@@ -50,9 +47,6 @@ def half_scale_kb():
     ).kb
 
 
-@pytest.mark.skipif(
-    not numpy_enabled(), reason="the bound is the typed columns'; lists hold boxed ints"
-)
 def test_query2_blow_up_stays_under_the_memory_bound():
     grounding = GroundingConfig(apply_constraints=False, analysis="off")
     with ExpansionSession(half_scale_kb(), grounding=grounding) as session:

@@ -8,6 +8,8 @@ see scored probabilities continuously, without an operator
 across flushes.
 """
 
+import dataclasses
+import math
 import threading
 import time
 
@@ -18,7 +20,6 @@ from repro.api import ExpansionSession
 from repro.datasets import paper_kb
 from repro.delta import DeltaExpander
 from repro.infer import componentwise_marginals
-from repro.relational.columnar import numpy_enabled
 from repro.serve import IngestConfig, KBService, ServiceConfig
 
 SWEEPS = 80
@@ -200,7 +201,6 @@ class TestStats:
         ``inference`` reports its batch, not the priming run's."""
         service.ingest(BATCH, flush=True)
         inference = service.stats()["inference"]
-        assert inference["kernel"] == ("numpy" if numpy_enabled() else "python")
         assert 1 <= inference["components"] < len(service.delta.index)
         assert inference["colors"] >= 1
 
@@ -229,6 +229,41 @@ class TestDeadLetterRetry:
     def test_retry_with_empty_dead_letter_is_a_noop(self, service):
         assert service.retry_dead_letter() == (0, 0)
         assert service.stats()["dead_letter_retries"] == 0
+
+
+class TestNonFiniteWeights:
+    """A NaN or infinite weight in TΠ makes every later inference fail,
+    so it is refused where it enters, before anything is stored or
+    queued."""
+
+    def test_an_infinite_flush_leaves_the_next_flush_working(self, service):
+        bad = Fact("born_in", "Grace Paley", "Writer", "Brooklyn", "Place", math.inf)
+        with pytest.raises(ValueError, match="weight of born_in.* is not finite"):
+            service.ingest([bad], flush=True)
+        assert service.queue.depth == 0
+        service.ingest(BATCH, flush=True)
+        assert service.query(subject="Saul Bellow", min_probability=0.01).facts
+        assert not service.query(subject="Grace Paley").facts
+        assert service.worker.dead_letter_stats()["facts"] == 0
+        assert service.metrics.dead_letter_facts == 0
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_the_api_refuses_before_writing(self, weight):
+        with ExpansionSession(expandable_kb()) as session:
+            session.ground()
+            facts_before = len(session.all_facts())
+            fact = Fact("born_in", "Grace Paley", "Writer", "Brooklyn", "Place", weight)
+            with pytest.raises(ValueError, match="is not finite"):
+                session.add_evidence([BATCH[0], fact])
+            with pytest.raises(ValueError, match="is not finite"):
+                session.expand_delta([fact])
+            rule = session.kb.rules[0]
+            with pytest.raises(ValueError, match="weight of rule .* is not finite"):
+                session.add_rules([dataclasses.replace(rule, weight=weight)])
+            assert len(session.all_facts()) == facts_before
+            assert session.kb.rules == expandable_kb().rules
+            session.add_evidence(BATCH)
+            assert session.infer()
 
 
 class RecordingLogger:

@@ -2,9 +2,9 @@
 
 ``sample_components`` samples a batch of components in one numpy pass
 (:func:`repro.infer.gibbs.block_marginals`); each component alone on
-``GibbsSampler.run_stream`` is the oracle.  Every test runs twice: numpy
-on, and switched off, where ``sample_components`` runs the scalar kernel
-itself (the no-numpy CI lane's path).
+``GibbsSampler.run_stream`` is the oracle.  Every test runs twice: the
+whole batch in one block, and each component in a block of its own (what
+a delta flush that touches one component samples).
 """
 
 import random
@@ -13,16 +13,32 @@ import pytest
 
 from repro.api import ExpansionSession, GroundingConfig
 from repro.datasets import ReVerbSherlockConfig, WorldConfig, generate
-from repro.infer.components import all_snapshots, component_sampler, sample_components
-from repro.relational.columnar import numpy_enabled, set_numpy
+from repro.infer.components import (
+    ComponentSample,
+    all_snapshots,
+    component_sampler,
+    sample_components,
+)
 
 
-@pytest.fixture(params=[True, False], ids=["numpy", "no-numpy"])
-def numpy_switch(request):
-    before = numpy_enabled()
-    set_numpy(request.param)
-    yield
-    set_numpy(before)
+@pytest.fixture(params=[False, True], ids=["numpy", "no-numpy"])
+def one_by_one(request):
+    """One block for the batch, then one block per component.  (The ids
+    are the twins' names from when the second one ran without numpy.)"""
+    return request.param
+
+
+def block_sample(snapshots, num_sweeps, seed, one_by_one):
+    """``sample_components`` over the batch, or over each component in
+    turn with the results merged."""
+    if not one_by_one:
+        return sample_components(snapshots, num_sweeps, seed)
+    samples = [sample_components([snapshot], num_sweeps, seed) for snapshot in snapshots]
+    marginals = {}
+    for sample in samples:
+        marginals.update(sample.marginals)
+    colors = max((sample.colors for sample in samples), default=0)
+    return ComponentSample(marginals, sum(sample.components for sample in samples), colors)
 
 
 def scalar_marginals(snapshots, num_sweeps, seed):
@@ -71,11 +87,10 @@ def random_snapshots(seed):
 
 @pytest.mark.parametrize("sweeps", [0, 1, 2, 5, 50])
 @pytest.mark.parametrize("graph_seed", [0, 1, 2])
-def test_random_blocks_match_the_scalar_kernel(numpy_switch, graph_seed, sweeps):
+def test_random_blocks_match_the_scalar_kernel(one_by_one, graph_seed, sweeps):
     snapshots = random_snapshots(graph_seed)
-    sample = sample_components(snapshots, sweeps, seed=graph_seed + 11)
+    sample = block_sample(snapshots, sweeps, graph_seed + 11, one_by_one)
     assert sample.marginals == scalar_marginals(snapshots, sweeps, seed=graph_seed + 11)
-    assert sample.kernel == ("numpy" if numpy_enabled() else "python")
     assert sample.components == len(snapshots)
 
 
@@ -95,8 +110,8 @@ def test_random_blocks_cover_the_hard_cases():
         assert len(colors) > 1
 
 
-def test_empty_block(numpy_switch):
-    sample = sample_components([], 10, seed=0)
+def test_empty_block(one_by_one):
+    sample = block_sample([], 10, 0, one_by_one)
     assert (sample.marginals, sample.components, sample.colors) == ({}, 0, 0)
 
 
@@ -130,8 +145,8 @@ def reverb_sc_rows():
         return session.factor_rows()
 
 
-def test_reverb_sc_graph_matches_the_scalar_kernel(numpy_switch, reverb_sc_rows):
+def test_reverb_sc_graph_matches_the_scalar_kernel(one_by_one, reverb_sc_rows):
     snapshots = all_snapshots(reverb_sc_rows)
     assert len(snapshots) > 100
-    sample = sample_components(snapshots, 20, seed=0)
+    sample = block_sample(snapshots, 20, 0, one_by_one)
     assert sample.marginals == scalar_marginals(snapshots, 20, seed=0)

@@ -4,6 +4,7 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -131,7 +132,7 @@ def assert_routes_like(routing, reference):
 
 @given(rows=rows2, nseg=st.integers(min_value=1, max_value=7))
 @settings(max_examples=40, deadline=None)
-def test_partition_batch_is_a_partition(rows, nseg):
+def test_route_is_a_partition(rows, nseg):
     batch = ColumnBatch.from_rows(["a", "b"], rows)
     shards = shards_of(batch, HashDistribution(["a"]), (0,), nseg)
     assert sum(shard.nrows for shard in shards) == len(rows)
@@ -167,7 +168,7 @@ key_column = st.sampled_from([st.integers(-9, 9), st.integers(-(2 ** 62), 2 ** 6
 
 @given(data=st.data(), nseg=st.integers(min_value=1, max_value=7))
 @settings(max_examples=80, deadline=None)
-def test_partition_batch_assigns_segments_like_per_row_stable_hash(data, nseg):
+def test_route_assigns_segments_like_per_row_stable_hash(data, nseg):
     """Hashing each distinct key once must place every row where
     ``stable_hash(key) % nseg`` of its own key does."""
     nrows = data.draw(st.integers(0, 30))
@@ -194,6 +195,34 @@ def test_partition_batch_assigns_segments_like_per_row_stable_hash(data, nseg):
             ]
 
 
+@given(
+    values=st.lists(
+        st.one_of(
+            st.integers(-(2 ** 60), 2 ** 60),
+            st.integers(-9, 9).map(float),
+            st.sampled_from([-0.0, 2.0 ** 60, -(2.0 ** 53), 0.5, math.inf]),
+            st.floats(allow_nan=False),
+            st.booleans(),
+        ),
+        max_size=30,
+    ),
+    nseg=st.integers(min_value=2, max_value=8),
+)
+@settings(max_examples=80, deadline=None)
+def test_equal_numbers_share_a_segment(values, nseg):
+    """``1``, ``1.0`` and ``True`` (and ``0``, ``-0.0`` and ``False``)
+    are one key to a join, a distinct or a group: a FLOAT column may hold
+    ints and floats, and routing must send equal keys to one segment."""
+    for value in values:
+        if type(value) is bool or (type(value) is float and value.is_integer()):
+            assert stable_hash((value,)) == stable_hash((int(value),))
+    batch = ColumnBatch.from_rows(["x"], [(value,) for value in values])
+    home = {}
+    for seg, shard in enumerate(shards_of(batch, HashDistribution(["x"]), (0,), nseg)):
+        for (value,) in shard.to_rows():
+            assert home.setdefault(value, seg) == seg, value
+
+
 #: int64 values whose canonical form sits on an edge: every digit count
 #: from both sides, both signs, and the int64 extremes
 int64_edges = sorted(
@@ -206,7 +235,6 @@ int64_value = st.one_of(
 
 
 def test_stable_hash_int64_covers_every_edge_value():
-    np = pytest.importorskip("numpy")
     for width in range(6):
         rows = [tuple(int64_edges[(i + k) % len(int64_edges)] for k in range(width))
                 for i in range(len(int64_edges))]
@@ -219,7 +247,6 @@ def test_stable_hash_int64_covers_every_edge_value():
 def test_stable_hash_int64_equals_stable_hash(data, width, nrows):
     """The vectorised kernel is :func:`stable_hash` bit for bit; width 0
     is ``crc32(b"") == 0``."""
-    np = pytest.importorskip("numpy")
     rows = data.draw(
         st.lists(st.tuples(*[int64_value] * width), min_size=nrows, max_size=nrows)
     )
@@ -231,7 +258,7 @@ def test_stable_hash_int64_equals_stable_hash(data, width, nrows):
 
 @given(data=st.data(), nseg=st.integers(min_value=1, max_value=8))
 @settings(max_examples=60, deadline=None)
-def test_partition_parts_routes_every_part_like_per_row_stable_hash(data, nseg):
+def test_route_sends_every_part_like_per_row_stable_hash(data, nseg):
     """One call over 1-8 source parts (0 to 480 rows together, so both
     sides of the scalar / kernel crossover): each target's run is its
     pieces — every part's rows routed by ``stable_hash(key) % nseg``, in

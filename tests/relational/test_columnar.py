@@ -1,8 +1,8 @@
 """Unit tests for the columnar batch representation and kernels.
 
-Every kernel must behave identically with numpy fast paths enabled and
-with the pure-Python fallback (``PROBKB_NO_NUMPY=1``); the tests that
-matter run under both via the ``no_numpy`` fixture (``conftest.py``).
+Every kernel must behave identically on typed columns and on list
+columns, which select its pure-Python path; the tests that matter run
+on both via the ``list_columns`` fixture (``conftest.py``).
 """
 
 import pickle
@@ -14,12 +14,9 @@ from repro.relational.columnar import (
     aggregate_column,
     anti_join_indices,
     distinct_indices,
-    get_numpy,
     group_indices,
     join_indices,
-    numpy_enabled,
     predicate_mask,
-    set_numpy,
 )
 from repro.relational import (
     Aggregate,
@@ -44,21 +41,14 @@ from repro.relational.expr import (
     eq_const,
 )
 
+from .conftest import listed
 from .rowref import run_query
 
 
-class TestEngineSelection:
-    def test_no_numpy_gate(self):
-        before = numpy_enabled()
-        try:
-            set_numpy(False)
-            assert get_numpy() is None
-            assert not numpy_enabled()
-            set_numpy(True)
-            # numpy is baked into the test image; the fast path must be on
-            assert numpy_enabled()
-        finally:
-            set_numpy(before)
+def batch_of(columns, rows, lists):
+    """``rows`` as a batch: the kinds ``column_of`` gives, or all lists."""
+    batch = ColumnBatch.from_rows(columns, rows)
+    return listed(batch) if lists else batch
 
 
 class TestColumnBatch:
@@ -80,11 +70,11 @@ class TestColumnBatch:
         assert renamed.columns == ["b"]
         assert renamed.cols[0] is batch.cols[0]
 
-    def test_pickle_ships_array_buffers(self, no_numpy):
+    def test_pickle_ships_array_buffers(self, list_columns):
         rows = [(i, float(i), "s", None if i % 7 else i) for i in range(200)]
-        batch = ColumnBatch.from_rows(["a", "b", "c", "d"], rows)
+        batch = batch_of(["a", "b", "c", "d"], rows, list_columns)
         wire = pickle.dumps(batch)
-        if not no_numpy:
+        if not list_columns:
             # three typed columns at 8 bytes a value, one mask, one list
             assert len(wire) < 200 * (3 * 8 + 1 + 8)
         shipped = pickle.loads(wire)
@@ -93,37 +83,42 @@ class TestColumnBatch:
         assert shipped.nrows == batch.nrows
         assert [type(col) for col in shipped.cols] == [type(col) for col in batch.cols]
 
-    def test_int_array_rejects_floats_and_strings(self, no_numpy):
-        np = get_numpy()
-        ints = ColumnBatch.from_rows(["a"], [(1,), (2,)])
-        floats = ColumnBatch.from_rows(["a"], [(1.5,), (2.5,)])
-        strings = ColumnBatch.from_rows(["a"], [("x",), ("y",)])
-        nulls = ColumnBatch.from_rows(["a"], [(1,), (None,)])
-        if np is None:
+    def test_int_array_rejects_floats_and_strings(self, list_columns):
+        ints = batch_of(["a"], [(1,), (2,)], list_columns)
+        floats = batch_of(["a"], [(1.5,), (2.5,)], list_columns)
+        strings = batch_of(["a"], [("x",), ("y",)], list_columns)
+        nulls = batch_of(["a"], [(1,), (None,)], list_columns)
+        if list_columns:
             assert ints.int_array(0) is None
         else:
             assert list(ints.int_array(0)) == [1, 2]
-        # these must never take the int fast path regardless of numpy
+        # these must never take the int fast path, whatever their kind
         assert floats.int_array(0) is None
         assert strings.int_array(0) is None
         assert nulls.int_array(0) is None
 
-    def test_huge_ints_stay_exact(self, no_numpy):
+    def test_huge_ints_stay_exact(self, list_columns):
         # 2**63 overflows int64: conversion must bail out, not truncate
-        batch = ColumnBatch.from_rows(["a"], [(2 ** 63,), (1,)])
+        batch = batch_of(["a"], [(2 ** 63,), (1,)], list_columns)
         assert batch.int_array(0) is None
         assert batch.to_rows() == [(2 ** 63,), (1,)]
 
 
 class TestJoinKernel:
+    @pytest.fixture(autouse=True)
+    def _kinds(self, list_columns):
+        self.lists = list_columns
+
     def _join(self, left_rows, right_rows, lpos, rpos):
-        left = ColumnBatch.from_rows(
+        left = batch_of(
             [f"l{i}" for i in range(len(left_rows[0]) if left_rows else 1)],
             left_rows,
+            self.lists,
         )
-        right = ColumnBatch.from_rows(
+        right = batch_of(
             [f"r{i}" for i in range(len(right_rows[0]) if right_rows else 1)],
             right_rows,
+            self.lists,
         )
         lidx, ridx, built, probed = join_indices(left, right, lpos, rpos)
         rows = [
@@ -132,7 +127,7 @@ class TestJoinKernel:
         ]
         return rows, built, probed
 
-    def test_matches_row_engine_order(self, no_numpy):
+    def test_matches_row_engine_order(self, list_columns):
         # build side = smaller (right here); output must be probe-major
         # with build matches in original build order
         left = [(1, "a"), (2, "b"), (1, "c"), (3, "d")]
@@ -146,23 +141,23 @@ class TestJoinKernel:
         ]
         assert (built, probed) == (2, 4)
 
-    def test_null_keys_never_match(self, no_numpy):
+    def test_null_keys_never_match(self, list_columns):
         left = [(None, 1), (2, 2)]
         right = [(None, 9), (2, 8)]
         rows, _, _ = self._join(left, right, [0], [0])
         assert rows == [(2, 2, 2, 8)]
 
-    def test_multi_column_keys(self, no_numpy):
+    def test_multi_column_keys(self, list_columns):
         left = [(1, 2, "a"), (1, 3, "b")]
         right = [(1, 2, "X"), (9, 9, "Y")]
         rows, _, _ = self._join(left, right, [0, 1], [0, 1])
         assert rows == [(1, 2, "a", 1, 2, "X")]
 
-    def test_empty_sides(self, no_numpy):
+    def test_empty_sides(self, list_columns):
         assert self._join([], [(1, 2)], [0], [0])[0] == []
         assert self._join([(1, 2)], [], [0], [0])[0] == []
 
-    def test_mixed_type_keys_fall_back(self, no_numpy):
+    def test_mixed_type_keys_fall_back(self, list_columns):
         # string keys can never use the int encoding
         left = [("k1", 1), ("k2", 2)]
         right = [("k1", 9)]
@@ -171,18 +166,22 @@ class TestJoinKernel:
 
 
 class TestAntiJoinKernel:
+    @pytest.fixture(autouse=True)
+    def _kinds(self, list_columns):
+        self.lists = list_columns
+
     def _anti(self, left_rows, right_rows):
-        left = ColumnBatch.from_rows(["a", "b"], left_rows)
-        right = ColumnBatch.from_rows(["a", "b"], right_rows)
+        left = batch_of(["a", "b"], left_rows, self.lists)
+        right = batch_of(["a", "b"], right_rows, self.lists)
         kept = anti_join_indices(left, right, [0], [0])
         return [left_rows[int(i)] for i in kept]
 
-    def test_basic(self, no_numpy):
+    def test_basic(self, list_columns):
         left = [(1, "a"), (2, "b"), (3, "c")]
         right = [(2, "x")]
         assert self._anti(left, right) == [(1, "a"), (3, "c")]
 
-    def test_null_left_key_is_kept_unless_null_on_right(self, no_numpy):
+    def test_null_left_key_is_kept_unless_null_on_right(self, list_columns):
         # matches the row engine: the right side's key set contains the
         # NULL-bearing tuple, so a NULL left key is excluded only when a
         # NULL right key exists
@@ -190,21 +189,21 @@ class TestAntiJoinKernel:
         assert self._anti(left, [(1, "x")]) == [(None, "a")]
         assert self._anti(left, [(None, "x")]) == [(1, "b")]
 
-    def test_empty_right_keeps_all(self, no_numpy):
+    def test_empty_right_keeps_all(self, list_columns):
         left = [(1, "a")]
         assert self._anti(left, []) == left
 
 
 class TestDistinctAndGroup:
-    def test_distinct_first_occurrence_order(self, no_numpy):
+    def test_distinct_first_occurrence_order(self, list_columns):
         rows = [(2, "b"), (1, "a"), (2, "b"), (1, "z"), (1, "a")]
-        batch = ColumnBatch.from_rows(["a", "b"], rows)
+        batch = batch_of(["a", "b"], rows, list_columns)
         kept = [rows[int(i)] for i in distinct_indices(batch)]
         assert kept == [(2, "b"), (1, "a"), (1, "z")]
 
-    def test_distinct_with_nulls(self, no_numpy):
+    def test_distinct_with_nulls(self, list_columns):
         rows = [(None,), (1,), (None,)]
-        batch = ColumnBatch.from_rows(["a"], rows)
+        batch = batch_of(["a"], rows, list_columns)
         kept = [rows[int(i)] for i in distinct_indices(batch)]
         assert kept == [(None,), (1,)]
 
@@ -238,14 +237,9 @@ class TestPredicateMask:
     def test_compare_vectorizes_with_numpy(self):
         rows = [(1,), (5,), (3,)]
         mask, _ = self._mask(eq_const("a", 3), rows, ["a"])
-        if numpy_enabled():
-            assert [bool(b) for b in mask] == [False, False, True]
-        else:
-            assert mask is None
+        assert [bool(b) for b in mask] == [False, False, True]
 
     def test_conjunction(self):
-        if not numpy_enabled():
-            pytest.skip("vectorized masks need numpy")
         rows = [(1, 1), (1, 2), (2, 1)]
         expr = conj(eq_const("a", 1), eq_const("b", 1))
         mask, _ = self._mask(expr, rows, ["a", "b"])
@@ -260,14 +254,14 @@ class TestSharedOperators:
     """The operator functions every engine host calls
     (:mod:`repro.relational.operators`), against the row ``Executor``."""
 
-    def test_join_matches_row_executor(self, no_numpy):
+    def test_join_matches_row_executor(self, list_columns):
         # duplicate keys on both sides, NULL keys on both sides
         left = [(1, "a"), (2, "b"), (None, "n"), (1, "c")]
         right = [(1, "X"), (3, "Y"), (None, "Z"), (1, "W")]
         ours_clock = CostClock()
         ours = operators.join_batches(
-            ColumnBatch.from_rows(["l.k", "l.v"], left),
-            ColumnBatch.from_rows(["r.k", "r.v"], right),
+            batch_of(["l.k", "l.v"], left, list_columns),
+            batch_of(["r.k", "r.v"], right, list_columns),
             [0], [0], None, ours_clock,
         )
 
@@ -286,11 +280,11 @@ class TestSharedOperators:
         db.clock.rows_scanned = db.clock.queries = 0
         assert ours_clock.snapshot() == db.clock.snapshot()
 
-    def test_bound_steps_resolve_positions_and_pickle(self, no_numpy):
+    def test_bound_steps_resolve_positions_and_pickle(self, list_columns):
         """``bind_step`` names every column by position, and the step a
         pool worker unpickles runs exactly as the master's."""
-        left = ColumnBatch.from_rows(["l.k", "l.v"], [(1, 10), (2, None), (1, 30)])
-        right = ColumnBatch.from_rows(["r.k", "r.w"], [(1, 5), (2, 7)])
+        left = batch_of(["l.k", "l.v"], [(1, 10), (2, None), (1, 30)], list_columns)
+        right = batch_of(["r.k", "r.w"], [(1, 5), (2, 7)], list_columns)
         join = HashJoin(
             Values(left.columns, []), Values(right.columns, []), ["k"], ["r.k"],
             residual=Or(IsNull(col("v")), Not(Compare("<", col("w"), col("v")))),

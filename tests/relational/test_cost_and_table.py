@@ -93,7 +93,7 @@ class TestTable:
         table = self.make()
         table.insert([(1, 2), (3, 4)])
         assert table.project(["b", "a"]) == [(2, 1), (4, 3)]
-        cols = table.column_batch().cols  # typed arrays, or lists without numpy
+        cols = table.column_batch().cols  # typed arrays
         assert [values_of(col) for col in cols] == [[1, 3], [2, 4]]
 
     def test_truncate(self):

@@ -9,8 +9,9 @@ database joins the matrix as one more engine: the same operators run
 per segment, so across segment counts and table placements it must
 return the row engine's multiset.
 
-Runs the whole matrix twice: numpy fast paths on, and forced off via
-``PROBKB_NO_NUMPY`` (the pure-Python fallback must not drift).
+Runs the whole matrix twice: over the typed columns client rows become,
+and over list columns (``list_columns``), so the pure-Python kernels
+must not drift either.
 """
 
 import random
@@ -69,6 +70,13 @@ def build_db(rows_r, rows_s):
     return db
 
 
+#: a FLOAT column may hold 4 and 4.0: equal keys, whatever their type
+#: (each int here and its float hash apart modulo 3 unless hashed alike;
+#: both first rows are floats, so the plan verifier types both keys FLOAT)
+NUMBERS_A = [(4.0,), (4,), (5,), (6.0,), (7,), (-0.0,)]
+NUMBERS_B = [(4.0,), (5.0,), (6,), (7.0,), (0,)]
+
+
 def plan_catalog():
     """Plan factories covering every operator, NULL keys included."""
     return {
@@ -116,6 +124,18 @@ def plan_catalog():
                 Project(Scan("S", "s"), [(col("s.k"), "k"), (col("s.v"), "v")]),
             ]
         ),
+        # join, then group by the key: 4 == 4.0 and 0 == -0.0 on every segment
+        "equal_numbers": lambda: Aggregate(
+            UnionAll([
+                Project(
+                    HashJoin(Values(["x"], NUMBERS_A), Values(["y"], NUMBERS_B), ["x"], ["y"]),
+                    [(col("x"), "x")],
+                ),
+                Values(["x"], NUMBERS_B),
+            ]),
+            group_by=["x"],
+            aggregates=[("count", None, "n")],
+        ),
         "stacked": lambda: Distinct(
             Project(
                 HashJoin(Scan("R", "r"), Scan("S", "s"), ["r.k"], ["s.k"]),
@@ -134,7 +154,7 @@ SQL_SAFE = (
 
 class TestEngineParity:
     @pytest.mark.parametrize("name", sorted(plan_catalog()))
-    def test_columnar_matches_rows_bit_identical(self, name, no_numpy):
+    def test_columnar_matches_rows_bit_identical(self, name, list_columns):
         rng = random.Random(SEED)
         rows_r = random_rows(rng, NROWS)
         rows_s = random_rows(rng, NROWS // 2)
@@ -152,7 +172,7 @@ class TestEngineParity:
         assert col_db.clock.snapshot() == rows_db.clock.snapshot()
 
     @pytest.mark.parametrize("name", SQL_SAFE)
-    def test_columnar_matches_sqlite(self, name, no_numpy):
+    def test_columnar_matches_sqlite(self, name, list_columns):
         rng = random.Random(SEED + 1)
         rows_r = random_rows(rng, NROWS)
         rows_s = random_rows(rng, NROWS // 2)
@@ -163,7 +183,7 @@ class TestEngineParity:
             theirs = mirror.run_sorted(to_sql(factory()))
         assert ours == theirs
 
-    def test_empty_inputs(self, no_numpy):
+    def test_empty_inputs(self, list_columns):
         for name, factory in plan_catalog().items():
             rows_db = build_db([], [])
             col_db = build_db([], [])
@@ -172,7 +192,7 @@ class TestEngineParity:
             assert actual.rows == expected.rows, name
             assert col_db.clock.snapshot() == rows_db.clock.snapshot(), name
 
-    def test_many_random_shapes(self, no_numpy):
+    def test_many_random_shapes(self, list_columns):
         """Fuzz loop: random data, every operator, both engines."""
         rng = random.Random(SEED + 2)
         for trial in range(8):
@@ -210,7 +230,7 @@ class TestMppParity:
     @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
     @pytest.mark.parametrize("nseg", [1, 3])
     @pytest.mark.parametrize("name", sorted(plan_catalog()))
-    def test_serial_mpp_matches_rows(self, name, nseg, placement, no_numpy):
+    def test_serial_mpp_matches_rows(self, name, nseg, placement, list_columns):
         rng = random.Random(SEED + 4)
         rows_r = random_rows(rng, NROWS)
         rows_s = random_rows(rng, NROWS // 2)
@@ -235,7 +255,7 @@ class TestDmlParity:
     """INSERT ... SELECT row order feeds fact ids: the stored table must
     number the row reference's result in the reference's order."""
 
-    def test_insert_from_with_ids_order(self, no_numpy):
+    def test_insert_from_with_ids_order(self, list_columns):
         rng = random.Random(SEED + 3)
         rows_r = random_rows(rng, 60)
         rows_s = random_rows(rng, 30)
@@ -256,7 +276,7 @@ class TestDmlParity:
 
     @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
     @pytest.mark.parametrize("nseg", [1, 3])
-    def test_dml_statements_single_node_vs_mpp(self, nseg, placement, no_numpy):
+    def test_dml_statements_single_node_vs_mpp(self, nseg, placement, list_columns):
         """The five DML statements leave the same table behind on both
         databases — contents, ids, return values, rows stored — wherever
         the target lives, with a mirror of it riding along."""

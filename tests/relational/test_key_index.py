@@ -11,7 +11,7 @@ re-encoding path).  On ``Database`` rows, row order, stored tables and
 ``clock.snapshot()`` must equal the reference's.  On serial
 ``MPPDatabase`` (1 and 3 segments) they must equal an index-free twin's
 shard by shard and clock by clock, and the reference's as multisets.
-The matrix runs with numpy on and off.
+The matrix runs over typed and list input columns.
 """
 
 import gc
@@ -20,6 +20,7 @@ import weakref
 from collections import Counter
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from repro.mpp import HashDistribution, MPPDatabase, RandomDistribution, ReplicatedDistribution
@@ -31,10 +32,6 @@ from .rowref import run_query
 
 SEED = 20261016
 STEPS = 120
-
-needs_numpy = pytest.mark.skipif(
-    not columnar.numpy_enabled(), reason="the key index is a numpy structure"
-)
 
 SCHEMAS = {
     "F": schema("F", "a:int", "b:int", "v:int", unique_key=["a", "b"]),
@@ -161,7 +158,7 @@ def multiset(result):
 
 
 @pytest.mark.parametrize("nseg", [None, 1, 3], ids=["single", "mpp1", "mpp3"])
-def test_probes_match_the_reencoding_path_and_the_row_engine(no_numpy, nseg):
+def test_probes_match_the_reencoding_path_and_the_row_engine(list_columns, nseg):
     rng = random.Random(SEED + (nseg or 0))
     reference, sut = make_db(None), make_db(nseg)
     twin = None if nseg is None else make_db(nseg)
@@ -202,18 +199,18 @@ def test_probes_match_the_reencoding_path_and_the_row_engine(no_numpy, nseg):
             for part in stored(sut, name)
             for index in (part.column_batch().indexes or {}).values()
         )
-    assert (indexed > 0) == columnar.numpy_enabled()
+    assert indexed > 0
 
 
 # -- one binary search per probe -------------------------------------------------
 
 
 @pytest.mark.parametrize("nseg", [None, 3], ids=["single", "mpp3"])
-def test_the_stream_with_one_search_per_probe(no_numpy, nseg, monkeypatch):
+def test_the_stream_with_one_search_per_probe(list_columns, nseg, monkeypatch):
     """The stream above, with every probe of enough keys taking the
     one-search path (its crossover is far above these tables' sizes)."""
     monkeypatch.setattr(columnar, "_ONE_SEARCH_MIN_KEYS", 1)
-    test_probes_match_the_reencoding_path_and_the_row_engine(no_numpy, nseg)
+    test_probes_match_the_reencoding_path_and_the_row_engine(list_columns, nseg)
 
 
 def two_searches(codes, keys):
@@ -227,7 +224,6 @@ def assert_bounds(found, codes, keys):
     assert hi.tolist() == want_hi.tolist()
 
 
-@needs_numpy
 @pytest.mark.parametrize("min_keys", [1, columnar._ONE_SEARCH_MIN_KEYS])
 def test_one_search_bounds_equal_two_searches(min_keys, monkeypatch):
     """Random sorted codes with duplicates, an empty index, probes that
@@ -235,7 +231,6 @@ def test_one_search_bounds_equal_two_searches(min_keys, monkeypatch):
     probes of every size, the runs found by the first probe that needs
     them and reused by the rest."""
     monkeypatch.setattr(columnar, "_ONE_SEARCH_MIN_KEYS", min_keys)
-    np = columnar.get_numpy()
     rng = np.random.default_rng(SEED)
     for ncodes in (0, 1, 7, 300, 5000):
         span = ncodes // 3 + 2
@@ -246,7 +241,6 @@ def test_one_search_bounds_equal_two_searches(min_keys, monkeypatch):
             assert_bounds(index.runs(keys), codes, keys)
 
 
-@needs_numpy
 def test_one_search_after_merged_appends(monkeypatch):
     """Each append merges the stored index into a new one, which finds
     its own runs on its first probe."""

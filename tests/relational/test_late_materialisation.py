@@ -10,7 +10,7 @@ something reads it.  These tests hold that to the eager engine:
   AntiJoin / Project above them, return the row ``Executor``'s rows in
   its order and charge its ``clock.snapshot()`` — on ``Database`` and,
   as multisets, on serial ``MPPDatabase`` with 1 and 3 segments — with
-  numpy on and off, deferring at the default crossover and always;
+  typed and list input columns, deferring at the default crossover and always;
 * every output column has the kind (dtype, mask) an eager gather gives;
 * a ``Project`` of k of a join's N columns gathers only those k and the
   join keys a later join encodes;
@@ -50,10 +50,6 @@ TABLES = ("A", "B", "C", "D")
 #: text, an int payload and a float payload
 COLUMNS = ("k:int", "j:int", "lab:text", "v:int", "w:float")
 NO_DEFERRAL = 10 ** 12
-
-needs_numpy = pytest.mark.skipif(
-    not columnar.numpy_enabled(), reason="only typed columns are deferred"
-)
 
 
 @pytest.fixture(params=["crossover", "always"])
@@ -151,7 +147,7 @@ def cases(count):
 
 
 @pytest.mark.parametrize("case", range(12))
-def test_join_chains_match_the_row_engine(case, defer_from, no_numpy):
+def test_join_chains_match_the_row_engine(case, defer_from, list_columns):
     data, plan = cases(12)[case]
     reference = load(Database("rows"), data)
     db = load(Database("cols"), data)
@@ -164,7 +160,7 @@ def test_join_chains_match_the_row_engine(case, defer_from, no_numpy):
 
 @pytest.mark.parametrize("nseg", [1, 3])
 @pytest.mark.parametrize("case", range(0, 12, 3))
-def test_join_chains_on_serial_mpp(case, nseg, defer_from, no_numpy):
+def test_join_chains_on_serial_mpp(case, nseg, defer_from, list_columns):
     data, plan = cases(12)[case]
     expected = run_query(load(Database("rows"), data), plan)
     for policy in (lambda: HashDistribution(["j"]), RandomDistribution):
@@ -202,7 +198,6 @@ def wide_join(nrows=1500, ncols=8):
     return db, plan
 
 
-@needs_numpy
 def test_a_project_gathers_only_what_it_reads(monkeypatch):
     db, join = wide_join()
     stored = {
@@ -228,7 +223,6 @@ def test_a_project_gathers_only_what_it_reads(monkeypatch):
     assert sorted(set(gathered)) == ["L.c1", "L.c3", "R.c5", "S.c0"]
 
 
-@needs_numpy
 def test_a_pickled_deferred_batch_ships_only_its_rows(monkeypatch):
     db, join = wide_join()
     deferred = ColumnarExecutor(db.tables, CostClock()).run(join)

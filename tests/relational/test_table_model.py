@@ -104,9 +104,9 @@ for case in (TestKeylessTable, TestKeyedTable):
 
 class TestPinnedValidation:
     """``np.asarray([1, True])`` is a clean int64 array: validation must
-    look at the Python values, with numpy on or off."""
+    look at the Python values, whichever kind the columns are."""
 
-    def test_bool_is_not_an_int(self, no_numpy):
+    def test_bool_is_not_an_int(self, list_columns):
         table = Table(schema("t", "a:int", "b:int"))
         table.insert([(1, 2)])
         table.column_batch().int_array(1)  # warm the numpy view, if any
@@ -115,7 +115,7 @@ class TestPinnedValidation:
                 table.insert(rows)
         assert table.rows == [(1, 2)]
 
-    def test_int_and_float_fit_a_float_column(self, no_numpy):
+    def test_int_and_float_fit_a_float_column(self, list_columns):
         table = Table(schema("t", "a:int", "b:float"))
         assert table.insert([(1, 2.0), (2, 3), (3, None)]) == 3
         with pytest.raises(SchemaError):
@@ -128,7 +128,7 @@ class TestPinnedValidation:
         "rows",
         [[(1, 2), (3,)], [(1,), (3, 4)], [(1, 2), (3, 4, 5)], [(1, 2, 3)], [()]],
     )
-    def test_ragged_client_row_is_rejected_not_truncated(self, no_numpy, rows):
+    def test_ragged_client_row_is_rejected_not_truncated(self, list_columns, rows):
         table = Table(schema("t", "a:int", "b:int"))
         for validate in (True, False):
             with pytest.raises(SchemaError, match="row arity"):

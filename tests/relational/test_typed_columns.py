@@ -5,9 +5,8 @@ the end-to-end benchmark grounds.
 A typed column (``int64`` / ``float64`` array + null mask) and a list
 column are two representations of the same values; every operation of
 the container must give the same rows — same values, same Python
-types — whichever one it runs on.  The list twin is built by switching
-numpy off (``set_numpy``), which is what the no-numpy CI lane does for
-the whole suite.
+types — whichever one it runs on.  The list twin is built from the same
+inputs with every column a list (``listed``).
 """
 
 import dataclasses
@@ -35,12 +34,12 @@ from repro.relational import (
     const,
     schema,
 )
-from repro.relational.columnar import TypedColumn, column_of, numpy_enabled, set_numpy
+from repro.relational.columnar import TypedColumn, column_of
 from repro.relational.cost import CostClock
 from repro.relational.operators import aggregate_batch
 from repro.relational.table import Table, batch_of_result
 
-needs_numpy = pytest.mark.skipif(not numpy_enabled(), reason="typed columns need numpy")
+from .conftest import listed
 
 
 def exact(value):
@@ -52,16 +51,6 @@ def exact(value):
 
 def exact_rows(rows):
     return [tuple(exact(value) for value in row) for row in rows]
-
-
-def as_lists(build):
-    """``build()`` with numpy switched off: every column a list."""
-    before = numpy_enabled()
-    set_numpy(False)
-    try:
-        return build()
-    finally:
-        set_numpy(before)
 
 
 ints = st.one_of(
@@ -117,10 +106,10 @@ def test_container_operations_agree_with_list_columns(table, data):
         picks = []
     cut = data.draw(st.integers(0, len(rows)))
 
-    def run():
-        batch = ColumnBatch.from_rows(names, rows)
-        head = ColumnBatch.from_rows(names, rows[:cut])
-        tail = ColumnBatch.from_rows(names, rows[cut:])
+    def run(make):
+        batch = make(names, rows)
+        head = make(names, rows[:cut])
+        tail = make(names, rows[cut:])
         return {
             "gather": batch.gather(picks).to_rows(),
             "concat": ColumnBatch.concat(names, [head, tail, head]).to_rows(),
@@ -128,9 +117,10 @@ def test_container_operations_agree_with_list_columns(table, data):
             "pickle": pickle.loads(pickle.dumps(batch)).to_rows(),
         }
 
-    typed, listed = run(), as_lists(run)
+    typed = run(ColumnBatch.from_rows)
+    lists = run(lambda names, rows: listed(ColumnBatch.from_rows(names, rows)))
     for operation in typed:
-        assert exact_rows(typed[operation]) == exact_rows(listed[operation]), operation
+        assert exact_rows(typed[operation]) == exact_rows(lists[operation]), operation
     assert exact_rows(typed["gather"]) == exact_rows([rows[i] for i in picks])
     assert exact_rows(typed["concat"]) == exact_rows(rows + rows[:cut])
 
@@ -158,8 +148,7 @@ def test_aggregates_agree_with_list_columns(rows, grouped, threshold):
         specs += [(func, "v", f"{func}_v"), (func, "f", f"{func}_f")]
     having = None if threshold is None else Compare(">", col("n"), const(threshold))
 
-    def run():
-        child = ColumnBatch.from_rows(["g", "h", "v", "f"], rows)
+    def run(child):
         out = aggregate_batch(
             child,
             [0, 1] if grouped else [],
@@ -171,10 +160,10 @@ def test_aggregates_agree_with_list_columns(rows, grouped, threshold):
         )
         return out.to_rows()
 
-    assert exact_rows(run()) == exact_rows(as_lists(run))
+    child = ColumnBatch.from_rows(["g", "h", "v", "f"], rows)
+    assert exact_rows(run(child)) == exact_rows(run(listed(child)))
 
 
-@needs_numpy
 def test_column_kinds_are_decided_from_the_values():
     def kinds(*values):
         batch = ColumnBatch.from_rows(["c"], [(v,) for v in values])
@@ -196,7 +185,6 @@ def test_column_kinds_are_decided_from_the_values():
     assert kinds(1.0, math.nan) == "list"  # identity is what equates NaNs
 
 
-@needs_numpy
 def test_null_parts_take_their_neighbours_dtype_in_concat():
     nulls = ColumnBatch.from_rows(["w"], [(None,), (None,)])
     weights = ColumnBatch.from_rows(["w"], [(0.5,)])
@@ -284,7 +272,6 @@ def test_no_numpy_scalar_escapes_probkb_or_the_serving_layer(tmp_path):
 # -- the benchmark's shapes never leave the typed path -------------------------------
 
 
-@needs_numpy
 def test_no_list_fallback_on_the_benchmark_shapes():
     """After ``ground()`` on the quarter-scale ReVerb-Sherlock KB of the
     end-to-end benchmark, every column of the fact, factor, staging and
@@ -339,7 +326,7 @@ def kind(column):
     ids=repr,
 )
 @pytest.mark.parametrize("nrows", [0, 1, 4])
-def test_a_projected_constant_is_the_kind_column_of_gives(value, nrows, no_numpy):
+def test_a_projected_constant_is_the_kind_column_of_gives(value, nrows, list_columns):
     db = Database("const")
     db.create_table(schema("R", "v:int"))
     db.bulkload("R", [(i,) for i in range(nrows)])
@@ -350,10 +337,12 @@ def test_a_projected_constant_is_the_kind_column_of_gives(value, nrows, no_numpy
 
 @pytest.mark.parametrize("next_id", [None, 0, -(2 ** 63), 2 ** 63 - 3, 2 ** 63 - 2, 2 ** 63])
 @pytest.mark.parametrize("nrows", [0, 2])
-def test_ids_and_null_padding_are_the_kinds_column_of_gives(next_id, nrows, no_numpy):
+def test_ids_and_null_padding_are_the_kinds_column_of_gives(next_id, nrows, list_columns):
     names = ["v", "p", "q"] if next_id is None else ["id", "v", "p", "q"]
     target = schema("T", *[f"{name}:int" for name in names])
     result = ColumnBatch.from_rows(["v"], [(i,) for i in range(nrows)])
+    if list_columns:
+        result = listed(result)
     batch = batch_of_result(target, result, next_id, pad_nulls=2)
     expected = [result.cols[0]] + [column_of([None] * nrows)] * 2
     if next_id is not None:

@@ -257,6 +257,15 @@ class TestErrors:
         code, payload = http_error(base_url + "/evidence", {"facts": [fact]})
         assert code == 400 and "weight" in payload["error"]
 
+    @pytest.mark.parametrize("weight", ["NaN", float("inf")])
+    def test_evidence_non_finite_weight_400(self, base_url, weight):
+        fact = dict(EVIDENCE["facts"][0], weight=weight)
+        code, payload = http_error(base_url + "/evidence", {"facts": [fact]})
+        assert code == 400
+        assert payload["error"] == f"weight {weight!r} is not finite"
+        _, stats = get_json(base_url + "/stats")
+        assert stats["queue_depth"] == 0
+
     def test_evidence_invalid_json_400(self, base_url):
         request = urllib.request.Request(
             base_url + "/evidence", data=b"not json{"

@@ -85,6 +85,16 @@ def test_post_rules_rejected_batch_changes_nothing(base_url):
     assert payload["added"] == 1
 
 
+def test_post_rules_non_finite_weight_is_400(base_url):
+    rule = dict(rule_payload("grow_up_in"), weight="NaN")
+    status, payload = post_json(base_url + "/rules", {"rules": [rule]})
+    assert status == 400
+    assert payload["error"] == "rule weight 'NaN' is not finite"
+    # nothing was added: the same rule with a finite weight still is
+    status, payload = post_json(base_url + "/rules", {"rules": [rule_payload("grow_up_in")]})
+    assert status == 200 and payload["added"] == 1
+
+
 def test_post_rules_malformed_payload_is_400(base_url):
     status, payload = post_json(base_url + "/rules", {"rules": []})
     assert status == 400
